@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 tier2 race stress chaos bench-vectorize bench-alloc bench-overlap bench-parity bench-rescache bench-iosched profile-smoke clean
+.PHONY: all tier1 ledger-smoke tier2 race stress chaos bench-vectorize bench-alloc bench-overlap bench-parity bench-rescache bench-iosched profile-smoke clean
 
 all: tier1
 
@@ -10,6 +10,13 @@ tier1:
 	$(GO) vet ./...
 	$(GO) test ./...
 
+# The performance ledger (BENCHMARK.json, benchmark/) is a module of its own,
+# so tier1 never compiles it and a signature change under internal/ can
+# break it unnoticed. Its tests build it against this checkout and run every
+# workload at SF 0.01 (~10 s).
+ledger-smoke:
+	$(GO) test -C benchmark ./...
+
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the
 # silent-corruption and device-loss scenarios) and the committed performance
@@ -18,8 +25,9 @@ tier1:
 tier2: chaos bench-alloc bench-overlap bench-parity bench-rescache bench-iosched
 
 # Race-detector pass over the concurrency-heavy packages (morsel workers,
-# partition spilling, per-worker stats accumulators, span buffers, fault
-# recovery, utilization tracer).
+# partition spilling, the sharded aggregation group table against its
+# map-based reference at 1, 2 and 8 workers, per-worker stats accumulators,
+# span buffers, fault recovery, utilization tracer).
 race:
 	$(GO) test -race -short ./internal/exec/ ./internal/core/ ./internal/chaos/ ./internal/trace/ ./internal/metrics/
 
@@ -51,9 +59,10 @@ profile-smoke:
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos/
 
-# Vectorization microbenchmarks (expression kernels, batch hash/encode).
+# Kernel microbenchmarks (expression kernels, batch hash/encode, the
+# phase-2 aggregation merge at 600 k and at 4 groups).
 bench-vectorize:
-	$(GO) test -run=^$$ -bench 'Vectorized|Scalar|HashColumns|HashRow|EncodeAll|EncodeRow' -benchmem ./internal/exec/ ./internal/data/
+	$(GO) test -run=^$$ -bench 'Vectorized|Scalar|HashColumns|HashRow|EncodeAll|EncodeRow|AggMerge' -benchmem ./internal/exec/ ./internal/data/
 
 # GC-pressure gate: allocation-count regression tests (also in tier1),
 # -benchmem microbenchmarks over the recycling hot path, and the

@@ -171,6 +171,9 @@ func (r *memReader) Next(b *data.Batch) (int, error) {
 		}
 	}
 	b.SetLen(hi - lo)
+	// The views reach to the end of the table's arrays: without the mark, a
+	// later lessee of this pooled batch would append rows into the table.
+	b.Borrow()
 	return hi - lo, nil
 }
 

@@ -40,31 +40,6 @@ func (a *ByteArena) InternBytes(b []byte) string {
 	return unsafe.String(&s[0], len(s))
 }
 
-// CompareBytesString lexically compares b against s with string comparison
-// semantics (byte-wise), without converting b to a string. Returns -1, 0,
-// or 1.
-func CompareBytesString(b []byte, s string) int {
-	n := len(b)
-	if len(s) < n {
-		n = len(s)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case b[i] < s[i]:
-			return -1
-		case b[i] > s[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
-}
-
 // Copy copies b into the arena and returns the copy as a byte slice. The
 // returned slice must be treated as immutable: it shares a chunk with other
 // interned values and with strings handed out by InternBytes.

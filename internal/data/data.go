@@ -136,6 +136,9 @@ type Batch struct {
 	// Release returns it there. Cleared on Put so a pooled batch cannot be
 	// double-released through a stale reference.
 	pool *BatchPool
+	// borrowed marks the column slices as views of storage the batch does
+	// not own (see Borrow).
+	borrowed bool
 }
 
 // NewBatch returns an empty batch with capacity hint cap.
@@ -178,18 +181,31 @@ func (b *Batch) Row(i int) int {
 	return i
 }
 
-// Reset clears all rows and the selection vector, keeping capacity.
+// Reset clears all rows and the selection vector, keeping capacity — except
+// that borrowed columns are dropped, not truncated: a truncated view keeps
+// the owner's backing array, and the next append would write through it.
 func (b *Batch) Reset() {
 	for i := range b.Cols {
 		c := &b.Cols[i]
-		c.I = c.I[:0]
-		c.F = c.F[:0]
-		c.S = c.S[:0]
+		if b.borrowed {
+			c.I, c.F, c.S = nil, nil, nil
+		} else {
+			c.I = c.I[:0]
+			c.F = c.F[:0]
+			c.S = c.S[:0]
+		}
 		c.Null = nil
 	}
+	b.borrowed = false
 	b.Sel = nil
 	b.n = 0
 }
+
+// Borrow declares that the column slices now alias storage the batch does
+// not own (an in-memory table handing out views of its columns). The mark
+// lasts until the next Reset, which every refill and BatchPool.Put go
+// through.
+func (b *Batch) Borrow() { b.borrowed = true }
 
 // Flatten materializes the selection vector by compacting the columns in
 // place (ascending Sel makes the in-place shift safe) and clearing Sel.

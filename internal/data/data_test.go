@@ -121,6 +121,57 @@ func TestRowCodecNulls(t *testing.T) {
 	}
 }
 
+// TestAppendKey: the key copy holds the leading fields only, reads like the
+// tuple for them, compares equal to it and hashes like it, and copies of
+// several tuples sit back to back in one buffer.
+func TestAppendKey(t *testing.T) {
+	s := NewSchema(ColumnDef{"k1", String}, ColumnDef{"k2", Int64}, ColumnDef{"k3", String},
+		ColumnDef{"v1", Float64}, ColumnDef{"v2", String})
+	rc := NewRowCodec(s.Types())
+	b := NewBatch(s, 3)
+	b.Cols[0].S = []string{"alpha", "", "alpha"}
+	b.Cols[1].I = []int64{7, -1, 7}
+	b.Cols[1].Null = []bool{false, true, false}
+	b.Cols[2].S = []string{"x", "a longer string key", "y"}
+	b.Cols[3].F = []float64{1.5, 2.5, 3.5}
+	b.Cols[4].S = []string{"payload", "another payload", ""}
+	b.SetLen(3)
+
+	keyFields := []int{0, 1, 2}
+	var keys []byte
+	var offs []int
+	tuples := make([][]byte, b.Len())
+	for r := range tuples {
+		tuples[r] = make([]byte, rc.Size(b, r))
+		rc.Encode(tuples[r], b, r)
+		offs = append(offs, len(keys))
+		keys = rc.AppendKey(keys, tuples[r], len(keyFields))
+	}
+	if want := 3*(1+3*8) + len("alpha"+"x"+"a longer string key"+"alpha"+"y"); len(keys) != want {
+		t.Fatalf("three keys take %d bytes, want %d", len(keys), want)
+	}
+	for r, tuple := range tuples {
+		key := keys[offs[r]:]
+		if !rc.KeyEqual(key, tuple, keyFields) {
+			t.Fatalf("key %d differs from its tuple", r)
+		}
+		if rc.HashTuple(key, keyFields) != rc.HashTuple(tuple, keyFields) {
+			t.Fatalf("key %d hashes differently from its tuple", r)
+		}
+		if got := string(rc.StrBytes(key, 2)); got != b.Cols[2].S[r] {
+			t.Fatalf("key %d field 2 = %q, want %q", r, got, b.Cols[2].S[r])
+		}
+		if rc.IsNull(key, 1) != b.Cols[1].Null[r] {
+			t.Fatalf("key %d lost its NULL mark", r)
+		}
+		for o := range tuples {
+			if o != r && rc.KeyEqual(key, tuples[o], keyFields) {
+				t.Fatalf("key %d equals tuple %d", r, o)
+			}
+		}
+	}
+}
+
 func TestHashConsistency(t *testing.T) {
 	s := NewSchema(ColumnDef{"a", Int64}, ColumnDef{"b", String}, ColumnDef{"c", Float64})
 	rc := NewRowCodec(s.Types())

@@ -87,12 +87,10 @@ func (b *Batch) Release() {
 // retained bytes stabilize at schema-width × batchShrinkCap regardless of
 // the largest batch ever pooled.
 //
-// Deliberately NOT done here: zeroing retained string headers. Batches
-// filled by in-memory scans alias table storage (colstore hands out views),
-// so writing into a retained backing array could clobber a table column.
-// Dropping oversized arrays is always safe; the small retained string
-// arrays pin at most batchShrinkCap stale headers until the next fill
-// overwrites them.
+// Deliberately NOT done here: zeroing retained string headers. The small
+// retained string arrays pin at most batchShrinkCap stale headers until the
+// next fill overwrites them. Columns that alias table storage (Borrow) are
+// never retained at all: the Reset that follows drops them.
 func (b *Batch) shrink() {
 	for i := range b.Cols {
 		c := &b.Cols[i]

@@ -104,18 +104,34 @@ func TestByteArenaIntern(t *testing.T) {
 	}
 }
 
-func TestCompareBytesString(t *testing.T) {
-	cases := []struct {
-		b    string
-		s    string
-		want int
-	}{
-		{"", "", 0}, {"a", "a", 0}, {"a", "b", -1}, {"b", "a", 1},
-		{"ab", "a", 1}, {"a", "ab", -1}, {"abc", "abd", -1},
-	}
-	for _, c := range cases {
-		if got := CompareBytesString([]byte(c.b), c.s); got != c.want {
-			t.Errorf("CompareBytesString(%q, %q) = %d, want %d", c.b, c.s, got, c.want)
+// TestBorrowedColumnsAreDroppedOnReset: a batch whose columns are views of
+// storage it does not own must not keep them across Reset or a trip through
+// the pool — a kept view has the owner's array under it, and the next append
+// would write there.
+func TestBorrowedColumnsAreDroppedOnReset(t *testing.T) {
+	s := NewSchema(ColumnDef{"id", Int64}, ColumnDef{"price", Float64}, ColumnDef{"name", String})
+	ids, prices, names := []int64{1, 2, 3, 4}, []float64{1, 2, 3, 4}, []string{"a", "b", "c", "d"}
+	p := NewBatchPool(s)
+	for _, giveBack := range []func(*Batch){(*Batch).Reset, (*Batch).Release} {
+		b := p.Get()
+		b.Cols[0].I, b.Cols[1].F, b.Cols[2].S = ids[:2], prices[:2], names[:2]
+		b.SetLen(2)
+		b.Borrow()
+		giveBack(b)
+
+		b = p.Get()
+		b.Cols[0].I = append(b.Cols[0].I, 99)
+		b.Cols[1].F = append(b.Cols[1].F, 99)
+		b.Cols[2].S = append(b.Cols[2].S, "zz")
+		b.SetLen(1)
+		if ids[0] != 1 || prices[0] != 1 || names[0] != "a" {
+			t.Fatal("an append after Reset wrote into the borrowed arrays")
 		}
+		// The mark does not outlive the Reset: owned columns keep capacity.
+		b.Reset()
+		if cap(b.Cols[0].I) == 0 {
+			t.Fatal("owned columns were dropped too")
+		}
+		b.Release()
 	}
 }

@@ -349,6 +349,26 @@ func (rc *RowCodec) KeyEqual(a, b []byte, keyFields []int) bool {
 	return true
 }
 
+// AppendKey appends to dst a copy of tuple cut down to its first nk fields:
+// the null bitmap, the nk value slots and the bodies of the string fields
+// among them, their offsets rewritten to the copy. The codec reads fields
+// below nk of the copy exactly as it reads them from the tuple (IsNull, Int,
+// Float, StrBytes, KeyEqual), so a hash table keeps one compact key per
+// group and still compares it against incoming tuples with KeyEqual.
+func (rc *RowCodec) AppendKey(dst, tuple []byte, nk int) []byte {
+	base := len(dst)
+	dst = append(dst, tuple[:rc.nullBytes+8*nk]...)
+	for _, f := range rc.strFields {
+		if f >= nk {
+			break
+		}
+		s := rc.StrBytes(tuple, f)
+		binary.LittleEndian.PutUint32(dst[base+rc.nullBytes+8*f:], uint32(len(dst)-base))
+		dst = append(dst, s...)
+	}
+	return dst
+}
+
 // KeyEqualRow compares the key fields of an encoded tuple with key columns
 // of a batch row.
 func (rc *RowCodec) KeyEqualRow(tuple []byte, keyFields []int, b *Batch, keyCols []int, r int) bool {

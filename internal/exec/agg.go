@@ -8,6 +8,7 @@ import (
 
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/hll"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/trace"
 )
@@ -39,8 +40,8 @@ type AggSpec struct {
 // aggregate tuples into Umami, which adaptively partitions and spills.
 // Workers that observe high group cardinality bypass pre-aggregation, since
 // it only wastes cache space then (the paper's cardinality-adaptive
-// behavior). Phase 2 merges in-memory partials into a sharded global table
-// and processes spilled partitions independently.
+// behavior). Phase 2 merges in-memory partials into a sharded global group
+// table and processes spilled partitions independently (aggtable.go).
 type Agg struct {
 	Child   Node
 	GroupBy []string
@@ -52,6 +53,14 @@ type Agg struct {
 	schema  *data.Schema // output schema
 	partial *data.Schema // materialized partial-aggregate schema
 	states  []stateDef
+
+	rc        *data.RowCodec // codec of the partial tuple
+	keyFields []int          // the group key: partial fields 0..len(GroupBy)-1
+	minMax    []bool         // per partial field: Min/Max state, NULL until it sees a value
+	// Group-table layout (aggtable.go): int64, float64 and seen slots per
+	// group, and the encoded key width (0 when a string key makes it vary).
+	ni, nf, nm int
+	keyW       int
 }
 
 // stateDef maps one aggregate to its partial-state fields.
@@ -60,6 +69,8 @@ type stateDef struct {
 	col    int // input column (-1 = CountStar)
 	typ    data.Type
 	fields []int // field indices in the partial tuple
+	at     []int // per field: its slot in the group table's ints or floats
+	mm     int   // Min/Max: its slot in the group table's seen flags
 }
 
 // NewAgg constructs an aggregation node.
@@ -68,10 +79,13 @@ func NewAgg(child Node, groupBy []string, aggs []AggSpec) *Agg {
 	in := child.Schema()
 	out := &data.Schema{}
 	part := &data.Schema{}
-	for _, g := range groupBy {
+	fixedKey := true
+	for i, g := range groupBy {
 		cd := in.Cols[in.MustIndex(g)]
 		out.Cols = append(out.Cols, cd)
 		part.Cols = append(part.Cols, cd)
+		a.keyFields = append(a.keyFields, i)
+		fixedKey = fixedKey && cd.Type != data.String
 	}
 	for i, spec := range aggs {
 		name := spec.As
@@ -86,6 +100,13 @@ func NewAgg(child Node, groupBy []string, aggs []AggSpec) *Agg {
 		addField := func(t data.Type) {
 			sd.fields = append(sd.fields, part.Len())
 			part.Cols = append(part.Cols, data.ColumnDef{Name: fmt.Sprintf("s%d_%d", i, len(sd.fields)), Type: t})
+			if t == data.Float64 {
+				sd.at = append(sd.at, a.nf)
+				a.nf++
+			} else {
+				sd.at = append(sd.at, a.ni)
+				a.ni++
+			}
 		}
 		switch spec.Func {
 		case Sum:
@@ -97,6 +118,8 @@ func NewAgg(child Node, groupBy []string, aggs []AggSpec) *Agg {
 		case Min, Max:
 			addField(sd.typ)
 			out.Cols = append(out.Cols, data.ColumnDef{Name: name, Type: sd.typ})
+			sd.mm = a.nm
+			a.nm++
 		case Avg:
 			addField(data.Float64)
 			addField(data.Int64)
@@ -106,6 +129,18 @@ func NewAgg(child Node, groupBy []string, aggs []AggSpec) *Agg {
 	}
 	a.schema = out
 	a.partial = part
+	a.rc = data.NewRowCodec(part.Types())
+	a.minMax = make([]bool, part.Len())
+	for _, sd := range a.states {
+		if sd.fn == Min || sd.fn == Max {
+			a.minMax[sd.fields[0]] = true
+		}
+	}
+	if fixedKey {
+		// Take the width from the codec: the key copy of an all-zero tuple.
+		size, _ := a.rc.FixedSize()
+		a.keyW = len(a.rc.AppendKey(nil, make([]byte, size), len(groupBy)))
+	}
 	return a
 }
 
@@ -153,18 +188,17 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	}
 	inSchema := a.Child.Schema()
 	keyCols := indicesOf(inSchema, a.GroupBy)
-	rcPart := data.NewRowCodec(a.partial.Types())
-	keyFields := make([]int, len(keyCols))
-	for i := range keyCols {
-		keyFields[i] = i
-	}
 
 	cfg := ctx.coreConfig()
 	shared := core.NewShared(cfg)
 	workers := ctx.workers()
 
 	// Phase 1: consume input with local pre-aggregation, materializing
-	// partial aggregate tuples through Umami.
+	// partial aggregate tuples through Umami. Each worker sketches the key
+	// hashes it materializes, so phase 2 sizes its tables from the distinct
+	// group count (§4.4) — the tuple count only bounds it from above, and
+	// overshoots by the factor pre-aggregation failed to merge.
+	sketches := make([]hll.Sketch, workers)
 	err = runWorkers("agg", workers, func(w int) error {
 		done := false
 		defer func() {
@@ -172,37 +206,7 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 				in.Abandon(w)
 			}
 		}()
-		nk := len(keyCols)
-		nv := a.partial.Len() - nk
-		aw := &aggWorker{
-			a:       a,
-			rcPart:  rcPart,
-			keyCols: keyCols,
-			buf:     shared.NewBuffer(),
-			pb:      data.NewBatch(a.partial, 1),
-			preAgg:  !a.DisablePreAgg && !ctx.NoPreAgg,
-			nk:      nk,
-			nv:      nv,
-			// Group key/value widths are fixed per query, so local groups
-			// carve their slices out of flat arenas instead of allocating
-			// three slices per group (a measured phase-1 hotspot).
-			keyArena:  make([]aggVal, localAggMax*nk),
-			nullArena: make([]bool, localAggMax*nk),
-			valArena:  make([]aggVal, localAggMax*nv),
-			groups:    make([]localGroup, 0, localAggMax),
-		}
-		aw.pb.SetLen(1)
-		for i := range a.partial.Cols {
-			c := &aw.pb.Cols[i]
-			switch c.Type {
-			case data.Float64:
-				c.F = make([]float64, 1)
-			case data.String:
-				c.S = make([]string, 1)
-			default:
-				c.I = make([]int64, 1)
-			}
-		}
+		aw := newAggWorker(a, keyCols, shared.NewBuffer(), &sketches[w], !a.DisablePreAgg && !ctx.NoPreAgg)
 		b := ctx.BatchPool(inSchema).Get()
 		defer b.Release()
 		for {
@@ -238,22 +242,25 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	}
 	ctx.spanPhase(sp, pc)
 
-	return a.mergePhase(ctx, sp, res, rcPart, keyFields)
+	for w := 1; w < workers; w++ {
+		sketches[0].Merge(&sketches[w])
+	}
+	return a.mergePhase(ctx, sp, res, int64(sketches[0].Estimate()))
 }
 
 // aggWorker is one worker's phase-1 state.
 type aggWorker struct {
 	a       *Agg
-	rcPart  *data.RowCodec
 	keyCols []int
 	buf     *core.Buffer
+	sketch  *hll.Sketch // key hashes of the tuples materialized
 	pb      *data.Batch // reusable 1-row partial batch for serialization
 	tmpVals []aggVal
 	hashes  []uint64 // per-batch key hashes (HashColumns output)
 
 	preAgg bool
-	probed int64
-	rows   int64
+	rows   int64 // rows consumed with pre-aggregation on
+	opened int64 // of which opened a group
 
 	nk, nv    int // group key / value state widths
 	keyArena  []aggVal
@@ -262,6 +269,41 @@ type aggWorker struct {
 
 	slots  [localAggSlots]int32 // group index + 1; 0 = empty
 	groups []localGroup
+}
+
+func newAggWorker(a *Agg, keyCols []int, buf *core.Buffer, sketch *hll.Sketch, preAgg bool) *aggWorker {
+	nk := len(keyCols)
+	nv := a.partial.Len() - nk
+	aw := &aggWorker{
+		a:       a,
+		keyCols: keyCols,
+		buf:     buf,
+		sketch:  sketch,
+		pb:      data.NewBatch(a.partial, 1),
+		preAgg:  preAgg,
+		nk:      nk,
+		nv:      nv,
+		// Group key/value widths are fixed per query, so local groups
+		// carve their slices out of flat arenas instead of allocating
+		// three slices per group (a measured phase-1 hotspot).
+		keyArena:  make([]aggVal, localAggMax*nk),
+		nullArena: make([]bool, localAggMax*nk),
+		valArena:  make([]aggVal, localAggMax*nv),
+		groups:    make([]localGroup, 0, localAggMax),
+	}
+	aw.pb.SetLen(1)
+	for i := range a.partial.Cols {
+		c := &aw.pb.Cols[i]
+		switch c.Type {
+		case data.Float64:
+			c.F = make([]float64, 1)
+		case data.String:
+			c.S = make([]string, 1)
+		default:
+			c.I = make([]int64, 1)
+		}
+	}
+	return aw
 }
 
 // consume processes one input batch: key hashes are computed for the whole
@@ -279,9 +321,11 @@ func (aw *aggWorker) consume(b *data.Batch) {
 		aw.rows++
 		g := aw.lookup(b, r, h)
 		accumulateRow(aw.a.states, g, b, r)
-		// Cardinality adaptivity: when almost every row opens a new
-		// group, pre-aggregation buys nothing — bypass it (§4.6).
-		if aw.rows == preAggProbeRows && len(aw.groups) > int(aw.rows*3/4) {
+		// Cardinality adaptivity: when almost every row of the probe window
+		// opened a new group, pre-aggregation buys nothing — bypass it
+		// (§4.6). The table holds at most localAggMax groups between
+		// flushes, so its size says nothing; count the groups opened.
+		if aw.rows == preAggProbeRows && aw.opened > aw.rows*3/4 {
 			aw.flushAll()
 			aw.preAgg = false
 		}
@@ -308,6 +352,7 @@ func (aw *aggWorker) lookup(b *data.Batch, r int, h uint64) *localGroup {
 			aw.flushAll()
 			continue
 		}
+		aw.opened++
 		gi := len(aw.groups)
 		aw.groups = append(aw.groups, localGroup{
 			hash:     h,
@@ -395,7 +440,7 @@ func (aw *aggWorker) serializeGroup(g *localGroup) {
 	for i := nk; i < pb.Schema.Len(); i++ {
 		v := &g.vals[i-nk]
 		c := &pb.Cols[i]
-		setNull(c, !v.seen && isMinMaxField(aw.a.states, i))
+		setNull(c, !v.seen && aw.a.minMax[i])
 		switch c.Type {
 		case data.Float64:
 			c.F[0] = v.f
@@ -405,8 +450,9 @@ func (aw *aggWorker) serializeGroup(g *localGroup) {
 			c.I[0] = v.i
 		}
 	}
-	dst := aw.buf.AllocTuple(aw.rcPart.Size(pb, 0), g.hash)
-	aw.rcPart.Encode(dst, pb, 0)
+	aw.sketch.Add(g.hash)
+	dst := aw.buf.AllocTuple(aw.a.rc.Size(pb, 0), g.hash)
+	aw.a.rc.Encode(dst, pb, 0)
 }
 
 // materializeRow writes an input row directly as an initial partial tuple
@@ -440,7 +486,7 @@ func (aw *aggWorker) materializeRow(b *data.Batch, r int, h uint64) {
 	for i := nk; i < pb.Schema.Len(); i++ {
 		v := &tmp[i-nk]
 		dst := &pb.Cols[i]
-		setNull(dst, !v.seen && isMinMaxField(aw.a.states, i))
+		setNull(dst, !v.seen && aw.a.minMax[i])
 		switch dst.Type {
 		case data.Float64:
 			dst.F[0] = v.f
@@ -450,8 +496,9 @@ func (aw *aggWorker) materializeRow(b *data.Batch, r int, h uint64) {
 			dst.I[0] = v.i
 		}
 	}
-	dst := aw.buf.AllocTuple(aw.rcPart.Size(pb, 0), h)
-	aw.rcPart.Encode(dst, pb, 0)
+	aw.sketch.Add(h)
+	dst := aw.buf.AllocTuple(aw.a.rc.Size(pb, 0), h)
+	aw.a.rc.Encode(dst, pb, 0)
 }
 
 func setNull(c *data.Column, null bool) {
@@ -463,20 +510,6 @@ func setNull(c *data.Column, null bool) {
 	} else if c.Null != nil {
 		c.Null[0] = false
 	}
-}
-
-// isMinMaxField reports whether partial tuple field f (an absolute index)
-// belongs to a Min/Max aggregate — their unseen state is NULL, every other
-// state starts at zero.
-func isMinMaxField(states []stateDef, f int) bool {
-	for _, sd := range states {
-		for _, sf := range sd.fields {
-			if sf == f {
-				return sd.fn == Min || sd.fn == Max
-			}
-		}
-	}
-	return false
 }
 
 // accumulateRow folds input row r into group state vals.
@@ -535,193 +568,65 @@ func accumulateRow(states []stateDef, g *localGroup, b *data.Batch, r int) {
 	}
 }
 
-// mergePartialTuple folds a partial tuple into final group state.
-func mergePartialTuple(states []stateDef, vals []aggVal, rc *data.RowCodec, tuple []byte, nk int) {
-	for _, sd := range states {
-		f0 := sd.fields[0]
-		base := f0 - nk
-		switch sd.fn {
-		case CountStar, Count:
-			vals[base].i += rc.Int(tuple, f0)
-		case Sum:
-			vals[base].f += rc.Float(tuple, f0)
-		case Avg:
-			vals[base].f += rc.Float(tuple, f0)
-			vals[sd.fields[1]-nk].i += rc.Int(tuple, sd.fields[1])
-		case Min, Max:
-			if rc.IsNull(tuple, f0) {
-				break
-			}
-			v := &vals[base]
-			switch rc.Types()[f0] {
-			case data.Float64:
-				x := rc.Float(tuple, f0)
-				if !v.seen || (sd.fn == Min && x < v.f) || (sd.fn == Max && x > v.f) {
-					v.f = x
-				}
-			case data.String:
-				// Compare through a view; copy only when the best value
-				// improves (spill-restore merges call this per tuple).
-				x := rc.StrBytes(tuple, f0)
-				if !v.seen || (sd.fn == Min && data.CompareBytesString(x, v.s) < 0) ||
-					(sd.fn == Max && data.CompareBytesString(x, v.s) > 0) {
-					v.s = string(x)
-				}
-			default:
-				x := rc.Int(tuple, f0)
-				if !v.seen || (sd.fn == Min && x < v.i) || (sd.fn == Max && x > v.i) {
-					v.i = x
-				}
-			}
-			v.seen = true
-		}
-	}
-}
-
-// finalGroup is one group in the global (or per-partition) merge table.
-type finalGroup struct {
-	keyVals  []aggVal
-	keyNulls []bool
-	vals     []aggVal
-}
-
-// mergeTable is a sharded hash map for the phase-2 global merge — the
-// "global synchronized hash table" of §4.6. Shards are indexed by a hash
-// prefix, so partitioned inputs touch disjoint shards (§5.3 locality).
-type mergeTable struct {
-	shards []mergeShard
-	shift  uint
-}
-
-type mergeShard struct {
-	mu sync.Mutex
-	m  map[string]*finalGroup
-	// Block arenas for group state, carved under the shard lock: one
-	// finalGroup plus its keyVals/keyNulls/vals slices per new group
-	// would otherwise be four heap allocations each, and high-cardinality
-	// queries (Q13, Q18) insert one group per input tuple here.
-	groupArena []finalGroup
-	valArena   []aggVal
-	nullArena  []bool
-	// keyArena interns the map key bytes of new groups: one chunk
-	// allocation per 64 KiB of key data instead of one string per group —
-	// the measured residual hotspot on high-cardinality merges (Q18's
-	// per-orderkey aggregation inserts ~30k groups per query).
-	keyArena data.ByteArena
-}
-
-// mergeArenaGroups is the arena block size (groups per block).
-const mergeArenaGroups = 256
-
-// newGroup carves one zeroed finalGroup with nk key slots and nv
-// aggregate slots from the shard's arenas.
-func (sh *mergeShard) newGroup(nk, nv int) *finalGroup {
-	if len(sh.groupArena) == 0 {
-		sh.groupArena = make([]finalGroup, mergeArenaGroups)
-	}
-	g := &sh.groupArena[0]
-	sh.groupArena = sh.groupArena[1:]
-	if len(sh.valArena) < nk+nv {
-		sh.valArena = make([]aggVal, mergeArenaGroups*(nk+nv))
-	}
-	g.keyVals = sh.valArena[:nk:nk]
-	g.vals = sh.valArena[nk : nk+nv : nk+nv]
-	sh.valArena = sh.valArena[nk+nv:]
-	if len(sh.nullArena) < nk {
-		sh.nullArena = make([]bool, mergeArenaGroups*nk)
-	}
-	g.keyNulls = sh.nullArena[:nk:nk]
-	sh.nullArena = sh.nullArena[nk:]
-	return g
-}
-
-func newMergeTable(shardCount int) *mergeTable {
-	mt := &mergeTable{shards: make([]mergeShard, shardCount), shift: uint(64 - log2(uint64(shardCount)))}
-	for i := range mt.shards {
-		mt.shards[i].m = make(map[string]*finalGroup)
-	}
-	return mt
-}
-
-// keyString builds the canonical key-bytes of a partial tuple's key fields.
-func keyString(rc *data.RowCodec, tuple []byte, nk int, scratch []byte) []byte {
-	scratch = scratch[:0]
-	for f := 0; f < nk; f++ {
-		if rc.IsNull(tuple, f) {
-			scratch = append(scratch, 1)
-			continue
-		}
-		scratch = append(scratch, 0)
-		if rc.Types()[f] == data.String {
-			s := rc.StrBytes(tuple, f)
-			scratch = append(scratch, byte(len(s)), byte(len(s)>>8))
-			scratch = append(scratch, s...)
-		} else {
-			v := rc.Int(tuple, f)
-			for k := 0; k < 8; k++ {
-				scratch = append(scratch, byte(v>>(8*k)))
-			}
-		}
-	}
-	return scratch
-}
-
-// merge folds one partial tuple into the table.
-func (mt *mergeTable) merge(a *Agg, rc *data.RowCodec, tuple []byte, hash uint64, scratch []byte) []byte {
-	nk := len(a.GroupBy)
-	sh := &mt.shards[hash>>mt.shift]
-	scratch = keyString(rc, tuple, nk, scratch)
-	sh.mu.Lock()
-	// map[string] lookup keyed by a byte slice compiles to a zero-alloc
-	// probe; the key string is only materialized for new groups (a
-	// measured phase-2 hotspot: one alloc per tuple before).
-	g, ok := sh.m[string(scratch)]
-	if !ok {
-		g = sh.newGroup(nk, a.partial.Len()-nk)
-		for f := 0; f < nk; f++ {
-			g.keyNulls[f] = rc.IsNull(tuple, f)
-			switch rc.Types()[f] {
-			case data.Float64:
-				g.keyVals[f].f = rc.Float(tuple, f)
-			case data.String:
-				g.keyVals[f].s = rc.Str(tuple, f)
-			default:
-				g.keyVals[f].i = rc.Int(tuple, f)
-			}
-		}
-		// Min/Max merge needs the seen flag reconstructed from NULLs.
-		for _, sd := range a.states {
-			if sd.fn == Min || sd.fn == Max {
-				g.vals[sd.fields[0]-nk].seen = false
-			}
-		}
-		sh.m[sh.keyArena.InternBytes(scratch)] = g
-	}
-	mergePartialTuple(a.states, g.vals, rc, tuple, nk)
-	sh.mu.Unlock()
-	return scratch
-}
+const (
+	// aggShards is the shard count of the global group table. Shards are
+	// indexed by a hash prefix, so partitioned inputs touch disjoint shards
+	// (§5.3 locality).
+	aggShards = 64
+	// aggEmitRows bounds an emitted batch to the column capacity BatchPool
+	// retains (data.batchShrinkCap); a larger one is reallocated per lease.
+	aggEmitRows = 8192
+)
 
 // mergePhase builds the final tables and returns the output stream.
-func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, rcPart *data.RowCodec, keyFields []int) (*Stream, error) {
+// distinct is phase 1's estimate of the number of groups.
+func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct int64) (*Stream, error) {
 	mergePC := ctx.phaseStart()
 	workers := ctx.workers()
 	mask := res.Mask
 	shiftP := uint(64 - log2(uint64(res.Partitions)))
+	shiftS := uint(64 - log2(aggShards))
 
-	global := newMergeTable(64)
+	memPages := make([]*pages.Page, 0, len(res.Unpartitioned)+len(res.InMemory))
+	memPages = append(memPages, res.Unpartitioned...)
+	memPages = append(memPages, res.InMemory...)
+	var tuples int64
+	for _, pg := range memPages {
+		tuples += int64(pg.Tuples())
+	}
+	// The global shards take the groups of the tuples that stayed in
+	// memory; an eighth over the even share covers the sketch's error and
+	// the hash's imbalance.
+	shardHint := 0
+	if res.Tuples > 0 {
+		shardHint = int(float64(distinct) * float64(tuples) / float64(res.Tuples) / aggShards * 9 / 8)
+	}
+	global := make([]groupTable, aggShards)
+	for s := range global {
+		global[s] = groupTable{a: a, hint: shardHint}
+	}
 	// Overflow: tuples on in-memory pages that belong to spilled
 	// partitions must merge with the spilled data, not the global table
 	// (they may share groups with spilled partial tuples).
 	overflow := make([][][]byte, res.Partitions)
 	var ovMu sync.Mutex
 
-	memPages := make([]*pages.Page, 0, len(res.Unpartitioned)+len(res.InMemory))
-	memPages = append(memPages, res.Unpartitioned...)
-	memPages = append(memPages, res.InMemory...)
 	var cursor atomic.Int64
 	err := runWorkers("agg-merge", workers, func(w int) error {
-		scratch := make([]byte, 0, 128)
+		// One page at a time: hash its tuples once, cluster their indexes
+		// by shard with a counting sort, then take each shard's lock once
+		// per run. Bucket aggShards collects the overflow tuples.
+		var (
+			hashes []uint64
+			order  []int32
+			starts [aggShards + 3]int32
+		)
+		bucket := func(h uint64) int {
+			if mask&(1<<(h>>shiftP)) != 0 {
+				return aggShards
+			}
+			return int(h >> shiftS)
+		}
 		localOv := make([][][]byte, res.Partitions)
 		// Overflow tuples are copied through an arena: one allocation per
 		// 64 KiB chunk instead of one per tuple.
@@ -732,16 +637,38 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, rcPart *dat
 				break
 			}
 			pg := memPages[pi]
-			for t := 0; t < pg.Tuples(); t++ {
-				tuple := pg.Tuple(t)
-				h := rcPart.HashTuple(tuple, keyFields)
-				part := int(h >> shiftP)
-				if mask&(1<<uint(part)) != 0 {
-					cp := tupArena.Copy(tuple)
-					localOv[part] = append(localOv[part], cp)
+			n := pg.Tuples()
+			hashes, order = sized(hashes, n), sized(order, n)
+			clear(starts[:])
+			for i := range hashes {
+				hashes[i] = a.rc.HashTuple(pg.Tuple(i), a.keyFields)
+				starts[bucket(hashes[i])+2]++
+			}
+			for s := 2; s < len(starts); s++ {
+				starts[s] += starts[s-1]
+			}
+			// starts[s+1] is bucket s's write cursor: its start now, its end
+			// after the scatter, which makes starts[s] its start.
+			for i, h := range hashes {
+				s := bucket(h) + 1
+				order[starts[s]] = int32(i)
+				starts[s]++
+			}
+			for s := range global {
+				run := order[starts[s]:starts[s+1]]
+				if len(run) == 0 {
 					continue
 				}
-				scratch = global.merge(a, rcPart, tuple, h, scratch)
+				t := &global[s]
+				t.mu.Lock()
+				for _, i := range run {
+					t.merge(pg.Tuple(int(i)), hashes[i])
+				}
+				t.mu.Unlock()
+			}
+			for _, i := range order[starts[aggShards]:starts[aggShards+1]] {
+				part := hashes[i] >> shiftP
+				localOv[part] = append(localOv[part], tupArena.Copy(pg.Tuple(int(i))))
 			}
 		}
 		ovMu.Lock()
@@ -763,8 +690,8 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, rcPart *dat
 		item  int // scheduler work item for partition tasks
 	}
 	var tasks []task
-	for s := range global.shards {
-		if len(global.shards[s].m) > 0 {
+	for s := range global {
+		if global[s].n > 0 {
 			tasks = append(tasks, task{shard: s})
 		}
 	}
@@ -791,116 +718,78 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, rcPart *dat
 	}
 	var taskCursor atomic.Int64
 
+	// emitter is one worker's place in the output: the table it is walking
+	// and how far it got. A worker merges every spilled partition it takes
+	// into the one table it owns, emptied in between.
+	type emitter struct {
+		t     *groupTable
+		next  int
+		own   *groupTable
+		arena data.ByteArena
+	}
+	emitters := make([]emitter, workers)
+
 	return ctx.traceStream(&Stream{
 		schema: a.schema,
 		next: func(w int, b *data.Batch) (int, error) {
-			for {
+			e := &emitters[w]
+			for e.t == nil || e.next == e.t.n {
 				ti := int(taskCursor.Add(1) - 1)
 				if ti >= len(tasks) {
 					return 0, nil
 				}
 				t := tasks[ti]
-				b.Reset()
+				e.next = 0
 				if t.shard >= 0 {
-					for _, g := range global.shards[t.shard].m {
-						a.emitGroup(b, g)
-					}
-				} else {
-					n, err := a.emitPartition(ctx, sp, b, rcPart, keyFields, overflow[t.part], t.part, sched, t.item)
-					if err != nil {
-						return 0, err
-					}
-					if n == 0 {
-						continue
-					}
+					e.t = &global[t.shard]
+					continue
 				}
-				if b.Len() > 0 {
-					return b.Len(), nil
+				if e.own == nil {
+					e.own = &groupTable{a: a, hint: int(distinct / int64(res.Partitions) * 9 / 8)}
+				}
+				e.t = e.own
+				e.t.reset()
+				if err := a.mergePartition(ctx, sp, e.t, overflow[t.part], t.part, sched, t.item); err != nil {
+					return 0, err
 				}
 			}
+			lo := e.next
+			e.next = min(lo+aggEmitRows, e.t.n)
+			b.Reset()
+			e.t.emit(b, lo, e.next, &e.arena)
+			return b.Len(), nil
 		},
 	}, sp), nil
 }
 
-// emitPartition merges one spilled partition (overflow tuples + read-back
-// pages, streamed through the scheduler) and emits its groups.
-func (a *Agg) emitPartition(ctx *Ctx, sp *trace.Span, b *data.Batch, rcPart *data.RowCodec, keyFields []int, overflow [][]byte, part int, sched *core.PartitionScheduler, item int) (int, error) {
-	local := newMergeTable(1)
-	scratch := make([]byte, 0, 128)
+// mergePartition merges one spilled partition (overflow tuples + read-back
+// pages, streamed through the scheduler) into t.
+func (a *Agg) mergePartition(ctx *Ctx, sp *trace.Span, t *groupTable, overflow [][]byte, part int, sched *core.PartitionScheduler, item int) error {
 	// Overflow holds every in-memory tuple of this partition (routed there
 	// during the global merge); the spilled pages follow from the array.
 	for _, tuple := range overflow {
-		scratch = local.merge(a, rcPart, tuple, rcPart.HashTuple(tuple, keyFields), scratch)
+		t.merge(tuple, a.rc.HashTuple(tuple, a.keyFields))
 	}
-	if sched != nil {
-		cur := sched.Open(item)
-		for {
-			pg, err := cur.Next()
-			if err != nil {
-				chargeSpillCursor(ctx, sp, cur)
-				return 0, fmt.Errorf("exec: agg reading partition %d: %w", part, err)
-			}
-			if pg == nil {
-				break
-			}
-			for t := 0; t < pg.Tuples(); t++ {
-				tuple := pg.Tuple(t)
-				scratch = local.merge(a, rcPart, tuple, rcPart.HashTuple(tuple, keyFields), scratch)
-			}
+	if sched == nil {
+		return nil
+	}
+	cur := sched.Open(item)
+	defer chargeSpillCursor(ctx, sp, cur)
+	for {
+		pg, err := cur.Next()
+		if err != nil {
+			return fmt.Errorf("exec: agg reading partition %d: %w", part, err)
 		}
-		chargeSpillCursor(ctx, sp, cur)
-		// Every key and Min/Max string was copied into the merge table, so
-		// the read-back buffers can be recycled before emitting.
-		cur.Release()
-	}
-	n := 0
-	for _, g := range local.shards[0].m {
-		a.emitGroup(b, g)
-		n++
-	}
-	return n, nil
-}
-
-// emitGroup appends one finalized group to b.
-func (a *Agg) emitGroup(b *data.Batch, g *finalGroup) {
-	nk := len(a.GroupBy)
-	for i := 0; i < nk; i++ {
-		c := &b.Cols[i]
-		switch c.Type {
-		case data.Float64:
-			c.F = append(c.F, g.keyVals[i].f)
-		case data.String:
-			c.S = append(c.S, g.keyVals[i].s)
-		default:
-			c.I = append(c.I, g.keyVals[i].i)
+		if pg == nil {
+			break
 		}
-		appendNullMark(c, b.Len(), g.keyNulls[i])
-	}
-	for i, sd := range a.states {
-		c := &b.Cols[nk+i]
-		base := sd.fields[0] - nk
-		switch sd.fn {
-		case Sum:
-			c.F = append(c.F, g.vals[base].f)
-		case Count, CountStar:
-			c.I = append(c.I, g.vals[base].i)
-		case Avg:
-			cnt := g.vals[sd.fields[1]-nk].i
-			if cnt == 0 {
-				c.F = append(c.F, 0)
-			} else {
-				c.F = append(c.F, g.vals[base].f/float64(cnt))
-			}
-		case Min, Max:
-			switch c.Type {
-			case data.Float64:
-				c.F = append(c.F, g.vals[base].f)
-			case data.String:
-				c.S = append(c.S, g.vals[base].s)
-			default:
-				c.I = append(c.I, g.vals[base].i)
-			}
+		for i := 0; i < pg.Tuples(); i++ {
+			tuple := pg.Tuple(i)
+			t.merge(tuple, a.rc.HashTuple(tuple, a.keyFields))
 		}
 	}
-	b.SetLen(b.Len() + 1)
+	// Every key and Min/Max string was copied into the table, so the
+	// read-back buffers can be recycled before emitting.
+	cur.Release()
+	return nil
 }

@@ -1,0 +1,519 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"github.com/spilly-db/spilly/internal/core"
+	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/hll"
+	"github.com/spilly-db/spilly/internal/pages"
+)
+
+// batchesNode hands a fixed list of batches to whichever worker asks next,
+// NULL marks included (in-memory tables carry none).
+type batchesNode struct {
+	schema  *data.Schema
+	batches []*data.Batch
+}
+
+func (n *batchesNode) Schema() *data.Schema { return n.schema }
+
+func (n *batchesNode) Run(*Ctx) (*Stream, error) {
+	var cursor atomic.Int64
+	return &Stream{
+		schema: n.schema,
+		next: func(w int, b *data.Batch) (int, error) {
+			i := int(cursor.Add(1) - 1)
+			if i >= len(n.batches) {
+				return 0, nil
+			}
+			src := n.batches[i]
+			b.Reset()
+			for r := 0; r < src.Len(); r++ {
+				b.AppendRowFrom(src, r)
+			}
+			return src.Len(), nil
+		},
+	}, nil
+}
+
+var aggPropSchema = data.NewSchema(
+	data.ColumnDef{Name: "ki", Type: data.Int64},
+	data.ColumnDef{Name: "kf", Type: data.Float64},
+	data.ColumnDef{Name: "ks", Type: data.String},
+	data.ColumnDef{Name: "kd", Type: data.Date},
+	data.ColumnDef{Name: "vi", Type: data.Int64},
+	data.ColumnDef{Name: "vf", Type: data.Float64},
+	data.ColumnDef{Name: "vs", Type: data.String},
+)
+
+// aggPropInput draws rows whose keys take `card` values per column. A tenth
+// of every column is NULL, with garbage left under the mark; one key value
+// in eight never sees a non-NULL vs or vf, so its Min/Max stay unseen.
+// Floats are multiples of 1/4, so sums are exact in any order.
+func aggPropInput(rng *rand.Rand, rows, card int) *batchesNode {
+	n := &batchesNode{schema: aggPropSchema}
+	for done := 0; done < rows; {
+		size := min(1+rng.Intn(1500), rows-done)
+		done += size
+		b := data.NewBatch(aggPropSchema, size)
+		for c := range b.Cols {
+			b.Cols[c].Null = make([]bool, size)
+		}
+		for r := 0; r < size; r++ {
+			k := rng.Intn(card)
+			b.Cols[0].I = append(b.Cols[0].I, int64(k)*7919-3)
+			b.Cols[1].F = append(b.Cols[1].F, float64(k%97)*0.25-5)
+			b.Cols[2].S = append(b.Cols[2].S, strings.Repeat("k", k%5)+fmt.Sprint(k%211))
+			b.Cols[3].I = append(b.Cols[3].I, int64(9000+k%31))
+			b.Cols[4].I = append(b.Cols[4].I, int64(rng.Intn(2000)-1000))
+			b.Cols[5].F = append(b.Cols[5].F, float64(rng.Intn(4000)-2000)*0.25)
+			b.Cols[6].S = append(b.Cols[6].S, fmt.Sprintf("v%03d", rng.Intn(500)))
+			for c := range b.Cols {
+				b.Cols[c].Null[r] = rng.Intn(10) == 0
+			}
+			if k%8 == 0 {
+				b.Cols[5].Null[r], b.Cols[6].Null[r] = true, true
+			}
+		}
+		b.SetLen(size)
+		n.batches = append(n.batches, b)
+	}
+	return n
+}
+
+var aggPropSpecs = []AggSpec{
+	{Func: CountStar, As: "n"},
+	{Func: Count, Col: "vi", As: "cnt_vi"},
+	{Func: Sum, Col: "vf", As: "sum_vf"},
+	{Func: Sum, Col: "vi", As: "sum_vi"},
+	{Func: Avg, Col: "vf", As: "avg_vf"},
+	{Func: Avg, Col: "vi", As: "avg_vi"},
+	{Func: Min, Col: "vi", As: "min_vi"},
+	{Func: Max, Col: "vf", As: "max_vf"},
+	{Func: Min, Col: "vs", As: "min_vs"},
+	{Func: Max, Col: "vs", As: "max_vs"},
+	{Func: Max, Col: "kd", As: "max_kd"},
+}
+
+// cell renders one value the way the reference and the output are compared.
+func cell(c *data.Column, r int) string {
+	switch {
+	case c.Null != nil && c.Null[r]:
+		return "NULL"
+	case c.Type == data.Float64:
+		return fmt.Sprint(c.F[r])
+	case c.Type == data.String:
+		return fmt.Sprintf("%q", c.S[r])
+	default:
+		return fmt.Sprint(c.I[r])
+	}
+}
+
+// refGroup is one group of the map-based reference evaluator.
+type refGroup struct {
+	key                        string
+	n, cnt                     int64
+	sumF, sumI, avgF, avgI     float64
+	avgFn, avgIn               int64
+	minVI, maxKD               int64
+	maxVF                      float64
+	minVS, maxVS               string
+	seenVI, seenVF, seenVS, kd bool
+}
+
+// aggReference evaluates aggPropSpecs grouped by the named columns with a Go
+// map over the raw input rows, and renders the groups like renderAgg.
+func aggReference(in *batchesNode, groupBy []string) []string {
+	keyCols := indicesOf(in.schema, groupBy)
+	groups := map[string]*refGroup{}
+	for _, b := range in.batches {
+		vi, vf, vs, kd := &b.Cols[4], &b.Cols[5], &b.Cols[6], &b.Cols[3]
+		for r := 0; r < b.Len(); r++ {
+			var sb strings.Builder
+			for _, c := range keyCols {
+				sb.WriteString(cell(&b.Cols[c], r))
+				sb.WriteByte('|')
+			}
+			g := groups[sb.String()]
+			if g == nil {
+				g = &refGroup{key: sb.String()}
+				groups[g.key] = g
+			}
+			g.n++
+			if !vi.Null[r] {
+				x := vi.I[r]
+				g.cnt++
+				g.sumI += float64(x)
+				g.avgI += float64(x)
+				g.avgIn++
+				if !g.seenVI || x < g.minVI {
+					g.minVI = x
+				}
+				g.seenVI = true
+			}
+			if !vf.Null[r] {
+				x := vf.F[r]
+				g.sumF += x
+				g.avgF += x
+				g.avgFn++
+				if !g.seenVF || x > g.maxVF {
+					g.maxVF = x
+				}
+				g.seenVF = true
+			}
+			if !vs.Null[r] {
+				x := vs.S[r]
+				if !g.seenVS || x < g.minVS {
+					g.minVS = x
+				}
+				if !g.seenVS || x > g.maxVS {
+					g.maxVS = x
+				}
+				g.seenVS = true
+			}
+			if !kd.Null[r] {
+				if x := kd.I[r]; !g.kd || x > g.maxKD {
+					g.maxKD = x
+				}
+				g.kd = true
+			}
+		}
+	}
+	avg := func(sum float64, n int64) float64 {
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n)
+	}
+	out := make([]string, 0, len(groups))
+	for _, g := range groups {
+		out = append(out, fmt.Sprintf("%s%d|%d|%v|%v|%v|%v|%d|%v|%q|%q|%d|", g.key, g.n, g.cnt, g.sumF, g.sumI,
+			avg(g.avgF, g.avgFn), avg(g.avgI, g.avgIn), g.minVI, g.maxVF, g.minVS, g.maxVS, g.maxKD))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func renderAgg(b *data.Batch) []string {
+	out := make([]string, b.Len())
+	for r := range out {
+		var sb strings.Builder
+		for c := range b.Cols {
+			sb.WriteString(cell(&b.Cols[c], r))
+			sb.WriteByte('|')
+		}
+		out[r] = sb.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+func diffRows(t *testing.T, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d groups, reference has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("sorted group %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAggMatchesMapReference is the group table's property test: every key
+// shape, every aggregate function, in memory and spilling, at 1, 2 and 8
+// workers, against a map-based evaluation of the same rows.
+func TestAggMatchesMapReference(t *testing.T) {
+	shapes := [][]string{
+		{"ki"}, {"kf"}, {"ks"}, {"kd"},
+		{"ki", "ks"}, {"ks", "kf", "ki"}, {"kd", "ki"},
+		nil,
+	}
+	rows := 60000
+	if testing.Short() {
+		rows = 25000
+	}
+	// 40 keys per column pre-aggregate almost completely; 30000 mostly open
+	// a group per row, which at one worker also trips the bypass.
+	for _, card := range []int{40, 30000} {
+		in := aggPropInput(rand.New(rand.NewSource(int64(card))), rows, card)
+		for _, groupBy := range shapes {
+			want := aggReference(in, groupBy)
+			for _, workers := range []int{1, 2, 8} {
+				for _, mode := range []string{"memory", "spill"} {
+					name := fmt.Sprintf("card=%d/by=%s/workers=%d/%s", card, strings.Join(groupBy, ","), workers, mode)
+					t.Run(name, func(t *testing.T) {
+						ctx := testCtx(workers)
+						if mode == "spill" {
+							ctx = spillCtx(workers, 256)
+						}
+						defer ctx.Close()
+						out, err := Collect(ctx, NewAgg(in, groupBy, aggPropSpecs))
+						if err != nil {
+							t.Fatal(err)
+						}
+						diffRows(t, renderAgg(out), want)
+						if mode == "spill" && len(want) > 10000 && ctx.Stats.SpilledBytes.Load() == 0 {
+							t.Fatal("the spilling run did not spill")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// partialTuples encodes the rows of a batch laid out in a's partial schema.
+func partialTuples(a *Agg, b *data.Batch) [][]byte {
+	out := make([][]byte, b.Len())
+	for r := range out {
+		out[r] = make([]byte, a.rc.Size(b, r))
+		a.rc.Encode(out[r], b, r)
+	}
+	return out
+}
+
+// countSumAgg groups (k int64, s string) pairs and keeps count(*) and sum(v).
+func countSumAgg() *Agg {
+	in := &batchesNode{schema: data.NewSchema(
+		data.ColumnDef{Name: "k", Type: data.Int64},
+		data.ColumnDef{Name: "s", Type: data.String},
+		data.ColumnDef{Name: "v", Type: data.Float64},
+	)}
+	return NewAgg(in, []string{"k", "s"}, []AggSpec{{Func: CountStar, As: "n"}, {Func: Sum, Col: "v", As: "sum"}})
+}
+
+// TestGroupTableCollisionsAndGrowth drives one table directly: every tuple
+// arrives with the same hash, so every probe walks one run of slots and only
+// KeyEqual tells groups apart, while the table grows from its smallest size
+// through several doublings (whose re-insertion sees nothing but equal
+// hashes). A second table gets real hashes and no hint.
+func TestGroupTableCollisionsAndGrowth(t *testing.T) {
+	a := countSumAgg()
+	const groups, tuples = 700, 5000
+	rng := rand.New(rand.NewSource(1))
+	pb := data.NewBatch(a.partial, tuples)
+	type ref struct {
+		n   int64
+		sum float64
+	}
+	want := map[string]*ref{}
+	for i := 0; i < tuples; i++ {
+		k := rng.Intn(groups)
+		s := fmt.Sprint("s", k%13)
+		n, sum := int64(1+rng.Intn(3)), float64(rng.Intn(100))*0.5
+		pb.Cols[0].I = append(pb.Cols[0].I, int64(k))
+		pb.Cols[1].S = append(pb.Cols[1].S, s)
+		pb.Cols[2].I = append(pb.Cols[2].I, n)
+		pb.Cols[3].F = append(pb.Cols[3].F, sum)
+		key := fmt.Sprintf("%d|%q|", k, s)
+		if want[key] == nil {
+			want[key] = &ref{}
+		}
+		want[key].n += n
+		want[key].sum += sum
+	}
+	pb.SetLen(tuples)
+	var wantRows []string
+	for key, g := range want {
+		wantRows = append(wantRows, fmt.Sprintf("%s%d|%v|", key, g.n, g.sum))
+	}
+	sort.Strings(wantRows)
+
+	for name, hash := range map[string]func([]byte) uint64{
+		"colliding": func([]byte) uint64 { return 0xdeadbeefcafe },
+		"hashed":    func(tuple []byte) uint64 { return a.rc.HashTuple(tuple, a.keyFields) },
+	} {
+		tbl := &groupTable{a: a}
+		for _, tuple := range partialTuples(a, pb) {
+			tbl.merge(tuple, hash(tuple))
+		}
+		if tbl.n != len(want) {
+			t.Fatalf("%s: %d groups, want %d", name, tbl.n, len(want))
+		}
+		if len(tbl.slots) < 1024 {
+			t.Fatalf("%s: %d slots for %d groups: the table never grew", name, len(tbl.slots), tbl.n)
+		}
+		out := data.NewBatch(a.schema, 0)
+		var arena data.ByteArena
+		var got []string
+		for lo := 0; lo < tbl.n; lo += 256 {
+			out.Reset()
+			tbl.emit(out, lo, min(lo+256, tbl.n), &arena)
+			got = append(got, renderAgg(out)...)
+		}
+		sort.Strings(got)
+		diffRows(t, got, wantRows)
+
+		// A reset table is empty and reusable.
+		tbl.reset()
+		tbl.merge(partialTuples(a, pb)[0], 7)
+		if tbl.n != 1 {
+			t.Fatalf("%s: %d groups after reset and one merge", name, tbl.n)
+		}
+	}
+}
+
+// TestAggBypassDecision: the cardinality probe counts the groups opened in
+// its window. The table's size cannot stand in for that: it is flushed at
+// localAggMax, far below the threshold.
+func TestAggBypassDecision(t *testing.T) {
+	schema := data.NewSchema(data.ColumnDef{Name: "k", Type: data.Int64}, data.ColumnDef{Name: "v", Type: data.Float64})
+	for _, tc := range []struct {
+		name   string
+		groups int
+		bypass bool
+	}{
+		{"all-distinct", 1 << 30, true},
+		{"4-groups", 4, false},
+		{"half-distinct", 0, false}, // every key twice in a row
+	} {
+		in := &batchesNode{schema: schema}
+		const rows = 3 * preAggProbeRows
+		ref := map[int64]float64{}
+		for lo := 0; lo < rows; lo += 1024 {
+			b := data.NewBatch(schema, 1024)
+			for r := lo; r < lo+1024; r++ {
+				k := int64(r)
+				switch {
+				case tc.groups == 0:
+					k = int64(r / 2)
+				case tc.groups < rows:
+					k = int64(r % tc.groups)
+				}
+				b.Cols[0].I = append(b.Cols[0].I, k)
+				b.Cols[1].F = append(b.Cols[1].F, 0.5)
+				ref[k] += 0.5
+			}
+			b.SetLen(1024)
+			in.batches = append(in.batches, b)
+		}
+		a := NewAgg(in, []string{"k"}, []AggSpec{{Func: Sum, Col: "v", As: "s"}})
+
+		shared := core.NewShared((&Ctx{}).coreConfig())
+		aw := newAggWorker(a, []int{0}, shared.NewBuffer(), &hll.Sketch{}, true)
+		for _, b := range in.batches {
+			aw.consume(b)
+		}
+		if aw.preAgg == tc.bypass {
+			t.Errorf("%s: pre-aggregation on = %v after %d rows, want bypass = %v", tc.name, aw.preAgg, rows, tc.bypass)
+		}
+
+		out, err := Collect(testCtx(1), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != len(ref) {
+			t.Fatalf("%s: %d groups, want %d", tc.name, out.Len(), len(ref))
+		}
+		for r := 0; r < out.Len(); r++ {
+			if k := out.Cols[0].I[r]; out.Cols[1].F[r] != ref[k] {
+				t.Fatalf("%s: group %d sums to %v, want %v", tc.name, k, out.Cols[1].F[r], ref[k])
+			}
+		}
+	}
+}
+
+// TestAggEmitsBoundedBatches: no output batch exceeds the capacity the batch
+// pool retains, whatever the size of a shard or a spilled partition.
+func TestAggEmitsBoundedBatches(t *testing.T) {
+	for _, ctx := range []*Ctx{testCtx(2), spillCtx(2, 128)} {
+		tbl := ordersTable(aggShards*aggEmitRows + 50000)
+		a := NewAgg(NewScan(tbl, "okey", "total"), []string{"okey"}, []AggSpec{{Func: Sum, Col: "total", As: "s"}})
+		s, err := a.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows, largest atomic.Int64
+		err = Drain(ctx, s, func(_ int, b *data.Batch) error {
+			rows.Add(int64(b.Len()))
+			for {
+				l := largest.Load()
+				if int64(b.Len()) <= l || largest.CompareAndSwap(l, int64(b.Len())) {
+					return nil
+				}
+			}
+		})
+		ctx.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.Load() != tbl.Rows() {
+			t.Fatalf("%d groups, want %d", rows.Load(), tbl.Rows())
+		}
+		if largest.Load() > aggEmitRows {
+			t.Fatalf("a batch of %d rows, the bound is %d", largest.Load(), aggEmitRows)
+		}
+	}
+}
+
+// aggMergeInput materializes `tuples` partial tuples of a two-int64-key
+// count(*) aggregation over `groups` distinct keys, as phase 1 leaves them.
+func aggMergeInput(groups, tuples int) (*Agg, *core.Result) {
+	in := &batchesNode{schema: data.NewSchema(
+		data.ColumnDef{Name: "k1", Type: data.Int64},
+		data.ColumnDef{Name: "k2", Type: data.Int64},
+	)}
+	a := NewAgg(in, []string{"k1", "k2"}, []AggSpec{{Func: CountStar, As: "n"}})
+	size, _ := a.rc.FixedSize()
+	pb := data.NewBatch(a.partial, 1)
+	pb.Cols[0].I, pb.Cols[1].I, pb.Cols[2].I = []int64{0}, []int64{0}, []int64{1}
+	pb.SetLen(1)
+	res := &core.Result{Partitions: 1, Tuples: int64(tuples)}
+	pg := pages.NewFixed(pages.DefaultPageSize, size)
+	for i := 0; i < tuples; i++ {
+		k := i % groups
+		pb.Cols[0].I[0], pb.Cols[1].I[0] = int64(k/7), int64(k)
+		dst, ok := pg.Alloc(size)
+		if !ok {
+			res.Unpartitioned = append(res.Unpartitioned, pg)
+			pg = pages.NewFixed(pages.DefaultPageSize, size)
+			dst, _ = pg.Alloc(size)
+		}
+		a.rc.Encode(dst, pb, 0)
+	}
+	res.Unpartitioned = append(res.Unpartitioned, pg)
+	return a, res
+}
+
+// benchAggMerge times phase 2 alone — the clustered merge of materialized
+// partial tuples into the global group table, and its emission — at two
+// workers, the benchmark's setting.
+func benchAggMerge(b *testing.B, groups int) {
+	const tuples = 600000
+	a, res := aggMergeInput(groups, tuples)
+	ctx := testCtx(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := a.mergePhase(ctx, nil, res, int64(groups))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var rows atomic.Int64
+		if err := Drain(ctx, s, func(_ int, out *data.Batch) error {
+			rows.Add(int64(out.Len()))
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if rows.Load() != int64(groups) {
+			b.Fatalf("%d groups, want %d", rows.Load(), groups)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tuples, "ns/tuple")
+}
+
+// BenchmarkAggMergeHighCard: every tuple opens a group (Q21's distinct
+// aggregations at SF 0.1).
+func BenchmarkAggMergeHighCard(b *testing.B) { benchAggMerge(b, 600000) }
+
+// BenchmarkAggMergeLowCard: four groups take every tuple (Q1's shape with
+// pre-aggregation off).
+func BenchmarkAggMergeLowCard(b *testing.B) { benchAggMerge(b, 4) }

@@ -140,3 +140,46 @@ func TestAllocsBatchPoolCycle(t *testing.T) {
 		t.Errorf("BatchPool Get/Release: %.3f allocs/run, want ~0", got)
 	}
 }
+
+// TestAllocsAggMergeExistingGroup pins the phase-2 hit path: folding a
+// partial tuple into a group the table already holds — hash in hand, key
+// compared in place, state in flat arrays — must not touch the heap, string
+// keys and string Min/Max included.
+func TestAllocsAggMergeExistingGroup(t *testing.T) {
+	in := &ValuesNode{Batch: evalBatch()}
+	a := NewAgg(in, []string{"i", "s"}, []AggSpec{
+		{Func: CountStar, As: "n"},
+		{Func: Avg, Col: "f", As: "avg"},
+		{Func: Min, Col: "s", As: "min_s"},
+		{Func: Max, Col: "f", As: "max_f"},
+	})
+	pb := data.NewBatch(a.partial, 97)
+	for k := 0; k < 97; k++ {
+		pb.Cols[0].I = append(pb.Cols[0].I, int64(k))
+		pb.Cols[1].S = append(pb.Cols[1].S, "MEDIUM POLISHED COPPER")
+		pb.Cols[2].I = append(pb.Cols[2].I, 1)
+		pb.Cols[3].F = append(pb.Cols[3].F, float64(k))
+		pb.Cols[4].I = append(pb.Cols[4].I, 1)
+		pb.Cols[5].S = append(pb.Cols[5].S, "MEDIUM POLISHED COPPER")
+		pb.Cols[6].F = append(pb.Cols[6].F, float64(k))
+	}
+	pb.SetLen(97)
+	tuples := partialTuples(a, pb)
+	hashes := make([]uint64, len(tuples))
+	tbl := &groupTable{a: a, hint: len(tuples)}
+	for i, tuple := range tuples {
+		hashes[i] = a.rc.HashTuple(tuple, a.keyFields)
+		tbl.merge(tuple, hashes[i])
+	}
+	got := testing.AllocsPerRun(100, func() {
+		for i, tuple := range tuples {
+			tbl.merge(tuple, hashes[i])
+		}
+	})
+	if got != 0 {
+		t.Errorf("merging into existing groups: %.2f allocs per %d tuples, want 0", got, len(tuples))
+	}
+	if tbl.n != len(tuples) {
+		t.Fatalf("%d groups, want %d", tbl.n, len(tuples))
+	}
+}
