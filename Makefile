@@ -1,28 +1,29 @@
 GO ?= go
 
-.PHONY: all tier1 ledger-smoke tier2 race stress chaos bench-vectorize bench-alloc bench-overlap bench-parity bench-rescache bench-iosched profile-smoke clean
+.PHONY: all tier1 ledger-smoke tier2 race stress chaos bench-vectorize bench-parity bench-rescache profile-smoke clean
 
 all: tier1
 
-# Tier-1 gate: everything must build, vet clean, and pass tests.
-tier1:
+# Tier-1 gate: everything must build, vet clean, and pass tests, the ledger
+# module's included.
+tier1: ledger-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 
 # The performance ledger (BENCHMARK.json, benchmark/) is a module of its own,
-# so tier1 never compiles it and a signature change under internal/ can
-# break it unnoticed. Its tests build it against this checkout and run every
-# workload at SF 0.01 (~10 s).
+# so `go build ./...` never compiles it and a signature change under
+# internal/ can break it unnoticed. Its tests build it against this checkout
+# and run every workload at SF 0.01 (~10 s).
 ledger-smoke:
 	$(GO) test -C benchmark ./...
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the
-# silent-corruption and device-loss scenarios) and the committed performance
-# gates (allocation, phase-2 overlap, spill-integrity tax, result reuse,
-# shared I/O scheduler).
-tier2: chaos bench-alloc bench-overlap bench-parity bench-rescache bench-iosched
+# silent-corruption and device-loss scenarios) and the two performance gates
+# whose features no ledger workload sets yet (spill-integrity tax, result
+# reuse). Everything else is gated by `bash benchmark/run.sh --compare`.
+tier2: chaos bench-parity bench-rescache
 
 # Race-detector pass over the concurrency-heavy packages (morsel workers,
 # partition spilling, the sharded aggregation group table against its
@@ -64,23 +65,6 @@ chaos:
 bench-vectorize:
 	$(GO) test -run=^$$ -bench 'Vectorized|Scalar|HashColumns|HashRow|EncodeAll|EncodeRow|AggMerge' -benchmem ./internal/exec/ ./internal/data/
 
-# GC-pressure gate: allocation-count regression tests (also in tier1),
-# -benchmem microbenchmarks over the recycling hot path, and the
-# end-to-end allocs/op comparison against the committed baseline
-# (BENCH_alloc.json; fails on >20% allocs/op regression).
-bench-alloc:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/data/ ./internal/exec/
-	$(GO) test -run=^$$ -bench 'Alloc' -benchmem ./internal/data/ ./internal/exec/
-	$(GO) run ./cmd/alloccmp -baseline BENCH_alloc.json
-
-# Phase-2 overlap gate: the blocking-vs-pipelined readback report, then the
-# stall-time comparison against the committed baseline (BENCH_overlap.json;
-# fails on >20% pipelined stall ns/op regression or a cross-mode result
-# checksum mismatch).
-bench-overlap:
-	$(GO) run ./cmd/spillybench -exp overlap
-	$(GO) run ./cmd/overlapcmp -baseline BENCH_overlap.json
-
 # Result-reuse gate: the cold/warm-memory/warm-nvme/post-invalidation
 # report, then the warm-hit latency comparison against the committed
 # baseline (BENCH_rescache.json; fails on a warm-hit regression beyond 20%
@@ -89,16 +73,6 @@ bench-overlap:
 bench-rescache:
 	$(GO) run ./cmd/spillybench -exp rescache
 	$(GO) run ./cmd/rescachecmp -baseline BENCH_rescache.json
-
-# Shared I/O scheduler gate: the 8-way mixed-class concurrency report
-# (private rings vs the engine-wide prioritized scheduler), then the
-# demand-read latency and p99 query latency comparison against the
-# committed baseline (BENCH_iosched.json; fails on >25% shared-mode
-# regression, a cross-mode result checksum mismatch, or a baseline that no
-# longer shows the scheduler ahead of private rings).
-bench-iosched:
-	$(GO) run ./cmd/spillybench -exp iosched
-	$(GO) run ./cmd/ioschedcmp -baseline BENCH_iosched.json
 
 # Spill-integrity gate: the parity-off-vs-on report on the spill-heavy
 # queries, then the self-relative wall-time comparison (no committed

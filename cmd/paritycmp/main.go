@@ -2,9 +2,9 @@
 // bench package's parity-off-vs-on matrix (Q9/Q12/Q13, the spill-heavy
 // workloads) and fails when checksummed+parity spilling costs more than the
 // threshold in wall time on any query, or when the two modes disagree on a
-// result fingerprint. Unlike overlapcmp it needs no committed baseline:
-// the parity-off run measured in the same process is the baseline, so the
-// comparison is self-relative and immune to machine speed.
+// result fingerprint. It needs no committed baseline: the parity-off run
+// measured in the same process is the baseline, so the comparison is
+// self-relative and immune to machine speed.
 //
 // Usage:
 //

@@ -39,11 +39,6 @@ func main() {
 		tblDir   = flag.String("tbl", "", "load dbgen-format .tbl files from this directory instead of generating")
 		profile  = flag.Bool("profile", false, "print a per-operator execution profile (EXPLAIN ANALYZE)")
 		serve    = flag.String("serve", "", "serve /metrics, /queries and pprof on this address while running")
-		depth    = flag.Int("readdepth", 0, "spill readback queue depth per partition scheduler (0 = default)")
-		scanD    = flag.Int("scandepth", 0, "row groups each scan worker keeps in flight (0 = default)")
-		ioDepth  = flag.Int("iodepth", 0, "shared I/O scheduler per-device depth target (0 = default)")
-		noSched  = flag.Bool("noiosched", false, "bypass the shared I/O scheduler (private rings per operator)")
-		blocking = flag.Bool("blockread", false, "disable pipelined spill readback (materialize partitions before processing)")
 		parity   = flag.Int("parity", 0, "spill parity stripe width K: checksummed pages + one XOR parity block per K spill blocks (0 = off)")
 		conc     = flag.Int("concurrent", 1, "run this many copies of the query concurrently through the admission governor")
 		cacheB   = flag.Int64("cachebytes", 0, "table buffer cache size in bytes (0 = no buffer cache)")
@@ -65,20 +60,15 @@ func main() {
 	}
 
 	eng, err := spilly.Open(spilly.Config{
-		Workers:           *workers,
-		MemoryBudget:      *budget,
-		Mode:              m,
-		DisableSpill:      *nospill,
-		Compression:       *compress,
-		Profile:           *profile,
-		ReadDepth:         *depth,
-		ScanDepth:         *scanD,
-		IODepthTarget:     *ioDepth,
-		NoIOSched:         *noSched,
-		BlockingSpillRead: *blocking,
-		SpillParity:       *parity,
-		CacheBytes:        *cacheB,
-		ResultCacheBytes:  *rescache,
+		Workers:          *workers,
+		MemoryBudget:     *budget,
+		Mode:             m,
+		DisableSpill:     *nospill,
+		Compression:      *compress,
+		Profile:          *profile,
+		SpillParity:      *parity,
+		CacheBytes:       *cacheB,
+		ResultCacheBytes: *rescache,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -175,7 +165,7 @@ func main() {
 
 // printIOSched summarizes the shared I/O schedulers: how much work each
 // class pushed through, how often lower classes yielded, and the
-// promotion/aging traffic. Silent when -noiosched bypasses the scheduler.
+// promotion/aging traffic. An array that saw no I/O prints nothing.
 func printIOSched(eng *spilly.Engine) {
 	for _, sn := range eng.IOSchedSnapshots() {
 		var total, deferred int64

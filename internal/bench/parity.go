@@ -2,9 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 
 	spilly "github.com/spilly-db/spilly"
+	"github.com/spilly-db/spilly/internal/chaos"
 )
 
 func init() {
@@ -20,6 +22,25 @@ func init() {
 // four-device spill array can place on distinct devices while keeping a
 // whole group in flight.
 const parityStripeWidth = 3
+
+// spillQueries are the spill-heavy workloads whose phase 2 reads back
+// partitions from the array: Q9 (deep join tree, the largest readback
+// volume), Q12 (large join with a spilling probe side), Q13 (string-heavy
+// join/agg whose merge phase pulls partitions through the scheduler).
+var spillQueries = []int{9, 12, 13}
+
+// spillBudget forces all three queries to partition and spill at the
+// measurement scale factors while leaving the partition scheduler some
+// headroom to reserve prefetch buffers from.
+const spillBudget = 512 << 10
+
+// resultChecksum hashes the order-insensitive result fingerprint so a report
+// can assert that every mode it compares computed identical results.
+func resultChecksum(res *spilly.Result) string {
+	h := fnv.New64a()
+	h.Write([]byte(chaos.Fingerprint(res.Batch)))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // ParityMeasurement is one (query, integrity-mode) cell of the spill
 // integrity report. Modes are "off" (raw spill pages, the pre-integrity
@@ -42,7 +63,7 @@ type ParityMeasurement struct {
 func (m ParityMeasurement) Key() string { return m.Query + "/" + m.Mode }
 
 // MeasureParity runs the integrity-off-vs-on matrix over the spill-heavy
-// overlap workloads (Q9/Q12/Q13 — the queries whose phase 2 reads every
+// workloads (Q9/Q12/Q13 — the queries whose phase 2 reads every
 // spilled byte back, so both the write-side checksum+XOR cost and the
 // read-side verification cost land on the critical path). Wall time is the
 // best of a few repetitions; counters come from the same best run.
@@ -72,7 +93,7 @@ func MeasureParity(o Options) ([]ParityMeasurement, error) {
 	for i, m := range modes {
 		eng, err := newEngine(spilly.Config{
 			Workers:      o.workers(),
-			MemoryBudget: o.budget(overlapSpillBudget),
+			MemoryBudget: o.budget(spillBudget),
 			Compression:  true,
 			SpillParity:  m.parity,
 		}, sf, false)
@@ -82,7 +103,7 @@ func MeasureParity(o Options) ([]ParityMeasurement, error) {
 		engines[i] = eng
 	}
 	var out []ParityMeasurement
-	for _, q := range overlapQueries {
+	for _, q := range spillQueries {
 		best := make([]ParityMeasurement, len(modes))
 		for i, m := range modes {
 			best[i] = ParityMeasurement{Query: fmt.Sprintf("Q%d", q), Mode: m.name}
@@ -104,7 +125,7 @@ func MeasureParity(o Options) ([]ParityMeasurement, error) {
 					best[i].WrittenBytes = s.WrittenBytes
 					best[i].ParityBytes = s.SpillParityBytes
 					best[i].PagesVerified = s.SpillPagesVerified
-					best[i].Checksum = overlapChecksum(res)
+					best[i].Checksum = resultChecksum(res)
 				}
 			}
 		}
@@ -136,7 +157,7 @@ func runParityReport(w io.Writer, o Options) error {
 		byKey[m.Key()] = m
 	}
 	var wallRatios []float64
-	for _, q := range overlapQueries {
+	for _, q := range spillQueries {
 		off, ok1 := byKey[fmt.Sprintf("Q%d/off", q)]
 		par, ok2 := byKey[fmt.Sprintf("Q%d/parity", q)]
 		if !ok1 || !ok2 {

@@ -121,7 +121,7 @@ func MeasureRescache(o Options) ([]RescacheMeasurement, error) {
 				if ns := float64(s.Duration.Nanoseconds()); rep == 0 || ns < best.NsPerOp {
 					best.NsPerOp = ns
 					best.Tier = s.ResultCacheTier
-					best.Checksum = overlapChecksum(res)
+					best.Checksum = resultChecksum(res)
 				}
 			}
 			out = append(out, best)

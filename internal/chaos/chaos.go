@@ -95,11 +95,16 @@ func Clear(arr *nvmesim.Array) {
 // Fingerprint renders a batch as one line per row, rows sorted, so two
 // results compare regardless of row order (hash operators are
 // order-insensitive). Integer, string, and date columns compare
-// bit-identical. Float aggregates are compared at fixed decimal precision:
-// parallel summation order depends on morsel scheduling and I/O completion
-// order, so even two fault-free runs differ in the last ULPs — a retried
-// write must not change the data, but it may legally change the order pages
-// come back in.
+// bit-identical. Float aggregates are compared rounded to float32 (24
+// significant bits, a relative tolerance of about 1e-7): parallel summation
+// order depends on morsel scheduling and I/O completion order, so even two
+// fault-free runs differ in the last ULPs — a retried write must not change
+// the data, but it may legally change the order pages come back in. The
+// rounding is binary on purpose. TPC-H money sums are exact decimals, so any
+// decimal rounding coarser than their own grid puts one value in ten exactly
+// on a rounding tie, where one ULP decides the printed digit; a fixed number
+// of decimals avoids the ties but is finer than float64 itself once a sum
+// reaches 1e9.
 func Fingerprint(b *data.Batch) string {
 	if b == nil {
 		return "(nil)"
@@ -118,7 +123,7 @@ func Fingerprint(b *data.Batch) string {
 			case col.Null != nil && col.Null[r]:
 				sb.WriteString("NULL")
 			case col.Type == data.Float64:
-				sb.WriteString(strconv.FormatFloat(col.F[r], 'f', 4, 64))
+				sb.WriteString(strconv.FormatFloat(col.F[r], 'g', -1, 32))
 			case col.Type == data.String:
 				sb.WriteString(col.S[r])
 			default:

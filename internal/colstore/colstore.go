@@ -38,14 +38,13 @@ type Reader interface {
 	Next(b *data.Batch) (int, error)
 }
 
-// ScanOpts carries per-scan reader options. The zero value falls back to
-// the store-level defaults (SetScanDepth) for every field.
+// ScanOpts carries per-scan reader options.
 type ScanOpts struct {
 	// Query is the fairness key scan reads carry into the shared I/O
 	// scheduler, so one query's scan flood cannot crowd out another's.
 	Query uint64
 	// Depth bounds the row groups each reader keeps in flight
-	// (0 = the store's scan depth, itself defaulted to DefaultScanDepth).
+	// (0 = DefaultScanDepth).
 	Depth int
 }
 
@@ -199,8 +198,6 @@ type Store struct {
 	// engine's shared I/O scheduler: scans as prefetch-class (promoted to
 	// demand when a worker blocks), bulk loads as background-class.
 	sched uring.Dispatcher
-	// scanDepth is the default per-reader group lookahead (0 = DefaultScanDepth).
-	scanDepth int
 }
 
 // NewStore returns a store over the array. cache may be nil (always-cold
@@ -218,10 +215,6 @@ func (s *Store) Cache() *Cache { return s.cache }
 // SetIOSched routes the store's I/O through the given shared dispatcher
 // (nil = private rings). Set once at engine start, before any reads.
 func (s *Store) SetIOSched(d uring.Dispatcher) { s.sched = d }
-
-// SetScanDepth sets the default per-reader group lookahead for external
-// scans (<= 0 restores DefaultScanDepth).
-func (s *Store) SetScanDepth(n int) { s.scanDepth = n }
 
 // DiskTable is a table stored as encoded column chunks on the array.
 type DiskTable struct {

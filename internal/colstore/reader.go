@@ -9,11 +9,10 @@ import (
 	"github.com/spilly-db/spilly/internal/uring"
 )
 
-// DefaultScanDepth is the default number of row groups each external-scan
-// reader keeps in flight. With one reader per worker, the per-reader
-// lookahead times the worker count keeps the array's I/O queues full
-// across morsel boundaries (§5.2). Engines override it per store
-// (Store.SetScanDepth) or per scan (ScanOpts.Depth).
+// DefaultScanDepth is the number of row groups each external-scan reader
+// keeps in flight unless ScanOpts.Depth says otherwise. With one reader per
+// worker, the per-reader lookahead times the worker count keeps the array's
+// I/O queues full across morsel boundaries (§5.2).
 const DefaultScanDepth = 4
 
 // diskReader is a per-worker external scan (§5.2): it pulls row-group
@@ -58,18 +57,15 @@ type chunkRead struct {
 	i   int // index into proj
 }
 
-// NewReader implements Table, with the store-level scan defaults.
+// NewReader implements Table, with the default scan options.
 func (t *DiskTable) NewReader(proj []int, cursor *atomic.Int64) Reader {
 	return t.NewReaderOpts(proj, cursor, ScanOpts{})
 }
 
-// NewReaderOpts implements OptsTable: opts.Depth overrides the store's
+// NewReaderOpts implements OptsTable: opts.Depth overrides the default
 // scan depth, opts.Query keys the reads in the shared I/O scheduler.
 func (t *DiskTable) NewReaderOpts(proj []int, cursor *atomic.Int64, opts ScanOpts) Reader {
 	depth := opts.Depth
-	if depth <= 0 {
-		depth = t.store.scanDepth
-	}
 	if depth <= 0 {
 		depth = DefaultScanDepth
 	}

@@ -62,14 +62,15 @@ func collectKeys(t *testing.T, arr *nvmesim.Array, pageSize int, res *Result) ma
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := NewPartitionReader(nil, arr, pageSize, res.Spilled[part], 4)
-		pgs, err := r.ReadAll()
+		r := openPartition(t, nil, arr, pageSize, part, res.Spilled[part], nil)
+		pgs, err := readAll(r)
 		if err != nil {
 			t.Fatalf("reading partition %d: %v", part, err)
 		}
 		for _, p := range pgs {
 			scan(p)
 		}
+		r.Release()
 	}
 	return out
 }

@@ -212,8 +212,8 @@ func TestReadTransientRetrySucceeds(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := NewPartitionReader(nil, arr, 4096, res.Spilled[part], 4)
-		pgs, err := r.ReadAll()
+		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], nil)
+		pgs, err := readAll(r)
 		if err != nil {
 			t.Fatalf("reading partition %d under transient faults: %v", part, err)
 		}
@@ -221,6 +221,7 @@ func TestReadTransientRetrySucceeds(t *testing.T) {
 		for _, p := range pgs {
 			scan(p)
 		}
+		r.Release()
 	}
 	if retries == 0 {
 		t.Fatal("no read retries counted despite scripted transient faults")
@@ -247,8 +248,10 @@ func TestReadDeadDeviceIsFatal(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := NewPartitionReader(nil, arr, 4096, res.Spilled[part], 4)
-		if _, err := r.ReadAll(); err != nil {
+		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], nil)
+		_, err := readAll(r)
+		r.Release()
+		if err != nil {
 			fatal = err
 			break
 		}
@@ -283,8 +286,10 @@ func TestReadCancellation(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := NewPartitionReader(ctx, arr, 4096, res.Spilled[part], 4)
-		if _, err := r.ReadAll(); !errors.Is(err, context.Canceled) {
+		r := openPartition(t, ctx, arr, 4096, part, res.Spilled[part], nil)
+		_, err := readAll(r)
+		r.Release()
+		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled in the chain", err)
 		}
 		return

@@ -54,9 +54,8 @@ func collectVerified(t *testing.T, arr *nvmesim.Array, res *Result) (map[uint64]
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := NewPartitionReader(nil, arr, 4096, res.Spilled[part], 4)
-		r.SetIntegrity(part, res.Stripes)
-		pgs, err := r.ReadAll()
+		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], res.Stripes)
+		pgs, err := readAll(r)
 		if err != nil {
 			t.Fatalf("reading partition %d: %v", part, err)
 		}
@@ -158,9 +157,8 @@ func TestDoubleFaultIsStructuredError(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := NewPartitionReader(nil, arr, 4096, res.Spilled[part], 4)
-		r.SetIntegrity(part, res.Stripes)
-		_, err := r.ReadAll()
+		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], res.Stripes)
+		_, err := readAll(r)
 		r.Release()
 		if err == nil {
 			continue
@@ -190,9 +188,8 @@ func TestSilentDoubleFaultIsStructuredError(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := NewPartitionReader(nil, arr, 4096, res.Spilled[part], 4)
-		r.SetIntegrity(part, res.Stripes)
-		_, err := r.ReadAll()
+		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], res.Stripes)
+		_, err := readAll(r)
 		r.Release()
 		if err == nil {
 			continue
@@ -221,7 +218,7 @@ func TestSchedulerHealsCorruption(t *testing.T) {
 			work = append(work, PartitionWork{Part: part, Slots: res.Spilled[part]})
 		}
 	}
-	sched := NewPartitionScheduler(context.Background(), arr, 4096, work, 0, pages.NewBudget(1<<20), false)
+	sched := NewPartitionScheduler(context.Background(), arr, 4096, work, 0, pages.NewBudget(1<<20))
 	sched.SetIntegrity(res.Stripes)
 	defer sched.Close()
 	got := map[uint64]int{}
@@ -271,7 +268,7 @@ func TestSchedulerDoubleFaultIsStructuredError(t *testing.T) {
 			work = append(work, PartitionWork{Part: part, Slots: res.Spilled[part]})
 		}
 	}
-	sched := NewPartitionScheduler(context.Background(), arr, 4096, work, 0, pages.NewBudget(1<<20), false)
+	sched := NewPartitionScheduler(context.Background(), arr, 4096, work, 0, pages.NewBudget(1<<20))
 	sched.SetIntegrity(res.Stripes)
 	defer sched.Close()
 	sawError := false

@@ -1,66 +1,15 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
-	"github.com/spilly-db/spilly/internal/uring"
 )
 
-// PartitionReader streams the spilled pages of one partition back from the
-// NVMe array. It keeps several block reads in flight (asynchronous I/O,
-// §5.1), decompresses staged pages, and yields them in completion order —
-// hash-based phase-2 algorithms are order-insensitive.
-//
-// Transient read errors are retried with capped exponential backoff on the
-// same device (spilled data has exactly one copy, so reads — unlike writes —
-// cannot fail over). Permanent errors (a dead device, a corrupt slot) and
-// an exhausted retry budget surface as a sticky structured QueryError.
-// Cancellation through the context aborts the reader within one poll
-// interval.
-//
-// Returned pages stay valid until Release is called; hash tables may point
-// into them (§4.4 "operators can consume row-wise tuples directly"). Block
-// and decompression buffers come from the pages recycler, and Release
-// returns them — the consumer calls it only once nothing references the
-// partition's tuples anymore (hash table dropped, every emitted string
-// interned or copied). A reader that is never released simply leaves its
-// buffers to the garbage collector.
-type PartitionReader struct {
-	ctx      context.Context // nil = never canceled
-	ring     *uring.Ring
-	clock    nvmesim.Clock
-	pageSize int
-	depth    int
-
-	groups  []blockGroup
-	next    int
-	pending map[uint64]int // userData -> group index
-	nextUD  uint64
-
-	ready   []*pages.Page
-	scratch []uring.Completion
-	err     error
-	done    bool
-
-	bytesRead int64
-	retries   int64
-
-	// Integrity state (SetIntegrity): the partition frames are verified
-	// against, the parity repairer, and the integrity counters.
-	part            int // -1 = unknown
-	rp              *repairer
-	verified        int64
-	checksumErrs    int64
-	reconstructions int64
-
-	owned    [][]byte // recycler-backed buffers the decoded pages alias
-	released bool
-}
-
+// blockGroup is one staging block of a spilled partition and the page slots
+// it holds; slots are grouped by block so each block is read exactly once.
 type blockGroup struct {
 	loc      nvmesim.Loc
 	slots    []SpilledSlot
@@ -68,176 +17,20 @@ type blockGroup struct {
 	attempts int
 }
 
-// DefaultReadDepth is the default number of concurrent block reads per
-// partition reader. Spilled partitions are read back by several workers at
-// once, so a moderate per-reader depth already saturates the array's
-// aggregate queue depth (§5.2: NVMe arrays need parallel, deep queues).
+// DefaultReadDepth is the number of concurrent block reads a partition
+// scheduler keeps in flight per opened partition (and once more for
+// prefetch). Spilled partitions are read back by several workers at once, so
+// a moderate depth already saturates the array's aggregate queue depth
+// (§5.2: NVMe arrays need parallel, deep queues).
 const DefaultReadDepth = 8
 
 // maxReadAttempts bounds transient-error retries per block read.
 const maxReadAttempts = 4
 
-// NewPartitionReader returns a reader over the given spilled slots (as
-// recorded in a Result). ctx cancels blocking waits (nil = background).
-// depth bounds concurrent block reads per reader (<= 0 selects
-// DefaultReadDepth).
-func NewPartitionReader(ctx context.Context, arr *nvmesim.Array, pageSize int, slots []SpilledSlot, depth int) *PartitionReader {
-	if depth <= 0 {
-		depth = DefaultReadDepth
-	}
-	ring := uring.New(arr)
-	if ctx != nil {
-		ring.SetCancel(func() bool { return ctx.Err() != nil })
-	}
-	r := &PartitionReader{
-		ctx:      ctx,
-		ring:     ring,
-		clock:    arr.Clock(),
-		pageSize: pageSize,
-		depth:    depth,
-		part:     -1,
-		pending:  make(map[uint64]int),
-	}
-	// Group slots by staging block so each block is read exactly once.
-	byLoc := make(map[nvmesim.Loc]int)
-	for _, s := range slots {
-		gi, ok := byLoc[s.Loc]
-		if !ok {
-			gi = len(r.groups)
-			byLoc[s.Loc] = gi
-			r.groups = append(r.groups, blockGroup{loc: s.Loc})
-		}
-		r.groups[gi].slots = append(r.groups[gi].slots, s)
-	}
-	return r
-}
-
-// BindIO routes the reader's block reads through the engine's shared
-// dispatcher as demand-class I/O under the given query fairness key
-// (nil = keep the private ring). Call before the first Next.
-func (r *PartitionReader) BindIO(d uring.Dispatcher, query uint64) {
-	r.ring.Bind(d, uring.ClassDemand, query)
-}
-
-// SetIntegrity arms frame verification and parity reconstruction: part is
-// the partition this reader's slots belong to (-1 skips the partition
-// check) and stripes is the result's parity stripe directory (nil = frames
-// verify but nothing can be rebuilt). Call before the first Next.
-func (r *PartitionReader) SetIntegrity(part int, stripes []*StripeGroup) {
-	r.part = part
-	r.rp = newRepairer(r.ctx, r.ring.Array(), stripes)
-}
-
-// Next returns the next spilled page, or (nil, nil) at end of partition.
-func (r *PartitionReader) Next() (*pages.Page, error) {
-	for {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.ctx != nil && r.ctx.Err() != nil {
-			r.err = WrapQueryError("spill-read", r.ctx.Err())
-			return nil, r.err
-		}
-		if n := len(r.ready); n > 0 {
-			p := r.ready[n-1]
-			r.ready = r.ready[:n-1]
-			return p, nil
-		}
-		if r.done {
-			return nil, nil
-		}
-		r.fill()
-		if len(r.pending) == 0 && r.next >= len(r.groups) {
-			r.done = true
-			continue
-		}
-		r.ring.Submit()
-		r.scratch = r.ring.Poll(r.scratch[:0], true)
-		for _, c := range r.scratch {
-			gi, ok := r.pending[c.UserData]
-			if !ok {
-				continue
-			}
-			delete(r.pending, c.UserData)
-			if c.Err != nil {
-				if r.retryRead(c, gi) {
-					continue
-				}
-				if err := r.completeGroup(&r.groups[gi], c.Err); err != nil {
-					r.err = err
-					break
-				}
-				continue
-			}
-			r.bytesRead += int64(c.N)
-			if err := r.completeGroup(&r.groups[gi], nil); err != nil {
-				r.err = err
-				break
-			}
-		}
-	}
-}
-
-// retryRead re-queues a failed block read when the error is transient and
-// the group's retry budget allows it. Reads retry on the same device:
-// spilled data has one primary copy, so a permanently failed device leaves
-// only parity reconstruction (completeGroup) between the query and a fatal
-// error.
-func (r *PartitionReader) retryRead(c uring.Completion, gi int) bool {
-	g := &r.groups[gi]
-	if nvmesim.IsTransient(c.Err) && g.attempts+1 < maxReadAttempts {
-		g.attempts++
-		r.retries++
-		r.clock.Sleep(retryBackoff(g.attempts))
-		r.nextUD++
-		r.ring.QueueRead(g.loc, g.buf, r.nextUD)
-		r.pending[r.nextUD] = gi
-		return true
-	}
-	return false
-}
-
-// fill tops up in-flight block reads to the configured depth.
-func (r *PartitionReader) fill() {
-	for r.next < len(r.groups) && len(r.pending) < r.depth {
-		g := &r.groups[r.next]
-		g.buf = pages.GetBuf(int(g.loc.Size()))
-		r.owned = append(r.owned, g.buf)
-		r.nextUD++
-		r.ring.QueueRead(g.loc, g.buf, r.nextUD)
-		r.pending[r.nextUD] = r.next
-		r.next++
-	}
-}
-
-// completeGroup turns a completed (or permanently failed) block read into
-// pages. Every framed slot is verified before anything decodes; a checksum
-// mismatch or a failed read triggers parity reconstruction in place, and
-// only an unrepairable block surfaces an error — always a structured
-// *QueryError naming device and partition.
-func (r *PartitionReader) completeGroup(g *blockGroup, readErr error) error {
-	if readErr != nil || countFramed(g.slots) > 0 {
-		st, err := r.rp.validBlock(g.loc, g.buf, g.slots, r.part, readErr)
-		r.verified += st.verified
-		r.checksumErrs += st.checksumErrors
-		r.reconstructions += st.reconstructions
-		if err != nil {
-			return err
-		}
-	}
-	ready, owned, err := decodeBlockSlots(g.buf, g.slots, r.pageSize, r.ready, r.owned)
-	r.ready, r.owned = ready, owned
-	g.buf = nil // buffer ownership moved to r.owned; Release recycles it
-	if err != nil {
-		return WrapQueryError("spill-read", err)
-	}
-	return nil
-}
-
 // decodeBlockSlots decodes the staged pages of one completed block read,
 // appending page views to ready and any decompression buffers it draws from
 // the recycler to owned (the block buffer itself is assumed to be tracked by
-// the caller already). Shared by PartitionReader and PartitionScheduler.
+// the caller already).
 func decodeBlockSlots(buf []byte, slots []SpilledSlot, pageSize int, ready []*pages.Page, owned [][]byte) ([]*pages.Page, [][]byte, error) {
 	for _, s := range slots {
 		if int(s.Off)+int(s.Len) > len(buf) {
@@ -274,66 +67,4 @@ func decodeBlockSlots(buf []byte, slots []SpilledSlot, pageSize int, ready []*pa
 		ready = append(ready, p)
 	}
 	return ready, owned, nil
-}
-
-// Release returns every buffer the decoded pages alias to the recycler.
-// Call it only when the partition is fully consumed AND nothing points into
-// its pages anymore — any hash table over them dropped, every emitted value
-// copied or arena-interned. Safe to call more than once; the reader must
-// not be used afterwards.
-func (r *PartitionReader) Release() {
-	if r.released {
-		return
-	}
-	r.released = true
-	r.ready = nil
-	// A reader abandoned mid-stream (sticky error, early consumer exit)
-	// still has block reads in flight whose DMA targets are in r.owned.
-	// Drain them before recycling — handing a buffer to the recycler while
-	// the device still writes into it would corrupt whoever gets it next.
-	// If cancellation cut the drain short, leak the buffers to the GC
-	// instead: safe, and the query is being torn down anyway.
-	r.scratch = r.ring.WaitAll(r.scratch[:0])
-	if r.ring.Outstanding() > 0 {
-		// Reads the shared dispatcher never issued will not complete now;
-		// drop them so its queues do not reference this query forever.
-		r.ring.CancelDeferred()
-		r.owned = nil
-		return
-	}
-	for _, b := range r.owned {
-		pages.PutBuf(b)
-	}
-	r.owned = nil
-}
-
-// BytesRead returns the bytes read from the array so far.
-func (r *PartitionReader) BytesRead() int64 { return r.bytesRead }
-
-// Retries returns the number of transient read errors recovered so far.
-func (r *PartitionReader) Retries() int64 { return r.retries }
-
-// Verified returns the framed pages whose checksums verified so far.
-func (r *PartitionReader) Verified() int64 { return r.verified }
-
-// ChecksumErrors returns the blocks that failed frame verification.
-func (r *PartitionReader) ChecksumErrors() int64 { return r.checksumErrs }
-
-// Reconstructions returns the blocks rebuilt from parity.
-func (r *PartitionReader) Reconstructions() int64 { return r.reconstructions }
-
-// ReadAll drains the reader into a slice (convenience for tests and small
-// partitions).
-func (r *PartitionReader) ReadAll() ([]*pages.Page, error) {
-	var out []*pages.Page
-	for {
-		p, err := r.Next()
-		if err != nil {
-			return out, err
-		}
-		if p == nil {
-			return out, nil
-		}
-		out = append(out, p)
-	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -37,9 +39,37 @@ func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, int, []Spil
 	return nil, 0, nil
 }
 
+// openPartition opens slots for readback through a one-item
+// PartitionScheduler that is closed when the test ends. part is the
+// partition their frames verify against (-1 skips the check); stripes is the
+// result's parity directory (nil = nothing can be rebuilt).
+func openPartition(t *testing.T, ctx context.Context, arr *nvmesim.Array, pageSize, part int, slots []SpilledSlot, stripes []*StripeGroup) *PartitionCursor {
+	t.Helper()
+	sched := NewPartitionScheduler(ctx, arr, pageSize, []PartitionWork{{Part: part, Slots: slots}}, 4, nil)
+	sched.SetIntegrity(stripes)
+	t.Cleanup(sched.Close)
+	return sched.Open(0)
+}
+
+// readAll drains a cursor into a slice.
+func readAll(cur *PartitionCursor) ([]*pages.Page, error) {
+	var out []*pages.Page
+	for {
+		p, err := cur.Next()
+		if err != nil {
+			return out, err
+		}
+		if p == nil {
+			return out, nil
+		}
+		out = append(out, p)
+	}
+}
+
 func TestPartitionReaderEmpty(t *testing.T) {
 	arr := fastArray(1)
-	r := NewPartitionReader(nil, arr, 4096, nil, 4)
+	r := openPartition(t, nil, arr, 4096, -1, nil, nil)
+	defer r.Release()
 	p, err := r.Next()
 	if err != nil || p != nil {
 		t.Fatalf("empty reader: %v %v", p, err)
@@ -53,13 +83,20 @@ func TestPartitionReaderEmpty(t *testing.T) {
 func TestPartitionReaderReadError(t *testing.T) {
 	arr, pageSize, slots := spillOnePartition(t, false)
 	arr.InjectFailures(0, 1000)
-	r := NewPartitionReader(nil, arr, pageSize, slots, 4)
-	if _, err := r.Next(); err == nil {
-		t.Fatal("injected read failure not surfaced")
+	r := openPartition(t, nil, arr, pageSize, -1, slots, nil)
+	defer r.Release()
+	// InjectFailures fails transiently, so this is the retry budget running
+	// out: a structured error naming the device, and sticky.
+	_, err := r.Next()
+	var qe *QueryError
+	if !errors.As(err, &qe) {
+		t.Fatalf("err = %v (%T), want *QueryError", err, err)
 	}
-	// The error is sticky.
-	if _, err := r.Next(); err == nil {
-		t.Fatal("reader forgot its error")
+	if qe.Device != 0 || !nvmesim.IsTransient(err) {
+		t.Fatalf("err = %v, want the transient cause on device 0", err)
+	}
+	if _, err2 := r.Next(); err2 != err {
+		t.Fatalf("reader forgot its error: %v", err2)
 	}
 }
 
@@ -70,19 +107,9 @@ func TestPartitionReaderCorruptSlot(t *testing.T) {
 	// Slot pointing past its block.
 	bad[0].Off = uint32(bad[0].Loc.Size())
 	bad[0].Len = 64
-	r := NewPartitionReader(nil, arr, pageSize, bad, 4)
-	failed := false
-	for {
-		p, err := r.Next()
-		if err != nil {
-			failed = true
-			break
-		}
-		if p == nil {
-			break
-		}
-	}
-	if !failed {
+	r := openPartition(t, nil, arr, pageSize, -1, bad, nil)
+	defer r.Release()
+	if _, err := readAll(r); err == nil {
 		t.Fatal("out-of-bounds slot accepted")
 	}
 }
@@ -92,32 +119,31 @@ func TestPartitionReaderUnknownScheme(t *testing.T) {
 	bad := make([]SpilledSlot, len(slots))
 	copy(bad, slots)
 	bad[0].Scheme = codec.ID(250)
-	r := NewPartitionReader(nil, arr, pageSize, bad, 4)
-	failed := false
-	for {
-		p, err := r.Next()
-		if err != nil {
-			failed = true
-			break
-		}
-		if p == nil {
-			break
-		}
-	}
-	if !failed {
+	r := openPartition(t, nil, arr, pageSize, -1, bad, nil)
+	defer r.Release()
+	if _, err := readAll(r); err == nil {
 		t.Fatal("unknown codec accepted")
 	}
 }
 
 func TestPartitionReaderBytesRead(t *testing.T) {
 	arr, pageSize, slots := spillOnePartition(t, false)
-	r := NewPartitionReader(nil, arr, pageSize, slots, 2)
-	pgs, err := r.ReadAll()
+	r := openPartition(t, nil, arr, pageSize, -1, slots, nil)
+	pgs, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pgs) == 0 || r.BytesRead() == 0 {
 		t.Fatalf("pages=%d bytesRead=%d", len(pgs), r.BytesRead())
+	}
+	// The decoded pages alias recycler-backed buffers until Release hands
+	// every one of them back.
+	if len(r.it.owned) == 0 {
+		t.Fatal("readback tracked no recycler-backed buffers")
+	}
+	r.Release()
+	if r.it.owned != nil || r.it.ready != nil {
+		t.Fatalf("Release kept %d buffers and %d pages", len(r.it.owned), len(r.it.ready))
 	}
 }
 

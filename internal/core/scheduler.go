@@ -17,41 +17,6 @@ type PartitionWork struct {
 	Slots []SpilledSlot
 }
 
-// PartitionCursor streams one spilled partition's pages back to a phase-2
-// consumer. It is the PartitionReader-shaped interface both the blocking
-// baseline and the scheduler's prefetching cursors implement: Next yields
-// pages until (nil, nil), Release recycles the partition's buffers once
-// nothing references its tuples anymore, and the counters feed the
-// consumer's stats and trace span after the partition is consumed.
-type PartitionCursor interface {
-	Next() (*pages.Page, error)
-	Release()
-	// BytesRead returns the bytes read from the array for this partition.
-	BytesRead() int64
-	// Retries returns transient read errors recovered by retrying.
-	Retries() int64
-	// StallNanos returns the wall time the consumer spent inside Next —
-	// the spill-read stall this partition inflicted on phase-2 compute.
-	StallNanos() int64
-	// DemandReads returns how many demand-class block reads completed for
-	// this partition and the sum of their per-request completion
-	// latencies in nanoseconds. Where StallNanos measures worker-side
-	// blocked time, this measures the latency of the latency-critical
-	// reads themselves — how long each spent queued behind other I/O.
-	// The blocking baseline reports zero (it never classifies reads).
-	DemandReads() (int64, int64)
-	// Prefetched reports whether readback was already under way (at least
-	// one block read issued) before the consumer opened the cursor.
-	Prefetched() bool
-	// Verified returns framed pages whose checksums verified for this
-	// partition; ChecksumErrors the blocks that failed verification; and
-	// Reconstructions the blocks rebuilt from parity. All zero when spill
-	// integrity is off.
-	Verified() int64
-	ChecksumErrors() int64
-	Reconstructions() int64
-}
-
 // PartitionScheduler keeps the block reads of upcoming spilled partitions in
 // flight while the current partition is being processed (paper §5.1: "aiming
 // to maintain a full I/O queue" — phase 2's half of the overlap story; the
@@ -62,9 +27,8 @@ type PartitionCursor interface {
 // consumer has opened yet are reserved against the query budget first, and
 // the scheduler simply stops looking ahead when the reservation fails —
 // lookahead shrinks under memory pressure instead of OOMing. Demand reads
-// (for partitions a consumer has opened) bypass the gate, exactly like the
-// blocking PartitionReader they replace, so budget pressure can never
-// deadlock a consumer.
+// (for partitions a consumer has opened) bypass the gate, so budget pressure
+// can never deadlock a consumer.
 //
 // Concurrency: the ring is single-threaded by design, so consumers use a
 // leader/follower protocol — whichever cursor needs pages and finds no
@@ -79,15 +43,6 @@ type PartitionScheduler struct {
 	budget   *pages.Budget
 	pageSize int
 	depth    int
-	blocking bool
-	work     []PartitionWork
-
-	// disp/query, when bound (BindIO), route the readback ring through the
-	// engine's shared I/O scheduler: prefetch reads carry ClassPrefetch,
-	// reads for opened items ClassDemand, and Open promotes an item's
-	// still-deferred reads the moment a consumer blocks on it.
-	disp  uring.Dispatcher
-	query uint64
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -163,10 +118,7 @@ type schedItem struct {
 // cancels blocking waits (nil = background); depth bounds in-flight block
 // reads across the whole scheduler (<= 0 selects DefaultReadDepth); budget,
 // when non-nil, gates prefetch lookahead (demand reads are never gated).
-// With blocking set, the scheduler degrades to the pre-scheduler baseline:
-// Open returns a plain synchronous PartitionReader and nothing is
-// prefetched — the configuration the overlap benchmark measures against.
-func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, pageSize int, work []PartitionWork, depth int, budget *pages.Budget, blocking bool) *PartitionScheduler {
+func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, pageSize int, work []PartitionWork, depth int, budget *pages.Budget) *PartitionScheduler {
 	if depth <= 0 {
 		depth = DefaultReadDepth
 	}
@@ -177,13 +129,8 @@ func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, pageSize int
 		budget:   budget,
 		pageSize: pageSize,
 		depth:    depth,
-		blocking: blocking,
-		work:     work,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if blocking {
-		return s
-	}
 	s.ring = uring.New(arr)
 	if ctx != nil {
 		s.ring.SetCancel(func() bool { return ctx.Err() != nil })
@@ -209,13 +156,11 @@ func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, pageSize int
 
 // BindIO routes the scheduler's readback I/O through the engine's shared
 // dispatcher under the given query fairness key (nil = keep the private
-// ring). Call before the first Open. In blocking mode the synchronous
-// readers Open creates bind instead, as demand-class consumers.
+// ring): prefetch reads carry ClassPrefetch, reads for opened items
+// ClassDemand, and Open promotes an item's still-deferred reads the moment a
+// consumer blocks on it. Call before the first Open.
 func (s *PartitionScheduler) BindIO(d uring.Dispatcher, query uint64) {
-	s.disp, s.query = d, query
-	if s.ring != nil {
-		s.ring.Bind(d, uring.ClassPrefetch, query)
-	}
+	s.ring.Bind(d, uring.ClassPrefetch, query)
 }
 
 // SetIntegrity arms frame verification and parity reconstruction for every
@@ -240,13 +185,7 @@ func (s *PartitionScheduler) repairerLocked() *repairer {
 // opened by exactly one consumer; opening releases the item's prefetch
 // reservation (its pages now stand in for the partition the consumer would
 // otherwise have materialized) and promotes its remaining reads to demand.
-func (s *PartitionScheduler) Open(i int) PartitionCursor {
-	if s.blocking {
-		r := NewPartitionReader(s.ctx, s.arr, s.pageSize, s.work[i].Slots, s.depth)
-		r.BindIO(s.disp, s.query)
-		r.SetIntegrity(s.work[i].Part, s.stripes)
-		return &blockingCursor{r: r}
-	}
+func (s *PartitionScheduler) Open(i int) *PartitionCursor {
 	s.mu.Lock()
 	it := s.items[i]
 	it.opened = true
@@ -266,7 +205,7 @@ func (s *PartitionScheduler) Open(i int) PartitionCursor {
 		s.ring.Promote(ud)
 	}
 	s.mu.Unlock()
-	return &schedCursor{s: s, it: it, pre: pre}
+	return &PartitionCursor{s: s, it: it, pre: pre}
 }
 
 // PrefetchedPartitions returns how many partitions had readback under way
@@ -278,10 +217,9 @@ func (s *PartitionScheduler) PrefetchedPartitions() int64 {
 }
 
 // issueLocked tops up the ring: demand reads for opened partitions first
-// (unconditionally, up to the per-consumer depth the blocking reader would
-// use — an opened cursor must always be able to make progress), then
-// prefetch for upcoming partitions in work order while the depth and the
-// budget allow.
+// (unconditionally, up to the per-consumer depth — an opened cursor must
+// always be able to make progress), then prefetch for upcoming partitions in
+// work order while the depth and the budget allow.
 func (s *PartitionScheduler) issueLocked() {
 	for _, it := range s.items {
 		if !it.opened || it.released || it.err != nil {
@@ -311,10 +249,10 @@ func (s *PartitionScheduler) issueLocked() {
 			if !s.budget.TryReserve(cost) {
 				// Budget headroom gone: shrink the lookahead window rather
 				// than abandoning overlap entirely. One unreserved group may
-				// stay in flight — the same transient buffer footprint the
-				// blocking reader imposes the moment the next partition
-				// opens — so readback keeps running ahead of compute even
-				// when the operator has eaten the whole budget.
+				// stay in flight — the same transient buffer footprint a
+				// demand read imposes the moment the next partition opens —
+				// so readback keeps running ahead of compute even when the
+				// operator has eaten the whole budget.
 				if preInflight > 0 {
 					return
 				}
@@ -449,9 +387,6 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 // paths and never-opened prefetch items cannot leak; it is idempotent and a
 // normal run that released every cursor has nothing left to do here.
 func (s *PartitionScheduler) Close() {
-	if s.blocking {
-		return
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -497,8 +432,12 @@ func (s *PartitionScheduler) Close() {
 	s.mu.Unlock()
 }
 
-// schedCursor is the consumer-side view of one scheduled partition.
-type schedCursor struct {
+// PartitionCursor streams one spilled partition's pages back to a phase-2
+// consumer: Next yields pages until (nil, nil), Release recycles the
+// partition's buffers once nothing references its tuples anymore, and the
+// counters feed the consumer's stats and trace span after the partition is
+// consumed.
+type PartitionCursor struct {
 	s       *PartitionScheduler
 	it      *schedItem
 	pre     bool
@@ -509,7 +448,7 @@ type schedCursor struct {
 // has been decoded and handed out. When no page is ready it joins the
 // leader/follower pump: the leader submits and polls the shared ring with
 // the scheduler lock dropped; followers wait for its broadcast.
-func (c *schedCursor) Next() (*pages.Page, error) {
+func (c *PartitionCursor) Next() (*pages.Page, error) {
 	start := time.Now()
 	s, it := c.s, c.it
 	s.mu.Lock()
@@ -562,7 +501,7 @@ func (c *schedCursor) Next() (*pages.Page, error) {
 // prefetch reservation. Call it only once nothing references the
 // partition's tuples anymore. Buffers still owned by in-flight reads stay
 // out of the recycler until the scheduler's Close drains them.
-func (c *schedCursor) Release() {
+func (c *PartitionCursor) Release() {
 	s, it := c.s, c.it
 	s.mu.Lock()
 	if !it.released {
@@ -583,74 +522,50 @@ func (c *schedCursor) Release() {
 }
 
 // BytesRead returns bytes read from the array for this partition.
-func (c *schedCursor) BytesRead() int64 {
+func (c *PartitionCursor) BytesRead() int64 {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.it.bytesRead
 }
 
 // Retries returns transient read errors recovered for this partition.
-func (c *schedCursor) Retries() int64 {
+func (c *PartitionCursor) Retries() int64 {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.it.retries
 }
 
 // StallNanos returns the wall time this cursor's consumer spent inside Next.
-func (c *schedCursor) StallNanos() int64 { return c.stallNs }
+func (c *PartitionCursor) StallNanos() int64 { return c.stallNs }
 
 // DemandReads returns this partition's completed demand-class reads and the
 // sum of their completion latencies in nanoseconds.
-func (c *schedCursor) DemandReads() (int64, int64) {
+func (c *PartitionCursor) DemandReads() (int64, int64) {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.it.demandReads, c.it.demandNs
 }
 
 // Prefetched reports whether readback had started before Open.
-func (c *schedCursor) Prefetched() bool { return c.pre }
+func (c *PartitionCursor) Prefetched() bool { return c.pre }
 
 // Verified returns framed pages whose checksums verified for this partition.
-func (c *schedCursor) Verified() int64 {
+func (c *PartitionCursor) Verified() int64 {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.it.verified
 }
 
 // ChecksumErrors returns blocks of this partition that failed verification.
-func (c *schedCursor) ChecksumErrors() int64 {
+func (c *PartitionCursor) ChecksumErrors() int64 {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.it.checksumErrs
 }
 
 // Reconstructions returns blocks of this partition rebuilt from parity.
-func (c *schedCursor) Reconstructions() int64 {
+func (c *PartitionCursor) Reconstructions() int64 {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.it.reconstructions
 }
-
-// blockingCursor adapts the synchronous PartitionReader to the cursor
-// interface — the scheduler's blocking baseline mode.
-type blockingCursor struct {
-	r       *PartitionReader
-	stallNs int64
-}
-
-func (c *blockingCursor) Next() (*pages.Page, error) {
-	start := time.Now()
-	p, err := c.r.Next()
-	c.stallNs += int64(time.Since(start))
-	return p, err
-}
-
-func (c *blockingCursor) Release()                    { c.r.Release() }
-func (c *blockingCursor) BytesRead() int64            { return c.r.BytesRead() }
-func (c *blockingCursor) Retries() int64              { return c.r.Retries() }
-func (c *blockingCursor) StallNanos() int64           { return c.stallNs }
-func (c *blockingCursor) DemandReads() (int64, int64) { return 0, 0 }
-func (c *blockingCursor) Prefetched() bool            { return false }
-func (c *blockingCursor) Verified() int64             { return c.r.Verified() }
-func (c *blockingCursor) ChecksumErrors() int64       { return c.r.ChecksumErrors() }
-func (c *blockingCursor) Reconstructions() int64      { return c.r.Reconstructions() }

@@ -40,7 +40,7 @@ func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, pageSi
 }
 
 // drain pulls every page from a cursor, collecting the stored keys.
-func drain(t *testing.T, cur PartitionCursor, into map[uint64]int) {
+func drain(t *testing.T, cur *PartitionCursor, into map[uint64]int) {
 	t.Helper()
 	for {
 		p, err := cur.Next()
@@ -60,7 +60,7 @@ func TestSchedulerStreamsAllPartitions(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		arr, pageSize, res, work := spillAllPartitions(t, compress)
 		budget := pages.NewBudget(1 << 20)
-		sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget, false)
+		sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget)
 		got := map[uint64]int{}
 		for _, p := range res.InMemory {
 			for i := 0; i < p.Tuples(); i++ {
@@ -86,7 +86,7 @@ func TestSchedulerStreamsAllPartitions(t *testing.T) {
 func TestSchedulerPrefetchesAhead(t *testing.T) {
 	arr, pageSize, _, work := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget, false)
+	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget)
 	defer sched.Close()
 
 	got := map[uint64]int{}
@@ -114,7 +114,7 @@ func TestSchedulerBudgetFloorUnderPressure(t *testing.T) {
 	// A budget with no headroom at all: every TryReserve fails, so lookahead
 	// must shrink to the single unreserved in-flight block — not stop.
 	budget := pages.NewBudget(1)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget, false)
+	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget)
 	got := map[uint64]int{}
 	for i := range work {
 		cur := sched.Open(i)
@@ -135,7 +135,7 @@ func TestSchedulerReadErrorIsStructuredAndSticky(t *testing.T) {
 	arr.InjectFailures(0, 1000)
 	arr.InjectFailures(1, 1000)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget, false)
+	sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget)
 	cur := sched.Open(0)
 	_, err := cur.Next()
 	if err == nil {
@@ -164,7 +164,7 @@ func TestSchedulerDeviceDeathMidPrefetch(t *testing.T) {
 	// Depth 1 keeps most of the readback unsubmitted while the first
 	// partition drains, so the kill lands on reads the scheduler still has
 	// queued — the prefetch-in-progress shape.
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 1, budget, false)
+	sched := NewPartitionScheduler(nil, arr, pageSize, work, 1, budget)
 
 	// Drain the first partition so prefetch for the rest is in flight, then
 	// kill both devices: later partitions must fail with structured errors
@@ -211,7 +211,7 @@ func TestSchedulerCanceledContext(t *testing.T) {
 	arr, pageSize, _, work := spillAllPartitions(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sched := NewPartitionScheduler(ctx, arr, pageSize, work, 4, nil, false)
+	sched := NewPartitionScheduler(ctx, arr, pageSize, work, 4, nil)
 	cur := sched.Open(0)
 	if _, err := cur.Next(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -223,7 +223,7 @@ func TestSchedulerCanceledContext(t *testing.T) {
 func TestSchedulerCloseWithoutOpen(t *testing.T) {
 	arr, pageSize, _, work := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget, false)
+	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget)
 	// Force prefetch to start without any consumer: open and drop one page.
 	cur := sched.Open(0)
 	if _, err := cur.Next(); err != nil {
@@ -238,37 +238,10 @@ func TestSchedulerCloseWithoutOpen(t *testing.T) {
 	}
 }
 
-func TestSchedulerBlockingModeMatches(t *testing.T) {
-	arr, pageSize, res, work := spillAllPartitions(t, true)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, nil, true)
-	got := map[uint64]int{}
-	for _, p := range res.InMemory {
-		for i := 0; i < p.Tuples(); i++ {
-			got[keyOf(p.Tuple(i))]++
-		}
-	}
-	for i := range work {
-		cur := sched.Open(i)
-		if cur.Prefetched() {
-			t.Fatal("blocking cursor claims prefetch")
-		}
-		drain(t, cur, got)
-		if cur.StallNanos() == 0 {
-			t.Fatal("blocking cursor recorded no stall time")
-		}
-		cur.Release()
-	}
-	sched.Close()
-	checkAllKeys(t, got, 5000, 0)
-	if sched.PrefetchedPartitions() != 0 {
-		t.Fatal("blocking scheduler reports prefetched partitions")
-	}
-}
-
 func TestSchedulerConcurrentConsumers(t *testing.T) {
 	arr, pageSize, _, work := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget, false)
+	sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget)
 	var mu sync.Mutex
 	got := map[uint64]int{}
 	var wg sync.WaitGroup

@@ -710,11 +710,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	}
 	var sched *core.PartitionScheduler
 	if anySlots {
-		sched = core.NewPartitionScheduler(ctx.goCtx(), ctx.Spill.Array, ctx.pageSize(),
-			items, ctx.readDepth(), ctx.Budget, ctx.BlockingSpillRead)
-		ctx.bindSpillIO(sched)
-		sched.SetIntegrity(res.Stripes)
-		ctx.AddCleanup(sched.Close)
+		sched = ctx.newPartitionScheduler(items, res.Stripes)
 	}
 	var taskCursor atomic.Int64
 

@@ -55,22 +55,10 @@ type Ctx struct {
 	// time attribution (see traceStream); allocated on first traced
 	// stream wrap.
 	traceNest []nestSlot
-	// ReadDepth bounds in-flight spill readback block reads per operator
-	// (0 = core.DefaultReadDepth). Deeper queues keep more of the array's
-	// aggregate bandwidth busy during phase 2 (§5.2).
-	ReadDepth int
 	// QueryID is the fairness key operators pass to the shared I/O
 	// scheduler (Spill.Query when spilling is on). 0 is a valid key for
 	// one-off contexts; engines use the spill lease ID.
 	QueryID uint64
-	// ScanDepth bounds in-flight group reads per table scan
-	// (0 = colstore's default). See colstore.ScanOpts.
-	ScanDepth int
-	// BlockingSpillRead disables phase-2 readback overlap: every spilled
-	// partition is read back synchronously when its consumer reaches it,
-	// with no cross-partition prefetch — the pre-scheduler baseline the
-	// overlap benchmark and the equivalence tests compare against.
-	BlockingSpillRead bool
 	// ForceGrace makes every join run as a classical grace hash join —
 	// the always-partitioning baseline of Figure 2.
 	ForceGrace bool
@@ -174,20 +162,15 @@ func (c *Ctx) canceled() error {
 	return c.Context.Err()
 }
 
-// bindSpillIO routes a partition scheduler's readback through the engine's
-// shared I/O dispatcher (no-op when none is configured).
-func (c *Ctx) bindSpillIO(s *core.PartitionScheduler) {
-	if c.Spill != nil {
-		s.BindIO(c.Spill.Sched, c.Spill.Query)
-	}
-}
-
-// readDepth returns the spill readback depth, defaulted.
-func (c *Ctx) readDepth() int {
-	if c.ReadDepth <= 0 {
-		return core.DefaultReadDepth
-	}
-	return c.ReadDepth
+// newPartitionScheduler returns the readback scheduler for an operator's
+// spilled partitions: bound to the engine's shared I/O dispatcher, verifying
+// against the given parity stripes, and closed at query end.
+func (c *Ctx) newPartitionScheduler(items []core.PartitionWork, stripes []*core.StripeGroup) *core.PartitionScheduler {
+	s := core.NewPartitionScheduler(c.goCtx(), c.Spill.Array, c.pageSize(), items, core.DefaultReadDepth, c.Budget)
+	s.BindIO(c.Spill.Sched, c.Spill.Query)
+	s.SetIntegrity(stripes)
+	c.AddCleanup(s.Close)
+	return s
 }
 
 // pageSize returns the materialization page size, defaulted.
@@ -300,7 +283,7 @@ func (s *Stats) SchemeHistogram() map[codec.ID]int64 {
 // chargeSpillCursor folds one partition cursor's readback counters into the
 // query stats and the operator's span. Call it exactly once per cursor, after
 // the consumer is done pulling from it.
-func chargeSpillCursor(ctx *Ctx, sp *trace.Span, c core.PartitionCursor) {
+func chargeSpillCursor(ctx *Ctx, sp *trace.Span, c *core.PartitionCursor) {
 	if c == nil {
 		return
 	}

@@ -357,8 +357,8 @@ type partJoinState struct {
 	ht       *hashTable
 	memPages []*pages.Page // probe side in-memory pages, consumed first
 	idx      int
-	bcur     core.PartitionCursor // build side, exhausted; pages live until Release
-	pcur     core.PartitionCursor // probe side, streamed
+	bcur     *core.PartitionCursor // build side, exhausted; pages live until Release
+	pcur     *core.PartitionCursor // probe side, streamed
 }
 
 func newJoinWorker(js *joinShared, wid int) *joinWorker {
@@ -568,18 +568,13 @@ func (jw *joinWorker) finalizeProbe() error {
 				core.PartitionWork{Part: p, Slots: pslots})
 		}
 		if anySpilled {
-			js.sched = core.NewPartitionScheduler(js.ctx.goCtx(), js.ctx.Spill.Array,
-				js.ctx.pageSize(), items, js.ctx.readDepth(), js.ctx.Budget,
-				js.ctx.BlockingSpillRead)
-			js.ctx.bindSpillIO(js.sched)
 			// One scheduler serves both sides, so its stripe directory is
 			// the union of the build and probe results' parity stripes.
 			stripes := js.bres.Stripes
 			if js.pres != nil && len(js.pres.Stripes) > 0 {
 				stripes = append(append([]*core.StripeGroup(nil), stripes...), js.pres.Stripes...)
 			}
-			js.sched.SetIntegrity(stripes)
-			js.ctx.AddCleanup(js.sched.Close)
+			js.sched = js.ctx.newPartitionScheduler(items, stripes)
 		}
 	})
 	return ferr

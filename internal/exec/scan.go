@@ -90,7 +90,7 @@ func (s *Scan) Run(ctx *Ctx) (*Stream, error) {
 			if readers[w] == nil {
 				if ot, ok := s.Table.(colstore.OptsTable); ok {
 					readers[w] = ot.NewReaderOpts(s.proj, &cursor,
-						colstore.ScanOpts{Query: ctx.QueryID, Depth: ctx.ScanDepth})
+						colstore.ScanOpts{Query: ctx.QueryID})
 				} else {
 					readers[w] = s.Table.NewReader(s.proj, &cursor)
 				}

@@ -184,11 +184,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 	}
 	var sched *core.PartitionScheduler
 	if len(items) > 0 {
-		sched = core.NewPartitionScheduler(ctx.goCtx(), ctx.Spill.Array, ctx.pageSize(),
-			items, ctx.readDepth(), ctx.Budget, ctx.BlockingSpillRead)
-		ctx.bindSpillIO(sched)
-		sched.SetIntegrity(res.Stripes)
-		ctx.AddCleanup(sched.Close)
+		sched = ctx.newPartitionScheduler(items, res.Stripes)
 	}
 	var cursor atomic.Int64
 	return ctx.traceStream(&Stream{
@@ -206,7 +202,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 						tuples = append(tuples, pg.Tuple(t))
 					}
 				}
-				var cur core.PartitionCursor
+				var cur *core.PartitionCursor
 				if itemOf[p] >= 0 {
 					cur = sched.Open(itemOf[p])
 					for {

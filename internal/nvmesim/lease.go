@@ -231,12 +231,3 @@ func (d *device) shrinkCursorLocked() {
 		}
 	}
 }
-
-// resetAllocLocked clears the device's allocation bookkeeping (Reset).
-// Caller holds d.allocMu.
-func (d *device) resetAllocLocked() {
-	d.allocs = nil
-	d.frees = nil
-	d.freeBytes = 0
-	d.writeCursor.Store(0)
-}

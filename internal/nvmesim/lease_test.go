@@ -146,19 +146,3 @@ func TestLeaseFreeIsIdempotent(t *testing.T) {
 		t.Fatalf("Leases = %d after double Free, want 0", got)
 	}
 }
-
-func TestResetClearsLeaseBookkeeping(t *testing.T) {
-	a := leaseArray(t, 1, 2*BlockSize)
-	l := a.NewLease()
-	if _, err := a.AllocSpillLease(0, 2*BlockSize, l); err != nil {
-		t.Fatal(err)
-	}
-	a.Reset()
-	if got := a.LiveExtents(); got != 0 {
-		t.Fatalf("LiveExtents after Reset = %d, want 0", got)
-	}
-	// Full capacity is available again.
-	if _, err := a.AllocSpill(0, 2*BlockSize); err != nil {
-		t.Fatalf("alloc after Reset: %v", err)
-	}
-}

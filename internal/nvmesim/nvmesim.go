@@ -310,23 +310,6 @@ func transferTime(n int, bw float64) time.Duration {
 	return time.Duration(float64(n) / bw * float64(time.Second))
 }
 
-// Reset clears all spilled data, allocation bookkeeping, and write cursors.
-//
-// Deprecated: Reset wipes every query's extents at once and is only safe
-// when no query is running — single-query benches that want a pristine array
-// between runs. Concurrent execution relies on per-query leases (NewLease)
-// whose Free reclaims exactly the owner's extents.
-func (a *Array) Reset() {
-	for _, d := range a.devices {
-		d.allocMu.Lock()
-		d.mu.Lock()
-		d.store = make(map[int64][]byte)
-		d.mu.Unlock()
-		d.resetAllocLocked()
-		d.allocMu.Unlock()
-	}
-}
-
 // InjectFailures makes the next n requests on device dev fail (tests).
 func (a *Array) InjectFailures(dev, n int) {
 	a.devices[dev].failNext.Store(int32(n))

@@ -150,16 +150,17 @@ func TestCapacityLimit(t *testing.T) {
 	spec := testSpec
 	spec.Capacity = 4096
 	a := New(1, spec, NewVirtualClock(time.Unix(0, 0)))
-	if _, err := a.AllocSpill(0, 4096); err != nil {
+	l := a.NewLease()
+	if _, err := a.AllocSpillLease(0, 4096, l); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AllocSpill(0, 512); !errors.Is(err, ErrDeviceFull) {
+	if _, err := a.AllocSpillLease(0, 512, l); !errors.Is(err, ErrDeviceFull) {
 		t.Fatalf("want ErrDeviceFull, got %v", err)
 	}
-	// Failed alloc must roll back so a Reset restores full capacity.
-	a.Reset()
+	// Failed alloc must roll back so freeing the lease restores full capacity.
+	l.Free()
 	if _, err := a.AllocSpill(0, 4096); err != nil {
-		t.Fatalf("after reset: %v", err)
+		t.Fatalf("after free: %v", err)
 	}
 }
 
@@ -185,10 +186,6 @@ func TestStatsAndReset(t *testing.T) {
 	s := a.Stats()
 	if s.BytesWritten != 3000 || s.BytesRead != 1000 {
 		t.Fatalf("stats = %+v", s)
-	}
-	a.Reset()
-	if _, _, err := a.Read(0, 0, make([]byte, 1000)); err != ErrBadRange {
-		t.Fatal("reset did not clear stored data")
 	}
 }
 

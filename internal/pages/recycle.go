@@ -14,7 +14,7 @@ import (
 //
 // Safety contract: a buffer must only be returned once its contents are
 // provably dead — decoded pages alias read and decompression buffers, so
-// the owner (e.g. core.PartitionReader) recycles them only when the
+// the owner (e.g. core.PartitionScheduler) recycles them only when the
 // consumer declares the whole partition consumed.
 
 // minRecycleBuf keeps tiny buffers out of the pool: recycling them saves

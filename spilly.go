@@ -125,30 +125,6 @@ type Config struct {
 	PageSize    int
 	Partitions  int
 	PartitionAt float64
-	// ReadDepth bounds in-flight spill readback block reads per operator
-	// (0 = 8); BlockingSpillRead disables phase-2 readback prefetch so
-	// every spilled partition is read synchronously — the blocking baseline
-	// the overlap benchmark measures against.
-	ReadDepth         int
-	BlockingSpillRead bool
-	// IODepthTarget is the per-device, per-direction queue-depth target of
-	// the shared I/O scheduler (0 = 8): each device channel dispatches up
-	// to this many requests at once, and everything beyond it queues in
-	// priority order (demand read > spill write > prefetch read >
-	// background) with round-robin fairness across queries.
-	IODepthTarget int
-	// IOPrefetchShare bounds the fraction of the depth target that
-	// prefetch- and background-class requests may occupy while demand
-	// traffic exists (0 = 0.5, clamped to leave at least one slot each way).
-	IOPrefetchShare float64
-	// ScanDepth bounds the row groups each external-scan reader keeps in
-	// flight (0 = 4). With one reader per worker, scan lookahead times the
-	// worker count is the scan pressure on the table array.
-	ScanDepth int
-	// NoIOSched disables the shared I/O scheduler entirely: every ring
-	// submits straight to its array, as before the scheduler existed — the
-	// private-rings baseline the iosched benchmark measures against.
-	NoIOSched bool
 	// SpillParity is the parity stripe width K: every K spill block writes
 	// are joined by one XOR parity block on a distinct device, so spilled
 	// data survives silent corruption and the loss of one device per stripe
@@ -203,9 +179,8 @@ type Engine struct {
 	faults   *metrics.FaultTracker
 
 	// spillSched and tableSched are the shared prioritized I/O schedulers
-	// for the two arrays (nil with Config.NoIOSched). Every ring the
-	// engine's queries create binds to one of them; ioKeys hands each query
-	// a unique fairness key.
+	// for the two arrays. Every ring the engine's queries create binds to
+	// one of them; ioKeys hands each query a unique fairness key.
 	spillSched *iosched.Scheduler
 	tableSched *iosched.Scheduler
 	ioKeys     atomic.Uint64
@@ -274,17 +249,12 @@ type IOSchedSnapshot struct {
 	Devices []iosched.DeviceStats
 }
 
-// IOSchedSnapshots returns the state of the engine's shared I/O schedulers
-// (nil with Config.NoIOSched).
+// IOSchedSnapshots returns the state of the engine's shared I/O schedulers.
 func (e *Engine) IOSchedSnapshots() []IOSchedSnapshot {
-	var out []IOSchedSnapshot
-	if e.spillSched != nil {
-		out = append(out, IOSchedSnapshot{Name: "spill", Stats: e.spillSched.Stats(), Devices: e.spillSched.PerDevice()})
+	return []IOSchedSnapshot{
+		{Name: "spill", Stats: e.spillSched.Stats(), Devices: e.spillSched.PerDevice()},
+		{Name: "table", Stats: e.tableSched.Stats(), Devices: e.tableSched.PerDevice()},
 	}
-	if e.tableSched != nil {
-		out = append(out, IOSchedSnapshot{Name: "table", Stats: e.tableSched.Stats(), Devices: e.tableSched.PerDevice()})
-	}
-	return out
 }
 
 // SpillIntegrityTotals returns the cumulative spill integrity counters —
@@ -343,29 +313,19 @@ func Open(cfg Config) (*Engine, error) {
 		e.cache = colstore.NewCache(c.CacheBytes)
 	}
 	e.store = colstore.NewStore(e.tableArr, e.cache)
-	if !c.NoIOSched {
-		icfg := iosched.Config{
-			DepthTarget:   c.IODepthTarget,
-			PrefetchShare: c.IOPrefetchShare,
-		}
-		e.spillSched = iosched.New(e.spillArr, icfg)
-		e.tableSched = iosched.New(e.tableArr, icfg)
-		e.store.SetIOSched(e.tableSched)
-	}
-	e.store.SetScanDepth(c.ScanDepth)
+	e.spillSched = iosched.New(e.spillArr, iosched.Config{})
+	e.tableSched = iosched.New(e.tableArr, iosched.Config{})
+	e.store.SetIOSched(e.tableSched)
 	if c.MemoryBudget > 0 {
 		e.gov = pages.NewGovernor(c.MemoryBudget, c.MemoryFloor)
 	}
 	if c.ResultCacheBytes > 0 {
-		rcfg := rescache.Config{
+		e.results = rescache.New(rescache.Config{
 			Capacity: c.ResultCacheBytes,
 			Array:    e.spillArr,
 			Gov:      e.gov,
-		}
-		if e.spillSched != nil {
-			rcfg.IO = e.spillSched
-		}
-		e.results = rescache.New(rcfg)
+			IO:       e.spillSched,
+		})
 	}
 	return e, nil
 }
@@ -548,18 +508,15 @@ func (e *Engine) TableArray() *nvmesim.Array { return e.tableArr }
 // (applyGrant) when the governor hands out less than the full budget.
 func (e *Engine) NewCtx() *exec.Ctx {
 	ctx := &exec.Ctx{
-		Workers:           e.cfg.Workers,
-		Mode:              e.cfg.Mode,
-		PageSize:          e.cfg.PageSize,
-		Partitions:        e.cfg.Partitions,
-		PartitionAt:       e.cfg.PartitionAt,
-		ReadDepth:         e.cfg.ReadDepth,
-		BlockingSpillRead: e.cfg.BlockingSpillRead,
-		ForceGrace:        e.cfg.ForceGrace,
-		NoPreAgg:          e.cfg.NoPreAgg,
-		QueryID:           e.ioKeys.Add(1),
-		ScanDepth:         e.cfg.ScanDepth,
-		Stats:             &exec.Stats{},
+		Workers:     e.cfg.Workers,
+		Mode:        e.cfg.Mode,
+		PageSize:    e.cfg.PageSize,
+		Partitions:  e.cfg.Partitions,
+		PartitionAt: e.cfg.PartitionAt,
+		ForceGrace:  e.cfg.ForceGrace,
+		NoPreAgg:    e.cfg.NoPreAgg,
+		QueryID:     e.ioKeys.Add(1),
+		Stats:       &exec.Stats{},
 	}
 	if e.cfg.MemoryBudget > 0 {
 		ctx.Budget = pages.NewBudget(e.cfg.MemoryBudget)
@@ -576,9 +533,7 @@ func (e *Engine) NewCtx() *exec.Ctx {
 			Compress: e.cfg.Compression,
 			Parity:   e.cfg.SpillParity,
 			Query:    ctx.QueryID,
-		}
-		if e.spillSched != nil {
-			ctx.Spill.Sched = e.spillSched
+			Sched:    e.spillSched,
 		}
 	}
 	if e.cfg.Profile {
@@ -919,8 +874,7 @@ func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, planFP uint64, build f
 	start := time.Now()
 	node, err := build()
 	// Snapshot after plan construction: AllocObjects tracks the execution
-	// hot path the recycling work targets, not per-plan operator setup
-	// (BENCH_alloc.json baselines were captured with that bracket).
+	// hot path the recycling work targets, not per-plan operator setup.
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	var out *data.Batch

@@ -1,6 +1,7 @@
 package spilly
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,5 +148,16 @@ func TestTraceQuery(t *testing.T) {
 	}
 	if !sawWrite {
 		t.Fatal("trace never observed spill writes")
+	}
+}
+
+// TestConfigSurface pins the number of Config fields. Every independently
+// settable field doubles the configurations tests and benchmarks must cover,
+// so a new field needs two non-test callers at the parent commit that want
+// different values for it; with one value in use it is a constant, and a
+// value the engine can derive from its inputs is derived.
+func TestConfigSurface(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n != 19 {
+		t.Fatalf("Config has %d fields, want 19", n)
 	}
 }
