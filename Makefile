@@ -16,6 +16,7 @@ tier1: ledger-smoke
 # internal/ can break it unnoticed. Its tests build it against this checkout
 # and run every workload at SF 0.01 (~10 s).
 ledger-smoke:
+	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
@@ -48,10 +49,20 @@ stress:
 		./internal/chaos/ ./internal/nvmesim/
 
 # Observability smoke test: a spilling TPC-H Q9 with the per-operator
-# profile tree, plus the profile/endpoint regression tests.
+# profile tree, the profile/endpoint regression tests, and a /metrics scrape
+# of a running `spillyquery -serve` (ephemeral port, address read from its
+# stderr) pushed through TestMetricsExposition's parser and golden list.
 profile-smoke:
-	$(GO) test -run 'TestProfile|TestServeDuringQuery' -count=1 -v .
+	$(GO) test -run 'TestProfile|TestServeDuringQuery|TestMetricsExposition' -count=1 -v .
 	$(GO) run ./cmd/spillyquery -q 9 -sf 0.01 -budget 524288 -profile
+	@set -e; tmp=$$(mktemp -d); trap 'kill $$pid 2>/dev/null; rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/spillyquery ./cmd/spillyquery; \
+	$$tmp/spillyquery -q 9 -sf 0.01 -budget 524288 -repeat 100000 -serve 127.0.0.1:0 >/dev/null 2>$$tmp/err & pid=$$!; \
+	for i in $$(seq 100); do \
+		url=$$(sed -n 's|^metrics on \(http://[^ ]*\).*|\1|p' $$tmp/err); \
+		if [ -n "$$url" ] && curl -sf "$$url" -o $$tmp/metrics; then break; fi; sleep 0.1; \
+	done; \
+	$(GO) test -run TestMetricsExposition -count=1 . -args -exposition $$tmp/metrics
 
 # Chaos suite: TPC-H under seeded fault schedules (transient I/O errors,
 # latency spikes, device death, spill-capacity exhaustion, cancellation),

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/spilly-db/spilly/internal/codec"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/uring"
@@ -543,6 +544,7 @@ func (b *Buffer) Finish() error {
 	}
 	r := &s.result
 	r.Tuples += b.tuples
+	r.Counters[metrics.TuplesStored] += b.tuples
 	r.Unpartitioned = append(r.Unpartitioned, b.unpart...)
 	for part, pgs := range b.perPart {
 		r.InMemory = append(r.InMemory, pgs...)
@@ -553,19 +555,15 @@ func (b *Buffer) Finish() error {
 			r.Spilled[part] = append(r.Spilled[part], slots...)
 		}
 		r.SpilledPages += b.writer.spilledPages
-		r.SpilledBytes += b.writer.spilledBytes
-		r.WrittenBytes += b.writer.writtenBytes
-		r.ParityBytes += b.writer.parityBytes
-		r.SpillRetries += b.writer.retries
-		r.SpillFailovers += b.writer.failovers
+		r.Counters.Merge(&b.writer.counts)
 		r.Stripes = append(r.Stripes, b.writer.stripes...)
 	}
 	if b.reg != nil {
 		r.SchemeHistogram = MergeHistograms(r.SchemeHistogram, b.reg.SchemeHistogram())
-		r.RegLevelChanges += int64(b.reg.LevelChanges())
-		if lvl := b.reg.MaxLevel(); lvl > r.RegMaxLevel {
-			r.RegMaxLevel = lvl
-		}
+		r.Counters.Merge(&metrics.Snapshot{
+			metrics.RegLevelChanges: int64(b.reg.LevelChanges()),
+			metrics.RegMaxLevel:     int64(b.reg.MaxLevel()),
+		})
 	}
 	s.merged++
 	return err
@@ -593,20 +591,14 @@ type Result struct {
 
 	Tuples       int64
 	SpilledPages int64
-	SpilledBytes int64 // raw page bytes spilled
-	WrittenBytes int64 // bytes written to the array (post compression)
-	ParityBytes  int64 // parity blocks written (integrity overhead)
-	// Fault-path counters: transient write errors recovered by retrying
-	// and writes re-striped away from a failed device.
-	SpillRetries   int64
-	SpillFailovers int64
 
+	// Counters is everything the phase measured, merged over all threads:
+	// tuples stored, raw/written/parity spill bytes, write retries and
+	// failovers, regulator activity, and — set by Finalize — whether the
+	// operator partitioned and whether it spilled. The operator reports it
+	// as one unit.
+	Counters        metrics.Snapshot
 	SchemeHistogram map[codec.ID]int64
-	// Self-regulating compression telemetry, merged over all threads'
-	// regulators: total scheme transitions and the highest unified-scale
-	// level any thread reached.
-	RegLevelChanges int64
-	RegMaxLevel     int
 
 	// PartDistinct, when non-nil, holds per-partition distinct-key
 	// estimates (indexed by partition) from the HLL sketches built during
@@ -643,6 +635,12 @@ func (s *Shared) Finalize() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.result.Mask = s.mask.Load()
+	if s.result.Mask != 0 {
+		s.result.Counters[metrics.SpilledOps] = 1
+	}
+	if s.PartitioningActive() {
+		s.result.Counters[metrics.Partitioned] = 1
+	}
 	if s.result.SchemeHistogram == nil {
 		s.result.SchemeHistogram = map[codec.ID]int64{}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/xhash"
@@ -183,7 +184,7 @@ func TestSpillingRoundTrip(t *testing.T) {
 	if !res.HasSpilled() {
 		t.Fatal("5x overflow did not spill")
 	}
-	if res.SpilledBytes == 0 || res.WrittenBytes == 0 {
+	if res.Counters[metrics.SpilledBytes] == 0 || res.Counters[metrics.WrittenBytes] == 0 {
 		t.Fatalf("spill counters empty: %+v", res)
 	}
 	checkAllKeys(t, collectKeys(t, arr, 4096, res), n, 0)
@@ -240,7 +241,7 @@ func TestSpillAllSpillsMoreThanHybrid(t *testing.T) {
 		storeN(b, 10000, 32, 0)
 		b.Finish()
 		res, _ := s.Finalize()
-		return res.SpilledBytes
+		return res.Counters[metrics.SpilledBytes]
 	}
 	hybrid := run(ModeAdaptive)
 	all := run(ModeSpillAll)
@@ -308,8 +309,8 @@ func TestCompressionReducesWrittenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := s.Finalize()
-	if res.WrittenBytes >= res.SpilledBytes {
-		t.Fatalf("I/O-bound spill not compressed: wrote %d of %d raw", res.WrittenBytes, res.SpilledBytes)
+	if res.Counters[metrics.WrittenBytes] >= res.Counters[metrics.SpilledBytes] {
+		t.Fatalf("I/O-bound spill not compressed: wrote %d of %d raw", res.Counters[metrics.WrittenBytes], res.Counters[metrics.SpilledBytes])
 	}
 	checkAllKeys(t, collectKeys(t, arr, 4096, res), 30000, 0)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 )
@@ -60,7 +61,7 @@ func TestSpillTransientWriteRetrySucceeds(t *testing.T) {
 	if !res.HasSpilled() {
 		t.Fatal("did not spill")
 	}
-	if res.SpillRetries == 0 {
+	if res.Counters[metrics.SpillRetries] == 0 {
 		t.Fatal("no retries counted despite scripted transient faults")
 	}
 	assertWriterClean(t, b)
@@ -86,7 +87,7 @@ func TestSpillFailoverFromDyingDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SpillFailovers == 0 {
+	if res.Counters[metrics.SpillFailovers] == 0 {
 		t.Fatal("no failovers counted despite a dead device")
 	}
 	if arr.DeviceAlive(0) {
@@ -217,7 +218,7 @@ func TestReadTransientRetrySucceeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading partition %d under transient faults: %v", part, err)
 		}
-		retries += r.Retries()
+		retries += r.Counters()[metrics.SpillRetries]
 		for _, p := range pgs {
 			scan(p)
 		}

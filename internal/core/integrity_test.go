@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 )
@@ -64,9 +65,10 @@ func collectVerified(t *testing.T, arr *nvmesim.Array, res *Result) (map[uint64]
 				out[keyOf(p.Tuple(i))]++
 			}
 		}
-		st.verified += r.Verified()
-		st.checksumErrors += r.ChecksumErrors()
-		st.reconstructions += r.Reconstructions()
+		n := r.Counters()
+		st.verified += n[metrics.SpillPagesVerified]
+		st.checksumErrors += n[metrics.SpillChecksumErrors]
+		st.reconstructions += n[metrics.SpillReconstructions]
 		r.Release()
 	}
 	return out, st
@@ -78,7 +80,7 @@ func TestParitySpillRoundTrip(t *testing.T) {
 	if len(res.Stripes) == 0 {
 		t.Fatal("parity spill recorded no stripe groups")
 	}
-	if res.ParityBytes == 0 {
+	if res.Counters[metrics.SpillParityBytes] == 0 {
 		t.Fatal("parity spill recorded no parity bytes")
 	}
 	for part := range res.Spilled {
@@ -247,9 +249,10 @@ func TestSchedulerHealsCorruption(t *testing.T) {
 				got[keyOf(p.Tuple(j))]++
 			}
 		}
-		st.verified += cur.Verified()
-		st.checksumErrors += cur.ChecksumErrors()
-		st.reconstructions += cur.Reconstructions()
+		n := cur.Counters()
+		st.verified += n[metrics.SpillPagesVerified]
+		st.checksumErrors += n[metrics.SpillChecksumErrors]
+		st.reconstructions += n[metrics.SpillReconstructions]
 		cur.Release()
 	}
 	checkAllKeys(t, got, n, 0)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/spilly-db/spilly/internal/codec"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/uring"
@@ -133,8 +134,8 @@ func TestPartitionReaderBytesRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pgs) == 0 || r.BytesRead() == 0 {
-		t.Fatalf("pages=%d bytesRead=%d", len(pgs), r.BytesRead())
+	if n := r.Counters()[metrics.SpillReadBytes]; len(pgs) == 0 || n == 0 {
+		t.Fatalf("pages=%d bytesRead=%d", len(pgs), n)
 	}
 	// The decoded pages alias recycler-backed buffers until Release hands
 	// every one of them back.

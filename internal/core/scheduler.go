@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/uring"
@@ -60,8 +61,6 @@ type PartitionScheduler struct {
 	// every work item's blocks and the lazily built repairer.
 	stripes []*StripeGroup
 	rp      *repairer
-
-	prefetched int64
 }
 
 type pendingRead struct {
@@ -96,22 +95,15 @@ type schedItem struct {
 	// entries make Promote a no-op, which is safe).
 	pendingUDs map[uint64]struct{}
 
-	bytesRead int64
-	retries   int64
-
-	// Demand-read latency: completed reads that were queued demand-class
+	// counts is the partition's readback telemetry, handed to the consumer
+	// by PartitionCursor.Counters: bytes read, retries, integrity work, and
+	// the demand-read pair — completed reads that were queued demand-class
 	// (a consumer had already opened the partition) and the sum of their
-	// completion latencies. Unlike the cursor's StallNanos — worker-side
-	// blocked wall time — this is the per-request latency of the
+	// completion latencies. Unlike the cursor's stall time — worker-side
+	// blocked wall time — that is the per-request latency of the
 	// latency-critical reads themselves, the quantity the I/O scheduler's
 	// demand-first dispatch exists to bound.
-	demandReads int64
-	demandNs    int64
-
-	// Integrity counters (spill integrity on).
-	verified        int64
-	checksumErrs    int64
-	reconstructions int64
+	counts metrics.Snapshot
 }
 
 // NewPartitionScheduler returns a scheduler over the given work items. ctx
@@ -194,9 +186,6 @@ func (s *PartitionScheduler) Open(i int) *PartitionCursor {
 		it.reserved = 0
 	}
 	pre := it.issued
-	if pre {
-		s.prefetched++
-	}
 	// A consumer now blocks on this item: re-tag its still-deferred reads
 	// as demand so the shared dispatcher stops holding them behind other
 	// queries' traffic. Promote only touches the dispatcher (no-op on a
@@ -206,14 +195,6 @@ func (s *PartitionScheduler) Open(i int) *PartitionCursor {
 	}
 	s.mu.Unlock()
 	return &PartitionCursor{s: s, it: it, pre: pre}
-}
-
-// PrefetchedPartitions returns how many partitions had readback under way
-// before their consumer opened them.
-func (s *PartitionScheduler) PrefetchedPartitions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prefetched
 }
 
 // issueLocked tops up the ring: demand reads for opened partitions first
@@ -330,7 +311,7 @@ func (s *PartitionScheduler) retryUnlocked(comps []uring.Completion) ([]uring.Co
 // reads decode into ready pages, failures become sticky structured errors.
 func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*schedItem) {
 	for _, it := range retried {
-		it.retries++
+		it.counts[metrics.SpillRetries]++
 	}
 	for _, c := range comps {
 		pr, ok := s.pending[c.UserData]
@@ -344,10 +325,10 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 		s.inflight--
 		it.decoded++
 		if c.Err == nil {
-			it.bytesRead += int64(c.N)
+			it.counts[metrics.SpillReadBytes] += int64(c.N)
 			if pr.demand {
-				it.demandReads++
-				it.demandNs += int64(c.Latency)
+				it.counts[metrics.DemandReads]++
+				it.counts[metrics.DemandReadNanos] += int64(c.Latency)
 			}
 		}
 		if it.released || it.err != nil {
@@ -365,9 +346,9 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 			// I/O runs under the scheduler lock — it is the cold path, and
 			// followers simply wait out the rare rebuild.
 			st, err := s.repairerLocked().validBlock(g.loc, g.buf, g.slots, it.part, c.Err)
-			it.verified += st.verified
-			it.checksumErrs += st.checksumErrors
-			it.reconstructions += st.reconstructions
+			it.counts[metrics.SpillPagesVerified] += st.verified
+			it.counts[metrics.SpillChecksumErrors] += st.checksumErrors
+			it.counts[metrics.SpillReconstructions] += st.reconstructions
 			if err != nil {
 				it.err = err
 				continue
@@ -434,8 +415,8 @@ func (s *PartitionScheduler) Close() {
 
 // PartitionCursor streams one spilled partition's pages back to a phase-2
 // consumer: Next yields pages until (nil, nil), Release recycles the
-// partition's buffers once nothing references its tuples anymore, and the
-// counters feed the consumer's stats and trace span after the partition is
+// partition's buffers once nothing references its tuples anymore, and
+// Counters hands the consumer the partition's readback telemetry once it is
 // consumed.
 type PartitionCursor struct {
 	s       *PartitionScheduler
@@ -521,51 +502,17 @@ func (c *PartitionCursor) Release() {
 	s.mu.Unlock()
 }
 
-// BytesRead returns bytes read from the array for this partition.
-func (c *PartitionCursor) BytesRead() int64 {
+// Counters returns the partition's readback counters: bytes read, retries,
+// demand reads and their latency, integrity work, the wall time this
+// cursor's consumer spent inside Next, and whether readback had started
+// before Open. Call it once the consumer is done pulling.
+func (c *PartitionCursor) Counters() metrics.Snapshot {
 	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.it.bytesRead
-}
-
-// Retries returns transient read errors recovered for this partition.
-func (c *PartitionCursor) Retries() int64 {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.it.retries
-}
-
-// StallNanos returns the wall time this cursor's consumer spent inside Next.
-func (c *PartitionCursor) StallNanos() int64 { return c.stallNs }
-
-// DemandReads returns this partition's completed demand-class reads and the
-// sum of their completion latencies in nanoseconds.
-func (c *PartitionCursor) DemandReads() (int64, int64) {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.it.demandReads, c.it.demandNs
-}
-
-// Prefetched reports whether readback had started before Open.
-func (c *PartitionCursor) Prefetched() bool { return c.pre }
-
-// Verified returns framed pages whose checksums verified for this partition.
-func (c *PartitionCursor) Verified() int64 {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.it.verified
-}
-
-// ChecksumErrors returns blocks of this partition that failed verification.
-func (c *PartitionCursor) ChecksumErrors() int64 {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.it.checksumErrs
-}
-
-// Reconstructions returns blocks of this partition rebuilt from parity.
-func (c *PartitionCursor) Reconstructions() int64 {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.it.reconstructions
+	n := c.it.counts
+	c.s.mu.Unlock()
+	n[metrics.SpillStallNanos] = c.stallNs
+	if c.pre {
+		n[metrics.PrefetchedPartitions] = 1
+	}
+	return n
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 )
@@ -70,7 +71,7 @@ func TestSchedulerStreamsAllPartitions(t *testing.T) {
 		for i := range work {
 			cur := sched.Open(i)
 			drain(t, cur, got)
-			if cur.BytesRead() == 0 {
+			if cur.Counters()[metrics.SpillReadBytes] == 0 {
 				t.Fatalf("compress=%v item %d: no bytes read", compress, i)
 			}
 			cur.Release()
@@ -98,14 +99,14 @@ func TestSchedulerPrefetchesAhead(t *testing.T) {
 	// every remaining open sees readback already under way.
 	for i := 1; i < len(work); i++ {
 		cur := sched.Open(i)
-		if !cur.Prefetched() {
+		drain(t, cur, got)
+		if cur.Counters()[metrics.PrefetchedPartitions] != 1 {
 			t.Fatalf("item %d was not prefetched while item 0 was consumed", i)
 		}
-		drain(t, cur, got)
 		cur.Release()
 	}
-	if n := sched.PrefetchedPartitions(); n != int64(len(work)-1) {
-		t.Fatalf("PrefetchedPartitions = %d, want %d", n, len(work)-1)
+	if first.Counters()[metrics.PrefetchedPartitions] != 0 {
+		t.Fatal("item 0 counted as prefetched: nothing ran ahead of its own Open")
 	}
 }
 
@@ -116,12 +117,14 @@ func TestSchedulerBudgetFloorUnderPressure(t *testing.T) {
 	budget := pages.NewBudget(1)
 	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget)
 	got := map[uint64]int{}
+	var prefetched int64
 	for i := range work {
 		cur := sched.Open(i)
 		drain(t, cur, got)
+		prefetched += cur.Counters()[metrics.PrefetchedPartitions]
 		cur.Release()
 	}
-	if sched.PrefetchedPartitions() == 0 {
+	if prefetched == 0 {
 		t.Fatal("budget pressure disabled prefetch entirely; the floor should keep one block in flight")
 	}
 	sched.Close()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/spilly-db/spilly/internal/codec"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/uring"
@@ -117,15 +118,14 @@ type spillWriter struct {
 	parityAcc []byte         // XOR accumulator over the open group's blocks
 	stripes   []*StripeGroup // all groups this writer produced
 
-	// Counters.
 	spilledPages int64
-	spilledBytes int64 // raw page bytes spilled
-	writtenBytes int64 // bytes handed to the device (post compression)
-	parityBytes  int64 // parity blocks written (integrity overhead)
-	retries      int64 // transient write errors recovered by retrying
-	failovers    int64 // writes re-striped onto a different device
-	firstErr     error
-	scratch      []uring.Completion
+	// counts is the writer's telemetry, merged into the Result at Finish:
+	// raw bytes spilled, bytes handed to the device (post compression),
+	// parity bytes (integrity overhead), transient write errors recovered
+	// by retrying, and writes re-striped onto a different device.
+	counts   metrics.Snapshot
+	firstErr error
+	scratch  []uring.Completion
 }
 
 func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, flushAt, maxAhead, parity int, seqc *atomic.Uint32) *spillWriter {
@@ -183,7 +183,7 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 	}
 	raw := p.Seal()
 	w.spilledPages++
-	w.spilledBytes += int64(len(raw))
+	w.counts[metrics.SpilledBytes] += int64(len(raw))
 
 	if !w.stage {
 		ud := w.newUD()
@@ -196,7 +196,7 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 		slotIdx := len(w.slots[part])
 		w.slots[part] = append(w.slots[part], SpilledSlot{Loc: loc, Off: 0, Len: uint32(len(raw)), Scheme: codec.None})
 		w.inflight[ud] = &inflightWrite{page: p, data: raw, part: part, slotFrom: slotIdx, slotTo: slotIdx + 1}
-		w.writtenBytes += int64(len(raw))
+		w.counts[metrics.WrittenBytes] += int64(len(raw))
 		w.pump()
 		return
 	}
@@ -258,7 +258,7 @@ func (w *spillWriter) flushStaging(part int) {
 		w.addStripeMember(rec, loc, st.buf)
 	}
 	w.inflight[ud] = rec
-	w.writtenBytes += int64(len(st.buf))
+	w.counts[metrics.WrittenBytes] += int64(len(st.buf))
 }
 
 // addStripeMember folds a just-queued staging block into the open stripe
@@ -313,7 +313,7 @@ func (w *spillWriter) sealStripe() {
 	}
 	g.Parity = loc
 	w.inflight[ud] = &inflightWrite{buf: acc, data: acc, part: -1, stripe: g, stripeIdx: -1}
-	w.parityBytes += int64(len(acc))
+	w.counts[metrics.SpillParityBytes] += int64(len(acc))
 }
 
 // pump submits queued requests and reaps completions, blocking only when
@@ -372,7 +372,7 @@ func (w *spillWriter) recoverWrite(c uring.Completion, rec *inflightWrite) {
 	}
 	if transient && rec.attempts+1 < maxWriteAttempts {
 		rec.attempts++
-		w.retries++
+		w.counts[metrics.SpillRetries]++
 		w.clock.Sleep(retryBackoff(rec.attempts))
 		w.requeue(c, rec)
 		return
@@ -391,7 +391,7 @@ func (w *spillWriter) requeue(c uring.Completion, rec *inflightWrite) {
 		return
 	}
 	if loc.Device() != c.Loc.Device() {
-		w.failovers++
+		w.counts[metrics.SpillFailovers]++
 	}
 	for i := rec.slotFrom; i < rec.slotTo; i++ {
 		w.slots[rec.part][i].Loc = loc
@@ -414,7 +414,7 @@ func (w *spillWriter) requeue(c uring.Completion, rec *inflightWrite) {
 func (w *spillWriter) failWrite(c uring.Completion, rec *inflightWrite, err error) {
 	if g := rec.stripe; g != nil && rec.stripeIdx < 0 {
 		g.Parity = 0
-		w.parityBytes -= int64(len(rec.data))
+		w.counts[metrics.SpillParityBytes] -= int64(len(rec.data))
 		w.release(rec)
 		return
 	}

@@ -230,16 +230,7 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 		return nil, err
 	}
 	ctx.AddCleanup(func() { res.ReleaseMemory(ctx.Budget) })
-	if ctx.Stats != nil {
-		ctx.Stats.addResult(res)
-		if shared.PartitioningActive() {
-			ctx.Stats.PartitionedOps.Add(1)
-		}
-	}
-	spanResult(sp, res)
-	if shared.PartitioningActive() {
-		sp.SetPartitioned()
-	}
+	ctx.reportResult(sp, res)
 	ctx.spanPhase(sp, pc)
 
 	for w := 1; w < workers; w++ {
@@ -770,7 +761,7 @@ func (a *Agg) mergePartition(ctx *Ctx, sp *trace.Span, t *groupTable, overflow [
 		return nil
 	}
 	cur := sched.Open(item)
-	defer chargeSpillCursor(ctx, sp, cur)
+	defer ctx.reportCursor(sp, cur)
 	for {
 		pg, err := cur.Next()
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/hll"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/pages"
 )
 
@@ -259,7 +260,7 @@ func TestAggMatchesMapReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						diffRows(t, renderAgg(out), want)
-						if mode == "spill" && len(want) > 10000 && ctx.Stats.SpilledBytes.Load() == 0 {
+						if mode == "spill" && len(want) > 10000 && ctx.Stats.Get(metrics.SpilledBytes) == 0 {
 							t.Fatal("the spilling run did not spill")
 						}
 					})

@@ -12,11 +12,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/trace"
 )
@@ -193,119 +193,63 @@ func (c *Ctx) coreConfig() core.Config {
 	}
 }
 
-// Stats are cumulative per-query counters.
+// Stats are a query's cumulative counters — one value per row of the engine's
+// counter table (metrics.Counter) — plus Schemes, spilled pages per
+// compression scheme name (Figure 11 right panel).
 type Stats struct {
-	ScannedRows    atomic.Int64
-	ScannedBytes   atomic.Int64
-	SpilledBytes   atomic.Int64 // raw page bytes spilled
-	WrittenBytes   atomic.Int64 // post-compression bytes written
-	SpillReadBytes atomic.Int64
-	PartitionedOps atomic.Int64 // operators that enabled partitioning
-	SpilledOps     atomic.Int64 // operators that spilled
-	SpillRetries   atomic.Int64 // transient I/O errors recovered by retry
-	SpillFailovers atomic.Int64 // spill writes re-striped away from a dead device
-
-	// Phase-2 overlap counters: worker wall time spent stalled inside
-	// spill-readback Next calls, and spilled partitions whose readback was
-	// already in flight when their consumer opened them.
-	SpillStallNanos      atomic.Int64
-	PrefetchedPartitions atomic.Int64
-
-	// ScanStallNanos is worker wall time spent blocked inside table-scan
-	// Next calls waiting on group reads — the scan-side analog of
-	// SpillStallNanos, attributed per scan via colstore.Reader stall
-	// counters.
-	ScanStallNanos atomic.Int64
-	// ScanStalls counts how many times scan workers blocked waiting for a
-	// group read (each block promotes the group's reads to demand class);
-	// ScanStallNanos/ScanStalls is the mean demand wait per block.
-	ScanStalls atomic.Int64
-
-	// Demand-read latency: completed spill-readback reads that were
-	// issued demand-class (their partition's consumer had already opened
-	// it) and the sum of their per-request completion latencies. Where
-	// the stall counters measure worker-side blocked wall time, these
-	// measure how long each latency-critical read itself spent queued
-	// behind other I/O — the quantity the shared I/O scheduler's
-	// demand-first dispatch bounds.
-	DemandReads     atomic.Int64
-	DemandReadNanos atomic.Int64
-
-	// Spill integrity counters (checksummed frames + parity stripes, see
-	// core.SpillConfig.Parity): frames whose checksums verified on
-	// readback, blocks that failed verification, blocks rebuilt from their
-	// parity stripe, and parity bytes written alongside the spilled data.
-	SpillPagesVerified   atomic.Int64
-	SpillChecksumErrors  atomic.Int64
-	SpillReconstructions atomic.Int64
-	SpillParityBytes     atomic.Int64
-
-	histMu sync.Mutex
-	hist   map[codec.ID]int64 // spilled pages per compression scheme
+	metrics.Counters
+	Schemes metrics.LabelCounts
 }
 
-func (s *Stats) addResult(r *core.Result) {
-	if s == nil {
+// report is the one way operators hand counters over: n is folded into the
+// query totals and, when the query is traced, into the operator's span, so a
+// query's spans always add up to its totals.
+func (c *Ctx) report(sp *trace.Span, n *metrics.Snapshot) {
+	if c.Stats != nil {
+		c.Stats.Merge(n)
+	}
+	sp.Merge(n)
+}
+
+// reportResult reports a finished materialization phase: its counters and
+// its spilled-pages-per-scheme histogram (keyed by codec name).
+func (c *Ctx) reportResult(sp *trace.Span, r *core.Result) {
+	c.report(sp, &r.Counters)
+	if len(r.SchemeHistogram) == 0 {
 		return
 	}
-	s.SpilledBytes.Add(r.SpilledBytes)
-	s.WrittenBytes.Add(r.WrittenBytes)
-	s.SpillRetries.Add(r.SpillRetries)
-	s.SpillFailovers.Add(r.SpillFailovers)
-	s.SpillParityBytes.Add(r.ParityBytes)
-	if r.HasSpilled() {
-		s.SpilledOps.Add(1)
+	h := make(map[string]int64, len(r.SchemeHistogram))
+	for id, n := range r.SchemeHistogram {
+		name := "raw"
+		if cd := codec.ByID(id); cd != nil {
+			name = cd.Name()
+		}
+		h[name] += n
 	}
-	if len(r.SchemeHistogram) > 0 {
-		s.histMu.Lock()
-		if s.hist == nil {
-			s.hist = map[codec.ID]int64{}
-		}
-		for id, n := range r.SchemeHistogram {
-			s.hist[id] += n
-		}
-		s.histMu.Unlock()
+	if c.Stats != nil {
+		c.Stats.Schemes.Merge(h)
+	}
+	sp.AddSchemes(h)
+}
+
+// reportCursor reports one partition cursor's readback counters. Call it
+// exactly once per cursor, after the consumer is done pulling from it.
+func (c *Ctx) reportCursor(sp *trace.Span, cur *core.PartitionCursor) {
+	if cur != nil {
+		n := cur.Counters()
+		c.report(sp, &n)
 	}
 }
 
-// SchemeHistogram returns spilled pages per compression scheme (Figure 11
-// right panel).
-func (s *Stats) SchemeHistogram() map[codec.ID]int64 {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	out := make(map[codec.ID]int64, len(s.hist))
-	for id, n := range s.hist {
-		out[id] = n
+// Totals returns the query's counters so far, with the memory budget's
+// high-water mark read from the budget the query runs under now.
+func (c *Ctx) Totals() metrics.Snapshot {
+	var n metrics.Snapshot
+	if c.Stats != nil {
+		n = c.Stats.Load()
 	}
-	return out
-}
-
-// chargeSpillCursor folds one partition cursor's readback counters into the
-// query stats and the operator's span. Call it exactly once per cursor, after
-// the consumer is done pulling from it.
-func chargeSpillCursor(ctx *Ctx, sp *trace.Span, c *core.PartitionCursor) {
-	if c == nil {
-		return
-	}
-	var pre int64
-	if c.Prefetched() {
-		pre = 1
-	}
-	if ctx.Stats != nil {
-		ctx.Stats.SpillReadBytes.Add(c.BytesRead())
-		ctx.Stats.SpillRetries.Add(c.Retries())
-		ctx.Stats.SpillStallNanos.Add(c.StallNanos())
-		ctx.Stats.PrefetchedPartitions.Add(pre)
-		dn, dns := c.DemandReads()
-		ctx.Stats.DemandReads.Add(dn)
-		ctx.Stats.DemandReadNanos.Add(dns)
-		ctx.Stats.SpillPagesVerified.Add(c.Verified())
-		ctx.Stats.SpillChecksumErrors.Add(c.ChecksumErrors())
-		ctx.Stats.SpillReconstructions.Add(c.Reconstructions())
-	}
-	sp.AddSpillRead(c.BytesRead(), c.Retries())
-	sp.AddSpillStall(c.StallNanos(), pre)
-	sp.AddSpillIntegrity(c.Verified(), c.ChecksumErrors(), c.Reconstructions())
+	n[metrics.BudgetPeakBytes] = c.Budget.Peak()
+	return n
 }
 
 // Stream is a parallel batch stream: workers 0..Workers-1 each repeatedly

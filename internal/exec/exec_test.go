@@ -9,6 +9,7 @@ import (
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 )
@@ -208,8 +209,8 @@ func TestScanProjectFilter(t *testing.T) {
 	if out.Len() != want {
 		t.Fatalf("filtered scan: %d rows, want %d", out.Len(), want)
 	}
-	if ctx.Stats.ScannedRows.Load() != 5000 {
-		t.Fatalf("scanned rows stat = %d", ctx.Stats.ScannedRows.Load())
+	if ctx.Stats.Get(metrics.ScannedRows) != 5000 {
+		t.Fatalf("scanned rows stat = %d", ctx.Stats.Get(metrics.ScannedRows))
 	}
 }
 
@@ -396,10 +397,11 @@ func TestJoinModesEquivalent(t *testing.T) {
 func TestJoinActuallySpills(t *testing.T) {
 	ctx := spillCtx(2, 64)
 	runJoin(t, ctx, Inner, false, 20000, 5000)
-	if ctx.Stats.SpilledBytes.Load() == 0 {
-		t.Fatal("join under a 64KB budget did not spill")
+	if ctx.Stats.Get(metrics.SpilledBytes) == 0 {
+		t.Fatalf("join under a %d-byte budget did not spill: it peaked at %d bytes (%.1f× the budget)",
+			ctx.Budget.Limit(), ctx.Budget.Peak(), float64(ctx.Budget.Peak())/float64(ctx.Budget.Limit()))
 	}
-	if ctx.Stats.SpillReadBytes.Load() == 0 {
+	if ctx.Stats.Get(metrics.SpillReadBytes) == 0 {
 		t.Fatal("join spilled but never read back")
 	}
 }
@@ -487,7 +489,7 @@ func TestAggNoPreAgg(t *testing.T) {
 func TestAggSpilling(t *testing.T) {
 	ctx := spillCtx(2, 64)
 	checkAggResult(t, runAgg(t, ctx, true, 20000), 20000)
-	if ctx.Stats.SpilledBytes.Load() == 0 {
+	if ctx.Stats.Get(metrics.SpilledBytes) == 0 {
 		t.Fatal("aggregation under 64KB budget did not spill")
 	}
 }
@@ -506,7 +508,7 @@ func TestAggHighCardinalityBypass(t *testing.T) {
 	if out.Len() != 30000 {
 		t.Fatalf("groups = %d, want 30000", out.Len())
 	}
-	if ctx.Stats.SpilledBytes.Load() == 0 {
+	if ctx.Stats.Get(metrics.SpilledBytes) == 0 {
 		t.Fatal("high-cardinality aggregation did not spill")
 	}
 	seen := map[int64]bool{}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/trace"
@@ -88,7 +90,7 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 				if err != nil {
 					return err
 				}
-				sp.AddMaterialized(g.tuples)
+				ctx.report(sp, &metrics.Snapshot{metrics.TuplesStored: g.tuples})
 				mu.Lock()
 				runs = append(runs, rs...)
 				mu.Unlock()
@@ -235,11 +237,7 @@ func (g *runGenerator) spillRun() error {
 	for _, s := range run.slots {
 		bytes += int64(s.Len)
 	}
-	if g.ctx.Stats != nil {
-		g.ctx.Stats.SpilledBytes.Add(bytes)
-		g.ctx.Stats.WrittenBytes.Add(bytes)
-	}
-	g.sp.AddSpill(bytes, bytes, 0, 0)
+	g.ctx.report(g.sp, &metrics.Snapshot{metrics.SpilledBytes: bytes, metrics.WrittenBytes: bytes})
 	g.runs = append(g.runs, run)
 	// Release the run's input memory back to the budget.
 	for _, p := range g.pgs {
@@ -266,7 +264,7 @@ type runCursor struct {
 	run      *sortRun
 	arr      *nvmesim.Array
 	pageSize int
-	stats    *Stats
+	ctx      *Ctx
 	sp       *trace.Span
 
 	pageIdx int
@@ -282,8 +280,8 @@ type runCursor struct {
 	nextReq int
 }
 
-func newRunCursor(run *sortRun, arr *nvmesim.Array, pageSize int, stats *Stats, sp *trace.Span) *runCursor {
-	return &runCursor{run: run, arr: arr, pageSize: pageSize, stats: stats, sp: sp,
+func newRunCursor(ctx *Ctx, sp *trace.Span, run *sortRun, arr *nvmesim.Array, pageSize int) *runCursor {
+	return &runCursor{run: run, arr: arr, pageSize: pageSize, ctx: ctx, sp: sp,
 		pending: map[uint64]int{}, bufs: map[int][]byte{}}
 }
 
@@ -340,6 +338,7 @@ func (c *runCursor) loadSpilled() error {
 		c.nextReq++
 	}
 	c.ring.Submit()
+	var stall time.Duration // merge-worker wall time blocked on the reads below
 	for {
 		if buf, ok := c.bufs[c.pageIdx]; ok {
 			if _, stillPending := c.pending[uint64(c.pageIdx)]; !stillPending {
@@ -354,18 +353,18 @@ func (c *runCursor) loadSpilled() error {
 					pages.PutBuf(c.curBuf)
 				}
 				c.curBuf = buf
-				if n := int64(c.run.slots[c.pageIdx].Len); n > 0 {
-					if c.stats != nil {
-						c.stats.SpillReadBytes.Add(n)
-					}
-					c.sp.AddSpillRead(n, 0)
-				}
+				c.ctx.report(c.sp, &metrics.Snapshot{
+					metrics.SpillReadBytes:  int64(c.run.slots[c.pageIdx].Len),
+					metrics.SpillStallNanos: int64(stall),
+				})
 				c.cur = p
 				c.pageIdx++
 				return nil
 			}
 		}
+		blocked := time.Now()
 		comps := c.ring.Poll(nil, true)
+		stall += time.Since(blocked)
 		for _, comp := range comps {
 			if comp.Err != nil {
 				// The merge aborts on a failed read; drop reads the shared
@@ -388,7 +387,7 @@ func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*sortRun, rc *dat
 	}
 	h := &mergeHeap{rc: rc, keyCols: keyCols, keys: s.Keys}
 	for _, run := range runs {
-		cur := newRunCursor(run, arr, pageSize, ctx.Stats, sp)
+		cur := newRunCursor(ctx, sp, run, arr, pageSize)
 		if ctx.Spill != nil {
 			cur.disp, cur.query = ctx.Spill.Sched, ctx.Spill.Query
 		}

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
+	"github.com/spilly-db/spilly/internal/nvmesim"
+	"github.com/spilly-db/spilly/internal/trace"
 )
 
 func runExtSort(t *testing.T, ctx *Ctx, n, limit int) *data.Batch {
@@ -44,13 +47,28 @@ func TestExtSortInMemory(t *testing.T) {
 
 func TestExtSortSpilling(t *testing.T) {
 	ctx := spillCtx(2, 64)
+	// The engine's default device slowed 4× (the ledger's micro_spill
+	// devices): the merge must visibly wait for its run pages.
+	ctx.Spill.Array = nvmesim.New(2, nvmesim.KioxiaCM7.Scaled(0.01).Scaled(0.25), nvmesim.RealClock{})
+	ctx.Trace = trace.New(2)
 	out := runExtSort(t, ctx, 20000, 0)
 	if out.Len() != 20000 {
 		t.Fatalf("rows = %d", out.Len())
 	}
 	checkSorted(t, out)
-	if ctx.Stats.SpilledBytes.Load() == 0 {
+	if ctx.Stats.Get(metrics.SpilledBytes) == 0 {
 		t.Fatal("external sort under 64KB budget did not spill")
+	}
+	// The merge blocks on run readback; that wait is spill stall, charged to
+	// the query and to the extsort span alike.
+	stall := ctx.Stats.Get(metrics.SpillStallNanos)
+	if stall <= 0 {
+		t.Fatal("external sort read its runs back from slowed devices with no spill stall time")
+	}
+	for _, sp := range ctx.Trace.Snapshots() {
+		if sp.Op == "extsort" && sp.Snapshot[metrics.SpillStallNanos] != stall {
+			t.Fatalf("extsort span stall = %dns, query total %dns", sp.Snapshot[metrics.SpillStallNanos], stall)
+		}
 	}
 	// Every input row must come back exactly once.
 	seen := map[int64]bool{}

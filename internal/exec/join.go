@@ -201,16 +201,7 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 		return nil, nil, nil, 0, err
 	}
 	ctx.AddCleanup(func() { bres.ReleaseMemory(ctx.Budget) })
-	if ctx.Stats != nil {
-		ctx.Stats.addResult(bres)
-		if shared.PartitioningActive() {
-			ctx.Stats.PartitionedOps.Add(1)
-		}
-	}
-	spanResult(sp, bres)
-	if shared.PartitioningActive() {
-		sp.SetPartitioned()
-	}
+	ctx.reportResult(sp, bres)
 	// Merge the sketch grid: per-partition estimates feed phase-2 table
 	// sizing; their union (register-wise max is associative) sizes the
 	// global in-memory table exactly as the single sketch used to.
@@ -541,10 +532,7 @@ func (jw *joinWorker) finalizeProbe() error {
 			}
 			js.pres = pres
 			js.ctx.AddCleanup(func() { pres.ReleaseMemory(js.ctx.Budget) })
-			if js.ctx.Stats != nil {
-				js.ctx.Stats.addResult(pres)
-			}
-			spanResult(js.sp, pres)
+			js.ctx.reportResult(js.sp, pres)
 		}
 		for p := 0; p < js.bres.Partitions; p++ {
 			if js.mask&(1<<uint(p)) != 0 {
@@ -607,7 +595,7 @@ func (jw *joinWorker) partitionStep(b *data.Batch) (int, error) {
 		} else if st.pcur != nil {
 			next, err := st.pcur.Next()
 			if err != nil {
-				chargeSpillCursor(js.ctx, js.sp, st.pcur)
+				js.ctx.reportCursor(js.sp, st.pcur)
 				return 0, fmt.Errorf("exec: join reading probe partition %d: %w", st.part, err)
 			}
 			pg = next
@@ -619,7 +607,7 @@ func (jw *joinWorker) partitionStep(b *data.Batch) (int, error) {
 			jw.cur = nil
 			st.ht = nil
 			if st.pcur != nil {
-				chargeSpillCursor(js.ctx, js.sp, st.pcur)
+				js.ctx.reportCursor(js.sp, st.pcur)
 				st.pcur.Release()
 			}
 			if st.bcur != nil {
@@ -659,7 +647,7 @@ func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 		for {
 			pg, err := bcur.Next()
 			if err != nil {
-				chargeSpillCursor(js.ctx, js.sp, bcur)
+				js.ctx.reportCursor(js.sp, bcur)
 				return nil, fmt.Errorf("exec: join reading build partition %d: %w", p, err)
 			}
 			if pg == nil {
@@ -667,7 +655,7 @@ func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 			}
 			st.ht.insertPage(pg)
 		}
-		chargeSpillCursor(js.ctx, js.sp, bcur)
+		js.ctx.reportCursor(js.sp, bcur)
 		st.bcur = bcur
 		st.pcur = js.sched.Open(2*i + 1)
 	}

@@ -6,6 +6,8 @@ import (
 
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
+	"github.com/spilly-db/spilly/internal/trace"
 )
 
 // Scan reads a table (in memory or from the NVMe array — the reader hides
@@ -52,24 +54,22 @@ func (s *Scan) Run(ctx *Ctx) (*Stream, error) {
 	hasFilter := s.Filter.I != nil
 	accs := make([]statsAcc, nw)
 	selBufs := make([][]int32, nw)
-	// chargeStall folds a finished (or abandoned) reader's accumulated
-	// I/O-stall time into the query stats and the scan span, exactly once
-	// per reader.
+	// chargeStall reports a finished (or abandoned) reader's accumulated
+	// I/O stalls, exactly once per reader.
 	stalled := make([]bool, nw)
 	chargeStall := func(w int) {
 		if stalled[w] || readers[w] == nil {
 			return
 		}
 		stalled[w] = true
-		if sr, ok := readers[w].(interface{ StallNanos() int64 }); ok {
-			ns := sr.StallNanos()
-			if ctx.Stats != nil {
-				ctx.Stats.ScanStallNanos.Add(ns)
-				if sc, ok := readers[w].(interface{ Stalls() int64 }); ok {
-					ctx.Stats.ScanStalls.Add(sc.Stalls())
-				}
-			}
-			sp.AddScanStall(ns)
+		if sr, ok := readers[w].(interface {
+			StallNanos() int64
+			Stalls() int64
+		}); ok {
+			ctx.report(sp, &metrics.Snapshot{
+				metrics.ScanStallNanos: sr.StallNanos(),
+				metrics.ScanStalls:     sr.Stalls(),
+			})
 		}
 	}
 	return ctx.traceStream(&Stream{
@@ -81,9 +81,7 @@ func (s *Scan) Run(ctx *Ctx) (*Stream, error) {
 			}
 			chargeStall(w)
 			mu.Unlock()
-			if ctx.Stats != nil {
-				accs[w].flush(ctx.Stats)
-			}
+			accs[w].flush(ctx, sp)
 		},
 		next: func(w int, b *data.Batch) (int, error) {
 			mu.Lock()
@@ -103,14 +101,10 @@ func (s *Scan) Run(ctx *Ctx) (*Stream, error) {
 					mu.Lock()
 					chargeStall(w)
 					mu.Unlock()
-					if ctx.Stats != nil {
-						accs[w].flush(ctx.Stats)
-					}
+					accs[w].flush(ctx, sp)
 					return 0, err
 				}
-				if ctx.Stats != nil {
-					accs[w].add(ctx.Stats, int64(n), batchBytes(b))
-				}
+				accs[w].add(ctx, sp, int64(n), batchBytes(b))
 				if !hasFilter {
 					return n, nil
 				}
@@ -151,7 +145,7 @@ func batchBytes(b *data.Batch) int64 {
 }
 
 // statsFlushRows is the per-worker row count after which accumulated scan
-// statistics are flushed into the shared atomic counters — batching the
+// statistics are reported into the shared atomic counters — batching the
 // cross-core traffic instead of paying two contended atomics per batch.
 const statsFlushRows = 1 << 15
 
@@ -165,20 +159,18 @@ type statsAcc struct {
 	_     [112]byte // pad to a cache-line multiple against false sharing
 }
 
-func (a *statsAcc) add(st *Stats, rows, bytes int64) {
+func (a *statsAcc) add(ctx *Ctx, sp *trace.Span, rows, bytes int64) {
 	a.bytes.Add(bytes)
 	if a.rows.Add(rows) >= statsFlushRows {
-		a.flush(st)
+		a.flush(ctx, sp)
 	}
 }
 
-func (a *statsAcc) flush(st *Stats) {
-	if r := a.rows.Swap(0); r != 0 {
-		st.ScannedRows.Add(r)
-	}
-	if b := a.bytes.Swap(0); b != 0 {
-		st.ScannedBytes.Add(b)
-	}
+func (a *statsAcc) flush(ctx *Ctx, sp *trace.Span) {
+	ctx.report(sp, &metrics.Snapshot{
+		metrics.ScannedRows:  a.rows.Swap(0),
+		metrics.ScannedBytes: a.bytes.Swap(0),
+	})
 }
 
 // FilterNode filters any child stream (used when a predicate cannot be

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
 )
 
 // SortKey orders by one column.
@@ -83,7 +84,7 @@ func (s *Sort) Run(ctx *Ctx) (*Stream, error) {
 	for _, r := range idx {
 		out.AppendRowFrom(all, r)
 	}
-	sp.AddMaterialized(int64(all.Len()))
+	ctx.report(sp, &metrics.Snapshot{metrics.TuplesStored: int64(all.Len())})
 	ctx.spanPhase(sp, pc)
 	var taken atomic.Bool
 	return ctx.traceStream(&Stream{

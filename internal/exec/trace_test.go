@@ -8,6 +8,7 @@ import (
 
 	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/core"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/trace"
 )
 
@@ -38,19 +39,20 @@ func TestHashBuildPanicBecomesQueryError(t *testing.T) {
 	}
 }
 
-// TestStatsHistogramRace: Stats.addResult must be safe to run concurrently
-// with SchemeHistogram readers (the live /metrics endpoint reads the
+// TestStatsHistogramRace: reporting a materialization result must be safe to
+// run concurrently with scheme-histogram readers (the engine reads the
 // histogram while workers finalize operators). Run with -race.
 func TestStatsHistogramRace(t *testing.T) {
 	s := &Stats{}
+	ctx := &Ctx{Stats: s}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				s.addResult(&core.Result{
-					SpilledBytes:    1,
+				ctx.reportResult(nil, &core.Result{
+					Counters:        metrics.Snapshot{metrics.SpilledBytes: 1},
 					SchemeHistogram: map[codec.ID]int64{codec.None: 1, codec.LZ4Fastest: 2},
 				})
 			}
@@ -58,14 +60,18 @@ func TestStatsHistogramRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				_ = s.SchemeHistogram()
+				_ = s.Schemes.Load()
 			}
 		}()
 	}
 	wg.Wait()
-	hist := s.SchemeHistogram()
-	if hist[codec.None] != 2000 || hist[codec.LZ4Fastest] != 4000 {
-		t.Fatalf("histogram = %v, want None=2000 LZ4Fastest=4000", hist)
+	hist := s.Schemes.Load()
+	lz4 := codec.ByID(codec.LZ4Fastest).Name()
+	if hist["raw"] != 2000 || hist[lz4] != 4000 {
+		t.Fatalf("histogram = %v, want raw=2000 %s=4000", hist, lz4)
+	}
+	if got := s.Get(metrics.SpilledBytes); got != 2000 {
+		t.Fatalf("spilled bytes = %d, want 2000", got)
 	}
 }
 
@@ -104,8 +110,8 @@ func TestJoinProducesSpans(t *testing.T) {
 	if join.RowsOut != 100 {
 		t.Fatalf("join rows_out = %d, want 100", join.RowsOut)
 	}
-	if join.TuplesStored != 100 {
-		t.Fatalf("join tuples_stored = %d, want 100 build rows", join.TuplesStored)
+	if join.Snapshot[metrics.TuplesStored] != 100 {
+		t.Fatalf("join tuples_stored = %d, want 100 build rows", join.Snapshot[metrics.TuplesStored])
 	}
 }
 
@@ -122,13 +128,13 @@ func TestSpillSpansCarrySpillBytes(t *testing.T) {
 	var spilled int64
 	for _, s := range ctx.Trace.Snapshots() {
 		if s.Op == "agg" {
-			spilled = s.SpilledBytes
-			if !s.Spilled || !s.Partitioned {
+			spilled = s.Snapshot[metrics.SpilledBytes]
+			if !s.Spilled || s.Snapshot[metrics.Partitioned] != 1 {
 				t.Fatalf("agg span flags = %+v, want spilled+partitioned", s)
 			}
 		}
 	}
-	if want := ctx.Stats.SpilledBytes.Load(); spilled != want {
+	if want := ctx.Stats.Get(metrics.SpilledBytes); spilled != want {
 		t.Fatalf("agg span spilled_bytes = %d, stats say %d", spilled, want)
 	}
 }

@@ -3,8 +3,6 @@ package exec
 import (
 	"time"
 
-	"github.com/spilly-db/spilly/internal/codec"
-	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/trace"
 )
@@ -108,28 +106,5 @@ func (c *Ctx) spanPhase(sp *trace.Span, pc phaseClock) {
 	d := time.Duration(c.workers())*time.Since(pc.start) - (c.Trace.Charged() - pc.charged0)
 	if d > 0 {
 		sp.AddBusy(d)
-	}
-}
-
-// spanResult feeds an operator's materialization Result into its span:
-// stored tuples, spill volume, regulator activity, and the per-scheme
-// spilled-page histogram (keyed by codec name for serialization).
-func spanResult(sp *trace.Span, r *core.Result) {
-	if sp == nil || r == nil {
-		return
-	}
-	sp.AddMaterialized(r.Tuples)
-	sp.AddSpill(r.SpilledBytes, r.WrittenBytes, r.SpillRetries, r.SpillFailovers)
-	sp.AddRegulator(r.RegLevelChanges, r.RegMaxLevel)
-	if len(r.SchemeHistogram) > 0 {
-		h := make(map[string]int64, len(r.SchemeHistogram))
-		for id, n := range r.SchemeHistogram {
-			name := "raw"
-			if c := codec.ByID(id); c != nil {
-				name = c.Name()
-			}
-			h[name] += n
-		}
-		sp.AddSchemes(h)
 	}
 }

@@ -146,13 +146,7 @@ func (w *Window) Run(ctx *Ctx) (*Stream, error) {
 		return nil, err
 	}
 	ctx.AddCleanup(func() { res.ReleaseMemory(ctx.Budget) })
-	if ctx.Stats != nil {
-		ctx.Stats.addResult(res)
-	}
-	spanResult(sp, res)
-	if shared.PartitioningActive() {
-		sp.SetPartitioned()
-	}
+	ctx.reportResult(sp, res)
 	ctx.spanPhase(sp, pc)
 	return w.outputStream(ctx, sp, res, rc, partCols)
 }
@@ -208,7 +202,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 					for {
 						pg, err := cur.Next()
 						if err != nil {
-							chargeSpillCursor(ctx, sp, cur)
+							ctx.reportCursor(sp, cur)
 							return 0, fmt.Errorf("exec: window reading partition %d: %w", p, err)
 						}
 						if pg == nil {
@@ -218,7 +212,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 							tuples = append(tuples, pg.Tuple(t))
 						}
 					}
-					chargeSpillCursor(ctx, sp, cur)
+					ctx.reportCursor(sp, cur)
 				}
 				if len(tuples) == 0 {
 					continue

@@ -6,6 +6,7 @@ import (
 
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
 )
 
 // windowTable: (grp int, seq int, val float) with rows shuffled across
@@ -125,7 +126,7 @@ func TestWindowSpilling(t *testing.T) {
 	ctx := spillCtx(2, 64)
 	out := runWindow(t, ctx, 200, 40, allWindowFuncs())
 	checkWindow(t, out, 200, 40)
-	if ctx.Stats.SpilledBytes.Load() == 0 {
+	if ctx.Stats.Get(metrics.SpilledBytes) == 0 {
 		t.Fatal("window under 64KB budget did not spill")
 	}
 }

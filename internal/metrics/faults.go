@@ -1,21 +1,16 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// FaultTracker accumulates fault-path counters across queries: transient
-// I/O errors recovered by retry, writes re-striped away from dead devices,
-// queries aborted by cancellation, and per-device error counts. The engine
-// updates it from query results; chaos tests and operators read it to see
-// how much recovery work a run actually exercised.
+// FaultTracker accumulates query outcomes across queries: started,
+// completed, failed, aborted by cancellation, and fatal errors per device.
+// (Recovered faults — retries, failovers, reconstructions — are counters of
+// the table in counters.go, summed in the engine's lifetime totals.) The
+// engine updates it as queries end; chaos tests and operators read it.
 type FaultTracker struct {
-	retries   atomic.Int64
-	failovers atomic.Int64
 	canceled  atomic.Int64
 	failed    atomic.Int64
 	started   atomic.Int64
@@ -29,12 +24,6 @@ type FaultTracker struct {
 func NewFaultTracker() *FaultTracker {
 	return &FaultTracker{devErrors: map[int]int64{}}
 }
-
-// AddRetries records transient errors recovered by retrying.
-func (t *FaultTracker) AddRetries(n int64) { t.retries.Add(n) }
-
-// AddFailovers records writes re-striped away from a dead device.
-func (t *FaultTracker) AddFailovers(n int64) { t.failovers.Add(n) }
 
 // QueryCanceled records a query aborted by context cancellation.
 func (t *FaultTracker) QueryCanceled() { t.canceled.Add(1) }
@@ -57,8 +46,6 @@ func (t *FaultTracker) DeviceError(dev int, n int64) {
 
 // FaultCounts is a point-in-time snapshot of a FaultTracker.
 type FaultCounts struct {
-	Retries          int64
-	Failovers        int64
 	CanceledQueries  int64
 	FailedQueries    int64
 	StartedQueries   int64
@@ -69,8 +56,6 @@ type FaultCounts struct {
 // Snapshot returns the current counters.
 func (t *FaultTracker) Snapshot() FaultCounts {
 	c := FaultCounts{
-		Retries:          t.retries.Load(),
-		Failovers:        t.failovers.Load(),
 		CanceledQueries:  t.canceled.Load(),
 		FailedQueries:    t.failed.Load(),
 		StartedQueries:   t.started.Load(),
@@ -83,20 +68,4 @@ func (t *FaultTracker) Snapshot() FaultCounts {
 	}
 	t.mu.Unlock()
 	return c
-}
-
-// String renders the counters compactly, devices in order.
-func (c FaultCounts) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "retries=%d failovers=%d canceled=%d failed=%d",
-		c.Retries, c.Failovers, c.CanceledQueries, c.FailedQueries)
-	devs := make([]int, 0, len(c.DeviceErrors))
-	for dev := range c.DeviceErrors {
-		devs = append(devs, dev)
-	}
-	sort.Ints(devs)
-	for _, dev := range devs {
-		fmt.Fprintf(&b, " dev%d=%d", dev, c.DeviceErrors[dev])
-	}
-	return b.String()
 }

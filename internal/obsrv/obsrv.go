@@ -1,11 +1,12 @@
 // Package obsrv serves live engine observability over HTTP: Prometheus
-// text-format counters at /metrics, a JSON snapshot of in-flight queries at
-// /queries, and the standard pprof handlers under /debug/pprof/.
+// text-format metric families at /metrics, a JSON snapshot of in-flight
+// queries at /queries, and the standard pprof handlers under /debug/pprof/.
 //
-// The package owns no state — it renders snapshots pulled from the engine's
-// existing counters (metrics.FaultTracker, nvmesim per-device stats, and the
-// query registry), so serving requests never perturbs the hot path beyond
-// the atomic loads the snapshot functions already perform.
+// The package owns no state and knows no metric by name — on each scrape the
+// engine snapshots every subsystem once and hands over the families built
+// from those snapshots, so serving requests never perturbs the hot path
+// beyond the loads one snapshot performs, and the values of one scrape are
+// mutually consistent.
 package obsrv
 
 import (
@@ -13,161 +14,32 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
-
-	"github.com/spilly-db/spilly/internal/metrics"
-	"github.com/spilly-db/spilly/internal/nvmesim"
-	"github.com/spilly-db/spilly/internal/trace"
 )
 
-// QueryStatus describes one in-flight or recently observed query for the
-// /queries endpoint.
-type QueryStatus struct {
-	ID             int64   `json:"id"`
-	Label          string  `json:"label"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	ScannedRows    int64   `json:"scanned_rows"`
-	ScannedBytes   int64   `json:"scanned_bytes"`
-	SpilledBytes   int64   `json:"spilled_bytes"`
-	WrittenBytes   int64   `json:"written_bytes"`
-	SpillReadBytes int64   `json:"spill_read_bytes"`
-	// Spans is the query's per-operator span forest so far; present only
-	// when the query runs with profiling enabled.
-	Spans []trace.SpanSnapshot `json:"spans,omitempty"`
+// Sample is one exposition line of a family: an optional rendered label set
+// (e.g. `array="spill",device="0"`) and a value.
+type Sample struct {
+	Labels string
+	Value  float64
 }
 
-// GCStats are cumulative GC-pressure totals attributed to query execution.
-type GCStats struct {
-	AllocObjects int64
-	AllocBytes   int64
-	GCPauseSecs  float64
-	NumGC        int64
+// Family is one Prometheus metric family and its current samples. A family
+// with none still renders its header, so the set of family names on /metrics
+// never depends on engine state.
+type Family struct {
+	Name, Type, Help string
+	Samples          []Sample
 }
 
-// SpillStats are cumulative phase-2 overlap and integrity totals: worker
-// time stalled on spill readback, partitions whose readback was prefetched,
-// and the checksummed-frame/parity-stripe counters.
-type SpillStats struct {
-	StallSecs            float64
-	PrefetchedPartitions int64
-	PagesVerified        int64
-	ChecksumErrors       int64
-	Reconstructions      int64
-}
-
-// AdmissionStats is a snapshot of the engine's memory governor and query
-// registry: how many queries run and wait, how much of the governed budget
-// is granted, and cumulative admission totals.
-type AdmissionStats struct {
-	ActiveQueries int
-	Queued        int
-	GrantedBytes  int64
-	TotalBytes    int64
-	Admitted      int64
-	Timeouts      int64
-	WaitSecs      float64
-}
-
-// LeaseStats is a snapshot of spill-extent ownership: leases still live,
-// live extents across the array, and live bytes per lease.
-type LeaseStats struct {
-	Leases      int64
-	LiveExtents int64
-	LiveBytes   map[uint64]int64
-}
-
-// BufCacheStats is a snapshot of the table buffer cache: block lookup
-// counters, current fill, and inserts refused for exceeding the
-// per-shard capacity.
-type BufCacheStats struct {
-	Hits      int64
-	Misses    int64
-	Used      int64
-	Blocks    int64
-	Oversized int64
-}
-
-// ResultCacheStats is a snapshot of the query-result reuse cache: residency
-// per tier, the governor reservation backing the memory tier, and cumulative
-// hit/demotion/restore counters.
-type ResultCacheStats struct {
-	HotEntries    int64
-	HotBytes      int64
-	DiskEntries   int64
-	DiskBytes     int64
-	ReservedBytes int64
-	Hits          int64
-	HitsMemory    int64
-	HitsNVMe      int64
-	Misses        int64
-	Puts          int64
-	Rejects       int64
-	Demotions     int64
-	Restores      int64
-	RestoreBytes  int64
-	Drops         int64
-	Invalidated   int64
-	Shrinks       int64
-}
-
-// IOSchedClassStats are one priority class's cumulative dispatch counters
-// in a shared I/O scheduler.
-type IOSchedClassStats struct {
-	Class      string
-	Dispatched int64
-	Deferred   int64
-}
-
-// IOSchedDeviceStats are one device's live queue gauges in a shared I/O
-// scheduler: requests in flight (depth), requests deferred (queued), and the
-// simulated channel backlog, split by channel.
-type IOSchedDeviceStats struct {
-	ReadDepth        int
-	WriteDepth       int
-	ReadQueued       int
-	WriteQueued      int
-	ReadBacklogSecs  float64
-	WriteBacklogSecs float64
-}
-
-// IOSchedStats is a snapshot of one shared I/O scheduler (one per array):
-// per-class dispatch counters, promotion/aging totals, and per-device
-// depth/backlog gauges.
-type IOSchedStats struct {
-	Array    string // which array the scheduler serves, e.g. "spill"
-	Classes  []IOSchedClassStats
-	Promoted int64
-	Aged     int64
-	Queued   int64
-	Inflight int64
-	Devices  []IOSchedDeviceStats
-}
-
-// Server renders engine observability snapshots over HTTP. All fields are
-// optional; nil sources simply omit their metrics.
+// Server renders engine observability snapshots over HTTP.
 type Server struct {
-	// Faults supplies cumulative query and fault-path counters.
-	Faults *metrics.FaultTracker
-	// SpillArray and TableArray supply per-device I/O counters.
-	SpillArray *nvmesim.Array
-	TableArray *nvmesim.Array
-	// Queries returns a snapshot of in-flight queries.
-	Queries func() []QueryStatus
-	// GC returns cumulative allocation and collector totals across queries.
-	GC func() GCStats
-	// Spill returns cumulative spill-readback stall totals across queries.
-	Spill func() SpillStats
-	// Admission returns the memory governor / query registry snapshot.
-	Admission func() AdmissionStats
-	// Leases returns the spill-extent ownership snapshot.
-	Leases func() LeaseStats
-	// BufCache returns the table buffer-cache snapshot.
-	BufCache func() BufCacheStats
-	// ResultCache returns the query-result reuse-cache snapshot.
-	ResultCache func() ResultCacheStats
-	// IOSched returns the shared I/O scheduler snapshots (one per array).
-	IOSched func() []IOSchedStats
+	// Collect is called once per /metrics request; the families it returns
+	// are rendered in order (nil serves an empty document).
+	Collect func() []Family
+	// Queries returns the in-flight query snapshot served at /queries (any
+	// JSON-encodable list; nil serves an empty one).
+	Queries func() any
 }
 
 // Handler returns the observability mux: /metrics, /queries, /debug/pprof/.
@@ -184,7 +56,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) serveQueries(w http.ResponseWriter, _ *http.Request) {
-	qs := []QueryStatus{}
+	var qs any = []struct{}{}
 	if s.Queries != nil {
 		qs = s.Queries()
 	}
@@ -194,330 +66,32 @@ func (s *Server) serveQueries(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(map[string]any{"queries": qs})
 }
 
+// serveMetrics writes every family in Prometheus text exposition format:
+// one HELP/TYPE header, then the family's samples. The format allows one
+// header per name, so two families sharing one is a programming error and
+// fails the scrape instead of rendering an invalid document.
 func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
+	var fams []Family
+	if s.Collect != nil {
+		fams = s.Collect()
+	}
 	var b strings.Builder
-	if s.Faults != nil {
-		writeFaults(&b, s.Faults.Snapshot())
-	}
-	if s.Queries != nil {
-		writeCounter(&b, "spilly_queries_in_flight",
-			"gauge", "Queries currently executing.",
-			sample{value: float64(len(s.Queries()))})
-	}
-	if s.GC != nil {
-		g := s.GC()
-		writeCounter(&b, "spilly_query_alloc_objects_total", "counter",
-			"Heap objects allocated during query execution.",
-			sample{value: float64(g.AllocObjects)})
-		writeCounter(&b, "spilly_query_alloc_bytes_total", "counter",
-			"Heap bytes allocated during query execution.",
-			sample{value: float64(g.AllocBytes)})
-		writeCounter(&b, "spilly_query_gc_pause_seconds_total", "counter",
-			"Stop-the-world GC pause time incurred during query execution.",
-			sample{value: g.GCPauseSecs})
-		writeCounter(&b, "spilly_query_gc_cycles_total", "counter",
-			"Garbage collections that ran during query execution.",
-			sample{value: float64(g.NumGC)})
-	}
-	if s.Spill != nil {
-		sp := s.Spill()
-		writeCounter(&b, "spilly_query_spill_stall_seconds", "counter",
-			"Worker time stalled waiting on spill readback during query execution.",
-			sample{value: sp.StallSecs})
-		writeCounter(&b, "spilly_query_prefetched_partitions_total", "counter",
-			"Spilled partitions whose readback was in flight before phase 2 reached them.",
-			sample{value: float64(sp.PrefetchedPartitions)})
-		writeCounter(&b, "spilly_spill_pages_verified_total", "counter",
-			"Spilled page frames whose checksums verified on readback.",
-			sample{value: float64(sp.PagesVerified)})
-		writeCounter(&b, "spilly_spill_checksum_errors_total", "counter",
-			"Spilled blocks that failed checksum verification on readback.",
-			sample{value: float64(sp.ChecksumErrors)})
-		writeCounter(&b, "spilly_spill_reconstructions_total", "counter",
-			"Spilled blocks rebuilt from their XOR parity stripe.",
-			sample{value: float64(sp.Reconstructions)})
-	}
-	if s.Admission != nil {
-		a := s.Admission()
-		writeCounter(&b, "spilly_engine_active_queries", "gauge",
-			"Queries currently holding a memory grant and executing.",
-			sample{value: float64(a.ActiveQueries)})
-		writeCounter(&b, "spilly_engine_admission_queued", "gauge",
-			"Queries waiting in the admission queue for a memory grant.",
-			sample{value: float64(a.Queued)})
-		writeCounter(&b, "spilly_engine_admission_granted_bytes", "gauge",
-			"Memory currently granted to admitted queries.",
-			sample{value: float64(a.GrantedBytes)})
-		writeCounter(&b, "spilly_engine_admission_total_bytes", "gauge",
-			"The governed engine-wide memory budget.",
-			sample{value: float64(a.TotalBytes)})
-		writeCounter(&b, "spilly_engine_admissions_total", "counter",
-			"Memory grants handed out to queries.",
-			sample{value: float64(a.Admitted)})
-		writeCounter(&b, "spilly_engine_admission_timeouts_total", "counter",
-			"Queries that timed out waiting for admission.",
-			sample{value: float64(a.Timeouts)})
-		writeCounter(&b, "spilly_engine_admission_wait_seconds", "counter",
-			"Total time admitted queries spent in the admission queue.",
-			sample{value: a.WaitSecs})
-	}
-	if s.Leases != nil {
-		l := s.Leases()
-		writeCounter(&b, "spilly_spill_leases", "gauge",
-			"Spill leases created and not yet freed.",
-			sample{value: float64(l.Leases)})
-		writeCounter(&b, "spilly_spill_live_extents", "gauge",
-			"Live spill extents across the array (returns to zero when idle).",
-			sample{value: float64(l.LiveExtents)})
-		if len(l.LiveBytes) > 0 {
-			ids := make([]uint64, 0, len(l.LiveBytes))
-			for id := range l.LiveBytes {
-				ids = append(ids, id)
+	seen := make(map[string]bool, len(fams))
+	for _, f := range fams {
+		if seen[f.Name] {
+			http.Error(w, "obsrv: metric family collected twice: "+f.Name, http.StatusInternalServerError)
+			return
+		}
+		seen[f.Name] = true
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+		for _, sm := range f.Samples {
+			if sm.Labels != "" {
+				fmt.Fprintf(&b, "%s{%s} %g\n", f.Name, sm.Labels, sm.Value)
+			} else {
+				fmt.Fprintf(&b, "%s %g\n", f.Name, sm.Value)
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			ss := make([]sample, len(ids))
-			for i, id := range ids {
-				ss[i] = sample{
-					labels: fmt.Sprintf("lease=%q", fmt.Sprint(id)),
-					value:  float64(l.LiveBytes[id]),
-				}
-			}
-			writeCounter(&b, "spilly_spill_lease_live_bytes", "gauge",
-				"Spill bytes currently live under each query lease.", ss...)
 		}
 	}
-	if s.BufCache != nil {
-		bc := s.BufCache()
-		writeCounter(&b, "spilly_bufcache_hits_total", "counter",
-			"Table blocks served from the buffer cache.",
-			sample{value: float64(bc.Hits)})
-		writeCounter(&b, "spilly_bufcache_misses_total", "counter",
-			"Table block lookups that missed the buffer cache.",
-			sample{value: float64(bc.Misses)})
-		writeCounter(&b, "spilly_bufcache_used_bytes", "gauge",
-			"Bytes currently held in the buffer cache.",
-			sample{value: float64(bc.Used)})
-		writeCounter(&b, "spilly_bufcache_blocks", "gauge",
-			"Blocks currently held in the buffer cache.",
-			sample{value: float64(bc.Blocks)})
-		writeCounter(&b, "spilly_bufcache_oversized_total", "counter",
-			"Block inserts refused for exceeding the per-shard capacity (cache capacity / 16).",
-			sample{value: float64(bc.Oversized)})
-	}
-	if s.ResultCache != nil {
-		rc := s.ResultCache()
-		writeCounter(&b, "spilly_cache_entries", "gauge",
-			"Result-cache entries resident per tier.",
-			sample{labels: `tier="memory"`, value: float64(rc.HotEntries)},
-			sample{labels: `tier="nvme"`, value: float64(rc.DiskEntries)})
-		writeCounter(&b, "spilly_cache_bytes", "gauge",
-			"Result-cache bytes resident per tier (nvme is the raw, uncompressed footprint).",
-			sample{labels: `tier="memory"`, value: float64(rc.HotBytes)},
-			sample{labels: `tier="nvme"`, value: float64(rc.DiskBytes)})
-		writeCounter(&b, "spilly_cache_reserved_bytes", "gauge",
-			"Governor memory reservation currently held by the result cache.",
-			sample{value: float64(rc.ReservedBytes)})
-		writeCounter(&b, "spilly_cache_hits_total", "counter",
-			"Result-cache hits by serving tier.",
-			sample{labels: `tier="memory"`, value: float64(rc.HitsMemory)},
-			sample{labels: `tier="nvme"`, value: float64(rc.HitsNVMe)})
-		writeCounter(&b, "spilly_cache_misses_total", "counter",
-			"Cacheable queries that found no usable result-cache entry.",
-			sample{value: float64(rc.Misses)})
-		writeCounter(&b, "spilly_cache_puts_total", "counter",
-			"Results admitted into the cache.",
-			sample{value: float64(rc.Puts)})
-		writeCounter(&b, "spilly_cache_rejects_total", "counter",
-			"Results refused by cost-based admission.",
-			sample{value: float64(rc.Rejects)})
-		writeCounter(&b, "spilly_cache_demotions_total", "counter",
-			"Entries demoted from memory to the NVMe spill array.",
-			sample{value: float64(rc.Demotions)})
-		writeCounter(&b, "spilly_cache_restores_total", "counter",
-			"Demoted entries read back from the spill array.",
-			sample{value: float64(rc.Restores)})
-		writeCounter(&b, "spilly_cache_restore_bytes_total", "counter",
-			"Raw bytes materialized by result-cache restores.",
-			sample{value: float64(rc.RestoreBytes)})
-		writeCounter(&b, "spilly_cache_drops_total", "counter",
-			"Entries dropped outright (eviction without demotion, or unreadable).",
-			sample{value: float64(rc.Drops)})
-		writeCounter(&b, "spilly_cache_invalidated_total", "counter",
-			"Entries invalidated by catalog changes.",
-			sample{value: float64(rc.Invalidated)})
-		writeCounter(&b, "spilly_cache_shrinks_total", "counter",
-			"Governor pressure callbacks that shrank the cache.",
-			sample{value: float64(rc.Shrinks)})
-	}
-	if s.IOSched != nil {
-		writeIOSched(&b, s.IOSched())
-	}
-	writeArray(&b, "spill", s.SpillArray)
-	writeArray(&b, "table", s.TableArray)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
-}
-
-// sample is one exposition line: an optional label set and a value.
-type sample struct {
-	labels string // rendered label set, e.g. `array="spill",device="0"`
-	value  float64
-}
-
-// writeCounter emits one metric family in Prometheus text exposition format.
-func writeCounter(b *strings.Builder, name, typ, help string, samples ...sample) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, s := range samples {
-		if s.labels != "" {
-			fmt.Fprintf(b, "%s{%s} %g\n", name, s.labels, s.value)
-		} else {
-			fmt.Fprintf(b, "%s %g\n", name, s.value)
-		}
-	}
-}
-
-func writeFaults(b *strings.Builder, c metrics.FaultCounts) {
-	writeCounter(b, "spilly_queries_started_total", "counter",
-		"Queries that began execution.", sample{value: float64(c.StartedQueries)})
-	writeCounter(b, "spilly_queries_completed_total", "counter",
-		"Queries that finished successfully.", sample{value: float64(c.CompletedQueries)})
-	writeCounter(b, "spilly_queries_failed_total", "counter",
-		"Queries that returned a fatal error.", sample{value: float64(c.FailedQueries)})
-	writeCounter(b, "spilly_queries_canceled_total", "counter",
-		"Queries aborted by context cancellation.", sample{value: float64(c.CanceledQueries)})
-	writeCounter(b, "spilly_spill_retries_total", "counter",
-		"Transient spill I/O errors recovered by retry.", sample{value: float64(c.Retries)})
-	writeCounter(b, "spilly_spill_failovers_total", "counter",
-		"Spill writes re-striped away from a dead device.", sample{value: float64(c.Failovers)})
-	if len(c.DeviceErrors) > 0 {
-		devs := make([]int, 0, len(c.DeviceErrors))
-		for dev := range c.DeviceErrors {
-			devs = append(devs, dev)
-		}
-		sort.Ints(devs)
-		ss := make([]sample, len(devs))
-		for i, dev := range devs {
-			ss[i] = sample{
-				labels: fmt.Sprintf("device=%q", fmt.Sprint(dev)),
-				value:  float64(c.DeviceErrors[dev]),
-			}
-		}
-		writeCounter(b, "spilly_device_errors_total", "counter",
-			"Fatal I/O errors attributed to a device.", ss...)
-	}
-}
-
-// writeIOSched emits the shared I/O scheduler counters: per-class dispatch
-// totals plus per-device depth, queue, and backlog gauges, labeled by array.
-func writeIOSched(b *strings.Builder, scheds []IOSchedStats) {
-	if len(scheds) == 0 {
-		return
-	}
-	var disp, def []sample
-	for _, sc := range scheds {
-		for _, c := range sc.Classes {
-			l := fmt.Sprintf("array=%q,class=%q", sc.Array, c.Class)
-			disp = append(disp, sample{labels: l, value: float64(c.Dispatched)})
-			def = append(def, sample{labels: l, value: float64(c.Deferred)})
-		}
-	}
-	writeCounter(b, "spilly_iosched_dispatched_total", "counter",
-		"I/O requests the shared scheduler issued to the array, by priority class.", disp...)
-	writeCounter(b, "spilly_iosched_deferred_total", "counter",
-		"Of the dispatched requests, those that waited at least one scheduling pass.", def...)
-	perSched := func(f func(IOSchedStats) float64) []sample {
-		ss := make([]sample, len(scheds))
-		for i, sc := range scheds {
-			ss[i] = sample{labels: fmt.Sprintf("array=%q", sc.Array), value: f(sc)}
-		}
-		return ss
-	}
-	writeCounter(b, "spilly_iosched_promoted_total", "counter",
-		"Deferred reads promoted to demand class by a blocking consumer.",
-		perSched(func(sc IOSchedStats) float64 { return float64(sc.Promoted) })...)
-	writeCounter(b, "spilly_iosched_aged_total", "counter",
-		"Deferred requests dispatched above their class's share by the aging escape hatch.",
-		perSched(func(sc IOSchedStats) float64 { return float64(sc.Aged) })...)
-	writeCounter(b, "spilly_iosched_queued", "gauge",
-		"Requests currently deferred in the scheduler's queues.",
-		perSched(func(sc IOSchedStats) float64 { return float64(sc.Queued) })...)
-	writeCounter(b, "spilly_iosched_inflight", "gauge",
-		"Requests dispatched to the array and not yet complete.",
-		perSched(func(sc IOSchedStats) float64 { return float64(sc.Inflight) })...)
-	perDev := func(f func(IOSchedDeviceStats) float64, channel string) []sample {
-		var ss []sample
-		for _, sc := range scheds {
-			for i, d := range sc.Devices {
-				ss = append(ss, sample{
-					labels: fmt.Sprintf("array=%q,device=\"%d\",channel=%q", sc.Array, i, channel),
-					value:  f(d),
-				})
-			}
-		}
-		return ss
-	}
-	writeCounter(b, "spilly_iosched_device_depth", "gauge",
-		"Requests in flight on the device channel (the scheduler targets its depth target).",
-		append(perDev(func(d IOSchedDeviceStats) float64 { return float64(d.ReadDepth) }, "read"),
-			perDev(func(d IOSchedDeviceStats) float64 { return float64(d.WriteDepth) }, "write")...)...)
-	writeCounter(b, "spilly_iosched_device_queued", "gauge",
-		"Requests deferred behind the device channel's depth target.",
-		append(perDev(func(d IOSchedDeviceStats) float64 { return float64(d.ReadQueued) }, "read"),
-			perDev(func(d IOSchedDeviceStats) float64 { return float64(d.WriteQueued) }, "write")...)...)
-	writeCounter(b, "spilly_iosched_device_backlog_seconds", "gauge",
-		"Simulated device channel backlog (busy-until minus now) seen by the scheduler.",
-		append(perDev(func(d IOSchedDeviceStats) float64 { return d.ReadBacklogSecs }, "read"),
-			perDev(func(d IOSchedDeviceStats) float64 { return d.WriteBacklogSecs }, "write")...)...)
-}
-
-// writeArray emits per-device counters for one nvmesim array.
-func writeArray(b *strings.Builder, arrayName string, a *nvmesim.Array) {
-	if a == nil {
-		return
-	}
-	stats := a.PerDevice()
-	collect := func(f func(nvmesim.DeviceStats) float64) []sample {
-		ss := make([]sample, len(stats))
-		for i, d := range stats {
-			ss[i] = sample{
-				labels: fmt.Sprintf("array=%q,device=\"%d\"", arrayName, i),
-				value:  f(d),
-			}
-		}
-		return ss
-	}
-	writeCounter(b, "spilly_device_read_bytes_total", "counter",
-		"Bytes read from the device.",
-		collect(func(d nvmesim.DeviceStats) float64 { return float64(d.BytesRead) })...)
-	writeCounter(b, "spilly_device_written_bytes_total", "counter",
-		"Bytes written to the device.",
-		collect(func(d nvmesim.DeviceStats) float64 { return float64(d.BytesWritten) })...)
-	writeCounter(b, "spilly_device_reads_total", "counter",
-		"Read requests issued to the device.",
-		collect(func(d nvmesim.DeviceStats) float64 { return float64(d.Reads) })...)
-	writeCounter(b, "spilly_device_writes_total", "counter",
-		"Write requests issued to the device.",
-		collect(func(d nvmesim.DeviceStats) float64 { return float64(d.Writes) })...)
-	writeCounter(b, "spilly_device_spill_bytes", "gauge",
-		"Bytes currently allocated in the device spill area.",
-		collect(func(d nvmesim.DeviceStats) float64 { return float64(d.SpillBytes) })...)
-	writeCounter(b, "spilly_device_read_backlog_seconds", "gauge",
-		"Simulated read-channel backlog (busy-until minus now).",
-		collect(func(d nvmesim.DeviceStats) float64 { return d.ReadBacklog.Seconds() })...)
-	writeCounter(b, "spilly_device_write_backlog_seconds", "gauge",
-		"Simulated write-channel backlog (busy-until minus now).",
-		collect(func(d nvmesim.DeviceStats) float64 { return d.WriteBacklog.Seconds() })...)
-	writeCounter(b, "spilly_device_io_errors_total", "counter",
-		"I/O errors returned by the device (injected or organic).",
-		collect(func(d nvmesim.DeviceStats) float64 {
-			return float64(d.ReadErrors + d.WriteErrors)
-		})...)
-	writeCounter(b, "spilly_device_dead", "gauge",
-		"1 when the device has failed permanently.",
-		collect(func(d nvmesim.DeviceStats) float64 {
-			if d.Dead {
-				return 1
-			}
-			return 0
-		})...)
 }

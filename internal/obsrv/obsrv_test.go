@@ -5,131 +5,98 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
-
-	"github.com/spilly-db/spilly/internal/metrics"
-	"github.com/spilly-db/spilly/internal/nvmesim"
 )
 
-func testServer(t *testing.T) *Server {
-	t.Helper()
-	ft := metrics.NewFaultTracker()
-	ft.QueryStarted()
-	ft.QueryStarted()
-	ft.QueryCompleted()
-	ft.QueryFailed()
-	ft.AddRetries(3)
-	ft.AddFailovers(1)
-	ft.DeviceError(2, 4)
+type queryStatus struct {
+	ID          int64  `json:"id"`
+	Label       string `json:"label"`
+	ScannedRows int64  `json:"scanned_rows"`
+}
 
-	arr := nvmesim.New(2, nvmesim.DeviceSpec{
-		ReadBandwidth:  1e9,
-		WriteBandwidth: 1e9,
-		Latency:        time.Microsecond,
-	}, nvmesim.RealClock{})
-	off, err := arr.AllocSpill(0, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := arr.Write(0, off, make([]byte, 4096)); err != nil {
-		t.Fatal(err)
-	}
+func scalar(name, help string, v float64) Family {
+	return Family{Name: name, Type: "counter", Help: help, Samples: []Sample{{Value: v}}}
+}
 
+func testFamilies() []Family {
+	return []Family{
+		scalar("spilly_queries_started_total", "Queries that began execution.", 2),
+		scalar("spilly_engine_admission_wait_seconds", "Time queued.", 0.25),
+		{Name: "spilly_device_written_bytes_total", Type: "counter", Help: "Bytes written to the device.",
+			Samples: []Sample{
+				{Labels: `array="spill",device="0"`, Value: 4096},
+				{Labels: `array="spill",device="1"`, Value: 0},
+				{Labels: `array="table",device="0"`, Value: 8192},
+			}},
+		{Name: "spilly_device_errors_total", Type: "counter", Help: "Fatal I/O errors attributed to a device."},
+	}
+}
+
+func testServer() *Server {
 	return &Server{
-		Faults:     ft,
-		SpillArray: arr,
-		Queries: func() []QueryStatus {
-			return []QueryStatus{{ID: 7, Label: "tpch-q9", ScannedRows: 123}}
-		},
-		BufCache: func() BufCacheStats {
-			return BufCacheStats{Hits: 10, Misses: 4, Used: 8192, Blocks: 2, Oversized: 1}
-		},
-		ResultCache: func() ResultCacheStats {
-			return ResultCacheStats{
-				HotEntries: 3, HotBytes: 1024, DiskEntries: 1, DiskBytes: 512,
-				ReservedBytes: 1024, HitsMemory: 5, HitsNVMe: 2, Misses: 6,
-				Puts: 4, Demotions: 1, Restores: 2,
-			}
-		},
-		IOSched: func() []IOSchedStats {
-			return []IOSchedStats{{
-				Array: "spill",
-				Classes: []IOSchedClassStats{
-					{Class: "demand", Dispatched: 100, Deferred: 2},
-					{Class: "prefetch", Dispatched: 40, Deferred: 30},
-				},
-				Promoted: 5, Aged: 3, Queued: 7, Inflight: 8,
-				Devices: []IOSchedDeviceStats{
-					{ReadDepth: 6, WriteDepth: 2, ReadQueued: 4, WriteQueued: 3,
-						ReadBacklogSecs: 0.25, WriteBacklogSecs: 0.5},
-				},
-			}}
+		Collect: testFamilies,
+		Queries: func() any {
+			return []queryStatus{{ID: 7, Label: "tpch-q9", ScannedRows: 123}}
 		},
 	}
 }
 
-func TestMetricsEndpoint(t *testing.T) {
-	h := testServer(t).Handler()
+func get(t *testing.T, s *Server, path string) string {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
+		t.Fatalf("GET %s: status = %d", path, rec.Code)
 	}
-	body := rec.Body.String()
-	for _, want := range []string{
-		"# TYPE spilly_queries_started_total counter",
-		"spilly_queries_started_total 2",
-		"spilly_queries_completed_total 1",
-		"spilly_queries_failed_total 1",
-		"spilly_spill_retries_total 3",
-		"spilly_spill_failovers_total 1",
-		`spilly_device_errors_total{device="2"} 4`,
-		`spilly_device_written_bytes_total{array="spill",device="0"} 4096`,
-		`spilly_device_written_bytes_total{array="spill",device="1"} 0`,
-		`spilly_device_spill_bytes{array="spill",device="0"} 4096`,
-		"spilly_queries_in_flight 1",
-		"spilly_bufcache_hits_total 10",
-		"spilly_bufcache_misses_total 4",
-		"spilly_bufcache_used_bytes 8192",
-		"spilly_bufcache_blocks 2",
-		"spilly_bufcache_oversized_total 1",
-		`spilly_cache_entries{tier="memory"} 3`,
-		`spilly_cache_entries{tier="nvme"} 1`,
-		`spilly_cache_hits_total{tier="memory"} 5`,
-		`spilly_cache_hits_total{tier="nvme"} 2`,
-		"spilly_cache_reserved_bytes 1024",
-		"spilly_cache_misses_total 6",
-		"spilly_cache_demotions_total 1",
-		"spilly_cache_restores_total 2",
-		`spilly_iosched_dispatched_total{array="spill",class="demand"} 100`,
-		`spilly_iosched_dispatched_total{array="spill",class="prefetch"} 40`,
-		`spilly_iosched_deferred_total{array="spill",class="prefetch"} 30`,
-		`spilly_iosched_promoted_total{array="spill"} 5`,
-		`spilly_iosched_aged_total{array="spill"} 3`,
-		`spilly_iosched_queued{array="spill"} 7`,
-		`spilly_iosched_inflight{array="spill"} 8`,
-		`spilly_iosched_device_depth{array="spill",device="0",channel="read"} 6`,
-		`spilly_iosched_device_queued{array="spill",device="0",channel="write"} 3`,
-		`spilly_iosched_device_backlog_seconds{array="spill",device="0",channel="read"} 0.25`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
-		}
+	return rec.Body.String()
+}
+
+// TestMetricsEndpoint: every family renders one HELP/TYPE header followed by
+// all its samples — labelled, unlabelled, fractional — and a family with no
+// samples still shows its header.
+func TestMetricsEndpoint(t *testing.T) {
+	body := get(t, testServer(), "/metrics")
+	want := `# HELP spilly_queries_started_total Queries that began execution.
+# TYPE spilly_queries_started_total counter
+spilly_queries_started_total 2
+# HELP spilly_engine_admission_wait_seconds Time queued.
+# TYPE spilly_engine_admission_wait_seconds counter
+spilly_engine_admission_wait_seconds 0.25
+# HELP spilly_device_written_bytes_total Bytes written to the device.
+# TYPE spilly_device_written_bytes_total counter
+spilly_device_written_bytes_total{array="spill",device="0"} 4096
+spilly_device_written_bytes_total{array="spill",device="1"} 0
+spilly_device_written_bytes_total{array="table",device="0"} 8192
+# HELP spilly_device_errors_total Fatal I/O errors attributed to a device.
+# TYPE spilly_device_errors_total counter
+`
+	if body != want {
+		t.Fatalf("/metrics =\n%s\nwant\n%s", body, want)
+	}
+}
+
+// TestDuplicateFamilyRejected: the text format allows one TYPE line per
+// name, so collecting a name twice must fail the scrape loudly, not render
+// it twice.
+func TestDuplicateFamilyRejected(t *testing.T) {
+	s := &Server{Collect: func() []Family {
+		return append(testFamilies(), scalar("spilly_queries_started_total", "again", 0))
+	}}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 500 || !strings.Contains(rec.Body.String(), "spilly_queries_started_total") ||
+		strings.Contains(rec.Body.String(), "# TYPE") {
+		t.Fatalf("scrape with a duplicate family: status %d, body %q; want a 500 naming it and no document",
+			rec.Code, rec.Body.String())
 	}
 }
 
 func TestQueriesEndpoint(t *testing.T) {
-	h := testServer(t).Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/queries", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
+	body := get(t, testServer(), "/queries")
 	var snap struct {
-		Queries []QueryStatus `json:"queries"`
+		Queries []queryStatus `json:"queries"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
 	if len(snap.Queries) != 1 || snap.Queries[0].Label != "tpch-q9" || snap.Queries[0].ScannedRows != 123 {
 		t.Fatalf("snapshot = %+v", snap.Queries)
@@ -139,12 +106,14 @@ func TestQueriesEndpoint(t *testing.T) {
 // TestNilSources: a server with no sources must still serve empty documents
 // rather than panic.
 func TestNilSources(t *testing.T) {
-	h := (&Server{}).Handler()
-	for _, path := range []string{"/metrics", "/queries"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s: %d", path, rec.Code)
-		}
+	if body := get(t, &Server{}, "/metrics"); body != "" {
+		t.Fatalf("/metrics with no families = %q", body)
+	}
+	var snap struct {
+		Queries []queryStatus `json:"queries"`
+	}
+	body := get(t, &Server{}, "/queries")
+	if err := json.Unmarshal([]byte(body), &snap); err != nil || snap.Queries == nil {
+		t.Fatalf("/queries with no source = %s (err %v), want an empty list", body, err)
 	}
 }

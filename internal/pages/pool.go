@@ -14,6 +14,7 @@ import (
 type Budget struct {
 	limit int64 // bytes; 0 means unlimited
 	used  atomic.Int64
+	peak  atomic.Int64 // high-water mark of used
 }
 
 // NewBudget returns a budget of limit bytes. limit <= 0 means unlimited.
@@ -30,6 +31,25 @@ func (b *Budget) Limit() int64 { return b.limit }
 // Used returns the bytes currently accounted.
 func (b *Budget) Used() int64 { return b.used.Load() }
 
+// Peak returns the most bytes that were ever accounted at once — how far a
+// query really went, whatever its limit said. Zero on a nil budget.
+func (b *Budget) Peak() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.peak.Load()
+}
+
+// notePeak raises the high-water mark to used.
+func (b *Budget) notePeak(used int64) {
+	for {
+		cur := b.peak.Load()
+		if used <= cur || b.peak.CompareAndSwap(cur, used) {
+			return
+		}
+	}
+}
+
 // TryReserve reserves n bytes if the budget allows it.
 func (b *Budget) TryReserve(n int64) bool {
 	if b == nil {
@@ -41,6 +61,7 @@ func (b *Budget) TryReserve(n int64) bool {
 			return false
 		}
 		if b.used.CompareAndSwap(cur, cur+n) {
+			b.notePeak(cur + n)
 			return true
 		}
 	}
@@ -50,7 +71,7 @@ func (b *Budget) TryReserve(n int64) bool {
 // themselves, which must exist for spilling to make progress).
 func (b *Budget) Reserve(n int64) {
 	if b != nil {
-		b.used.Add(n)
+		b.notePeak(b.used.Add(n))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/exec"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 )
@@ -135,7 +136,7 @@ func TestCorruptionBeyondRepairNoLeak(t *testing.T) {
 	if gets, puts := ctx.PoolCounters(); gets != puts {
 		t.Errorf("batch pool imbalance: %d gets vs %d puts", gets, puts)
 	}
-	if ctx.Stats.SpillChecksumErrors.Load() == 0 {
+	if ctx.Stats.Get(metrics.SpillChecksumErrors) == 0 {
 		t.Error("no checksum errors recorded; corruption was not the failure cause")
 	}
 	if n := arr.LiveExtents(); n != 0 {

@@ -12,6 +12,7 @@ import (
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/exec"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 )
@@ -127,7 +128,7 @@ func TestQueriesSpillEquivalence(t *testing.T) {
 		ref := rowStrings(runQuery(t, memCtx(), q))
 		spillCtx := spillingCtx()
 		got := rowStrings(runQuery(t, spillCtx, q))
-		if spillCtx.Stats.SpillReadBytes.Load() > 0 {
+		if spillCtx.Stats.Get(metrics.SpillReadBytes) > 0 {
 			anyReadBack = true
 		}
 		if len(ref) != len(got) {

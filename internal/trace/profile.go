@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/spilly-db/spilly/internal/metrics"
 )
 
 // Profile is the EXPLAIN ANALYZE view of one executed query: the operator
@@ -16,16 +18,13 @@ type Profile struct {
 	Total time.Duration
 	// Workers is the worker count spans were normalized against.
 	Workers int
-	// AllocObjects and AllocBytes are the heap-allocation deltas across
-	// the query; GCPause and NumGC the collector activity it incurred.
-	// Filled in by the engine (spans do not track allocations).
-	// AllocApprox marks them approximate: another query overlapped this
-	// one, and the process-wide counters mix in its allocations too.
-	AllocObjects int64
-	AllocBytes   int64
-	GCPause      time.Duration
-	NumGC        int64
-	AllocApprox  bool
+	// Query holds the query's total counters, including the query-level
+	// ones no span carries (heap-allocation and collector deltas, the memory
+	// budget's high-water mark). Filled in by the engine. AllocApprox marks
+	// the allocation figures approximate: another query overlapped this one,
+	// and the process-wide counters mix in its allocations too.
+	Query       metrics.Snapshot
+	AllocApprox bool
 	// AdmissionWait is the time spent queued for a memory grant before
 	// execution; MemoryGrant the grant admitted with (0 = unlimited).
 	// Filled in by the engine.
@@ -50,6 +49,18 @@ type ProfileNode struct {
 	// Inclusive is Self plus all descendants'.
 	Inclusive time.Duration
 	Children  []*ProfileNode
+}
+
+// MarshalJSON renders the node as its span's flat object plus its own
+// members; without it the embedded span's method is promoted and drops them.
+func (n ProfileNode) MarshalJSON() ([]byte, error) {
+	type span SpanSnapshot // drops the promoted method, keeps the tags
+	return n.Snapshot.MarshalWith(struct {
+		span
+		Self      time.Duration  `json:"self_ns"`
+		Inclusive time.Duration  `json:"inclusive_ns"`
+		Children  []*ProfileNode `json:"children,omitempty"`
+	}{span(n.SpanSnapshot), n.Self, n.Inclusive, n.Children}, true)
 }
 
 // Profile assembles the span tree and computes self times. total is the
@@ -119,17 +130,19 @@ func FormatProfile(p *Profile) string {
 	if p.CacheHit {
 		fmt.Fprintf(&sb, "result cache: hit (%s tier); plan not executed\n", p.CacheTier)
 	}
+	q := &p.Query
 	if p.AdmissionWait > 0 || p.MemoryGrant > 0 {
-		fmt.Fprintf(&sb, "admission: wait=%s grant=%s\n",
-			fmtDur(p.AdmissionWait), fmtBytes(p.MemoryGrant))
+		fmt.Fprintf(&sb, "admission: wait=%s grant=%s budget-peak=%s\n",
+			fmtDur(p.AdmissionWait), fmtBytes(p.MemoryGrant), fmtBytes(q[metrics.BudgetPeakBytes]))
 	}
-	if p.AllocObjects > 0 || p.NumGC > 0 {
+	if q[metrics.AllocObjects] > 0 || q[metrics.GCCycles] > 0 {
 		approx := ""
 		if p.AllocApprox {
 			approx = " (approx: concurrent queries)"
 		}
 		fmt.Fprintf(&sb, "gc: allocs=%d alloc-bytes=%s cycles=%d pause=%s%s\n",
-			p.AllocObjects, fmtBytes(p.AllocBytes), p.NumGC, fmtDur(p.GCPause), approx)
+			q[metrics.AllocObjects], fmtBytes(q[metrics.AllocBytes]), q[metrics.GCCycles],
+			fmtDur(time.Duration(q[metrics.GCPauseNanos])), approx)
 	}
 	for _, r := range p.Roots {
 		formatNode(&sb, r, "", p.Total)
@@ -150,35 +163,22 @@ func formatNode(sb *strings.Builder, n *ProfileNode, indent string, total time.D
 		sb.WriteString(n.Label)
 	}
 	fmt.Fprintf(sb, "  %s (%.1f%%)  rows=%d", fmtDur(n.Self), pct, n.RowsOut)
-	if n.TuplesStored > 0 {
-		fmt.Fprintf(sb, " in=%d", n.TuplesStored)
-	}
-	if n.Partitioned {
-		sb.WriteString(" partitioned")
-	}
-	if n.SpilledBytes > 0 {
-		fmt.Fprintf(sb, " spilled=%s written=%s", fmtBytes(n.SpilledBytes), fmtBytes(n.WrittenBytes))
-	}
-	if n.SpillReadBytes > 0 {
-		fmt.Fprintf(sb, " spill-read=%s", fmtBytes(n.SpillReadBytes))
-	}
-	if n.SpillStallNs > 0 || n.PrefetchedParts > 0 {
-		fmt.Fprintf(sb, " stall=%s prefetched=%d", fmtDur(n.SpillStallNs), n.PrefetchedParts)
-	}
-	if n.ScanStallNs > 0 {
-		fmt.Fprintf(sb, " scan-stall=%s", fmtDur(n.ScanStallNs))
-	}
-	if n.SpillRetries > 0 || n.SpillFailovers > 0 {
-		fmt.Fprintf(sb, " retries=%d failovers=%d", n.SpillRetries, n.SpillFailovers)
-	}
-	if n.SpillVerified > 0 || n.SpillChecksumErrs > 0 {
-		fmt.Fprintf(sb, " verified=%d", n.SpillVerified)
-	}
-	if n.SpillChecksumErrs > 0 || n.SpillReconstructs > 0 {
-		fmt.Fprintf(sb, " csum-errors=%d reconstructed=%d", n.SpillChecksumErrs, n.SpillReconstructs)
-	}
-	if n.RegLevelChanges > 0 {
-		fmt.Fprintf(sb, " reg-changes=%d reg-max-level=%d", n.RegLevelChanges, n.RegMaxLevel)
+	// One tag per labelled non-zero counter, in table order.
+	for k, v := range n.Snapshot {
+		d := metrics.Counter(k).Def()
+		if d.Label == "" || v == 0 {
+			continue
+		}
+		switch d.Unit {
+		case metrics.Flag:
+			fmt.Fprintf(sb, " %s", d.Label)
+		case metrics.Bytes:
+			fmt.Fprintf(sb, " %s=%s", d.Label, fmtBytes(v))
+		case metrics.Nanos:
+			fmt.Fprintf(sb, " %s=%s", d.Label, fmtDur(time.Duration(v)))
+		default:
+			fmt.Fprintf(sb, " %s=%d", d.Label, v)
+		}
 	}
 	if len(n.Schemes) > 0 {
 		names := make([]string, 0, len(n.Schemes))

@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/spilly-db/spilly/internal/metrics"
 )
 
 // Span records one operator's execution within a query: identity (operator
@@ -47,42 +49,12 @@ type Span struct {
 	rowsOut    atomic.Int64
 	batchesOut atomic.Int64
 
-	// Materialization and spill counters (operators with an Umami phase).
-	tuplesStored   atomic.Int64
-	spilledBytes   atomic.Int64 // raw page bytes handed to the spill path
-	writtenBytes   atomic.Int64 // post-compression bytes written to the array
-	spillReadBytes atomic.Int64
-	spillRetries   atomic.Int64
-	spillFailovers atomic.Int64
-	partitioned    atomic.Bool
-	spilled        atomic.Bool
+	// counters holds everything else the operator reported (see
+	// metrics.Counter): materialization and spill volume, readback and scan
+	// stalls, integrity work, regulator activity.
+	counters metrics.Counters
 
-	// Phase-2 overlap telemetry: worker wall time stalled inside spill
-	// readback (exclusive — stall is measured at the cursor, not derived
-	// from busy time) and partitions whose readback was already in flight
-	// when this operator opened them.
-	spillStallNs    atomic.Int64
-	prefetchedParts atomic.Int64
-
-	// Scan-side stall telemetry: worker wall time spent blocked inside a
-	// table scan waiting for group reads the prefetch window had not
-	// finished yet (measured at the colstore reader).
-	scanStallNs atomic.Int64
-
-	// Spill integrity telemetry (checksummed frames + parity stripes):
-	// frames whose checksums verified on readback, blocks that failed
-	// verification, and blocks rebuilt from their parity stripe.
-	spillVerified     atomic.Int64
-	spillChecksumErrs atomic.Int64
-	spillReconstructs atomic.Int64
-
-	// Self-regulating compression telemetry (§4.4): how often the
-	// regulator moved along the unified scale and how far up it got.
-	regLevelChanges atomic.Int64
-	regMaxLevel     atomic.Int64
-
-	schemesMu sync.Mutex
-	schemes   map[string]int64 // spilled pages per compression scheme
+	schemes metrics.LabelCounts // spilled pages per compression scheme
 }
 
 // Tracer collects the spans of one query execution. Create one per traced
@@ -211,105 +183,19 @@ func (s *Span) AddRows(rows, batches int64) {
 	s.batchesOut.Add(batches)
 }
 
-// AddMaterialized records tuples stored through the operator's Umami phase.
-func (s *Span) AddMaterialized(tuples int64) {
+// Merge folds a set of reported counters into the span.
+func (s *Span) Merge(c *metrics.Snapshot) {
 	if s == nil {
 		return
 	}
-	s.tuplesStored.Add(tuples)
-}
-
-// AddSpill records spill-write volume: raw page bytes handed to the spill
-// path and post-compression bytes written to the array.
-func (s *Span) AddSpill(rawBytes, writtenBytes, retries, failovers int64) {
-	if s == nil {
-		return
-	}
-	s.spilledBytes.Add(rawBytes)
-	s.writtenBytes.Add(writtenBytes)
-	s.spillRetries.Add(retries)
-	s.spillFailovers.Add(failovers)
-	if rawBytes > 0 {
-		s.spilled.Store(true)
-	}
-}
-
-// AddSpillRead records bytes read back from the spill array (and transient
-// read errors recovered by retry).
-func (s *Span) AddSpillRead(bytes, retries int64) {
-	if s == nil {
-		return
-	}
-	s.spillReadBytes.Add(bytes)
-	s.spillRetries.Add(retries)
-}
-
-// AddSpillStall records spill-readback stall time (worker wall time spent
-// waiting inside cursor Next calls) and partitions found prefetched at open.
-func (s *Span) AddSpillStall(stallNs, prefetched int64) {
-	if s == nil {
-		return
-	}
-	s.spillStallNs.Add(stallNs)
-	s.prefetchedParts.Add(prefetched)
-}
-
-// AddScanStall records table-scan stall time: worker wall time spent
-// blocked inside reader Next calls waiting on group reads.
-func (s *Span) AddScanStall(stallNs int64) {
-	if s == nil {
-		return
-	}
-	s.scanStallNs.Add(stallNs)
-}
-
-// AddSpillIntegrity records readback integrity work: frames verified,
-// blocks that failed verification, and blocks rebuilt from parity.
-func (s *Span) AddSpillIntegrity(verified, checksumErrs, reconstructions int64) {
-	if s == nil {
-		return
-	}
-	s.spillVerified.Add(verified)
-	s.spillChecksumErrs.Add(checksumErrs)
-	s.spillReconstructs.Add(reconstructions)
-}
-
-// SetPartitioned marks that the operator enabled partitioning.
-func (s *Span) SetPartitioned() {
-	if s == nil {
-		return
-	}
-	s.partitioned.Store(true)
-}
-
-// AddRegulator records self-regulating compression activity: scheme
-// transitions and the highest level reached on the unified scale.
-func (s *Span) AddRegulator(levelChanges int64, maxLevel int) {
-	if s == nil {
-		return
-	}
-	s.regLevelChanges.Add(levelChanges)
-	for {
-		cur := s.regMaxLevel.Load()
-		if int64(maxLevel) <= cur || s.regMaxLevel.CompareAndSwap(cur, int64(maxLevel)) {
-			break
-		}
-	}
+	s.counters.Merge(c)
 }
 
 // AddSchemes merges a spilled-pages-per-scheme histogram into the span.
 func (s *Span) AddSchemes(h map[string]int64) {
-	if s == nil || len(h) == 0 {
-		return
+	if s != nil {
+		s.schemes.Merge(h)
 	}
-	s.schemesMu.Lock()
-	if s.schemes == nil {
-		s.schemes = make(map[string]int64, len(h))
-	}
-	for k, v := range h {
-		s.schemes[k] += v
-	}
-	s.schemesMu.Unlock()
 }
 
 // SpanSnapshot is a plain-struct copy of a span's state, safe to serialize
@@ -327,65 +213,38 @@ type SpanSnapshot struct {
 	RowsOut    int64 `json:"rows_out"`
 	BatchesOut int64 `json:"batches_out"`
 
-	TuplesStored   int64 `json:"tuples_stored,omitempty"`
-	SpilledBytes   int64 `json:"spilled_bytes,omitempty"`
-	WrittenBytes   int64 `json:"written_bytes,omitempty"`
-	SpillReadBytes int64 `json:"spill_read_bytes,omitempty"`
-	SpillRetries   int64 `json:"spill_retries,omitempty"`
-	SpillFailovers int64 `json:"spill_failovers,omitempty"`
-	Partitioned    bool  `json:"partitioned,omitempty"`
-	Spilled        bool  `json:"spilled,omitempty"`
+	// Spilled reports whether the operator wrote anything to the spill array.
+	Spilled bool             `json:"spilled,omitempty"`
+	Schemes map[string]int64 `json:"schemes,omitempty"`
 
-	SpillStallNs    time.Duration `json:"spill_stall_ns,omitempty"`
-	PrefetchedParts int64         `json:"prefetched_partitions,omitempty"`
-	ScanStallNs     time.Duration `json:"scan_stall_ns,omitempty"`
+	// Snapshot holds the operator's reported counters; MarshalJSON flattens
+	// the non-zero ones into the span object under their table keys.
+	metrics.Snapshot `json:"-"`
+}
 
-	SpillVerified     int64 `json:"spill_pages_verified,omitempty"`
-	SpillChecksumErrs int64 `json:"spill_checksum_errors,omitempty"`
-	SpillReconstructs int64 `json:"spill_reconstructions,omitempty"`
-
-	RegLevelChanges int64            `json:"reg_level_changes,omitempty"`
-	RegMaxLevel     int64            `json:"reg_max_level,omitempty"`
-	Schemes         map[string]int64 `json:"schemes,omitempty"`
+// MarshalJSON renders the span with its non-zero counters as members of the
+// same object.
+func (s SpanSnapshot) MarshalJSON() ([]byte, error) {
+	type header SpanSnapshot // drops this method, keeps the tags
+	return s.Snapshot.MarshalWith(header(s), true)
 }
 
 // Snapshot copies the span's current state.
 func (s *Span) Snapshot() SpanSnapshot {
 	snap := SpanSnapshot{
-		ID:              s.ID,
-		ParentID:        s.ParentID,
-		Op:              s.Op,
-		Label:           s.Label,
-		Start:           time.Duration(s.startNs),
-		End:             time.Duration(s.endNs.Load()),
-		Busy:            time.Duration(s.busyNs.Load()),
-		RowsOut:         s.rowsOut.Load(),
-		BatchesOut:      s.batchesOut.Load(),
-		TuplesStored:    s.tuplesStored.Load(),
-		SpilledBytes:    s.spilledBytes.Load(),
-		WrittenBytes:    s.writtenBytes.Load(),
-		SpillReadBytes:  s.spillReadBytes.Load(),
-		SpillRetries:    s.spillRetries.Load(),
-		SpillFailovers:  s.spillFailovers.Load(),
-		Partitioned:     s.partitioned.Load(),
-		Spilled:         s.spilled.Load(),
-		SpillStallNs:    time.Duration(s.spillStallNs.Load()),
-		PrefetchedParts: s.prefetchedParts.Load(),
-		ScanStallNs:     time.Duration(s.scanStallNs.Load()),
-		SpillVerified:     s.spillVerified.Load(),
-		SpillChecksumErrs: s.spillChecksumErrs.Load(),
-		SpillReconstructs: s.spillReconstructs.Load(),
-		RegLevelChanges: s.regLevelChanges.Load(),
-		RegMaxLevel:     s.regMaxLevel.Load(),
+		ID:         s.ID,
+		ParentID:   s.ParentID,
+		Op:         s.Op,
+		Label:      s.Label,
+		Start:      time.Duration(s.startNs),
+		End:        time.Duration(s.endNs.Load()),
+		Busy:       time.Duration(s.busyNs.Load()),
+		RowsOut:    s.rowsOut.Load(),
+		BatchesOut: s.batchesOut.Load(),
+		Schemes:    s.schemes.Load(),
+		Snapshot:   s.counters.Load(),
 	}
-	s.schemesMu.Lock()
-	if len(s.schemes) > 0 {
-		snap.Schemes = make(map[string]int64, len(s.schemes))
-		for k, v := range s.schemes {
-			snap.Schemes[k] += v
-		}
-	}
-	s.schemesMu.Unlock()
+	snap.Spilled = snap.Snapshot[metrics.SpilledBytes] > 0
 	return snap
 }
 

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/spilly-db/spilly/internal/metrics"
 )
 
 // TestNilTracerIsSafe: every method must be a no-op on a nil tracer and a
@@ -17,11 +20,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	sp.AddBusy(time.Millisecond)
 	sp.AddRows(10, 1)
-	sp.AddMaterialized(5)
-	sp.AddSpill(1, 1, 0, 0)
-	sp.AddSpillRead(1, 0)
-	sp.SetPartitioned()
-	sp.AddRegulator(1, 2)
+	sp.Merge(&metrics.Snapshot{metrics.TuplesStored: 5, metrics.SpilledBytes: 1, metrics.Partitioned: 1})
 	sp.AddSchemes(map[string]int64{"lz4": 1})
 	tr.EndScope(sp)
 	if tr.Spans() != nil || tr.Snapshots() != nil || tr.Profile(time.Second) != nil {
@@ -86,6 +85,13 @@ func TestProfileSelfTime(t *testing.T) {
 	if rn.Inclusive != 500*time.Millisecond {
 		t.Fatalf("root inclusive = %v, want 500ms", rn.Inclusive)
 	}
+	// A marshalled node keeps its own members next to the embedded span's.
+	b, err := json.Marshal(p.Roots)
+	for _, want := range []string{`"op":"agg"`, `"rows_out":4`, `"self_ns":200000000`, `"children":[{`, `"op":"scan"`} {
+		if err != nil || !strings.Contains(string(b), want) {
+			t.Fatalf("profile JSON (err %v) lacks %s:\n%s", err, want, b)
+		}
+	}
 }
 
 // TestTracerChargedTracksBusy: every busy charge to any span advances the
@@ -112,7 +118,9 @@ func TestTracerChargedTracksBusy(t *testing.T) {
 }
 
 // TestFormatProfile: the renderer emits one tree line per span with the
-// operator name, time, percentage, and counters.
+// operator name, time, percentage, and one tag per non-zero labelled counter
+// in table order — a zero counter (prefetched, failovers, verified here)
+// prints nothing, whatever its neighbours hold.
 func TestFormatProfile(t *testing.T) {
 	tr := New(1)
 	root := tr.Start("agg", "group=l_returnflag")
@@ -123,27 +131,27 @@ func TestFormatProfile(t *testing.T) {
 	child.AddRows(60175, 59)
 	root.AddBusy(100 * time.Millisecond)
 	root.AddRows(4, 1)
-	root.AddMaterialized(60175)
-	root.SetPartitioned()
-	root.AddSpill(2<<20, 1<<20, 1, 0)
-	root.AddSpillRead(2<<20, 0)
-	root.AddRegulator(3, 2)
+	root.Merge(&metrics.Snapshot{
+		metrics.TuplesStored:        60175,
+		metrics.Partitioned:         1,
+		metrics.SpilledBytes:        2 << 20,
+		metrics.WrittenBytes:        1 << 20,
+		metrics.SpillRetries:        1,
+		metrics.SpillReadBytes:      2 << 20,
+		metrics.SpillStallNanos:     int64(3 * time.Millisecond),
+		metrics.SpillChecksumErrors: 2,
+		metrics.RegLevelChanges:     3,
+		metrics.RegMaxLevel:         2,
+	})
 	root.AddSchemes(map[string]int64{"lz4-fastest": 12, "raw": 3})
 
 	out := FormatProfile(tr.Profile(100 * time.Millisecond))
-	for _, want := range []string{
-		"query: 100.0ms total, 1 workers",
-		"└─ agg group=l_returnflag",
-		"rows=4", "in=60175", "partitioned",
-		"spilled=2.0MB", "written=1.0MB", "spill-read=2.0MB",
-		"retries=1", "reg-changes=3", "reg-max-level=2",
-		"[lz4-fastest:12 raw:3]",
-		"   └─ scan lineitem",
-		"rows=60175",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("profile output missing %q:\n%s", want, out)
-		}
+	want := `query: 100.0ms total, 1 workers
+└─ agg group=l_returnflag  100.0ms (100.0%)  rows=4 in=60175 partitioned spilled=2.0MB written=1.0MB spill-read=2.0MB stall=3.0ms retries=1 csum-errors=2 reg-changes=3 reg-max-level=2 [lz4-fastest:12 raw:3]
+   └─ scan lineitem  30.0ms (30.0%)  rows=60175
+`
+	if out != want {
+		t.Fatalf("profile output =\n%s\nwant\n%s", out, want)
 	}
 	if FormatProfile(nil) != "(no profile)\n" {
 		t.Fatal("nil profile must render a placeholder")
@@ -165,7 +173,7 @@ func TestSpanConcurrentCounters(t *testing.T) {
 				sp.AddRows(1, 1)
 				sp.AddBusy(time.Microsecond)
 				sp.AddSchemes(map[string]int64{"lz4": 1})
-				sp.AddRegulator(1, i%8)
+				sp.Merge(&metrics.Snapshot{metrics.RegLevelChanges: 1, metrics.RegMaxLevel: int64(i % 8)})
 				_ = sp.Snapshot()
 			}
 		}()
@@ -175,7 +183,47 @@ func TestSpanConcurrentCounters(t *testing.T) {
 	if snap.RowsOut != 4000 || snap.Schemes["lz4"] != 4000 {
 		t.Fatalf("lost updates: rows=%d schemes=%v", snap.RowsOut, snap.Schemes)
 	}
-	if snap.RegMaxLevel != 7 {
-		t.Fatalf("reg max level = %d, want 7", snap.RegMaxLevel)
+	if got := snap.Snapshot[metrics.RegMaxLevel]; got != 7 {
+		t.Fatalf("reg max level = %d, want 7", got)
+	}
+	if got := snap.Snapshot[metrics.RegLevelChanges]; got != 4000 {
+		t.Fatalf("reg level changes = %d, want 4000", got)
+	}
+}
+
+// TestSpanSnapshotJSON: a span serializes as one flat object — identity and
+// timing, then its non-zero counters under their table keys, flags as
+// booleans; zero counters are left out.
+func TestSpanSnapshotJSON(t *testing.T) {
+	tr := New(1)
+	sp := tr.Start("agg", "g")
+	tr.EndScope(sp)
+	sp.AddRows(4, 1)
+	sp.Merge(&metrics.Snapshot{metrics.SpilledBytes: 4096, metrics.Partitioned: 1, metrics.SpillStallNanos: 7})
+	sp.AddSchemes(map[string]int64{"lz4": 2})
+	b, err := json.Marshal(tr.Snapshots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []map[string]any
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("span JSON does not parse: %v\n%s", err, b)
+	}
+	want := map[string]any{
+		"id": 0.0, "parent": -1.0, "op": "agg", "label": "g",
+		"rows_out": 4.0, "batches_out": 1.0,
+		"spilled": true, "partitioned": true,
+		"spilled_bytes": 4096.0, "spill_stall_ns": 7.0,
+	}
+	for k, v := range want {
+		if got[0][k] != v {
+			t.Errorf("span[%q] = %v, want %v\n%s", k, got[0][k], v, b)
+		}
+	}
+	if _, ok := got[0]["written_bytes"]; ok {
+		t.Errorf("zero counter written_bytes was not omitted:\n%s", b)
+	}
+	if s, _ := got[0]["schemes"].(map[string]any); s["lz4"] != 2.0 {
+		t.Errorf("schemes = %v, want lz4:2", got[0]["schemes"])
 	}
 }

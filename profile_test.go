@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/spilly-db/spilly/internal/metrics"
 )
 
 // TestProfileTimesSumToDuration: with profiling on, the per-operator self
@@ -107,17 +109,26 @@ func TestServeDuringQuery(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		var snap struct {
-			Queries []struct {
-				Label string `json:"label"`
-			} `json:"queries"`
+			Queries []map[string]any `json:"queries"`
 		}
 		body := httpGet(t, base+"/queries")
 		if err := json.Unmarshal(body, &snap); err != nil {
 			t.Fatalf("bad /queries JSON: %v\n%s", err, body)
 		}
 		for _, q := range snap.Queries {
-			if q.Label == "tpch-q9" {
-				sawInFlight = true
+			if q["label"] != "tpch-q9" {
+				continue
+			}
+			sawInFlight = true
+			// One flat object: identity, then every counter of the table
+			// under its key (zero or not), then the spans so far.
+			for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
+				if _, ok := q[k.Def().JSON]; !ok {
+					t.Fatalf("/queries entry has no %q:\n%s", k.Def().JSON, body)
+				}
+			}
+			if _, ok := q["elapsed_seconds"].(float64); !ok || q["id"] != 2.0 {
+				t.Fatalf("/queries entry identity wrong:\n%s", body)
 			}
 		}
 		if sawInFlight {
@@ -202,7 +213,8 @@ func TestProfileShowsSpillStall(t *testing.T) {
 	if !strings.Contains(text, "stall=") || !strings.Contains(text, "prefetched=") {
 		t.Fatalf("rendered profile missing stall attribution:\n%s", text)
 	}
-	if stall, prefetched := eng.SpillStallTotals(); stall <= 0 || prefetched == 0 {
-		t.Fatalf("engine totals stall=%v prefetched=%d, want both positive", stall, prefetched)
+	if n := eng.Totals(); n[metrics.SpillStallNanos] <= 0 || n[metrics.PrefetchedPartitions] == 0 {
+		t.Fatalf("engine totals stall=%dns prefetched=%d, want both positive",
+			n[metrics.SpillStallNanos], n[metrics.PrefetchedPartitions])
 	}
 }

@@ -23,12 +23,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	rescache "github.com/spilly-db/spilly/internal/cache"
-	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
@@ -209,37 +210,14 @@ type Engine struct {
 	qmu     sync.Mutex
 	active  map[int64]*activeQuery
 
-	// Engine-wide GC-pressure totals, accumulated per query for /metrics.
-	gcAllocObjects atomic.Int64
-	gcAllocBytes   atomic.Int64
-	gcPauseNs      atomic.Int64
-	gcNumGC        atomic.Int64
-
-	// Engine-wide phase-2 overlap totals, accumulated per query for /metrics.
-	spillStallNs    atomic.Int64
-	prefetchedParts atomic.Int64
-
-	// Engine-wide table-scan stall total, accumulated per query for /metrics.
-	scanStallNs atomic.Int64
-
-	// Engine-wide spill integrity totals, accumulated per query for /metrics.
-	spillVerified     atomic.Int64
-	spillChecksumErrs atomic.Int64
-	spillReconstructs atomic.Int64
+	// totals is the engine's lifetime counter set: every executed query's
+	// counters folded in as it ends, exported at /metrics.
+	totals metrics.Counters
 }
 
-// SpillStallTotals returns the cumulative spill-readback stall time and
-// prefetched-partition count across all queries this engine has run.
-func (e *Engine) SpillStallTotals() (time.Duration, int64) {
-	return time.Duration(e.spillStallNs.Load()), e.prefetchedParts.Load()
-}
-
-// ScanStallTotal returns the cumulative table-scan stall time (worker wall
-// time blocked waiting for group reads) across all queries this engine has
-// run.
-func (e *Engine) ScanStallTotal() time.Duration {
-	return time.Duration(e.scanStallNs.Load())
-}
+// Totals returns the engine's lifetime counters — every executed query's
+// counters (see metrics.Counter) summed, or maxed for high-water marks.
+func (e *Engine) Totals() metrics.Snapshot { return e.totals.Load() }
 
 // IOSchedSnapshot is one shared I/O scheduler's state for observability:
 // per-class dispatch counters plus per-device queue depths and backlogs.
@@ -257,41 +235,13 @@ func (e *Engine) IOSchedSnapshots() []IOSchedSnapshot {
 	}
 }
 
-// SpillIntegrityTotals returns the cumulative spill integrity counters —
-// frames verified, checksum failures, parity reconstructions — across all
-// queries this engine has run.
-func (e *Engine) SpillIntegrityTotals() (verified, checksumErrors, reconstructions int64) {
-	return e.spillVerified.Load(), e.spillChecksumErrs.Load(), e.spillReconstructs.Load()
-}
-
-// GCStats are the engine's cumulative GC-pressure totals: heap allocation
-// and collector activity attributed to completed queries.
-type GCStats struct {
-	AllocObjects int64
-	AllocBytes   int64
-	GCPause      time.Duration
-	NumGC        int64
-}
-
-// GCTotals returns the cumulative GC-pressure counters across all queries
-// this engine has run.
-func (e *Engine) GCTotals() GCStats {
-	return GCStats{
-		AllocObjects: e.gcAllocObjects.Load(),
-		AllocBytes:   e.gcAllocBytes.Load(),
-		GCPause:      time.Duration(e.gcPauseNs.Load()),
-		NumGC:        e.gcNumGC.Load(),
-	}
-}
-
 // activeQuery is one registry entry: enough to render live progress without
 // touching the query's hot path (all reads go through atomics).
 type activeQuery struct {
 	id    int64
 	label string
 	start time.Time
-	stats *exec.Stats
-	trace *trace.Tracer
+	ctx   *exec.Ctx
 	// concurrentAtStart records that another query was already in flight
 	// when this one registered (approximate GC attribution, see
 	// Stats.AllocApprox).
@@ -573,11 +523,18 @@ func (e *Engine) applyGrant(ctx *exec.Ctx, grant *pages.Grant) {
 	}
 }
 
-// Stats summarizes one query execution.
+// Stats summarizes one query execution. Every counter of the engine's
+// counter table (internal/metrics) has a field here, filled by statsFrom; the
+// remaining fields are derived rates and per-query context.
 type Stats struct {
-	Duration       time.Duration
-	ScannedRows    int64
-	ScannedBytes   int64
+	Duration     time.Duration
+	ScannedRows  int64
+	ScannedBytes int64
+	// TuplesStored counts tuples materialized by operators (join builds,
+	// aggregation, sort, window); Partitioned reports whether any of them
+	// enabled partitioning.
+	TuplesStored   int64
+	Partitioned    bool
 	SpilledBytes   int64 // raw page bytes spilled
 	WrittenBytes   int64 // post-compression bytes written to the array
 	SpillReadBytes int64
@@ -618,6 +575,15 @@ type Stats struct {
 	SpillChecksumErrors  int64
 	SpillReconstructions int64
 	SpillParityBytes     int64
+	// RegLevelChanges counts scheme transitions made by the self-regulating
+	// compression (§4.4); RegMaxLevel is the highest level any operator's
+	// regulator reached on its unified scale.
+	RegLevelChanges int64
+	RegMaxLevel     int64
+	// PeakMemory is the high-water mark of the query's materialization
+	// memory budget — what the query really held at once, to set against
+	// MemoryGrant.
+	PeakMemory int64
 	// TuplesPerSec is scanned tuples divided by execution time — the
 	// paper's headline throughput metric (§6.1).
 	TuplesPerSec float64
@@ -630,13 +596,13 @@ type Stats struct {
 	AdmissionWait time.Duration
 	MemoryGrant   int64
 	// AllocObjects and AllocBytes are the process-wide heap-allocation
-	// deltas (runtime.MemStats Mallocs / TotalAlloc) across the query's
-	// execution phase (plan construction excluded) — the GC-pressure cost
-	// of running it. Approximate under
-	// concurrency: the process-wide counters mix in every other query
-	// running at the same time. AllocApprox reports whether any other
-	// query overlapped this one's measurement window; engine-level totals
-	// (Engine.GCTotals) remain exact sums of these deltas.
+	// deltas (runtime/metrics /gc/heap/allocs:objects and :bytes) across
+	// the query's execution phase (plan construction excluded) — the
+	// GC-pressure cost of running it. Approximate under concurrency: the
+	// process-wide counters mix in every other query running at the same
+	// time. AllocApprox reports whether any other query overlapped this
+	// one's measurement window; engine-level totals (Engine.Totals) remain
+	// exact sums of these deltas.
 	AllocObjects int64
 	AllocBytes   int64
 	// GCPause is the total stop-the-world pause time incurred during the
@@ -715,8 +681,7 @@ func (e *Engine) registerQuery(label string, ctx *exec.Ctx) (*activeQuery, func(
 		id:    e.queryID.Add(1),
 		label: label,
 		start: time.Now(),
-		stats: ctx.Stats,
-		trace: ctx.Trace,
+		ctx:   ctx,
 	}
 	e.qmu.Lock()
 	e.active[q.id] = q
@@ -821,11 +786,9 @@ func (e *Engine) serveCached(ctx *exec.Ctx, key rescache.Key) *Result {
 		return nil
 	}
 	ctx.Close() // frees the query's unused spill lease
-	st := Stats{
-		Duration:        time.Since(start),
-		ResultCacheHit:  true,
-		ResultCacheTier: tier.String(),
-	}
+	st := statsFrom(&metrics.Snapshot{}, time.Since(start))
+	st.ResultCacheHit = true
+	st.ResultCacheTier = tier.String()
 	res := &Result{Batch: b, Stats: st}
 	if ctx.Trace != nil {
 		res.profile = ctx.Trace.Profile(st.Duration)
@@ -873,18 +836,19 @@ func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, planFP uint64, build f
 	defer ctx.Close() // return pooled batches, release budget, free the spill lease
 	start := time.Now()
 	node, err := build()
-	// Snapshot after plan construction: AllocObjects tracks the execution
+	// Sample after plan construction: AllocObjects tracks the execution
 	// hot path the recycling work targets, not per-plan operator setup.
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
+	heap0 := readHeap()
 	var out *data.Batch
 	if err == nil {
 		out, err = exec.Collect(ctx, node)
 	}
-	if s := ctx.Stats; s != nil {
-		e.faults.AddRetries(s.SpillRetries.Load())
-		e.faults.AddFailovers(s.SpillFailovers.Load())
+	dur := time.Since(start)
+	n := ctx.Totals()
+	for i, h := range readHeap() {
+		n[heapCounters[i]] = h - heap0[i]
 	}
+	e.totals.Merge(&n)
 	if err != nil {
 		err = core.WrapQueryError("query", err)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -898,68 +862,17 @@ func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, planFP uint64, build f
 		}
 		return nil, err
 	}
-	dur := time.Since(start)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-	s := ctx.Stats
-	st := Stats{
-		Duration:             dur,
-		ScannedRows:          s.ScannedRows.Load(),
-		ScannedBytes:         s.ScannedBytes.Load(),
-		SpilledBytes:         s.SpilledBytes.Load(),
-		WrittenBytes:         s.WrittenBytes.Load(),
-		SpillReadBytes:       s.SpillReadBytes.Load(),
-		SpilledOps:           s.SpilledOps.Load(),
-		SpillRetries:         s.SpillRetries.Load(),
-		SpillFailovers:       s.SpillFailovers.Load(),
-		SpillStallTime:       time.Duration(s.SpillStallNanos.Load()),
-		PrefetchedPartitions: s.PrefetchedPartitions.Load(),
-		ScanStallTime:        time.Duration(s.ScanStallNanos.Load()),
-		ScanStalls:           s.ScanStalls.Load(),
-		DemandReads:          s.DemandReads.Load(),
-		DemandReadTime:       time.Duration(s.DemandReadNanos.Load()),
-		SpillPagesVerified:   s.SpillPagesVerified.Load(),
-		SpillChecksumErrors:  s.SpillChecksumErrors.Load(),
-		SpillReconstructions: s.SpillReconstructions.Load(),
-		SpillParityBytes:     s.SpillParityBytes.Load(),
-		AdmissionWait:        admitWait,
-		MemoryGrant:          grant.Bytes(),
+	st := statsFrom(&n, dur)
+	st.AdmissionWait = admitWait
+	st.MemoryGrant = e.cfg.MemoryBudget
+	if grant != nil {
+		st.MemoryGrant = grant.Bytes()
 	}
-	if grant == nil {
-		st.MemoryGrant = e.cfg.MemoryBudget
-	}
-	e.spillStallNs.Add(int64(st.SpillStallTime))
-	e.prefetchedParts.Add(st.PrefetchedPartitions)
-	e.scanStallNs.Add(int64(st.ScanStallTime))
-	e.spillVerified.Add(st.SpillPagesVerified)
-	e.spillChecksumErrs.Add(st.SpillChecksumErrors)
-	e.spillReconstructs.Add(st.SpillReconstructions)
-	if dur > 0 {
-		st.TuplesPerSec = float64(st.ScannedRows) / dur.Seconds()
-	}
-	st.CyclesPerByte = metrics.CyclesPerByte(dur, st.ScannedBytes)
-	st.AllocObjects = int64(msAfter.Mallocs - msBefore.Mallocs)
-	st.AllocBytes = int64(msAfter.TotalAlloc - msBefore.TotalAlloc)
-	st.GCPause = time.Duration(msAfter.PauseTotalNs - msBefore.PauseTotalNs)
-	st.NumGC = int64(msAfter.NumGC - msBefore.NumGC)
 	// Approximate attribution if any other query overlapped us: one was
 	// already running when we registered, or one registered after us (its
 	// id is past ours) while we ran.
 	st.AllocApprox = q.concurrentAtStart || e.queryID.Load() > q.id
-	e.gcAllocObjects.Add(st.AllocObjects)
-	e.gcAllocBytes.Add(st.AllocBytes)
-	e.gcPauseNs.Add(int64(st.GCPause))
-	e.gcNumGC.Add(st.NumGC)
-	if hist := s.SchemeHistogram(); len(hist) > 0 {
-		st.Schemes = map[string]int64{}
-		for id, n := range hist {
-			name := "raw"
-			if c := codec.ByID(id); c != nil {
-				name = c.Name()
-			}
-			st.Schemes[name] += n
-		}
-	}
+	st.Schemes = ctx.Stats.Schemes.Load()
 	if cacheable && e.catalogGen.Load() == key.Gen {
 		// Return the query's memory before offering the result: the cache
 		// rents governor headroom, and a lone query's grant is the whole
@@ -977,15 +890,86 @@ func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, planFP uint64, build f
 	res := &Result{Batch: out, Stats: st}
 	if ctx.Trace != nil {
 		res.profile = ctx.Trace.Profile(dur)
-		res.profile.AllocObjects = st.AllocObjects
-		res.profile.AllocBytes = st.AllocBytes
-		res.profile.GCPause = st.GCPause
-		res.profile.NumGC = st.NumGC
+		res.profile.Query = n
 		res.profile.AllocApprox = st.AllocApprox
 		res.profile.AdmissionWait = st.AdmissionWait
 		res.profile.MemoryGrant = st.MemoryGrant
 	}
 	return res, nil
+}
+
+// statsFrom projects a query's counters onto the public Stats — the one
+// hand-written field list downstream of the counter table, pinned to it by
+// TestCounterTableMatchesStats — and derives the rates from dur.
+func statsFrom(n *metrics.Snapshot, dur time.Duration) Stats {
+	st := Stats{
+		Duration:             dur,
+		ScannedRows:          n[metrics.ScannedRows],
+		ScannedBytes:         n[metrics.ScannedBytes],
+		TuplesStored:         n[metrics.TuplesStored],
+		Partitioned:          n[metrics.Partitioned] != 0,
+		SpilledBytes:         n[metrics.SpilledBytes],
+		WrittenBytes:         n[metrics.WrittenBytes],
+		SpillReadBytes:       n[metrics.SpillReadBytes],
+		SpilledOps:           n[metrics.SpilledOps],
+		SpillRetries:         n[metrics.SpillRetries],
+		SpillFailovers:       n[metrics.SpillFailovers],
+		SpillStallTime:       time.Duration(n[metrics.SpillStallNanos]),
+		PrefetchedPartitions: n[metrics.PrefetchedPartitions],
+		ScanStallTime:        time.Duration(n[metrics.ScanStallNanos]),
+		ScanStalls:           n[metrics.ScanStalls],
+		DemandReads:          n[metrics.DemandReads],
+		DemandReadTime:       time.Duration(n[metrics.DemandReadNanos]),
+		SpillPagesVerified:   n[metrics.SpillPagesVerified],
+		SpillChecksumErrors:  n[metrics.SpillChecksumErrors],
+		SpillReconstructions: n[metrics.SpillReconstructions],
+		SpillParityBytes:     n[metrics.SpillParityBytes],
+		RegLevelChanges:      n[metrics.RegLevelChanges],
+		RegMaxLevel:          n[metrics.RegMaxLevel],
+		PeakMemory:           n[metrics.BudgetPeakBytes],
+		AllocObjects:         n[metrics.AllocObjects],
+		AllocBytes:           n[metrics.AllocBytes],
+		GCPause:              time.Duration(n[metrics.GCPauseNanos]),
+		NumGC:                n[metrics.GCCycles],
+	}
+	if dur > 0 {
+		st.TuplesPerSec = float64(st.ScannedRows) / dur.Seconds()
+	}
+	st.CyclesPerByte = metrics.CyclesPerByte(dur, st.ScannedBytes)
+	return st
+}
+
+// heapCounters are the counters readHeap samples, in its order.
+var heapCounters = [4]metrics.Counter{metrics.AllocObjects, metrics.AllocBytes, metrics.GCCycles, metrics.GCPauseNanos}
+
+// heapReader holds the buffers readHeap reads into; pooled, so the two
+// samples a query takes allocate nothing.
+type heapReader struct {
+	samples [3]rtmetrics.Sample
+	gc      debug.GCStats
+}
+
+var heapReaders = sync.Pool{New: func() any {
+	return &heapReader{samples: [3]rtmetrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}}
+}}
+
+// readHeap samples the process-wide counters behind heapCounters: objects and
+// bytes allocated, collections run, and total pause time so far. Neither
+// source stops the world.
+func readHeap() (h [4]int64) {
+	r := heapReaders.Get().(*heapReader)
+	rtmetrics.Read(r.samples[:])
+	debug.ReadGCStats(&r.gc)
+	for i := range r.samples {
+		h[i] = int64(r.samples[i].Value.Uint64())
+	}
+	h[3] = int64(r.gc.PauseTotal)
+	heapReaders.Put(r)
+	return h
 }
 
 // AggMicroPlan builds the paper's §6.3 spilling-aggregation
@@ -1013,8 +997,8 @@ func (e *Engine) TraceQuery(node exec.Node, interval time.Duration) (*Result, []
 	tracer := metrics.NewTracer(interval, func() map[string]float64 {
 		sp := e.spillArr.Stats()
 		tb := e.tableArr.Stats()
-		rows := float64(ctx.Stats.ScannedRows.Load())
-		scanned := float64(ctx.Stats.ScannedBytes.Load())
+		rows := float64(ctx.Stats.Get(metrics.ScannedRows))
+		scanned := float64(ctx.Stats.Get(metrics.ScannedBytes))
 		return map[string]float64{
 			"tuples":      rows,
 			"spill_write": float64(sp.BytesWritten),
@@ -1031,15 +1015,6 @@ func (e *Engine) TraceQuery(node exec.Node, interval time.Duration) (*Result, []
 	if err != nil {
 		return nil, nil, err
 	}
-	dur := time.Since(start)
-	st := Stats{
-		Duration:     dur,
-		ScannedRows:  ctx.Stats.ScannedRows.Load(),
-		ScannedBytes: ctx.Stats.ScannedBytes.Load(),
-		SpilledBytes: ctx.Stats.SpilledBytes.Load(),
-	}
-	if dur > 0 {
-		st.TuplesPerSec = float64(st.ScannedRows) / dur.Seconds()
-	}
-	return &Result{Batch: out, Stats: st}, samples, nil
+	n := ctx.Totals()
+	return &Result{Batch: out, Stats: statsFrom(&n, time.Since(start))}, samples, nil
 }
