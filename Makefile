@@ -1,15 +1,18 @@
 GO ?= go
 
-.PHONY: all tier1 ledger-smoke tier2 race stress chaos bench-vectorize bench-parity bench-rescache profile-smoke clean
+.PHONY: all tier1 ledger-smoke tier2 race stress chaos bench-parity bench-rescache profile-smoke clean
 
 all: tier1
 
 # Tier-1 gate: everything must build, vet clean, and pass tests, the ledger
-# module's included.
+# module's included. The operators run at GOMAXPROCS 1, 2 and 8 as well: the
+# memory budget has to hold at any core count (CI runs the whole suite as
+# that matrix).
 tier1: ledger-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/exec/ || exit 1; done
 
 # The performance ledger (BENCHMARK.json, benchmark/) is a module of its own,
 # so `go build ./...` never compiles it and a signature change under
@@ -36,14 +39,15 @@ race:
 # Multi-query stress gate: concurrent TPC-H mixes through the admission
 # governor and per-query spill leases, under the race detector — overlap
 # regression, 8-query stress, admission cancel/timeout, catalog races,
-# governor unit races, concurrent queries under injected faults, and the
-# mixed-class I/O-scheduler chaos scenario (spill device death plus latency
-# spikes on both arrays under an 8-way scan/spill query mix). Each
-# run re-verifies that concurrent results stay bit-identical to serial
-# runs and that the spill array and governor drain to zero.
+# build-then-admit on one context, a governed TraceQuery, governor unit
+# races, concurrent queries under injected faults, and the mixed-class
+# I/O-scheduler chaos scenario (spill device death plus latency spikes on
+# both arrays under an 8-way scan/spill query mix). Each run re-verifies
+# that concurrent results stay bit-identical to serial runs and that the
+# spill array and governor drain to zero.
 stress:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'TestOverlapping|TestConcurrent|TestAdmission|TestCatalog' .
+		-run 'TestOverlapping|TestConcurrent|TestAdmission|TestCatalog|TestBuildThenRun|TestTraceQueryIsGoverned' .
 	$(GO) test -race -count=1 -timeout 300s -run 'TestGovernor' ./internal/pages/
 	$(GO) test -race -count=1 -timeout 300s -run 'TestConcurrentQueriesUnderTransientFaults|TestMixedClassLoadUnderDeviceChaos|TestLease' \
 		./internal/chaos/ ./internal/nvmesim/
@@ -70,11 +74,6 @@ profile-smoke:
 # failure replays deterministically.
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos/
-
-# Kernel microbenchmarks (expression kernels, batch hash/encode, the
-# phase-2 aggregation merge at 600 k and at 4 groups).
-bench-vectorize:
-	$(GO) test -run=^$$ -bench 'Vectorized|Scalar|HashColumns|HashRow|EncodeAll|EncodeRow|AggMerge' -benchmem ./internal/exec/ ./internal/data/
 
 # Result-reuse gate: the cold/warm-memory/warm-nvme/post-invalidation
 # report, then the warm-hit latency comparison against the committed

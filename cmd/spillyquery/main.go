@@ -1,5 +1,5 @@
 // Command spillyquery runs a TPC-H query against the engine with
-// configurable memory budget, storage placement, and materialization mode,
+// configurable memory budget, storage placement, and baseline engine,
 // printing the result and execution statistics. It is the interactive way
 // to watch Umami switch between in-memory and out-of-memory processing.
 //
@@ -7,7 +7,7 @@
 //
 //	spillyquery -q 1 -sf 0.01
 //	spillyquery -q 9 -sf 0.05 -budget 2097152 -array
-//	spillyquery -q 9 -sf 0.05 -budget 2097152 -mode never -nospill   # fails like an in-memory engine
+//	spillyquery -q 9 -sf 0.05 -budget 2097152 -baseline inmemory    # fails like an in-memory engine
 //	spillyquery -q 9 -sf 0.05 -budget 2097152 -profile               # per-operator profile tree
 //	spillyquery -q 9 -sf 0.5 -serve :8080                            # live /metrics, /queries, pprof
 //	spillyquery -q 9 -sf 0.05 -budget 2097152 -concurrent 8          # 8 admitted copies sharing the budget
@@ -33,8 +33,7 @@ func main() {
 		onArray  = flag.Bool("array", false, "store tables on the simulated NVMe array")
 		workers  = flag.Int("workers", 2, "worker goroutines")
 		compress = flag.Bool("compress", true, "self-regulating compression for spilled data")
-		nospill  = flag.Bool("nospill", false, "disable spilling (fail on OOM)")
-		mode     = flag.String("mode", "adaptive", "materialization mode: adaptive|never|always|spillall")
+		baseline = flag.String("baseline", "adaptive", "engine variant: adaptive|never|inmemory (never partition, fail on OOM)|always|grace|spillall")
 		rows     = flag.Int("rows", 20, "result rows to print")
 		tblDir   = flag.String("tbl", "", "load dbgen-format .tbl files from this directory instead of generating")
 		profile  = flag.Bool("profile", false, "print a per-operator execution profile (EXPLAIN ANALYZE)")
@@ -47,23 +46,24 @@ func main() {
 	)
 	flag.Parse()
 
-	modes := map[string]spilly.Mode{
+	baselines := map[string]spilly.Baseline{
 		"adaptive": spilly.Adaptive,
 		"never":    spilly.NeverPartition,
+		"inmemory": spilly.InMemoryOnly,
 		"always":   spilly.AlwaysPartition,
+		"grace":    spilly.Grace,
 		"spillall": spilly.SpillAll,
 	}
-	m, ok := modes[*mode]
+	bl, ok := baselines[*baseline]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+		fmt.Fprintf(os.Stderr, "unknown baseline %q\n", *baseline)
 		os.Exit(1)
 	}
 
 	eng, err := spilly.Open(spilly.Config{
 		Workers:          *workers,
 		MemoryBudget:     *budget,
-		Mode:             m,
-		DisableSpill:     *nospill,
+		Baseline:         bl,
 		Compression:      *compress,
 		Profile:          *profile,
 		SpillParity:      *parity,

@@ -12,6 +12,7 @@ import (
 	"github.com/spilly-db/spilly/internal/chaos"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/exec"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/tpch"
@@ -436,4 +437,163 @@ func TestCatalogConcurrentRegistration(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestBuildThenRunOnOneContext is the regression test for the budget-swap
+// bug: NewCtx → tpch.BuildQuery → RunCtx is a public sequence, and Q11, Q15
+// and Q22 run scalar subqueries at build time that register clean-ups
+// against the context's budget. Admission used to replace that budget with a
+// fresh one for the grant, so under concurrency (grant ≠ whole budget) the
+// clean-ups released into a budget that had never been charged and the
+// process died with "pages: budget released below zero". The budget is now
+// one object that admission resizes: every run succeeds, matches RunTPCH,
+// and leaves its context's budget at zero.
+func TestBuildThenRunOnOneContext(t *testing.T) {
+	eng, err := Open(Config{Workers: 2, MemoryBudget: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadTPCH(0.02, false); err != nil {
+		t.Fatal(err)
+	}
+	queries := []int{15, 22, 11}
+	want := map[int]string{}
+	for _, q := range queries {
+		res, err := eng.RunTPCH(q)
+		if err != nil {
+			t.Fatalf("reference Q%d: %v", q, err)
+		}
+		want[q] = chaos.Fingerprint(res.Batch)
+	}
+
+	const clients, rounds = 4, 5
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*rounds*len(queries))
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, q := range queries {
+					ctx := eng.NewCtx()
+					node, err := tpch.BuildQuery(ctx, eng.TPCH(), q)
+					if err != nil {
+						ctx.Close()
+						errs <- fmt.Errorf("build Q%d: %w", q, err)
+						continue
+					}
+					res, err := eng.RunCtx(ctx, node)
+					if err != nil {
+						errs <- fmt.Errorf("run Q%d: %w", q, err)
+						continue
+					}
+					if got := chaos.Fingerprint(res.Batch); got != want[q] {
+						errs <- fmt.Errorf("Q%d built before admission differs from RunTPCH", q)
+					}
+					if used := ctx.Budget.Used(); used != 0 {
+						errs <- fmt.Errorf("Q%d context ends with %d budget bytes still reserved", q, used)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if g := eng.GovernorStats(); g.Admitted < clients*rounds*int64(len(queries)) {
+		t.Errorf("governor admitted %d queries, want at least %d", g.Admitted, clients*rounds*len(queries))
+	}
+	assertArrayDrained(t, eng)
+}
+
+// gateNode is a plan node whose Run reports that the query reached execution
+// — admitted and registered — and then holds it there until released.
+type gateNode struct {
+	exec.Node
+	entered, release chan struct{}
+}
+
+func newGate(child exec.Node) *gateNode {
+	return &gateNode{Node: child, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateNode) Run(ctx *exec.Ctx) (*exec.Stream, error) {
+	close(g.entered)
+	<-g.release
+	return g.Node.Run(ctx)
+}
+
+// TestTraceQueryIsGoverned: TraceQuery is the sampler around an ordinary run.
+// On a governed engine it queues for a grant behind a query holding the whole
+// budget, shows up in the query registry while it runs, and is folded into the
+// engine totals and the completed count — it used to run unadmitted on a
+// full-budget context of its own and overcommit memory.
+func TestTraceQueryIsGoverned(t *testing.T) {
+	const budget = 256 << 10
+	eng := loadEngine(t, Config{Workers: 2, MemoryBudget: budget, MemoryFloor: budget})
+
+	holder := newGate(eng.AggMicroPlan())
+	holdDone := make(chan error, 1)
+	go func() {
+		_, err := eng.Run(holder)
+		holdDone <- err
+	}()
+	<-holder.entered
+
+	type traced struct {
+		res     *Result
+		samples int
+		err     error
+	}
+	traceDone := make(chan traced, 1)
+	gate := newGate(eng.AggMicroPlan())
+	go func() {
+		res, samples, err := eng.TraceQuery(gate, 2*time.Millisecond)
+		traceDone <- traced{res, len(samples), err}
+	}()
+	waitUntil(t, "TraceQuery to queue for admission", func() bool { return eng.GovernorStats().Queued == 1 })
+	select {
+	case <-gate.entered:
+		t.Fatal("TraceQuery started executing while another query held the whole budget")
+	default:
+	}
+
+	close(holder.release)
+	if err := <-holdDone; err != nil {
+		t.Fatalf("holder query: %v", err)
+	}
+	<-gate.entered
+	if n := eng.ActiveQueries(); n != 1 {
+		t.Errorf("ActiveQueries = %d while TraceQuery runs, want 1", n)
+	}
+	if qs := eng.queriesSnapshot(); len(qs) != 1 || qs[0].Label != "trace" {
+		t.Errorf("/queries while TraceQuery runs = %+v, want one entry labeled \"trace\"", qs)
+	}
+	if g := eng.GovernorStats(); g.Active != 1 || g.Granted != budget {
+		t.Errorf("governor while TraceQuery runs: %+v, want one active query holding %d", g, budget)
+	}
+	rowsBefore := eng.Totals()[metrics.ScannedRows]
+	completedBefore := eng.Faults().Snapshot().CompletedQueries
+
+	close(gate.release)
+	tr := <-traceDone
+	if tr.err != nil {
+		t.Fatal(tr.err)
+	}
+	st := tr.res.Stats
+	if st.MemoryGrant != budget || st.AdmissionWait <= 0 {
+		t.Errorf("MemoryGrant = %d, AdmissionWait = %v; want %d and a measured wait", st.MemoryGrant, st.AdmissionWait, budget)
+	}
+	if st.SpilledBytes == 0 || tr.samples == 0 {
+		t.Errorf("spilled %d bytes over %d samples; the traced run should spill and be sampled", st.SpilledBytes, tr.samples)
+	}
+	if got := eng.Totals()[metrics.ScannedRows] - rowsBefore; got != st.ScannedRows || got == 0 {
+		t.Errorf("Engine.Totals scanned rows grew by %d, TraceQuery scanned %d", got, st.ScannedRows)
+	}
+	if got := eng.Faults().Snapshot().CompletedQueries - completedBefore; got != 1 {
+		t.Errorf("completed-query count grew by %d, want 1", got)
+	}
+	assertArrayDrained(t, eng)
 }

@@ -132,14 +132,13 @@ func systems() []system {
 			return spilly.Config{Workers: w, MemoryBudget: b, Compression: true, SpillDevices: d}
 		}},
 		{"InMemDB", "in-memory engine (Hyper)", func(b int64, w, d int) spilly.Config {
-			return spilly.Config{Workers: w, MemoryBudget: b, Mode: spilly.NeverPartition, DisableSpill: true}
+			return spilly.Config{Workers: w, MemoryBudget: b, Baseline: spilly.InMemoryOnly}
 		}},
 		{"HybridDB", "partitioning OOM-capable engine (DuckDB)", func(b int64, w, d int) spilly.Config {
-			return spilly.Config{Workers: w, MemoryBudget: b, Mode: spilly.AlwaysPartition, SpillDevices: d}
+			return spilly.Config{Workers: w, MemoryBudget: b, Baseline: spilly.AlwaysPartition, SpillDevices: d}
 		}},
 		{"PartDB", "HDD-era robust engine (Column Store S)", func(b int64, w, d int) spilly.Config {
-			return spilly.Config{Workers: w, MemoryBudget: b, Mode: spilly.AlwaysPartition,
-				ForceGrace: true, NoPreAgg: true, SpillDevices: 1}
+			return spilly.Config{Workers: w, MemoryBudget: b, Baseline: spilly.Grace, SpillDevices: 1}
 		}},
 	}
 }

@@ -40,13 +40,13 @@ func init() {
 func inMemVariants(adaptive bool) []system {
 	v := []system{
 		{"partitioning", "grace join + partitioning aggregation", func(b int64, w, d int) spilly.Config {
-			return spilly.Config{Workers: w, Mode: spilly.AlwaysPartition, ForceGrace: true, NoPreAgg: true}
+			return spilly.Config{Workers: w, Baseline: spilly.Grace}
 		}},
 		{"hybrid", "hybrid hash join (always partitions build side)", func(b int64, w, d int) spilly.Config {
-			return spilly.Config{Workers: w, Mode: spilly.AlwaysPartition}
+			return spilly.Config{Workers: w, Baseline: spilly.AlwaysPartition}
 		}},
 		{"non-partitioning", "simple hash join + plain aggregation", func(b int64, w, d int) spilly.Config {
-			return spilly.Config{Workers: w, Mode: spilly.NeverPartition}
+			return spilly.Config{Workers: w, Baseline: spilly.NeverPartition}
 		}},
 	}
 	if adaptive {

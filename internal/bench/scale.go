@@ -247,9 +247,9 @@ func runHybridVsSpillAll(w io.Writer, o Options) error {
 	for _, sf := range sfs {
 		var spilledB [2]int64
 		var times [2]time.Duration
-		for i, mode := range []spilly.Mode{spilly.SpillAll, spilly.Adaptive} {
+		for i, baseline := range []spilly.Baseline{spilly.SpillAll, spilly.Adaptive} {
 			eng, err := newEngine(spilly.Config{
-				Workers: o.workers(), MemoryBudget: budget, Mode: mode, Compression: true,
+				Workers: o.workers(), MemoryBudget: budget, Baseline: baseline, Compression: true,
 			}, sf, true)
 			if err != nil {
 				return err
@@ -258,7 +258,7 @@ func runHybridVsSpillAll(w io.Writer, o Options) error {
 				spilledB[i] += s.SpilledBytes
 			})
 			if err != nil {
-				return fmt.Errorf("mode %d SF %g: %w", mode, sf, err)
+				return fmt.Errorf("baseline %d SF %g: %w", baseline, sf, err)
 			}
 			times[i] = total
 		}

@@ -87,8 +87,6 @@ type Config struct {
 	// rented from. The cache registers itself as the governor's pressure
 	// callback.
 	Gov *pages.Governor
-	// Scale is the compression scale for demotion; nil = core.DefaultScale.
-	Scale []codec.ID
 	// RestoreOverhead is the fixed per-restore latency estimate added on
 	// top of size/bandwidth in the cost-based admission test. 0 defaults
 	// to 500µs.
@@ -185,7 +183,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:     cfg,
 		entries: make(map[Key]*entry),
-		reg:     core.NewRegulator(cfg.Scale, 8),
+		reg:     core.NewRegulator(8),
 		// Start the frame sequence space high so cache frames are
 		// trivially distinguishable from query spill frames in dumps.
 		seq: 1 << 30,

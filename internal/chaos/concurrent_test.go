@@ -10,12 +10,14 @@ import (
 	spilly "github.com/spilly-db/spilly"
 	"github.com/spilly-db/spilly/internal/chaos"
 	"github.com/spilly-db/spilly/internal/nvmesim"
+	"github.com/spilly-db/spilly/internal/tpch"
 	"github.com/spilly-db/spilly/internal/uring"
 )
 
-// concurrentCfg pins the Umami tuning so per-grant retuning cannot change
-// partitioning between the serial baseline and the concurrent runs, and
-// uses the smallest load/budget pair at which Q9 and Q12 both spill.
+// concurrentCfg caps Umami's fan-out well below the defaults and uses the
+// smallest load/budget pair at which Q9 and Q12 both spill. Each query still
+// derives its partitions from its own grant, so the serial baseline and the
+// concurrent runs may partition differently; fingerprints are order-free.
 func concurrentCfg() spilly.Config {
 	return spilly.Config{
 		Workers:      2,
@@ -114,6 +116,79 @@ func TestConcurrentQueriesUnderTransientFaults(t *testing.T) {
 	}
 	if g := eng.GovernorStats(); g.Granted != 0 || g.Active != 0 || g.Queued != 0 {
 		t.Errorf("governor not drained after faulted concurrent run: %+v", g)
+	}
+}
+
+// TestBuildThenAdmitUnderTransientFaults runs the public NewCtx →
+// tpch.BuildQuery → RunCtx sequence on one context per query, concurrently
+// and under transient faults. Q11, Q15 and Q22 execute scalar subqueries at
+// build time, before admission: what they reserved and spilled under the
+// whole budget must be released into the same budget, and freed from the
+// same lease, that the admitted run then uses at its grant.
+func TestBuildThenAdmitUnderTransientFaults(t *testing.T) {
+	queries := []int{15, 22, 11}
+
+	ref := newConcurrentEngine(t)
+	want := map[int]string{}
+	for _, q := range queries {
+		res, err := ref.RunTPCH(q)
+		if err != nil {
+			t.Fatalf("baseline Q%d: %v", q, err)
+		}
+		want[q] = chaos.Fingerprint(res.Batch)
+	}
+
+	eng := newConcurrentEngine(t)
+	chaos.Schedule{
+		Seed:         11,
+		ReadErrRate:  0.05,
+		WriteErrRate: 0.05,
+		SpikeRate:    0.02,
+		SpikeLatency: 200 * time.Microsecond,
+	}.Apply(eng.SpillArray())
+
+	const clients = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*len(queries)*3)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range queries {
+				ctx := eng.NewCtx()
+				node, err := tpch.BuildQuery(ctx, eng.TPCH(), q)
+				if err != nil {
+					ctx.Close()
+					errs <- fmt.Errorf("build Q%d under faults: %w", q, err)
+					continue
+				}
+				res, err := eng.RunCtx(ctx, node)
+				if err != nil {
+					errs <- fmt.Errorf("run Q%d under faults: %w", q, err)
+					continue
+				}
+				if got := chaos.Fingerprint(res.Batch); got != want[q] {
+					errs <- fmt.Errorf("Q%d built before admission differs from its fault-free RunTPCH result", q)
+				}
+				if used := ctx.Budget.Used(); used != 0 {
+					errs <- fmt.Errorf("Q%d context ends with %d budget bytes still reserved", q, used)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := eng.SpillArray().LiveExtents(); n != 0 {
+		t.Errorf("%d extents live after the run", n)
+	}
+	if n := eng.SpillArray().Leases(); n != 0 {
+		t.Errorf("%d leases live after all queries finished", n)
+	}
+	if g := eng.GovernorStats(); g.Granted != 0 || g.Active != 0 || g.Queued != 0 {
+		t.Errorf("governor not drained: %+v", g)
 	}
 }
 

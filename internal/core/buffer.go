@@ -76,17 +76,12 @@ type SpillConfig struct {
 	// Nil leaves allocations unleased (single-query benches that Reset the
 	// array between runs).
 	Lease *nvmesim.Lease
-	// Compress enables self-regulating compression with the given scale
-	// (nil scale = DefaultScale when Compress is true).
+	// Compress enables self-regulating compression over DefaultScale.
 	Compress bool
-	Scale    []codec.ID
 	// RunN is the regulator run length in pages (default 2× MaxAhead).
 	RunN int
 	// MaxAhead bounds in-flight write requests per thread (default 32).
 	MaxAhead int
-	// FlushAt is the staging flush threshold in bytes (default: page size,
-	// the paper's 64 KiB minimum write).
-	FlushAt int
 	// Parity enables spill integrity: every spilled page is wrapped in a
 	// checksummed frame, and every Parity staging-block writes form an XOR
 	// parity stripe group so a lost or corrupt block is reconstructed on
@@ -112,8 +107,6 @@ type Config struct {
 	Ctx context.Context
 	// PageSize is the materialization page size (default 64 KiB).
 	PageSize int
-	// FixedTupleSize selects the fixed-layout page format; 0 = slotted.
-	FixedTupleSize int
 	// Partitions is the partition count once partitioning activates; a
 	// power of two, at most MaxPartitions (default 64).
 	Partitions int
@@ -155,14 +148,6 @@ func (c *Config) withDefaults() Config {
 			// spill produces; the paper's 2x-queue-depth default assumes
 			// millions of spilled pages.
 			s.RunN = 8
-		}
-		if s.FlushAt <= 0 {
-			// The paper's staging areas write out at >= 64 KiB regardless
-			// of the page size (§5.3).
-			s.FlushAt = out.PageSize
-			if s.FlushAt < 64<<10 {
-				s.FlushAt = 64 << 10
-			}
 		}
 		out.Spill = &s
 	}
@@ -257,7 +242,7 @@ func (s *Shared) NewBuffer() *Buffer {
 		output:    make([]*pages.Page, 1),
 		perPart:   make([][]*pages.Page, cfg.Partitions),
 		partBytes: make([]int64, cfg.Partitions),
-		pool:      pages.NewPool(cfg.PageSize, cfg.FixedTupleSize, cfg.Budget),
+		pool:      pages.NewPool(cfg.PageSize, 0, cfg.Budget),
 	}
 	if s.partitionOn.Load() {
 		b.enablePartitioning()
@@ -267,9 +252,9 @@ func (s *Shared) NewBuffer() *Buffer {
 		ring.SetLease(cfg.Spill.Lease)
 		ring.Bind(cfg.Spill.Sched, uring.ClassSpillWrite, cfg.Spill.Query)
 		if cfg.Spill.Compress {
-			b.reg = NewRegulator(cfg.Spill.Scale, cfg.Spill.RunN)
+			b.reg = NewRegulator(cfg.Spill.RunN)
 		}
-		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.FlushAt, cfg.Spill.MaxAhead, cfg.Spill.Parity, &s.frameSeq)
+		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.MaxAhead, cfg.Spill.Parity, &s.frameSeq)
 	}
 	return b
 }

@@ -51,8 +51,7 @@ const (
 // unified scale; if CPU cost dominates, it steps down. One Regulator per
 // worker thread; not safe for concurrent use.
 type Regulator struct {
-	scale []codec.ID
-	level int
+	level int // position on DefaultScale
 	runN  int
 
 	// Accumulators for the current run.
@@ -72,21 +71,18 @@ type Regulator struct {
 	scratch        []byte
 }
 
-// NewRegulator returns a regulator over the given scale starting at level 0
+// NewRegulator returns a regulator over DefaultScale starting at level 0
 // (uncompressed). runN is the number of pages per measurement run; the
 // paper defaults to 2× the I/O queue depth.
-func NewRegulator(scale []codec.ID, runN int) *Regulator {
-	if len(scale) == 0 {
-		scale = DefaultScale
-	}
+func NewRegulator(runN int) *Regulator {
 	if runN <= 0 {
 		runN = 16
 	}
-	return &Regulator{scale: scale, runN: runN}
+	return &Regulator{runN: runN}
 }
 
 // Scheme returns the currently selected codec ID.
-func (r *Regulator) Scheme() codec.ID { return r.scale[r.level] }
+func (r *Regulator) Scheme() codec.ID { return DefaultScale[r.level] }
 
 // Level returns the current position on the unified scale.
 func (r *Regulator) Level() int { return r.level }
@@ -118,7 +114,7 @@ func (r *Regulator) ObserveIO(c uring.Completion, inflight int) {
 // scheme it returns src unchanged. The returned slice is only valid until
 // the next CompressPage call.
 func (r *Regulator) CompressPage(src []byte) ([]byte, codec.ID) {
-	id := r.scale[r.level]
+	id := DefaultScale[r.level]
 	r.pagesInRun++
 	r.pagesPerScheme[id]++
 	r.rawBytes += float64(len(src))
@@ -160,10 +156,10 @@ func (r *Regulator) adjust() {
 		// run's completions will tell us which way to move.
 		return
 	}
-	ratio := r.outBytes / r.rawBytes            // compressed fraction
-	ioCostPerRaw := r.ioNs / r.ioBytes * ratio  // ns per *source* byte at current ratio
+	ratio := r.outBytes / r.rawBytes           // compressed fraction
+	ioCostPerRaw := r.ioNs / r.ioBytes * ratio // ns per *source* byte at current ratio
 	switch {
-	case ioCostPerRaw > cpuCost*regUpThreshold && r.level < len(r.scale)-1:
+	case ioCostPerRaw > cpuCost*regUpThreshold && r.level < len(DefaultScale)-1:
 		r.level++
 		r.levelChanges++
 		if r.level > r.maxLevel {

@@ -36,14 +36,14 @@ func feedRun(r *Regulator, opNsPerByte, ioNsPerByte float64) {
 }
 
 func TestRegulatorStartsUncompressed(t *testing.T) {
-	r := NewRegulator(nil, 4)
+	r := NewRegulator(4)
 	if r.Scheme() != codec.None {
 		t.Fatalf("initial scheme = %v, want None", r.Scheme())
 	}
 }
 
 func TestRegulatorStepsUpWhenIOBound(t *testing.T) {
-	r := NewRegulator(nil, 4)
+	r := NewRegulator(4)
 	// I/O is vastly more expensive than CPU: compression should escalate.
 	for i := 0; i < 20; i++ {
 		feedRun(r, 0.01, 50.0)
@@ -54,7 +54,7 @@ func TestRegulatorStepsUpWhenIOBound(t *testing.T) {
 }
 
 func TestRegulatorStaysOffWhenCPUBound(t *testing.T) {
-	r := NewRegulator(nil, 4)
+	r := NewRegulator(4)
 	// CPU dominates: the regulator must stay uncompressed.
 	for i := 0; i < 20; i++ {
 		feedRun(r, 5.0, 0.01)
@@ -65,7 +65,7 @@ func TestRegulatorStaysOffWhenCPUBound(t *testing.T) {
 }
 
 func TestRegulatorComesBackDown(t *testing.T) {
-	r := NewRegulator(nil, 4)
+	r := NewRegulator(4)
 	for i := 0; i < 20; i++ {
 		feedRun(r, 0.01, 50.0)
 	}
@@ -85,7 +85,7 @@ func TestRegulatorComesBackDown(t *testing.T) {
 func TestRegulatorEquilibriumStable(t *testing.T) {
 	// Long runs average out wall-clock measurement noise on the real
 	// compression timings.
-	r := NewRegulator(nil, 16)
+	r := NewRegulator(16)
 	for i := 0; i < 10; i++ {
 		feedRun(r, 0.5, 1.0)
 	}
@@ -108,7 +108,7 @@ func TestRegulatorEquilibriumStable(t *testing.T) {
 }
 
 func TestRegulatorHoldsWithoutIO(t *testing.T) {
-	r := NewRegulator(nil, 4)
+	r := NewRegulator(4)
 	for i := 0; i < 20; i++ {
 		feedRun(r, 0.01, 50.0)
 	}
@@ -134,12 +134,12 @@ func TestRegulatorHoldsWithoutIO(t *testing.T) {
 }
 
 func TestRegulatorRoundTripsAllSchemes(t *testing.T) {
-	r := NewRegulator(nil, 1)
+	r := NewRegulator(1)
 	page := bytes.Repeat([]byte("spill data spill data "), 100)
-	for li := range r.scale {
+	for li := range DefaultScale {
 		r.level = li
 		out, id := r.CompressPage(page)
-		if id != r.scale[li] {
+		if id != DefaultScale[li] {
 			t.Fatalf("scheme mismatch at level %d", li)
 		}
 		if id == codec.None {
@@ -156,7 +156,7 @@ func TestRegulatorRoundTripsAllSchemes(t *testing.T) {
 }
 
 func TestRegulatorHistogram(t *testing.T) {
-	r := NewRegulator(nil, 4)
+	r := NewRegulator(4)
 	page := bytes.Repeat([]byte("x y z "), 100)
 	for i := 0; i < 8; i++ {
 		r.CompressPage(page)
@@ -172,7 +172,7 @@ func TestRegulatorHistogram(t *testing.T) {
 }
 
 func TestRegulatorIgnoresFailedIO(t *testing.T) {
-	r := NewRegulator(nil, 2)
+	r := NewRegulator(2)
 	r.ObserveIO(uring.Completion{Err: codec.ErrCorrupt, N: 100, Latency: time.Hour}, 1)
 	if r.ioBytes != 0 {
 		t.Fatal("failed completion counted toward I/O cost")

@@ -128,10 +128,10 @@ type spillWriter struct {
 	scratch  []uring.Completion
 }
 
-func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, flushAt, maxAhead, parity int, seqc *atomic.Uint32) *spillWriter {
-	if flushAt < nvmesim.BlockSize {
-		flushAt = pages.DefaultPageSize
-	}
+func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, maxAhead, parity int, seqc *atomic.Uint32) *spillWriter {
+	// The paper's staging areas write out at >= 64 KiB regardless of the
+	// page size (§5.3).
+	flushAt := max(pool.PageSize(), 64<<10)
 	if maxAhead <= 0 {
 		maxAhead = 32
 	}

@@ -199,38 +199,25 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	// group count (§4.4) — the tuple count only bounds it from above, and
 	// overshoots by the factor pre-aggregation failed to merge.
 	sketches := make([]hll.Sketch, workers)
-	err = runWorkers("agg", workers, func(w int) error {
-		done := false
-		defer func() {
-			if !done {
-				in.Abandon(w)
-			}
-		}()
+	err = drainWorkers(ctx, "agg", in, func(w int) (func(*data.Batch) error, func() error) {
 		aw := newAggWorker(a, keyCols, shared.NewBuffer(), &sketches[w], !a.DisablePreAgg && !ctx.NoPreAgg)
-		b := ctx.BatchPool(inSchema).Get()
-		defer b.Release()
-		for {
-			n, err := in.Next(w, b)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				done = true
-				aw.flushAll()
-				return aw.buf.Finish()
-			}
+		consume := func(b *data.Batch) error {
 			aw.consume(b)
+			return nil
 		}
+		finish := func() error {
+			aw.flushAll()
+			return aw.buf.Finish()
+		}
+		return consume, finish
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := shared.Finalize()
+	res, err := ctx.finalize(sp, shared)
 	if err != nil {
 		return nil, err
 	}
-	ctx.AddCleanup(func() { res.ReleaseMemory(ctx.Budget) })
-	ctx.reportResult(sp, res)
 	ctx.spanPhase(sp, pc)
 
 	for w := 1; w < workers; w++ {

@@ -31,16 +31,20 @@ type Ctx struct {
 	// Workers is the number of worker goroutines per pipeline.
 	Workers int
 	// Budget is the query's materialization memory budget (shared by all
-	// materializing operators, per the engine-wide budget Spilly uses).
+	// materializing operators, per the engine-wide budget Spilly uses). It is
+	// one object for the context's whole life — admission resizes it, nothing
+	// replaces it — so every reservation and every clean-up meets it.
 	Budget *pages.Budget
 	// Mode is the materialization strategy for all operators (Umami's
 	// adaptive mode by default; baselines for the paper's experiments).
 	Mode core.Mode
 	// Spill enables out-of-memory processing (nil = in-memory only).
 	Spill *core.SpillConfig
-	// PageSize for materialization (0 = 64 KiB default).
-	PageSize int
-	// Partitions per operator (0 = core.MaxPartitions, i.e. 64).
+	// PageSize and Partitions are upper bounds on the materialization page
+	// size and the per-operator partition count (0 = 64 KiB, 64). What an
+	// operator really gets is derived from them, Budget and Workers by
+	// fanOut when it starts.
+	PageSize   int
 	Partitions int
 	// PartitionAt is the adaptive partition trigger fraction
 	// (0 = core.DefaultPartitionAt).
@@ -173,19 +177,62 @@ func (c *Ctx) newPartitionScheduler(items []core.PartitionWork, stripes []*core.
 	return s
 }
 
-// pageSize returns the materialization page size, defaulted.
-func (c *Ctx) pageSize() int {
-	if c.PageSize <= 0 {
-		return pages.DefaultPageSize
+// minPageSize is the smallest page fanOut shrinks to. Tuples larger than a
+// page are unsupported (§5.3), so below this the invariant gives way instead.
+const minPageSize = 1 << 10
+
+// fanOut decides Umami's fan-out — partitions per operator and page size —
+// for a context of workers threads under a budget of limit bytes (§5.3). Every
+// worker of a partitioning operator holds one active page per partition, and
+// pages that never fill are never evicted, so that active set (workers ×
+// partitions × page size) is the part of the budget spilling cannot reclaim.
+// A query pipelines several materializing operators at once (Q9 holds five
+// join builds): with nothing pinned the set is tuned to about 1/16 of the
+// budget. Pinned values are upper bounds, and whatever the source the set
+// never exceeds half the budget, down to 2 partitions of minPageSize.
+func fanOut(limit int64, workers, maxParts, maxPage int) (parts, pageSize int) {
+	parts, pageSize = maxParts, maxPage
+	if parts <= 0 {
+		parts = core.MaxPartitions
 	}
-	return c.PageSize
+	if pageSize <= 0 {
+		pageSize = pages.DefaultPageSize
+	}
+	if limit <= 0 {
+		return parts, pageSize
+	}
+	shrink := func(target int64, minParts, minPage int) {
+		for parts > minParts && int64(workers*parts*pageSize) > target {
+			parts /= 2
+		}
+		for pageSize >= 2*minPage && int64(workers*parts*pageSize) > target {
+			pageSize /= 2
+		}
+	}
+	if maxParts <= 0 && maxPage <= 0 {
+		shrink(limit/16, 8, 4<<10)
+	}
+	shrink(limit/2, 2, minPageSize)
+	return parts, pageSize
+}
+
+// fanOut is the context's fan-out under its budget as it stands now.
+func (c *Ctx) fanOut() (parts, pageSize int) {
+	return fanOut(c.Budget.Limit(), c.workers(), c.Partitions, c.PageSize)
+}
+
+// pageSize returns the materialization page size operators run with.
+func (c *Ctx) pageSize() int {
+	_, pageSize := c.fanOut()
+	return pageSize
 }
 
 func (c *Ctx) coreConfig() core.Config {
+	parts, pageSize := c.fanOut()
 	return core.Config{
 		Ctx:         c.Context,
-		PageSize:    c.PageSize,
-		Partitions:  c.Partitions,
+		PageSize:    pageSize,
+		Partitions:  parts,
 		Budget:      c.Budget,
 		PartitionAt: c.PartitionAt,
 		Mode:        c.Mode,
@@ -209,6 +256,19 @@ func (c *Ctx) report(sp *trace.Span, n *metrics.Snapshot) {
 		c.Stats.Merge(n)
 	}
 	sp.Merge(n)
+}
+
+// finalize ends an operator's materialization phase once its workers have
+// finished their buffers: the merged result is reported, and the pages it
+// keeps in memory stay reserved until the query closes.
+func (c *Ctx) finalize(sp *trace.Span, shared *core.Shared) (*core.Result, error) {
+	r, err := shared.Finalize()
+	if err != nil {
+		return nil, err
+	}
+	c.AddCleanup(func() { r.ReleaseMemory(c.Budget) })
+	c.reportResult(sp, r)
+	return r, nil
 }
 
 // reportResult reports a finished materialization phase: its counters and
@@ -316,22 +376,38 @@ func runWorkers(op string, workers int, fn func(w int) error) error {
 }
 
 // Drain consumes a stream to completion, calling sink for every batch.
-// sink is called concurrently from different workers. Workers that fail —
-// by error or by Umami's out-of-memory panic — abandon the stream so that
-// streams with internal barriers release the surviving workers.
+// sink is called concurrently from different workers.
 func Drain(ctx *Ctx, s *Stream, sink func(w int, b *data.Batch) error) error {
-	return runWorkers("drain", ctx.workers(), func(w int) error {
+	return drainWorkers(ctx, "drain", s, func(w int) (func(*data.Batch) error, func() error) {
+		if sink == nil {
+			return nil, nil
+		}
+		return func(b *data.Batch) error { return sink(w, b) }, nil
+	})
+}
+
+// drainWorkers is the consume loop every blocking operator runs: each of the
+// context's workers leases one batch and pulls from s until its share of the
+// stream ends, checking for cancellation between batches. start runs once on
+// worker w's goroutine and returns that worker's sink, called for every
+// batch, and finish, called after its last one; either may be nil. Workers
+// that fail — by error or by Umami's out-of-memory panic — abandon the
+// stream so that streams with internal barriers release the surviving
+// workers.
+func drainWorkers(ctx *Ctx, op string, s *Stream, start func(w int) (sink func(b *data.Batch) error, finish func() error)) error {
+	return runWorkers(op, ctx.workers(), func(w int) error {
 		done := false
 		defer func() {
 			if !done {
 				s.Abandon(w)
 			}
 		}()
+		sink, finish := start(w)
 		b := ctx.BatchPool(s.schema).Get()
 		defer b.Release()
 		for {
 			if err := ctx.canceled(); err != nil {
-				return core.WrapQueryError("drain", err)
+				return core.WrapQueryError(op, err)
 			}
 			n, err := s.Next(w, b)
 			if err != nil {
@@ -339,10 +415,13 @@ func Drain(ctx *Ctx, s *Stream, sink func(w int, b *data.Batch) error) error {
 			}
 			if n == 0 {
 				done = true
+				if finish != nil {
+					return finish()
+				}
 				return nil
 			}
 			if sink != nil {
-				if err := sink(w, b); err != nil {
+				if err := sink(b); err != nil {
 					return err
 				}
 			}

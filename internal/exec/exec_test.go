@@ -376,8 +376,8 @@ func TestJoinModesEquivalent(t *testing.T) {
 	for _, kind := range []JoinKind{Inner, Semi, Anti, Outer} {
 		ref := joinRowSet(t, runJoin(t, testCtx(2), kind, false, 8000, 70))
 		configs := map[string]func() *data.Batch{
-			"spill": func() *data.Batch { return runJoin(t, spillCtx(2, 96), kind, false, 8000, 70) },
-			"grace": func() *data.Batch { return runJoin(t, testCtx(2), kind, true, 8000, 70) },
+			"spill":       func() *data.Batch { return runJoin(t, spillCtx(2, 96), kind, false, 8000, 70) },
+			"grace":       func() *data.Batch { return runJoin(t, testCtx(2), kind, true, 8000, 70) },
 			"grace-spill": func() *data.Batch { return runJoin(t, spillCtx(2, 96), kind, true, 8000, 70) },
 			"always-partition": func() *data.Batch {
 				ctx := testCtx(2)
@@ -403,6 +403,13 @@ func TestJoinActuallySpills(t *testing.T) {
 	}
 	if ctx.Stats.Get(metrics.SpillReadBytes) == 0 {
 		t.Fatal("join spilled but never read back")
+	}
+	// What the budget cannot reclaim is the active set fanOut allowed, once
+	// for the build side and once for the probe side.
+	parts, pageSize := ctx.fanOut()
+	if slack := int64(2 * ctx.Workers * parts * pageSize); ctx.Budget.Peak() > ctx.Budget.Limit()+slack {
+		t.Fatalf("join peaked at %d bytes: over its %d-byte budget by more than two active sets of %d × %d × %d bytes",
+			ctx.Budget.Peak(), ctx.Budget.Limit(), ctx.Workers, parts, pageSize)
 	}
 }
 

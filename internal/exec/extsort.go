@@ -56,52 +56,35 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 	rc := data.NewRowCodec(schema.Types())
 	keyCols := indicesOf(schema, sortCols(s.Keys))
 
-	pageSize := ctx.PageSize
-	if pageSize == 0 {
-		pageSize = pages.DefaultPageSize
-	}
+	pageSize := ctx.pageSize()
 
 	var mu sync.Mutex
 	var runs []*sortRun
 
-	err = runWorkers("sort", ctx.workers(), func(w int) error {
-		done := false
-		defer func() {
-			if !done {
-				in.Abandon(w)
-			}
-		}()
+	err = drainWorkers(ctx, "sort", in, func(int) (func(*data.Batch) error, func() error) {
 		g := &runGenerator{
 			sorter: s, ctx: ctx, rc: rc, keyCols: keyCols,
 			pageSize: pageSize,
 			pool:     pages.NewPool(pageSize, 0, ctx.Budget),
 			sp:       sp,
 		}
-		b := ctx.BatchPool(schema).Get()
-		defer b.Release()
-		for {
-			n, err := in.Next(w, b)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				done = true
-				rs, err := g.finish()
-				if err != nil {
-					return err
-				}
-				ctx.report(sp, &metrics.Snapshot{metrics.TuplesStored: g.tuples})
-				mu.Lock()
-				runs = append(runs, rs...)
-				mu.Unlock()
-				return nil
-			}
-			for i := 0; i < n; i++ {
+		add := func(b *data.Batch) error {
+			for i, n := 0, b.Rows(); i < n; i++ {
 				if err := g.add(b, b.Row(i)); err != nil {
 					return err
 				}
 			}
+			return nil
 		}
+		finish := func() error {
+			rs := g.finish()
+			ctx.report(sp, &metrics.Snapshot{metrics.TuplesStored: g.tuples})
+			mu.Lock()
+			runs = append(runs, rs...)
+			mu.Unlock()
+			return nil
+		}
+		return add, finish
 	})
 	if err != nil {
 		return nil, err
@@ -249,13 +232,13 @@ func (g *runGenerator) spillRun() error {
 
 // finish sorts the resident tail into a final in-memory run (zero copy:
 // the run keeps the backing pages plus the sorted refs).
-func (g *runGenerator) finish() ([]*sortRun, error) {
+func (g *runGenerator) finish() []*sortRun {
 	if len(g.refs) > 0 {
 		g.sortRefs()
 		g.runs = append(g.runs, &sortRun{pgs: g.pgs, refs: g.refs})
 		g.pgs, g.refs, g.cur = nil, nil, nil
 	}
-	return g.runs, nil
+	return g.runs
 }
 
 // runCursor iterates one sorted run's tuples in order, prefetching spilled
@@ -466,8 +449,8 @@ func (h *mergeHeap) Less(i, j int) bool {
 	}
 	return false
 }
-func (h *mergeHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{})  { h.items = append(h.items, x.(mergeItem)) }
+func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
 func (h *mergeHeap) Pop() interface{} {
 	old := h.items
 	n := len(old)

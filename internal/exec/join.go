@@ -148,60 +148,42 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 	shared := core.NewShared(cfg)
 	workers := ctx.workers()
 	parts := cfg.Partitions
-	if parts <= 0 {
-		parts = core.MaxPartitions
-	}
 	shiftP := uint(64 - log2(uint64(parts)))
 	// Per-worker, per-partition HyperLogLog sketches: partition routing
 	// consumes the hash prefix, so slicing the sketches the same way yields
 	// a statistically valid distinct estimate per partition — the hint
 	// phase 2 sizes each partition's hash table from (§4.4).
 	sketches := make([][]*hll.Sketch, workers)
-	err = runWorkers("join-build", workers, func(w int) error {
-		done := false
-		defer func() {
-			if !done {
-				bs.Abandon(w)
-			}
-		}()
+	err = drainWorkers(ctx, "join-build", bs, func(w int) (func(*data.Batch) error, func() error) {
 		buf := shared.NewBuffer()
 		skp := make([]*hll.Sketch, parts)
 		sketches[w] = skp
-		b := ctx.BatchPool(bSchema).Get()
-		defer b.Release()
-		var be batchEncoder
-		for {
-			n, err := bs.Next(w, b)
-			if err != nil {
-				return err
+		// The HyperLogLog sketch computes a key hash anyway; Umami reuses it
+		// for adaptive partitioning (§4.5).
+		sketch := func(i int, h uint64) {
+			p := int(h >> shiftP)
+			sk := skp[p]
+			if sk == nil {
+				sk = hll.New()
+				skp[p] = sk
 			}
-			if n == 0 {
-				done = true
-				return buf.Finish()
-			}
-			// Batch materialization: hashing, sizing, and encoding all run
-			// column-at-a-time. The HyperLogLog sketch computes a key hash
-			// anyway; Umami reuses it for adaptive partitioning (§4.5).
-			be.materialize(buf, rcB, b, bKeyCols, func(i int, h uint64) {
-				p := int(h >> shiftP)
-				sk := skp[p]
-				if sk == nil {
-					sk = hll.New()
-					skp[p] = sk
-				}
-				sk.Add(h)
-			})
+			sk.Add(h)
 		}
+		var be batchEncoder
+		return func(b *data.Batch) error {
+			// Batch materialization: hashing, sizing, and encoding all run
+			// column-at-a-time.
+			be.materialize(buf, rcB, b, bKeyCols, sketch)
+			return nil
+		}, buf.Finish
 	})
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	bres, err := shared.Finalize()
+	bres, err := ctx.finalize(sp, shared)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	ctx.AddCleanup(func() { bres.ReleaseMemory(ctx.Budget) })
-	ctx.reportResult(sp, bres)
 	// Merge the sketch grid: per-partition estimates feed phase-2 table
 	// sizing; their union (register-wise max is associative) sizes the
 	// global in-memory table exactly as the single sketch used to.
@@ -525,14 +507,12 @@ func (jw *joinWorker) finalizeProbe() error {
 	var ferr error
 	js.finalOnce.Do(func() {
 		if js.pshared != nil {
-			pres, err := js.pshared.Finalize()
+			pres, err := js.ctx.finalize(js.sp, js.pshared)
 			if err != nil {
 				ferr = err
 				return
 			}
 			js.pres = pres
-			js.ctx.AddCleanup(func() { pres.ReleaseMemory(js.ctx.Budget) })
-			js.ctx.reportResult(js.sp, pres)
 		}
 		for p := 0; p < js.bres.Partitions; p++ {
 			if js.mask&(1<<uint(p)) != 0 {

@@ -113,40 +113,23 @@ func (w *Window) Run(ctx *Ctx) (*Stream, error) {
 	partCols := indicesOf(inSchema, w.PartitionBy)
 
 	shared := core.NewShared(ctx.coreConfig())
-	err = runWorkers("window", ctx.workers(), func(wk int) error {
-		done := false
-		defer func() {
-			if !done {
-				in.Abandon(wk)
-			}
-		}()
+	err = drainWorkers(ctx, "window", in, func(int) (func(*data.Batch) error, func() error) {
 		buf := shared.NewBuffer()
-		b := ctx.BatchPool(inSchema).Get()
-		defer b.Release()
 		var be batchEncoder
-		for {
-			n, err := in.Next(wk, b)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				done = true
-				return buf.Finish()
-			}
+		return func(b *data.Batch) error {
 			// Batch materialization, as in the join build: hashing,
 			// sizing, and encoding all run column-at-a-time.
 			be.materialize(buf, rc, b, partCols, nil)
-		}
+			return nil
+		}, buf.Finish
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := shared.Finalize()
+	res, err := ctx.finalize(sp, shared)
 	if err != nil {
 		return nil, err
 	}
-	ctx.AddCleanup(func() { res.ReleaseMemory(ctx.Budget) })
-	ctx.reportResult(sp, res)
 	ctx.spanPhase(sp, pc)
 	return w.outputStream(ctx, sp, res, rc, partCols)
 }

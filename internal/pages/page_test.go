@@ -256,6 +256,34 @@ func TestBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestBudgetResize: resizing keeps what is reserved, so bytes taken under the
+// old limit are released into the same budget, and the new limit decides from
+// then on.
+func TestBudgetResize(t *testing.T) {
+	b := NewBudget(100)
+	b.Reserve(80)
+	b.Resize(50)
+	if b.Limit() != 50 || b.Used() != 80 || b.Peak() != 80 {
+		t.Fatalf("after shrinking: limit %d used %d peak %d, want 50 80 80", b.Limit(), b.Used(), b.Peak())
+	}
+	if !b.Exhausted(1) || b.TryReserve(1) {
+		t.Fatal("a budget shrunk below its use still admits reservations")
+	}
+	b.Release(80)
+	if b.Used() != 0 || !b.TryReserve(50) || b.TryReserve(1) {
+		t.Fatal("the shrunk limit does not bound reservations after release")
+	}
+	b.Resize(0)
+	if b.Exhausted(1<<30) || !b.TryReserve(1<<30) {
+		t.Fatal("a budget resized to 0 is not unlimited")
+	}
+	var none *Budget
+	none.Resize(10)
+	if none.Limit() != 0 {
+		t.Fatal("a nil budget has a limit")
+	}
+}
+
 func TestPoolReuse(t *testing.T) {
 	bud := NewBudget(0)
 	pool := NewPool(512, 0, bud)

@@ -12,21 +12,41 @@ import (
 //
 // All methods are safe for concurrent use.
 type Budget struct {
-	limit int64 // bytes; 0 means unlimited
+	limit atomic.Int64 // bytes; 0 means unlimited
 	used  atomic.Int64
 	peak  atomic.Int64 // high-water mark of used
 }
 
 // NewBudget returns a budget of limit bytes. limit <= 0 means unlimited.
 func NewBudget(limit int64) *Budget {
+	b := &Budget{}
+	b.Resize(limit)
+	return b
+}
+
+// Resize changes the limit in place (limit <= 0 means unlimited). Bytes
+// already reserved stay accounted, so whoever reserved them under the old
+// limit releases them into the same budget: a query keeps one Budget for its
+// whole life and admission resizes it to the grant. A nil budget stays
+// unlimited.
+func (b *Budget) Resize(limit int64) {
+	if b == nil {
+		return
+	}
 	if limit < 0 {
 		limit = 0
 	}
-	return &Budget{limit: limit}
+	b.limit.Store(limit)
 }
 
-// Limit returns the configured limit in bytes (0 = unlimited).
-func (b *Budget) Limit() int64 { return b.limit }
+// Limit returns the current limit in bytes (0 = unlimited, also on a nil
+// budget).
+func (b *Budget) Limit() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.limit.Load()
+}
 
 // Used returns the bytes currently accounted.
 func (b *Budget) Used() int64 { return b.used.Load() }
@@ -57,7 +77,7 @@ func (b *Budget) TryReserve(n int64) bool {
 	}
 	for {
 		cur := b.used.Load()
-		if b.limit > 0 && cur+n > b.limit {
+		if limit := b.limit.Load(); limit > 0 && cur+n > limit {
 			return false
 		}
 		if b.used.CompareAndSwap(cur, cur+n) {
@@ -88,10 +108,8 @@ func (b *Budget) Release(n int64) {
 // Exhausted reports whether the budget has no room for one more page of the
 // given size. This is the per-allocation spill trigger.
 func (b *Budget) Exhausted(pageSize int) bool {
-	if b == nil || b.limit <= 0 {
-		return false
-	}
-	return b.used.Load()+int64(pageSize) > b.limit
+	limit := b.Limit()
+	return limit > 0 && b.used.Load()+int64(pageSize) > limit
 }
 
 // Pool is a thread-local free list of pages. Spilling buffers draw clean

@@ -43,16 +43,31 @@ import (
 	"github.com/spilly-db/spilly/internal/xhash"
 )
 
-// Mode selects the materialization strategy (see the paper's §4.1/§4.2).
-type Mode = core.Mode
+// Baseline selects which engine of the paper's evaluation this one behaves
+// as (§4.1/§4.2, Figures 2 and 9, §6.5).
+type Baseline int
 
-// Materialization modes: Adaptive is Umami's default; the others are the
-// paper's experimental baselines.
+// Baselines: Adaptive is Umami; the others are the systems the paper
+// measures it against, as configurations of the same operators.
 const (
-	Adaptive        = core.ModeAdaptive
-	NeverPartition  = core.ModeNeverPartition
-	AlwaysPartition = core.ModeAlwaysPartition
-	SpillAll        = core.ModeSpillAll
+	// Adaptive starts unpartitioned and partitions and spills at runtime as
+	// memory runs out.
+	Adaptive Baseline = iota
+	// NeverPartition never partitions; once memory runs out it spills
+	// whatever page comes next.
+	NeverPartition
+	// InMemoryOnly never partitions and cannot spill: an out-of-memory query
+	// fails with ErrOutOfMemory (the pure in-memory engine).
+	InMemoryOnly
+	// AlwaysPartition partitions from the first tuple.
+	AlwaysPartition
+	// Grace partitions from the first tuple, runs every join as a classical
+	// grace hash join and aggregates without local pre-aggregation — the
+	// always-partitioning systems of Figure 2.
+	Grace
+	// SpillAll partitions from the start and, once memory runs out, spills
+	// every partition instead of picking victims (§6.5's non-hybrid engine).
+	SpillAll
 )
 
 // DeviceSpec describes one simulated NVMe SSD.
@@ -96,11 +111,8 @@ type Config struct {
 	// *QueryError (default 30s; negative = wait indefinitely). Context
 	// cancellation is honored while queued regardless.
 	AdmitTimeout time.Duration
-	// Mode is the materialization strategy (default Adaptive).
-	Mode Mode
-	// DisableSpill makes out-of-memory queries fail instead of spilling
-	// (the pure in-memory engine of the evaluation).
-	DisableSpill bool
+	// Baseline is the engine variant to run as (default Adaptive).
+	Baseline Baseline
 	// Compression enables self-regulating compression for spilled data.
 	Compression bool
 	// TableDevices and SpillDevices size the two simulated NVMe arrays
@@ -121,22 +133,20 @@ type Config struct {
 	// evicted entries demote to the spill array instead of dropping. See
 	// internal/cache and DESIGN.md §14.
 	ResultCacheBytes int64
-	// PageSize, Partitions, PartitionAt tune Umami (defaults 64 KiB, 64,
-	// 0.5).
-	PageSize    int
-	Partitions  int
-	PartitionAt float64
+	// PageSize and Partitions cap Umami's fan-out: pages are at most
+	// PageSize bytes and operators split into at most Partitions partitions
+	// (defaults 64 KiB, 64). Under a memory budget each query derives what it
+	// really uses from its grant, so that the pages its workers keep active
+	// (workers × partitions × page size) fit inside it — about 1/16 of the
+	// grant when both are left at 0, never more than half when pinned.
+	PageSize   int
+	Partitions int
 	// SpillParity is the parity stripe width K: every K spill block writes
 	// are joined by one XOR parity block on a distinct device, so spilled
 	// data survives silent corruption and the loss of one device per stripe
 	// (reconstruct-on-read). 0 disables spill integrity entirely — no
 	// checksummed frames, no parity, the pre-integrity write path.
 	SpillParity int
-	// ForceGrace runs every join as a classical grace hash join and
-	// NoPreAgg disables local pre-aggregation — together they make the
-	// engine behave like the always-partitioning systems of Figure 2.
-	ForceGrace bool
-	NoPreAgg   bool
 	// Profile records per-operator execution spans for every query so
 	// Result.Profile returns an EXPLAIN ANALYZE-style tree. Off by default;
 	// the untraced hot path pays only one nil check per operator.
@@ -451,32 +461,36 @@ func (e *Engine) Faults() *metrics.FaultTracker { return e.faults }
 func (e *Engine) TableArray() *nvmesim.Array { return e.tableArr }
 
 // NewCtx builds a fresh per-query execution context, including the query's
-// spill lease. When the budget is tight, partition count and page size are
-// reduced so the active page working set (workers × partitions × page size)
-// stays within the budget — the knob a real engine would derive from its
-// memory grant. Engine run paths re-derive both from the admission grant
-// (applyGrant) when the governor hands out less than the full budget.
+// spill lease and its memory budget. The budget starts at the engine's whole
+// MemoryBudget — what plan-time subqueries run under — and admission resizes
+// it to the grant; operators derive their fan-out from it when they start.
 func (e *Engine) NewCtx() *exec.Ctx {
 	ctx := &exec.Ctx{
-		Workers:     e.cfg.Workers,
-		Mode:        e.cfg.Mode,
-		PageSize:    e.cfg.PageSize,
-		Partitions:  e.cfg.Partitions,
-		PartitionAt: e.cfg.PartitionAt,
-		ForceGrace:  e.cfg.ForceGrace,
-		NoPreAgg:    e.cfg.NoPreAgg,
-		QueryID:     e.ioKeys.Add(1),
-		Stats:       &exec.Stats{},
+		Workers:    e.cfg.Workers,
+		PageSize:   e.cfg.PageSize,
+		Partitions: e.cfg.Partitions,
+		QueryID:    e.ioKeys.Add(1),
+		Stats:      &exec.Stats{},
+	}
+	spill := true
+	switch e.cfg.Baseline {
+	case NeverPartition:
+		ctx.Mode = core.ModeNeverPartition
+	case InMemoryOnly:
+		ctx.Mode = core.ModeNeverPartition
+		spill = false
+	case AlwaysPartition:
+		ctx.Mode = core.ModeAlwaysPartition
+	case Grace:
+		ctx.Mode = core.ModeAlwaysPartition
+		ctx.ForceGrace, ctx.NoPreAgg = true, true
+	case SpillAll:
+		ctx.Mode = core.ModeSpillAll
 	}
 	if e.cfg.MemoryBudget > 0 {
 		ctx.Budget = pages.NewBudget(e.cfg.MemoryBudget)
-		if ctx.Partitions == 0 && ctx.PageSize == 0 {
-			parts, pageSize := tuneForBudget(e.cfg.MemoryBudget, e.cfg.Workers)
-			ctx.Partitions = parts
-			ctx.PageSize = pageSize
-		}
 	}
-	if !e.cfg.DisableSpill {
+	if spill {
 		ctx.Spill = &core.SpillConfig{
 			Array:    e.spillArr,
 			Lease:    e.spillArr.NewLease(),
@@ -490,37 +504,6 @@ func (e *Engine) NewCtx() *exec.Ctx {
 		ctx.Trace = trace.New(ctx.Workers)
 	}
 	return ctx
-}
-
-// tuneForBudget picks a partition count and page size whose active working
-// set (workers × partitions × page size) stays around 1/16 of the budget.
-// A query pipelines several materializing operators at once (e.g. Q9 holds
-// five join builds), so each operator's working-set floor must be a small
-// fraction of the whole budget or memory pressure turns into thrash.
-func tuneForBudget(budget int64, workers int) (parts, pageSize int) {
-	parts, pageSize = 64, 64<<10
-	target := budget / 16
-	for parts > 8 && int64(workers*parts*pageSize) > target {
-		parts /= 2
-	}
-	for pageSize > 4<<10 && int64(workers*parts*pageSize) > target {
-		pageSize /= 2
-	}
-	return parts, pageSize
-}
-
-// applyGrant resizes a context's memory budget to the admission grant and
-// re-derives the partition/page-size tuning from it (unless the caller
-// pinned those explicitly in Config). The idle-engine grant equals the full
-// budget, so single-query execution is tuned exactly as before.
-func (e *Engine) applyGrant(ctx *exec.Ctx, grant *pages.Grant) {
-	if grant == nil || grant.Bytes() == e.cfg.MemoryBudget {
-		return
-	}
-	ctx.Budget = pages.NewBudget(grant.Bytes())
-	if e.cfg.Partitions == 0 && e.cfg.PageSize == 0 {
-		ctx.Partitions, ctx.PageSize = tuneForBudget(grant.Bytes(), e.cfg.Workers)
-	}
 }
 
 // Stats summarizes one query execution. Every counter of the engine's
@@ -751,9 +734,9 @@ func (e *Engine) tpchFingerprint(q int) uint64 {
 	return h
 }
 
-// admitCtx waits for a memory grant when the engine is governed, resizing
-// the context's budget and tuning to the grant. A nil grant with nil error
-// means the engine is ungoverned.
+// admitCtx waits for a memory grant when the engine is governed and resizes
+// the context's budget to it. A nil grant with nil error means the engine is
+// ungoverned.
 func (e *Engine) admitCtx(ctx *exec.Ctx) (*pages.Grant, time.Duration, error) {
 	if e.gov == nil {
 		return nil, 0, nil
@@ -770,7 +753,7 @@ func (e *Engine) admitCtx(ctx *exec.Ctx) (*pages.Grant, time.Duration, error) {
 		}
 		return nil, wait, qe
 	}
-	e.applyGrant(ctx, grant)
+	ctx.Budget.Resize(grant.Bytes())
 	return grant, wait, nil
 }
 
@@ -987,8 +970,9 @@ func (e *Engine) RunTPCH(q int) (*Result, error) {
 	})
 }
 
-// TraceQuery runs a plan while sampling engine utilization at the given
-// interval (Figure 8). The returned samples carry rates for keys
+// TraceQuery runs a plan like Run does — admitted, registered, counted, but
+// never served from the result cache — while sampling engine utilization at
+// the given interval (Figure 8). The returned samples carry rates for keys
 // "tuples" (scanned rows/s), "spill_write" and "spill_read" (bytes/s on
 // the spill array), "table_read" (bytes/s on the table array), and
 // "mem_bytes" (a memory-bandwidth proxy: all bytes touched/s).
@@ -1008,13 +992,10 @@ func (e *Engine) TraceQuery(node exec.Node, interval time.Duration) (*Result, []
 		}
 	})
 	tracer.Start()
-	defer ctx.Close()
-	start := time.Now()
-	out, err := exec.Collect(ctx, node)
+	res, err := e.runAdmitted(ctx, "trace", 0, func() (exec.Node, error) { return node, nil })
 	samples := tracer.Stop()
 	if err != nil {
 		return nil, nil, err
 	}
-	n := ctx.Totals()
-	return &Result{Batch: out, Stats: statsFrom(&n, time.Since(start))}, samples, nil
+	return res, samples, nil
 }

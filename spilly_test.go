@@ -65,7 +65,7 @@ func TestRunTPCHFromArrayWithSpilling(t *testing.T) {
 }
 
 func TestInMemoryOnlyEngineFails(t *testing.T) {
-	eng, err := Open(Config{Workers: 2, MemoryBudget: 64 << 10, DisableSpill: true, Mode: NeverPartition})
+	eng, err := Open(Config{Workers: 2, MemoryBudget: 64 << 10, Baseline: InMemoryOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestTraceQuery(t *testing.T) {
 // different values for it; with one value in use it is a constant, and a
 // value the engine can derive from its inputs is derived.
 func TestConfigSurface(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 19 {
-		t.Fatalf("Config has %d fields, want 19", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 15 {
+		t.Fatalf("Config has %d fields, want 15", n)
 	}
 }
