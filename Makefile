@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 ledger-smoke tier2 race stress chaos bench-parity bench-rescache profile-smoke clean
+.PHONY: all tier1 ledger-smoke tier2 race stress chaos fuzz-colstore bench-parity bench-rescache profile-smoke clean
 
 all: tier1
 
@@ -16,18 +16,27 @@ tier1: ledger-smoke
 
 # The performance ledger (BENCHMARK.json, benchmark/) is a module of its own,
 # so `go build ./...` never compiles it and a signature change under
-# internal/ can break it unnoticed. Its tests build it against this checkout
-# and run every workload at SF 0.01 (~10 s).
+# internal/ can break it unnoticed. It is built first, so such a change fails
+# as a compile error and not as a ledger run gone wrong; then its tests run
+# every workload at SF 0.01 (~10 s).
 ledger-smoke:
+	$(GO) build -C benchmark -o /dev/null .
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the
-# silent-corruption and device-loss scenarios) and the two performance gates
-# whose features no ledger workload sets yet (spill-integrity tax, result
-# reuse). Everything else is gated by `bash benchmark/run.sh --compare`.
-tier2: chaos bench-parity bench-rescache
+# silent-corruption and device-loss scenarios), twenty seconds of fuzzing the
+# chunk decoder, and the two performance gates whose features no ledger
+# workload sets yet (spill-integrity tax, result reuse). Everything else is
+# gated by `bash benchmark/run.sh --compare`.
+tier2: chaos fuzz-colstore bench-parity bench-rescache
+
+# Chunk-decoder fuzzing: DecodeChunk reads bytes that came off a device, so
+# no input may make it panic or allocate by a header field alone. Tier-1 runs
+# FuzzDecodeChunk's seed corpus as a test; this mutates it.
+fuzz-colstore:
+	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzDecodeChunk -fuzztime 20s
 
 # Race-detector pass over the concurrency-heavy packages (morsel workers,
 # partition spilling, the sharded aggregation group table against its

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"slices"
 )
 
 // lz4Codec implements the LZ4 block format from scratch. The fast path uses
@@ -205,69 +206,91 @@ func lz4Decompress(dst, src []byte) ([]byte, error) {
 		return dst, ErrCorrupt
 	}
 	src = src[n:]
+	// A length byte of a match adds at most 255 bytes of output, so no frame
+	// expands further: a header claiming more is refused before it sizes out.
+	if want > 255*uint64(len(src)) {
+		return dst, ErrCorrupt
+	}
 	base := len(dst)
-	out := dst
-	for len(src) > 0 {
-		token := src[0]
-		src = src[1:]
+	out := slices.Grow(dst, int(want))[:base+int(want)]
+	sp, op := 0, base // next byte of src to read, of out to write
+	for sp < len(src) {
+		token := src[sp]
+		sp++
 		// Literals.
 		litLen := int(token >> 4)
 		if litLen == 15 {
 			var ok bool
-			litLen, src, ok = lz4ReadLen(litLen, src)
-			if !ok {
+			if litLen, sp, ok = lz4ReadLen(litLen, src, sp); !ok {
 				return dst, ErrCorrupt
 			}
 		}
-		if litLen > len(src) {
+		switch {
+		case litLen <= 16 && len(src)-sp >= 16 && len(out)-op >= 16:
+			// Short runs are the common case and a call to copy costs more
+			// than they do: move 16 bytes in one load and store regardless;
+			// the next sequence overwrites the excess.
+			*(*[16]byte)(out[op:]) = *(*[16]byte)(src[sp:])
+		case litLen > len(src)-sp || litLen > len(out)-op:
 			return dst, ErrCorrupt
+		default:
+			copy(out[op:], src[sp:sp+litLen])
 		}
-		out = append(out, src[:litLen]...)
-		src = src[litLen:]
-		if len(src) == 0 {
+		sp += litLen
+		op += litLen
+		if sp == len(src) {
 			break // final literals-only sequence
 		}
 		// Match.
-		if len(src) < 2 {
+		if len(src)-sp < 2 {
 			return dst, ErrCorrupt
 		}
-		offset := int(src[0]) | int(src[1])<<8
-		src = src[2:]
-		if offset == 0 || offset > len(out)-base {
+		offset := int(src[sp]) | int(src[sp+1])<<8
+		sp += 2
+		if offset == 0 || offset > op-base {
 			return dst, ErrCorrupt
 		}
 		matchLen := int(token & 15)
 		if matchLen == 15 {
 			var ok bool
-			matchLen, src, ok = lz4ReadLen(matchLen, src)
-			if !ok {
+			if matchLen, sp, ok = lz4ReadLen(matchLen, src, sp); !ok {
 				return dst, ErrCorrupt
 			}
 		}
 		matchLen += lz4MinMatch
-		// Byte-wise copy: overlapping matches are the RLE case and must
-		// copy forward one byte at a time.
-		pos := len(out) - offset
-		for i := 0; i < matchLen; i++ {
-			out = append(out, out[pos+i])
+		ref := op - offset
+		switch {
+		case matchLen <= 16 && offset >= 16 && len(out)-op >= 16:
+			*(*[16]byte)(out[op:]) = *(*[16]byte)(out[ref:]) // as for literals
+		case matchLen > len(out)-op:
+			return dst, ErrCorrupt
+		case offset >= matchLen:
+			copy(out[op:op+matchLen], out[ref:])
+		default:
+			// An overlapping match repeats its own output (the RLE case):
+			// it must copy forward one byte at a time.
+			for i := 0; i < matchLen; i++ {
+				out[op+i] = out[ref+i]
+			}
 		}
+		op += matchLen
 	}
-	if len(out)-base != int(want) {
+	if op != len(out) {
 		return dst, ErrCorrupt
 	}
 	return out, nil
 }
 
-func lz4ReadLen(n int, src []byte) (int, []byte, bool) {
-	for {
-		if len(src) == 0 {
-			return 0, src, false
-		}
-		b := src[0]
-		src = src[1:]
+// lz4ReadLen adds the length bytes at src[p:] to n and returns the position
+// after them.
+func lz4ReadLen(n int, src []byte, p int) (int, int, bool) {
+	for p < len(src) {
+		b := src[p]
+		p++
 		n += int(b)
 		if b != 255 {
-			return n, src, true
+			return n, p, true
 		}
 	}
+	return 0, p, false
 }

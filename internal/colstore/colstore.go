@@ -227,12 +227,17 @@ type DiskTable struct {
 	store     *Store
 	rawBytes  int64 // uncompressed size, for the §5.2 ratio
 	encBytes  int64
+	// maxChunk is each column's largest chunk, as its extent's size: what a
+	// reader's buffer for the column has to hold.
+	maxChunk []int
 }
 
-// WriteTable encodes mt's row groups and stripes the chunks across the
-// array's devices in round-robin order (§5.2 "data layout optimized for
-// NVMe arrays": maximizing single-column scan throughput requires
-// distributing each column across SSDs).
+// WriteTable encodes mt's row groups and stripes every column over all of the
+// array's devices: the chunk of column c in group g goes to device (g+c) mod
+// devices, so a column's consecutive chunks sit on consecutive SSDs whatever
+// the column count (§5.2 "data layout optimized for NVMe arrays": maximizing
+// single-column scan throughput requires distributing each column across
+// SSDs), and the columns of one group spread out as well.
 func (s *Store) WriteTable(mt *MemTable) (*DiskTable, error) {
 	dt := &DiskTable{
 		name:      mt.name,
@@ -241,42 +246,55 @@ func (s *Store) WriteTable(mt *MemTable) (*DiskTable, error) {
 		rows:      int64(mt.rows),
 		groupSize: mt.groupSize,
 		store:     s,
+		maxChunk:  make([]int, mt.schema.Len()),
 	}
 	ring := uring.New(s.arr)
 	// Bulk loads are background-class under the shared scheduler: they
 	// must not crowd out a running query's demand reads.
 	ring.Bind(s.sched, uring.ClassBackground, 0)
 	devs := s.arr.Devices()
-	chunkNo := 0
-	type pendingWrite struct {
-		group, col int
+	// A write's user data is its group and column, for the error message;
+	// its buffer comes back with the completion and takes the next chunk.
+	var free [][]byte
+	var done []uring.Completion
+	recycle := func() error {
+		for _, c := range done {
+			if c.Err != nil {
+				return fmt.Errorf("colstore: writing %s group %d col %d: %w", mt.name, c.UserData>>32, uint32(c.UserData), c.Err)
+			}
+			free = append(free, c.Buf[:0])
+		}
+		return nil
 	}
-	pend := map[uint64]pendingWrite{}
-	var ud uint64
 	for g := 0; g < mt.Groups(); g++ {
 		lo := g * mt.groupSize
 		rows := mt.GroupRows(g)
 		dg := diskGroup{rows: rows, chunks: make([]ChunkRef, mt.schema.Len())}
 		for col := range mt.cols {
-			enc := EncodeChunk(nil, &mt.cols[col], lo, lo+rows)
+			var buf []byte
+			if n := len(free); n > 0 {
+				buf, free = free[n-1], free[:n-1]
+			}
+			enc := EncodeChunk(buf, &mt.cols[col], lo, lo+rows)
 			dt.encBytes += int64(len(enc))
 			dt.rawBytes += rawColumnBytes(&mt.cols[col], lo, lo+rows)
-			ud++
-			loc, err := ring.QueueWriteDev(chunkNo%devs, enc, ud)
+			loc, err := ring.QueueWriteDev((g+col)%devs, enc, uint64(g)<<32|uint64(col))
 			if err != nil {
 				return nil, fmt.Errorf("colstore: writing %s group %d col %d: %w", mt.name, g, col, err)
 			}
-			pend[ud] = pendingWrite{g, col}
 			dg.chunks[col] = ChunkRef{Loc: loc, Len: int32(len(enc))}
-			chunkNo++
+			dt.maxChunk[col] = max(dt.maxChunk[col], loc.Size())
 		}
 		dt.groups = append(dt.groups, dg)
-	}
-	for _, c := range ring.WaitAll(nil) {
-		if c.Err != nil {
-			pw := pend[c.UserData]
-			return nil, fmt.Errorf("colstore: writing %s group %d col %d: %w", mt.name, pw.group, pw.col, c.Err)
+		ring.Submit()
+		done = ring.Poll(done[:0], false)
+		if err := recycle(); err != nil {
+			return nil, err
 		}
+	}
+	done = ring.WaitAll(done[:0])
+	if err := recycle(); err != nil {
+		return nil, err
 	}
 	return dt, nil
 }
@@ -309,6 +327,9 @@ func (t *DiskTable) Groups() int { return len(t.groups) }
 
 // GroupRows implements Table.
 func (t *DiskTable) GroupRows(g int) int { return t.groups[g].rows }
+
+// Chunk returns where column col of group g is stored.
+func (t *DiskTable) Chunk(g, col int) ChunkRef { return t.groups[g].chunks[col] }
 
 // CompressionRatio returns raw bytes / encoded bytes (§5.2 table).
 func (t *DiskTable) CompressionRatio() float64 {

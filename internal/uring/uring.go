@@ -13,7 +13,6 @@
 package uring
 
 import (
-	"container/heap"
 	"time"
 
 	"github.com/spilly-db/spilly/internal/nvmesim"
@@ -144,18 +143,43 @@ type cqe struct {
 	readyAt time.Time
 }
 
+// cqHeap is a min-heap on readyAt. It is typed, not a container/heap: a
+// cqe boxed into an interface is two allocations a request.
 type cqHeap []cqe
 
-func (h cqHeap) Len() int            { return len(h) }
-func (h cqHeap) Less(i, j int) bool  { return h[i].readyAt.Before(h[j].readyAt) }
-func (h cqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *cqHeap) Push(x interface{}) { *h = append(*h, x.(cqe)) }
-func (h *cqHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *cqHeap) push(c cqe) {
+	q := append(*h, c)
+	*h = q
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].readyAt.Before(q[parent].readyAt) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *cqHeap) pop() cqe {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q[n] = cqe{} // drop the buffer reference
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if q[c].readyAt.Before(q[least].readyAt) {
+				least = c
+			}
+		}
+		if least == i {
+			return top
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }
 
 // Ring is a per-thread submission/completion ring. It is not safe for
@@ -347,7 +371,7 @@ func (r *Ring) Submit() int {
 			c.readyAt = now
 		}
 		c.DepthAtSubmit = len(r.inflight) + 1
-		heap.Push(&r.inflight, c)
+		r.inflight.push(c)
 	}
 	r.sq = r.sq[:0]
 	return n
@@ -398,7 +422,7 @@ func (r *Ring) Poll(out []Completion, block bool) []Completion {
 		now := r.clock.Now()
 		got := false
 		for len(r.inflight) > 0 && !r.inflight[0].readyAt.After(now) {
-			c := heap.Pop(&r.inflight).(cqe)
+			c := r.inflight.pop()
 			cc := c.Completion
 			cc.Latency = c.readyAt.Sub(c.Submitted)
 			out = append(out, cc)

@@ -354,8 +354,12 @@ func (e *Engine) Table(name string) (colstore.Table, error) {
 // instead of keeping them in memory.
 func (e *Engine) LoadTPCH(sf float64, onArray bool) error {
 	g := &tpch.Gen{SF: sf}
-	for name, t := range g.All() {
-		e.RegisterTable(t)
+	tables := g.All()
+	// In tpch.TableNames order, not map order: the order tables are written
+	// in fixes every chunk's offset on the array, and a run has to be
+	// repeatable.
+	for _, name := range tpch.TableNames {
+		e.RegisterTable(tables[name])
 		if onArray {
 			if err := e.StoreOnArray(name); err != nil {
 				return err
@@ -376,7 +380,11 @@ func (e *Engine) LoadTPCHTbl(dir string, sf float64, onArray bool) error {
 	if err != nil {
 		return err
 	}
-	for name, t := range db.Tables {
+	for _, name := range tpch.TableNames { // a fixed order: see LoadTPCH
+		t, loaded := db.Tables[name]
+		if !loaded {
+			continue
+		}
 		mt, ok := t.(*colstore.MemTable)
 		if !ok {
 			return fmt.Errorf("spilly: loaded table %q has unexpected type", name)
