@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 ledger-smoke tier2 race stress chaos fuzz-colstore bench-parity bench-rescache profile-smoke clean
+.PHONY: all tier1 ledger-smoke bench-smoke tier2 race stress chaos fuzz-colstore bench-parity bench-rescache profile-smoke clean
 
 all: tier1
 
@@ -8,7 +8,7 @@ all: tier1
 # module's included. The operators run at GOMAXPROCS 1, 2 and 8 as well: the
 # memory budget has to hold at any core count (CI runs the whole suite as
 # that matrix).
-tier1: ledger-smoke
+tier1: ledger-smoke bench-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -23,6 +23,11 @@ ledger-smoke:
 	$(GO) build -C benchmark -o /dev/null .
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+
+# The operator microbenchmarks are run by hand (EXPERIMENTS.md quotes them);
+# one iteration each keeps them compiling and running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'JoinProbe|JoinBuild|AggMerge' -benchtime 1x ./internal/exec/
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the

@@ -585,12 +585,6 @@ type Result struct {
 	Counters        metrics.Snapshot
 	SchemeHistogram map[codec.ID]int64
 
-	// PartDistinct, when non-nil, holds per-partition distinct-key
-	// estimates (indexed by partition) from the HLL sketches built during
-	// materialization, so phase 2 can size each partition's hash table from
-	// its real key cardinality instead of its tuple count (§4.4).
-	PartDistinct []int64
-
 	inMemByPart [][]*pages.Page
 	released    bool
 }

@@ -280,6 +280,71 @@ func (rc *RowCodec) AppendToArena(b *Batch, tuple []byte, arena *ByteArena) {
 	b.n++
 }
 
+// FieldOffset returns where field f's 8-byte slot starts in a tuple.
+func (rc *RowCodec) FieldOffset(f int) int { return rc.nullBytes + 8*f }
+
+// SetNull marks field f of an encoded tuple NULL.
+func (rc *RowCodec) SetNull(tuple []byte, f int) { tuple[f/8] |= 1 << uint(f%8) }
+
+// DecodeFields decodes fields 0..len(cols)-1 of every tuple into cols (whose
+// types are the codec's), overwriting them: the column-at-a-time counterpart
+// of AppendToArena. Each field is one typed loop over the tuples, and one
+// pass over the null bitmaps decides per field whether its column gets a
+// null mask at all. Strings are interned through arena, so the columns own
+// their bytes and the tuples' pages can be recycled.
+func (rc *RowCodec) DecodeFields(cols []Column, tuples [][]byte, arena *ByteArena) {
+	n := len(tuples)
+	var buf [16]byte
+	anyNull := buf[:]
+	if rc.nullBytes > len(buf) {
+		anyNull = make([]byte, rc.nullBytes)
+	}
+	for _, t := range tuples {
+		for i := 0; i < rc.nullBytes; i++ {
+			anyNull[i] |= t[i]
+		}
+	}
+	for f := range cols {
+		c := &cols[f]
+		slot := rc.FieldOffset(f)
+		switch rc.types[f] {
+		case Float64:
+			c.F = resize(c.F, n)
+			for j, t := range tuples {
+				c.F[j] = math.Float64frombits(binary.LittleEndian.Uint64(t[slot:]))
+			}
+		case String:
+			c.S = resize(c.S, n)
+			for j, t := range tuples {
+				off := binary.LittleEndian.Uint32(t[slot:])
+				ln := binary.LittleEndian.Uint32(t[slot+4:])
+				c.S[j] = arena.InternBytes(t[off : off+ln])
+			}
+		default:
+			c.I = resize(c.I, n)
+			for j, t := range tuples {
+				c.I[j] = int64(binary.LittleEndian.Uint64(t[slot:]))
+			}
+		}
+		c.Null = nil
+		if bit := byte(1) << uint(f%8); anyNull[f/8]&bit != 0 {
+			c.Null = make([]bool, n)
+			for j, t := range tuples {
+				c.Null[j] = t[f/8]&bit != 0
+			}
+		}
+	}
+}
+
+// resize returns s with length n, reusing its array when that is large
+// enough and never allocating more than n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // HashRow hashes the given key columns of row r (for hash tables and Umami
 // partitioning). NULL fields hash to a fixed tag so NULL == NULL groups
 // together in aggregations.

@@ -233,8 +233,14 @@ type aggWorker struct {
 	buf     *core.Buffer
 	sketch  *hll.Sketch // key hashes of the tuples materialized
 	pb      *data.Batch // reusable 1-row partial batch for serialization
-	tmpVals []aggVal
-	hashes  []uint64 // per-batch key hashes (HashColumns output)
+	hashes  []uint64    // per-batch key hashes (HashColumns output)
+
+	// Pre-aggregation bypass: the input batch seen through the partial
+	// schema, the state columns it has to compute, and the batch encoder.
+	view    data.Batch
+	scratch []data.Column
+	ones    []int64
+	enc     batchEncoder
 
 	preAgg bool
 	rows   int64 // rows consumed with pre-aggregation on
@@ -285,19 +291,17 @@ func newAggWorker(a *Agg, keyCols []int, buf *core.Buffer, sketch *hll.Sketch, p
 }
 
 // consume processes one input batch: key hashes are computed for the whole
-// batch column-at-a-time, then each live row folds into the local table.
+// batch column-at-a-time, then each live row folds into the local table —
+// or, with pre-aggregation off, the rest of the batch is materialized as it
+// stands.
 func (aw *aggWorker) consume(b *data.Batch) {
 	aw.hashes = data.HashColumns(b, b.Sel, aw.keyCols, aw.hashes[:0])
 	n := b.Rows()
-	for i := 0; i < n; i++ {
+	i := 0
+	for ; i < n && aw.preAgg; i++ {
 		r := b.Row(i)
-		h := aw.hashes[i]
-		if !aw.preAgg {
-			aw.materializeRow(b, r, h)
-			continue
-		}
 		aw.rows++
-		g := aw.lookup(b, r, h)
+		g := aw.lookup(b, r, aw.hashes[i])
 		accumulateRow(aw.a.states, g, b, r)
 		// Cardinality adaptivity: when almost every row of the probe window
 		// opened a new group, pre-aggregation buys nothing — bypass it
@@ -308,6 +312,96 @@ func (aw *aggWorker) consume(b *data.Batch) {
 			aw.preAgg = false
 		}
 	}
+	if i < n {
+		aw.bypass(b, i)
+	}
+}
+
+// bypass writes the live rows of b from the from-th on directly as initial
+// partial tuples, a batch at a time: a row's partial state is a function of
+// the row alone, so the batch is viewed through the partial schema — key
+// columns and Min/Max inputs aliased, counts and sums computed per column —
+// and handed to the batch encoder.
+func (aw *aggWorker) bypass(b *data.Batch, from int) {
+	sel := b.Sel
+	if sel == nil {
+		sel = aw.enc.rows(b.Len())
+	}
+	sel, hs := sel[from:], aw.hashes[from:]
+	aw.sketch.AddAll(hs)
+	aw.enc.encode(aw.buf, aw.a.rc, aw.partialView(b, sel), sel, hs)
+}
+
+// partialView returns b seen through the partial schema; computed columns
+// are filled for the rows sel only.
+func (aw *aggWorker) partialView(b *data.Batch, sel []int32) *data.Batch {
+	a := aw.a
+	n := b.Len()
+	for len(aw.ones) < n {
+		aw.ones = append(aw.ones, 1)
+	}
+	v := &aw.view
+	v.Schema = a.partial
+	v.Cols = sized(v.Cols, a.partial.Len())
+	aw.scratch = sized(aw.scratch, a.partial.Len())
+	for i, c := range aw.keyCols {
+		v.Cols[i] = b.Cols[c]
+	}
+	// count is the count state of one row: 1, or 0 where the input is NULL.
+	count := func(f int, null []bool) data.Column {
+		if null == nil {
+			return data.Column{Type: data.Int64, I: aw.ones[:n]}
+		}
+		out := sized(aw.scratch[f].I, n)
+		aw.scratch[f].I = out
+		for _, r := range sel {
+			out[r] = 1
+			if null[r] {
+				out[r] = 0
+			}
+		}
+		return data.Column{Type: data.Int64, I: out}
+	}
+	for i := range a.states {
+		sd := &a.states[i]
+		f := sd.fields[0]
+		if sd.fn == CountStar {
+			v.Cols[f] = count(f, nil)
+			continue
+		}
+		c := &b.Cols[sd.col]
+		switch sd.fn {
+		case Count:
+			v.Cols[f] = count(f, c.Null)
+		case Min, Max:
+			// NULL in, NULL out: a partial Min/Max that saw no value.
+			v.Cols[f] = *c
+		case Sum, Avg:
+			if sd.fn == Avg {
+				v.Cols[sd.fields[1]] = count(sd.fields[1], c.Null)
+			}
+			if c.Type == data.Float64 && c.Null == nil {
+				v.Cols[f] = data.Column{Type: data.Float64, F: c.F}
+				break
+			}
+			// The sum state of one row: its value as a float, 0 for NULL.
+			out := sized(aw.scratch[f].F, n)
+			aw.scratch[f].F = out
+			for _, r := range sel {
+				switch {
+				case c.Null != nil && c.Null[r]:
+					out[r] = 0
+				case c.Type == data.Float64:
+					out[r] = c.F[r]
+				default:
+					out[r] = float64(c.I[r])
+				}
+			}
+			v.Cols[f] = data.Column{Type: data.Float64, F: out}
+		}
+	}
+	v.SetLen(n)
+	return v
 }
 
 // lookup finds or creates the local group for row r; it flushes the table
@@ -433,52 +527,6 @@ func (aw *aggWorker) serializeGroup(g *localGroup) {
 	aw.a.rc.Encode(dst, pb, 0)
 }
 
-// materializeRow writes an input row directly as an initial partial tuple
-// (pre-aggregation bypass).
-func (aw *aggWorker) materializeRow(b *data.Batch, r int, h uint64) {
-	pb := aw.pb
-	nk := len(aw.keyCols)
-	for i, c := range aw.keyCols {
-		col := &b.Cols[c]
-		dst := &pb.Cols[i]
-		setNull(dst, col.Null != nil && col.Null[r])
-		switch col.Type {
-		case data.Float64:
-			dst.F[0] = col.F[r]
-		case data.String:
-			dst.S[0] = col.S[r]
-		default:
-			dst.I[0] = col.I[r]
-		}
-	}
-	// Initialize states from the single row.
-	if cap(aw.tmpVals) < pb.Schema.Len()-nk {
-		aw.tmpVals = make([]aggVal, pb.Schema.Len()-nk)
-	}
-	tmp := aw.tmpVals[:pb.Schema.Len()-nk]
-	for i := range tmp {
-		tmp[i] = aggVal{}
-	}
-	g := localGroup{vals: tmp, nk: nk}
-	accumulateRow(aw.a.states, &g, b, r)
-	for i := nk; i < pb.Schema.Len(); i++ {
-		v := &tmp[i-nk]
-		dst := &pb.Cols[i]
-		setNull(dst, !v.seen && aw.a.minMax[i])
-		switch dst.Type {
-		case data.Float64:
-			dst.F[0] = v.f
-		case data.String:
-			dst.S[0] = v.s
-		default:
-			dst.I[0] = v.i
-		}
-	}
-	aw.sketch.Add(h)
-	dst := aw.buf.AllocTuple(aw.a.rc.Size(pb, 0), h)
-	aw.a.rc.Encode(dst, pb, 0)
-}
-
 func setNull(c *data.Column, null bool) {
 	if null {
 		if c.Null == nil {
@@ -551,9 +599,10 @@ const (
 	// indexed by a hash prefix, so partitioned inputs touch disjoint shards
 	// (§5.3 locality).
 	aggShards = 64
-	// aggEmitRows bounds an emitted batch to the column capacity BatchPool
-	// retains (data.batchShrinkCap); a larger one is reallocated per lease.
-	aggEmitRows = 8192
+	// emitRows bounds a batch the aggregation or the join emits to the column
+	// capacity BatchPool retains (data.batchShrinkCap); a larger one is
+	// reallocated per lease.
+	emitRows = 8192
 )
 
 // mergePhase builds the final tables and returns the output stream.
@@ -659,6 +708,19 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	if err != nil {
 		return nil, err
 	}
+	if len(a.GroupBy) == 0 && res.Tuples == 0 {
+		// An aggregate without GROUP BY has one group whatever its input:
+		// over no rows it is the partial state that saw nothing — counts and
+		// sums zero, every Min/Max unseen (NULL).
+		size, _ := a.rc.FixedSize()
+		tuple := make([]byte, size)
+		for f, mm := range a.minMax {
+			if mm {
+				a.rc.SetNull(tuple, f)
+			}
+		}
+		global[0].merge(tuple, a.rc.HashTuple(tuple, a.keyFields))
+	}
 	ctx.spanPhase(sp, mergePC)
 
 	// Output stream: tasks are global shards plus spilled partitions.
@@ -728,7 +790,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				}
 			}
 			lo := e.next
-			e.next = min(lo+aggEmitRows, e.t.n)
+			e.next = min(lo+emitRows, e.t.n)
 			b.Reset()
 			e.t.emit(b, lo, e.next, &e.arena)
 			return b.Len(), nil

@@ -16,7 +16,7 @@ import (
 )
 
 // batchesNode hands a fixed list of batches to whichever worker asks next,
-// NULL marks included (in-memory tables carry none).
+// NULL marks and selection vectors included (in-memory tables carry neither).
 type batchesNode struct {
 	schema  *data.Schema
 	batches []*data.Batch
@@ -38,7 +38,8 @@ func (n *batchesNode) Run(*Ctx) (*Stream, error) {
 			for r := 0; r < src.Len(); r++ {
 				b.AppendRowFrom(src, r)
 			}
-			return src.Len(), nil
+			b.Sel = src.Sel
+			return src.Rows(), nil
 		},
 	}, nil
 }
@@ -425,7 +426,7 @@ func TestAggBypassDecision(t *testing.T) {
 // pool retains, whatever the size of a shard or a spilled partition.
 func TestAggEmitsBoundedBatches(t *testing.T) {
 	for _, ctx := range []*Ctx{testCtx(2), spillCtx(2, 128)} {
-		tbl := ordersTable(aggShards*aggEmitRows + 50000)
+		tbl := ordersTable(aggShards*emitRows + 50000)
 		a := NewAgg(NewScan(tbl, "okey", "total"), []string{"okey"}, []AggSpec{{Func: Sum, Col: "total", As: "s"}})
 		s, err := a.Run(ctx)
 		if err != nil {
@@ -448,8 +449,8 @@ func TestAggEmitsBoundedBatches(t *testing.T) {
 		if rows.Load() != tbl.Rows() {
 			t.Fatalf("%d groups, want %d", rows.Load(), tbl.Rows())
 		}
-		if largest.Load() > aggEmitRows {
-			t.Fatalf("a batch of %d rows, the bound is %d", largest.Load(), aggEmitRows)
+		if largest.Load() > emitRows {
+			t.Fatalf("a batch of %d rows, the bound is %d", largest.Load(), emitRows)
 		}
 	}
 }

@@ -8,10 +8,10 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/spilly-db/spilly/internal/data"
-	"github.com/spilly-db/spilly/internal/pages"
 )
 
 // evalBatch builds a 1024-row batch for expression-kernel measurements.
@@ -62,9 +62,10 @@ func TestAllocsExprChains(t *testing.T) {
 	}
 }
 
-// TestAllocsJoinProbeEmit pins the probe-side emit path: hashing a batch
-// row, probing the table, and appending the matching build tuple's columns
-// through an arena must not allocate per row in steady state.
+// TestAllocsJoinProbeEmit pins the probe-side emit path: hashing a batch,
+// filtering it through the directory, walking the runs and emitting the
+// matches by column — probe columns gathered, build fields decoded through an
+// arena — must not allocate in steady state.
 func TestAllocsJoinProbeEmit(t *testing.T) {
 	buildSchema := data.NewSchema(
 		data.ColumnDef{Name: "ckey", Type: data.Int64},
@@ -77,41 +78,70 @@ func TestAllocsJoinProbeEmit(t *testing.T) {
 		src.Cols[1].S = append(src.Cols[1].S, fmt.Sprintf("cust-name-%d", i))
 	}
 	src.SetLen(256)
-
-	// Materialize the build rows onto pages, as the join build phase does.
-	pg := pages.New(64 << 10)
-	for r := 0; r < src.Len(); r++ {
-		dst, ok := pg.Append(make([]byte, rc.Size(src, r)))
-		if !ok {
-			t.Fatal("page overflow")
-		}
-		rc.Encode(dst, src, r)
-	}
-	ht, err := buildHashTable([]*pages.Page{pg}, rc, []int{0}, 0, 1)
+	ht, err := buildJoinTable(tuplePages(rc, src, 64<<10), rc, []int{0}, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	probe := evalBatch()
-	out := data.NewBatch(buildSchema, 4096)
+	nProbe := probe.Schema.Len()
+	out := data.NewBatch(probe.Schema.Concat(buildSchema), probe.Len())
+	pr := joinProbe{cols: []int{0}, intKeys: true}
 	var arena data.ByteArena
+	rows := 0
 	emit := func() {
-		out.Reset()
-		for r := 0; r < probe.Len(); r++ {
-			h := data.HashRow(probe, []int{0}, r)
-			ht.probeRow(h, probe, []int{0}, r, func(tuple []byte) {
-				appendTupleCols(out, 0, rc, tuple, buildSchema.Len(), &arena)
-				out.SetLen(out.Len() + 1)
-			})
+		pr.start(ht, probe)
+		for n := pr.fill(emitRows); n > 0; n = pr.fill(emitRows) {
+			gatherCols(out.Cols[:nProbe], probe.Cols, pr.rows)
+			rc.DecodeFields(out.Cols[nProbe:], pr.tups, &arena)
+			rows = n
 		}
 	}
 	for i := 0; i < 8; i++ {
 		emit()
 	}
-	got := testing.AllocsPerRun(50, emit)
-	// 1024 probe rows per run: allow only amortized arena-chunk noise.
-	if got > 1 {
-		t.Errorf("join probe emit: %.2f allocs/run for 1024 rows, want <= 1", got)
+	if rows != probe.Len() {
+		t.Fatalf("probe emitted %d rows, want %d", rows, probe.Len())
+	}
+	// 1024 probe rows per run; a 64 KiB arena chunk lasts several runs, which
+	// AllocsPerRun's integer average rounds away.
+	if got := testing.AllocsPerRun(50, emit); got != 0 {
+		t.Errorf("join probe + emit: %.0f allocs/run for 1024 rows, want 0", got)
+	}
+}
+
+// TestJoinSketchBytesIgnorePartitions: a join keeps one 4 KiB sketch per
+// worker. The bytes it allocates must not grow with the partition count (a
+// sketch per worker and partition touched was 256 KiB a worker at 64
+// partitions, from a few hundred build rows on).
+func TestJoinSketchBytesIgnorePartitions(t *testing.T) {
+	joinBytes := func(parts int) uint64 {
+		build, probe := custTable(1000), ordersTable(1000)
+		run := func() uint64 {
+			// One worker and small pages: which worker gets to emit, and
+			// whether a page comes from the recycler or the heap, must not
+			// drown what is measured.
+			ctx := testCtx(1)
+			ctx.Partitions, ctx.PageSize = parts, 4<<10
+			j := NewJoin(Inner, NewScan(build), []string{"ckey"}, NewScan(probe, "okey", "cust"), []string{"cust"})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := Drain(ctx, mustRun(t, ctx, j), nil); err != nil {
+				t.Fatal(err)
+			}
+			ctx.Close()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		least := run()
+		for i := 0; i < 3; i++ {
+			least = min(least, run())
+		}
+		return least
+	}
+	few, many := joinBytes(2), joinBytes(64)
+	if many > few+64<<10 {
+		t.Errorf("a join over 64 partitions allocated %d bytes, over 2 partitions %d: the difference must stay under 64 KiB", many, few)
 	}
 }
 

@@ -562,6 +562,34 @@ func TestAggCountNulls(t *testing.T) {
 	}
 }
 
+// TestAggUngroupedOverNothing: an aggregate without GROUP BY is one row even
+// when its input has none — counts zero, the others as a group that saw no
+// value — at any worker count.
+func TestAggUngroupedOverNothing(t *testing.T) {
+	empty := NewScan(ordersTable(0))
+	for _, workers := range []int{1, 2, 8} {
+		out, err := Collect(testCtx(workers), NewAgg(empty, nil, []AggSpec{
+			{Func: CountStar, As: "n"},
+			{Func: Sum, Col: "total", As: "s"},
+			{Func: Min, Col: "flag", As: "m"},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 1 || out.Cols[0].I[0] != 0 || out.Cols[1].F[0] != 0 || out.Cols[2].S[0] != "" {
+			t.Fatalf("%d workers: %d rows %v, want the one row (0, 0, \"\")", workers, out.Len(), joinRowSet(t, out))
+		}
+		// With a GROUP BY there is no group to report.
+		out, err = Collect(testCtx(workers), NewAgg(empty, []string{"cust"}, []AggSpec{{Func: CountStar, As: "n"}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%d workers: grouped aggregate over nothing returned %d rows", workers, out.Len())
+		}
+	}
+}
+
 func TestAggModesEquivalent(t *testing.T) {
 	ref := runAgg(t, testCtx(2), false, 12000)
 	refSet := joinRowSet(t, ref)

@@ -96,7 +96,7 @@ func (j *Join) Run(ctx *Ctx) (*Stream, error) {
 	// Phase 2 preparation: the single in-memory hash table over ALL
 	// in-memory pages — partitioned or not (§4.2 "Independence"). The
 	// grace baseline has no streaming phase and builds no global table.
-	var ht *hashTable
+	var ht *joinTable
 	routedMask := bres.Mask
 	if j.grace(ctx) {
 		routedMask = ^uint64(0) >> (64 - uint(bres.Partitions))
@@ -104,7 +104,7 @@ func (j *Join) Run(ctx *Ctx) (*Stream, error) {
 		memPages := make([]*pages.Page, 0, len(bres.Unpartitioned)+len(bres.InMemory))
 		memPages = append(memPages, bres.Unpartitioned...)
 		memPages = append(memPages, bres.InMemory...)
-		ht, err = buildHashTable(memPages, rcB, bKeyFields, est, workers)
+		ht, err = buildJoinTable(memPages, rcB, bKeyFields, 0, est, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -147,33 +147,17 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 	}
 	shared := core.NewShared(cfg)
 	workers := ctx.workers()
-	parts := cfg.Partitions
-	shiftP := uint(64 - log2(uint64(parts)))
-	// Per-worker, per-partition HyperLogLog sketches: partition routing
-	// consumes the hash prefix, so slicing the sketches the same way yields
-	// a statistically valid distinct estimate per partition — the hint
-	// phase 2 sizes each partition's hash table from (§4.4).
-	sketches := make([][]*hll.Sketch, workers)
+	// One HyperLogLog sketch per worker over the key hashes materialization
+	// computes anyway (§4.5); their union sizes the global in-memory table.
+	sketches := make([]hll.Sketch, workers)
 	err = drainWorkers(ctx, "join-build", bs, func(w int) (func(*data.Batch) error, func() error) {
 		buf := shared.NewBuffer()
-		skp := make([]*hll.Sketch, parts)
-		sketches[w] = skp
-		// The HyperLogLog sketch computes a key hash anyway; Umami reuses it
-		// for adaptive partitioning (§4.5).
-		sketch := func(i int, h uint64) {
-			p := int(h >> shiftP)
-			sk := skp[p]
-			if sk == nil {
-				sk = hll.New()
-				skp[p] = sk
-			}
-			sk.Add(h)
-		}
 		var be batchEncoder
 		return func(b *data.Batch) error {
 			// Batch materialization: hashing, sizing, and encoding all run
 			// column-at-a-time.
-			be.materialize(buf, rcB, b, bKeyCols, sketch)
+			be.materialize(buf, rcB, b, bKeyCols)
+			sketches[w].AddAll(be.hs)
 			return nil
 		}, buf.Finish
 	})
@@ -184,29 +168,15 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	// Merge the sketch grid: per-partition estimates feed phase-2 table
-	// sizing; their union (register-wise max is associative) sizes the
-	// global in-memory table exactly as the single sketch used to.
-	partDistinct := make([]int64, parts)
-	merged := hll.New()
-	acc := hll.New()
-	for p := 0; p < parts; p++ {
-		acc.Reset()
-		any := false
-		for w := range sketches {
-			if sk := sketches[w][p]; sk != nil {
-				acc.Merge(sk)
-				any = true
-			}
+	var est int64
+	if !j.grace(ctx) { // the grace baseline builds no global table
+		for w := 1; w < workers; w++ {
+			sketches[0].Merge(&sketches[w])
 		}
-		if any {
-			partDistinct[p] = int64(acc.Estimate())
-			merged.Merge(acc)
-		}
+		est = int64(sketches[0].Estimate())
 	}
-	bres.PartDistinct = partDistinct
 	bKeyFields := bKeyCols // build tuples carry the full build schema
-	return bres, rcB, bKeyFields, int64(merged.Estimate()), nil
+	return bres, rcB, bKeyFields, est, nil
 }
 
 // joinShared is the probe-phase state shared by all workers.
@@ -217,15 +187,15 @@ type joinShared struct {
 	bres   *core.Result
 	rcB    *data.RowCodec
 	bKeys  []int
-	ht     *hashTable
+	ht     *joinTable
 	mask   uint64
 	shiftP uint // partition shift (64 - log2 partitions)
-	nBuild int  // build schema width
 
 	pSchema  *data.Schema
 	pmSchema *data.Schema // probe materialization schema (probe ⊕ matched flag for Outer)
 	rcP      *data.RowCodec
 	pKeys    []int
+	intKeys  bool // every key column is an 8-byte integer on both sides
 
 	probeIn *Stream
 	pshared *core.Shared
@@ -239,7 +209,7 @@ type joinShared struct {
 	err        errValue
 }
 
-func (j *Join) probeStream(ctx *Ctx, sp *trace.Span, bres *core.Result, rcB *data.RowCodec, bKeys []int, ht *hashTable, routedMask uint64) (*Stream, error) {
+func (j *Join) probeStream(ctx *Ctx, sp *trace.Span, bres *core.Result, rcB *data.RowCodec, bKeys []int, ht *joinTable, routedMask uint64) (*Stream, error) {
 	ps, err := j.Probe.Run(ctx)
 	if err != nil {
 		return nil, err
@@ -260,13 +230,17 @@ func (j *Join) probeStream(ctx *Ctx, sp *trace.Span, bres *core.Result, rcB *dat
 		ht:       ht,
 		mask:     routedMask,
 		shiftP:   uint(64 - log2(uint64(bres.Partitions))),
-		nBuild:   j.Build.Schema().Len(),
 		pSchema:  pSchema,
 		pmSchema: pmSchema,
 		rcP:      data.NewRowCodec(pmSchema.Types()),
 		pKeys:    indicesOf(pSchema, j.ProbeKeys),
+		intKeys:  true,
 		probeIn:  ps,
 		bar:      newBarrier(ctx.workers()),
+	}
+	for i, f := range bKeys {
+		js.intKeys = js.intKeys && rcB.Types()[f].Fixed() && rcB.Types()[f] != data.Float64 &&
+			pSchema.Cols[js.pKeys[i]].Type == rcB.Types()[f]
 	}
 	if routedMask != 0 {
 		pcfg := ctx.coreConfig()
@@ -305,19 +279,31 @@ func (j *Join) probeStream(ctx *Ctx, sp *trace.Span, bres *core.Result, rcB *dat
 
 // joinWorker is one worker's probe state machine: stage 1 streams the probe
 // input against the in-memory table, stage 2 (after a barrier) joins the
-// routed partitions one at a time.
+// routed partitions one at a time. Both stages join a batch at a time through
+// the same steps (emit): stage 2 decodes its probe pages into batches first.
 type joinWorker struct {
-	js       *joinShared
-	wid      int // this worker's stream id
-	pbuf     *core.Buffer
-	in       *data.Batch
-	flag     []int64       // scratch matched-flag column (Outer)
-	hashes   []uint64      // per-batch probe-key hashes
-	wrapCols []data.Column // scratch columns for the Outer wrap batch
-	arena    data.ByteArena
+	js    *joinShared
+	wid   int // this worker's stream id
+	pbuf  *core.Buffer
+	in    *data.Batch // stage 1: the leased probe input
+	pin   *data.Batch // stage 2: probe tuples of a partition page, decoded
+	arena data.ByteArena
+
+	probe   joinProbe
+	cur     *data.Batch // the batch being joined (in or pin); nil: fetch the next
+	decided bool        // cur's matches are all out and its rows routed
+	keep    []int32     // rows of cur that go out without a build tuple, from kpos on
+	kpos    int
+
+	store   []int32 // rows of cur that follow their partition to stage 2 …
+	storeHs []uint64
+	enc     batchEncoder
+	flag    []int64    // … with the matched flag, by physical row (Outer)
+	wrap    data.Batch // cur ⊕ flag
+	tups    [][]byte   // scratch: the tuples of a page chunk
 
 	stage int // 1 streaming, 2 partitions, 3 done
-	cur   *partJoinState
+	part  *partJoinState
 }
 
 // partJoinState is one worker's in-progress spilled partition: the build
@@ -327,15 +313,18 @@ type joinWorker struct {
 // first.
 type partJoinState struct {
 	part     int
-	ht       *hashTable
+	ht       *joinTable
 	memPages []*pages.Page // probe side in-memory pages, consumed first
 	idx      int
+	pg       *pages.Page // probe page being joined, from tuple tup on
+	tup      int
 	bcur     *core.PartitionCursor // build side, exhausted; pages live until Release
 	pcur     *core.PartitionCursor // probe side, streamed
 }
 
 func newJoinWorker(js *joinShared, wid int) *joinWorker {
 	jw := &joinWorker{js: js, wid: wid, in: js.ctx.BatchPool(js.pSchema).Get(), stage: 1}
+	jw.probe.cols, jw.probe.intKeys = js.pKeys, js.intKeys
 	if js.pshared != nil {
 		jw.pbuf = js.pshared.NewBuffer()
 	}
@@ -346,19 +335,25 @@ func (jw *joinWorker) next(b *data.Batch) (int, error) {
 	b.Reset()
 	for {
 		if err := jw.js.err.get(); err != nil {
-			jw.releaseIn()
+			jw.release()
 			return 0, err
+		}
+		if jw.cur != nil {
+			if n := jw.emit(b); n > 0 {
+				return n, nil
+			}
+			jw.cur = nil
 		}
 		switch jw.stage {
 		case 1:
-			n, err := jw.js.probeIn.Next(jw.workerID(), jw.in)
+			n, err := jw.js.probeIn.Next(jw.wid, jw.in)
 			if err != nil {
 				jw.js.err.set(err)
-				jw.releaseIn()
+				jw.release()
 				return 0, err
 			}
 			if n == 0 {
-				jw.releaseIn()
+				jw.release()
 				if jw.pbuf != nil {
 					if err := jw.pbuf.Finish(); err != nil {
 						jw.js.err.set(err)
@@ -372,132 +367,151 @@ func (jw *joinWorker) next(b *data.Batch) (int, error) {
 				jw.stage = 2
 				continue
 			}
-			if out := jw.streamBatch(b); out > 0 {
-				return out, nil
-			}
+			jw.begin(jw.in, jw.js.ht)
 		case 2:
-			n, err := jw.partitionStep(b)
-			if err != nil {
+			if err := jw.partitionStep(); err != nil {
 				jw.js.err.set(err)
+				jw.release()
 				return 0, err
 			}
-			if n > 0 {
-				return n, nil
-			}
-			if jw.stage == 3 {
-				return 0, nil
-			}
 		default:
+			jw.release()
 			return 0, nil
 		}
 	}
 }
 
-// releaseIn returns the worker's probe-input batch lease. Every terminal
-// path out of next must call it — the clean end of stream and all error
-// returns alike — or a failing query strands the lease and the query-end
-// pool audit (gets == puts) reports a leak. Idempotent.
-func (jw *joinWorker) releaseIn() {
+// release returns the worker's batch leases. Every terminal path out of next
+// must call it — the clean end of stream and all error returns alike — or a
+// failing query strands a lease and the query-end pool audit (gets == puts)
+// reports a leak. Idempotent.
+func (jw *joinWorker) release() {
 	if jw.in != nil {
 		jw.in.Release()
 		jw.in = nil
 	}
+	if jw.pin != nil {
+		jw.pin.Release()
+		jw.pin = nil
+	}
 }
 
-// workerID returns this worker's probe-stream id, bound at creation.
-func (jw *joinWorker) workerID() int { return jw.wid }
+// begin starts joining the probe batch in against t (nil in the grace
+// baseline's streaming stage, which only routes).
+func (jw *joinWorker) begin(in *data.Batch, t *joinTable) {
+	jw.cur, jw.decided = in, false
+	jw.keep, jw.kpos = jw.keep[:0], 0
+	jw.probe.start(t, in)
+}
 
-// streamBatch probes jw.in against the in-memory table, emitting into b and
-// routing tuples of spilled (or grace) partitions into the probe buffer.
-func (jw *joinWorker) streamBatch(b *data.Batch) int {
+// emit produces the next output batch of the batch being joined into b, 0
+// when it has none left. Matches come first, emitRows at a time, by column:
+// probe columns gathered by match, each build field decoded in one typed
+// loop. Once they are out every row's fate is known (decide); rows that go
+// out without a build tuple follow — as a selection over the probe batch,
+// lent to b until the next call, when the output has the probe schema.
+func (jw *joinWorker) emit(b *data.Batch) int {
 	js := jw.js
-	in := jw.in
-	var wrap *data.Batch
-	if js.j.Kind == Outer {
-		if cap(jw.flag) < in.Len() {
-			jw.flag = make([]int64, in.Len())
+	in := jw.cur
+	nProbe := js.pSchema.Len()
+	lend := js.j.Kind == Semi || js.j.Kind == Anti
+	if !jw.decided {
+		if lend {
+			jw.probe.exists()
+		} else if n := jw.probe.fill(emitRows); n > 0 {
+			gatherCols(b.Cols[:nProbe], in.Cols, jw.probe.rows)
+			js.rcB.DecodeFields(b.Cols[nProbe:], jw.probe.tups, &jw.arena)
+			b.SetLen(n)
+			return n
 		}
-		jw.flag = jw.flag[:in.Len()]
-		jw.wrapCols = append(jw.wrapCols[:0], in.Cols...)
-		jw.wrapCols = append(jw.wrapCols, data.Column{Type: data.Bool, I: jw.flag})
-		wrap = &data.Batch{Schema: js.pmSchema, Cols: jw.wrapCols}
-		wrap.SetLen(in.Len())
+		jw.decide()
+		jw.decided = true
 	}
-	// Key hashes for the whole batch, column-at-a-time; the per-row loop
-	// below then only routes and emits.
-	jw.hashes = data.HashColumns(in, in.Sel, js.pKeys, jw.hashes[:0])
-	n := in.Rows()
-	for i := 0; i < n; i++ {
-		r := in.Row(i)
-		h := jw.hashes[i]
-		part := int(h >> js.shiftP)
-		routed := js.mask&(1<<uint(part)) != 0
-
-		matched := false
-		if js.ht != nil {
-			switch js.j.Kind {
-			case Inner, Outer:
-				js.ht.probeRow(h, in, js.pKeys, r, func(bt []byte) {
-					matched = true
-					emitJoined(b, in, r, js.rcB, bt, js.nBuild, &jw.arena)
-				})
-			case Semi, Anti:
-				matched = js.ht.probeRow(h, in, js.pKeys, r, nil)
-			}
+	rows := jw.keep[jw.kpos:]
+	if len(rows) == 0 {
+		return 0
+	}
+	if lend {
+		jw.kpos = len(jw.keep)
+		for i := range b.Cols {
+			b.Cols[i] = in.Cols[i]
 		}
-
-		if !routed {
-			switch js.j.Kind {
-			case Semi:
-				if matched {
-					b.AppendRowFrom(in, r)
-				}
-			case Anti:
-				if !matched {
-					b.AppendRowFrom(in, r)
-				}
-			case Outer:
-				if !matched {
-					emitPadded(b, in, r, js.j.Build.Schema())
-				}
-			}
-			continue
+		b.SetLen(in.Len())
+		b.Borrow()
+		if len(rows) < in.Len() {
+			b.Sel = rows
 		}
+		return len(rows)
+	}
+	rows = rows[:min(len(rows), emitRows)]
+	jw.kpos += len(rows)
+	gatherCols(b.Cols[:nProbe], in.Cols, rows)
+	nullCols(b.Cols[nProbe:], len(rows))
+	b.SetLen(len(rows))
+	return len(rows)
+}
 
-		// Routed partition: decide whether the tuple continues to the
-		// spilled phase (see §4.3/§4.5 hybrid semantics per join kind).
-		switch js.j.Kind {
-		case Inner:
-			jw.store(in, r, h)
+// decide settles every live row of the joined batch once its matches are
+// known: rows of routed partitions that still need their spilled build
+// tuples are stored for stage 2 (§4.3/§4.5 hybrid semantics per join kind),
+// rows that go out without a build tuple are listed in keep.
+func (jw *joinWorker) decide() {
+	js := jw.js
+	in := jw.cur
+	kind := js.j.Kind
+	mask := js.mask
+	var before []int64 // Outer, stage 2: the row matched while it streamed
+	if jw.stage == 2 {
+		mask = 0
+		if kind == Outer {
+			before = in.Cols[js.pSchema.Len()].I
+		}
+	}
+	if kind == Inner && mask == 0 {
+		return
+	}
+	if kind == Outer && mask != 0 {
+		jw.flag = sized(jw.flag, in.Len())
+	}
+	jw.store, jw.storeHs = jw.store[:0], jw.storeHs[:0]
+	for i, h := range jw.probe.hashes {
+		r := int32(in.Row(i))
+		m := jw.probe.matched[i]
+		routed := mask&(1<<(h>>js.shiftP)) != 0
+		keep := false
+		switch kind {
 		case Semi:
-			if matched {
-				b.AppendRowFrom(in, r)
-			} else {
-				jw.store(in, r, h)
-			}
+			keep, routed = m, routed && !m
 		case Anti:
-			if !matched {
-				jw.store(in, r, h)
-			}
+			keep, routed = !m && !routed, routed && !m
 		case Outer:
-			jw.flag[r] = 0
-			if matched {
-				jw.flag[r] = 1
+			keep = !m && !routed && (before == nil || before[r] == 0)
+			if routed {
+				jw.flag[r] = 0
+				if m {
+					jw.flag[r] = 1
+				}
 			}
-			jw.storeWrap(wrap, r, h)
+		}
+		if keep {
+			jw.keep = append(jw.keep, r)
+		}
+		if routed {
+			jw.store = append(jw.store, r)
+			jw.storeHs = append(jw.storeHs, h)
 		}
 	}
-	return b.Len()
-}
-
-func (jw *joinWorker) store(in *data.Batch, r int, h uint64) {
-	dst := jw.pbuf.AllocTuple(jw.js.rcP.Size(in, r), h)
-	jw.js.rcP.Encode(dst, in, r)
-}
-
-func (jw *joinWorker) storeWrap(wrap *data.Batch, r int, h uint64) {
-	dst := jw.pbuf.AllocTuple(jw.js.rcP.Size(wrap, r), h)
-	jw.js.rcP.Encode(dst, wrap, r)
+	if len(jw.store) == 0 {
+		return
+	}
+	src := in
+	if kind == Outer {
+		jw.wrap.Schema = js.pmSchema
+		jw.wrap.Cols = append(append(jw.wrap.Cols[:0], in.Cols...), data.Column{Type: data.Bool, I: jw.flag})
+		jw.wrap.SetLen(in.Len())
+		src = &jw.wrap
+	}
+	jw.enc.encode(jw.pbuf, js.rcP, src, jw.store, jw.storeHs)
 }
 
 // finalizeProbe merges the probe-side materialization once all workers have
@@ -548,44 +562,61 @@ func (jw *joinWorker) finalizeProbe() error {
 	return ferr
 }
 
-// partitionStep processes (part of) one routed partition, emitting into b.
-// Probe pages are pulled one at a time — from the in-memory partition first,
-// then from the readback cursor — so the worker joins page k while the
-// scheduler's ring is already reading page k+1 (and the next partitions).
-func (jw *joinWorker) partitionStep(b *data.Batch) (int, error) {
+// partitionStep begins the join of the next chunk of probe tuples of a
+// routed partition, or ends stage 2. Probe pages are pulled one at a time —
+// from the in-memory partition first, then from the readback cursor — so the
+// worker joins page k while the scheduler's ring is already reading page k+1
+// (and the next partitions).
+func (jw *joinWorker) partitionStep() error {
 	js := jw.js
 	for {
-		if jw.cur == nil {
+		if jw.part == nil {
 			i := int(js.partCursor.Add(1) - 1)
 			if i >= len(js.routed) {
 				jw.stage = 3
-				return 0, nil
+				return nil
 			}
 			st, err := jw.openPartition(i, js.routed[i])
 			if err != nil {
-				return 0, err
+				return err
 			}
-			jw.cur = st
+			jw.part = st
 		}
-		st := jw.cur
-		var pg *pages.Page
+		st := jw.part
+		if st.pg != nil && st.tup < st.pg.Tuples() {
+			// Decode the page's next tuples into a probe batch. Strings are
+			// interned: what the join emits or lends owns its bytes.
+			hi := min(st.tup+emitRows, st.pg.Tuples())
+			jw.tups = jw.tups[:0]
+			for t := st.tup; t < hi; t++ {
+				jw.tups = append(jw.tups, st.pg.Tuple(t))
+			}
+			st.tup = hi
+			if jw.pin == nil {
+				jw.pin = js.ctx.BatchPool(js.pmSchema).Get()
+			}
+			js.rcP.DecodeFields(jw.pin.Cols, jw.tups, &jw.arena)
+			jw.pin.SetLen(len(jw.tups))
+			jw.begin(jw.pin, st.ht)
+			return nil
+		}
+		st.pg, st.tup = nil, 0
 		if st.idx < len(st.memPages) {
-			pg = st.memPages[st.idx]
+			st.pg = st.memPages[st.idx]
 			st.idx++
 		} else if st.pcur != nil {
 			next, err := st.pcur.Next()
 			if err != nil {
 				js.ctx.reportCursor(js.sp, st.pcur)
-				return 0, fmt.Errorf("exec: join reading probe partition %d: %w", st.part, err)
+				return fmt.Errorf("exec: join reading probe partition %d: %w", st.part, err)
 			}
-			pg = next
+			st.pg = next
 		}
-		if pg == nil {
+		if st.pg == nil {
 			// Partition fully joined: nothing references its pages anymore
 			// (outputs are arena-interned, the hash table dies with st), so
 			// the cursors' buffers can be recycled.
-			jw.cur = nil
-			st.ht = nil
+			jw.part = nil
 			if st.pcur != nil {
 				js.ctx.reportCursor(js.sp, st.pcur)
 				st.pcur.Release()
@@ -593,34 +624,23 @@ func (jw *joinWorker) partitionStep(b *data.Batch) (int, error) {
 			if st.bcur != nil {
 				st.bcur.Release()
 			}
-			continue
-		}
-		jw.emitProbePage(b, st, pg)
-		if b.Len() > 0 {
-			return b.Len(), nil
 		}
 	}
 }
 
-// openPartition streams the build side of routed partition i (partition p)
-// into a hash table sized from its HLL distinct estimate, and opens the
-// probe-side cursor for partitionStep to pull from.
+// openPartition reads the build side of routed partition i (partition p)
+// into a table of its own and opens the probe-side cursor for partitionStep
+// to pull from.
 func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 	js := jw.js
 	st := &partJoinState{part: p}
 
-	var hint int64
-	if p < len(js.bres.PartDistinct) {
-		hint = js.bres.PartDistinct[p]
-	}
-	st.ht = newStreamingHashTable(js.rcB, js.bKeys, hint)
 	// Build side: spilled pages always; in-memory partition pages only for
 	// the grace baseline (the unified join already covered them in the
 	// global in-memory table).
+	var build []*pages.Page
 	if js.j.grace(js.ctx) {
-		for _, pg := range js.bres.InMemoryByPart(p) {
-			st.ht.insertPage(pg)
-		}
+		build = append(build, js.bres.InMemoryByPart(p)...)
 	}
 	if js.sched != nil {
 		bcur := js.sched.Open(2 * i)
@@ -633,141 +653,76 @@ func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 			if pg == nil {
 				break
 			}
-			st.ht.insertPage(pg)
+			build = append(build, pg)
 		}
 		js.ctx.reportCursor(js.sp, bcur)
 		st.bcur = bcur
 		st.pcur = js.sched.Open(2*i + 1)
 	}
+	// The partition's hashes share their leading bits; its table is sized
+	// from its tuple count, known only now and only for partitions that were
+	// routed — a join that did not spill estimates nothing per partition.
+	ht, err := buildJoinTable(build, js.rcB, js.bKeys, 64-js.shiftP, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	st.ht = ht
 	if js.pres != nil {
 		st.memPages = js.pres.InMemoryByPart(p)
 	}
 	return st, nil
 }
 
-// emitProbePage probes every tuple of one materialized probe page.
-func (jw *joinWorker) emitProbePage(b *data.Batch, st *partJoinState, pg *pages.Page) {
-	js := jw.js
-	arena := &jw.arena
-	nProbe := js.pSchema.Len()
-	for t := 0; t < pg.Tuples(); t++ {
-		tuple := pg.Tuple(t)
-		h := js.rcP.HashTuple(tuple, js.pKeys)
-		switch js.j.Kind {
-		case Inner:
-			st.ht.probeTuple(h, tuple, js.rcP, js.pKeys, func(bt []byte) {
-				appendTupleCols(b, 0, js.rcP, tuple, nProbe, arena)
-				appendTupleCols(b, nProbe, js.rcB, bt, js.nBuild, arena)
-				b.SetLen(b.Len() + 1)
-			})
-		case Semi:
-			if st.ht.probeTuple(h, tuple, js.rcP, js.pKeys, nil) {
-				appendTupleCols(b, 0, js.rcP, tuple, nProbe, arena)
-				b.SetLen(b.Len() + 1)
-			}
-		case Anti:
-			if !st.ht.probeTuple(h, tuple, js.rcP, js.pKeys, nil) {
-				appendTupleCols(b, 0, js.rcP, tuple, nProbe, arena)
-				b.SetLen(b.Len() + 1)
-			}
-		case Outer:
-			matched := st.ht.probeTuple(h, tuple, js.rcP, js.pKeys, func(bt []byte) {
-				appendTupleCols(b, 0, js.rcP, tuple, nProbe, arena)
-				appendTupleCols(b, nProbe, js.rcB, bt, js.nBuild, arena)
-				b.SetLen(b.Len() + 1)
-			})
-			flagField := nProbe // the appended __matched field
-			if !matched && js.rcP.Int(tuple, flagField) == 0 {
-				appendTupleCols(b, 0, js.rcP, tuple, nProbe, arena)
-				appendNullCols(b, nProbe, js.j.Build.Schema())
-				b.SetLen(b.Len() + 1)
-			}
-		}
-	}
-}
-
-// emitJoined appends probe row r of in ⊕ decoded build tuple to out.
-func emitJoined(out *data.Batch, in *data.Batch, r int, rcB *data.RowCodec, buildTuple []byte, nBuild int, arena *data.ByteArena) {
-	appendBatchRowCols(out, 0, in, r)
-	appendTupleCols(out, in.Schema.Len(), rcB, buildTuple, nBuild, arena)
-	out.SetLen(out.Len() + 1)
-}
-
-// emitPadded appends probe row r with NULL build columns (outer join).
-func emitPadded(out *data.Batch, in *data.Batch, r int, buildSchema *data.Schema) {
-	appendBatchRowCols(out, 0, in, r)
-	appendNullCols(out, in.Schema.Len(), buildSchema)
-	out.SetLen(out.Len() + 1)
-}
-
-// appendBatchRowCols copies row r of in into out columns [start, start+w).
-func appendBatchRowCols(out *data.Batch, start int, in *data.Batch, r int) {
-	for i := range in.Cols {
-		src := &in.Cols[i]
-		dst := &out.Cols[start+i]
-		switch dst.Type {
+// gatherCols fills dst with the given rows of src, column by column.
+func gatherCols(dst, src []data.Column, rows []int32) {
+	n := len(rows)
+	for i := range dst {
+		d, s := &dst[i], &src[i]
+		switch d.Type {
 		case data.Float64:
-			dst.F = append(dst.F, src.F[r])
+			d.F = sized(d.F, n)
+			for j, r := range rows {
+				d.F[j] = s.F[r]
+			}
 		case data.String:
-			dst.S = append(dst.S, src.S[r])
-		default:
-			dst.I = append(dst.I, src.I[r])
-		}
-		appendNullMark(dst, out.Len(), src.Null != nil && src.Null[r])
-	}
-}
-
-// appendTupleCols decodes the first n fields of tuple into out columns
-// [start, start+n). String fields are interned through arena (when
-// non-nil), so the output owns its bytes and the tuple's page can be
-// recycled once the batch is emitted.
-func appendTupleCols(out *data.Batch, start int, rc *data.RowCodec, tuple []byte, n int, arena *data.ByteArena) {
-	for f := 0; f < n; f++ {
-		dst := &out.Cols[start+f]
-		switch rc.Types()[f] {
-		case data.Float64:
-			dst.F = append(dst.F, rc.Float(tuple, f))
-		case data.String:
-			if arena != nil {
-				dst.S = append(dst.S, arena.InternBytes(rc.StrBytes(tuple, f)))
-			} else {
-				dst.S = append(dst.S, rc.Str(tuple, f))
+			d.S = sized(d.S, n)
+			for j, r := range rows {
+				d.S[j] = s.S[r]
 			}
 		default:
-			dst.I = append(dst.I, rc.Int(tuple, f))
+			d.I = sized(d.I, n)
+			for j, r := range rows {
+				d.I[j] = s.I[r]
+			}
 		}
-		appendNullMark(dst, out.Len(), rc.IsNull(tuple, f))
+		d.Null = nil
+		if s.Null != nil {
+			d.Null = make([]bool, n)
+			for j, r := range rows {
+				d.Null[j] = s.Null[r]
+			}
+		}
 	}
 }
 
-// appendNullCols appends NULL values for every column of schema into out
-// columns [start, start+len).
-func appendNullCols(out *data.Batch, start int, schema *data.Schema) {
-	for i, cd := range schema.Cols {
-		dst := &out.Cols[start+i]
-		switch cd.Type {
+// nullCols fills cols with n NULLs (the build side of an unmatched outer row).
+func nullCols(cols []data.Column, n int) {
+	for i := range cols {
+		c := &cols[i]
+		switch c.Type {
 		case data.Float64:
-			dst.F = append(dst.F, 0)
+			c.F = sized(c.F, n)
+			clear(c.F)
 		case data.String:
-			dst.S = append(dst.S, "")
+			c.S = sized(c.S, n)
+			clear(c.S)
 		default:
-			dst.I = append(dst.I, 0)
+			c.I = sized(c.I, n)
+			clear(c.I)
 		}
-		appendNullMark(dst, out.Len(), true)
-	}
-}
-
-// appendNullMark maintains a column's null bitmap while appending row
-// rowIdx (the batch length before the row is complete).
-func appendNullMark(c *data.Column, rowIdx int, null bool) {
-	if c.Null == nil {
-		if !null {
-			return
+		c.Null = make([]bool, n)
+		for j := range c.Null {
+			c.Null[j] = true
 		}
-		c.Null = make([]bool, rowIdx)
 	}
-	for len(c.Null) < rowIdx {
-		c.Null = append(c.Null, false)
-	}
-	c.Null = append(c.Null, null)
 }

@@ -17,46 +17,68 @@ import (
 	"github.com/spilly-db/spilly/internal/data"
 )
 
-// batchEncoder materializes all live rows of a batch through an Umami
-// buffer: key hashes and tuple sizes are computed column-at-a-time, the
-// rows are encoded column-at-a-time into one scratch buffer, and each
-// tuple is then copied into its AllocTuple slot. The copy is what makes
-// this safe: AllocTuple may trigger adaptive partitioning or spilling,
-// which invalidates previously returned slots, so tuples must be complete
-// bytes by the time the next allocation happens.
+// batchEncoder materializes rows of a batch through an Umami buffer: key
+// hashes and tuple sizes are computed column-at-a-time, the rows are encoded
+// column-at-a-time into one scratch buffer, and each tuple is then copied
+// into its AllocTuple slot. The copy is what makes this safe: AllocTuple may
+// trigger adaptive partitioning or spilling, which invalidates previously
+// returned slots, so tuples must be complete bytes by the time the next
+// allocation happens.
 type batchEncoder struct {
 	hs    []uint64
+	seq   []int32 // 0, 1, 2, …: see rows
 	sizes []int
 	dsts  [][]byte
 	enc   []byte
 }
 
-// materialize encodes every live row of b into buf. each (optional) is
-// invoked with the index and key hash of every live row, before its tuple
-// is allocated.
-func (be *batchEncoder) materialize(buf *core.Buffer, rc *data.RowCodec, b *data.Batch, keyCols []int, each func(i int, h uint64)) {
+// encodeRows is how many rows are encoded at a time: the scratch stays in
+// cache, and a wide 64 Ki-row batch does not cost megabytes of it.
+const encodeRows = 1024
+
+// materialize encodes every live row of b into buf, partitioned by the hash
+// of keyCols; the hashes stay in be.hs for the caller's sketch.
+func (be *batchEncoder) materialize(buf *core.Buffer, rc *data.RowCodec, b *data.Batch, keyCols []int) {
 	be.hs = data.HashColumns(b, b.Sel, keyCols, be.hs[:0])
-	be.sizes = rc.SizeAll(b, b.Sel, be.sizes[:0])
-	total := 0
-	for _, s := range be.sizes {
-		total += s
+	be.encode(buf, rc, b, b.Sel, be.hs)
+}
+
+// rows returns the selection of every row of an n-row batch: 0 … n-1.
+func (be *batchEncoder) rows(n int) []int32 {
+	for len(be.seq) < n {
+		be.seq = append(be.seq, int32(len(be.seq)))
 	}
-	if cap(be.enc) < total {
-		be.enc = make([]byte, total)
+	return be.seq[:n]
+}
+
+// encode encodes the rows sel of b (nil = every physical row) into buf; hs
+// holds their key hashes.
+func (be *batchEncoder) encode(buf *core.Buffer, rc *data.RowCodec, b *data.Batch, sel []int32, hs []uint64) {
+	if sel == nil {
+		sel = be.rows(len(hs))
 	}
-	be.enc = be.enc[:total]
-	be.dsts = be.dsts[:0]
-	off := 0
-	for _, s := range be.sizes {
-		be.dsts = append(be.dsts, be.enc[off:off+s:off+s])
-		off += s
-	}
-	rc.EncodeAll(be.dsts, b, b.Sel)
-	for i, h := range be.hs {
-		if each != nil {
-			each(i, h)
+	for len(sel) > 0 {
+		n := min(len(sel), encodeRows)
+		be.sizes = rc.SizeAll(b, sel[:n], be.sizes[:0])
+		total := 0
+		for _, s := range be.sizes {
+			total += s
 		}
-		copy(buf.AllocTuple(be.sizes[i], h), be.dsts[i])
+		if cap(be.enc) < total {
+			be.enc = make([]byte, total)
+		}
+		be.enc = be.enc[:total]
+		be.dsts = sized(be.dsts, n)
+		off := 0
+		for i, s := range be.sizes {
+			be.dsts[i] = be.enc[off : off+s : off+s]
+			off += s
+		}
+		rc.EncodeAll(be.dsts, b, sel[:n])
+		for i, h := range hs[:n] {
+			copy(buf.AllocTuple(be.sizes[i], h), be.dsts[i])
+		}
+		sel, hs = sel[n:], hs[n:]
 	}
 }
 

@@ -119,7 +119,7 @@ func (w *Window) Run(ctx *Ctx) (*Stream, error) {
 		return func(b *data.Batch) error {
 			// Batch materialization, as in the join build: hashing,
 			// sizing, and encoding all run column-at-a-time.
-			be.materialize(buf, rc, b, partCols, nil)
+			be.materialize(buf, rc, b, partCols)
 			return nil
 		}, buf.Finish
 	})
@@ -367,7 +367,6 @@ func (w *Window) emitGroup(out *data.Batch, tuples [][]byte, idxs []int, rc *dat
 		if r > 0 && !tupleOrderEqual(rc, tuples[idxs[r-1]], tuples[idxs[r]], orderCols) {
 			rank = int64(r) + 1
 		}
-		appendTupleCols(out, 0, rc, tuples[idxs[r]], nIn, arena)
 		for fi, f := range w.Funcs {
 			col := &out.Cols[nIn+fi]
 			lo, hi := 0, n-1
@@ -411,9 +410,9 @@ func (w *Window) emitGroup(out *data.Batch, tuples [][]byte, idxs []int, rc *dat
 			default:
 				col.I = append(col.I, v.i)
 			}
-			appendNullMark(col, out.Len(), false)
 		}
-		out.SetLen(out.Len() + 1)
+		// The input row's own columns; this also counts the row.
+		rc.AppendToArena(out, tuples[idxs[r]], arena)
 	}
 }
 

@@ -7,7 +7,10 @@
 // merged sketch sizes the global hash table, avoiding rehashing.
 package hll
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Precision is the number of index bits. 2^Precision registers; standard
 // error is about 1.04 / sqrt(2^Precision) ≈ 1.6% at 12.
@@ -31,18 +34,22 @@ func New() *Sketch {
 // directly (rather than the element) lets operators share one hash
 // computation between the sketch and Umami partitioning.
 func (s *Sketch) Add(hash uint64) {
-	// Register index: low Precision bits. Rank: leading zeros of the rest.
+	// Register index: low Precision bits. Rank: trailing zeros of the rest,
+	// plus one (the guard bit above the hash ends the count at the top).
 	// Umami partitioning consumes the hash *prefix* (high bits), so the
 	// sketch deliberately consumes the *suffix* to stay independent.
 	idx := hash & (numRegisters - 1)
-	w := hash>>Precision | 1<<(64-Precision) // ensure termination
-	rank := uint8(1)
-	for w&1 == 0 {
-		rank++
-		w >>= 1
-	}
+	rank := uint8(bits.TrailingZeros64(hash>>Precision|1<<(64-Precision)) + 1)
 	if rank > s.registers[idx] {
 		s.registers[idx] = rank
+	}
+}
+
+// AddAll records every hash of hs — the batch form operators feed with the
+// key hashes of a whole materialized batch.
+func (s *Sketch) AddAll(hs []uint64) {
+	for _, h := range hs {
+		s.Add(h)
 	}
 }
 

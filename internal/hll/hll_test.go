@@ -79,6 +79,38 @@ func TestMergeEqualsUnion(t *testing.T) {
 	}
 }
 
+// TestAddAllAndRank: AddAll is Add over a slice, and the rank Add takes from
+// TrailingZeros64 is the one the bit-at-a-time loop counted.
+func TestAddAllAndRank(t *testing.T) {
+	hs := make([]uint64, 50000)
+	for i := range hs {
+		hs[i] = xhash.U64(uint64(i), 5)
+	}
+	// Hashes whose rank field is all zeros, or zeros but the top bit.
+	hs = append(hs, 0, 1<<Precision-1, 1<<63, 1<<63|77)
+	one, all := New(), New()
+	var ref [numRegisters]uint8
+	for _, h := range hs {
+		one.Add(h)
+		w := h>>Precision | 1<<(64-Precision)
+		rank := uint8(1)
+		for w&1 == 0 {
+			rank++
+			w >>= 1
+		}
+		if idx := h & (numRegisters - 1); rank > ref[idx] {
+			ref[idx] = rank
+		}
+	}
+	all.AddAll(hs)
+	if one.registers != ref {
+		t.Fatal("Add's registers differ from the bit-at-a-time rank loop's")
+	}
+	if all.registers != one.registers {
+		t.Fatal("AddAll's registers differ from Add's")
+	}
+}
+
 func TestReset(t *testing.T) {
 	s := New()
 	for i := 0; i < 1000; i++ {

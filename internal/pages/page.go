@@ -179,6 +179,20 @@ func (p *Page) Tuple(i int) []byte {
 	return p.buf[start:end]
 }
 
+// Bytes returns the page's backing block. Together with Offset it lets a hash
+// table keep a tuple as (page, offset) — eight bytes without a pointer — and
+// reach its fields at Bytes()[Offset(i):] with one bounds check. The row
+// codec never needs the tuple's end: fields are addressed from its start.
+func (p *Page) Bytes() []byte { return p.buf }
+
+// Offset returns where the i-th tuple starts in Bytes().
+func (p *Page) Offset(i int) int {
+	if p.fixed != 0 {
+		return headerSize + i*p.fixed
+	}
+	return p.slotOffset(i)
+}
+
 func (p *Page) slotOffset(i int) int {
 	// Slot array grows backward: slot i lives at cap - (i+1)*slotSize.
 	pos := len(p.buf) - (i+1)*slotSize

@@ -97,6 +97,26 @@ func TestAllQueriesRun(t *testing.T) {
 	}
 }
 
+// TestAllQueriesRunAtTinyScale: at SF 0.001 some subqueries select nothing
+// (Q11: no German supplier among 10), and a scalar aggregate over nothing
+// must still be one row, not "scalar subquery returned 0 rows".
+func TestAllQueriesRunAtTinyScale(t *testing.T) {
+	db := NewMemDB(0.001)
+	for _, workers := range []int{1, 2} {
+		for q := 1; q <= NumQueries; q++ {
+			ctx := &exec.Ctx{Workers: workers, Stats: &exec.Stats{}}
+			node, err := BuildQuery(ctx, db, q)
+			if err != nil {
+				t.Fatalf("Q%d, %d workers, build: %v", q, workers, err)
+			}
+			if _, err := exec.Collect(ctx, node); err != nil {
+				t.Fatalf("Q%d, %d workers, run: %v", q, workers, err)
+			}
+			ctx.Close()
+		}
+	}
+}
+
 func TestQ18AgainstReference(t *testing.T) {
 	db := sharedDB()
 	li := db.T(Lineitem).(*colstore.MemTable)
