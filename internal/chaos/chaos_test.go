@@ -11,6 +11,7 @@ import (
 	"github.com/spilly-db/spilly/internal/chaos"
 	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
+	"github.com/spilly-db/spilly/internal/tpch"
 )
 
 // newEngine opens a spilling engine over a small TPC-H load. Q9 under a
@@ -34,11 +35,36 @@ func newEngine(t *testing.T, cfg spilly.Config) *spilly.Engine {
 	return eng
 }
 
-// baseline computes the fault-free reference fingerprint for Q9.
-func baseline(t *testing.T) string {
+// input is one query the fault tests run end to end. Q9 spills through hash
+// joins and aggregations; "sort" is the ledger's micro_spill external sort,
+// which spills sorted runs through the same path.
+type input struct {
+	name string
+	run  func(ctx context.Context, eng *spilly.Engine) (*spilly.Result, error)
+}
+
+var (
+	q9 = input{"q9", func(ctx context.Context, eng *spilly.Engine) (*spilly.Result, error) {
+		return eng.RunTPCHContext(ctx, 9)
+	}}
+	extSort = input{"sort", func(ctx context.Context, eng *spilly.Engine) (*spilly.Result, error) {
+		lineitem, err := eng.Table(tpch.Lineitem)
+		if err != nil {
+			return nil, err
+		}
+		return eng.RunContext(ctx, &spilly.ExtSortNode{
+			Child: spilly.NewScan(lineitem, "l_orderkey", "l_extendedprice", "l_shipdate", "l_comment"),
+			Keys:  []spilly.SortKey{{Col: "l_extendedprice", Desc: true}, {Col: "l_orderkey"}},
+		})
+	}}
+	inputs = []input{q9, extSort}
+)
+
+// baseline computes the fault-free reference fingerprint for an input.
+func baseline(t *testing.T, in input) string {
 	t.Helper()
 	eng := newEngine(t, spilly.Config{})
-	res, err := eng.RunTPCH(9)
+	res, err := in.run(context.Background(), eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,43 +75,48 @@ func baseline(t *testing.T) string {
 }
 
 func TestTPCHBitIdenticalUnderTransientFaults(t *testing.T) {
-	want := baseline(t)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			want := baseline(t, in)
 
-	eng := newEngine(t, spilly.Config{})
-	// Probabilistic faults well above the 1% floor, plus a scripted
-	// transient on one device's first two requests: the query issues only
-	// a few dozen spill I/Os at this scale, so the script guarantees the
-	// retry path actually runs regardless of how the dice land.
-	chaos.Schedule{
-		Seed:         42,
-		ReadErrRate:  0.05,
-		WriteErrRate: 0.05,
-		SpikeRate:    0.02,
-		SpikeLatency: 200 * time.Microsecond,
-		Script: map[int64]nvmesim.FaultKind{
-			1: nvmesim.FaultTransient,
-			2: nvmesim.FaultTransient,
-		},
-		ScriptDevice: 3,
-	}.Apply(eng.SpillArray())
+			eng := newEngine(t, spilly.Config{})
+			// Probabilistic faults well above the 1% floor, plus a scripted
+			// transient on one device's first two requests: the query issues
+			// only a few dozen spill I/Os at this scale, so the script
+			// guarantees the retry path actually runs regardless of how the
+			// dice land.
+			chaos.Schedule{
+				Seed:         42,
+				ReadErrRate:  0.05,
+				WriteErrRate: 0.05,
+				SpikeRate:    0.02,
+				SpikeLatency: 200 * time.Microsecond,
+				Script: map[int64]nvmesim.FaultKind{
+					1: nvmesim.FaultTransient,
+					2: nvmesim.FaultTransient,
+				},
+				ScriptDevice: 3,
+			}.Apply(eng.SpillArray())
 
-	res, err := eng.RunTPCH(9)
-	if err != nil {
-		t.Fatalf("query under transient faults failed: %v", err)
-	}
-	if got := chaos.Fingerprint(res.Batch); got != want {
-		t.Fatalf("result under faults differs from fault-free run:\n%s\nvs\n%s", got, want)
-	}
-	if res.Stats.SpillRetries == 0 {
-		t.Fatal("no retries recorded; the schedule injected no faults into the spill path")
-	}
-	if n := eng.Totals(); n[metrics.SpillRetries] == 0 {
-		t.Fatal("engine lifetime totals saw no retries")
+			res, err := in.run(context.Background(), eng)
+			if err != nil {
+				t.Fatalf("query under transient faults failed: %v", err)
+			}
+			if got := chaos.Fingerprint(res.Batch); got != want {
+				t.Fatalf("result under faults differs from fault-free run:\n%s\nvs\n%s", got, want)
+			}
+			if res.Stats.SpillRetries == 0 {
+				t.Fatal("no retries recorded; the schedule injected no faults into the spill path")
+			}
+			if n := eng.Totals(); n[metrics.SpillRetries] == 0 {
+				t.Fatal("engine lifetime totals saw no retries")
+			}
+		})
 	}
 }
 
 func TestPermanentDeviceFailure(t *testing.T) {
-	want := baseline(t)
+	want := baseline(t, q9)
 
 	eng := newEngine(t, spilly.Config{})
 	chaos.Schedule{Seed: 7, KillDevice: 0, KillAfterOps: 20}.Apply(eng.SpillArray())
@@ -137,45 +168,49 @@ func TestPermanentDeviceFailure(t *testing.T) {
 }
 
 func TestCancellationAbortsPromptly(t *testing.T) {
-	eng := newEngine(t, spilly.Config{})
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			eng := newEngine(t, spilly.Config{})
 
-	// Already-canceled context: the query must not do any work.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.RunTPCHContext(ctx, 9); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	var qe *spilly.QueryError
-	if _, err := eng.RunTPCHContext(ctx, 9); !errors.As(err, &qe) {
-		t.Fatalf("err = %v, want *QueryError", err)
-	}
+			// Already-canceled context: the query must not do any work.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := in.run(ctx, eng); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			var qe *spilly.QueryError
+			if _, err := in.run(ctx, eng); !errors.As(err, &qe) {
+				t.Fatalf("err = %v, want *QueryError", err)
+			}
 
-	// Mid-run deadline: slow the array down with latency spikes so the
-	// deadline always lands mid-query, then require a prompt abort.
-	chaos.Schedule{
-		Seed:         3,
-		SpikeRate:    0.5,
-		SpikeLatency: time.Millisecond,
-	}.Apply(eng.SpillArray())
-	dctx, dcancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer dcancel()
-	start := time.Now()
-	_, err := eng.RunTPCHContext(dctx, 9)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("cancellation took %v; blocking I/O is not observing the context", elapsed)
-	}
-	if c := eng.Faults().Snapshot(); c.CanceledQueries < 3 {
-		t.Fatalf("canceled queries = %d, want 3: %+v", c.CanceledQueries, c)
-	}
+			// Mid-run deadline: slow the array down with latency spikes so the
+			// deadline always lands mid-query, then require a prompt abort.
+			chaos.Schedule{
+				Seed:         3,
+				SpikeRate:    0.5,
+				SpikeLatency: time.Millisecond,
+			}.Apply(eng.SpillArray())
+			dctx, dcancel := context.WithTimeout(context.Background(), time.Millisecond)
+			defer dcancel()
+			start := time.Now()
+			_, err := in.run(dctx, eng)
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			if elapsed > 10*time.Second {
+				t.Fatalf("cancellation took %v; blocking I/O is not observing the context", elapsed)
+			}
+			if c := eng.Faults().Snapshot(); c.CanceledQueries < 3 {
+				t.Fatalf("canceled queries = %d, want 3: %+v", c.CanceledQueries, c)
+			}
 
-	// The aborted query must not leak: the engine stays fully usable.
-	chaos.Clear(eng.SpillArray())
-	if _, err := eng.RunTPCH(9); err != nil {
-		t.Fatalf("query after cancellation failed: %v", err)
+			// The aborted query must not leak: the engine stays fully usable.
+			chaos.Clear(eng.SpillArray())
+			if _, err := in.run(context.Background(), eng); err != nil {
+				t.Fatalf("query after cancellation failed: %v", err)
+			}
+		})
 	}
 }
 
@@ -198,7 +233,7 @@ func TestDeviceFullFailsGracefully(t *testing.T) {
 }
 
 func TestDeviceDeathDuringPrefetch(t *testing.T) {
-	want := baseline(t)
+	want := baseline(t, q9)
 
 	// Calibrate how many write requests device 0 absorbs during Q9's spill
 	// phase, so the kill can be scheduled just past them — the device then
@@ -267,34 +302,39 @@ func parityEngine(t *testing.T, cfg spilly.Config) *spilly.Engine {
 }
 
 func TestSilentCorruptionHealsToExactResult(t *testing.T) {
-	want := baseline(t)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			want := baseline(t, in)
 
-	eng := parityEngine(t, spilly.Config{})
-	// Every request on device 0 silently flips one bit — reads and writes
-	// both. Parity is computed from the in-memory block before the device
-	// mangles it, so even write-corrupted blocks rebuild exactly.
-	chaos.Schedule{Seed: 21, CorruptRate: 1.0, CorruptDevice: 0}.Apply(eng.SpillArray())
+			eng := parityEngine(t, spilly.Config{})
+			// Every request on device 0 silently flips one bit — reads and
+			// writes both. Parity is computed from the in-memory block before
+			// the device mangles it, so even write-corrupted blocks rebuild
+			// exactly.
+			chaos.Schedule{Seed: 21, CorruptRate: 1.0, CorruptDevice: 0}.Apply(eng.SpillArray())
 
-	res, err := eng.RunTPCH(9)
-	if err != nil {
-		t.Fatalf("query under silent corruption failed: %v", err)
-	}
-	if got := chaos.Fingerprint(res.Batch); got != want {
-		t.Fatalf("result under corruption differs from fault-free run:\n%s\nvs\n%s", got, want)
-	}
-	if res.Stats.SpillChecksumErrors == 0 {
-		t.Fatal("no checksum errors detected; corruption never reached the spill path")
-	}
-	if res.Stats.SpillReconstructions == 0 {
-		t.Fatal("no blocks reconstructed; corrupted data was served unverified")
-	}
-	if res.Stats.SpillPagesVerified == 0 {
-		t.Fatal("no pages verified; integrity is not armed")
+			res, err := in.run(context.Background(), eng)
+			if err != nil {
+				t.Fatalf("query under silent corruption failed: %v", err)
+			}
+			if got := chaos.Fingerprint(res.Batch); got != want {
+				t.Fatalf("result under corruption differs from fault-free run:\n%s\nvs\n%s", got, want)
+			}
+			if res.Stats.SpillChecksumErrors == 0 {
+				t.Fatal("no checksum errors detected; corruption never reached the spill path")
+			}
+			if res.Stats.SpillReconstructions == 0 {
+				t.Fatal("no blocks reconstructed; corrupted data was served unverified")
+			}
+			if res.Stats.SpillPagesVerified == 0 {
+				t.Fatal("no pages verified; integrity is not armed")
+			}
+		})
 	}
 }
 
 func TestTornWritesAndStaleReadsHeal(t *testing.T) {
-	want := baseline(t)
+	want := baseline(t, q9)
 
 	eng := parityEngine(t, spilly.Config{})
 	// Torn writes persist only half the block; stale reads serve a
@@ -321,37 +361,42 @@ func TestTornWritesAndStaleReadsHeal(t *testing.T) {
 }
 
 func TestDeviceDeathAfterSpillHealsFromParity(t *testing.T) {
-	want := baseline(t)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			want := baseline(t, in)
 
-	// Calibrate device 0's write count during Q9's spill phase, then kill
-	// it right after — its spilled blocks are gone, and with parity on the
-	// query must reconstruct every one of them and still be exact.
-	cal := parityEngine(t, spilly.Config{})
-	if _, err := cal.RunTPCH(9); err != nil {
-		t.Fatal(err)
-	}
-	d0 := cal.SpillArray().PerDevice()[0]
-	if d0.Writes == 0 {
-		t.Fatal("device 0 absorbed no spill writes; calibration broken")
-	}
+			// Calibrate device 0's write count during the spill phase, then
+			// kill it right after — its spilled blocks are gone, and with
+			// parity on the query must reconstruct every one of them and
+			// still be exact.
+			cal := parityEngine(t, spilly.Config{})
+			if _, err := in.run(context.Background(), cal); err != nil {
+				t.Fatal(err)
+			}
+			d0 := cal.SpillArray().PerDevice()[0]
+			if d0.Writes == 0 {
+				t.Fatal("device 0 absorbed no spill writes; calibration broken")
+			}
 
-	eng := parityEngine(t, spilly.Config{})
-	chaos.Schedule{Seed: 23, KillDevice: 0, KillAfterOps: d0.Writes + 1}.Apply(eng.SpillArray())
+			eng := parityEngine(t, spilly.Config{})
+			chaos.Schedule{Seed: 23, KillDevice: 0, KillAfterOps: d0.Writes + 1}.Apply(eng.SpillArray())
 
-	res, err := eng.RunTPCH(9)
-	if err != nil {
-		t.Fatalf("query with post-spill device death failed despite parity: %v", err)
-	}
-	if got := chaos.Fingerprint(res.Batch); got != want {
-		t.Fatalf("result after device death differs from fault-free run:\n%s\nvs\n%s", got, want)
-	}
-	if res.Stats.SpillReconstructions == 0 {
-		t.Fatal("no blocks reconstructed; the dead device's data came from nowhere")
+			res, err := in.run(context.Background(), eng)
+			if err != nil {
+				t.Fatalf("query with post-spill device death failed despite parity: %v", err)
+			}
+			if got := chaos.Fingerprint(res.Batch); got != want {
+				t.Fatalf("result after device death differs from fault-free run:\n%s\nvs\n%s", got, want)
+			}
+			if res.Stats.SpillReconstructions == 0 {
+				t.Fatal("no blocks reconstructed; the dead device's data came from nowhere")
+			}
+		})
 	}
 }
 
 func TestDoubleDeviceDeathFailsStructured(t *testing.T) {
-	want := baseline(t)
+	want := baseline(t, q9)
 
 	// Three spill devices and stripe width 2 mean every group spans all
 	// three. Killing two devices after the spill phase exceeds single-parity

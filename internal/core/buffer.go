@@ -48,11 +48,6 @@ var ErrOutOfMemory = errors.New("core: memory budget exhausted and spilling disa
 // execution engine recovers it at the worker boundary.
 type oomPanic struct{}
 
-// PanicOOM raises the out-of-memory panic that RecoverOOM converts to
-// ErrOutOfMemory; operators outside this package (e.g. the external sort)
-// use it to report budget exhaustion without spill capability.
-func PanicOOM() { panic(oomPanic{}) }
-
 // RecoverOOM converts an oomPanic into ErrOutOfMemory; any other panic is
 // re-raised. Use in a deferred function around operator work.
 func RecoverOOM(errp *error) {
@@ -73,8 +68,8 @@ type SpillConfig struct {
 	Array *nvmesim.Array
 	// Lease owns every spill extent the query's writers allocate; freeing
 	// it at query teardown reclaims exactly this query's spilled data.
-	// Nil leaves allocations unleased (single-query benches that Reset the
-	// array between runs).
+	// Nil leaves allocations unleased: they stay allocated for the array's
+	// lifetime (tests that spill to an array of their own).
 	Lease *nvmesim.Lease
 	// Compress enables self-regulating compression over DefaultScale.
 	Compress bool
@@ -91,8 +86,9 @@ type SpillConfig struct {
 	// Sched, when non-nil, is the engine's shared I/O scheduler for the
 	// spill array: every ring this query creates binds to it, so spill
 	// writes, readback prefetch, and demand reads are prioritized and
-	// rate-shared against concurrent queries (internal/iosched). Nil keeps
-	// the private-rings behavior.
+	// rate-shared against concurrent queries (internal/iosched). Nil leaves
+	// the rings unbound: their requests go straight to the array, in
+	// submission order (unit tests that own their array).
 	Sched uring.Dispatcher
 	// Query is the fairness key the scheduler round-robins this query's
 	// requests under (the spill lease ID in engine runs).
@@ -315,19 +311,9 @@ func (b *Buffer) getEmptyPage(hash uint64, need int) *pages.Page {
 	idx := hash >> b.shift
 	old := b.output[idx]
 
-	// A. Operator cost tracking for self-regulating compression. The
-	// interval runs from the END of the previous allocation to the start
-	// of this one, so that time stalled inside allocation (waiting for
-	// I/O completions) is not misattributed to operator CPU cost — that
-	// would suppress compression exactly when the engine is I/O-bound.
-	if b.reg != nil && !b.lastAlloc.IsZero() && old != nil {
-		b.reg.ObserveOperator(time.Since(b.lastAlloc), old.UsedBytes())
-	}
-	defer func() {
-		if b.reg != nil {
-			b.lastAlloc = time.Now()
-		}
-	}()
+	// A. Operator cost tracking for self-regulating compression.
+	b.observeFill(old)
+	defer b.markAlloc()
 
 	// Retire the full page.
 	if old != nil {
@@ -353,6 +339,24 @@ func (b *Buffer) getEmptyPage(hash uint64, need int) *pages.Page {
 	p.Part = b.partOf(hash)
 	b.output[idx] = p
 	return p
+}
+
+// observeFill feeds the regulator the operator time spent filling p. The
+// interval runs from the END of the previous allocation to now, so that time
+// stalled inside allocation (waiting for I/O completions) is not
+// misattributed to operator CPU cost — that would suppress compression
+// exactly when the engine is I/O-bound.
+func (b *Buffer) observeFill(p *pages.Page) {
+	if b.reg != nil && !b.lastAlloc.IsZero() && p != nil {
+		b.reg.ObserveOperator(time.Since(b.lastAlloc), p.UsedBytes())
+	}
+}
+
+// markAlloc starts the next page's operator-time interval.
+func (b *Buffer) markAlloc() {
+	if b.reg != nil {
+		b.lastAlloc = time.Now()
+	}
 }
 
 // retire moves a full page out of the active slot: spilled partitions go to
@@ -499,6 +503,58 @@ func (b *Buffer) awaitPage() {
 	}
 }
 
+// SpillRun writes one run — n tuples, tuple(i) the i-th in run order — as an
+// ordered sequence of pages from the buffer's pool, down an evicted hash
+// partition's path (staging, regulator, frames and parity, retries,
+// cancellation); its slots come back in order as one of the Result's Runs.
+// The writes overlap whatever the caller does next; Finish waits for them.
+// SpillRun returns the writer's first error so far. The regulator's page
+// clock runs on between runs, so a run's first page carries the time the
+// caller spent generating the run.
+func (b *Buffer) SpillRun(n int, tuple func(i int) []byte) error {
+	if b.writer == nil {
+		panic(oomPanic{})
+	}
+	run := b.writer.newRun()
+	var p *pages.Page
+	for i := 0; i < n; i++ {
+		t := tuple(i)
+		if p == nil || !p.HasSpace(len(t)) {
+			p = b.runPage(p, run)
+		}
+		if _, ok := p.Append(t); !ok {
+			panic(fmt.Sprintf("core: tuple of %d bytes exceeds page capacity", len(t)))
+		}
+	}
+	if p != nil {
+		b.observeFill(p)
+		b.writer.spillPage(p)
+		b.markAlloc()
+	}
+	b.writer.flushStaging(run)
+	b.writer.pump()
+	return b.writer.firstErr
+}
+
+// runPage spills a run's full page, if any, and returns an empty one for the
+// run. With the budget exhausted and no free page it first waits for an
+// in-flight write to hand one back.
+func (b *Buffer) runPage(full *pages.Page, run int) *pages.Page {
+	if full != nil {
+		b.observeFill(full)
+		b.writer.spillPage(full)
+	}
+	if b.s.cfg.Budget.Exhausted(b.s.cfg.PageSize) && b.pool.FreePages() == 0 {
+		b.awaitPage()
+	}
+	p := b.pool.Get()
+	p.Part = run
+	if full != nil {
+		b.markAlloc()
+	}
+	return p
+}
+
 // Finish completes this thread's materialization phase: retires active
 // pages, flushes spill staging, waits for outstanding writes, and merges
 // local state into the shared Result. Call exactly once per buffer, after
@@ -536,8 +592,12 @@ func (b *Buffer) Finish() error {
 		r.inMemByPart[part] = append(r.inMemByPart[part], pgs...)
 	}
 	if b.writer != nil {
-		for part, slots := range b.writer.slots {
+		parts := s.cfg.Partitions
+		for part, slots := range b.writer.slots[:parts] {
 			r.Spilled[part] = append(r.Spilled[part], slots...)
+		}
+		for i, slots := range b.writer.slots[parts:] {
+			r.Runs = append(r.Runs, PartitionWork{Part: parts + i, Slots: slots})
 		}
 		r.SpilledPages += b.writer.spilledPages
 		r.Counters.Merge(&b.writer.counts)
@@ -564,6 +624,10 @@ type Result struct {
 	Unpartitioned []*pages.Page
 	// Spilled lists the spilled page slots per partition.
 	Spilled [][]SpilledSlot
+	// Runs lists the runs written by SpillRun, each a readback work item:
+	// its slots in the order its pages were written, and as Part the index
+	// its frames carry.
+	Runs []PartitionWork
 	// Partitions is the partition count; Mask the spilled-partition bits.
 	Partitions int
 	Mask       uint64
@@ -614,7 +678,7 @@ func (s *Shared) Finalize() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.result.Mask = s.mask.Load()
-	if s.result.Mask != 0 {
+	if s.result.Mask != 0 || len(s.result.Runs) > 0 {
 		s.result.Counters[metrics.SpilledOps] = 1
 	}
 	if s.PartitioningActive() {

@@ -13,8 +13,9 @@ import (
 type blockGroup struct {
 	loc      nvmesim.Loc
 	slots    []SpilledSlot
-	buf      []byte
+	buf      []byte // read buffer, from queueing until the block is recycled
 	attempts int
+	done     bool // the read completed (verified, or failed)
 }
 
 // DefaultReadDepth is the number of concurrent block reads a partition
@@ -27,44 +28,38 @@ const DefaultReadDepth = 8
 // maxReadAttempts bounds transient-error retries per block read.
 const maxReadAttempts = 4
 
-// decodeBlockSlots decodes the staged pages of one completed block read,
-// appending page views to ready and any decompression buffers it draws from
-// the recycler to owned (the block buffer itself is assumed to be tracked by
-// the caller already).
-func decodeBlockSlots(buf []byte, slots []SpilledSlot, pageSize int, ready []*pages.Page, owned [][]byte) ([]*pages.Page, [][]byte, error) {
-	for _, s := range slots {
-		if int(s.Off)+int(s.Len) > len(buf) {
-			return ready, owned, fmt.Errorf("core: spilled slot %v exceeds block bounds", s)
-		}
-		data := buf[s.Off : s.Off+s.Len]
-		if s.Seq != 0 {
-			// Framed slot: the extent starts with the (already verified)
-			// integrity header; the encoded page follows it.
-			if len(data) < pages.FrameSize {
-				return ready, owned, fmt.Errorf("core: framed slot %v shorter than its header", s)
-			}
-			data = data[pages.FrameSize:]
-		}
-		var block []byte
-		if s.Scheme == codec.None {
-			block = data
-		} else {
-			c := codec.ByID(s.Scheme)
-			if c == nil {
-				return ready, owned, fmt.Errorf("core: spilled slot uses unknown codec %d", s.Scheme)
-			}
-			dec, err := c.Decompress(pages.GetBuf(pageSize)[:0], data)
-			if err != nil {
-				return ready, owned, fmt.Errorf("core: decompressing spilled page: %w", err)
-			}
-			block = dec
-			owned = append(owned, dec[:cap(dec)])
-		}
-		p, err := pages.Load(block[:pageSize])
-		if err != nil {
-			return ready, owned, fmt.Errorf("core: loading spilled page: %w", err)
-		}
-		ready = append(ready, p)
+// decodeSlot decodes one staged page of a completed, verified block read. A
+// raw page aliases buf; a compressed one is decompressed into a recycler
+// buffer, returned as owned for the caller to recycle once the page is dead.
+func decodeSlot(buf []byte, s SpilledSlot, pageSize int) (p *pages.Page, owned []byte, err error) {
+	if int(s.Off)+int(s.Len) > len(buf) {
+		return nil, nil, fmt.Errorf("core: spilled slot %v exceeds block bounds", s)
 	}
-	return ready, owned, nil
+	data := buf[s.Off : s.Off+s.Len]
+	if s.Seq != 0 {
+		// Framed slot: the extent starts with the (already verified)
+		// integrity header; the encoded page follows it.
+		if len(data) < pages.FrameSize {
+			return nil, nil, fmt.Errorf("core: framed slot %v shorter than its header", s)
+		}
+		data = data[pages.FrameSize:]
+	}
+	block := data
+	if s.Scheme != codec.None {
+		c := codec.ByID(s.Scheme)
+		if c == nil {
+			return nil, nil, fmt.Errorf("core: spilled slot uses unknown codec %d", s.Scheme)
+		}
+		dec, err := c.Decompress(pages.GetBuf(pageSize)[:0], data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: decompressing spilled page: %w", err)
+		}
+		block, owned = dec, dec[:cap(dec)]
+	}
+	p, err = pages.Load(block[:pageSize])
+	if err != nil {
+		pages.PutBuf(owned)
+		return nil, nil, fmt.Errorf("core: loading spilled page: %w", err)
+	}
+	return p, owned, nil
 }

@@ -139,13 +139,24 @@ func TestPartitionReaderBytesRead(t *testing.T) {
 	}
 	// The decoded pages alias recycler-backed buffers until Release hands
 	// every one of them back.
-	if len(r.it.owned) == 0 {
+	if blocks, _ := ownedBufs(r.it); blocks == 0 {
 		t.Fatal("readback tracked no recycler-backed buffers")
 	}
 	r.Release()
-	if r.it.owned != nil || r.it.ready != nil {
-		t.Fatalf("Release kept %d buffers and %d pages", len(r.it.owned), len(r.it.ready))
+	if blocks, pageBufs := ownedBufs(r.it); blocks+pageBufs != 0 {
+		t.Fatalf("Release kept %d block and %d page buffers", blocks, pageBufs)
 	}
+}
+
+// ownedBufs counts the recycler-backed buffers a work item holds: block read
+// buffers, and decompression buffers of pages handed out.
+func ownedBufs(it *schedItem) (blocks, pageBufs int) {
+	for _, g := range it.groups {
+		if g.buf != nil {
+			blocks++
+		}
+	}
+	return blocks, len(it.pageBufs)
 }
 
 func TestUringDepthAtSubmit(t *testing.T) {

@@ -78,11 +78,16 @@ type schedItem struct {
 	groups    []blockGroup
 	nextGroup int // next group to issue a read for
 	inflightN int // this item's reads in flight
-	decoded   int // groups fully decoded into ready pages
 	issued    bool
 
-	ready []*pages.Page
-	owned [][]byte // recycler-backed buffers the decoded pages alias
+	// Hand-out position: the consumer has had the pages of every group
+	// before outGroup and the first outPage slots of groups[outGroup].
+	// Groups before freed have been recycled (ReleaseEarlier); pageBufs are
+	// the decompression buffers of handed-out pages not recycled yet.
+	outGroup int
+	outPage  int
+	freed    int
+	pageBufs [][]byte
 
 	opened   bool
 	released bool
@@ -200,13 +205,12 @@ func (s *PartitionScheduler) Open(i int) *PartitionCursor {
 // issueLocked tops up the ring: demand reads for opened partitions first
 // (unconditionally, up to the per-consumer depth — an opened cursor must
 // always be able to make progress), then prefetch for upcoming partitions in
-// work order while the depth and the budget allow.
+// work order while the depth and the budget allow. An opened partition reads
+// at most depth blocks ahead of the one its consumer is on, so a consumer
+// that recycles what it has passed (ReleaseEarlier) owns at most depth+1.
 func (s *PartitionScheduler) issueLocked() {
 	for _, it := range s.items {
-		if !it.opened || it.released || it.err != nil {
-			continue
-		}
-		for it.nextGroup < len(it.groups) && it.inflightN < s.depth {
+		for s.canIssueLocked(it) {
 			s.queueGroupLocked(it)
 		}
 	}
@@ -246,12 +250,19 @@ func (s *PartitionScheduler) issueLocked() {
 	}
 }
 
+// canIssueLocked reports whether item it, opened and live, may queue another
+// block read: fewer than depth in flight, and the block at most depth ahead
+// of the one its consumer is on.
+func (s *PartitionScheduler) canIssueLocked(it *schedItem) bool {
+	return it.opened && !it.released && it.err == nil && it.nextGroup < len(it.groups) &&
+		it.inflightN < s.depth && it.nextGroup <= it.outGroup+s.depth
+}
+
 // queueGroupLocked queues the item's next block read on the ring: demand
 // class when a consumer already opened the item, prefetch otherwise.
 func (s *PartitionScheduler) queueGroupLocked(it *schedItem) {
 	g := &it.groups[it.nextGroup]
 	g.buf = pages.GetBuf(int(g.loc.Size()))
-	it.owned = append(it.owned, g.buf)
 	s.nextUD++
 	class := uring.ClassPrefetch
 	if it.opened {
@@ -307,8 +318,9 @@ func (s *PartitionScheduler) retryUnlocked(comps []uring.Completion) ([]uring.Co
 	return out, retried
 }
 
-// processLocked folds reaped completions into item state: successful block
-// reads decode into ready pages, failures become sticky structured errors.
+// processLocked folds reaped completions into item state: a block that read
+// and verified is ready for its consumer to decode page by page, failures
+// become sticky structured errors.
 func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*schedItem) {
 	for _, it := range retried {
 		it.counts[metrics.SpillRetries]++
@@ -323,7 +335,8 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 		delete(it.pendingUDs, c.UserData)
 		it.inflightN--
 		s.inflight--
-		it.decoded++
+		g := &it.groups[pr.group]
+		g.done = true
 		if c.Err == nil {
 			it.counts[metrics.SpillReadBytes] += int64(c.N)
 			if pr.demand {
@@ -339,7 +352,6 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 			}
 			continue
 		}
-		g := &it.groups[pr.group]
 		if c.Err != nil || countFramed(g.slots) > 0 {
 			// Verify before decode; a permanently failed read or a checksum
 			// mismatch triggers parity reconstruction in place. The repair
@@ -351,16 +363,24 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 			it.counts[metrics.SpillReconstructions] += st.reconstructions
 			if err != nil {
 				it.err = err
-				continue
 			}
 		}
-		ready, owned, err := decodeBlockSlots(g.buf, g.slots, s.pageSize, it.ready, it.owned)
-		it.ready, it.owned = ready, owned
-		g.buf = nil
-		if err != nil && it.err == nil {
-			it.err = WrapQueryError("spill-read", err)
-		}
 	}
+}
+
+// recycleLocked returns to the recycler the block buffers of the groups
+// before end and the decompression buffers of all but the last keep pages
+// handed out. No read into those groups may be in flight.
+func (it *schedItem) recycleLocked(end, keep int) {
+	for ; it.freed < end; it.freed++ {
+		pages.PutBuf(it.groups[it.freed].buf)
+		it.groups[it.freed].buf = nil
+	}
+	n := max(len(it.pageBufs)-keep, 0)
+	for _, b := range it.pageBufs[:n] {
+		pages.PutBuf(b)
+	}
+	it.pageBufs = append(it.pageBufs[:0], it.pageBufs[n:]...)
 }
 
 // Close drains outstanding reads and recycles every remaining buffer and
@@ -398,26 +418,38 @@ func (s *PartitionScheduler) Close() {
 			s.budget.Release(it.reserved)
 			it.reserved = 0
 		}
-		if !it.released {
-			it.released = true
-		}
-		it.ready = nil
+		it.released = true
 		if !aborted {
-			for _, b := range it.owned {
-				pages.PutBuf(b)
-			}
+			it.recycleLocked(len(it.groups), 0)
 		}
-		it.owned = nil
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
+// pumpLocked makes the caller the leader for one round: top up the ring,
+// submit, reap — waiting for at least one completion when block is set — and
+// fold the completions in. It is entered and left with s.mu held and drops it
+// around the ring calls; the caller has checked that no one else is pumping.
+func (s *PartitionScheduler) pumpLocked(block bool) {
+	s.pumping = true
+	s.issueLocked()
+	s.mu.Unlock()
+	s.ring.Submit()
+	comps := s.ring.Poll(s.scratch[:0], block)
+	comps, retried := s.retryUnlocked(comps)
+	s.mu.Lock()
+	s.scratch = comps[:0]
+	s.pumping = false
+	s.processLocked(comps, retried)
+	s.cond.Broadcast()
+}
+
 // PartitionCursor streams one spilled partition's pages back to a phase-2
-// consumer: Next yields pages until (nil, nil), Release recycles the
-// partition's buffers once nothing references its tuples anymore, and
-// Counters hands the consumer the partition's readback telemetry once it is
-// consumed.
+// consumer: Next yields pages in spill order until (nil, nil), Release
+// recycles the partition's buffers once nothing references its tuples
+// anymore (ReleaseEarlier, those of the pages already passed), and Counters
+// hands the consumer the partition's readback telemetry once it is consumed.
 type PartitionCursor struct {
 	s       *PartitionScheduler
 	it      *schedItem
@@ -425,19 +457,22 @@ type PartitionCursor struct {
 	stallNs int64
 }
 
-// Next returns the partition's next page, or (nil, nil) once every block
-// has been decoded and handed out. When no page is ready it joins the
-// leader/follower pump: the leader submits and polls the shared ring with
-// the scheduler lock dropped; followers wait for its broadcast.
+// Next returns the partition's next page, or (nil, nil) once every page has
+// been handed out. Pages come in spill (slot) order, whatever order their
+// blocks complete in, each decoded outside the scheduler lock as it is handed
+// out; it stays valid until Release, or until ReleaseEarlier after a later
+// Next. While the next page's block is missing, Next joins the
+// leader/follower pump: the leader submits and polls the shared ring with the
+// scheduler lock dropped; followers wait for its broadcast.
 func (c *PartitionCursor) Next() (*pages.Page, error) {
 	start := time.Now()
+	defer func() { c.stallNs += int64(time.Since(start)) }()
 	s, it := c.s, c.it
 	s.mu.Lock()
 	for {
 		if it.err != nil {
 			err := it.err
 			s.mu.Unlock()
-			c.stallNs += int64(time.Since(start))
 			return nil, err
 		}
 		if s.ctx != nil && s.ctx.Err() != nil {
@@ -448,34 +483,56 @@ func (c *PartitionCursor) Next() (*pages.Page, error) {
 			it.err = &QueryError{Op: "spill-read", Part: it.part, Device: -1, Err: context.Canceled}
 			continue
 		}
-		if n := len(it.ready); n > 0 {
-			p := it.ready[n-1]
-			it.ready = it.ready[:n-1]
-			s.mu.Unlock()
-			c.stallNs += int64(time.Since(start))
-			return p, nil
+		if it.outGroup < len(it.groups) && it.outPage == len(it.groups[it.outGroup].slots) {
+			it.outGroup++
+			it.outPage = 0
+			continue
 		}
-		if it.decoded >= len(it.groups) {
+		if it.outGroup == len(it.groups) {
 			s.mu.Unlock()
-			c.stallNs += int64(time.Since(start))
 			return nil, nil
+		}
+		if g := &it.groups[it.outGroup]; g.done {
+			if !s.pumping && s.canIssueLocked(it) {
+				// Keep the read-ahead topped up without waiting.
+				s.pumpLocked(false)
+				continue
+			}
+			slot, buf := g.slots[it.outPage], g.buf
+			it.outPage++
+			s.mu.Unlock()
+			p, owned, err := decodeSlot(buf, slot, s.pageSize)
+			s.mu.Lock()
+			if err != nil {
+				it.err = WrapQueryError("spill-read", err)
+				continue
+			}
+			if owned != nil {
+				it.pageBufs = append(it.pageBufs, owned)
+			}
+			s.mu.Unlock()
+			return p, nil
 		}
 		if s.pumping {
 			s.cond.Wait()
 			continue
 		}
-		s.pumping = true
-		s.issueLocked()
-		s.mu.Unlock()
-		s.ring.Submit()
-		comps := s.ring.Poll(s.scratch[:0], true)
-		comps, retried := s.retryUnlocked(comps)
-		s.mu.Lock()
-		s.scratch = comps[:0]
-		s.pumping = false
-		s.processLocked(comps, retried)
-		s.cond.Broadcast()
+		s.pumpLocked(true)
 	}
+}
+
+// ReleaseEarlier declares every page handed out before the latest Next dead
+// and recycles the buffers only those pages used. A consumer that copies out
+// what it keeps (the external sort's merge) calls it after every Next and so
+// owns at most depth+1 blocks of the partition; one that only calls Release
+// owns all of it.
+func (c *PartitionCursor) ReleaseEarlier() {
+	s, it := c.s, c.it
+	s.mu.Lock()
+	if !it.released {
+		it.recycleLocked(it.outGroup, 1)
+	}
+	s.mu.Unlock()
 }
 
 // Release recycles the partition's buffers and releases any leftover
@@ -492,11 +549,7 @@ func (c *PartitionCursor) Release() {
 			it.reserved = 0
 		}
 		if it.inflightN == 0 {
-			it.ready = nil
-			for _, b := range it.owned {
-				pages.PutBuf(b)
-			}
-			it.owned = nil
+			it.recycleLocked(len(it.groups), 0)
 		}
 	}
 	s.mu.Unlock()

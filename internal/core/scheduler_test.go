@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
@@ -284,6 +287,183 @@ func TestSchedulerConcurrentConsumers(t *testing.T) {
 	for k, v := range got {
 		if v != 1 {
 			t.Fatalf("key %d read %d times", k, v)
+		}
+	}
+}
+
+// spillFramedLZ4 spills n 64-byte tuples, keys 0..n-1 stored in order, into
+// two partitions under ModeSpillAll, with every page LZ4-compressed and
+// framed, and returns the array, the result and its work list. A partition's
+// pages are spilled in the order they filled, so in spill order its keys
+// ascend.
+func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []PartitionWork) {
+	t.Helper()
+	arr := fastArray(2)
+	s := NewShared(Config{
+		PageSize: 4096, Partitions: 2, Budget: pages.NewBudget(32 << 10), Mode: ModeSpillAll,
+		Spill: &SpillConfig{Array: arr, Compress: true, RunN: 1 << 30, Parity: 1},
+	})
+	b := s.NewBuffer()
+	b.reg.level = 3 // pin LZ4Default: every slot compressed, however the timing falls
+	for i := 0; i < n; i++ {
+		key := uint64(i)
+		tuple := tup(key, 64)
+		// Two hashed words keep the pages only partly compressible, so a
+		// partition spans many blocks.
+		binary.LittleEndian.PutUint64(tuple[8:], hashOf(key))
+		binary.LittleEndian.PutUint64(tuple[16:], hashOf(key+1))
+		b.StoreTuple(tuple, hashOf(key))
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var work []PartitionWork
+	for p := 0; p < res.Partitions; p++ {
+		blocks := map[nvmesim.Loc]bool{}
+		for _, sl := range res.Spilled[p] {
+			if sl.Scheme != codec.LZ4Default || sl.Seq == 0 {
+				t.Fatalf("partition %d slot %+v is not an LZ4-compressed frame", p, sl)
+			}
+			blocks[sl.Loc] = true
+		}
+		if len(blocks) < 4 {
+			t.Fatalf("partition %d spans %d blocks; the cursor tests need several", p, len(blocks))
+		}
+		work = append(work, PartitionWork{Part: p, Slots: res.Spilled[p]})
+	}
+	return arr, res, work
+}
+
+// pageKeys appends the keys of p's tuples to keys.
+func pageKeys(keys []uint64, p *pages.Page) []uint64 {
+	for i := 0; i < p.Tuples(); i++ {
+		keys = append(keys, keyOf(p.Tuple(i)))
+	}
+	return keys
+}
+
+// checkAscending fails unless keys are exactly partition part's keys below
+// n, in ascending order.
+func checkAscending(t *testing.T, keys []uint64, part, n int) {
+	t.Helper()
+	want := 0
+	for i := 0; i < n; i++ {
+		if int(hashOf(uint64(i))>>63) == part {
+			want++
+		}
+	}
+	if len(keys) != want {
+		t.Fatalf("partition %d: read %d tuples, want %d", part, len(keys), want)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			t.Fatalf("partition %d: tuple %d has key %d after %d; pages left spill order", part, i, keys[i], keys[i-1])
+		}
+	}
+}
+
+// TestCursorYieldsPagesInSpillOrder: a latency spike on the device holding a
+// partition's first block makes its later blocks complete first. The cursor
+// still hands out the partition's pages in spill (slot) order — compressed,
+// framed slots included.
+func TestCursorYieldsPagesInSpillOrder(t *testing.T) {
+	const n = 40000
+	arr, res, work := spillFramedLZ4(t, n)
+	first := work[0]
+	dev := first.Slots[0].Loc.Device()
+	// The plan's request counter starts now: request 1 on dev is block 0's
+	// read, the first block the scheduler issues.
+	arr.SetFaultPlan(dev, nvmesim.FaultPlan{
+		Script:       map[int64]nvmesim.FaultKind{1: nvmesim.FaultSpike},
+		SpikeLatency: 20 * time.Millisecond,
+	})
+	sched := NewPartitionScheduler(nil, arr, 4096, work[:1], 8, nil)
+	sched.SetIntegrity(res.Stripes)
+	defer sched.Close()
+	cur := sched.Open(0)
+	var keys []uint64
+	for {
+		p, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == nil {
+			break
+		}
+		keys = pageKeys(keys, p)
+	}
+	if s := arr.FaultStats(dev).Spikes; s != 1 {
+		t.Fatalf("%d spikes on device %d; block 0's read was not delayed", s, dev)
+	}
+	checkAscending(t, keys, first.Part, n)
+	if v := cur.Counters()[metrics.SpillPagesVerified]; v != int64(len(first.Slots)) {
+		t.Fatalf("%d pages verified, want all %d", v, len(first.Slots))
+	}
+	cur.Release()
+}
+
+// TestCursorFootprintIsReadDepthPlusOne: partitions opened together, as the
+// external sort's merge opens its runs, and read one page at a time by a
+// consumer that declares everything before its latest page dead
+// (ReleaseEarlier): no cursor ever owns the buffers of more than read depth +
+// 1 blocks, nor more than the latest page's decompression buffer. Close still
+// returns every buffer, also those of a partition abandoned halfway.
+func TestCursorFootprintIsReadDepthPlusOne(t *testing.T) {
+	const n = 40000
+	arr, res, work := spillFramedLZ4(t, n)
+	for _, depth := range []int{1, 3} {
+		sched := NewPartitionScheduler(nil, arr, 4096, work, depth, nil)
+		sched.SetIntegrity(res.Stripes)
+		var curs []*PartitionCursor
+		for i := range work {
+			curs = append(curs, sched.Open(i))
+		}
+		for i, cur := range curs {
+			part := work[i].Part
+			var keys []uint64
+			maxBlocks := 0
+			for pg := 0; ; pg++ {
+				p, err := cur.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur.ReleaseEarlier()
+				for j, c := range curs {
+					blocks, pageBufs := ownedBufs(c.it)
+					if blocks > depth+1 || pageBufs > 1 {
+						t.Fatalf("depth %d, reading partition %d, page %d: partition %d owns %d blocks and %d page buffers",
+							depth, part, pg, work[j].Part, blocks, pageBufs)
+					}
+				}
+				blocks, _ := ownedBufs(cur.it)
+				maxBlocks = max(maxBlocks, blocks)
+				if p == nil {
+					cur.Release()
+					if blocks, pageBufs := ownedBufs(cur.it); blocks+pageBufs != 0 {
+						t.Fatalf("depth %d, partition %d: Release left %d blocks and %d page buffers",
+							depth, part, blocks, pageBufs)
+					}
+					checkAscending(t, keys, part, n)
+					break
+				}
+				keys = pageKeys(keys, p)
+				if i == 1 && pg == 10 {
+					break // abandoned mid-partition: Close must reclaim it
+				}
+			}
+			if maxBlocks < 2 {
+				t.Fatalf("depth %d, partition %d: never more than %d block owned; no read-ahead ran", depth, part, maxBlocks)
+			}
+		}
+		sched.Close()
+		for i, it := range sched.items {
+			if blocks, pageBufs := ownedBufs(it); blocks+pageBufs != 0 {
+				t.Fatalf("depth %d, item %d: Close left %d blocks and %d page buffers", depth, i, blocks, pageBufs)
+			}
 		}
 	}
 }

@@ -26,9 +26,9 @@ type SpilledSlot struct {
 	Len    uint32      // encoded length (frame included when Seq != 0)
 	Scheme codec.ID    // codec used, None = raw page bytes
 	// Seq is the page's engine-unique integrity sequence number; 0 means
-	// the page was written without an integrity frame. When set, the
-	// extent holds a pages.FrameSize header followed by the encoded page,
-	// and readback verifies the frame before decoding.
+	// the page was written without an integrity frame (SpillConfig.Parity
+	// is 0). When set, the extent holds a pages.FrameSize header followed by
+	// the encoded page, and readback verifies the frame before decoding.
 	Seq uint32
 }
 
@@ -159,6 +159,17 @@ func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool 
 		ring.SetCancel(func() bool { return ctx.Err() != nil })
 	}
 	return w
+}
+
+// newRun opens one more page sequence past the hash partitions — a sorted
+// run — with its own staging area and slot list, and returns its index. The
+// run's pages carry the index as their partition, so their frames verify
+// against it on readback.
+func (w *spillWriter) newRun() int {
+	w.staging = append(w.staging, nil)
+	w.slots = append(w.slots, nil)
+	w.parts++
+	return w.parts - 1
 }
 
 // canceled reports whether the query's context has been canceled.

@@ -750,7 +750,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	}
 	var sched *core.PartitionScheduler
 	if anySlots {
-		sched = ctx.newPartitionScheduler(items, res.Stripes)
+		sched = ctx.newPartitionScheduler(items, res.Stripes, core.DefaultReadDepth)
 	}
 	var taskCursor atomic.Int64
 

@@ -167,10 +167,11 @@ func (c *Ctx) canceled() error {
 }
 
 // newPartitionScheduler returns the readback scheduler for an operator's
-// spilled partitions: bound to the engine's shared I/O dispatcher, verifying
-// against the given parity stripes, and closed at query end.
-func (c *Ctx) newPartitionScheduler(items []core.PartitionWork, stripes []*core.StripeGroup) *core.PartitionScheduler {
-	s := core.NewPartitionScheduler(c.goCtx(), c.Spill.Array, c.pageSize(), items, core.DefaultReadDepth, c.Budget)
+// spilled partitions: depth block reads in flight per opened partition, bound
+// to the engine's shared I/O dispatcher, verifying against the given parity
+// stripes, and closed at query end.
+func (c *Ctx) newPartitionScheduler(items []core.PartitionWork, stripes []*core.StripeGroup, depth int) *core.PartitionScheduler {
+	s := core.NewPartitionScheduler(c.goCtx(), c.Spill.Array, c.pageSize(), items, depth, c.Budget)
 	s.BindIO(c.Spill.Sched, c.Spill.Query)
 	s.SetIntegrity(stripes)
 	c.AddCleanup(s.Close)

@@ -5,23 +5,22 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/metrics"
-	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/trace"
-	"github.com/spilly-db/spilly/internal/uring"
 )
 
 // ExtSort is an external merge sort: the spilling counterpart to Sort and
 // an implementation of the sorting direction the paper leaves as future
 // work (§4.7 "applying adaptive materialization to other operators, such
-// as sorting"). Workers generate sorted runs bounded by the memory budget,
-// spilling full runs to the NVMe array as sequences of pages; a final
-// k-way merge streams the ordered result. In memory (no budget pressure)
+// as sorting"). Workers generate sorted runs bounded by the memory budget;
+// a run that does not fit goes through Umami, its worker's core.Buffer
+// writing it as an ordered page sequence (Buffer.SpillRun). A k-way merge
+// streams the ordered result, reading spilled runs back through one
+// partition scheduler, a run per work item. In memory (no budget pressure)
 // it degenerates to one sorted run per worker and a merge — no I/O.
 type ExtSort struct {
 	Child Node
@@ -31,14 +30,6 @@ type ExtSort struct {
 
 // Schema implements Node.
 func (s *ExtSort) Schema() *data.Schema { return s.Child.Schema() }
-
-// sortRun is one sorted run: either resident (pages plus sorted tuple
-// refs) or spilled (an ordered page sequence on the array).
-type sortRun struct {
-	pgs   []*pages.Page // in-memory run backing pages
-	refs  []tupleRef    // in-memory run tuples in sorted order
-	slots []core.SpilledSlot
-}
 
 // Run implements Node.
 func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
@@ -55,18 +46,24 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 	schema := s.Child.Schema()
 	rc := data.NewRowCodec(schema.Types())
 	keyCols := indicesOf(schema, sortCols(s.Keys))
-
-	pageSize := ctx.pageSize()
+	shared := core.NewShared(ctx.coreConfig())
 
 	var mu sync.Mutex
-	var runs []*sortRun
-
+	var resident []*runCursor
+	// Resident runs keep their backing pages until the merge has streamed
+	// them out; return their budget reservation at query end.
+	ctx.AddCleanup(func() {
+		for _, run := range resident {
+			for _, p := range run.pgs {
+				ctx.Budget.Release(int64(p.Size()))
+			}
+		}
+	})
 	err = drainWorkers(ctx, "sort", in, func(int) (func(*data.Batch) error, func() error) {
 		g := &runGenerator{
-			sorter: s, ctx: ctx, rc: rc, keyCols: keyCols,
-			pageSize: pageSize,
-			pool:     pages.NewPool(pageSize, 0, ctx.Budget),
-			sp:       sp,
+			sorter: s, rc: rc, keyCols: keyCols, budget: ctx.Budget,
+			pool: pages.NewPool(shared.Config().PageSize, 0, ctx.Budget),
+			buf:  shared.NewBuffer(),
 		}
 		add := func(b *data.Batch) error {
 			for i, n := 0, b.Rows(); i < n; i++ {
@@ -77,47 +74,42 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 			return nil
 		}
 		finish := func() error {
-			rs := g.finish()
+			run := g.finish()
 			ctx.report(sp, &metrics.Snapshot{metrics.TuplesStored: g.tuples})
-			mu.Lock()
-			runs = append(runs, rs...)
-			mu.Unlock()
-			return nil
+			if run != nil {
+				mu.Lock()
+				resident = append(resident, run)
+				mu.Unlock()
+			}
+			return g.buf.Finish()
 		}
 		return add, finish
 	})
 	if err != nil {
 		return nil, err
 	}
-	// In-memory runs keep their backing pages until the merge has streamed
-	// them out; return their budget reservation at query end.
-	ctx.AddCleanup(func() {
-		for _, run := range runs {
-			for _, p := range run.pgs {
-				ctx.Budget.Release(int64(p.Size()))
-			}
-		}
-	})
+	res, err := ctx.finalize(sp, shared)
+	if err != nil {
+		return nil, err
+	}
 	ctx.spanPhase(sp, pc)
-	return s.mergeStream(ctx, sp, runs, rc, keyCols, pageSize)
+	return s.mergeStream(ctx, sp, resident, res, rc, keyCols)
 }
 
-// runGenerator accumulates tuples into pages; when the budget runs out it
-// sorts the accumulated run and spills it in order.
+// runGenerator accumulates one worker's tuples into pages; when the budget
+// runs out it sorts them and hands them to the worker's Umami buffer as one
+// run.
 type runGenerator struct {
-	sorter   *ExtSort
-	ctx      *Ctx
-	rc       *data.RowCodec
-	keyCols  []int
-	pageSize int
-	pool     *pages.Pool
+	sorter  *ExtSort
+	rc      *data.RowCodec
+	keyCols []int
+	budget  *pages.Budget
+	pool    *pages.Pool
+	buf     *core.Buffer
 
 	cur    *pages.Page
 	pgs    []*pages.Page
 	refs   []tupleRef
-	runs   []*sortRun
-	ring   *uring.Ring
-	sp     *trace.Span
 	tuples int64
 }
 
@@ -129,7 +121,7 @@ type tupleRef struct {
 func (g *runGenerator) add(b *data.Batch, r int) error {
 	size := g.rc.Size(b, r)
 	if g.cur == nil || !g.cur.HasSpace(size) {
-		if g.ctx.Budget.Exhausted(g.pageSize) && len(g.pgs) > 0 {
+		if g.budget.Exhausted(g.pool.PageSize()) && len(g.pgs) > 0 {
 			if err := g.spillRun(); err != nil {
 				return err
 			}
@@ -168,212 +160,87 @@ func (g *runGenerator) sortRefs() {
 	})
 }
 
-// spillRun sorts the current run and writes it out as an ordered page
-// sequence.
+// spillRun sorts the accumulated run, hands it to the buffer in order and
+// returns its input pages to the budget. The run's writes complete while
+// the next run accumulates.
 func (g *runGenerator) spillRun() error {
-	if g.ctx.Spill == nil {
-		core.PanicOOM()
-	}
 	g.sortRefs()
-	if g.ring == nil {
-		g.ring = uring.New(g.ctx.Spill.Array)
-		g.ring.SetLease(g.ctx.Spill.Lease)
-		g.ring.Bind(g.ctx.Spill.Sched, uring.ClassSpillWrite, g.ctx.Spill.Query)
-	}
-	run := &sortRun{}
-	// Write buffers are plain pages owned by the ring until completion;
-	// the bounded in-flight window caps their memory.
-	out := pages.New(g.pageSize)
-	flush := func(p *pages.Page) error {
-		loc, err := g.ring.QueueWrite(p.Seal(), uint64(len(run.slots)))
-		if err != nil {
-			return err
-		}
-		run.slots = append(run.slots, core.SpilledSlot{Loc: loc, Off: 0, Len: uint32(p.Size())})
-		if g.ring.Outstanding()+g.ring.Pending() > 16 {
-			g.ring.Submit()
-			g.ring.Poll(nil, true)
-		}
-		return nil
-	}
-	for _, ref := range g.refs {
-		t := g.pgs[ref.page].Tuple(int(ref.tup))
-		if !out.HasSpace(len(t)) {
-			if err := flush(out); err != nil {
-				return err
-			}
-			out = pages.New(g.pageSize)
-		}
-		out.Append(t)
-	}
-	if out.Tuples() > 0 {
-		if err := flush(out); err != nil {
-			return err
-		}
-	}
-	for _, c := range g.ring.WaitAll(nil) {
-		if c.Err != nil {
-			return c.Err
-		}
-	}
-	var bytes int64
-	for _, s := range run.slots {
-		bytes += int64(s.Len)
-	}
-	g.ctx.report(g.sp, &metrics.Snapshot{metrics.SpilledBytes: bytes, metrics.WrittenBytes: bytes})
-	g.runs = append(g.runs, run)
-	// Release the run's input memory back to the budget.
+	err := g.buf.SpillRun(len(g.refs), func(i int) []byte {
+		ref := g.refs[i]
+		return g.pgs[ref.page].Tuple(int(ref.tup))
+	})
 	for _, p := range g.pgs {
 		g.pool.Discard(p)
 	}
-	g.pgs, g.refs, g.cur = nil, nil, nil
-	return nil
+	g.pgs, g.refs, g.cur = g.pgs[:0], g.refs[:0], nil
+	return err
 }
 
 // finish sorts the resident tail into a final in-memory run (zero copy:
-// the run keeps the backing pages plus the sorted refs).
-func (g *runGenerator) finish() []*sortRun {
-	if len(g.refs) > 0 {
-		g.sortRefs()
-		g.runs = append(g.runs, &sortRun{pgs: g.pgs, refs: g.refs})
-		g.pgs, g.refs, g.cur = nil, nil, nil
+// the run keeps the backing pages plus the sorted refs), or returns nil.
+func (g *runGenerator) finish() *runCursor {
+	if len(g.refs) == 0 {
+		return nil
 	}
-	return g.runs
+	g.sortRefs()
+	return &runCursor{pgs: g.pgs, refs: g.refs}
 }
 
-// runCursor iterates one sorted run's tuples in order, prefetching spilled
-// pages sequentially.
+// runCursor iterates one sorted run's tuples in order: a resident run's pages
+// through its sorted refs, or a spilled run's pages as its readback cursor
+// hands them out.
 type runCursor struct {
-	run      *sortRun
-	arr      *nvmesim.Array
-	pageSize int
-	ctx      *Ctx
-	sp       *trace.Span
-
-	pageIdx int
-	tupIdx  int
-	cur     *pages.Page
-	curBuf  []byte // recycler-backed buffer the current page aliases
-
-	ring    *uring.Ring
-	disp    uring.Dispatcher // shared I/O scheduler (nil = private ring)
-	query   uint64
-	pending map[uint64]int
-	bufs    map[int][]byte
-	nextReq int
-}
-
-func newRunCursor(ctx *Ctx, sp *trace.Span, run *sortRun, arr *nvmesim.Array, pageSize int) *runCursor {
-	return &runCursor{run: run, arr: arr, pageSize: pageSize, ctx: ctx, sp: sp,
-		pending: map[uint64]int{}, bufs: map[int][]byte{}}
+	pgs  []*pages.Page
+	refs []tupleRef
+	pcur *core.PartitionCursor
+	page *pages.Page
+	i    int
 }
 
 // next returns the run's next tuple, or nil at end.
 func (c *runCursor) next() ([]byte, error) {
-	// In-memory runs iterate their sorted refs directly.
-	if c.run.pgs != nil {
-		if c.tupIdx >= len(c.run.refs) {
+	if c.pcur == nil {
+		if c.i == len(c.refs) {
 			return nil, nil
 		}
-		ref := c.run.refs[c.tupIdx]
-		c.tupIdx++
-		return c.run.pgs[ref.page].Tuple(int(ref.tup)), nil
+		ref := c.refs[c.i]
+		c.i++
+		return c.pgs[ref.page].Tuple(int(ref.tup)), nil
 	}
-	for {
-		if c.cur != nil && c.tupIdx < c.cur.Tuples() {
-			t := c.cur.Tuple(c.tupIdx)
-			c.tupIdx++
-			return t, nil
-		}
-		c.cur = nil
-		c.tupIdx = 0
-		if c.pageIdx >= len(c.run.slots) {
-			// Run exhausted; the last page's tuples are all copied out
-			// (the merge appends through an arena), so its buffer can go
-			// back to the recycler.
-			if c.curBuf != nil {
-				pages.PutBuf(c.curBuf)
-				c.curBuf = nil
-			}
-			return nil, nil
-		}
-		if err := c.loadSpilled(); err != nil {
+	for c.page == nil || c.i == c.page.Tuples() {
+		p, err := c.pcur.Next()
+		if err != nil {
 			return nil, err
 		}
+		if p == nil {
+			c.pcur.Release()
+			return nil, nil
+		}
+		// The merge copies each tuple it emits into the output batch's
+		// arena, so the run's earlier pages are dead.
+		c.pcur.ReleaseEarlier()
+		c.page, c.i = p, 0
 	}
+	c.i++
+	return c.page.Tuple(c.i - 1), nil
 }
 
-// loadSpilled reads the next spilled page (with sequential prefetch).
-func (c *runCursor) loadSpilled() error {
-	if c.ring == nil {
-		c.ring = uring.New(c.arr)
-		// Merge reads block the (single) merge worker, so they are demand
-		// class under the shared scheduler.
-		c.ring.Bind(c.disp, uring.ClassDemand, c.query)
-	}
-	// Prefetch ahead.
-	for c.nextReq < len(c.run.slots) && c.nextReq < c.pageIdx+4 {
-		slot := c.run.slots[c.nextReq]
-		buf := pages.GetBuf(int(slot.Loc.Size()))
-		c.ring.QueueRead(slot.Loc, buf, uint64(c.nextReq))
-		c.pending[uint64(c.nextReq)] = c.nextReq
-		c.bufs[c.nextReq] = buf
-		c.nextReq++
-	}
-	c.ring.Submit()
-	var stall time.Duration // merge-worker wall time blocked on the reads below
-	for {
-		if buf, ok := c.bufs[c.pageIdx]; ok {
-			if _, stillPending := c.pending[uint64(c.pageIdx)]; !stillPending {
-				p, err := pages.Load(buf[:c.pageSize])
-				if err != nil {
-					return err
-				}
-				delete(c.bufs, c.pageIdx)
-				// The previous page was fully merged (every tuple copied
-				// through the merge arena); recycle its buffer.
-				if c.curBuf != nil {
-					pages.PutBuf(c.curBuf)
-				}
-				c.curBuf = buf
-				c.ctx.report(c.sp, &metrics.Snapshot{
-					metrics.SpillReadBytes:  int64(c.run.slots[c.pageIdx].Len),
-					metrics.SpillStallNanos: int64(stall),
-				})
-				c.cur = p
-				c.pageIdx++
-				return nil
-			}
+// mergeStream k-way merges the resident runs and the spilled runs of res.
+// The spilled runs are all open at once, so they share the readback depth; as
+// the merge recycles what it has passed, a run holds at most depth+1 blocks.
+// The merge itself is sequential (one worker drives it; the others see
+// end-of-stream immediately), which is inherent to order-preserving output.
+func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *core.Result, rc *data.RowCodec, keyCols []int) (*Stream, error) {
+	var spilled []*core.PartitionCursor
+	if len(res.Runs) > 0 {
+		sched := ctx.newPartitionScheduler(res.Runs, res.Stripes, max(1, core.DefaultReadDepth/len(res.Runs)))
+		for i := range res.Runs {
+			spilled = append(spilled, sched.Open(i))
+			runs = append(runs, &runCursor{pcur: spilled[i]})
 		}
-		blocked := time.Now()
-		comps := c.ring.Poll(nil, true)
-		stall += time.Since(blocked)
-		for _, comp := range comps {
-			if comp.Err != nil {
-				// The merge aborts on a failed read; drop reads the shared
-				// scheduler never issued so they do not linger in its queues.
-				c.ring.CancelDeferred()
-				return comp.Err
-			}
-			delete(c.pending, comp.UserData)
-		}
-	}
-}
-
-// mergeStream k-way merges the runs. The merge itself is sequential (one
-// worker drives it; the others see end-of-stream immediately), which is
-// inherent to order-preserving output.
-func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*sortRun, rc *data.RowCodec, keyCols []int, pageSize int) (*Stream, error) {
-	var arr *nvmesim.Array
-	if ctx.Spill != nil {
-		arr = ctx.Spill.Array
 	}
 	h := &mergeHeap{rc: rc, keyCols: keyCols, keys: s.Keys}
-	for _, run := range runs {
-		cur := newRunCursor(ctx, sp, run, arr, pageSize)
-		if ctx.Spill != nil {
-			cur.disp, cur.query = ctx.Spill.Sched, ctx.Spill.Query
-		}
+	for _, cur := range runs {
 		t, err := cur.next()
 		if err != nil {
 			return nil, err
@@ -387,9 +254,8 @@ func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*sortRun, rc *dat
 	var mu sync.Mutex
 	emitted := 0
 	var arena data.ByteArena // guarded by mu (single-producer merge)
-	schema := s.Child.Schema()
 	return ctx.traceStream(&Stream{
-		schema: schema,
+		schema: s.Child.Schema(),
 		next: func(w int, b *data.Batch) (int, error) {
 			// Ordered output is single-producer by nature: deliver the
 			// merged stream through worker 0 only, so consumers that
@@ -400,10 +266,7 @@ func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*sortRun, rc *dat
 			mu.Lock()
 			defer mu.Unlock()
 			b.Reset()
-			for b.Len() < 1024 && h.Len() > 0 {
-				if s.Limit > 0 && emitted >= s.Limit {
-					break
-				}
+			for b.Len() < 1024 && h.Len() > 0 && (s.Limit == 0 || emitted < s.Limit) {
 				item := h.items[0]
 				rc.AppendToArena(b, item.tuple, &arena)
 				emitted++
@@ -417,6 +280,15 @@ func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*sortRun, rc *dat
 					h.items[0].tuple = t
 					heap.Fix(h, 0)
 				}
+			}
+			if b.Len() == 0 {
+				// The merge is over: hand over each run's readback
+				// counters and recycle what a Limit left unread.
+				for _, pcur := range spilled {
+					ctx.reportCursor(sp, pcur)
+					pcur.Release()
+				}
+				spilled = nil
 			}
 			return b.Len(), nil
 		},

@@ -8,6 +8,7 @@ import (
 
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/pages"
 )
 
 // TestWorkerPanicBecomesQueryError: a panic inside a worker must fail the
@@ -43,7 +44,11 @@ func TestWorkerPanicBecomesQueryError(t *testing.T) {
 func TestWorkerOOMPanicStaysIdentity(t *testing.T) {
 	err := runWorkers("agg", 2, func(w int) error {
 		if w == 1 {
-			core.PanicOOM()
+			// A buffer with nowhere to spill panics once its budget is gone.
+			buf := core.NewShared(core.Config{PageSize: 4096, Budget: pages.NewBudget(4096)}).NewBuffer()
+			for {
+				buf.StoreTuple(make([]byte, 64), 0)
+			}
 		}
 		return nil
 	})

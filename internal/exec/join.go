@@ -556,7 +556,7 @@ func (jw *joinWorker) finalizeProbe() error {
 			if js.pres != nil && len(js.pres.Stripes) > 0 {
 				stripes = append(append([]*core.StripeGroup(nil), stripes...), js.pres.Stripes...)
 			}
-			js.sched = js.ctx.newPartitionScheduler(items, stripes)
+			js.sched = js.ctx.newPartitionScheduler(items, stripes, core.DefaultReadDepth)
 		}
 	})
 	return ferr

@@ -161,7 +161,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 	}
 	var sched *core.PartitionScheduler
 	if len(items) > 0 {
-		sched = ctx.newPartitionScheduler(items, res.Stripes)
+		sched = ctx.newPartitionScheduler(items, res.Stripes, core.DefaultReadDepth)
 	}
 	var cursor atomic.Int64
 	return ctx.traceStream(&Stream{
