@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -63,23 +62,9 @@ func (c *bwtCodec) Decompress(dst, src []byte) ([]byte, error) {
 	if k <= 0 || primary > n {
 		return dst, ErrCorrupt
 	}
-	src = src[k:]
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	l := make([]byte, 0, n)
-	buf := make([]byte, 32<<10)
-	for {
-		nr, err := r.Read(buf)
-		l = append(l, buf[:nr]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	if uint64(len(l)) != n {
-		return dst, ErrCorrupt
+	l, err := inflate(nil, src[k:], n)
+	if err != nil {
+		return dst, err
 	}
 	mtfDecode(l)
 	out, err := bwtInverse(l, int(primary))

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -63,22 +64,52 @@ func (c *deflateCodec) Decompress(dst, src []byte) ([]byte, error) {
 	if n <= 0 {
 		return dst, ErrCorrupt
 	}
-	r := flate.NewReader(bytes.NewReader(src[n:]))
-	defer r.Close()
-	base := len(dst)
-	out := dst
-	buf := make([]byte, 32<<10)
-	for {
-		nr, err := r.Read(buf)
-		out = append(out, buf[:nr]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+	return inflate(dst, src[n:], want)
+}
+
+// inflater is a pooled raw-DEFLATE decoder: a flate reader, which keeps its
+// 32 KiB window across Resets, and the bytes.Reader it decodes from.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser // a flate.Resetter as well
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := &inflater{}
+	f.r = flate.NewReader(&f.src)
+	return f
+}}
+
+// maxInflateRatio bounds how far DEFLATE can expand its input (1032:1, a
+// 258-byte match in two bits), so a corrupt stored length cannot make
+// inflate allocate more than the stream could fill.
+const maxInflateRatio = 1032
+
+// inflate appends to dst the want bytes the raw DEFLATE stream src decodes
+// to. It inflates straight into dst, grown once to fit, with a pooled
+// decoder; a stream that ends early, runs long or fails to decode is
+// ErrCorrupt.
+func inflate(dst, src []byte, want uint64) ([]byte, error) {
+	if want > uint64(len(src))*maxInflateRatio {
+		return dst, ErrCorrupt
 	}
-	if len(out)-base != int(want) {
+	base := len(dst)
+	out := slices.Grow(dst, int(want))[:base+int(want)]
+	f := inflaters.Get().(*inflater)
+	defer func() {
+		f.src.Reset(nil)
+		inflaters.Put(f)
+	}()
+	f.src.Reset(src)
+	if err := f.r.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if _, err := io.ReadFull(f.r, out[base:]); err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	// The stream must end where the stored length says.
+	var more [1]byte
+	if n, err := f.r.Read(more[:]); n != 0 || err != io.EOF {
 		return dst, ErrCorrupt
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,6 +57,7 @@ type Agg struct {
 
 	rc        *data.RowCodec // codec of the partial tuple
 	keyFields []int          // the group key: partial fields 0..len(GroupBy)-1
+	keyNulls  []byte         // the key fields' bits of the partial tuple's null bitmap
 	minMax    []bool         // per partial field: Min/Max state, NULL until it sees a value
 	// Group-table layout (aggtable.go): int64, float64 and seen slots per
 	// group, and the encoded key width (0 when a string key makes it vary).
@@ -71,6 +73,12 @@ type stateDef struct {
 	fields []int // field indices in the partial tuple
 	at     []int // per field: its slot in the group table's ints or floats
 	mm     int   // Min/Max: its slot in the group table's seen flags
+}
+
+// strMinMax reports whether the aggregate is a Min or Max over strings,
+// whose values each phase keeps its own way.
+func (sd *stateDef) strMinMax() bool {
+	return (sd.fn == Min || sd.fn == Max) && sd.typ == data.String
 }
 
 // NewAgg constructs an aggregation node.
@@ -130,6 +138,10 @@ func NewAgg(child Node, groupBy []string, aggs []AggSpec) *Agg {
 	a.schema = out
 	a.partial = part
 	a.rc = data.NewRowCodec(part.Types())
+	a.keyNulls = make([]byte, (len(groupBy)+7)/8)
+	for k := range groupBy {
+		a.keyNulls[k/8] |= 1 << (k % 8)
+	}
 	a.minMax = make([]bool, part.Len())
 	for _, sd := range a.states {
 		if sd.fn == Min || sd.fn == Max {
@@ -146,23 +158,6 @@ func NewAgg(child Node, groupBy []string, aggs []AggSpec) *Agg {
 
 // Schema implements Node.
 func (a *Agg) Schema() *data.Schema { return a.schema }
-
-// aggVal is one partial-state slot.
-type aggVal struct {
-	i    int64
-	f    float64
-	s    string
-	seen bool // Min/Max initialization, Count-NULL handling
-}
-
-// localGroup is one group in a thread-local pre-aggregation table.
-type localGroup struct {
-	hash     uint64
-	nk       int // group key count
-	keys     []aggVal
-	keyNulls []bool
-	vals     []aggVal
-}
 
 const (
 	localAggSlots   = 1 << 12 // thread-local table size (cache-resident, §4.6)
@@ -232,11 +227,11 @@ type aggWorker struct {
 	keyCols []int
 	buf     *core.Buffer
 	sketch  *hll.Sketch // key hashes of the tuples materialized
-	pb      *data.Batch // reusable 1-row partial batch for serialization
 	hashes  []uint64    // per-batch key hashes (HashColumns output)
+	gs      []int32     // per live row of the batch: its local group
 
-	// Pre-aggregation bypass: the input batch seen through the partial
-	// schema, the state columns it has to compute, and the batch encoder.
+	// The input batch seen through the partial schema, the state columns it
+	// has to compute, and the batch encoder.
 	view    data.Batch
 	scratch []data.Column
 	ones    []int64
@@ -246,94 +241,108 @@ type aggWorker struct {
 	rows   int64 // rows consumed with pre-aggregation on
 	opened int64 // of which opened a group
 
-	nk, nv    int // group key / value state widths
-	keyArena  []aggVal
-	nullArena []bool
-	valArena  []aggVal
-
-	slots  [localAggSlots]int32 // group index + 1; 0 = empty
-	groups []localGroup
+	// The thread-local table: at most localAggMax groups, numbered as they
+	// open. Group g's key hash is ghash[g] and its key is row g of keys, one
+	// column per key. Its states are laid out a slot per column (span
+	// localAggMax), string Min/Max values in strs at mm*localAggMax+g, so that
+	// a flush hands the encoder the table's own columns, cut to n rows.
+	slots  [localAggSlots]int32 // group + 1; 0 = empty
+	n      int
+	ghash  []uint64
+	keys   []data.Column
+	states aggStates
+	strs   []string
+	unseen []bool      // flush scratch: the NULL marks of the Min/Max columns
+	out    *data.Batch // flush scratch: the table as a batch
 }
 
 func newAggWorker(a *Agg, keyCols []int, buf *core.Buffer, sketch *hll.Sketch, preAgg bool) *aggWorker {
-	nk := len(keyCols)
-	nv := a.partial.Len() - nk
-	aw := &aggWorker{
-		a:       a,
-		keyCols: keyCols,
-		buf:     buf,
-		sketch:  sketch,
-		pb:      data.NewBatch(a.partial, 1),
-		preAgg:  preAgg,
-		nk:      nk,
-		nv:      nv,
-		// Group key/value widths are fixed per query, so local groups
-		// carve their slices out of flat arenas instead of allocating
-		// three slices per group (a measured phase-1 hotspot).
-		keyArena:  make([]aggVal, localAggMax*nk),
-		nullArena: make([]bool, localAggMax*nk),
-		valArena:  make([]aggVal, localAggMax*nv),
-		groups:    make([]localGroup, 0, localAggMax),
+	aw := &aggWorker{a: a, keyCols: keyCols, buf: buf, sketch: sketch, preAgg: preAgg}
+	if !preAgg {
+		return aw
 	}
-	aw.pb.SetLen(1)
-	for i := range a.partial.Cols {
-		c := &aw.pb.Cols[i]
+	aw.ghash = make([]uint64, localAggMax)
+	aw.keys = make([]data.Column, len(keyCols))
+	for k := range aw.keys {
+		c := &aw.keys[k]
+		c.Type = a.partial.Cols[k].Type
+		c.Null = make([]bool, localAggMax)
 		switch c.Type {
 		case data.Float64:
-			c.F = make([]float64, 1)
+			c.F = make([]float64, localAggMax)
 		case data.String:
-			c.S = make([]string, 1)
+			c.S = make([]string, localAggMax)
 		default:
-			c.I = make([]int64, 1)
+			c.I = make([]int64, localAggMax)
 		}
 	}
+	aw.states = aggStates{
+		ints:   make([]int64, a.ni*localAggMax),
+		floats: make([]float64, a.nf*localAggMax),
+		seen:   make([]bool, a.nm*localAggMax),
+		ni:     1, nf: 1, nm: 1,
+		span: localAggMax,
+	}
+	aw.unseen = make([]bool, a.nm*localAggMax)
+	for i := range a.states {
+		if a.states[i].strMinMax() {
+			aw.strs = make([]string, a.nm*localAggMax)
+			break
+		}
+	}
+	aw.out = data.NewBatch(a.partial, 0)
 	return aw
 }
 
-// consume processes one input batch: key hashes are computed for the whole
-// batch column-at-a-time, then each live row folds into the local table —
-// or, with pre-aggregation off, the rest of the batch is materialized as it
-// stands.
+// consume processes one input batch. Key hashes are computed for the whole
+// batch column-at-a-time and the batch is seen through the partial schema.
+// With pre-aggregation on, the live rows are resolved to local groups into an
+// index vector, up to the row whose new group would overflow the table, and
+// that prefix is folded a state column at a time; then the table is flushed
+// and the rest resolved. With it off, the rest of the batch is materialized
+// as it stands.
 func (aw *aggWorker) consume(b *data.Batch) {
 	aw.hashes = data.HashColumns(b, b.Sel, aw.keyCols, aw.hashes[:0])
-	n := b.Rows()
-	i := 0
-	for ; i < n && aw.preAgg; i++ {
-		r := b.Row(i)
-		aw.rows++
-		g := aw.lookup(b, r, aw.hashes[i])
-		accumulateRow(aw.a.states, g, b, r)
-		// Cardinality adaptivity: when almost every row of the probe window
-		// opened a new group, pre-aggregation buys nothing — bypass it
-		// (§4.6). The table holds at most localAggMax groups between
-		// flushes, so its size says nothing; count the groups opened.
-		if aw.rows == preAggProbeRows && aw.opened > aw.rows*3/4 {
-			aw.flushAll()
-			aw.preAgg = false
-		}
-	}
-	if i < n {
-		aw.bypass(b, i)
-	}
-}
-
-// bypass writes the live rows of b from the from-th on directly as initial
-// partial tuples, a batch at a time: a row's partial state is a function of
-// the row alone, so the batch is viewed through the partial schema — key
-// columns and Min/Max inputs aliased, counts and sums computed per column —
-// and handed to the batch encoder.
-func (aw *aggWorker) bypass(b *data.Batch, from int) {
 	sel := b.Sel
 	if sel == nil {
 		sel = aw.enc.rows(b.Len())
 	}
-	sel, hs := sel[from:], aw.hashes[from:]
-	aw.sketch.AddAll(hs)
-	aw.enc.encode(aw.buf, aw.a.rc, aw.partialView(b, sel), sel, hs)
+	view := aw.partialView(b, sel)
+	n := len(sel)
+	aw.gs = sized(aw.gs, n)
+	i := 0
+	for i < n && aw.preAgg {
+		end := n
+		if aw.rows < preAggProbeRows {
+			end = min(n, i+int(preAggProbeRows-aw.rows))
+		}
+		j := aw.resolve(b, sel, i, end)
+		aw.fold(view, sel[i:j], aw.gs[i:j])
+		aw.rows += int64(j - i)
+		switch {
+		case j < end:
+			aw.flushAll()
+		// Cardinality adaptivity: when almost every row of the probe window
+		// opened a new group, pre-aggregation buys nothing — bypass it
+		// (§4.6). The table holds at most localAggMax groups between
+		// flushes, so its size says nothing; count the groups opened.
+		case aw.rows == preAggProbeRows && aw.opened > aw.rows*3/4:
+			aw.flushAll()
+			aw.preAgg = false
+		}
+		i = j
+	}
+	if i < n {
+		// Bypass: a row's partial state is a function of the row alone, so
+		// the view is written as it stands.
+		aw.sketch.AddAll(aw.hashes[i:])
+		aw.enc.encode(aw.buf, aw.a.rc, view, sel[i:], aw.hashes[i:])
+	}
 }
 
-// partialView returns b seen through the partial schema; computed columns
-// are filled for the rows sel only.
+// partialView returns b seen through the partial schema: key columns and
+// Min/Max inputs aliased, counts and sums computed per column for the rows
+// sel only.
 func (aw *aggWorker) partialView(b *data.Batch, sel []int32) *data.Batch {
 	a := aw.a
 	n := b.Len()
@@ -404,77 +413,80 @@ func (aw *aggWorker) partialView(b *data.Batch, sel []int32) *data.Batch {
 	return v
 }
 
-// lookup finds or creates the local group for row r; it flushes the table
-// when full.
-func (aw *aggWorker) lookup(b *data.Batch, r int, h uint64) *localGroup {
-	for {
+// resolve sets gs[i] to the local group of live row i, whose physical row is
+// sel[i], for i from from up to end, opening groups as it goes. It stops at
+// the first row whose group would overflow the table and returns where it
+// stopped.
+func (aw *aggWorker) resolve(b *data.Batch, sel []int32, from, end int) int {
+	for i := from; i < end; i++ {
+		h, r := aw.hashes[i], int(sel[i])
 		idx := h & (localAggSlots - 1)
 		for {
 			s := aw.slots[idx]
 			if s == 0 {
+				if aw.n == localAggMax {
+					return i
+				}
+				aw.gs[i] = aw.openLocal(b, r, h)
+				aw.slots[idx] = aw.gs[i] + 1
 				break
 			}
-			g := &aw.groups[s-1]
-			if g.hash == h && aw.keysEqual(g, b, r) {
-				return g
+			if g := s - 1; aw.ghash[g] == h && aw.sameKey(g, b, r) {
+				aw.gs[i] = g
+				break
 			}
 			idx = (idx + 1) & (localAggSlots - 1)
 		}
-		if len(aw.groups) >= localAggMax {
-			aw.flushAll()
-			continue
-		}
-		aw.opened++
-		gi := len(aw.groups)
-		aw.groups = append(aw.groups, localGroup{
-			hash:     h,
-			nk:       aw.nk,
-			keys:     aw.keyArena[gi*aw.nk : (gi+1)*aw.nk : (gi+1)*aw.nk],
-			keyNulls: aw.nullArena[gi*aw.nk : (gi+1)*aw.nk : (gi+1)*aw.nk],
-			vals:     aw.valArena[gi*aw.nv : (gi+1)*aw.nv : (gi+1)*aw.nv],
-		})
-		g := &aw.groups[len(aw.groups)-1]
-		for i := range g.vals {
-			g.vals[i] = aggVal{}
-		}
-		for i, c := range aw.keyCols {
-			col := &b.Cols[c]
-			g.keyNulls[i] = col.Null != nil && col.Null[r]
-			switch col.Type {
-			case data.Float64:
-				g.keys[i].f = col.F[r]
-			case data.String:
-				g.keys[i].s = col.S[r]
-			default:
-				g.keys[i].i = col.I[r]
-			}
-		}
-		aw.slots[idx] = int32(len(aw.groups))
-		return g
 	}
+	return end
 }
 
-func (aw *aggWorker) keysEqual(g *localGroup, b *data.Batch, r int) bool {
-	for i, c := range aw.keyCols {
-		col := &b.Cols[c]
-		null := col.Null != nil && col.Null[r]
-		if null != g.keyNulls[i] {
+// openLocal opens a local group for row r, whose key hash is h. Its states
+// are zero: the table starts zeroed, and a flush zeroes what it used.
+func (aw *aggWorker) openLocal(b *data.Batch, r int, h uint64) int32 {
+	g := aw.n
+	aw.n++
+	aw.opened++
+	aw.ghash[g] = h
+	for k, c := range aw.keyCols {
+		in, key := &b.Cols[c], &aw.keys[k]
+		key.Null[g] = in.Null != nil && in.Null[r]
+		switch key.Type {
+		case data.Float64:
+			key.F[g] = in.F[r]
+		case data.String:
+			key.S[g] = in.S[r]
+		default:
+			key.I[g] = in.I[r]
+		}
+	}
+	return int32(g)
+}
+
+// sameKey reports whether row r of b has local group g's key; NULL matches
+// NULL, and floats compare by their bits, as they hash and as phase 2
+// compares them: NaN is one group, +0 and −0 are two.
+func (aw *aggWorker) sameKey(g int32, b *data.Batch, r int) bool {
+	for k, c := range aw.keyCols {
+		in, key := &b.Cols[c], &aw.keys[k]
+		null := in.Null != nil && in.Null[r]
+		if null != key.Null[g] {
 			return false
 		}
 		if null {
 			continue
 		}
-		switch col.Type {
+		switch key.Type {
 		case data.Float64:
-			if g.keys[i].f != col.F[r] {
+			if math.Float64bits(in.F[r]) != math.Float64bits(key.F[g]) {
 				return false
 			}
 		case data.String:
-			if g.keys[i].s != col.S[r] {
+			if in.S[r] != key.S[g] {
 				return false
 			}
 		default:
-			if g.keys[i].i != col.I[r] {
+			if in.I[r] != key.I[g] {
 				return false
 			}
 		}
@@ -482,115 +494,89 @@ func (aw *aggWorker) keysEqual(g *localGroup, b *data.Batch, r int) bool {
 	return true
 }
 
-// flushAll serializes every local group as a partial tuple into Umami and
-// clears the table (the paper evicts groups to partition pages; flushing
-// whole tables is the allocation-friendly equivalent, see DESIGN.md).
+// fold folds state row rows[i] of the partial view into local group gs[i],
+// with the kernels phase 2 folds partial tuples with.
+func (aw *aggWorker) fold(view *data.Batch, rows, gs []int32) {
+	a := aw.a
+	a.foldStates(aw.states, view.Cols, rows, gs)
+	for i := range a.states {
+		sd := &a.states[i]
+		if !sd.strMinMax() {
+			continue
+		}
+		c, at := &view.Cols[sd.fields[0]], sd.mm*localAggMax
+		if sd.fn == Min {
+			foldMin(aw.strs[at:], 1, aw.states.seen[at:], 1, c.S, c.Null, rows, gs)
+		} else {
+			foldMax(aw.strs[at:], 1, aw.states.seen[at:], 1, c.S, c.Null, rows, gs)
+		}
+	}
+}
+
+// flushAll writes every local group into Umami as a partial tuple and
+// empties the table (the paper evicts groups to partition pages; flushing
+// whole tables is the allocation-friendly equivalent, see DESIGN.md). The
+// table's columns, cut to its groups, go through the batch encoder with the
+// stored key hashes.
 func (aw *aggWorker) flushAll() {
-	for i := range aw.groups {
-		aw.serializeGroup(&aw.groups[i])
+	n := aw.n
+	if n == 0 {
+		return
 	}
-	aw.groups = aw.groups[:0]
-	aw.slots = [localAggSlots]int32{}
-}
-
-// serializeGroup writes one local group as a partial tuple.
-func (aw *aggWorker) serializeGroup(g *localGroup) {
-	pb := aw.pb
-	nk := len(aw.keyCols)
-	for i := 0; i < nk; i++ {
-		c := &pb.Cols[i]
-		setNull(c, g.keyNulls[i])
-		switch c.Type {
-		case data.Float64:
-			c.F[0] = g.keys[i].f
-		case data.String:
-			c.S[0] = g.keys[i].s
-		default:
-			c.I[0] = g.keys[i].i
-		}
+	a, st, out := aw.a, &aw.states, aw.out
+	for k := range aw.keys {
+		c, key := &out.Cols[k], &aw.keys[k]
+		c.I, c.F, c.S, c.Null = head(key.I, n), head(key.F, n), head(key.S, n), key.Null[:n]
 	}
-	for i := nk; i < pb.Schema.Len(); i++ {
-		v := &g.vals[i-nk]
-		c := &pb.Cols[i]
-		setNull(c, !v.seen && aw.a.minMax[i])
-		switch c.Type {
-		case data.Float64:
-			c.F[0] = v.f
-		case data.String:
-			c.S[0] = v.s
-		default:
-			c.I[0] = v.i
-		}
-	}
-	aw.sketch.Add(g.hash)
-	dst := aw.buf.AllocTuple(aw.a.rc.Size(pb, 0), g.hash)
-	aw.a.rc.Encode(dst, pb, 0)
-}
-
-func setNull(c *data.Column, null bool) {
-	if null {
-		if c.Null == nil {
-			c.Null = make([]bool, 1)
-		}
-		c.Null[0] = true
-	} else if c.Null != nil {
-		c.Null[0] = false
-	}
-}
-
-// accumulateRow folds input row r into group state vals.
-func accumulateRow(states []stateDef, g *localGroup, b *data.Batch, r int) {
-	nk := g.nk
-	for _, sd := range states {
-		base := sd.fields[0] - nk
-		switch sd.fn {
-		case CountStar:
-			g.vals[base].i++
-		case Count:
-			c := &b.Cols[sd.col]
-			if c.Null == nil || !c.Null[r] {
-				g.vals[base].i++
-			}
-		case Sum, Avg:
-			c := &b.Cols[sd.col]
-			if c.Null != nil && c.Null[r] {
-				break
-			}
-			var v float64
-			if c.Type == data.Float64 {
-				v = c.F[r]
-			} else {
-				v = float64(c.I[r])
-			}
-			g.vals[base].f += v
-			if sd.fn == Avg {
-				g.vals[sd.fields[1]-nk].i++
-			}
-		case Min, Max:
-			c := &b.Cols[sd.col]
-			if c.Null != nil && c.Null[r] {
-				break
-			}
-			v := &g.vals[base]
-			switch c.Type {
-			case data.Float64:
-				x := c.F[r]
-				if !v.seen || (sd.fn == Min && x < v.f) || (sd.fn == Max && x > v.f) {
-					v.f = x
-				}
-			case data.String:
-				x := c.S[r]
-				if !v.seen || (sd.fn == Min && x < v.s) || (sd.fn == Max && x > v.s) {
-					v.s = x
-				}
+	for i := range a.states {
+		sd := &a.states[i]
+		for k, f := range sd.fields {
+			c, at := &out.Cols[f], sd.at[k]*localAggMax
+			switch {
+			case c.Type == data.String:
+				c.S = aw.strs[sd.mm*localAggMax:][:n]
+			case c.Type == data.Float64:
+				c.F = st.floats[at : at+n]
 			default:
-				x := c.I[r]
-				if !v.seen || (sd.fn == Min && x < v.i) || (sd.fn == Max && x > v.i) {
-					v.i = x
+				c.I = st.ints[at : at+n]
+			}
+			if a.minMax[f] {
+				// A Min/Max that saw no value travels as NULL.
+				at := sd.mm * localAggMax
+				c.Null = aw.unseen[at : at+n]
+				for g := range c.Null {
+					c.Null[g] = !st.seen[at+g]
 				}
 			}
-			v.seen = true
 		}
+	}
+	out.SetLen(n)
+	aw.sketch.AddAll(aw.ghash[:n])
+	aw.enc.encode(aw.buf, a.rc, out, nil, aw.ghash[:n])
+
+	clearHeads(st.ints, n)
+	clearHeads(st.floats, n)
+	clearHeads(st.seen, n)
+	clearHeads(aw.strs, n) // and let go of the strings
+	for k := range aw.keys {
+		clear(head(aw.keys[k].S, n))
+	}
+	aw.slots = [localAggSlots]int32{}
+	aw.n = 0
+}
+
+// head returns the first n entries of s, or nil for a column without them.
+func head[T any](s []T, n int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[:n]
+}
+
+// clearHeads zeroes the first n entries of every localAggMax-long column of s.
+func clearHeads[T any](s []T, n int) {
+	for lo := 0; lo < len(s); lo += localAggMax {
+		clear(s[lo : lo+n])
 	}
 }
 
@@ -640,13 +626,14 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 
 	var cursor atomic.Int64
 	err := runWorkers("agg-merge", workers, func(w int) error {
-		// One page at a time: hash its tuples once, cluster their indexes
-		// by shard with a counting sort, then take each shard's lock once
-		// per run. Bucket aggShards collects the overflow tuples.
+		// One page at a time: hash its tuples once, cluster them by shard with
+		// a counting sort, then merge each shard's run under one lock.
+		// Bucket aggShards collects the overflow tuples.
 		var (
+			views  [][]byte
 			hashes []uint64
-			order  []int32
 			starts [aggShards + 3]int32
+			st     mergeStage
 		)
 		bucket := func(h uint64) int {
 			if mask&(1<<(h>>shiftP)) != 0 {
@@ -665,10 +652,11 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 			}
 			pg := memPages[pi]
 			n := pg.Tuples()
-			hashes, order = sized(hashes, n), sized(order, n)
+			views, hashes = sized(views, n), sized(hashes, n)
 			clear(starts[:])
 			for i := range hashes {
-				hashes[i] = a.rc.HashTuple(pg.Tuple(i), a.keyFields)
+				views[i] = pg.Tuple(i)
+				hashes[i] = a.rc.HashTuple(views[i], a.keyFields)
 				starts[bucket(hashes[i])+2]++
 			}
 			for s := 2; s < len(starts); s++ {
@@ -676,26 +664,26 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 			}
 			// starts[s+1] is bucket s's write cursor: its start now, its end
 			// after the scatter, which makes starts[s] its start.
+			tuples, hs := sized(st.tuples, n), sized(st.hashes, n)
 			for i, h := range hashes {
 				s := bucket(h) + 1
-				order[starts[s]] = int32(i)
+				tuples[starts[s]], hs[starts[s]] = views[i], h
 				starts[s]++
 			}
+			st.tuples, st.hashes = tuples, hs
 			for s := range global {
-				run := order[starts[s]:starts[s+1]]
-				if len(run) == 0 {
+				lo, hi := starts[s], starts[s+1]
+				if lo == hi {
 					continue
 				}
 				t := &global[s]
 				t.mu.Lock()
-				for _, i := range run {
-					t.merge(pg.Tuple(int(i)), hashes[i])
-				}
+				t.mergeRun(tuples[lo:hi], hs[lo:hi], &st)
 				t.mu.Unlock()
 			}
-			for _, i := range order[starts[aggShards]:starts[aggShards+1]] {
-				part := hashes[i] >> shiftP
-				localOv[part] = append(localOv[part], tupArena.Copy(pg.Tuple(int(i))))
+			for j := starts[aggShards]; j < starts[aggShards+1]; j++ {
+				part := hs[j] >> shiftP
+				localOv[part] = append(localOv[part], tupArena.Copy(tuples[j]))
 			}
 		}
 		ovMu.Lock()
@@ -719,7 +707,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				a.rc.SetNull(tuple, f)
 			}
 		}
-		global[0].merge(tuple, a.rc.HashTuple(tuple, a.keyFields))
+		global[0].mergeTuples([][]byte{tuple}, &mergeStage{})
 	}
 	ctx.spanPhase(sp, mergePC)
 
@@ -761,6 +749,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 		t     *groupTable
 		next  int
 		own   *groupTable
+		stage mergeStage
 		arena data.ByteArena
 	}
 	emitters := make([]emitter, workers)
@@ -785,7 +774,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				}
 				e.t = e.own
 				e.t.reset()
-				if err := a.mergePartition(ctx, sp, e.t, overflow[t.part], t.part, sched, t.item); err != nil {
+				if err := a.mergePartition(ctx, sp, e.t, &e.stage, overflow[t.part], t.part, sched, t.item); err != nil {
 					return 0, err
 				}
 			}
@@ -799,12 +788,14 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 }
 
 // mergePartition merges one spilled partition (overflow tuples + read-back
-// pages, streamed through the scheduler) into t.
-func (a *Agg) mergePartition(ctx *Ctx, sp *trace.Span, t *groupTable, overflow [][]byte, part int, sched *core.PartitionScheduler, item int) error {
+// pages, streamed through the scheduler) into t, a run at a time.
+func (a *Agg) mergePartition(ctx *Ctx, sp *trace.Span, t *groupTable, st *mergeStage, overflow [][]byte, part int, sched *core.PartitionScheduler, item int) error {
 	// Overflow holds every in-memory tuple of this partition (routed there
 	// during the global merge); the spilled pages follow from the array.
-	for _, tuple := range overflow {
-		t.merge(tuple, a.rc.HashTuple(tuple, a.keyFields))
+	for len(overflow) > 0 {
+		run := overflow[:min(len(overflow), mergeRunMax)]
+		overflow = overflow[len(run):]
+		t.mergeTuples(run, st)
 	}
 	if sched == nil {
 		return nil
@@ -819,10 +810,11 @@ func (a *Agg) mergePartition(ctx *Ctx, sp *trace.Span, t *groupTable, overflow [
 		if pg == nil {
 			break
 		}
-		for i := 0; i < pg.Tuples(); i++ {
-			tuple := pg.Tuple(i)
-			t.merge(tuple, a.rc.HashTuple(tuple, a.keyFields))
+		st.tuples = sized(st.tuples, pg.Tuples())
+		for i := range st.tuples {
+			st.tuples[i] = pg.Tuple(i)
 		}
+		t.mergeTuples(st.tuples, st)
 	}
 	// Every key and Min/Max string was copied into the table, so the
 	// read-back buffers can be recycled before emitting.

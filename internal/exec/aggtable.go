@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"sync"
 
 	"github.com/spilly-db/spilly/internal/data"
@@ -10,17 +11,21 @@ import (
 
 // groupTable is the phase-2 aggregation hash table: one per shard of the
 // "global synchronized hash table" of §4.6, and one per worker for spilled
-// partitions. It is probed with the hash the materialized tuple already
-// carries, never with a re-serialized key.
+// partitions. It is probed with the key hash, never with a re-serialized key;
+// the hash is recomputed from the tuple's bytes (RowCodec.HashTuple), once
+// per tuple, because a materialized tuple does not keep the hash Umami
+// partitioned it by.
 //
 // Slots are open-addressed with linear probing. A slot packs the low 32
 // hash bits (the bits that also pick the slot, so the table grows by
 // re-inserting slots without touching a key) above the group number + 1;
 // 0 is empty. A group is a number: its key is one RowCodec.AppendKey copy in
-// keys, compared against incoming tuples with RowCodec.KeyEqual, and its
-// aggregate state lives at fixed strides in ints/floats/seen. No array holds
-// a pointer, so the collector has nothing to trace however many groups
-// there are.
+// keys, and its aggregate state lives at fixed strides in ints/floats/seen.
+// No array holds a pointer, so the collector has nothing to trace however
+// many groups there are.
+//
+// Tuples merge a run at a time (mergeRun): a shard's tuples of one page, a
+// read-back page, a chunk of overflow tuples.
 //
 // The zero value plus a and hint is an empty table; arrays are allocated on
 // the first insert, so shards that receive no tuple cost nothing.
@@ -42,6 +47,10 @@ type groupTable struct {
 
 const groupTableMinSlots = 16
 
+// mergeRunMax bounds the runs a partition's overflow tuples are merged in, so
+// that the staging arrays stay the size of a page's.
+const mergeRunMax = 2048
+
 // reset empties the table for the next partition, keeping its arrays.
 func (t *groupTable) reset() {
 	clear(t.slots)
@@ -61,33 +70,105 @@ func (t *groupTable) key(g int) []byte {
 	return t.keys[t.keyOff[g]:]
 }
 
-// merge folds one partial tuple with key hash h into its group, opening the
-// group if the table has not seen the key.
-func (t *groupTable) merge(tuple []byte, h uint64) {
+// mergeStage is one worker's staging arrays for mergeRun, each as long as the
+// longest run it has merged.
+type mergeStage struct {
+	tuples  [][]byte      // a run, gathered by the caller …
+	hashes  []uint64      // … and its key hashes
+	first   []uint64      // the slot each tuple's probe starts at
+	gs      []int32       // each tuple's group
+	cols    []data.Column // the run's state fields, decoded by fold
+	seq     []int32       // 0, 1, 2, …: the rows of cols
+	touched byte
+}
+
+// mergeTuples hashes the key of every tuple and merges them as one run.
+func (t *groupTable) mergeTuples(tuples [][]byte, st *mergeStage) {
+	hs := sized(st.hashes, len(tuples))
+	for j, tup := range tuples {
+		hs[j] = t.a.rc.HashTuple(tup, t.a.keyFields)
+	}
+	st.hashes = hs
+	t.mergeRun(tuples, hs, st)
+}
+
+// mergeRun folds a run of partial tuples, whose key hashes are hs, into their
+// groups, opening the groups the table has not seen. It works in stages, each
+// a loop of its own over the run, so that the cache misses of different
+// tuples overlap instead of forming one dependent chain per tuple:
+//
+//  1. load the slot every tuple's probe starts at;
+//  2. touch the key of every group a first slot's tag points to;
+//  3. resolve each tuple to its group, or to a miss;
+//  4. open the misses in run order, probing again, so that a key repeated
+//     within the run opens one group;
+//  5. fold each aggregate column over the resolved groups.
+//
+// Each group folds its tuples in run order.
+func (t *groupTable) mergeRun(tuples [][]byte, hs []uint64, st *mergeStage) {
+	if t.slots == nil {
+		t.grow()
+	}
+	n := len(tuples)
+	hs = hs[:n]
+	mask := uint64(len(t.slots) - 1)
+	first := sized(st.first, n)
+	for j, h := range hs {
+		first[j] = t.slots[h&mask]
+	}
+	touched := st.touched
+	for j, s := range first {
+		if s != 0 && s>>32 == hs[j]&0xffffffff {
+			touched |= t.key(int(uint32(s)) - 1)[0]
+		}
+	}
+	st.touched = touched
+	gs := sized(st.gs, n)
+	for j, h := range hs {
+		gs[j] = -1
+		if first[j] != 0 {
+			gs[j], _ = t.probe(tuples[j], h)
+		}
+	}
+	for j, g := range gs {
+		if g < 0 {
+			gs[j] = t.open(tuples[j], hs[j])
+		}
+	}
+	st.first, st.gs = first, gs
+	t.fold(tuples, gs, st)
+}
+
+// probe returns the group of tuple, whose key hash is h, or -1 and the empty
+// slot the probe ended at.
+func (t *groupTable) probe(tuple []byte, h uint64) (int32, uint64) {
+	mask := uint64(len(t.slots) - 1)
+	tag := h << 32
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if s&^0xffffffff == tag && t.sameKey(int(uint32(s))-1, tuple) {
+			return int32(uint32(s)) - 1, i
+		}
+	}
+}
+
+// open returns the group of tuple, opening it unless an earlier tuple of the
+// run did.
+func (t *groupTable) open(tuple []byte, h uint64) int32 {
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()
 	}
-	a := t.a
-	mask := uint64(len(t.slots) - 1)
-	tag := h << 32
-	i := h & mask
-	for {
-		s := t.slots[i]
-		if s == 0 {
-			break
-		}
-		if s&^0xffffffff == tag {
-			g := int(uint32(s)) - 1
-			if a.rc.KeyEqual(t.key(g), tuple, a.keyFields) {
-				t.fold(g, tuple)
-				return
-			}
-		}
-		i = (i + 1) & mask
+	g, i := t.probe(tuple, h)
+	if g >= 0 {
+		return g
 	}
-	g := t.n
+	a := t.a
+	g = int32(t.n)
 	t.n++
-	t.slots[i] = tag | uint64(g+1)
+	t.slots[i] = h<<32 | uint64(g+1)
 	if a.keyW == 0 {
 		t.keyOff = append(t.keyOff, len(t.keys))
 	}
@@ -95,7 +176,31 @@ func (t *groupTable) merge(tuple []byte, h uint64) {
 	t.ints = append(t.ints, make([]int64, a.ni)...)
 	t.floats = append(t.floats, make([]float64, a.nf)...)
 	t.seen = append(t.seen, make([]bool, a.nm)...)
-	t.fold(g, tuple)
+	return g
+}
+
+// sameKey reports whether tuple has group g's key; NULL matches NULL. A
+// fixed-width key compares its 8-byte slots, so floats compare by their bits
+// (NaN is one key, +0 and −0 are two), and the null bitmap under the key
+// fields' bits only: the bitmap also carries the Min/Max state bits.
+func (t *groupTable) sameKey(g int, tuple []byte) bool {
+	a := t.a
+	key := t.key(g)
+	if a.keyW == 0 {
+		return a.rc.KeyEqual(key, tuple, a.keyFields)
+	}
+	for i, m := range a.keyNulls {
+		if (key[i]^tuple[i])&m != 0 {
+			return false
+		}
+	}
+	for _, f := range a.keyFields {
+		off := a.rc.FieldOffset(f)
+		if binary.LittleEndian.Uint64(key[off:]) != binary.LittleEndian.Uint64(tuple[off:]) && !a.rc.IsNull(tuple, f) {
+			return false
+		}
+	}
+	return true
 }
 
 // grow doubles the slot array (or allocates everything, the first time) and
@@ -115,7 +220,7 @@ func (t *groupTable) grow() {
 		t.seen = make([]bool, 0, groups*a.nm)
 		return
 	}
-	if len(t.slots) >= 1<<32 {
+	if len(t.slots) >= 1<<31 {
 		panic("exec: aggregation group table is full")
 	}
 	old := t.slots
@@ -133,53 +238,63 @@ func (t *groupTable) grow() {
 	}
 }
 
-// fold merges the partial aggregate state of tuple into group g.
-func (t *groupTable) fold(g int, tuple []byte) {
+// fold is mergeRun's last stage: the run's state fields are decoded a column
+// at a time and folded into groups gs. A string Min/Max is compared where it
+// lies in the tuple and copied into strs only when it improves.
+func (t *groupTable) fold(tuples [][]byte, gs []int32, st *mergeStage) {
 	a := t.a
 	rc := a.rc
-	ints := t.ints[g*a.ni : (g+1)*a.ni]
-	floats := t.floats[g*a.nf : (g+1)*a.nf]
+	n := len(tuples)
+	st.cols = sized(st.cols, a.partial.Len())
+	for f := len(a.keyFields); f < len(st.cols); f++ {
+		c := &st.cols[f]
+		c.Type = a.partial.Cols[f].Type
+		off := rc.FieldOffset(f)
+		switch c.Type {
+		case data.String:
+			continue
+		case data.Float64:
+			c.F = sized(c.F, n)
+			for j, tup := range tuples {
+				c.F[j] = math.Float64frombits(binary.LittleEndian.Uint64(tup[off:]))
+			}
+		default:
+			c.I = sized(c.I, n)
+			for j, tup := range tuples {
+				c.I[j] = int64(binary.LittleEndian.Uint64(tup[off:]))
+			}
+		}
+		if a.minMax[f] {
+			c.Null = sized(c.Null, n)
+			by, bit := f/8, byte(1)<<(f%8)
+			for j, tup := range tuples {
+				c.Null[j] = tup[by]&bit != 0
+			}
+		}
+	}
+	st.seq = iota32(st.seq, n)
+	a.foldStates(aggStates{ints: t.ints, floats: t.floats, seen: t.seen, ni: a.ni, nf: a.nf, nm: a.nm, span: 1}, st.cols, st.seq, gs)
 	for i := range a.states {
 		sd := &a.states[i]
-		f0 := sd.fields[0]
-		switch sd.fn {
-		case CountStar, Count:
-			ints[sd.at[0]] += rc.Int(tuple, f0)
-		case Sum:
-			floats[sd.at[0]] += rc.Float(tuple, f0)
-		case Avg:
-			floats[sd.at[0]] += rc.Float(tuple, f0)
-			ints[sd.at[1]] += rc.Int(tuple, sd.fields[1])
-		case Min, Max:
-			// The unseen state of a partial Min/Max travels as NULL.
-			if rc.IsNull(tuple, f0) {
-				break
+		if !sd.strMinMax() {
+			continue
+		}
+		f := sd.fields[0]
+		for j, tup := range tuples {
+			if rc.IsNull(tup, f) {
+				continue
 			}
-			seen := &t.seen[g*a.nm+sd.mm]
-			switch sd.typ {
-			case data.Float64:
-				x, v := rc.Float(tuple, f0), &floats[sd.at[0]]
-				if !*seen || (sd.fn == Min && x < *v) || (sd.fn == Max && x > *v) {
-					*v = x
-				}
-			case data.String:
-				// Compare through a view; copy only when the value improves.
-				x, v := rc.StrBytes(tuple, f0), &ints[sd.at[0]]
-				better := !*seen
-				if !better {
-					c := bytes.Compare(x, t.str(*v))
-					better = (sd.fn == Min && c < 0) || (sd.fn == Max && c > 0)
-				}
-				if better {
-					*v = int64(len(t.strs))
-					t.strs = binary.LittleEndian.AppendUint32(t.strs, uint32(len(x)))
-					t.strs = append(t.strs, x...)
-				}
-			default:
-				x, v := rc.Int(tuple, f0), &ints[sd.at[0]]
-				if !*seen || (sd.fn == Min && x < *v) || (sd.fn == Max && x > *v) {
-					*v = x
-				}
+			g := int(gs[j])
+			x, v, seen := rc.StrBytes(tup, f), &t.ints[g*a.ni+sd.at[0]], &t.seen[g*a.nm+sd.mm]
+			better := !*seen
+			if !better {
+				c := bytes.Compare(x, t.str(*v))
+				better = (sd.fn == Min && c < 0) || (sd.fn == Max && c > 0)
+			}
+			if better {
+				*v = int64(len(t.strs))
+				t.strs = binary.LittleEndian.AppendUint32(t.strs, uint32(len(x)))
+				t.strs = append(t.strs, x...)
 			}
 			*seen = true
 		}
@@ -190,6 +305,97 @@ func (t *groupTable) fold(g int, tuple []byte) {
 func (t *groupTable) str(off int64) []byte {
 	n := int64(binary.LittleEndian.Uint32(t.strs[off:]))
 	return t.strs[off+4 : off+4+n]
+}
+
+// aggStates locates the aggregate states of a table's groups: group g's
+// state slot k (stateDef.at) is ints[g*ni+k*span] or floats[g*nf+k*span],
+// and its Min/Max flag m (stateDef.mm) is seen[g*nm+m*span]. Phase 2 keeps a
+// group's states together (span 1); phase 1 keeps a slot's states together
+// (strides 1, span the table's capacity), so a flush hands each slot to the
+// encoder as a column.
+type aggStates struct {
+	ints       []int64
+	floats     []float64
+	seen       []bool
+	ni, nf, nm int
+	span       int
+}
+
+// foldStates folds state row rows[i] of cols, columns laid out in the partial
+// schema, into group gs[i] of st, for every aggregate but a string Min/Max,
+// whose values each phase keeps its own way. Counts and sums add; Min/Max
+// skip NULL, which is a NULL input in phase 1 and a partial that saw no value
+// in phase 2. Each column is one typed loop.
+func (a *Agg) foldStates(st aggStates, cols []data.Column, rows, gs []int32) {
+	for i := range a.states {
+		sd := &a.states[i]
+		if sd.fn != Min && sd.fn != Max {
+			for k, f := range sd.fields {
+				at := sd.at[k] * st.span
+				if c := &cols[f]; c.Type == data.Float64 {
+					foldAdd(st.floats[at:], st.nf, c.F, rows, gs)
+				} else {
+					foldAdd(st.ints[at:], st.ni, c.I, rows, gs)
+				}
+			}
+			continue
+		}
+		c := &cols[sd.fields[0]]
+		at, seen := sd.at[0]*st.span, st.seen[sd.mm*st.span:]
+		switch {
+		case c.Type == data.String:
+		case c.Type == data.Float64 && sd.fn == Min:
+			foldMin(st.floats[at:], st.nf, seen, st.nm, c.F, c.Null, rows, gs)
+		case c.Type == data.Float64:
+			foldMax(st.floats[at:], st.nf, seen, st.nm, c.F, c.Null, rows, gs)
+		case sd.fn == Min:
+			foldMin(st.ints[at:], st.ni, seen, st.nm, c.I, c.Null, rows, gs)
+		default:
+			foldMax(st.ints[at:], st.ni, seen, st.nm, c.I, c.Null, rows, gs)
+		}
+	}
+}
+
+// foldAdd adds vals[rows[i]] to acc[gs[i]*stride], in order.
+func foldAdd[T int64 | float64](acc []T, stride int, vals []T, rows, gs []int32) {
+	rows = rows[:len(gs)]
+	for i, g := range gs {
+		acc[int(g)*stride] += vals[rows[i]]
+	}
+}
+
+// foldMin lowers acc[gs[i]*stride] to vals[rows[i]] where that is less or the
+// group has no value yet (seen[gs[i]*seenStride]), skipping the rows null
+// marks.
+func foldMin[T int64 | float64 | string](acc []T, stride int, seen []bool, seenStride int, vals []T, null []bool, rows, gs []int32) {
+	rows = rows[:len(gs)]
+	for i, g := range gs {
+		r := rows[i]
+		if null != nil && null[r] {
+			continue
+		}
+		x, v, s := vals[r], &acc[int(g)*stride], &seen[int(g)*seenStride]
+		if !*s || x < *v {
+			*v = x
+		}
+		*s = true
+	}
+}
+
+// foldMax is foldMin for the greatest value.
+func foldMax[T int64 | float64 | string](acc []T, stride int, seen []bool, seenStride int, vals []T, null []bool, rows, gs []int32) {
+	rows = rows[:len(gs)]
+	for i, g := range gs {
+		r := rows[i]
+		if null != nil && null[r] {
+			continue
+		}
+		x, v, s := vals[r], &acc[int(g)*stride], &seen[int(g)*seenStride]
+		if !*s || x > *v {
+			*v = x
+		}
+		*s = true
+	}
 }
 
 // emit writes groups [lo, hi) into b (which must be empty), one output
@@ -276,6 +482,15 @@ func (t *groupTable) emit(b *data.Batch, lo, hi int, arena *data.ByteArena) {
 func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// iota32 returns s extended, where it is shorter, to 0, 1, …, n-1, and cut
+// to n.
+func iota32(s []int32, n int) []int32 {
+	for len(s) < n {
+		s = append(s, int32(len(s)))
 	}
 	return s[:n]
 }

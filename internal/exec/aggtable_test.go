@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -271,6 +272,59 @@ func TestAggMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestAggFloatKeysGroupByBits: a float key groups by its bits, the way it
+// hashes, in the local tables, the global table and spilled partitions alike:
+// NaN is one group, +0 and −0 are two.
+func TestAggFloatKeysGroupByBits(t *testing.T) {
+	in := aggPropInput(rand.New(rand.NewSource(3)), 30000, 3000)
+	kinds := []float64{math.NaN(), 0, math.Copysign(0, -1), 1.5}
+	rng := rand.New(rand.NewSource(4))
+	for _, b := range in.batches {
+		for r := range b.Cols[1].F {
+			b.Cols[1].F[r] = kinds[rng.Intn(len(kinds))]
+		}
+	}
+	if want := aggReference(in, []string{"kf"}); len(want) != len(kinds)+1 { // and NULL
+		t.Fatalf("the reference has %d kf groups, want %d", len(want), len(kinds)+1)
+	}
+	for _, groupBy := range [][]string{{"kf"}, {"kf", "ki"}} {
+		want := aggReference(in, groupBy)
+		for _, workers := range []int{1, 2} {
+			for _, mode := range []string{"memory", "spill"} {
+				t.Run(fmt.Sprintf("by=%s/workers=%d/%s", strings.Join(groupBy, ","), workers, mode), func(t *testing.T) {
+					ctx := testCtx(workers)
+					if mode == "spill" {
+						ctx = spillCtx(workers, 256)
+					}
+					defer ctx.Close()
+					out, err := Collect(ctx, NewAgg(in, groupBy, aggPropSpecs))
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffRows(t, renderAgg(out), want)
+					if mode == "spill" && len(groupBy) > 1 && ctx.Stats.Get(metrics.SpilledBytes) == 0 {
+						t.Fatal("the spilling run did not spill")
+					}
+				})
+			}
+		}
+	}
+
+	// Phase 1 alone: a batch of NaN keys opens one local group.
+	schema := data.NewSchema(data.ColumnDef{Name: "k", Type: data.Float64})
+	b := data.NewBatch(schema, 100)
+	for r := 0; r < 100; r++ {
+		b.Cols[0].F = append(b.Cols[0].F, math.NaN())
+	}
+	b.SetLen(100)
+	a := NewAgg(&ValuesNode{Batch: b}, []string{"k"}, []AggSpec{{Func: CountStar, As: "n"}})
+	aw := newAggWorker(a, []int{0}, core.NewShared((&Ctx{}).coreConfig()).NewBuffer(), &hll.Sketch{}, true)
+	aw.consume(b)
+	if aw.opened != 1 {
+		t.Fatalf("100 NaN keys opened %d local groups, want 1", aw.opened)
+	}
+}
+
 // partialTuples encodes the rows of a batch laid out in a's partial schema.
 func partialTuples(a *Agg, b *data.Batch) [][]byte {
 	out := make([][]byte, b.Len())
@@ -293,7 +347,7 @@ func countSumAgg() *Agg {
 
 // TestGroupTableCollisionsAndGrowth drives one table directly: every tuple
 // arrives with the same hash, so every probe walks one run of slots and only
-// KeyEqual tells groups apart, while the table grows from its smallest size
+// the key compare tells groups apart, while the table grows from its smallest size
 // through several doublings (whose re-insertion sees nothing but equal
 // hashes). A second table gets real hashes and no hint.
 func TestGroupTableCollisionsAndGrowth(t *testing.T) {
@@ -333,8 +387,16 @@ func TestGroupTableCollisionsAndGrowth(t *testing.T) {
 		"hashed":    func(tuple []byte) uint64 { return a.rc.HashTuple(tuple, a.keyFields) },
 	} {
 		tbl := &groupTable{a: a}
-		for _, tuple := range partialTuples(a, pb) {
-			tbl.merge(tuple, hash(tuple))
+		var st mergeStage
+		tuples := partialTuples(a, pb)
+		hs := make([]uint64, len(tuples))
+		for i, tuple := range tuples {
+			hs[i] = hash(tuple)
+		}
+		// Runs of 600: the table grows inside a run and between runs.
+		for lo := 0; lo < len(tuples); lo += 600 {
+			hi := min(lo+600, len(tuples))
+			tbl.mergeRun(tuples[lo:hi], hs[lo:hi], &st)
 		}
 		if tbl.n != len(want) {
 			t.Fatalf("%s: %d groups, want %d", name, tbl.n, len(want))
@@ -355,7 +417,7 @@ func TestGroupTableCollisionsAndGrowth(t *testing.T) {
 
 		// A reset table is empty and reusable.
 		tbl.reset()
-		tbl.merge(partialTuples(a, pb)[0], 7)
+		tbl.mergeRun(tuples[:1], []uint64{7}, &st)
 		if tbl.n != 1 {
 			t.Fatalf("%s: %d groups after reset and one merge", name, tbl.n)
 		}
@@ -455,27 +517,53 @@ func TestAggEmitsBoundedBatches(t *testing.T) {
 	}
 }
 
-// aggMergeInput materializes `tuples` partial tuples of a two-int64-key
-// count(*) aggregation over `groups` distinct keys, as phase 1 leaves them.
-func aggMergeInput(groups, tuples int) (*Agg, *core.Result) {
-	in := &batchesNode{schema: data.NewSchema(
+// aggMergeInput materializes `tuples` partial tuples over `groups` distinct
+// keys, as phase 1 leaves them: two int64 keys and count(*) or, with strKey,
+// an int64 and a string key (a customer name, the shape of Q10's and Q18's
+// keys) with count(*) and a sum.
+func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
+	schema := data.NewSchema(
 		data.ColumnDef{Name: "k1", Type: data.Int64},
 		data.ColumnDef{Name: "k2", Type: data.Int64},
-	)}
-	a := NewAgg(in, []string{"k1", "k2"}, []AggSpec{{Func: CountStar, As: "n"}})
-	size, _ := a.rc.FixedSize()
+		data.ColumnDef{Name: "v", Type: data.Float64},
+	)
+	specs := []AggSpec{{Func: CountStar, As: "n"}}
+	var names []string
+	if strKey {
+		schema.Cols[1].Type = data.String
+		specs = append(specs, AggSpec{Func: Sum, Col: "v", As: "s"})
+		for k := 0; k < groups; k++ {
+			names = append(names, fmt.Sprintf("Customer#%09d", k))
+		}
+	}
+	a := NewAgg(&batchesNode{schema: schema}, []string{"k1", "k2"}, specs)
 	pb := data.NewBatch(a.partial, 1)
-	pb.Cols[0].I, pb.Cols[1].I, pb.Cols[2].I = []int64{0}, []int64{0}, []int64{1}
+	for c := range pb.Cols {
+		pb.Cols[c].I, pb.Cols[c].F, pb.Cols[c].S = []int64{1}, []float64{0.5}, []string{""}
+	}
 	pb.SetLen(1)
+	size, fixed := a.rc.FixedSize()
+	newPage := func() *pages.Page {
+		if fixed {
+			return pages.NewFixed(pages.DefaultPageSize, size)
+		}
+		return pages.New(pages.DefaultPageSize)
+	}
 	res := &core.Result{Partitions: 1, Tuples: int64(tuples)}
-	pg := pages.NewFixed(pages.DefaultPageSize, size)
+	pg := newPage()
 	for i := 0; i < tuples; i++ {
 		k := i % groups
-		pb.Cols[0].I[0], pb.Cols[1].I[0] = int64(k/7), int64(k)
+		pb.Cols[0].I[0] = int64(k / 7)
+		if strKey {
+			pb.Cols[1].S[0] = names[k]
+		} else {
+			pb.Cols[1].I[0] = int64(k)
+		}
+		size := a.rc.Size(pb, 0)
 		dst, ok := pg.Alloc(size)
 		if !ok {
 			res.Unpartitioned = append(res.Unpartitioned, pg)
-			pg = pages.NewFixed(pages.DefaultPageSize, size)
+			pg = newPage()
 			dst, _ = pg.Alloc(size)
 		}
 		a.rc.Encode(dst, pb, 0)
@@ -487,9 +575,9 @@ func aggMergeInput(groups, tuples int) (*Agg, *core.Result) {
 // benchAggMerge times phase 2 alone — the clustered merge of materialized
 // partial tuples into the global group table, and its emission — at two
 // workers, the benchmark's setting.
-func benchAggMerge(b *testing.B, groups int) {
+func benchAggMerge(b *testing.B, groups int, strKey bool) {
 	const tuples = 600000
-	a, res := aggMergeInput(groups, tuples)
+	a, res := aggMergeInput(groups, tuples, strKey)
 	ctx := testCtx(2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -514,8 +602,68 @@ func benchAggMerge(b *testing.B, groups int) {
 
 // BenchmarkAggMergeHighCard: every tuple opens a group (Q21's distinct
 // aggregations at SF 0.1).
-func BenchmarkAggMergeHighCard(b *testing.B) { benchAggMerge(b, 600000) }
+func BenchmarkAggMergeHighCard(b *testing.B) { benchAggMerge(b, 600000, false) }
 
 // BenchmarkAggMergeLowCard: four groups take every tuple (Q1's shape with
 // pre-aggregation off).
-func BenchmarkAggMergeLowCard(b *testing.B) { benchAggMerge(b, 4) }
+func BenchmarkAggMergeLowCard(b *testing.B) { benchAggMerge(b, 4, false) }
+
+// BenchmarkAggMergeStringKey: 150 k groups of four tuples each, keyed by an
+// int64 and a string.
+func BenchmarkAggMergeStringKey(b *testing.B) { benchAggMerge(b, 150000, true) }
+
+// BenchmarkAggPreAgg times phase 1 alone in Q1's shape: 600 k rows in 32 Ki-row
+// batches (the table scan's row groups) under a selection vector that drops
+// one row in fifty, two one-letter string keys over 4 groups, eight
+// aggregates, one worker. It reports ns per live row.
+func BenchmarkAggPreAgg(b *testing.B) {
+	const rows, batchRows = 600000, 32 << 10
+	schema := data.NewSchema(
+		data.ColumnDef{Name: "flag", Type: data.String},
+		data.ColumnDef{Name: "status", Type: data.String},
+		data.ColumnDef{Name: "qty", Type: data.Float64},
+		data.ColumnDef{Name: "price", Type: data.Float64},
+		data.ColumnDef{Name: "disc", Type: data.Float64},
+		data.ColumnDef{Name: "disc_price", Type: data.Float64},
+		data.ColumnDef{Name: "charge", Type: data.Float64},
+	)
+	in := &batchesNode{schema: schema}
+	rng := rand.New(rand.NewSource(1))
+	live := 0
+	for lo := 0; lo < rows; lo += batchRows {
+		n := min(batchRows, rows-lo)
+		bt := data.NewBatch(schema, n)
+		for r := 0; r < n; r++ {
+			g := rng.Intn(4)
+			bt.Cols[0].S = append(bt.Cols[0].S, []string{"A", "N", "N", "R"}[g])
+			bt.Cols[1].S = append(bt.Cols[1].S, []string{"F", "F", "O", "F"}[g])
+			for c := 2; c < len(bt.Cols); c++ {
+				bt.Cols[c].F = append(bt.Cols[c].F, float64(rng.Intn(5000))*0.01)
+			}
+			if r%50 != 49 {
+				bt.Sel = append(bt.Sel, int32(r))
+			}
+		}
+		bt.SetLen(n)
+		live += len(bt.Sel)
+		in.batches = append(in.batches, bt)
+	}
+	a := NewAgg(in, []string{"flag", "status"}, []AggSpec{
+		{Func: Sum, Col: "qty"}, {Func: Sum, Col: "price"}, {Func: Sum, Col: "disc_price"}, {Func: Sum, Col: "charge"},
+		{Func: Avg, Col: "qty"}, {Func: Avg, Col: "price"}, {Func: Avg, Col: "disc"}, {Func: CountStar},
+	})
+	shared := core.NewShared((&Ctx{}).coreConfig())
+	aw := newAggWorker(a, []int{0, 1}, shared.NewBuffer(), &hll.Sketch{}, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bt := range in.batches {
+			aw.consume(bt)
+		}
+		aw.flushAll()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(live), "ns/tuple")
+	if !aw.preAgg {
+		b.Fatal("pre-aggregation was bypassed")
+	}
+}

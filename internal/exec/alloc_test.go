@@ -11,7 +11,9 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/hll"
 )
 
 // evalBatch builds a 1024-row batch for expression-kernel measurements.
@@ -171,10 +173,11 @@ func TestAllocsBatchPoolCycle(t *testing.T) {
 	}
 }
 
-// TestAllocsAggMergeExistingGroup pins the phase-2 hit path: folding a
-// partial tuple into a group the table already holds — hash in hand, key
-// compared in place, state in flat arrays — must not touch the heap, string
-// keys and string Min/Max included.
+// TestAllocsAggMergeExistingGroup pins the phase-2 hit path: merging a run of
+// partial tuples whose groups the table already holds — hashes in hand, keys
+// compared in place, state in flat arrays, each stage on the worker's own
+// staging arrays — must not touch the heap, string keys and string Min/Max
+// included.
 func TestAllocsAggMergeExistingGroup(t *testing.T) {
 	in := &ValuesNode{Batch: evalBatch()}
 	a := NewAgg(in, []string{"i", "s"}, []AggSpec{
@@ -196,20 +199,54 @@ func TestAllocsAggMergeExistingGroup(t *testing.T) {
 	pb.SetLen(97)
 	tuples := partialTuples(a, pb)
 	hashes := make([]uint64, len(tuples))
-	tbl := &groupTable{a: a, hint: len(tuples)}
 	for i, tuple := range tuples {
 		hashes[i] = a.rc.HashTuple(tuple, a.keyFields)
-		tbl.merge(tuple, hashes[i])
 	}
+	tbl := &groupTable{a: a, hint: len(tuples)}
+	var st mergeStage
+	tbl.mergeRun(tuples, hashes, &st)
 	got := testing.AllocsPerRun(100, func() {
-		for i, tuple := range tuples {
-			tbl.merge(tuple, hashes[i])
-		}
+		tbl.mergeRun(tuples, hashes, &st)
 	})
 	if got != 0 {
-		t.Errorf("merging into existing groups: %.2f allocs per %d tuples, want 0", got, len(tuples))
+		t.Errorf("merging into existing groups: %.2f allocs per run of %d tuples, want 0", got, len(tuples))
 	}
 	if tbl.n != len(tuples) {
 		t.Fatalf("%d groups, want %d", tbl.n, len(tuples))
+	}
+}
+
+// TestAllocsAggPreAggExistingGroups pins the phase-1 hit path: consuming a
+// batch whose keys are all in the local table — hashed, resolved and folded a
+// column at a time, NULL inputs, a string key and string Min/Max included —
+// must not touch the heap.
+func TestAllocsAggPreAggExistingGroups(t *testing.T) {
+	b := evalBatch()
+	b.Cols[1].Null = make([]bool, b.Len())
+	for r := 0; r < b.Len(); r += 7 {
+		b.Cols[1].Null[r] = true
+	}
+	for r := 0; r < b.Len(); r += 3 {
+		b.Sel = append(b.Sel, int32(r))
+	}
+	a := NewAgg(&ValuesNode{Batch: b}, []string{"i", "s"}, []AggSpec{
+		{Func: CountStar, As: "n"},
+		{Func: Count, Col: "f", As: "cnt"},
+		{Func: Sum, Col: "i", As: "sum_i"},
+		{Func: Avg, Col: "f", As: "avg"},
+		{Func: Min, Col: "s", As: "min_s"},
+		{Func: Max, Col: "f", As: "max_f"},
+	})
+	aw := newAggWorker(a, []int{0, 2}, core.NewShared((&Ctx{}).coreConfig()).NewBuffer(), &hll.Sketch{}, true)
+	aw.consume(b)
+	opened := aw.opened
+	got := testing.AllocsPerRun(100, func() {
+		aw.consume(b)
+	})
+	if got != 0 {
+		t.Errorf("pre-aggregating into existing groups: %.2f allocs per batch of %d rows, want 0", got, b.Rows())
+	}
+	if aw.opened != opened || !aw.preAgg {
+		t.Fatalf("groups opened %d → %d, pre-aggregation on = %v: the keys were not all in the table", opened, aw.opened, aw.preAgg)
 	}
 }

@@ -45,10 +45,8 @@ func (be *batchEncoder) materialize(buf *core.Buffer, rc *data.RowCodec, b *data
 
 // rows returns the selection of every row of an n-row batch: 0 … n-1.
 func (be *batchEncoder) rows(n int) []int32 {
-	for len(be.seq) < n {
-		be.seq = append(be.seq, int32(len(be.seq)))
-	}
-	return be.seq[:n]
+	be.seq = iota32(be.seq, n)
+	return be.seq
 }
 
 // encode encodes the rows sel of b (nil = every physical row) into buf; hs

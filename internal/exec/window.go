@@ -382,7 +382,7 @@ func (w *Window) emitGroup(out *data.Batch, tuples [][]byte, idxs []int, rc *dat
 					hi = n - 1
 				}
 			}
-			var v aggVal
+			var v winVal
 			if lo <= hi {
 				st := &states[fi]
 				switch f.Func {
@@ -425,23 +425,32 @@ func tupleOrderEqual(rc *data.RowCodec, a, b []byte, orderCols []int) bool {
 	return true
 }
 
+// winVal is one window function value, and for MIN/MAX whether its frame
+// held a non-NULL input.
+type winVal struct {
+	i    int64
+	f    float64
+	s    string
+	seen bool
+}
+
 // segTree answers MIN/MAX range queries over one window partition in
 // O(log n) per frame — the segment tree technique of the paper's window
 // function citation [54].
 type segTree struct {
 	typ   data.Type
 	min   bool
-	nodes []aggVal
+	nodes []winVal
 	size  int
 }
 
 func newSegTree(min bool, tuples [][]byte, idxs []int, rc *data.RowCodec, col int) *segTree {
 	n := len(idxs)
 	t := &segTree{typ: rc.Types()[col], min: min, size: n}
-	t.nodes = make([]aggVal, 2*n)
+	t.nodes = make([]winVal, 2*n)
 	for i := 0; i < n; i++ {
 		tup := tuples[idxs[i]]
-		v := aggVal{seen: !rc.IsNull(tup, col)}
+		v := winVal{seen: !rc.IsNull(tup, col)}
 		if v.seen {
 			switch t.typ {
 			case data.Float64:
@@ -460,7 +469,7 @@ func newSegTree(min bool, tuples [][]byte, idxs []int, rc *data.RowCodec, col in
 	return t
 }
 
-func (t *segTree) combine(a, b aggVal) aggVal {
+func (t *segTree) combine(a, b winVal) winVal {
 	if !a.seen {
 		return b
 	}
@@ -483,8 +492,8 @@ func (t *segTree) combine(a, b aggVal) aggVal {
 }
 
 // query returns the aggregate over [lo, hi).
-func (t *segTree) query(lo, hi int) aggVal {
-	var acc aggVal
+func (t *segTree) query(lo, hi int) winVal {
+	var acc winVal
 	lo += t.size
 	hi += t.size
 	for lo < hi {
