@@ -60,8 +60,6 @@ type (
 	JoinNode = exec.Join
 	// AggNode is the unified hash aggregation.
 	AggNode = exec.Agg
-	// SortNode orders (and optionally limits) its input.
-	SortNode = exec.Sort
 	// FilterNode filters any stream.
 	FilterNode = exec.FilterNode
 	// AggSpec describes one aggregate.
@@ -76,8 +74,9 @@ type (
 	WindowNode = exec.Window
 	// WindowSpec describes one window function.
 	WindowSpec = exec.WindowSpec
-	// ExtSortNode is the external (spilling) merge sort — the sorting
-	// direction the paper names as future work (§4.7).
+	// ExtSortNode orders (and optionally limits) its input: the external
+	// (spilling) merge sort, the sorting direction the paper names as
+	// future work (§4.7).
 	ExtSortNode = exec.ExtSort
 )
 

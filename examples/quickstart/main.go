@@ -48,7 +48,7 @@ func main() {
 		{Func: spilly.Sum, Col: "amount", As: "total"},
 		{Func: spilly.CountStar, As: "orders"},
 	})
-	plan := &spilly.SortNode{Child: agg, Keys: []spilly.SortKey{{Col: "total", Desc: true}}}
+	plan := &spilly.ExtSortNode{Child: agg, Keys: []spilly.SortKey{{Col: "total", Desc: true}}}
 
 	res, err := eng.Run(plan)
 	if err != nil {

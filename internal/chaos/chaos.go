@@ -33,9 +33,11 @@ type Schedule struct {
 	SpikeRate    float64
 	SpikeLatency time.Duration
 	// KillDevice fails that device permanently after KillAfterOps
-	// requests on it; ignored while KillAfterOps is 0.
+	// requests on it, or on its first read with KillOnRead; ignored while
+	// neither is set.
 	KillDevice   int
 	KillAfterOps int64
+	KillOnRead   bool
 	// Script injects faults at exact 1-based request indices on device
 	// ScriptDevice, overriding the probabilistic rates there. Use it to
 	// guarantee a minimum fault dose on short queries, where a small rate
@@ -77,8 +79,9 @@ func (s Schedule) Apply(arr *nvmesim.Array) {
 			plan.TornWriteRate = s.TornWriteRate
 			plan.StaleReadRate = s.StaleReadRate
 		}
-		if s.KillAfterOps > 0 && dev == s.KillDevice {
+		if dev == s.KillDevice {
 			plan.DieAfterOps = s.KillAfterOps
+			plan.DieOnRead = s.KillOnRead
 		}
 		arr.SetFaultPlan(dev, plan)
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -608,59 +607,6 @@ func TestAggModesEquivalent(t *testing.T) {
 	ctx.Mode = core.ModeAlwaysPartition
 	if !sameRowSet(refSet, joinRowSet(t, runAgg(t, ctx, true, 12000))) {
 		t.Fatal("always-partition aggregation differs")
-	}
-}
-
-// --- sort / limit ---
-
-func TestSortAndLimit(t *testing.T) {
-	tbl := ordersTable(1000)
-	s := &Sort{
-		Child: NewScan(tbl, "okey", "total", "flag"),
-		Keys:  []SortKey{{Col: "flag"}, {Col: "total", Desc: true}},
-		Limit: 10,
-	}
-	out, err := Collect(testCtx(2), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 10 {
-		t.Fatalf("limit: %d rows", out.Len())
-	}
-	for r := 0; r < out.Len(); r++ {
-		if out.Cols[2].S[r] != "A" {
-			t.Fatalf("row %d flag %q, want A first", r, out.Cols[2].S[r])
-		}
-		if r > 0 && out.Cols[1].F[r] > out.Cols[1].F[r-1] {
-			t.Fatal("total not descending")
-		}
-	}
-}
-
-func TestSortStableFullOrder(t *testing.T) {
-	tbl := ordersTable(500)
-	s := &Sort{Child: NewScan(tbl, "okey"), Keys: []SortKey{{Col: "okey", Desc: false}}}
-	out, err := Collect(testCtx(3), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 500 {
-		t.Fatal("row count")
-	}
-	if !sort.SliceIsSorted(out.Cols[0].I, func(a, b int) bool { return out.Cols[0].I[a] < out.Cols[0].I[b] }) {
-		t.Fatal("not sorted")
-	}
-}
-
-func TestLimitNode(t *testing.T) {
-	tbl := ordersTable(5000)
-	l := &Limit{Child: NewScan(tbl, "okey"), N: 17}
-	out, err := Collect(testCtx(2), l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() > 17 || out.Len() == 0 {
-		t.Fatalf("limit emitted %d rows", out.Len())
 	}
 }
 

@@ -77,12 +77,12 @@ func nodeFP(n Node) uint64 {
 				xhash.String(a.As, fpSeed))
 		}
 		return fpNode("agg", parts...)
-	case *Sort:
-		return fpNode("sort", sortFP(v.Child, v.Keys, v.Limit))
 	case *ExtSort:
-		return fpNode("extsort", sortFP(v.Child, v.Keys, v.Limit))
-	case *Limit:
-		return fpNode("limit", nodeFP(v.Child), xhash.U64(uint64(int64(v.N)), fpSeed))
+		parts := []uint64{nodeFP(v.Child), xhash.U64(uint64(int64(v.Limit)), fpSeed)}
+		for _, k := range v.Keys {
+			parts = append(parts, xhash.String(k.Col, fpSeed), xhash.U64(boolBit(k.Desc), fpSeed))
+		}
+		return fpNode("extsort", parts...)
 	case *Window:
 		parts := []uint64{nodeFP(v.Child)}
 		for _, p := range v.PartitionBy {
@@ -104,14 +104,6 @@ func nodeFP(n Node) uint64 {
 	default:
 		return 0
 	}
-}
-
-func sortFP(child Node, keys []SortKey, limit int) uint64 {
-	parts := []uint64{nodeFP(child), xhash.U64(uint64(int64(limit)), fpSeed)}
-	for _, k := range keys {
-		parts = append(parts, xhash.String(k.Col, fpSeed), xhash.U64(boolBit(k.Desc), fpSeed))
-	}
-	return fpNode("sortkeys", parts...)
 }
 
 func boolBit(b bool) uint64 {

@@ -70,16 +70,21 @@ func TestPlanFingerprintSensitivity(t *testing.T) {
 		t.Error("re-built table snapshot, same fingerprint")
 	}
 
-	withLimit, ok := PlanFingerprint(&Limit{Child: fpTestPlan(tbl, 2), N: 10})
+	sorted, ok := PlanFingerprint(&ExtSort{Child: fpTestPlan(tbl, 2), Keys: []SortKey{{Col: "k"}}})
 	if !ok {
-		t.Fatal("limit plan uncacheable")
+		t.Fatal("sort plan uncacheable")
 	}
-	if withLimit == base {
+	if sorted == base {
+		t.Error("added sort, same fingerprint")
+	}
+	withLimit, ok := PlanFingerprint(&ExtSort{Child: fpTestPlan(tbl, 2), Keys: []SortKey{{Col: "k"}}, Limit: 10})
+	if !ok {
+		t.Fatal("limited sort plan uncacheable")
+	}
+	if withLimit == sorted {
 		t.Error("added limit, same fingerprint")
 	}
-
-	sorted, _ := PlanFingerprint(&Sort{Child: fpTestPlan(tbl, 2), Keys: []SortKey{{Col: "k"}}})
-	sortedDesc, _ := PlanFingerprint(&Sort{Child: fpTestPlan(tbl, 2), Keys: []SortKey{{Col: "k", Desc: true}}})
+	sortedDesc, _ := PlanFingerprint(&ExtSort{Child: fpTestPlan(tbl, 2), Keys: []SortKey{{Col: "k", Desc: true}}})
 	if sorted == sortedDesc {
 		t.Error("sort direction ignored by fingerprint")
 	}

@@ -1,9 +1,8 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -94,7 +93,7 @@ func (w *Window) Schema() *data.Schema { return w.schema }
 
 // Run implements Node.
 func (w *Window) Run(ctx *Ctx) (*Stream, error) {
-	if err := checkSchemaCols(w.Child.Schema(), w.PartitionBy); err != nil {
+	if err := checkSchemaCols(w.Child.Schema(), append(sortCols(w.OrderBy), w.PartitionBy...)); err != nil {
 		return nil, err
 	}
 	var label string
@@ -163,6 +162,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 	if len(items) > 0 {
 		sched = ctx.newPartitionScheduler(items, res.Stripes, core.DefaultReadDepth)
 	}
+	ord := newTupleOrder(rc, w.Child.Schema(), w.OrderBy)
 	var cursor atomic.Int64
 	return ctx.traceStream(&Stream{
 		schema: w.schema,
@@ -201,7 +201,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 					continue
 				}
 				b.Reset()
-				w.evalPartition(b, tuples, rc, partCols, &arena)
+				w.evalPartition(b, tuples, rc, partCols, ord, &arena)
 				// The batch owns its values now (strings arena-interned), so
 				// the read-back buffers can be recycled.
 				if cur != nil {
@@ -217,8 +217,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 
 // evalPartition groups one hash partition's tuples into window partitions,
 // sorts each, evaluates the functions, and emits.
-func (w *Window) evalPartition(out *data.Batch, tuples [][]byte, rc *data.RowCodec, partCols []int, arena *data.ByteArena) {
-	inSchema := w.Child.Schema()
+func (w *Window) evalPartition(out *data.Batch, tuples [][]byte, rc *data.RowCodec, partCols []int, ord *tupleOrder, arena *data.ByteArena) {
 	// Group by exact partition keys.
 	groups := map[string][]int{}
 	scratch := make([]byte, 0, 64)
@@ -227,33 +226,11 @@ func (w *Window) evalPartition(out *data.Batch, tuples [][]byte, rc *data.RowCod
 		scratch, key = windowKey(rc, tup, partCols, scratch)
 		groups[key] = append(groups[key], i)
 	}
-	orderCols := indicesOf(inSchema, sortCols(w.OrderBy))
 	for _, idxs := range groups {
-		// Sort the window partition by ORDER BY.
-		sort.SliceStable(idxs, func(a, b int) bool {
-			ta, tb := tuples[idxs[a]], tuples[idxs[b]]
-			for i, c := range orderCols {
-				cmp := compareTupleField(rc, ta, tb, c)
-				if cmp == 0 {
-					continue
-				}
-				if w.OrderBy[i].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-		w.emitGroup(out, tuples, idxs, rc, orderCols, arena)
+		// Sort the window partition by ORDER BY; ties keep arrival order.
+		slices.SortStableFunc(idxs, func(a, b int) int { return ord.compare(tuples[a], tuples[b]) })
+		w.emitGroup(out, tuples, idxs, rc, ord, arena)
 	}
-}
-
-func sortCols(keys []SortKey) []string {
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = k.Col
-	}
-	return out
 }
 
 // windowKey canonicalizes the partition key fields of a tuple.
@@ -279,47 +256,11 @@ func windowKey(rc *data.RowCodec, tup []byte, cols []int, scratch []byte) ([]byt
 	return scratch, string(scratch)
 }
 
-// compareTupleField orders two tuples on one field (NULL first).
-func compareTupleField(rc *data.RowCodec, a, b []byte, c int) int {
-	an, bn := rc.IsNull(a, c), rc.IsNull(b, c)
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
-	switch rc.Types()[c] {
-	case data.Float64:
-		x, y := rc.Float(a, c), rc.Float(b, c)
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-	case data.String:
-		if cmp := bytes.Compare(rc.StrBytes(a, c), rc.StrBytes(b, c)); cmp != 0 {
-			return cmp
-		}
-	default:
-		x, y := rc.Int(a, c), rc.Int(b, c)
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-	}
-	return 0
-}
-
 // emitGroup evaluates every window function over one sorted window
 // partition and appends the output rows. Per function, the group is
 // preprocessed once: prefix sums for SUM/COUNT/AVG, a segment tree for
 // sliding MIN/MAX (the approach of the paper's citation [54]).
-func (w *Window) emitGroup(out *data.Batch, tuples [][]byte, idxs []int, rc *data.RowCodec, orderCols []int, arena *data.ByteArena) {
+func (w *Window) emitGroup(out *data.Batch, tuples [][]byte, idxs []int, rc *data.RowCodec, ord *tupleOrder, arena *data.ByteArena) {
 	inSchema := w.Child.Schema()
 	n := len(idxs)
 	nIn := inSchema.Len()
@@ -364,7 +305,7 @@ func (w *Window) emitGroup(out *data.Batch, tuples [][]byte, idxs []int, rc *dat
 
 	rank := int64(1)
 	for r := 0; r < n; r++ {
-		if r > 0 && !tupleOrderEqual(rc, tuples[idxs[r-1]], tuples[idxs[r]], orderCols) {
+		if r > 0 && ord.compare(tuples[idxs[r-1]], tuples[idxs[r]]) != 0 {
 			rank = int64(r) + 1
 		}
 		for fi, f := range w.Funcs {
@@ -414,15 +355,6 @@ func (w *Window) emitGroup(out *data.Batch, tuples [][]byte, idxs []int, rc *dat
 		// The input row's own columns; this also counts the row.
 		rc.AppendToArena(out, tuples[idxs[r]], arena)
 	}
-}
-
-func tupleOrderEqual(rc *data.RowCodec, a, b []byte, orderCols []int) bool {
-	for _, c := range orderCols {
-		if compareTupleField(rc, a, b, c) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // winVal is one window function value, and for MIN/MAX whether its frame

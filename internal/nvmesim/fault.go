@@ -112,6 +112,9 @@ type FaultPlan struct {
 	// DieAfterOps kills the device permanently on request DieAfterOps+1
 	// (counting reads and writes together); 0 means never.
 	DieAfterOps int64
+	// DieOnRead kills the device permanently on its first read request,
+	// with every block written to it before then lost.
+	DieOnRead bool
 	// Script maps 1-based request indices to faults, overriding the
 	// probabilistic rates at those requests.
 	Script map[int64]FaultKind
@@ -142,7 +145,7 @@ func (f *faultState) roll(op string) (FaultKind, time.Duration, uint64) {
 		}
 		return k, 0, 0
 	}
-	if f.plan.DieAfterOps > 0 && f.ops > f.plan.DieAfterOps {
+	if f.plan.DieAfterOps > 0 && f.ops > f.plan.DieAfterOps || f.plan.DieOnRead && op == "read" {
 		return FaultDeath, 0, 0
 	}
 	rate := f.plan.ReadErrRate
@@ -177,7 +180,7 @@ func (a *Array) SetFaultPlan(dev int, plan FaultPlan) {
 	d := a.devices[dev]
 	if plan.ReadErrRate == 0 && plan.WriteErrRate == 0 && plan.SpikeRate == 0 &&
 		plan.CorruptRate == 0 && plan.TornWriteRate == 0 && plan.StaleReadRate == 0 &&
-		plan.DieAfterOps == 0 && len(plan.Script) == 0 {
+		plan.DieAfterOps == 0 && !plan.DieOnRead && len(plan.Script) == 0 {
 		d.faults.Store(nil)
 		return
 	}

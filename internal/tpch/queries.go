@@ -174,7 +174,7 @@ func q1(db *DB) exec.Node {
 		{Func: exec.Avg, Col: "l_discount", As: "avg_disc"},
 		{Func: exec.CountStar, As: "count_order"},
 	})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "l_returnflag"}, {Col: "l_linestatus"}}}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "l_returnflag"}, {Col: "l_linestatus"}}}
 }
 
 // q2 is the minimum cost supplier query.
@@ -213,7 +213,7 @@ func q2(db *DB) exec.Node {
 		[]exec.Expr{colOf(filtered, "s_acctbal"), colOf(filtered, "s_name"), colOf(filtered, "n_name"),
 			colOf(filtered, "p_partkey"), colOf(filtered, "p_mfgr"), colOf(filtered, "s_address"),
 			colOf(filtered, "s_phone"), colOf(filtered, "s_comment")})
-	return &exec.Sort{Child: proj, Keys: []exec.SortKey{
+	return &exec.ExtSort{Child: proj, Keys: []exec.SortKey{
 		{Col: "s_acctbal", Desc: true}, {Col: "n_name"}, {Col: "s_name"}, {Col: "p_partkey"},
 	}, Limit: 100}
 }
@@ -249,7 +249,7 @@ func q3(db *DB) exec.Node {
 	withRev := addCol(j, "rev", revenueExpr(j))
 	agg := exec.NewAgg(withRev, []string{"l_orderkey", "o_orderdate", "o_shippriority"},
 		[]exec.AggSpec{{Func: exec.Sum, Col: "rev", As: "revenue"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "revenue", Desc: true}, {Col: "o_orderdate"}}, Limit: 10}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "revenue", Desc: true}, {Col: "o_orderdate"}}, Limit: 10}
 }
 
 // q4 is the order priority checking query.
@@ -265,7 +265,7 @@ func q4(db *DB) exec.Node {
 	)
 	semi := exec.NewJoin(exec.Semi, lSlim, []string{"l_orderkey"}, o, []string{"o_orderkey"})
 	agg := exec.NewAgg(semi, []string{"o_orderpriority"}, []exec.AggSpec{{Func: exec.CountStar, As: "order_count"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "o_orderpriority"}}}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "o_orderpriority"}}}
 }
 
 // q5 is the local supplier volume query.
@@ -295,7 +295,7 @@ func q5(db *DB) exec.Node {
 	j := exec.NewJoin(exec.Inner, snSlim, []string{"s_suppkey", "s_nationkey"}, lo, []string{"l_suppkey", "c_nationkey"})
 	withRev := addCol(j, "rev", revenueExpr(j))
 	agg := exec.NewAgg(withRev, []string{"n_name"}, []exec.AggSpec{{Func: exec.Sum, Col: "rev", As: "revenue"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "revenue", Desc: true}}}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "revenue", Desc: true}}}
 }
 
 // q6 is the forecasting revenue change query.
@@ -351,7 +351,7 @@ func q7(db *DB) exec.Node {
 			exec.YearOf(colOf(pair, "l_shipdate")), revenueExpr(pair)})
 	agg := exec.NewAgg(pre, []string{"supp_nation", "cust_nation", "l_year"},
 		[]exec.AggSpec{{Func: exec.Sum, Col: "volume", As: "revenue"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "supp_nation"}, {Col: "cust_nation"}, {Col: "l_year"}}}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "supp_nation"}, {Col: "cust_nation"}, {Col: "l_year"}}}
 }
 
 // q8 is the national market share query.
@@ -403,7 +403,7 @@ func q8(db *DB) exec.Node {
 	})
 	share := project(agg, []string{"o_year", "mkt_share"},
 		[]exec.Expr{colOf(agg, "o_year"), exec.Div(colOf(agg, "sum_brazil"), colOf(agg, "sum_all"))})
-	return &exec.Sort{Child: share, Keys: []exec.SortKey{{Col: "o_year"}}}
+	return &exec.ExtSort{Child: share, Keys: []exec.SortKey{{Col: "o_year"}}}
 }
 
 // q9 is the product type profit measure query.
@@ -432,7 +432,7 @@ func q9(db *DB) exec.Node {
 	pre := project(j, []string{"nation", "o_year", "amount"},
 		[]exec.Expr{colOf(j, "nation"), exec.YearOf(colOf(j, "o_orderdate")), amount})
 	agg := exec.NewAgg(pre, []string{"nation", "o_year"}, []exec.AggSpec{{Func: exec.Sum, Col: "amount", As: "sum_profit"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "nation"}, {Col: "o_year", Desc: true}}}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "nation"}, {Col: "o_year", Desc: true}}}
 }
 
 // q10 is the returned item reporting query.
@@ -456,7 +456,7 @@ func q10(db *DB) exec.Node {
 	agg := exec.NewAgg(withRev,
 		[]string{"c_custkey", "c_name", "c_acctbal", "c_phone", "n_name", "c_address", "c_comment"},
 		[]exec.AggSpec{{Func: exec.Sum, Col: "rev", As: "revenue"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "revenue", Desc: true}}, Limit: 20}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "revenue", Desc: true}}, Limit: 20}
 }
 
 // q11 is the important stock identification query (scalar subquery).
@@ -479,7 +479,7 @@ func q11(ctx *exec.Ctx, db *DB) (exec.Node, error) {
 	threshold := total * 0.0001 / db.SF
 	agg := exec.NewAgg(base(), []string{"ps_partkey"}, []exec.AggSpec{{Func: exec.Sum, Col: "value", As: "value"}})
 	filtered := &exec.FilterNode{Child: agg, Pred: exec.Cmp(">", colOf(agg, "value"), exec.ConstFloat(threshold))}
-	return &exec.Sort{Child: filtered, Keys: []exec.SortKey{{Col: "value", Desc: true}}}, nil
+	return &exec.ExtSort{Child: filtered, Keys: []exec.SortKey{{Col: "value", Desc: true}}}, nil
 }
 
 // q12 is the shipping modes and order priority query.
@@ -503,7 +503,7 @@ func q12(db *DB) exec.Node {
 		{Func: exec.Sum, Col: "high_line", As: "high_line_count"},
 		{Func: exec.Sum, Col: "low_line", As: "low_line_count"},
 	})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "l_shipmode"}}}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "l_shipmode"}}}
 }
 
 // q13 is the customer distribution query (the one outer join in TPC-H).
@@ -516,7 +516,7 @@ func q13(db *DB) exec.Node {
 	j := exec.NewJoin(exec.Outer, oSlim, []string{"o_custkey"}, c, []string{"c_custkey"})
 	counts := exec.NewAgg(j, []string{"c_custkey"}, []exec.AggSpec{{Func: exec.Count, Col: "o_orderkey", As: "c_count"}})
 	dist := exec.NewAgg(counts, []string{"c_count"}, []exec.AggSpec{{Func: exec.CountStar, As: "custdist"}})
-	return &exec.Sort{Child: dist, Keys: []exec.SortKey{{Col: "custdist", Desc: true}, {Col: "c_count", Desc: true}}}
+	return &exec.ExtSort{Child: dist, Keys: []exec.SortKey{{Col: "custdist", Desc: true}, {Col: "c_count", Desc: true}}}
 }
 
 // q14 is the promotion effect query.
@@ -567,7 +567,7 @@ func q15(ctx *exec.Ctx, db *DB) (exec.Node, error) {
 	proj := project(j, []string{"s_suppkey", "s_name", "s_address", "s_phone", "total_revenue"},
 		[]exec.Expr{colOf(j, "s_suppkey"), colOf(j, "s_name"), colOf(j, "s_address"),
 			colOf(j, "s_phone"), colOf(j, "total_revenue")})
-	return &exec.Sort{Child: proj, Keys: []exec.SortKey{{Col: "s_suppkey"}}}, nil
+	return &exec.ExtSort{Child: proj, Keys: []exec.SortKey{{Col: "s_suppkey"}}}, nil
 }
 
 // q16 is the parts/supplier relationship query.
@@ -591,7 +591,7 @@ func q16(db *DB) exec.Node {
 	dedup := exec.NewAgg(clean, []string{"p_brand", "p_type", "p_size", "ps_suppkey"}, nil)
 	agg := exec.NewAgg(dedup, []string{"p_brand", "p_type", "p_size"},
 		[]exec.AggSpec{{Func: exec.CountStar, As: "supplier_cnt"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{
 		{Col: "supplier_cnt", Desc: true}, {Col: "p_brand"}, {Col: "p_type"}, {Col: "p_size"},
 	}}
 }
@@ -638,7 +638,7 @@ func q18(db *DB) exec.Node {
 		[]string{"c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "total_qty"},
 		[]exec.Expr{colOf(j, "c_name"), colOf(j, "c_custkey"), colOf(j, "o_orderkey"),
 			colOf(j, "o_orderdate"), colOf(j, "o_totalprice"), colOf(j, "total_qty")})
-	return &exec.Sort{Child: proj, Keys: []exec.SortKey{{Col: "o_totalprice", Desc: true}, {Col: "o_orderdate"}}, Limit: 100}
+	return &exec.ExtSort{Child: proj, Keys: []exec.SortKey{{Col: "o_totalprice", Desc: true}, {Col: "o_orderdate"}}, Limit: 100}
 }
 
 // q19 is the discounted revenue query (disjunctive join predicate).
@@ -699,7 +699,7 @@ func q20(db *DB) exec.Node {
 	j := exec.NewJoin(exec.Semi, supps, []string{"ps_suppkey"}, sn, []string{"s_suppkey"})
 	proj := project(j, []string{"s_name", "s_address"},
 		[]exec.Expr{colOf(j, "s_name"), colOf(j, "s_address")})
-	return &exec.Sort{Child: proj, Keys: []exec.SortKey{{Col: "s_name"}}}
+	return &exec.ExtSort{Child: proj, Keys: []exec.SortKey{{Col: "s_name"}}}
 }
 
 // q21 is the suppliers-who-kept-orders-waiting query. The EXISTS/NOT
@@ -741,7 +741,7 @@ func q21(db *DB) exec.Node {
 	withLate := exec.NewJoin(exec.Inner, oneLateSlim, []string{"late_orderkey"}, withMulti, []string{"l_orderkey"})
 
 	agg := exec.NewAgg(withLate, []string{"s_name"}, []exec.AggSpec{{Func: exec.CountStar, As: "numwait"}})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "numwait", Desc: true}, {Col: "s_name"}}, Limit: 100}
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "numwait", Desc: true}, {Col: "s_name"}}, Limit: 100}
 }
 
 // q22 is the global sales opportunity query.
@@ -769,7 +769,7 @@ func q22(ctx *exec.Ctx, db *DB) (exec.Node, error) {
 		{Func: exec.CountStar, As: "numcust"},
 		{Func: exec.Sum, Col: "c_acctbal", As: "totacctbal"},
 	})
-	return &exec.Sort{Child: agg, Keys: []exec.SortKey{{Col: "cntrycode"}}}, nil
+	return &exec.ExtSort{Child: agg, Keys: []exec.SortKey{{Col: "cntrycode"}}}, nil
 }
 
 // AggMicro is the paper's §6.3 spilling-aggregation microbenchmark:

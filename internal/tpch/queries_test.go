@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spilly-db/spilly/internal/chaos"
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
@@ -165,6 +167,88 @@ func TestQueriesSpillEquivalence(t *testing.T) {
 	if !anyReadBack {
 		t.Error("no query read back spilled pages; the comparison never exercised the partition scheduler")
 	}
+}
+
+// TestQueriesOutputOrdered: every ORDER BY query's rows come out in the order
+// of its own keys and within its Limit, and are the rows of the 1-worker
+// in-memory run, at 1, 2 and 8 workers, in memory and under the budget of
+// TestQueriesSpillEquivalence.
+func TestQueriesOutputOrdered(t *testing.T) {
+	ordered := 0
+	for q := 1; q <= NumQueries; q++ {
+		ref, first := "", true
+	runs:
+		for _, workers := range []int{1, 2, 8} {
+			for _, spill := range []bool{false, true} {
+				ctx := memCtx()
+				if spill {
+					ctx = spillingCtx()
+				}
+				ctx.Workers = workers
+				node, err := BuildQuery(ctx, sharedDB(), q)
+				if err != nil {
+					t.Fatalf("Q%d build: %v", q, err)
+				}
+				s, ok := node.(*exec.ExtSort)
+				if !ok {
+					break runs // no ORDER BY
+				}
+				out, err := exec.Collect(ctx, node)
+				if err != nil {
+					t.Fatalf("Q%d, %d workers, spill %v: %v", q, workers, spill, err)
+				}
+				if s.Limit > 0 && out.Len() > s.Limit {
+					t.Errorf("Q%d, %d workers, spill %v: %d rows past LIMIT %d", q, workers, spill, out.Len(), s.Limit)
+				}
+				for r := 1; r < out.Len(); r++ {
+					if keyOrder(out, s.Keys, r-1, r) > 0 {
+						t.Errorf("Q%d, %d workers, spill %v: rows %d and %d out of ORDER BY order", q, workers, spill, r-1, r)
+						break
+					}
+				}
+				fp := chaos.Fingerprint(out)
+				if first {
+					ref, first = fp, false
+					ordered++
+				} else if fp != ref {
+					t.Errorf("Q%d, %d workers, spill %v: rows differ from 1 worker in memory", q, workers, spill)
+				}
+			}
+		}
+	}
+	if ordered != 18 {
+		t.Fatalf("%d queries end in an ORDER BY, want 18", ordered)
+	}
+}
+
+// keyOrder compares rows x and y of b under keys, NULL first.
+func keyOrder(b *data.Batch, keys []exec.SortKey, x, y int) int {
+	for _, k := range keys {
+		col := &b.Cols[b.Schema.MustIndex(k.Col)]
+		xn, yn := col.Null != nil && col.Null[x], col.Null != nil && col.Null[y]
+		var c int
+		switch {
+		case xn != yn:
+			c = 1
+			if xn {
+				c = -1
+			}
+		case xn: // both NULL
+		case col.Type == data.Float64:
+			c = cmp.Compare(col.F[x], col.F[y])
+		case col.Type == data.String:
+			c = strings.Compare(col.S[x], col.S[y])
+		default:
+			c = cmp.Compare(col.I[x], col.I[y])
+		}
+		if k.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 func TestQueriesGraceEquivalence(t *testing.T) {

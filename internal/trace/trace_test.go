@@ -35,7 +35,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 // become its children; EndScope restores the enclosing scope.
 func TestSpanTreeParentage(t *testing.T) {
 	tr := New(2)
-	root := tr.Start("sort", "")
+	root := tr.Start("extsort", "")
 	child1 := tr.Start("agg", "")
 	leaf := tr.Start("scan", "lineitem")
 	tr.EndScope(leaf)

@@ -95,7 +95,7 @@ func TestPublicPlanBuilding(t *testing.T) {
 	sc := NewScan(tbl)
 	sc.Filter = Cmp("<", Col(sc.Schema(), "k"), ConstInt(5))
 	agg := NewAgg(sc, []string{"k"}, []AggSpec{{Func: Sum, Col: "v", As: "total"}})
-	sorted := &SortNode{Child: agg, Keys: []SortKey{{Col: "k"}}}
+	sorted := &ExtSortNode{Child: agg, Keys: []SortKey{{Col: "k"}}}
 	res, err := eng.Run(sorted)
 	if err != nil {
 		t.Fatal(err)
