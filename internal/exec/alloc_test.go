@@ -35,32 +35,45 @@ func evalBatch() *data.Batch {
 
 // TestAllocsExprChains pins the fused expression entry points at amortized
 // zero allocations per batch: intermediate vectors come from slice pools,
-// so after warmup a 1024-row evaluation must not touch the heap.
+// so after warmup a 1024-row evaluation must not touch the heap. The shapes
+// above a join are included: Q19's Or of Ands, Q12's and Q14's CASEs, and
+// Q22's IN over SUBSTRING.
 func TestAllocsExprChains(t *testing.T) {
 	b := evalBatch()
 	s := b.Schema
-	filter := And(
-		Cmp(">=", Col(s, "i"), ConstInt(10)),
-		Cmp("<", Col(s, "f"), ConstFloat(200)),
-	)
-	arith := Mul(Col(s, "f"), Sub(ConstFloat(1), ConstFloat(0.1)))
+	i, f, str := Col(s, "i"), Col(s, "f"), Col(s, "s")
+	branch := func(lo int64, word string) Expr {
+		return And(Cmp(">=", i, ConstInt(lo)), InStr(str, word, "MEDIUM POLISHED COPPER"), Cmp("<", f, ConstFloat(200)))
+	}
+	filter := And(Cmp(">=", i, ConstInt(10)), Cmp("<", f, ConstFloat(200)))
+	arith := Mul(f, Sub(ConstFloat(1), ConstFloat(0.1)))
+	q19 := Or(branch(90, "SM CASE"), branch(40, "MED BAG"), branch(20, "LG BOX"))
+	q12 := Case(InStr(str, "1-URGENT", "MEDIUM POLISHED COPPER"), ConstInt(1), ConstInt(0))
+	q14 := Case(Like(str, "MEDIUM%"), Mul(f, Sub(ConstFloat(1), f)), ConstFloat(0))
+	q22 := InStr(Substr(str, 1, 2), "13", "ME")
 
 	selBuf := make([]int32, 1024)
+	outI := make([]int64, 1024)
 	outF := make([]float64, 1024)
-	// Warm the slice pools.
-	for i := 0; i < 8; i++ {
-		_ = filter.EvalBool(b, nil, selBuf[:0])
-		arith.EvalF(b, nil, outF)
+	cases := []struct {
+		name string
+		eval func()
+	}{
+		{"EvalBool fused filter", func() { filter.EvalBool(b, nil, selBuf[:0]) }},
+		{"EvalF fused arithmetic", func() { arith.EvalF(b, nil, outF) }},
+		{"EvalBool Q19 Or of Ands", func() { q19.EvalBool(b, nil, selBuf[:0]) }},
+		{"EvalI Q12 CASE over IN", func() { q12.EvalI(b, nil, outI) }},
+		{"EvalF Q14 CASE over LIKE", func() { q14.EvalF(b, nil, outF) }},
+		{"EvalBool Q22 IN over SUBSTRING", func() { q22.EvalBool(b, nil, selBuf[:0]) }},
 	}
-	if got := testing.AllocsPerRun(100, func() {
-		_ = filter.EvalBool(b, nil, selBuf[:0])
-	}); got > 0.1 {
-		t.Errorf("EvalBool fused filter: %.3f allocs/run, want ~0", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		arith.EvalF(b, nil, outF)
-	}); got > 0.1 {
-		t.Errorf("EvalF fused arithmetic: %.3f allocs/run, want ~0", got)
+	for _, c := range cases {
+		// Warm the slice pools.
+		for i := 0; i < 8; i++ {
+			c.eval()
+		}
+		if got := testing.AllocsPerRun(100, c.eval); got > 0.1 {
+			t.Errorf("%s: %.3f allocs/run, want ~0", c.name, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,24 +95,51 @@ func exprBatch() *data.Batch {
 	return b
 }
 
+// evalI, evalF, evalS and evalBool evaluate e over every row of b.
+func evalI(e Expr, b *data.Batch) []int64 {
+	out := make([]int64, b.Len())
+	e.EvalI(b, nil, out)
+	return out
+}
+
+func evalF(e Expr, b *data.Batch) []float64 {
+	out := make([]float64, b.Len())
+	e.EvalF(b, nil, out)
+	return out
+}
+
+func evalS(e Expr, b *data.Batch) []string {
+	out := make([]string, b.Len())
+	e.EvalS(b, nil, out)
+	return out
+}
+
+func evalBool(e Expr, b *data.Batch) []bool {
+	out := make([]bool, b.Len())
+	for _, r := range e.EvalBool(b, nil, nil) {
+		out[r] = true
+	}
+	return out
+}
+
 func TestExprArithmetic(t *testing.T) {
 	b := exprBatch()
 	s := b.Schema
 	e := Add(Col(s, "i"), ConstInt(5))
-	if e.I(b, 0) != 15 || e.I(b, 1) != 2 {
+	if v := evalI(e, b); v[0] != 15 || v[1] != 2 {
 		t.Fatal("int add")
 	}
 	m := Mul(Col(s, "f"), Sub(ConstFloat(1), ConstFloat(0.1)))
-	if m.F(b, 0) != 2.25 {
-		t.Fatalf("float mul: %v", m.F(b, 0))
+	if v := evalF(m, b); v[0] != 2.25 {
+		t.Fatalf("float mul: %v", v[0])
 	}
 	// Mixed int/float promotes.
 	mx := Add(Col(s, "i"), Col(s, "f"))
-	if mx.Type != data.Float64 || mx.F(b, 0) != 12.5 {
+	if mx.Type != data.Float64 || evalF(mx, b)[0] != 12.5 {
 		t.Fatal("promotion")
 	}
 	d := Div(Col(s, "i"), ConstInt(4))
-	if d.F(b, 0) != 2.5 {
+	if evalF(d, b)[0] != 2.5 {
 		t.Fatal("div is float division")
 	}
 }
@@ -119,22 +147,22 @@ func TestExprArithmetic(t *testing.T) {
 func TestExprComparisons(t *testing.T) {
 	b := exprBatch()
 	s := b.Schema
-	if !Cmp(">", Col(s, "i"), ConstInt(0)).Bool(b, 0) || Cmp(">", Col(s, "i"), ConstInt(0)).Bool(b, 1) {
+	if v := evalBool(Cmp(">", Col(s, "i"), ConstInt(0)), b); !v[0] || v[1] {
 		t.Fatal("int cmp")
 	}
-	if !Cmp("=", Col(s, "s"), ConstStr("PROMO BRUSHED TIN")).Bool(b, 0) {
+	if !evalBool(Cmp("=", Col(s, "s"), ConstStr("PROMO BRUSHED TIN")), b)[0] {
 		t.Fatal("str eq")
 	}
-	if !Cmp("<", Col(s, "d"), ConstDate("1996-01-01")).Bool(b, 0) {
+	if !evalBool(Cmp("<", Col(s, "d"), ConstDate("1996-01-01")), b)[0] {
 		t.Fatal("date cmp")
 	}
-	if !And(ConstBool(true), Cmp("<>", Col(s, "i"), ConstInt(0))).Bool(b, 0) {
+	if !evalBool(And(ConstBool(true), Cmp("<>", Col(s, "i"), ConstInt(0))), b)[0] {
 		t.Fatal("and")
 	}
-	if Or(ConstBool(false), Cmp("=", Col(s, "i"), ConstInt(99))).Bool(b, 0) {
+	if evalBool(Or(ConstBool(false), Cmp("=", Col(s, "i"), ConstInt(99))), b)[0] {
 		t.Fatal("or")
 	}
-	if !Not(ConstBool(false)).Bool(b, 0) {
+	if !evalBool(Not(ConstBool(false)), b)[0] {
 		t.Fatal("not")
 	}
 }
@@ -155,10 +183,10 @@ func TestExprLike(t *testing.T) {
 		{"%XYZ%", [2]bool{false, false}},
 	}
 	for _, c := range cases {
-		e := Like(Col(s, "s"), c.pattern)
+		got := evalBool(Like(Col(s, "s"), c.pattern), b)
 		for r := 0; r < 2; r++ {
-			if e.Bool(b, r) != c.want[r] {
-				t.Errorf("LIKE %q row %d = %v, want %v", c.pattern, r, e.Bool(b, r), c.want[r])
+			if got[r] != c.want[r] {
+				t.Errorf("LIKE %q row %d = %v, want %v", c.pattern, r, got[r], c.want[r])
 			}
 		}
 	}
@@ -167,25 +195,62 @@ func TestExprLike(t *testing.T) {
 func TestExprMisc(t *testing.T) {
 	b := exprBatch()
 	s := b.Schema
-	if YearOf(Col(s, "d")).I(b, 1) != 1998 {
+	if evalI(YearOf(Col(s, "d")), b)[1] != 1998 {
 		t.Fatal("year")
 	}
-	if Substr(Col(s, "s"), 1, 5).S(b, 0) != "PROMO" {
+	if evalS(Substr(Col(s, "s"), 1, 5), b)[0] != "PROMO" {
 		t.Fatal("substr")
 	}
-	if Substr(Col(s, "s"), 100, 5).S(b, 0) != "" {
+	if evalS(Substr(Col(s, "s"), 100, 5), b)[0] != "" {
 		t.Fatal("substr out of range")
 	}
-	if !InStr(Col(s, "s"), "PROMO BRUSHED TIN", "other").Bool(b, 0) {
+	if !evalBool(InStr(Col(s, "s"), "PROMO BRUSHED TIN", "other"), b)[0] {
 		t.Fatal("in str")
 	}
-	if !InInt(Col(s, "i"), -3, 7).Bool(b, 1) {
+	if !evalBool(InInt(Col(s, "i"), -3, 7), b)[1] {
 		t.Fatal("in int")
 	}
 	c := Case(Cmp(">", Col(s, "i"), ConstInt(0)), Col(s, "f"), ConstFloat(0))
-	if c.F(b, 0) != 2.5 || c.F(b, 1) != 0 {
+	if v := evalF(c, b); v[0] != 2.5 || v[1] != 0 {
 		t.Fatal("case")
 	}
+}
+
+// TestExprOperandLanes: a constructor given an operand of the wrong lane
+// panics at construction, naming itself, instead of failing inside a worker.
+func TestExprOperandLanes(t *testing.T) {
+	b := exprBatch()
+	s := b.Schema
+	i, f, str := Col(s, "i"), Col(s, "f"), Col(s, "s")
+	cases := []struct {
+		name  string
+		build func() Expr
+	}{
+		{"Like", func() Expr { return Like(i, "%x%") }},
+		{"NotLike", func() Expr { return NotLike(f, "%x%") }},
+		{"InStr", func() Expr { return InStr(Col(s, "d"), "x") }},
+		{"Substr", func() Expr { return Substr(i, 1, 2) }},
+		{"InInt", func() Expr { return InInt(str, 1) }},
+		{"InInt", func() Expr { return InInt(f, 1) }},
+		{"YearOf", func() Expr { return YearOf(str) }},
+		{"YearOf", func() Expr { return YearOf(f) }},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "exec: "+c.name+" needs") {
+					t.Errorf("%s over a wrong lane: panic %q, want one naming %s", c.name, msg, c.name)
+				}
+			}()
+			c.build()
+		}()
+	}
+	// The right lanes build.
+	Like(str, "%x%")
+	InStr(Substr(str, 1, 2), "PR")
+	InInt(Col(s, "d"), 1)
+	YearOf(Col(s, "d"))
 }
 
 // --- scan / filter / project ---

@@ -9,26 +9,24 @@ import (
 	"github.com/spilly-db/spilly/internal/xhash"
 )
 
-// Expr is a compiled scalar expression over batch rows. Expressions are
-// compiled against a schema into closures — the stdlib-Go analogue of the
-// per-query code generation the paper's engine performs. Exactly one of
-// the evaluator functions is set, according to Type.
+// Expr is a compiled scalar expression over batches. Each constructor builds
+// exactly one batch kernel for the expression's lane (see vector.go) — the
+// stdlib-Go stand-in for the per-query code generation the paper's engine
+// performs. Kernels compose through their operands' Eval* methods.
 //
-// Constructors additionally attach vectorized batch kernels (vecSel/vecI/
-// vecF/vecS, see vector.go) for the expression shapes that dominate
-// query plans; the Eval* entry points use them when present and fall back
-// to the scalar closures otherwise, so any expression works either way.
+// A Bool expression answers both EvalBool and EvalI: it is built either as a
+// selection (comparisons, And, Or, Not, LIKE, IN, IS NOT NULL) or as values
+// (a bool column, ConstBool, And() and Or()), and EvalBool/EvalI derive the
+// other form.
 type Expr struct {
 	Type data.Type
-	I    func(b *data.Batch, r int) int64
-	F    func(b *data.Batch, r int) float64
-	S    func(b *data.Batch, r int) string
 
-	// Vectorized fast paths; nil means scalar fallback.
-	vecSel func(b *data.Batch, sel []int32, out []int32) []int32
-	vecI   func(b *data.Batch, sel []int32, out []int64)
-	vecF   func(b *data.Batch, sel []int32, out []float64)
-	vecS   func(b *data.Batch, sel []int32, out []string)
+	// The kernel: vecSel for a Bool built as a selection, vecF for Float64,
+	// vecS for String, vecI for every other type.
+	vecSel selKernel
+	vecI   kernel[int64]
+	vecF   kernel[float64]
+	vecS   kernel[string]
 
 	// Shape metadata the kernel builders specialize on: col1 is the
 	// referenced column index + 1 for bare column refs (0 = not a column);
@@ -39,11 +37,9 @@ type Expr struct {
 	cF       float64
 	cS       string
 
-	// fp is the expression's structural fingerprint, set by every public
-	// constructor (see fingerprint.go). The closures above erase structure,
-	// so the hash must be recorded at construction time; 0 means the
-	// expression was assembled outside the constructors and plans containing
-	// it are not result-cacheable.
+	// fp is the expression's structural fingerprint, set by every
+	// constructor (see fingerprint.go). Kernels erase structure, so the hash
+	// is recorded at construction time; 0 marks the zero Expr.
 	fp uint64
 }
 
@@ -74,25 +70,42 @@ func fpNode(op string, parts ...uint64) uint64 {
 	return fpNz(h)
 }
 
+// isZero reports the zero Expr: no expression, such as an absent filter.
+func (e Expr) isZero() bool { return e.fp == 0 }
+
 // fingerprint returns the expression's structural fingerprint: the recorded
-// hash when the expression came from a package constructor, a fixed tag for
-// the zero Expr, and 0 (uncacheable) for hand-assembled expressions.
+// hash, or a fixed tag for the zero Expr.
 func (e Expr) fingerprint() uint64 {
-	if e.fp != 0 {
-		return e.fp
-	}
-	if e.I == nil && e.F == nil && e.S == nil {
+	if e.isZero() {
 		return fpEmptyExpr
 	}
-	return 0
+	return e.fp
+}
+
+func fingerprints(es []Expr) []uint64 {
+	fps := make([]uint64, len(es))
+	for i, e := range es {
+		fps[i] = e.fingerprint()
+	}
+	return fps
 }
 
 func (e Expr) isColRef() bool { return e.col1 != 0 }
 func (e Expr) colIdx() int    { return int(e.col1) - 1 }
 func (e Expr) isConst() bool  { return e.constant }
 
-// Bool evaluates a boolean expression.
-func (e Expr) Bool(b *data.Batch, r int) bool { return e.I(b, r) != 0 }
+// needLane panics, naming the constructor fn, unless e's values are strings
+// (str) or integers (Int64, Date, Bool): a wrong lane would otherwise surface
+// only at run time, as a nil kernel inside a worker.
+func needLane(fn string, e Expr, str bool) {
+	if (e.Type == data.String) != str || e.Type == data.Float64 {
+		want := "an integer"
+		if str {
+			want = "a string"
+		}
+		panic(fmt.Sprintf("exec: %s needs %s operand, got %v", fn, want, e.Type))
+	}
+}
 
 // AsFloat coerces a numeric expression to float64 evaluation.
 func (e Expr) AsFloat() Expr {
@@ -100,19 +113,14 @@ func (e Expr) AsFloat() Expr {
 	case data.Float64:
 		return e
 	case data.Int64, data.Date, data.Bool:
-		i := e.I
-		out := Expr{Type: data.Float64, F: func(b *data.Batch, r int) float64 { return float64(i(b, r)) },
-			fp: fpNode("asfloat", e.fingerprint())}
-		switch {
-		case e.constant:
-			k := float64(e.cI)
-			out.constant, out.cF = true, k
-			out.vecF = func(ba *data.Batch, sel []int32, o []float64) {
-				for j := range o {
-					o[j] = k
-				}
-			}
-		case e.isColRef():
+		fp := fpNode("asfloat", e.fingerprint())
+		if e.constant {
+			out := ConstFloat(float64(e.cI))
+			out.fp = fp
+			return out
+		}
+		out := Expr{Type: data.Float64, fp: fp}
+		if e.isColRef() {
 			ci := e.colIdx()
 			out.vecF = func(ba *data.Batch, sel []int32, o []float64) {
 				vals := ba.Cols[ci].I
@@ -126,16 +134,15 @@ func (e Expr) AsFloat() Expr {
 					o[j] = float64(vals[r])
 				}
 			}
-		case e.vecI != nil:
-			iv := e.vecI
-			out.vecF = func(ba *data.Batch, sel []int32, o []float64) {
-				xp := getI64(len(o))
-				iv(ba, sel, *xp)
-				for j, x := range *xp {
-					o[j] = float64(x)
-				}
-				i64Pool.Put(xp)
+			return out
+		}
+		out.vecF = func(ba *data.Batch, sel []int32, o []float64) {
+			xp := i64Pool.get(len(o))
+			e.EvalI(ba, sel, *xp)
+			for j, x := range *xp {
+				o[j] = float64(x)
 			}
+			i64Pool.put(xp)
 		}
 		return out
 	default:
@@ -143,69 +150,27 @@ func (e Expr) AsFloat() Expr {
 	}
 }
 
-// Col compiles a column reference. The vectorized kernels are gathers
-// (or straight copies when no selection vector is set).
+// Col compiles a column reference. Its kernel is a copy of the column, or a
+// gather through the selection vector.
 func Col(s *data.Schema, name string) Expr {
 	idx := s.MustIndex(name)
-	fp := fpNode("col", xhash.String(name, fpSeed), xhash.U64(uint64(idx), fpSeed),
-		xhash.U64(uint64(s.Cols[idx].Type), fpSeed))
-	switch s.Cols[idx].Type {
+	t := s.Cols[idx].Type
+	e := Expr{Type: t, col1: int32(idx) + 1, fp: fpNode("col", xhash.String(name, fpSeed),
+		xhash.U64(uint64(idx), fpSeed), xhash.U64(uint64(t), fpSeed))}
+	switch t {
 	case data.Float64:
-		e := Expr{Type: data.Float64, F: func(b *data.Batch, r int) float64 { return b.Cols[idx].F[r] }}
-		e.col1, e.fp = int32(idx)+1, fp
-		e.vecF = func(b *data.Batch, sel []int32, out []float64) {
-			vals := b.Cols[idx].F
-			if sel == nil {
-				copy(out, vals)
-				return
-			}
-			for i, r := range sel {
-				out[i] = vals[r]
-			}
-		}
-		return e
+		e.vecF = gather(floatLane, idx)
 	case data.String:
-		e := Expr{Type: data.String, S: func(b *data.Batch, r int) string { return b.Cols[idx].S[r] }}
-		e.col1, e.fp = int32(idx)+1, fp
-		e.vecS = func(b *data.Batch, sel []int32, out []string) {
-			vals := b.Cols[idx].S
-			if sel == nil {
-				copy(out, vals)
-				return
-			}
-			for i, r := range sel {
-				out[i] = vals[r]
-			}
-		}
-		return e
+		e.vecS = gather(strLane, idx)
 	default:
-		t := s.Cols[idx].Type
-		e := Expr{Type: t, I: func(b *data.Batch, r int) int64 { return b.Cols[idx].I[r] }}
-		e.col1, e.fp = int32(idx)+1, fp
-		e.vecI = func(b *data.Batch, sel []int32, out []int64) {
-			vals := b.Cols[idx].I
-			if sel == nil {
-				copy(out, vals)
-				return
-			}
-			for i, r := range sel {
-				out[i] = vals[r]
-			}
-		}
-		return e
+		e.vecI = gather(intLane, idx)
 	}
+	return e
 }
 
 func constIntExpr(t data.Type, v int64) Expr {
-	e := Expr{Type: t, I: func(*data.Batch, int) int64 { return v }}
-	e.constant, e.cI = true, v
-	e.fp = fpNode("consti", xhash.U64(uint64(t), fpSeed), xhash.U64(uint64(v), fpSeed))
-	e.vecI = func(b *data.Batch, sel []int32, out []int64) {
-		for i := range out {
-			out[i] = v
-		}
-	}
-	return e
+	return Expr{Type: t, constant: true, cI: v, vecI: fill(v),
+		fp: fpNode("consti", xhash.U64(uint64(t), fpSeed), xhash.U64(uint64(v), fpSeed))}
 }
 
 // ConstInt compiles an integer literal.
@@ -213,28 +178,14 @@ func ConstInt(v int64) Expr { return constIntExpr(data.Int64, v) }
 
 // ConstFloat compiles a float literal.
 func ConstFloat(v float64) Expr {
-	e := Expr{Type: data.Float64, F: func(*data.Batch, int) float64 { return v }}
-	e.constant, e.cF = true, v
-	e.fp = fpNode("constf", xhash.U64(math.Float64bits(v), fpSeed))
-	e.vecF = func(b *data.Batch, sel []int32, out []float64) {
-		for i := range out {
-			out[i] = v
-		}
-	}
-	return e
+	return Expr{Type: data.Float64, constant: true, cF: v, vecF: fill(v),
+		fp: fpNode("constf", xhash.U64(math.Float64bits(v), fpSeed))}
 }
 
 // ConstStr compiles a string literal.
 func ConstStr(v string) Expr {
-	e := Expr{Type: data.String, S: func(*data.Batch, int) string { return v }}
-	e.constant, e.cS = true, v
-	e.fp = fpNode("consts", xhash.String(v, fpSeed))
-	e.vecS = func(b *data.Batch, sel []int32, out []string) {
-		for i := range out {
-			out[i] = v
-		}
-	}
-	return e
+	return Expr{Type: data.String, constant: true, cS: v, vecS: fill(v),
+		fp: fpNode("consts", xhash.String(v, fpSeed))}
 }
 
 // ConstDate compiles a date literal from "YYYY-MM-DD".
@@ -249,242 +200,138 @@ func ConstBool(v bool) Expr {
 	return constIntExpr(data.Bool, i)
 }
 
-func arith(a, b Expr, op arithOp, iop func(x, y int64) int64, fop func(x, y float64) float64) Expr {
+// arith compiles a op b; an int operand is promoted when the other is a
+// float, and two literals fold into one.
+func arith(a, b Expr, op arithOp) Expr {
+	fp := fpNode("arith", xhash.U64(uint64(op), fpSeed), a.fingerprint(), b.fingerprint())
 	if a.Type == data.Float64 || b.Type == data.Float64 {
-		av, bv := a.AsFloat(), b.AsFloat()
-		if av.constant && bv.constant {
-			return ConstFloat(fop(av.cF, bv.cF))
-		}
-		af, bf := av.F, bv.F
-		e := Expr{Type: data.Float64, F: func(ba *data.Batch, r int) float64 { return fop(af(ba, r), bf(ba, r)) }}
-		e.vecF = binaryFKernel(av, bv, op)
-		e.fp = fpNode("arith", xhash.U64(uint64(op), fpSeed), a.fingerprint(), b.fingerprint())
-		return e
+		return floatArith(a.AsFloat(), b.AsFloat(), op, fp)
 	}
 	if a.constant && b.constant {
-		return ConstInt(iop(a.cI, b.cI))
+		return ConstInt(applyOp(op, a.cI, b.cI))
 	}
-	ai, bi := a.I, b.I
-	e := Expr{Type: data.Int64, I: func(ba *data.Batch, r int) int64 { return iop(ai(ba, r), bi(ba, r)) }}
-	e.vecI = binaryIKernel(a, b, op)
-	e.fp = fpNode("arith", xhash.U64(uint64(op), fpSeed), a.fingerprint(), b.fingerprint())
-	return e
+	return Expr{Type: data.Int64, fp: fp, vecI: arithKernel(intLane, a, b, op)}
+}
+
+func floatArith(a, b Expr, op arithOp, fp uint64) Expr {
+	if a.constant && b.constant {
+		return ConstFloat(applyOp(op, a.cF, b.cF))
+	}
+	return Expr{Type: data.Float64, fp: fp, vecF: arithKernel(floatLane, a, b, op)}
 }
 
 // Add compiles a + b with int→float promotion.
-func Add(a, b Expr) Expr {
-	return arith(a, b, aAdd, func(x, y int64) int64 { return x + y }, func(x, y float64) float64 { return x + y })
-}
+func Add(a, b Expr) Expr { return arith(a, b, aAdd) }
 
 // Sub compiles a - b.
-func Sub(a, b Expr) Expr {
-	return arith(a, b, aSub, func(x, y int64) int64 { return x - y }, func(x, y float64) float64 { return x - y })
-}
+func Sub(a, b Expr) Expr { return arith(a, b, aSub) }
 
 // Mul compiles a * b.
-func Mul(a, b Expr) Expr {
-	return arith(a, b, aMul, func(x, y int64) int64 { return x * y }, func(x, y float64) float64 { return x * y })
-}
+func Mul(a, b Expr) Expr { return arith(a, b, aMul) }
 
 // Div compiles a / b (always float, SQL decimal division).
 func Div(a, b Expr) Expr {
-	av, bv := a.AsFloat(), b.AsFloat()
-	if av.constant && bv.constant {
-		return ConstFloat(av.cF / bv.cF)
-	}
-	af, bf := av.F, bv.F
-	e := Expr{Type: data.Float64, F: func(ba *data.Batch, r int) float64 { return af(ba, r) / bf(ba, r) }}
-	e.vecF = binaryFKernel(av, bv, aDiv)
-	e.fp = fpNode("div", a.fingerprint(), b.fingerprint())
-	return e
-}
-
-func boolExpr(f func(b *data.Batch, r int) bool) Expr {
-	return Expr{Type: data.Bool, I: func(b *data.Batch, r int) int64 {
-		if f(b, r) {
-			return 1
-		}
-		return 0
-	}}
+	return floatArith(a.AsFloat(), b.AsFloat(), aDiv, fpNode("div", a.fingerprint(), b.fingerprint()))
 }
 
 // Cmp compiles a comparison. op is one of "<", "<=", ">", ">=", "=", "<>".
-// Comparisons against constants and between columns get vectorized
-// selection kernels (see attachCmpKernel); everything else falls back to
-// the scalar closure.
+// Both operands are compared in one lane: strings, floats (an int operand
+// is promoted when the other is a float) or integers.
 func Cmp(op string, a, b Expr) Expr {
-	e := cmpScalar(op, a, b)
-	attachCmpKernel(&e, cmpOpOf(op), a, b)
-	e.fp = fpNode("cmp", xhash.String(op, fpSeed), a.fingerprint(), b.fingerprint())
-	return e
-}
-
-func cmpScalar(op string, a, b Expr) Expr {
-	if a.Type == data.String || b.Type == data.String {
+	o := cmpOpOf(op)
+	e := Expr{Type: data.Bool, fp: fpNode("cmp", xhash.String(op, fpSeed), a.fingerprint(), b.fingerprint())}
+	switch {
+	case a.Type == data.String || b.Type == data.String:
 		if a.Type != data.String || b.Type != data.String {
 			panic("exec: comparing string with non-string")
 		}
-		as, bs := a.S, b.S
-		switch op {
-		case "<":
-			return boolExpr(func(ba *data.Batch, r int) bool { return as(ba, r) < bs(ba, r) })
-		case "<=":
-			return boolExpr(func(ba *data.Batch, r int) bool { return as(ba, r) <= bs(ba, r) })
-		case ">":
-			return boolExpr(func(ba *data.Batch, r int) bool { return as(ba, r) > bs(ba, r) })
-		case ">=":
-			return boolExpr(func(ba *data.Batch, r int) bool { return as(ba, r) >= bs(ba, r) })
-		case "=":
-			return boolExpr(func(ba *data.Batch, r int) bool { return as(ba, r) == bs(ba, r) })
-		case "<>":
-			return boolExpr(func(ba *data.Batch, r int) bool { return as(ba, r) != bs(ba, r) })
-		}
-		panic("exec: unknown comparison " + op)
-	}
-	if a.Type == data.Float64 || b.Type == data.Float64 {
-		af, bf := a.AsFloat().F, b.AsFloat().F
-		switch op {
-		case "<":
-			return boolExpr(func(ba *data.Batch, r int) bool { return af(ba, r) < bf(ba, r) })
-		case "<=":
-			return boolExpr(func(ba *data.Batch, r int) bool { return af(ba, r) <= bf(ba, r) })
-		case ">":
-			return boolExpr(func(ba *data.Batch, r int) bool { return af(ba, r) > bf(ba, r) })
-		case ">=":
-			return boolExpr(func(ba *data.Batch, r int) bool { return af(ba, r) >= bf(ba, r) })
-		case "=":
-			return boolExpr(func(ba *data.Batch, r int) bool { return af(ba, r) == bf(ba, r) })
-		case "<>":
-			return boolExpr(func(ba *data.Batch, r int) bool { return af(ba, r) != bf(ba, r) })
-		}
-		panic("exec: unknown comparison " + op)
-	}
-	ai, bi := a.I, b.I
-	switch op {
-	case "<":
-		return boolExpr(func(ba *data.Batch, r int) bool { return ai(ba, r) < bi(ba, r) })
-	case "<=":
-		return boolExpr(func(ba *data.Batch, r int) bool { return ai(ba, r) <= bi(ba, r) })
-	case ">":
-		return boolExpr(func(ba *data.Batch, r int) bool { return ai(ba, r) > bi(ba, r) })
-	case ">=":
-		return boolExpr(func(ba *data.Batch, r int) bool { return ai(ba, r) >= bi(ba, r) })
-	case "=":
-		return boolExpr(func(ba *data.Batch, r int) bool { return ai(ba, r) == bi(ba, r) })
-	case "<>":
-		return boolExpr(func(ba *data.Batch, r int) bool { return ai(ba, r) != bi(ba, r) })
-	}
-	panic("exec: unknown comparison " + op)
-}
-
-// And compiles a short-circuit conjunction. The vectorized form is a
-// fused filter chain: the first conjunct produces a selection vector and
-// each following conjunct refines it in place, so later (often more
-// expensive) predicates only ever see rows that survived the earlier
-// ones — batch-level short-circuiting.
-func And(exprs ...Expr) Expr {
-	e := boolExpr(func(b *data.Batch, r int) bool {
-		for _, e := range exprs {
-			if e.I(b, r) == 0 {
-				return false
-			}
-		}
-		return true
-	})
-	fps := []uint64{}
-	for _, c := range exprs {
-		fps = append(fps, c.fingerprint())
-	}
-	e.fp = fpNode("and", fps...)
-	if len(exprs) > 0 {
-		es := append([]Expr(nil), exprs...)
-		e.vecSel = func(b *data.Batch, sel []int32, out []int32) []int32 {
-			out = es[0].EvalBool(b, sel, out)
-			for _, c := range es[1:] {
-				// Stop once the selection is empty: nothing left to
-				// refine, and a nil out must not reach refineSel, where
-				// it would read as "all physical rows".
-				if len(out) == 0 {
-					break
-				}
-				out = c.refineSel(b, out)
-			}
-			return out
-		}
+		e.vecSel = cmpKernel(strLane, o, a, b)
+	case a.Type == data.Float64 || b.Type == data.Float64:
+		e.vecSel = cmpKernel(floatLane, o, a.AsFloat(), b.AsFloat())
+	default:
+		e.vecSel = cmpKernel(intLane, o, a, b)
 	}
 	return e
 }
 
-// Or compiles a short-circuit disjunction.
-func Or(exprs ...Expr) Expr {
-	out := boolExpr(func(b *data.Batch, r int) bool {
-		for _, e := range exprs {
-			if e.I(b, r) != 0 {
-				return true
-			}
-		}
-		return false
-	})
-	fps := []uint64{}
-	for _, c := range exprs {
-		fps = append(fps, c.fingerprint())
+// And compiles a short-circuit conjunction: a fused filter chain. The first
+// conjunct produces a selection vector and each following conjunct refines
+// it in place, so later (often more expensive) predicates only ever see rows
+// that survived the earlier ones — batch-level short-circuiting. And() is
+// true.
+func And(exprs ...Expr) Expr {
+	fp := fpNode("and", fingerprints(exprs)...)
+	if len(exprs) == 0 {
+		e := ConstBool(true)
+		e.fp = fp
+		return e
 	}
-	out.fp = fpNode("or", fps...)
-	return out
+	es := append([]Expr(nil), exprs...)
+	return Expr{Type: data.Bool, fp: fp, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
+		out = es[0].EvalBool(b, sel, out)
+		for _, c := range es[1:] {
+			// Stop once the selection is empty: nothing left to refine, and a
+			// nil out must not reach refineSel, where it would read as "all
+			// physical rows".
+			if len(out) == 0 {
+				break
+			}
+			out = c.refineSel(b, out)
+		}
+		return out
+	}}
 }
 
-// Not compiles a negation.
+// Or compiles a short-circuit disjunction, the mirror of And: each disjunct
+// sees only the live rows no earlier disjunct accepted, and the result is
+// the live rows minus those none accepted. Or() is false.
+func Or(exprs ...Expr) Expr {
+	fp := fpNode("or", fingerprints(exprs)...)
+	if len(exprs) == 0 {
+		e := ConstBool(false)
+		e.fp = fp
+		return e
+	}
+	es := append([]Expr(nil), exprs...)
+	return Expr{Type: data.Bool, fp: fp, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
+		n := liveRows(b, sel)
+		rp, hp := selPool.get(n), selPool.get(n)
+		rest := exceptRows((*rp)[:0], sel, n, nil)
+		for _, c := range es {
+			if len(rest) == 0 {
+				break
+			}
+			rest = exceptRows(rest[:0], rest, len(rest), c.EvalBool(b, rest, (*hp)[:0]))
+		}
+		out = exceptRows(out, sel, n, rest)
+		selPool.put(rp)
+		selPool.put(hp)
+		return out
+	}}
+}
+
+// Not compiles a negation: the live rows minus the operand's selection.
 func Not(e Expr) Expr {
-	out := boolExpr(func(b *data.Batch, r int) bool { return e.I(b, r) == 0 })
-	out.fp = fpNode("not", e.fingerprint())
-	return out
+	return Expr{Type: data.Bool, fp: fpNode("not", e.fingerprint()), vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
+		hp := selPool.get(liveRows(b, sel))
+		out = exceptRows(out, sel, b.Len(), e.EvalBool(b, sel, (*hp)[:0]))
+		selPool.put(hp)
+		return out
+	}}
 }
 
 // Like compiles a SQL LIKE pattern with % and _ wildcards.
 func Like(e Expr, pattern string) Expr {
-	m := compileLike(pattern)
-	s := e.S
-	out := boolExpr(func(b *data.Batch, r int) bool { return m(s(b, r)) })
-	out.fp = fpNode("like", e.fingerprint(), xhash.String(pattern, fpSeed))
-	if e.isColRef() {
-		ci := e.colIdx()
-		out.vecSel = func(b *data.Batch, sel []int32, o []int32) []int32 {
-			return selectStrCol(b.Cols[ci].S, b.Len(), sel, o, m, false)
-		}
-	}
-	return out
+	needLane("Like", e, true)
+	return Expr{Type: data.Bool, fp: fpNode("like", e.fingerprint(), xhash.String(pattern, fpSeed)),
+		vecSel: matchKernel(strLane, e, compileLike(pattern), false)}
 }
 
 // NotLike compiles NOT LIKE.
 func NotLike(e Expr, pattern string) Expr {
-	m := compileLike(pattern)
-	out := Not(Like(e, pattern))
-	out.fp = fpNode("notlike", e.fingerprint(), xhash.String(pattern, fpSeed))
-	if e.isColRef() {
-		ci := e.colIdx()
-		out.vecSel = func(b *data.Batch, sel []int32, o []int32) []int32 {
-			return selectStrCol(b.Cols[ci].S, b.Len(), sel, o, m, true)
-		}
-	}
-	return out
-}
-
-// selectStrCol appends the live rows for which match(vals[r]) != negate.
-func selectStrCol(vals []string, n int, sel []int32, out []int32, match func(string) bool, negate bool) []int32 {
-	if sel == nil {
-		for r := 0; r < n; r++ {
-			if match(vals[r]) != negate {
-				out = append(out, int32(r))
-			}
-		}
-		return out
-	}
-	for _, r := range sel {
-		if match(vals[r]) != negate {
-			out = append(out, r)
-		}
-	}
-	return out
+	needLane("NotLike", e, true)
+	return Expr{Type: data.Bool, fp: fpNode("notlike", e.fingerprint(), xhash.String(pattern, fpSeed)),
+		vecSel: matchKernel(strLane, e, compileLike(pattern), true)}
 }
 
 // compileLike builds a matcher for a LIKE pattern, fast-pathing the common
@@ -559,72 +406,36 @@ func likeMatch(pattern, s string) bool {
 	return pi == len(pattern)
 }
 
-// InStr compiles membership in a string set.
-func InStr(e Expr, vals ...string) Expr {
-	set := make(map[string]struct{}, len(vals))
+// inSet returns the membership test of vals.
+func inSet[T comparable](vals []T) func(T) bool {
+	set := make(map[T]struct{}, len(vals))
 	for _, v := range vals {
 		set[v] = struct{}{}
 	}
-	s := e.S
-	out := boolExpr(func(b *data.Batch, r int) bool {
-		_, ok := set[s(b, r)]
+	return func(v T) bool {
+		_, ok := set[v]
 		return ok
-	})
+	}
+}
+
+// InStr compiles membership in a string set.
+func InStr(e Expr, vals ...string) Expr {
+	needLane("InStr", e, true)
 	fps := []uint64{e.fingerprint()}
 	for _, v := range vals {
 		fps = append(fps, xhash.String(v, fpSeed))
 	}
-	out.fp = fpNode("instr", fps...)
-	if e.isColRef() {
-		ci := e.colIdx()
-		out.vecSel = func(b *data.Batch, sel []int32, o []int32) []int32 {
-			return selectStrCol(b.Cols[ci].S, b.Len(), sel, o, func(v string) bool {
-				_, ok := set[v]
-				return ok
-			}, false)
-		}
-	}
-	return out
+	return Expr{Type: data.Bool, fp: fpNode("instr", fps...), vecSel: matchKernel(strLane, e, inSet(vals), false)}
 }
 
 // InInt compiles membership in an integer set.
 func InInt(e Expr, vals ...int64) Expr {
-	set := make(map[int64]struct{}, len(vals))
-	for _, v := range vals {
-		set[v] = struct{}{}
-	}
-	i := e.I
-	out := boolExpr(func(b *data.Batch, r int) bool {
-		_, ok := set[i(b, r)]
-		return ok
-	})
+	needLane("InInt", e, false)
 	fps := []uint64{e.fingerprint()}
 	for _, v := range vals {
 		fps = append(fps, xhash.U64(uint64(v), fpSeed))
 	}
-	out.fp = fpNode("inint", fps...)
-	if e.isColRef() {
-		ci := e.colIdx()
-		out.vecSel = func(b *data.Batch, sel []int32, o []int32) []int32 {
-			vals := b.Cols[ci].I
-			if sel == nil {
-				n := b.Len()
-				for r := 0; r < n; r++ {
-					if _, ok := set[vals[r]]; ok {
-						o = append(o, int32(r))
-					}
-				}
-				return o
-			}
-			for _, r := range sel {
-				if _, ok := set[vals[r]]; ok {
-					o = append(o, r)
-				}
-			}
-			return o
-		}
-	}
-	return out
+	return Expr{Type: data.Bool, fp: fpNode("inint", fps...), vecSel: matchKernel(intLane, e, inSet(vals), false)}
 }
 
 // Case compiles CASE WHEN cond THEN a ELSE b END.
@@ -632,86 +443,56 @@ func Case(cond, then, els Expr) Expr {
 	if then.Type != els.Type && !(then.Type != data.String && els.Type != data.String) {
 		panic("exec: CASE branches of incompatible types")
 	}
-	fp := fpNode("case", cond.fingerprint(), then.fingerprint(), els.fingerprint())
+	e := Expr{Type: then.Type, fp: fpNode("case", cond.fingerprint(), then.fingerprint(), els.fingerprint())}
 	switch {
 	case then.Type == data.String:
-		t, e, c := then.S, els.S, cond.I
-		return Expr{Type: data.String, fp: fp, S: func(b *data.Batch, r int) string {
-			if c(b, r) != 0 {
-				return t(b, r)
-			}
-			return e(b, r)
-		}}
+		e.vecS = caseKernel(strLane, cond, then, els)
 	case then.Type == data.Float64 || els.Type == data.Float64:
-		t, e, c := then.AsFloat().F, els.AsFloat().F, cond.I
-		return Expr{Type: data.Float64, fp: fp, F: func(b *data.Batch, r int) float64 {
-			if c(b, r) != 0 {
-				return t(b, r)
-			}
-			return e(b, r)
-		}}
+		e.Type = data.Float64
+		e.vecF = caseKernel(floatLane, cond, then.AsFloat(), els.AsFloat())
 	default:
-		t, e, c := then.I, els.I, cond.I
-		return Expr{Type: then.Type, fp: fp, I: func(b *data.Batch, r int) int64 {
-			if c(b, r) != 0 {
-				return t(b, r)
-			}
-			return e(b, r)
-		}}
+		e.vecI = caseKernel(intLane, cond, then, els)
 	}
+	return e
 }
 
 // YearOf compiles EXTRACT(YEAR FROM date).
 func YearOf(e Expr) Expr {
-	i := e.I
-	out := Expr{Type: data.Int64, fp: fpNode("year", e.fingerprint()), I: func(b *data.Batch, r int) int64 { return data.Year(i(b, r)) }}
-	if e.vecI != nil {
-		iv := e.vecI
-		out.vecI = func(b *data.Batch, sel []int32, o []int64) {
-			iv(b, sel, o)
-			for j := range o {
-				o[j] = data.Year(o[j])
-			}
+	needLane("YearOf", e, false)
+	return Expr{Type: data.Int64, fp: fpNode("year", e.fingerprint()), vecI: func(b *data.Batch, sel []int32, o []int64) {
+		e.EvalI(b, sel, o)
+		for j := range o {
+			o[j] = data.Year(o[j])
 		}
-	}
-	return out
+	}}
 }
 
 // Substr compiles SUBSTRING(s FROM start FOR length) with 1-based start.
 func Substr(e Expr, start, length int) Expr {
-	s := e.S
+	needLane("Substr", e, true)
 	fp := fpNode("substr", e.fingerprint(), xhash.U64(uint64(int64(start)), fpSeed), xhash.U64(uint64(int64(length)), fpSeed))
-	return Expr{Type: data.String, fp: fp, S: func(b *data.Batch, r int) string {
-		v := s(b, r)
-		lo := start - 1
-		if lo < 0 || lo >= len(v) {
-			return ""
+	lo := start - 1
+	return Expr{Type: data.String, fp: fp, vecS: func(b *data.Batch, sel []int32, o []string) {
+		e.EvalS(b, sel, o)
+		for j, v := range o {
+			if lo < 0 || lo >= len(v) {
+				o[j] = ""
+				continue
+			}
+			o[j] = v[lo:min(lo+length, len(v))]
 		}
-		hi := lo + length
-		if hi > len(v) {
-			hi = len(v)
-		}
-		return v[lo:hi]
 	}}
 }
 
 // IsNotNull compiles col IS NOT NULL for the named column.
 func IsNotNull(s *data.Schema, name string) Expr {
 	idx := s.MustIndex(name)
-	e := boolExpr(func(b *data.Batch, r int) bool { return !b.IsNull(idx, r) })
-	e.fp = fpNode("isnotnull", xhash.String(name, fpSeed), xhash.U64(uint64(idx), fpSeed))
-	e.vecSel = func(b *data.Batch, sel []int32, out []int32) []int32 {
+	fp := fpNode("isnotnull", xhash.String(name, fpSeed), xhash.U64(uint64(idx), fpSeed))
+	return Expr{Type: data.Bool, fp: fp, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
 		null := b.Cols[idx].Null
 		if null == nil {
 			// No null bitmap: every live row passes.
-			if sel == nil {
-				n := b.Len()
-				for r := 0; r < n; r++ {
-					out = append(out, int32(r))
-				}
-				return out
-			}
-			return append(out, sel...)
+			return exceptRows(out, sel, b.Len(), nil)
 		}
 		if sel == nil {
 			n := b.Len()
@@ -728,6 +509,5 @@ func IsNotNull(s *data.Schema, name string) Expr {
 			}
 		}
 		return out
-	}
-	return e
+	}}
 }

@@ -14,11 +14,11 @@ import (
 // The result cache uses this as its key (DESIGN.md §14).
 //
 // The second return reports cacheability. A plan is uncacheable when it
-// contains a node type this walker does not know, or an expression that
-// was assembled outside the package constructors (its fp field is zero,
-// so its structure is unknown); such plans fingerprint to 0 and are
-// executed normally. ValuesNode content *is* hashed — scalar-subquery
-// results embedded in a plan are part of its identity.
+// contains a node type this walker does not know; such plans fingerprint to
+// 0 and are executed normally. Every expression carries the hash its
+// constructor recorded, since an Expr with behaviour can only come from one.
+// ValuesNode content *is* hashed — scalar-subquery results embedded in a
+// plan are part of its identity.
 func PlanFingerprint(n Node) (uint64, bool) {
 	fp := nodeFP(n)
 	return fp, fp != 0

@@ -51,7 +51,7 @@ func (s *Scan) Run(ctx *Ctx) (*Stream, error) {
 	nw := ctx.workers()
 	readers := make([]colstore.Reader, nw)
 	var mu sync.Mutex
-	hasFilter := s.Filter.I != nil
+	hasFilter := !s.Filter.isZero()
 	accs := make([]statsAcc, nw)
 	selBufs := make([][]int32, nw)
 	// chargeStall reports a finished (or abandoned) reader's accumulated
@@ -268,8 +268,8 @@ func (p *Project) Run(ctx *Ctx) (*Stream, error) {
 }
 
 // projectInto evaluates exprs over every live row of in, appending the
-// dense results to out. Each expression runs as one batch kernel (or the
-// scalar fallback loop) straight into the output column.
+// dense results to out. Each expression runs as one batch kernel straight
+// into the output column.
 func projectInto(out, in *data.Batch, exprs []Expr) {
 	n := in.Rows()
 	for i, e := range exprs {

@@ -1,14 +1,14 @@
 package exec
 
-// Vectorized batch kernels over compiled expressions. The scalar closures
-// in expr.go remain the semantic ground truth (and the fallback for
-// arbitrary expressions); the constructors additionally attach
-// column-at-a-time kernels for the shapes that dominate TPC-H filters and
-// projections — bare column refs, constants, comparisons against
-// constants or other columns, arithmetic, and fused AND-chains — so the
-// hot loops run one function call per *batch* instead of one per row.
-// This is the stdlib-Go stand-in for the per-query vectorized code the
-// paper's engine generates (see DESIGN.md §5.9).
+// Batch kernels over compiled expressions: the one evaluator. Every Expr
+// constructor (expr.go) builds one kernel that runs column-at-a-time over a
+// batch's live rows, so the hot loops make one function call per *batch*
+// instead of one per row. Column references and literals specialize the
+// kernels that read them — comparisons, arithmetic, LIKE and IN read a
+// column in place and fold a literal into the loop; any other operand is
+// materialized through its own kernel into pooled scratch first. This is the
+// stdlib-Go stand-in for the per-query vectorized code the paper's engine
+// generates (see DESIGN.md §5 item 9).
 
 import (
 	"sync"
@@ -80,15 +80,13 @@ func (be *batchEncoder) encode(buf *core.Buffer, rc *data.RowCodec, b *data.Batc
 	}
 }
 
-// vectorizeEnabled gates every vectorized fast path; when false all
-// evaluation goes through the per-row scalar closures. Flipped only by
-// SetVectorized (equivalence tests); not safe to toggle mid-query.
-var vectorizeEnabled = true
+// selKernel is a predicate's kernel: it appends to out the rows of sel (nil
+// = every physical row) that pass, in ascending order.
+type selKernel func(b *data.Batch, sel []int32, out []int32) []int32
 
-// SetVectorized toggles the vectorized kernels engine-wide. Tests force
-// the scalar fallback to prove the two paths produce byte-identical
-// results; production code never calls this.
-func SetVectorized(on bool) { vectorizeEnabled = on }
+// kernel is a value kernel: it writes the value of the i-th live row of b
+// to out[i]; out is sized to the live row count.
+type kernel[T any] func(b *data.Batch, sel []int32, out []T)
 
 // EvalBool evaluates a boolean expression over the live rows of b,
 // appending the physical indices of passing rows to out (returned) — the
@@ -97,24 +95,14 @@ func SetVectorized(on bool) { vectorizeEnabled = on }
 // positions ≤ the read position is acceptable (it is for in-place
 // refinement: survivors are a subset written monotonically).
 func (e Expr) EvalBool(b *data.Batch, sel []int32, out []int32) []int32 {
-	if vectorizeEnabled && e.vecSel != nil {
+	if e.vecSel != nil {
 		return e.vecSel(b, sel, out)
 	}
-	f := e.I
-	if sel == nil {
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			if f(b, r) != 0 {
-				out = append(out, int32(r))
-			}
-		}
-		return out
-	}
-	for _, r := range sel {
-		if f(b, int(r)) != 0 {
-			out = append(out, r)
-		}
-	}
+	// A Bool built as values: non-zero selects.
+	xp := i64Pool.get(liveRows(b, sel))
+	e.vecI(b, sel, *xp)
+	out = cmpDenseConst(*xp, 0, opNe, sel, out)
+	i64Pool.put(xp)
 	return out
 }
 
@@ -126,57 +114,29 @@ func (e Expr) refineSel(b *data.Batch, sel []int32) []int32 {
 // EvalI evaluates an integer-typed expression for every live row of b
 // into out, which must be sized to the live row count.
 func (e Expr) EvalI(b *data.Batch, sel []int32, out []int64) {
-	if vectorizeEnabled && e.vecI != nil {
+	if e.vecI != nil {
 		e.vecI(b, sel, out)
 		return
 	}
-	f := e.I
-	if sel == nil {
-		for r := range out {
-			out[r] = f(b, r)
+	// A Bool built as a selection: a selected row is 1, any other 0.
+	hp := selPool.get(len(out))
+	hits := e.vecSel(b, sel, (*hp)[:0])
+	k := 0
+	for j := range out {
+		out[j] = 0
+		if k < len(hits) && hits[k] == rowAt(sel, j) {
+			out[j] = 1
+			k++
 		}
-		return
 	}
-	for i, r := range sel {
-		out[i] = f(b, int(r))
-	}
+	selPool.put(hp)
 }
 
 // EvalF evaluates a float expression for every live row of b into out.
-func (e Expr) EvalF(b *data.Batch, sel []int32, out []float64) {
-	if vectorizeEnabled && e.vecF != nil {
-		e.vecF(b, sel, out)
-		return
-	}
-	f := e.F
-	if sel == nil {
-		for r := range out {
-			out[r] = f(b, r)
-		}
-		return
-	}
-	for i, r := range sel {
-		out[i] = f(b, int(r))
-	}
-}
+func (e Expr) EvalF(b *data.Batch, sel []int32, out []float64) { e.vecF(b, sel, out) }
 
 // EvalS evaluates a string expression for every live row of b into out.
-func (e Expr) EvalS(b *data.Batch, sel []int32, out []string) {
-	if vectorizeEnabled && e.vecS != nil {
-		e.vecS(b, sel, out)
-		return
-	}
-	f := e.S
-	if sel == nil {
-		for r := range out {
-			out[r] = f(b, r)
-		}
-		return
-	}
-	for i, r := range sel {
-		out[i] = f(b, int(r))
-	}
-}
+func (e Expr) EvalS(b *data.Batch, sel []int32, out []string) { e.vecS(b, sel, out) }
 
 // grow extends s by n zero/empty elements, reallocating only when needed,
 // and returns the extended slice (write into the last n positions).
@@ -191,29 +151,168 @@ func grow[T any](s []T, n int) []T {
 	return ns
 }
 
+func liveRows(b *data.Batch, sel []int32) int {
+	if sel != nil {
+		return len(sel)
+	}
+	return b.Len()
+}
+
+// rowAt is the physical row of the j-th live row.
+func rowAt(sel []int32, j int) int32 {
+	if sel == nil {
+		return int32(j)
+	}
+	return sel[j]
+}
+
+// exceptRows appends to out the live rows — sel, or 0 … n-1 when sel is nil
+// — that are not in drop, an ascending subset of them. out may be sel[:0].
+func exceptRows(out, sel []int32, n int, drop []int32) []int32 {
+	if sel != nil {
+		n = len(sel)
+	}
+	k := 0
+	for j := 0; j < n; j++ {
+		r := rowAt(sel, j)
+		if k < len(drop) && drop[k] == r {
+			k++
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // --- scratch pools for composed kernels ---
 
-var (
-	i64Pool = sync.Pool{New: func() interface{} { return new([]int64) }}
-	f64Pool = sync.Pool{New: func() interface{} { return new([]float64) }}
-)
+// scratch pools the slices composed kernels materialize operands into.
+type scratch[T any] struct{ p sync.Pool }
 
-func getI64(n int) *[]int64 {
-	p := i64Pool.Get().(*[]int64)
+// get returns a pooled slice of length n.
+func (s *scratch[T]) get(n int) *[]T {
+	p, _ := s.p.Get().(*[]T)
+	if p == nil {
+		p = new([]T)
+	}
 	if cap(*p) < n {
-		*p = make([]int64, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return p
 }
 
-func getF64(n int) *[]float64 {
-	p := f64Pool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
+func (s *scratch[T]) put(p *[]T) { s.p.Put(p) }
+
+var (
+	i64Pool scratch[int64]
+	f64Pool scratch[float64]
+	strPool scratch[string]
+	selPool scratch[int32]
+)
+
+// --- lanes ---
+
+// lane is one of the three value lanes kernels are built for: how to read a
+// column, evaluate an operand and take a literal's value, and where to get
+// scratch.
+type lane[T any] struct {
+	col   func(c *data.Column) []T
+	eval  func(e Expr, b *data.Batch, sel []int32, out []T)
+	konst func(e Expr) T
+	pool  *scratch[T]
+}
+
+var (
+	intLane   = lane[int64]{func(c *data.Column) []int64 { return c.I }, Expr.EvalI, func(e Expr) int64 { return e.cI }, &i64Pool}
+	floatLane = lane[float64]{func(c *data.Column) []float64 { return c.F }, Expr.EvalF, func(e Expr) float64 { return e.cF }, &f64Pool}
+	strLane   = lane[string]{func(c *data.Column) []string { return c.S }, Expr.EvalS, func(e Expr) string { return e.cS }, &strPool}
+)
+
+// gather is a column reference's kernel: a copy of column idx, or a gather
+// through the selection vector.
+func gather[T any](ln lane[T], idx int) kernel[T] {
+	return func(b *data.Batch, sel []int32, out []T) {
+		vals := ln.col(&b.Cols[idx])
+		if sel == nil {
+			copy(out, vals)
+			return
+		}
+		for i, r := range sel {
+			out[i] = vals[r]
+		}
 	}
-	*p = (*p)[:n]
-	return p
+}
+
+// fill is a literal's kernel.
+func fill[T any](v T) kernel[T] {
+	return func(_ *data.Batch, _ []int32, out []T) {
+		for i := range out {
+			out[i] = v
+		}
+	}
+}
+
+// matchKernel is the kernel of a one-operand predicate (LIKE, IN): the live
+// rows whose value match accepts, or rejects when negate. A column reference
+// is read in place; any other operand is materialized first.
+func matchKernel[T any](ln lane[T], e Expr, match func(T) bool, negate bool) selKernel {
+	if e.isColRef() {
+		ci := e.colIdx()
+		return func(b *data.Batch, sel []int32, out []int32) []int32 {
+			vals := ln.col(&b.Cols[ci])
+			if sel == nil {
+				n := b.Len()
+				for r := 0; r < n; r++ {
+					if match(vals[r]) != negate {
+						out = append(out, int32(r))
+					}
+				}
+				return out
+			}
+			for _, r := range sel {
+				if match(vals[r]) != negate {
+					out = append(out, r)
+				}
+			}
+			return out
+		}
+	}
+	return func(b *data.Batch, sel []int32, out []int32) []int32 {
+		xp := ln.pool.get(liveRows(b, sel))
+		ln.eval(e, b, sel, *xp)
+		for i, x := range *xp {
+			if match(x) != negate {
+				out = append(out, rowAt(sel, i))
+			}
+		}
+		ln.pool.put(xp)
+		return out
+	}
+}
+
+// caseKernel evaluates els for every live row, then then for the rows cond
+// selects, and puts those values in their rows' places.
+func caseKernel[T any](ln lane[T], cond, then, els Expr) kernel[T] {
+	return func(b *data.Batch, sel []int32, out []T) {
+		ln.eval(els, b, sel, out)
+		hp := selPool.get(len(out))
+		if hits := cond.EvalBool(b, sel, (*hp)[:0]); len(hits) > 0 {
+			vp := ln.pool.get(len(hits))
+			ln.eval(then, b, hits, *vp)
+			k := 0
+			for j := range out {
+				if rowAt(sel, j) == hits[k] {
+					out[j] = (*vp)[k]
+					if k++; k == len(hits) {
+						break
+					}
+				}
+			}
+			ln.pool.put(vp)
+		}
+		selPool.put(hp)
+	}
 }
 
 // --- comparison opcodes ---
@@ -264,6 +363,48 @@ func revOp(op cmpOp) cmpOp {
 
 type ordered interface {
 	~int64 | ~float64 | ~string
+}
+
+// cmpKernel builds a comparison's kernel in one lane. A literal on the left
+// moves to the right with the operator mirrored; then a column against a
+// literal or another column is compared in place, and any other operand is
+// materialized first.
+func cmpKernel[T ordered](ln lane[T], op cmpOp, a, b Expr) selKernel {
+	if a.isConst() && !b.isConst() {
+		a, b, op = b, a, revOp(op)
+	}
+	switch {
+	case a.isColRef() && b.isConst():
+		ci, k := a.colIdx(), ln.konst(b)
+		return func(ba *data.Batch, sel []int32, out []int32) []int32 {
+			return cmpColConstSel(ln.col(&ba.Cols[ci]), k, op, ba.Len(), sel, out)
+		}
+	case a.isColRef() && b.isColRef():
+		ca, cb := a.colIdx(), b.colIdx()
+		return func(ba *data.Batch, sel []int32, out []int32) []int32 {
+			return cmpColColSel(ln.col(&ba.Cols[ca]), ln.col(&ba.Cols[cb]), op, ba.Len(), sel, out)
+		}
+	case b.isConst():
+		k := ln.konst(b)
+		return func(ba *data.Batch, sel []int32, out []int32) []int32 {
+			xp := ln.pool.get(liveRows(ba, sel))
+			ln.eval(a, ba, sel, *xp)
+			out = cmpDenseConst(*xp, k, op, sel, out)
+			ln.pool.put(xp)
+			return out
+		}
+	default:
+		return func(ba *data.Batch, sel []int32, out []int32) []int32 {
+			n := liveRows(ba, sel)
+			xp, yp := ln.pool.get(n), ln.pool.get(n)
+			ln.eval(a, ba, sel, *xp)
+			ln.eval(b, ba, sel, *yp)
+			out = cmpDense(*xp, *yp, op, sel, out)
+			ln.pool.put(xp)
+			ln.pool.put(yp)
+			return out
+		}
+	}
 }
 
 // cmpColConstSel compares a physical column slice against a constant over
@@ -442,47 +583,41 @@ func cmpColColSel[T ordered](xs, ys []T, op cmpOp, n int, sel []int32, out []int
 // the i-th live row) against a constant, appending passing *physical*
 // indices.
 func cmpDenseConst[T ordered](xs []T, k T, op cmpOp, sel []int32, out []int32) []int32 {
-	phys := func(i int) int32 {
-		if sel != nil {
-			return sel[i]
-		}
-		return int32(i)
-	}
 	switch op {
 	case opLt:
 		for i := range xs {
 			if xs[i] < k {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opLe:
 		for i := range xs {
 			if xs[i] <= k {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opGt:
 		for i := range xs {
 			if xs[i] > k {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opGe:
 		for i := range xs {
 			if xs[i] >= k {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opEq:
 		for i := range xs {
 			if xs[i] == k {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opNe:
 		for i := range xs {
 			if xs[i] != k {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	}
@@ -491,166 +626,45 @@ func cmpDenseConst[T ordered](xs []T, k T, op cmpOp, sel []int32, out []int32) [
 
 // cmpDense compares two densely materialized live-row value slices.
 func cmpDense[T ordered](xs, ys []T, op cmpOp, sel []int32, out []int32) []int32 {
-	phys := func(i int) int32 {
-		if sel != nil {
-			return sel[i]
-		}
-		return int32(i)
-	}
 	switch op {
 	case opLt:
 		for i := range xs {
 			if xs[i] < ys[i] {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opLe:
 		for i := range xs {
 			if xs[i] <= ys[i] {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opGt:
 		for i := range xs {
 			if xs[i] > ys[i] {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opGe:
 		for i := range xs {
 			if xs[i] >= ys[i] {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opEq:
 		for i := range xs {
 			if xs[i] == ys[i] {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	case opNe:
 		for i := range xs {
 			if xs[i] != ys[i] {
-				out = append(out, phys(i))
+				out = append(out, rowAt(sel, i))
 			}
 		}
 	}
 	return out
-}
-
-func liveRows(b *data.Batch, sel []int32) int {
-	if sel != nil {
-		return len(sel)
-	}
-	return b.Len()
-}
-
-// attachCmpKernel builds a vecSel fast path for a compiled comparison,
-// choosing, in order of preference: direct col⊗const and col⊗col kernels,
-// then materialize-and-compare over the operands' vectorized evaluators,
-// else nothing (scalar fallback).
-func attachCmpKernel(e *Expr, op cmpOp, a, b Expr) {
-	switch {
-	case a.Type == data.String || b.Type == data.String:
-		switch {
-		case a.isColRef() && b.isConst():
-			ci, k := a.colIdx(), b.cS
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColConstSel(ba.Cols[ci].S, k, op, ba.Len(), sel, out)
-			}
-		case a.isConst() && b.isColRef():
-			ci, k, rop := b.colIdx(), a.cS, revOp(op)
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColConstSel(ba.Cols[ci].S, k, rop, ba.Len(), sel, out)
-			}
-		case a.isColRef() && b.isColRef():
-			ca, cb := a.colIdx(), b.colIdx()
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColColSel(ba.Cols[ca].S, ba.Cols[cb].S, op, ba.Len(), sel, out)
-			}
-		}
-	case a.Type != data.Float64 && b.Type != data.Float64:
-		// Integer-kind comparison (int64, date, bool).
-		switch {
-		case a.isColRef() && b.isConst():
-			ci, k := a.colIdx(), b.cI
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColConstSel(ba.Cols[ci].I, k, op, ba.Len(), sel, out)
-			}
-		case a.isConst() && b.isColRef():
-			ci, k, rop := b.colIdx(), a.cI, revOp(op)
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColConstSel(ba.Cols[ci].I, k, rop, ba.Len(), sel, out)
-			}
-		case a.isColRef() && b.isColRef():
-			ca, cb := a.colIdx(), b.colIdx()
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColColSel(ba.Cols[ca].I, ba.Cols[cb].I, op, ba.Len(), sel, out)
-			}
-		case a.vecI != nil && b.isConst():
-			av, k := a.vecI, b.cI
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				xp := getI64(liveRows(ba, sel))
-				av(ba, sel, *xp)
-				out = cmpDenseConst(*xp, k, op, sel, out)
-				i64Pool.Put(xp)
-				return out
-			}
-		case a.vecI != nil && b.vecI != nil:
-			av, bv := a.vecI, b.vecI
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				n := liveRows(ba, sel)
-				xp, yp := getI64(n), getI64(n)
-				av(ba, sel, *xp)
-				bv(ba, sel, *yp)
-				out = cmpDense(*xp, *yp, op, sel, out)
-				i64Pool.Put(xp)
-				i64Pool.Put(yp)
-				return out
-			}
-		}
-	default:
-		// Float comparison with int→float promotion.
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af.isColRef() && bf.isConst():
-			ci, k := af.colIdx(), bf.cF
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColConstSel(ba.Cols[ci].F, k, op, ba.Len(), sel, out)
-			}
-		case af.isConst() && bf.isColRef():
-			ci, k, rop := bf.colIdx(), af.cF, revOp(op)
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColConstSel(ba.Cols[ci].F, k, rop, ba.Len(), sel, out)
-			}
-		case af.isColRef() && bf.isColRef():
-			ca, cb := af.colIdx(), bf.colIdx()
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				return cmpColColSel(ba.Cols[ca].F, ba.Cols[cb].F, op, ba.Len(), sel, out)
-			}
-		case af.vecF != nil && bf.isConst():
-			av, k := af.vecF, bf.cF
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				xp := getF64(liveRows(ba, sel))
-				av(ba, sel, *xp)
-				out = cmpDenseConst(*xp, k, op, sel, out)
-				f64Pool.Put(xp)
-				return out
-			}
-		case af.vecF != nil && bf.vecF != nil:
-			av, bv := af.vecF, bf.vecF
-			e.vecSel = func(ba *data.Batch, sel []int32, out []int32) []int32 {
-				n := liveRows(ba, sel)
-				xp, yp := getF64(n), getF64(n)
-				av(ba, sel, *xp)
-				bv(ba, sel, *yp)
-				out = cmpDense(*xp, *yp, op, sel, out)
-				f64Pool.Put(xp)
-				f64Pool.Put(yp)
-				return out
-			}
-		}
-	}
 }
 
 // --- arithmetic kernels ---
@@ -664,9 +678,26 @@ const (
 	aDiv
 )
 
-// applyConstF folds a constant into out in place: out[i] = out[i] op k,
+type number interface {
+	~int64 | ~float64
+}
+
+// applyOp folds two literals: x op y. Div only ever reaches the float lane.
+func applyOp[T number](op arithOp, x, y T) T {
+	switch op {
+	case aAdd:
+		return x + y
+	case aSub:
+		return x - y
+	case aMul:
+		return x * y
+	}
+	return x / y
+}
+
+// applyConst folds a constant into out in place: out[i] = out[i] op k,
 // or k op out[i] when rev (needed for non-commutative Sub/Div).
-func applyConstF(out []float64, k float64, op arithOp, rev bool) {
+func applyConst[T number](out []T, k T, op arithOp, rev bool) {
 	switch {
 	case op == aAdd:
 		for i := range out {
@@ -695,30 +726,9 @@ func applyConstF(out []float64, k float64, op arithOp, rev bool) {
 	}
 }
 
-func applyConstI(out []int64, k int64, op arithOp, rev bool) {
-	switch {
-	case op == aAdd:
-		for i := range out {
-			out[i] += k
-		}
-	case op == aMul:
-		for i := range out {
-			out[i] *= k
-		}
-	case op == aSub && !rev:
-		for i := range out {
-			out[i] -= k
-		}
-	default: // aSub reversed; aDiv never reaches the int kernel
-		for i := range out {
-			out[i] = k - out[i]
-		}
-	}
-}
-
-// applyColF folds a physical float column into out in place.
-func applyColF(out []float64, vals []float64, sel []int32, op arithOp, rev bool) {
-	v := func(i int) float64 {
+// applyCol folds a physical column into out in place.
+func applyCol[T number](out []T, vals []T, sel []int32, op arithOp, rev bool) {
+	v := func(i int) T {
 		if sel != nil {
 			return vals[sel[i]]
 		}
@@ -752,35 +762,8 @@ func applyColF(out []float64, vals []float64, sel []int32, op arithOp, rev bool)
 	}
 }
 
-func applyColI(out []int64, vals []int64, sel []int32, op arithOp, rev bool) {
-	v := func(i int) int64 {
-		if sel != nil {
-			return vals[sel[i]]
-		}
-		return vals[i]
-	}
-	switch {
-	case op == aAdd:
-		for i := range out {
-			out[i] += v(i)
-		}
-	case op == aMul:
-		for i := range out {
-			out[i] *= v(i)
-		}
-	case op == aSub && !rev:
-		for i := range out {
-			out[i] -= v(i)
-		}
-	default:
-		for i := range out {
-			out[i] = v(i) - out[i]
-		}
-	}
-}
-
-// combineF computes out[i] = xs[i] op out[i] in place.
-func combineF(xs, out []float64, op arithOp) {
+// combine computes out[i] = xs[i] op out[i] in place.
+func combine[T number](xs, out []T, op arithOp) {
 	switch op {
 	case aAdd:
 		for i := range out {
@@ -801,106 +784,42 @@ func combineF(xs, out []float64, op arithOp) {
 	}
 }
 
-func combineI(xs, out []int64, op arithOp) {
-	switch op {
-	case aAdd:
-		for i := range out {
-			out[i] = xs[i] + out[i]
-		}
-	case aSub:
-		for i := range out {
-			out[i] = xs[i] - out[i]
-		}
-	case aMul:
-		for i := range out {
-			out[i] = xs[i] * out[i]
-		}
-	}
-}
-
-// binaryFKernel composes a vectorized float kernel for a op b, or nil
-// when either side lacks one. Const and bare-column operands fold into
-// the other side's output buffer; only the general case pays a scratch
-// materialization.
-func binaryFKernel(a, b Expr, op arithOp) func(*data.Batch, []int32, []float64) {
-	if a.vecF == nil || b.vecF == nil {
-		return nil
-	}
+// arithKernel composes the kernel of a op b in one lane. Const and
+// bare-column operands fold into the other side's output buffer; only the
+// general case pays a scratch materialization.
+func arithKernel[T number](ln lane[T], a, b Expr, op arithOp) kernel[T] {
 	switch {
 	case b.isConst():
-		av, k := a.vecF, b.cF
-		return func(ba *data.Batch, sel []int32, out []float64) {
-			av(ba, sel, out)
-			applyConstF(out, k, op, false)
+		k := ln.konst(b)
+		return func(ba *data.Batch, sel []int32, out []T) {
+			ln.eval(a, ba, sel, out)
+			applyConst(out, k, op, false)
 		}
 	case a.isConst():
-		bv, k := b.vecF, a.cF
-		return func(ba *data.Batch, sel []int32, out []float64) {
-			bv(ba, sel, out)
-			applyConstF(out, k, op, true)
+		k := ln.konst(a)
+		return func(ba *data.Batch, sel []int32, out []T) {
+			ln.eval(b, ba, sel, out)
+			applyConst(out, k, op, true)
 		}
 	case b.isColRef():
-		av, ci := a.vecF, b.colIdx()
-		return func(ba *data.Batch, sel []int32, out []float64) {
-			av(ba, sel, out)
-			applyColF(out, ba.Cols[ci].F, sel, op, false)
+		ci := b.colIdx()
+		return func(ba *data.Batch, sel []int32, out []T) {
+			ln.eval(a, ba, sel, out)
+			applyCol(out, ln.col(&ba.Cols[ci]), sel, op, false)
 		}
 	case a.isColRef():
-		bv, ci := b.vecF, a.colIdx()
-		return func(ba *data.Batch, sel []int32, out []float64) {
-			bv(ba, sel, out)
-			applyColF(out, ba.Cols[ci].F, sel, op, true)
+		ci := a.colIdx()
+		return func(ba *data.Batch, sel []int32, out []T) {
+			ln.eval(b, ba, sel, out)
+			applyCol(out, ln.col(&ba.Cols[ci]), sel, op, true)
 		}
 	default:
-		av, bv := a.vecF, b.vecF
-		return func(ba *data.Batch, sel []int32, out []float64) {
-			xp := getF64(len(out))
-			av(ba, sel, *xp)
-			bv(ba, sel, out)
-			combineF(*xp, out, op)
-			f64Pool.Put(xp)
-		}
-	}
-}
-
-// binaryIKernel is binaryFKernel for the integer lane (Add/Sub/Mul only).
-func binaryIKernel(a, b Expr, op arithOp) func(*data.Batch, []int32, []int64) {
-	if a.vecI == nil || b.vecI == nil {
-		return nil
-	}
-	switch {
-	case b.isConst():
-		av, k := a.vecI, b.cI
-		return func(ba *data.Batch, sel []int32, out []int64) {
-			av(ba, sel, out)
-			applyConstI(out, k, op, false)
-		}
-	case a.isConst():
-		bv, k := b.vecI, a.cI
-		return func(ba *data.Batch, sel []int32, out []int64) {
-			bv(ba, sel, out)
-			applyConstI(out, k, op, true)
-		}
-	case b.isColRef():
-		av, ci := a.vecI, b.colIdx()
-		return func(ba *data.Batch, sel []int32, out []int64) {
-			av(ba, sel, out)
-			applyColI(out, ba.Cols[ci].I, sel, op, false)
-		}
-	case a.isColRef():
-		bv, ci := b.vecI, a.colIdx()
-		return func(ba *data.Batch, sel []int32, out []int64) {
-			bv(ba, sel, out)
-			applyColI(out, ba.Cols[ci].I, sel, op, true)
-		}
-	default:
-		av, bv := a.vecI, b.vecI
-		return func(ba *data.Batch, sel []int32, out []int64) {
-			xp := getI64(len(out))
-			av(ba, sel, *xp)
-			bv(ba, sel, out)
-			combineI(*xp, out, op)
-			i64Pool.Put(xp)
+		return func(ba *data.Batch, sel []int32, out []T) {
+			xp := ln.pool.get(len(out))
+			ln.eval(a, ba, sel, *xp)
+			ln.eval(b, ba, sel, out)
+			combine(*xp, out, op)
+			ln.pool.put(xp)
 		}
 	}
 }

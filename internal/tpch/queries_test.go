@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -474,6 +475,99 @@ func TestQ14AgainstReference(t *testing.T) {
 	got := out.Cols[0].F[0]
 	if math.Abs(got-want) > 1e-6*(math.Abs(want)+1) {
 		t.Fatalf("Q14 = %v, want %v", got, want)
+	}
+}
+
+func TestQ12AgainstReference(t *testing.T) {
+	db := sharedDB()
+	li := db.T(Lineitem).(*colstore.MemTable)
+	orders := db.T(Orders).(*colstore.MemTable)
+	prio := map[int64]string{}
+	ok, op := colI(orders, "o_orderkey"), colS(orders, "o_orderpriority")
+	for r := range ok {
+		prio[ok[r]] = op[r]
+	}
+	lo, hi := data.ParseDate("1994-01-01"), data.ParseDate("1995-01-01")
+	lok, mode := colI(li, "l_orderkey"), colS(li, "l_shipmode")
+	commit, rcpt, ship := colI(li, "l_commitdate"), colI(li, "l_receiptdate"), colI(li, "l_shipdate")
+	type counts struct{ high, low float64 }
+	want := map[string]*counts{}
+	for r := range lok {
+		if mode[r] != "MAIL" && mode[r] != "SHIP" || commit[r] >= rcpt[r] || ship[r] >= commit[r] || rcpt[r] < lo || rcpt[r] >= hi {
+			continue
+		}
+		c := want[mode[r]]
+		if c == nil {
+			c = &counts{}
+			want[mode[r]] = c
+		}
+		if p := prio[lok[r]]; p == "1-URGENT" || p == "2-HIGH" {
+			c.high++
+		} else {
+			c.low++
+		}
+	}
+	out := runQuery(t, memCtx(), 12)
+	if out.Len() != len(want) {
+		t.Fatalf("Q12 groups = %d, want %d", out.Len(), len(want))
+	}
+	s := out.Schema
+	for r := 0; r < out.Len(); r++ {
+		m := out.Cols[s.MustIndex("l_shipmode")].S[r]
+		high, low := out.Cols[s.MustIndex("high_line_count")].F[r], out.Cols[s.MustIndex("low_line_count")].F[r]
+		if c := want[m]; c == nil || high != c.high || low != c.low {
+			t.Fatalf("Q12 %s: high %v low %v, want %+v", m, high, low, c)
+		}
+	}
+}
+
+func TestQ19AgainstReference(t *testing.T) {
+	db := sharedDB()
+	li := db.T(Lineitem).(*colstore.MemTable)
+	part := db.T(Part).(*colstore.MemTable)
+	type partRow struct {
+		brand, container string
+		size             int64
+	}
+	parts := map[int64]partRow{}
+	pk, pb, pc, ps := colI(part, "p_partkey"), colS(part, "p_brand"), colS(part, "p_container"), colI(part, "p_size")
+	for r := range pk {
+		parts[pk[r]] = partRow{pb[r], pc[r], ps[r]}
+	}
+	branches := []struct {
+		brand      string
+		containers []string
+		qlo, qhi   float64
+		smax       int64
+	}{
+		{"Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5},
+		{"Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10},
+		{"Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15},
+	}
+	lpk, mode, instr := colI(li, "l_partkey"), colS(li, "l_shipmode"), colS(li, "l_shipinstruct")
+	qty, ep, dc := colF(li, "l_quantity"), colF(li, "l_extendedprice"), colF(li, "l_discount")
+	var want float64
+	matched := 0
+	for r := range lpk {
+		if mode[r] != "AIR" && mode[r] != "REG AIR" || instr[r] != "DELIVER IN PERSON" {
+			continue
+		}
+		p := parts[lpk[r]]
+		for _, br := range branches {
+			if p.brand == br.brand && slices.Contains(br.containers, p.container) &&
+				qty[r] >= br.qlo && qty[r] <= br.qhi && p.size >= 1 && p.size <= br.smax {
+				want += ep[r] * (1 - dc[r])
+				matched++
+				break
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no lineitem satisfies a Q19 branch at this scale: the check would be vacuous")
+	}
+	out := runQuery(t, memCtx(), 19)
+	if got := out.Cols[0].F[0]; math.Abs(got-want) > 1e-6*(want+1) {
+		t.Fatalf("Q19 = %v, want %v (%d lineitems)", got, want, matched)
 	}
 }
 
