@@ -48,7 +48,7 @@ fuzz-colstore:
 # map-based reference at 1, 2 and 8 workers, per-worker stats accumulators,
 # span buffers, fault recovery, utilization tracer).
 race:
-	$(GO) test -race -short ./internal/exec/ ./internal/core/ ./internal/chaos/ ./internal/trace/ ./internal/metrics/
+	$(GO) test -race -short ./internal/exec/ ./internal/core/ ./internal/cache/ ./internal/chaos/ ./internal/trace/ ./internal/metrics/
 
 # Multi-query stress gate: concurrent TPC-H mixes through the admission
 # governor and per-query spill leases, under the race detector — overlap

@@ -1,8 +1,8 @@
-// Command paritycmp guards the spill-integrity tax: it re-measures the
-// bench package's parity-off-vs-on matrix (Q9/Q12/Q13, the spill-heavy
-// workloads) and fails when checksummed+parity spilling costs more than the
-// threshold in wall time on any query, or when the two modes disagree on a
-// result fingerprint. It needs no committed baseline: the parity-off run
+// Command paritycmp guards the spill parity tax: it re-measures the bench
+// package's parity-off-vs-on matrix (Q9/Q12/Q13, the spill-heavy workloads;
+// both modes checksum every page) and fails when parity costs more than the
+// threshold in wall time (geo-mean over the queries), or when the two modes
+// disagree on a result fingerprint. It needs no committed baseline: the parity-off run
 // measured in the same process is the baseline, so the comparison is
 // self-relative and immune to machine speed.
 //
@@ -97,7 +97,7 @@ func main() {
 	}
 	// The wall-time ceiling gates the geo-mean across queries, not each
 	// query alone: per-query best-of-N wall clock on a shared box still
-	// jitters more than the integrity tax itself, and averaging across the
+	// jitters more than the parity tax itself, and averaging across the
 	// three workloads cancels most of it while a real across-the-board
 	// regression still trips.
 	if len(ratios) > 0 {
@@ -114,7 +114,7 @@ func main() {
 		failed = true
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "paritycmp: spill integrity costs more than %.0f%% wall time or changed a result\n",
+		fmt.Fprintf(os.Stderr, "paritycmp: spill parity costs more than %.0f%% wall time or changed a result\n",
 			(*threshold-1)*100)
 		os.Exit(1)
 	}

@@ -12,7 +12,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "parity",
-		Paper: "Spill integrity tax: checksummed pages + XOR parity vs raw spilling (engine addition)",
+		Paper: "Spill parity tax: XOR parity stripes vs checksummed pages alone (engine addition)",
 		Run:   runParityReport,
 	})
 }
@@ -42,9 +42,9 @@ func resultChecksum(res *spilly.Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// ParityMeasurement is one (query, integrity-mode) cell of the spill
-// integrity report. Modes are "off" (raw spill pages, the pre-integrity
-// engine) and "parity" (checksummed frames + XOR parity stripes).
+// ParityMeasurement is one (query, parity-mode) cell of the spill parity
+// report. Both modes frame and verify every page; "off" writes no parity,
+// "parity" adds XOR parity stripes.
 type ParityMeasurement struct {
 	Query string `json:"query"`
 	Mode  string `json:"mode"` // "off" or "parity"
@@ -62,11 +62,11 @@ type ParityMeasurement struct {
 // Key returns the map key "Q9/parity" used by reports and the paritycmp gate.
 func (m ParityMeasurement) Key() string { return m.Query + "/" + m.Mode }
 
-// MeasureParity runs the integrity-off-vs-on matrix over the spill-heavy
-// workloads (Q9/Q12/Q13 — the queries whose phase 2 reads every
-// spilled byte back, so both the write-side checksum+XOR cost and the
-// read-side verification cost land on the critical path). Wall time is the
-// best of a few repetitions; counters come from the same best run.
+// MeasureParity runs the parity-off-vs-on matrix over the spill-heavy
+// workloads (Q9/Q12/Q13 — the queries whose phase 2 reads every spilled
+// byte back, so the write-side XOR and parity-block cost lands on the
+// critical path). Wall time is the best of a few repetitions; counters come
+// from the same best run.
 func MeasureParity(o Options) ([]ParityMeasurement, error) {
 	sf := 0.02
 	reps := 5
@@ -139,11 +139,11 @@ func runParityReport(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Spill integrity tax: the spill-heavy joins/aggs with raw spill pages")
-	fmt.Fprintln(w, "(off) vs checksummed page frames + rotating XOR parity stripes (parity).")
-	fmt.Fprintln(w, "Parity mode hashes every page on the write path, XORs each block into")
-	fmt.Fprintln(w, "its stripe's parity accumulator, writes one parity block per group, and")
-	fmt.Fprintln(w, "re-verifies every page on readback; checksums must match across modes.")
+	fmt.Fprintln(w, "Spill parity tax: the spill-heavy joins/aggs with checksummed page frames")
+	fmt.Fprintln(w, "alone (off) vs frames + rotating XOR parity stripes (parity). Both modes")
+	fmt.Fprintln(w, "hash every page on the write path and verify it on readback; parity mode")
+	fmt.Fprintln(w, "also XORs each block into its stripe's parity accumulator and writes one")
+	fmt.Fprintln(w, "parity block per group. Result checksums must match across modes.")
 	fmt.Fprintln(w)
 	t := newTable("Query", "Mode", "ms/op", "written", "parity", "verified", "checksum")
 	for _, m := range ms {
@@ -173,14 +173,14 @@ func runParityReport(w io.Writer, o Options) error {
 		if par.WrittenBytes > 0 {
 			storageTax = 100 * float64(par.ParityBytes) / float64(par.WrittenBytes)
 		}
-		fmt.Fprintf(w, "\nQ%d: integrity wall tax %.1f%%, storage tax %.1f%% of written bytes",
+		fmt.Fprintf(w, "\nQ%d: parity wall tax %.1f%%, storage tax %.1f%% of written bytes",
 			q, 100*(ratio-1), storageTax)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "\nShape check: end-to-end spill integrity (verify every page, survive any\n")
-	fmt.Fprintf(w, "single lost or corrupted block per stripe) costs a geo-mean %.1f%% of wall\n",
+	fmt.Fprintf(w, "\nShape check: parity (survive any single lost or corrupted block per\n")
+	fmt.Fprintf(w, "stripe) costs a geo-mean %.1f%% of wall time and ~1/K of spill\n",
 		100*(geoMean(wallRatios)-1))
-	fmt.Fprintln(w, "time and ~1/K of spill bandwidth — cheap enough to leave on whenever")
+	fmt.Fprintln(w, "bandwidth — cheap enough to leave on whenever")
 	fmt.Fprintln(w, "spilled state outlives the failure domain of a single device.")
 	return nil
 }

@@ -14,12 +14,13 @@
 //     (Shrink) reclaims reservation the moment an admission falls short,
 //     so cached results can never starve live queries.
 //   - Entries evicted from the hot tier are demoted, not dropped: rows
-//     are serialized through the engine's RowCodec tuple format,
-//     compressed with a self-regulating codec (the same unified scale the
-//     spill path uses, fed with measured write latencies), wrapped in
-//     checksummed spill page frames, and written to the spill array under
-//     a per-entry lease. A later hit restores them through the zero-copy
-//     arena decode path — typically still far cheaper than recomputing.
+//     are encoded in the engine's RowCodec tuple format and written as one
+//     run on the operators' spill path (core.Buffer.SpillRun), under a
+//     per-entry lease — pages, self-regulating compression, checksummed
+//     frames, parity, retries and failover, through the shared I/O
+//     scheduler. A later hit reads the run back through a readback cursor
+//     (core.PartitionCursor) and the arena decode path — typically still
+//     far cheaper than recomputing.
 //
 // Admission is cost-based: a result is cached only when its measured
 // compute time exceeds the estimated cost of restoring it from NVMe, so
@@ -29,18 +30,15 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
-	"github.com/spilly-db/spilly/internal/uring"
 )
 
 // Key identifies one cacheable result: the canonical plan fingerprint
@@ -77,39 +75,29 @@ func (t Tier) String() string {
 type Config struct {
 	// Capacity bounds the hot tier in bytes (estimated batch footprint).
 	Capacity int64
-	// DiskFactor bounds the demoted tier at DiskFactor × Capacity raw
-	// (pre-compression) bytes. 0 defaults to 4.
-	DiskFactor int64
-	// Array is the spill array demoted entries are written to. nil makes
-	// the cache memory-only: hot-tier evictions drop.
-	Array *nvmesim.Array
 	// Gov, when non-nil, is the admission governor hot-tier memory is
 	// rented from. The cache registers itself as the governor's pressure
 	// callback.
 	Gov *pages.Governor
-	// RestoreOverhead is the fixed per-restore latency estimate added on
-	// top of size/bandwidth in the cost-based admission test. 0 defaults
-	// to 500µs.
-	RestoreOverhead time.Duration
-	// IO, when non-nil, routes demotion writes through the engine's shared
-	// I/O scheduler as background-class requests, so cache maintenance
-	// yields to running queries' demand reads and spill writes. Restores
-	// stay synchronous: a restore is on some query's critical path already
-	// and its cost model assumes device bandwidth, not queueing.
-	IO uring.Dispatcher
+	// Spill is the engine's spill template demoted entries are written
+	// through: the array, its shared I/O scheduler (Sched; demotion writes
+	// are spill-write class, restores demand reads, both under fairness key
+	// Query), the parity stripe width and compression. Each demotion adds a
+	// lease of its own. nil makes the cache memory-only: hot-tier evictions
+	// drop.
+	Spill *core.SpillConfig
 }
 
-// chunk is one framed, compressed piece of a demoted entry on the array.
-type chunk struct {
-	dev      int
-	off      int64
-	frameLen int // framed length on device (FrameSize + compressed payload)
-	rawLen   int // uncompressed payload length
-	seq      uint32
-	codec    codec.ID
-}
+const (
+	// diskFactor bounds the demoted tier at diskFactor × Capacity raw
+	// (pre-compression) bytes.
+	diskFactor = 4
+	// restoreOverhead is the fixed per-restore latency estimate added on
+	// top of size/bandwidth in the cost-based admission test.
+	restoreOverhead = 500 * time.Microsecond
+)
 
-// entry is one cached result. Exactly one of batch (hot) and chunks
+// entry is one cached result. Exactly one of batch (hot) and lease
 // (demoted) is set.
 type entry struct {
 	key    Key
@@ -120,10 +108,14 @@ type entry struct {
 
 	batch *data.Batch // hot tier
 
-	// Demoted representation.
-	lease  *nvmesim.Lease
-	chunks []chunk
-	rows   int
+	// Demoted representation: one run on the spill array under the entry's
+	// own lease, the parity stripes that can rebuild its blocks, and the
+	// page size it was written with.
+	lease    *nvmesim.Lease
+	run      core.PartitionWork
+	stripes  []*core.StripeGroup
+	pageSize int
+	rows     int
 }
 
 // score is the eviction benefit density: time saved per byte retained,
@@ -132,19 +124,17 @@ func (e *entry) score() float64 {
 	return float64(e.cost) * float64(e.hits+1) / float64(e.size+1)
 }
 
-// Cache is the result-reuse cache. A single mutex guards the maps, the
-// accounting, and the (deliberately shared, not-thread-safe) compression
-// regulator; hit/miss counters are atomics so Stats stays cheap.
+// Cache is the result-reuse cache. A single mutex guards the maps and the
+// accounting; hit/miss counters are atomics so Stats stays cheap.
 //
-// Known tradeoff: demotion and restore perform their chunk IO while
-// holding c.mu, so a slow restore briefly serializes concurrent
-// Get/Put/Shrink calls behind it. Results are single batches whose
-// chunked IO is short on the simulated array (hundreds of microseconds),
-// and accepting the stall keeps the tier transition atomic — no
-// entry-level state machine for "demoting"/"restoring" states. If results
-// ever grow large enough for this to show up in admission-pressure
-// latency, stage the frames under the lock, do the IO unlocked, and
-// reacquire to commit.
+// Known tradeoff: demotion and restore perform their I/O while holding
+// c.mu, so a slow restore briefly serializes concurrent Get/Put/Shrink
+// calls behind it. Results are single batches whose I/O is short on the
+// simulated array (hundreds of microseconds), and accepting the stall
+// keeps the tier transition atomic — no entry-level state machine for
+// "demoting"/"restoring" states. If results ever grow large enough for
+// this to show up in admission-pressure latency, write the run unlocked
+// and reacquire to commit.
 type Cache struct {
 	cfg Config
 
@@ -153,9 +143,6 @@ type Cache struct {
 	hotBytes int64 // sum of hot entries' size
 	reserved int64 // governor reservation currently held (== hotBytes when governed)
 	rawDisk  int64 // sum of demoted entries' raw (uncompressed) size
-	reg      *core.Regulator
-	seq      uint32
-	nextDev  int
 
 	hits         atomic.Int64
 	hitsMemory   atomic.Int64
@@ -174,20 +161,7 @@ type Cache struct {
 // New returns a result cache. When cfg.Gov is non-nil the cache installs
 // itself as the governor's pressure callback.
 func New(cfg Config) *Cache {
-	if cfg.DiskFactor <= 0 {
-		cfg.DiskFactor = 4
-	}
-	if cfg.RestoreOverhead <= 0 {
-		cfg.RestoreOverhead = 500 * time.Microsecond
-	}
-	c := &Cache{
-		cfg:     cfg,
-		entries: make(map[Key]*entry),
-		reg:     core.NewRegulator(8),
-		// Start the frame sequence space high so cache frames are
-		// trivially distinguishable from query spill frames in dumps.
-		seq: 1 << 30,
-	}
+	c := &Cache{cfg: cfg, entries: make(map[Key]*entry)}
 	if cfg.Gov != nil {
 		cfg.Gov.SetPressure(func(need int64) { c.Shrink(need) })
 	}
@@ -275,9 +249,9 @@ func (c *Cache) Put(key Key, b *data.Batch, cost time.Duration) bool {
 // restoreEstimate is the cost-based admission bar: how long restoring
 // size bytes from the array is expected to take.
 func (c *Cache) restoreEstimate(size int64) time.Duration {
-	est := c.cfg.RestoreOverhead
-	if c.cfg.Array != nil {
-		if bw := c.cfg.Array.MaxReadBandwidth(); bw > 0 {
+	est := restoreOverhead
+	if c.cfg.Spill != nil {
+		if bw := c.cfg.Spill.Array.MaxReadBandwidth(); bw > 0 {
 			est += time.Duration(float64(size) / bw * float64(time.Second))
 		}
 	}
@@ -354,171 +328,93 @@ func (c *Cache) evictHotLocked(e *entry) {
 	c.returnLocked(size)
 }
 
-// demoteLocked serializes e's batch into uvarint-length-prefixed RowCodec
-// tuples, compresses each chunk with the self-regulating codec, frames it
-// with a checksum, and writes it to the spill array under a fresh
-// per-entry lease. On success the in-memory batch is released.
+// demoteLocked writes e's rows to the spill array as one run under a fresh
+// per-entry lease: RowCodec tuples through a core.Buffer over the cache's
+// spill template. Pages are 64 KiB, smaller when the whole result fits in
+// less — a small result is one small block, not a padded 64 KiB one to
+// write and read back — and larger when one row needs more. On success the
+// in-memory batch is released.
 func (c *Cache) demoteLocked(e *entry) error {
-	if c.cfg.Array == nil {
+	if c.cfg.Spill == nil {
 		return fmt.Errorf("cache: no spill array configured")
 	}
-	if c.rawDisk+e.size > c.cfg.DiskFactor*c.cfg.Capacity {
+	for c.rawDisk+e.size > diskFactor*c.cfg.Capacity {
 		// Demoted tier full: drop its weakest entries first; if e itself
 		// is the weakest, refuse and let the caller drop it.
-		for c.rawDisk+e.size > c.cfg.DiskFactor*c.cfg.Capacity {
-			victim := c.lowestScoreLocked(false)
-			if victim == nil || victim.score() >= e.score() {
-				return fmt.Errorf("cache: demoted tier full")
-			}
-			c.dropLocked(victim)
+		victim := c.lowestScoreLocked(false)
+		if victim == nil || victim.score() >= e.score() {
+			return fmt.Errorf("cache: demoted tier full")
 		}
+		c.dropLocked(victim)
 	}
 	b := e.batch
 	rc := data.NewRowCodec(b.Schema.Types())
-	lease := c.cfg.Array.NewLease()
-	// Demotion writes go through a background-class ring when the engine
-	// has a shared I/O scheduler: cache maintenance fills idle device
-	// headroom but never crowds out query traffic. The ring drains before
-	// demoteLocked returns (under c.mu, like the rest of the tier
-	// transition), so a restore can never race an unfinished write.
-	var ring *uring.Ring
-	if c.cfg.IO != nil {
-		ring = uring.New(c.cfg.Array)
-		ring.SetLease(lease)
-		ring.Bind(c.cfg.IO, uring.ClassBackground, 0)
-	}
-	var chunks []chunk
-	const chunkMax = 256 << 10
-	var buf []byte
-	var lenb [binary.MaxVarintLen64]byte
-	// flush compresses, frames, and writes the buffered tuples as one
-	// chunk. restoreLocked decodes each chunk's tuple stream independently,
-	// so chunks may only ever split on tuple boundaries.
-	flush := func() error {
-		raw := buf
-		comp, id := c.reg.CompressPage(raw)
-		c.seq++
-		seq := c.seq
-		frame := pages.AppendFrame(nil, -1, seq, comp)
-		dev := c.nextDev % c.cfg.Array.Devices()
-		c.nextDev++
-		var at int64
-		if ring != nil {
-			loc, err := ring.QueueWriteDev(dev, frame, uint64(seq))
-			if err != nil {
-				return err
-			}
-			at = loc.Offset()
-		} else {
-			var err error
-			at, err = c.cfg.Array.AllocSpillLease(dev, len(frame), lease)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			if _, err := c.cfg.Array.Write(dev, at, frame); err != nil {
-				return err
-			}
-			// Feed the measured write back to the regulator so the codec
-			// choice genuinely adapts to the array's current speed.
-			c.reg.ObserveIO(uring.Completion{N: len(frame), Latency: time.Since(start)}, 1)
-		}
-		chunks = append(chunks, chunk{
-			dev: dev, off: at, frameLen: len(frame), rawLen: len(raw),
-			seq: seq, codec: id,
-		})
-		return nil
-	}
-	// abort quiesces the demotion ring (if any) and frees the lease after
-	// a failed demotion, leaving the entry hot for the caller to drop.
-	abort := func() {
-		if ring != nil {
-			ring.CancelDeferred()
-			ring.WaitAll(nil)
-		}
-		lease.Free()
-	}
-	// Serialize all live rows — uvarint length prefix, then the tuple —
-	// flushing a chunk whenever the next whole tuple would overflow it.
+	need, pageSize := 0, 0
 	for i := 0; i < b.Rows(); i++ {
-		r := b.Row(i)
-		sz := rc.Size(b, r)
-		n := binary.PutUvarint(lenb[:], uint64(sz))
-		if len(buf) > 0 && len(buf)+n+sz > chunkMax {
-			if err := flush(); err != nil {
-				abort()
-				return err
-			}
-			buf = buf[:0]
-		}
-		buf = append(buf, lenb[:n]...)
-		off := len(buf)
-		buf = append(buf, make([]byte, sz)...)
-		rc.Encode(buf[off:off+sz], b, r)
+		n := pages.SizeFor(rc.Size(b, b.Row(i)))
+		need += n
+		pageSize = max(pageSize, n)
 	}
-	// Final flush; an empty batch still writes one empty chunk so the
-	// entry round-trips through the same read path.
-	if err := flush(); err != nil {
-		abort()
+	pageSize = max(pageSize, min(need, pages.DefaultPageSize))
+	sc := *c.cfg.Spill
+	sc.Lease = sc.Array.NewLease()
+	shared := core.NewShared(core.Config{PageSize: pageSize, Spill: &sc})
+	buf := shared.NewBuffer()
+	var tuple []byte
+	// The first write error, SpillRun's or Finish's, comes back from
+	// Finalize. Finish drains the writes before the tier change commits
+	// (under c.mu), so a restore can never race an unfinished write.
+	_ = buf.SpillRun(b.Rows(), func(i int) []byte {
+		r := b.Row(i)
+		if n := rc.Size(b, r); cap(tuple) < n {
+			tuple = make([]byte, n)
+		} else {
+			tuple = tuple[:n]
+		}
+		rc.Encode(tuple, b, r)
+		return tuple
+	})
+	_ = buf.Finish()
+	res, err := shared.Finalize()
+	if err != nil {
+		sc.Lease.Free()
 		return err
 	}
-	if ring != nil {
-		// Drain the background writes before committing the tier change.
-		// Completion latency includes the scheduler's queueing delay, which
-		// is exactly what the regulator should adapt to.
-		for _, comp := range ring.WaitAll(nil) {
-			if comp.Err != nil {
-				abort()
-				return comp.Err
-			}
-			c.reg.ObserveIO(comp, 1)
-		}
-		if ring.Outstanding() > 0 {
-			abort()
-			return fmt.Errorf("cache: demotion writes did not drain")
-		}
-	}
-	e.lease, e.chunks, e.rows = lease, chunks, b.Rows()
+	e.lease, e.run, e.stripes, e.pageSize, e.rows = sc.Lease, res.Runs[0], res.Stripes, shared.Config().PageSize, b.Rows()
 	e.batch = nil
 	c.rawDisk += e.size
 	c.demotions.Add(1)
 	return nil
 }
 
-// restoreLocked reads a demoted entry back: read each chunk, verify its
-// frame, decompress, and decode the tuples through the arena-interning
-// RowCodec path (string bytes are interned once; no per-field copies).
+// restoreLocked reads a demoted entry back through a readback cursor over
+// its run — frame verification, parity reconstruction, retries and the
+// shared I/O scheduler included — and decodes the tuples in spill order
+// through the arena-interning RowCodec path (string bytes are interned
+// once; no per-field copies).
 func (c *Cache) restoreLocked(e *entry) (*data.Batch, error) {
+	sp := c.cfg.Spill
+	sched := core.NewPartitionScheduler(nil, sp.Array, e.pageSize, []core.PartitionWork{e.run}, 0, nil)
+	defer sched.Close()
+	sched.BindIO(sp.Sched, sp.Query)
+	sched.SetIntegrity(e.stripes)
+	cur := sched.Open(0)
+	defer cur.Release()
 	rc := data.NewRowCodec(e.schema.Types())
 	out := data.NewBatch(e.schema, e.rows)
 	var arena data.ByteArena
-	buf := make([]byte, 0, 256<<10+pages.FrameSize)
-	for _, ch := range e.chunks {
-		if cap(buf) < ch.frameLen {
-			buf = make([]byte, ch.frameLen)
-		}
-		buf = buf[:ch.frameLen]
-		if _, _, err := c.cfg.Array.Read(ch.dev, ch.off, buf); err != nil {
-			return nil, err
-		}
-		payload, err := pages.VerifyFrame(buf, -1, ch.seq)
+	for {
+		p, err := cur.Next()
 		if err != nil {
 			return nil, err
 		}
-		raw := payload
-		if ch.codec != codec.None {
-			raw, err = codec.ByID(ch.codec).Decompress(make([]byte, 0, ch.rawLen), payload)
-			if err != nil {
-				return nil, err
-			}
+		if p == nil {
+			break
 		}
-		for len(raw) > 0 {
-			sz, n := binary.Uvarint(raw)
-			if n <= 0 || int(sz) > len(raw)-n {
-				return nil, fmt.Errorf("cache: corrupt tuple length in restored chunk")
-			}
-			rc.AppendToArena(out, raw[n:n+int(sz)], &arena)
-			raw = raw[n+int(sz):]
+		// Every tuple is copied out, so the pages passed are dead.
+		cur.ReleaseEarlier()
+		for i := 0; i < p.Tuples(); i++ {
+			rc.AppendToArena(out, p.Tuple(i), &arena)
 		}
 	}
 	if out.Len() != e.rows {
@@ -536,7 +432,7 @@ func (c *Cache) promoteLocked(e *entry, b *data.Batch) {
 	}
 	e.batch = b
 	e.lease.Free()
-	e.lease, e.chunks = nil, nil
+	e.lease, e.run, e.stripes = nil, core.PartitionWork{}, nil
 	c.rawDisk -= e.size
 	c.hotBytes += e.size
 }

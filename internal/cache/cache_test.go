@@ -2,20 +2,36 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
 )
 
-func testArray() *nvmesim.Array {
-	return nvmesim.New(2, nvmesim.DeviceSpec{
+func testArrayOf(devs int) *nvmesim.Array {
+	return nvmesim.New(devs, nvmesim.DeviceSpec{
 		ReadBandwidth:  4e9,
 		WriteBandwidth: 2e9,
 		Latency:        20 * time.Microsecond,
 	}, nvmesim.RealClock{})
+}
+
+func testArray() *nvmesim.Array { return testArrayOf(2) }
+
+// spillTo is a spill template over arr: no scheduler, parity or compression.
+func spillTo(arr *nvmesim.Array) *core.SpillConfig { return &core.SpillConfig{Array: arr} }
+
+// drain clears the cache and checks that every demotion lease went with it.
+func drain(t *testing.T, c *Cache, arr *nvmesim.Array) {
+	t.Helper()
+	c.Clear()
+	if n := arr.Leases(); n != 0 {
+		t.Fatalf("%d leases live after Clear", n)
+	}
 }
 
 func testBatch(rows int, tag string) *data.Batch {
@@ -50,7 +66,8 @@ func batchesEqual(t *testing.T, a, b *data.Batch) {
 }
 
 func TestCacheMemoryHit(t *testing.T) {
-	c := New(Config{Capacity: 1 << 20, Array: testArray()})
+	arr := testArray()
+	c := New(Config{Capacity: 1 << 20, Spill: spillTo(arr)})
 	in := testBatch(100, "a")
 	key := Key{Plan: 1, Gen: 1}
 	if !c.Put(key, in, time.Second) {
@@ -75,11 +92,12 @@ func TestCacheMemoryHit(t *testing.T) {
 	if s.Hits != 2 || s.HitsMemory != 2 || s.Misses != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
+	drain(t, c, arr)
 }
 
 func TestCacheDemoteRestore(t *testing.T) {
 	arr := testArray()
-	c := New(Config{Capacity: 1 << 20, Array: arr})
+	c := New(Config{Capacity: 1 << 20, Spill: spillTo(arr)})
 	in := testBatch(1000, "demote")
 	key := Key{Plan: 7, Gen: 1}
 	if !c.Put(key, in, time.Second) {
@@ -109,14 +127,12 @@ func TestCacheDemoteRestore(t *testing.T) {
 	if _, tier, _ := c.Get(key); tier != TierMemory {
 		t.Fatal("promoted entry did not serve from memory")
 	}
-	c.Clear()
-	if n := arr.Leases(); n != 0 {
-		t.Fatalf("%d leases live after Clear", n)
-	}
+	drain(t, c, arr)
 }
 
 func TestCacheCostAdmission(t *testing.T) {
-	c := New(Config{Capacity: 1 << 20, Array: testArray()})
+	arr := testArray()
+	c := New(Config{Capacity: 1 << 20, Spill: spillTo(arr)})
 	// A result whose compute time is below the restore estimate must be
 	// refused — caching it cannot win.
 	if c.Put(Key{Plan: 1, Gen: 1}, testBatch(10, "cheap"), time.Nanosecond) {
@@ -125,6 +141,7 @@ func TestCacheCostAdmission(t *testing.T) {
 	if s := c.Stats(); s.Rejects != 1 || s.Puts != 0 {
 		t.Fatalf("stats: %+v", s)
 	}
+	drain(t, c, arr)
 }
 
 func TestCacheEvictionDemotes(t *testing.T) {
@@ -132,7 +149,7 @@ func TestCacheEvictionDemotes(t *testing.T) {
 	// Capacity fits roughly two of the three entries.
 	b := testBatch(1000, "x")
 	size := batchFootprint(b)
-	c := New(Config{Capacity: size*2 + size/2, Array: arr})
+	c := New(Config{Capacity: size*2 + size/2, Spill: spillTo(arr)})
 	for i := 0; i < 3; i++ {
 		if !c.Put(Key{Plan: uint64(i), Gen: 1}, testBatch(1000, "x"), time.Duration(i+1)*time.Second) {
 			t.Fatalf("put %d refused", i)
@@ -146,12 +163,13 @@ func TestCacheEvictionDemotes(t *testing.T) {
 	if _, tier, err := c.Get(Key{Plan: 0, Gen: 1}); err != nil || tier != TierNVMe {
 		t.Fatalf("lowest-score entry: tier=%v err=%v, want nvme", tier, err)
 	}
+	drain(t, c, arr)
 }
 
 func TestCacheGovernorIntegration(t *testing.T) {
 	gov := pages.NewGovernor(1<<20, 1<<16)
 	arr := testArray()
-	c := New(Config{Capacity: 1 << 19, Array: arr, Gov: gov})
+	c := New(Config{Capacity: 1 << 19, Spill: spillTo(arr), Gov: gov})
 	in := testBatch(2000, "gov")
 	size := batchFootprint(in)
 	if !c.Put(Key{Plan: 1, Gen: 1}, in, time.Second) {
@@ -216,34 +234,38 @@ func TestCacheMemoryOnlyEvictionUnderGovernor(t *testing.T) {
 // accounting (same regression as above, on the array-configured path).
 func TestCacheEvictionWithFullDemotedTier(t *testing.T) {
 	gov := pages.NewGovernor(1<<20, 1<<16)
+	arr := testArray()
 	probe := testBatch(1000, "full")
 	size := batchFootprint(probe)
-	c := New(Config{Capacity: size + size/2, DiskFactor: 1, Array: testArray(), Gov: gov})
-	keep := Key{Plan: 1, Gen: 1}
-	// A high-cost entry fills the demoted tier (disk cap is 1.5×size).
-	if !c.Put(keep, testBatch(1000, "full"), 10*time.Second) {
-		t.Fatal("put refused")
+	c := New(Config{Capacity: size + size/2, Spill: spillTo(arr), Gov: gov})
+	// High-cost entries fill the demoted tier: its cap is diskFactor × 1.5 ×
+	// size, so exactly full entries fit.
+	full := int(diskFactor * (size + size/2) / size)
+	for i := 1; i <= full; i++ {
+		if !c.Put(Key{Plan: uint64(i), Gen: 1}, testBatch(1000, "full"), 10*time.Second) {
+			t.Fatalf("put %d refused", i)
+		}
 	}
 	if n := c.DemoteAll(); n != 1 {
-		t.Fatalf("demoted %d entries, want 1", n)
+		t.Fatalf("demoted %d entries, want the last one", n)
 	}
-	// A lower-cost hot entry cannot displace it: eviction must drop it.
-	if !c.Put(Key{Plan: 2, Gen: 1}, testBatch(1000, "full"), time.Second) {
+	// A lower-cost hot entry cannot displace them: eviction must drop it.
+	if !c.Put(Key{Plan: 100, Gen: 1}, testBatch(1000, "full"), time.Second) {
 		t.Fatal("put refused")
 	}
 	c.DemoteAll()
 	s := c.Stats()
-	if s.HotEntries != 0 || s.HotBytes != 0 || s.DiskEntries != 1 || s.Drops != 1 {
+	if s.HotEntries != 0 || s.HotBytes != 0 || s.DiskEntries != full || s.Drops != 1 {
 		t.Fatalf("after refused demotion: %+v", s)
 	}
 	if got := gov.CacheReserved(); got != 0 {
 		t.Fatalf("CacheReserved = %d, want 0", got)
 	}
-	// The surviving demoted entry still restores.
-	if _, tier, err := c.Get(keep); err != nil || tier != TierNVMe {
+	// The surviving demoted entries still restore.
+	if _, tier, err := c.Get(Key{Plan: 1, Gen: 1}); err != nil || tier != TierNVMe {
 		t.Fatalf("tier=%v err=%v, want nvme", tier, err)
 	}
-	c.Clear()
+	drain(t, c, arr)
 	if got := gov.CacheReserved(); got != 0 {
 		t.Fatalf("CacheReserved = %d after Clear, want 0", got)
 	}
@@ -251,7 +273,7 @@ func TestCacheEvictionWithFullDemotedTier(t *testing.T) {
 
 func TestCacheInvalidation(t *testing.T) {
 	arr := testArray()
-	c := New(Config{Capacity: 1 << 20, Array: arr})
+	c := New(Config{Capacity: 1 << 20, Spill: spillTo(arr)})
 	c.Put(Key{Plan: 1, Gen: 1}, testBatch(100, "old"), time.Second)
 	c.Put(Key{Plan: 2, Gen: 1}, testBatch(100, "old2"), time.Second)
 	c.DemoteAll()
@@ -276,7 +298,7 @@ func TestCacheInvalidation(t *testing.T) {
 
 func TestCacheDeviceLossDropsEntry(t *testing.T) {
 	arr := testArray()
-	c := New(Config{Capacity: 1 << 20, Array: arr})
+	c := New(Config{Capacity: 1 << 20, Spill: spillTo(arr)})
 	key := Key{Plan: 1, Gen: 1}
 	c.Put(key, testBatch(500, "dead"), time.Second)
 	c.DemoteAll()
@@ -289,13 +311,13 @@ func TestCacheDeviceLossDropsEntry(t *testing.T) {
 	if s := c.Stats(); s.DiskEntries != 0 {
 		t.Fatalf("unreadable entry retained: %+v", s)
 	}
+	drain(t, c, arr)
 }
 
-// TestCacheDemoteRestoreMultiChunk demotes a result whose serialized tuple
-// stream exceeds one 256KB chunk. Chunks must split on tuple boundaries —
-// each chunk's stream is decoded independently on restore, so a tuple
-// straddling a byte-offset split comes back as garbage (regression: large
-// aggregate results restored as "corrupt tuple length").
+// TestCacheDemoteRestoreMultiChunk demotes a result whose encoded tuples
+// span many pages and several staging blocks. The rows must come back whole
+// and in their original order (regression: large aggregate results restored
+// as "corrupt tuple length" when a tuple straddled a chunk boundary).
 func TestCacheDemoteRestoreMultiChunk(t *testing.T) {
 	sch := &data.Schema{Cols: []data.ColumnDef{
 		{Name: "k", Type: data.Int64},
@@ -309,7 +331,8 @@ func TestCacheDemoteRestoreMultiChunk(t *testing.T) {
 	}
 	b.SetLen(rows)
 
-	c := New(Config{Capacity: 4 << 20, Array: testArray()})
+	arr := testArray()
+	c := New(Config{Capacity: 4 << 20, Spill: spillTo(arr)})
 	key := Key{Plan: 7, Gen: 1}
 	if !c.Put(key, b, time.Second) {
 		t.Fatal("put refused")
@@ -333,4 +356,74 @@ func TestCacheDemoteRestoreMultiChunk(t *testing.T) {
 			t.Fatalf("row %d corrupt: %d %v", i, got.Cols[0].I[r], got.Cols[1].F[r])
 		}
 	}
+	drain(t, c, arr)
+}
+
+// demoted puts b under key and demotes it.
+func demoted(t *testing.T, c *Cache, key Key, b *data.Batch) {
+	t.Helper()
+	if !c.Put(key, b, time.Second) {
+		t.Fatal("put refused")
+	}
+	if n := c.DemoteAll(); n != 1 {
+		t.Fatalf("demoted %d entries, want 1", n)
+	}
+}
+
+// TestCacheRestoreRetriesTransientReadError: a restore read that fails
+// transiently is retried, and the hit is served from NVMe.
+func TestCacheRestoreRetriesTransientReadError(t *testing.T) {
+	arr := testArray()
+	c := New(Config{Capacity: 1 << 20, Spill: spillTo(arr)})
+	key := Key{Plan: 1, Gen: 1}
+	in := testBatch(500, "retry")
+	demoted(t, c, key, in)
+	// The next request on every device fails once: the entry's one block
+	// read is among them.
+	for dev := 0; dev < arr.Devices(); dev++ {
+		arr.SetFaultPlan(dev, nvmesim.FaultPlan{Script: map[int64]nvmesim.FaultKind{1: nvmesim.FaultTransient}})
+	}
+	got, tier, err := c.Get(key)
+	if err != nil || tier != TierNVMe {
+		t.Fatalf("tier=%v err=%v, want a retried nvme hit", tier, err)
+	}
+	batchesEqual(t, in, got)
+	if n := arr.FaultStats(0).ReadErrors + arr.FaultStats(1).ReadErrors; n != 1 {
+		t.Fatalf("%d read errors injected, want 1", n)
+	}
+	drain(t, c, arr)
+}
+
+// TestCacheRestoreRebuildsFromParity: with parity on, an entry whose blocks
+// lost a device after demotion is rebuilt from its stripes, bit-identical.
+func TestCacheRestoreRebuildsFromParity(t *testing.T) {
+	arr := testArrayOf(4)
+	c := New(Config{Capacity: 8 << 20, Spill: &core.SpillConfig{Array: arr, Parity: 2}})
+	key := Key{Plan: 1, Gen: 1}
+	in := testBatch(20000, "parity") // several blocks: every device holds some
+	demoted(t, c, key, in)
+	arr.KillDevice(0)
+	got, tier, err := c.Get(key)
+	if err != nil || tier != TierNVMe {
+		t.Fatalf("tier=%v err=%v, want an nvme hit rebuilt from parity", tier, err)
+	}
+	batchesEqual(t, in, got)
+	drain(t, c, arr)
+}
+
+// TestCacheDemoteRestoreOversizedRow: a row larger than a default page
+// demotes on a page big enough for it.
+func TestCacheDemoteRestoreOversizedRow(t *testing.T) {
+	arr := testArray()
+	c := New(Config{Capacity: 1 << 20, Spill: spillTo(arr)})
+	key := Key{Plan: 1, Gen: 1}
+	in := testBatch(3, "big")
+	in.Cols[2].S[1] = strings.Repeat("x", 100<<10)
+	demoted(t, c, key, in)
+	got, tier, err := c.Get(key)
+	if err != nil || tier != TierNVMe {
+		t.Fatalf("tier=%v err=%v, want nvme", tier, err)
+	}
+	batchesEqual(t, in, got)
+	drain(t, c, arr)
 }

@@ -74,29 +74,79 @@ func baseline(t *testing.T, in input) string {
 	return chaos.Fingerprint(res.Batch)
 }
 
+// q1Baseline is the fault-free fingerprint of Q1, which runs in memory.
+func q1Baseline(t *testing.T) string {
+	t.Helper()
+	res, err := newEngine(t, spilly.Config{}).RunTPCH(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chaos.Fingerprint(res.Batch)
+}
+
+// demotedQ1 caches Q1's result on eng, demotes it to the spill array and
+// runs Q1 again, which the cache answers by restoring the demoted result.
+func demotedQ1(t *testing.T, eng *spilly.Engine) *spilly.Result {
+	t.Helper()
+	if _, err := eng.RunTPCH(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.DemoteResultCache(); n != 1 {
+		t.Fatalf("demoted %d cached results, want Q1's", n)
+	}
+	res, err := eng.RunTPCH(1)
+	if err != nil {
+		t.Fatalf("Q1 with its cached result demoted: %v", err)
+	}
+	if res.Stats.ResultCacheTier != "nvme" {
+		t.Fatalf("Q1 served from tier %q, want its demoted result (nvme)", res.Stats.ResultCacheTier)
+	}
+	return res
+}
+
+// transientFaults is the transient-fault schedule: probabilistic faults well
+// above the 1% floor, plus a scripted transient on one device's first two
+// requests. A query issues only a few dozen spill I/Os at this scale, so the
+// script guarantees the retry path actually runs regardless of how the dice
+// land.
+var transientFaults = chaos.Schedule{
+	Seed:         42,
+	ReadErrRate:  0.05,
+	WriteErrRate: 0.05,
+	SpikeRate:    0.02,
+	SpikeLatency: 200 * time.Microsecond,
+	Script: map[int64]nvmesim.FaultKind{
+		1: nvmesim.FaultTransient,
+		2: nvmesim.FaultTransient,
+	},
+	ScriptDevice: 3,
+}
+
 func TestTPCHBitIdenticalUnderTransientFaults(t *testing.T) {
+	t.Run("demoted result", func(t *testing.T) {
+		want := q1Baseline(t)
+		eng := newEngine(t, spilly.Config{ResultCacheBytes: 1 << 20})
+		// Q1's result is one block: request 1 on device 0 writes it, and
+		// the script fails requests 2 and 3 there, its read and first retry.
+		faults := transientFaults
+		faults.Script = map[int64]nvmesim.FaultKind{2: nvmesim.FaultTransient, 3: nvmesim.FaultTransient}
+		faults.ScriptDevice = 0
+		faults.Apply(eng.SpillArray())
+
+		res := demotedQ1(t, eng)
+		if got := chaos.Fingerprint(res.Batch); got != want {
+			t.Fatalf("restored result under faults differs from fault-free run:\n%s\nvs\n%s", got, want)
+		}
+		if n := eng.SpillArray().FaultStats(0).ReadErrors; n < 2 {
+			t.Fatalf("%d read errors on device 0; the restore's reads were not retried", n)
+		}
+	})
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			want := baseline(t, in)
 
 			eng := newEngine(t, spilly.Config{})
-			// Probabilistic faults well above the 1% floor, plus a scripted
-			// transient on one device's first two requests: the query issues
-			// only a few dozen spill I/Os at this scale, so the script
-			// guarantees the retry path actually runs regardless of how the
-			// dice land.
-			chaos.Schedule{
-				Seed:         42,
-				ReadErrRate:  0.05,
-				WriteErrRate: 0.05,
-				SpikeRate:    0.02,
-				SpikeLatency: 200 * time.Microsecond,
-				Script: map[int64]nvmesim.FaultKind{
-					1: nvmesim.FaultTransient,
-					2: nvmesim.FaultTransient,
-				},
-				ScriptDevice: 3,
-			}.Apply(eng.SpillArray())
+			transientFaults.Apply(eng.SpillArray())
 
 			res, err := in.run(context.Background(), eng)
 			if err != nil {
@@ -361,6 +411,21 @@ func TestTornWritesAndStaleReadsHeal(t *testing.T) {
 }
 
 func TestDeviceDeathAfterSpillHealsFromParity(t *testing.T) {
+	t.Run("demoted result", func(t *testing.T) {
+		want := q1Baseline(t)
+		// Q1's result is one block on device 0, its parity on device 1:
+		// device 0 dies on the restore's read, and parity rebuilds the block.
+		eng := parityEngine(t, spilly.Config{ResultCacheBytes: 1 << 20})
+		chaos.Schedule{Seed: 23, KillDevice: 0, KillOnRead: true}.Apply(eng.SpillArray())
+
+		res := demotedQ1(t, eng)
+		if got := chaos.Fingerprint(res.Batch); got != want {
+			t.Fatalf("restored result after device death differs from fault-free run:\n%s\nvs\n%s", got, want)
+		}
+		if !eng.SpillArray().FaultStats(0).Dead {
+			t.Fatal("device 0 survived; the restore never read the block it held")
+		}
+	})
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			want := baseline(t, in)

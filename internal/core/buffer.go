@@ -77,11 +77,11 @@ type SpillConfig struct {
 	RunN int
 	// MaxAhead bounds in-flight write requests per thread (default 32).
 	MaxAhead int
-	// Parity enables spill integrity: every spilled page is wrapped in a
-	// checksummed frame, and every Parity staging-block writes form an XOR
-	// parity stripe group so a lost or corrupt block is reconstructed on
-	// read. 0 disables integrity. Groups span distinct devices when
-	// Parity+1 <= live devices.
+	// Parity is the XOR parity stripe width: every Parity staging-block
+	// writes form a stripe group whose parity block rebuilds a lost or
+	// corrupt block on read. 0 writes no parity. Groups span distinct
+	// devices when Parity+1 <= live devices. Every spilled page carries a
+	// checksummed frame either way, so corruption is always detected.
 	Parity int
 	// Sched, when non-nil, is the engine's shared I/O scheduler for the
 	// spill array: every ring this query creates binds to it, so spill
@@ -158,10 +158,6 @@ type Shared struct {
 	partShift   uint // shift value once partitioning is active
 	partitionOn atomic.Bool
 	mask        SpillMask
-	// frameSeq issues engine-unique integrity sequence numbers across all
-	// threads' writers, so a misdirected read can never serve a frame that
-	// happens to carry the expected identity.
-	frameSeq atomic.Uint32
 
 	mu       sync.Mutex
 	result   Result
@@ -250,7 +246,7 @@ func (s *Shared) NewBuffer() *Buffer {
 		if cfg.Spill.Compress {
 			b.reg = NewRegulator(cfg.Spill.RunN)
 		}
-		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.MaxAhead, cfg.Spill.Parity, &s.frameSeq)
+		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.MaxAhead, cfg.Spill.Parity)
 	}
 	return b
 }

@@ -11,14 +11,16 @@ import (
 
 // Spill integrity: XOR parity stripes and reconstruct-on-read.
 //
-// With SpillConfig.Parity = K > 0, every spill payload is wrapped in a
-// checksummed frame (pages.AppendFrame) and every K consecutive staging
-// block writes from one writer form a stripe group: the writer XORs the K
-// blocks together (zero-padded to the longest) and writes the result as a
-// K+1th parity block. The ring round-robins consecutive writes across live
-// devices, so a group's K+1 blocks land on distinct devices whenever
-// K+1 <= live devices — losing any one device costs at most one block per
-// group, and that block is rebuilt from the survivors.
+// Every spill payload is wrapped in a checksummed frame (pages.AppendFrame)
+// whose sequence number is unique in the process, and every block read is
+// verified before anything is decoded. With SpillConfig.Parity = K > 0,
+// every K consecutive staging block writes from one writer also form a
+// stripe group: the writer XORs the K blocks together (zero-padded to the
+// longest) and writes the result as a K+1th parity block. The ring
+// round-robins consecutive writes across live devices, so a group's K+1
+// blocks land on distinct devices whenever K+1 <= live devices — losing any
+// one device costs at most one block per group, and that block is rebuilt
+// from the survivors.
 //
 // On readback, a frame that fails verification (bit rot, torn write,
 // misdirected read) or a block read that fails permanently (dead device)
@@ -59,20 +61,24 @@ func xorInto(dst, src []byte) {
 }
 
 // repairer rebuilds lost or corrupt spill blocks from their stripe group.
-// It owns a private ring for the recovery reads — reconstruction is a cold
-// path; keeping it off the readback ring means no interference with the
-// prefetch pipeline's in-flight requests. Not safe for concurrent use;
-// each reader (or the scheduler, under its lock) owns one.
+// It owns a ring of its own for the recovery reads — reconstruction is a
+// cold path; keeping it off the readback ring means no interference with the
+// prefetch pipeline's in-flight requests. The ring binds to the engine's
+// shared I/O scheduler as demand reads under the query's fairness key: a
+// consumer is blocked on every one of them. Not safe for concurrent use;
+// the scheduler owns one and calls it under its lock.
 type repairer struct {
 	ctx     context.Context
 	arr     *nvmesim.Array
+	sched   uring.Dispatcher // nil = unbound ring
+	query   uint64
 	byLoc   map[nvmesim.Loc]*StripeGroup
 	ring    *uring.Ring
 	scratch []uring.Completion
 }
 
-func newRepairer(ctx context.Context, arr *nvmesim.Array, stripes []*StripeGroup) *repairer {
-	return &repairer{ctx: ctx, arr: arr, byLoc: buildStripeIndex(stripes)}
+func newRepairer(ctx context.Context, arr *nvmesim.Array, sched uring.Dispatcher, query uint64, stripes []*StripeGroup) *repairer {
+	return &repairer{ctx: ctx, arr: arr, sched: sched, query: query, byLoc: buildStripeIndex(stripes)}
 }
 
 // enabled reports whether the repairer has any stripe directory at all.
@@ -91,7 +97,7 @@ type vstats struct {
 // caller expects (-1 = unknown). When verification fails — or the read
 // itself did — the block is reconstructed in place from its stripe group
 // and re-verified. The returned buffer is always buf. A nil error means
-// every framed page in the block verified; a non-nil error is a structured
+// every page in the block verified; a non-nil error is a structured
 // *QueryError naming the device and partition.
 func (rp *repairer) validBlock(loc nvmesim.Loc, buf []byte, slots []SpilledSlot, part int, readErr error) (vstats, error) {
 	var st vstats
@@ -99,7 +105,7 @@ func (rp *repairer) validBlock(loc nvmesim.Loc, buf []byte, slots []SpilledSlot,
 	if cause == nil {
 		err := verifyBlockFrames(buf, slots, part)
 		if err == nil {
-			st.verified = int64(countFramed(slots))
+			st.verified = int64(len(slots))
 			return st, nil
 		}
 		st.checksumErrors++
@@ -127,7 +133,7 @@ func (rp *repairer) validBlock(loc nvmesim.Loc, buf []byte, slots []SpilledSlot,
 		}
 	}
 	st.reconstructions++
-	st.verified = int64(countFramed(slots))
+	st.verified = int64(len(slots))
 	return st, nil
 }
 
@@ -158,11 +164,12 @@ func (rp *repairer) reconstruct(g *StripeGroup, target nvmesim.Loc, dst []byte) 
 	return nil
 }
 
-// readBlock reads one survivor block through the repairer's private ring,
-// retrying transient errors with the writer's backoff policy.
+// readBlock reads one survivor block through the repairer's ring, retrying
+// transient errors with the writer's backoff policy.
 func (rp *repairer) readBlock(loc nvmesim.Loc, dst []byte) (int, error) {
 	if rp.ring == nil {
 		rp.ring = uring.New(rp.arr)
+		rp.ring.Bind(rp.sched, uring.ClassDemand, rp.query)
 		if rp.ctx != nil {
 			ctx := rp.ctx
 			rp.ring.SetCancel(func() bool { return ctx.Err() != nil })
@@ -195,15 +202,10 @@ func (rp *repairer) readBlock(loc nvmesim.Loc, dst []byte) (int, error) {
 	}
 }
 
-// verifyBlockFrames checks every framed slot of a block before anything is
+// verifyBlockFrames checks every slot's frame of a block before anything is
 // decoded — partial decode-then-fail would hand half a block downstream.
-// Slots with Seq == 0 predate integrity (or come from a non-integrity
-// writer) and are skipped.
 func verifyBlockFrames(buf []byte, slots []SpilledSlot, part int) error {
 	for _, s := range slots {
-		if s.Seq == 0 {
-			continue
-		}
 		end := int(s.Off) + int(s.Len)
 		if end > len(buf) {
 			return &pages.FrameError{Reason: fmt.Sprintf("slot extent [%d:%d) beyond block of %d", s.Off, end, len(buf)), Part: part, Seq: s.Seq}
@@ -213,17 +215,6 @@ func verifyBlockFrames(buf []byte, slots []SpilledSlot, part int) error {
 		}
 	}
 	return nil
-}
-
-// countFramed returns how many of the slots carry integrity frames.
-func countFramed(slots []SpilledSlot) int {
-	n := 0
-	for _, s := range slots {
-		if s.Seq != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // spillReadError wraps an unrecoverable readback fault in the structured

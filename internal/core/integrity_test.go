@@ -303,6 +303,66 @@ func TestSchedulerDoubleFaultIsStructuredError(t *testing.T) {
 	}
 }
 
+// TestMisdirectedReadAcrossOperatorsIsCaught: two operators on one array each
+// spill one page of partition 0, the first one's data block just below the
+// second one's on device 0. A stale read of the second operator's block
+// serves the first one's. Frame sequence numbers are unique in the process,
+// not per operator, so that frame cannot pass for the expected one: the read
+// is caught, rebuilt from parity, and yields the second operator's tuples.
+func TestMisdirectedReadAcrossOperatorsIsCaught(t *testing.T) {
+	arr := fastArray(2)
+	spillOne := func(first uint64) *Result {
+		s := NewShared(Config{
+			PageSize: 4096, Partitions: 2, Mode: ModeAlwaysPartition,
+			Spill: &SpillConfig{Array: arr, Parity: 1},
+		})
+		s.Mask().MarkSpilled(0)
+		b := s.NewBuffer()
+		// Hash 0 is partition 0; Finish spills the one active page.
+		for k := first; k < first+10; k++ {
+			b.StoreTuple(tup(k, 32), 0)
+		}
+		if err := b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Spilled[0]) != 1 || len(res.Stripes) != 1 {
+			t.Fatalf("spilled %d slots in %d stripes, want one of each", len(res.Spilled[0]), len(res.Stripes))
+		}
+		return res
+	}
+	a, b := spillOne(0), spillOne(100)
+	la, lb := a.Spilled[0][0].Loc, b.Spilled[0][0].Loc
+	if la.Device() != 0 || lb.Device() != 0 || la.Offset() >= lb.Offset() {
+		t.Fatalf("data blocks at %v and %v, want both on device 0, the first below", la, lb)
+	}
+	// The next request on device 0 is the read of b's block: it serves a's.
+	arr.SetFaultPlan(0, nvmesim.FaultPlan{Script: map[int64]nvmesim.FaultKind{1: nvmesim.FaultStale}})
+	r := openPartition(t, nil, arr, 4096, 0, b.Spilled[0], b.Stripes)
+	pgs, err := readAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arr.FaultStats(0).StaleReads != 1 {
+		t.Fatal("the stale read was not injected")
+	}
+	var keys []uint64
+	for _, p := range pgs {
+		keys = pageKeys(keys, p)
+	}
+	if len(keys) != 10 || keys[0] != 100 {
+		t.Fatalf("read keys %v, want 100..109", keys)
+	}
+	if n := r.Counters(); n[metrics.SpillChecksumErrors] != 1 || n[metrics.SpillReconstructions] != 1 {
+		t.Fatalf("%d checksum errors and %d reconstructions, want one of each",
+			n[metrics.SpillChecksumErrors], n[metrics.SpillReconstructions])
+	}
+	r.Release()
+}
+
 func TestParityDegradesOnParityWriteFailure(t *testing.T) {
 	// A clean parity run and one where parity writes may fail must both
 	// produce correct data; the failed-parity groups simply lose redundancy.

@@ -35,15 +35,12 @@ func decodeSlot(buf []byte, s SpilledSlot, pageSize int) (p *pages.Page, owned [
 	if int(s.Off)+int(s.Len) > len(buf) {
 		return nil, nil, fmt.Errorf("core: spilled slot %v exceeds block bounds", s)
 	}
-	data := buf[s.Off : s.Off+s.Len]
-	if s.Seq != 0 {
-		// Framed slot: the extent starts with the (already verified)
-		// integrity header; the encoded page follows it.
-		if len(data) < pages.FrameSize {
-			return nil, nil, fmt.Errorf("core: framed slot %v shorter than its header", s)
-		}
-		data = data[pages.FrameSize:]
+	// The extent starts with the (already verified) integrity header; the
+	// encoded page follows it.
+	if s.Len < pages.FrameSize {
+		return nil, nil, fmt.Errorf("core: spilled slot %v shorter than its frame header", s)
 	}
+	data := buf[s.Off+pages.FrameSize : s.Off+s.Len]
 	block := data
 	if s.Scheme != codec.None {
 		c := codec.ByID(s.Scheme)

@@ -58,9 +58,12 @@ type PartitionScheduler struct {
 	scratch  []uring.Completion
 
 	// Integrity state (SetIntegrity): the parity stripe directory covering
-	// every work item's blocks and the lazily built repairer.
+	// every work item's blocks and the lazily built repairer, whose reads go
+	// to the dispatcher and under the fairness key BindIO received.
 	stripes []*StripeGroup
 	rp      *repairer
+	sched   uring.Dispatcher
+	query   uint64
 }
 
 type pendingRead struct {
@@ -155,14 +158,16 @@ func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, pageSize int
 // dispatcher under the given query fairness key (nil = keep the private
 // ring): prefetch reads carry ClassPrefetch, reads for opened items
 // ClassDemand, and Open promotes an item's still-deferred reads the moment a
-// consumer blocks on it. Call before the first Open.
+// consumer blocks on it. Parity repair reads go the same way, as demand.
+// Call before the first Open.
 func (s *PartitionScheduler) BindIO(d uring.Dispatcher, query uint64) {
 	s.ring.Bind(d, uring.ClassPrefetch, query)
+	s.sched, s.query = d, query
 }
 
-// SetIntegrity arms frame verification and parity reconstruction for every
-// work item: stripes is the result's parity stripe directory (nil = frames
-// still verify, but nothing can be rebuilt). Call before the first Open.
+// SetIntegrity arms parity reconstruction for every work item: stripes is
+// the result's parity stripe directory (nil = frames still verify, but
+// nothing can be rebuilt). Call before the first Open.
 func (s *PartitionScheduler) SetIntegrity(stripes []*StripeGroup) {
 	s.mu.Lock()
 	s.stripes = stripes
@@ -173,7 +178,7 @@ func (s *PartitionScheduler) SetIntegrity(stripes []*StripeGroup) {
 // repairerLocked returns the scheduler's repairer, building it on first use.
 func (s *PartitionScheduler) repairerLocked() *repairer {
 	if s.rp == nil {
-		s.rp = newRepairer(s.ctx, s.arr, s.stripes)
+		s.rp = newRepairer(s.ctx, s.arr, s.sched, s.query, s.stripes)
 	}
 	return s.rp
 }
@@ -352,18 +357,16 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 			}
 			continue
 		}
-		if c.Err != nil || countFramed(g.slots) > 0 {
-			// Verify before decode; a permanently failed read or a checksum
-			// mismatch triggers parity reconstruction in place. The repair
-			// I/O runs under the scheduler lock — it is the cold path, and
-			// followers simply wait out the rare rebuild.
-			st, err := s.repairerLocked().validBlock(g.loc, g.buf, g.slots, it.part, c.Err)
-			it.counts[metrics.SpillPagesVerified] += st.verified
-			it.counts[metrics.SpillChecksumErrors] += st.checksumErrors
-			it.counts[metrics.SpillReconstructions] += st.reconstructions
-			if err != nil {
-				it.err = err
-			}
+		// Verify before decode; a permanently failed read or a checksum
+		// mismatch triggers parity reconstruction in place. The repair I/O
+		// runs under the scheduler lock — it is the cold path, and followers
+		// simply wait out the rare rebuild.
+		st, err := s.repairerLocked().validBlock(g.loc, g.buf, g.slots, it.part, c.Err)
+		it.counts[metrics.SpillPagesVerified] += st.verified
+		it.counts[metrics.SpillChecksumErrors] += st.checksumErrors
+		it.counts[metrics.SpillReconstructions] += st.reconstructions
+		if err != nil {
+			it.err = err
 		}
 	}
 }

@@ -22,34 +22,37 @@ import (
 // spilledPageLocations list, which is equivalent and avoids re-parsing.
 type SpilledSlot struct {
 	Loc    nvmesim.Loc // staging block location on the array
-	Off    uint32      // offset of the encoded page within the block
-	Len    uint32      // encoded length (frame included when Seq != 0)
+	Off    uint32      // offset of the framed page within the block
+	Len    uint32      // framed length: pages.FrameSize + encoded page
 	Scheme codec.ID    // codec used, None = raw page bytes
-	// Seq is the page's engine-unique integrity sequence number; 0 means
-	// the page was written without an integrity frame (SpillConfig.Parity
-	// is 0). When set, the extent holds a pages.FrameSize header followed by
-	// the encoded page, and readback verifies the frame before decoding.
+	// Seq is the page's integrity sequence number, unique in the process
+	// (frameSeq). The extent holds a pages.FrameSize header followed by the
+	// encoded page, and readback verifies the frame before decoding.
 	Seq uint32
 }
 
-// stagingArea accumulates compressed pages destined for one partition until
+// frameSeq issues every spilled page's integrity sequence number. One
+// process-wide counter, not one per operator: two operators — or a query
+// and the result cache — never frame different pages with the same
+// identity, so a misdirected read between them cannot verify.
+var frameSeq atomic.Uint32
+
+// stagingArea accumulates the framed pages destined for one partition until
 // it holds at least the flush threshold, so that compression output — which
-// shrinks below the page size — still produces large, block-aligned writes
-// (paper §5.3, Figure 4).
+// shrinks below the page size — and small pages still produce large,
+// block-aligned writes (paper §5.3, Figure 4).
 type stagingArea struct {
 	buf   []byte
 	slots []SpilledSlot // Loc filled in at flush time
 }
 
 // inflightWrite tracks one write request from queueing until its buffer can
-// be reclaimed, carrying everything recovery needs: the bytes on the wire
-// (for retries), the buffer to return (page or staging buffer), and the
-// slot-directory range whose Loc must be re-pointed when a retry lands on a
-// different location.
+// be reclaimed, carrying everything recovery needs: the staging buffer on the
+// wire (rewritten by retries, recycled at release) and the slot-directory
+// range whose Loc must be re-pointed when a retry lands on a different
+// location.
 type inflightWrite struct {
-	page     *pages.Page // raw-path page to recycle (nil on the staged path)
-	buf      []byte      // staged-path staging buffer (nil on the raw path)
-	data     []byte      // bytes being written; valid until release
+	buf      []byte // staging buffer being written; valid until release
 	part     int
 	slotFrom int // w.slots[part][slotFrom:slotTo] reference this write's Loc
 	slotTo   int
@@ -82,6 +85,7 @@ func retryBackoff(attempt int) time.Duration {
 
 // spillWriter performs asynchronous, optionally compressed page spilling
 // for one worker thread (paper Listing 2). It owns the thread's I/O ring.
+// Every page leaves through a staging area inside a checksummed frame.
 //
 // Fault handling: completions with transient errors are retried (same data,
 // fresh allocation — possibly on another device) with capped exponential
@@ -95,7 +99,6 @@ type spillWriter struct {
 	clock    nvmesim.Clock
 	ctx      context.Context // nil = never canceled
 	reg      *Regulator      // nil: spill raw pages without the compression path
-	stage    bool            // route pages through staging areas
 	pool     *pages.Pool
 	parts    int
 	flushAt  int // staging flush threshold in bytes (>= one device block)
@@ -109,11 +112,9 @@ type spillWriter struct {
 
 	slots [][]SpilledSlot // per partition
 
-	// Integrity state (SpillConfig.Parity > 0): every payload is framed
-	// with a checksum header, and every `parity` staging-block writes form
-	// a stripe group closed by an XOR parity block write.
-	parity    int            // stripe width K; 0 = integrity off
-	seqc      *atomic.Uint32 // shared engine-unique frame sequence counter
+	// Parity state (SpillConfig.Parity > 0): every `parity` staging-block
+	// writes form a stripe group closed by an XOR parity block write.
+	parity    int            // stripe width K; 0 = no parity
 	curStripe *StripeGroup   // open group collecting members
 	parityAcc []byte         // XOR accumulator over the open group's blocks
 	stripes   []*StripeGroup // all groups this writer produced
@@ -128,7 +129,7 @@ type spillWriter struct {
 	scratch  []uring.Completion
 }
 
-func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, maxAhead, parity int, seqc *atomic.Uint32) *spillWriter {
+func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, maxAhead, parity int) *spillWriter {
 	// The paper's staging areas write out at >= 64 KiB regardless of the
 	// page size (§5.3).
 	flushAt := max(pool.PageSize(), 64<<10)
@@ -136,21 +137,15 @@ func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool 
 		maxAhead = 32
 	}
 	w := &spillWriter{
-		ring:  ring,
-		clock: ring.Array().Clock(),
-		ctx:   ctx,
-		reg:   reg,
-		// Staging batches small or compressed pages into >= flushAt
-		// writes (§5.3). Full-size raw pages skip the copy and go out
-		// directly — unless integrity is on, which frames every payload
-		// and therefore always routes through staging.
-		stage:    reg != nil || pool.PageSize() < flushAt || parity > 0,
+		ring:     ring,
+		clock:    ring.Array().Clock(),
+		ctx:      ctx,
+		reg:      reg,
 		pool:     pool,
 		parts:    parts,
 		flushAt:  flushAt,
 		maxAhead: maxAhead,
 		parity:   parity,
-		seqc:     seqc,
 		staging:  make([]*stagingArea, parts),
 		inflight: make(map[uint64]*inflightWrite),
 		slots:    make([][]SpilledSlot, parts),
@@ -177,12 +172,12 @@ func (w *spillWriter) canceled() bool {
 	return w.ctx != nil && w.ctx.Err() != nil
 }
 
-// spillPage queues page p (belonging to partition p.Part) for writing. With
-// compression active, the page's bytes move into a staging area and the
-// page itself is immediately recycled; without compression the page buffer
-// is owned by the I/O ring until the write completes. After a fatal spill
-// error the page is recycled without I/O — the query is failing; what
-// matters is that no buffer leaks.
+// spillPage queues page p (belonging to partition p.Part) for writing: its
+// bytes — compressed when the regulator is on — move into the partition's
+// staging area inside a checksummed frame, and the page itself is
+// immediately recycled. Staging batches small or compressed pages into
+// >= flushAt writes (§5.3). After a fatal spill error the page is recycled
+// without I/O — the query is failing; what matters is that no buffer leaks.
 func (w *spillWriter) spillPage(p *pages.Page) {
 	part := p.Part
 	if part < 0 || part >= w.parts {
@@ -196,22 +191,6 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 	w.spilledPages++
 	w.counts[metrics.SpilledBytes] += int64(len(raw))
 
-	if !w.stage {
-		ud := w.newUD()
-		loc, err := w.ring.QueueWrite(raw, ud)
-		if err != nil {
-			w.fail(err)
-			w.pool.Put(p)
-			return
-		}
-		slotIdx := len(w.slots[part])
-		w.slots[part] = append(w.slots[part], SpilledSlot{Loc: loc, Off: 0, Len: uint32(len(raw)), Scheme: codec.None})
-		w.inflight[ud] = &inflightWrite{page: p, data: raw, part: part, slotFrom: slotIdx, slotTo: slotIdx + 1}
-		w.counts[metrics.WrittenBytes] += int64(len(raw))
-		w.pump()
-		return
-	}
-
 	enc, scheme := raw, codec.None
 	if w.reg != nil {
 		enc, scheme = w.reg.CompressPage(raw)
@@ -221,19 +200,13 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 		st = &stagingArea{buf: w.getStagingBuf()}
 		w.staging[part] = st
 	}
-	if w.parity > 0 {
-		// Integrity frame: checksum header + payload; the slot records the
-		// sequence number readback verifies against.
-		seq := w.seqc.Add(1)
-		st.slots = append(st.slots, SpilledSlot{
-			Off: uint32(len(st.buf)), Len: uint32(pages.FrameSize + len(enc)),
-			Scheme: scheme, Seq: seq,
-		})
-		st.buf = pages.AppendFrame(st.buf, part, seq, enc)
-	} else {
-		st.slots = append(st.slots, SpilledSlot{Off: uint32(len(st.buf)), Len: uint32(len(enc)), Scheme: scheme})
-		st.buf = append(st.buf, enc...)
-	}
+	// The slot records the sequence number readback verifies against.
+	seq := frameSeq.Add(1)
+	st.slots = append(st.slots, SpilledSlot{
+		Off: uint32(len(st.buf)), Len: uint32(pages.FrameSize + len(enc)),
+		Scheme: scheme, Seq: seq,
+	})
+	st.buf = pages.AppendFrame(st.buf, part, seq, enc)
 	w.pool.Put(p)
 	if len(st.buf) >= w.flushAt {
 		w.flushStaging(part)
@@ -264,7 +237,7 @@ func (w *spillWriter) flushStaging(part int) {
 		s.Loc = loc
 		w.slots[part] = append(w.slots[part], s)
 	}
-	rec := &inflightWrite{buf: st.buf, data: st.buf, part: part, slotFrom: slotFrom, slotTo: len(w.slots[part]), stripeIdx: -1}
+	rec := &inflightWrite{buf: st.buf, part: part, slotFrom: slotFrom, slotTo: len(w.slots[part]), stripeIdx: -1}
 	if w.parity > 0 {
 		w.addStripeMember(rec, loc, st.buf)
 	}
@@ -323,7 +296,7 @@ func (w *spillWriter) sealStripe() {
 		return
 	}
 	g.Parity = loc
-	w.inflight[ud] = &inflightWrite{buf: acc, data: acc, part: -1, stripe: g, stripeIdx: -1}
+	w.inflight[ud] = &inflightWrite{buf: acc, part: -1, stripe: g, stripeIdx: -1}
 	w.counts[metrics.SpillParityBytes] += int64(len(acc))
 }
 
@@ -395,7 +368,7 @@ func (w *spillWriter) recoverWrite(c uring.Completion, rec *inflightWrite) {
 // and re-points the slot directory at the new location.
 func (w *spillWriter) requeue(c uring.Completion, rec *inflightWrite) {
 	ud := w.newUD()
-	loc, err := w.ring.QueueWrite(rec.data, ud)
+	loc, err := w.ring.QueueWrite(rec.buf, ud)
 	if err != nil {
 		// No writable device left (all dead or full): fatal.
 		w.failWrite(c, rec, err)
@@ -425,7 +398,7 @@ func (w *spillWriter) requeue(c uring.Completion, rec *inflightWrite) {
 func (w *spillWriter) failWrite(c uring.Completion, rec *inflightWrite, err error) {
 	if g := rec.stripe; g != nil && rec.stripeIdx < 0 {
 		g.Parity = 0
-		w.counts[metrics.SpillParityBytes] -= int64(len(rec.data))
+		w.counts[metrics.SpillParityBytes] -= int64(len(rec.buf))
 		w.release(rec)
 		return
 	}
@@ -443,14 +416,8 @@ func (w *spillWriter) failWrite(c uring.Completion, rec *inflightWrite, err erro
 	w.release(rec)
 }
 
-// release returns a completed (or abandoned) write's buffer to its pool.
-func (w *spillWriter) release(rec *inflightWrite) {
-	if rec.page != nil {
-		w.pool.Put(rec.page)
-	} else if rec.buf != nil {
-		w.putStagingBuf(rec.buf)
-	}
-}
+// release returns a completed (or abandoned) write's staging buffer.
+func (w *spillWriter) release(rec *inflightWrite) { w.putStagingBuf(rec.buf) }
 
 // abort reclaims every buffer the writer still tracks and records cause as
 // the writer's error. The simulated array copies data at submission, so

@@ -47,9 +47,6 @@ type Agg struct {
 	Child   Node
 	GroupBy []string
 	Aggs    []AggSpec
-	// DisablePreAgg forces per-row materialization (the classical
-	// partitioning-aggregation baseline of Figure 2).
-	DisablePreAgg bool
 
 	schema  *data.Schema // output schema
 	partial *data.Schema // materialized partial-aggregate schema
@@ -195,7 +192,7 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	// overshoots by the factor pre-aggregation failed to merge.
 	sketches := make([]hll.Sketch, workers)
 	err = drainWorkers(ctx, "agg", in, func(w int) (func(*data.Batch) error, func() error) {
-		aw := newAggWorker(a, keyCols, shared.NewBuffer(), &sketches[w], !a.DisablePreAgg && !ctx.NoPreAgg)
+		aw := newAggWorker(a, keyCols, shared.NewBuffer(), &sketches[w], !ctx.NoPreAgg)
 		consume := func(b *data.Batch) error {
 			aw.consume(b)
 			return nil

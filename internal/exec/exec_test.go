@@ -306,9 +306,8 @@ func runJoin(t *testing.T, ctx *Ctx, kind JoinKind, grace bool, nOrders, nCust i
 	t.Helper()
 	orders := ordersTable(nOrders)
 	cust := custTable(nCust)
-	j := NewJoin(kind, NewScan(cust), []string{"ckey"}, NewScan(orders, "okey", "cust"), []string{"cust"})
-	j.Grace = grace
-	out, err := Collect(ctx, j)
+	ctx.ForceGrace = grace
+	out, err := Collect(ctx, NewJoin(kind, NewScan(cust), []string{"ckey"}, NewScan(orders, "okey", "cust"), []string{"cust"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +489,7 @@ func runAgg(t *testing.T, ctx *Ctx, disablePre bool, n int) *data.Batch {
 		{Func: Max, Col: "total", As: "max_total"},
 		{Func: Avg, Col: "total", As: "avg_total"},
 	})
-	agg.DisablePreAgg = disablePre
+	ctx.NoPreAgg = disablePre
 	out, err := Collect(ctx, agg)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func nodeFP(n Node) uint64 {
 	case *Join:
 		parts := []uint64{
 			xhash.U64(uint64(v.Kind), fpSeed),
-			xhash.U64(boolBit(v.Grace), fpSeed),
 			nodeFP(v.Build),
 			nodeFP(v.Probe),
 		}
@@ -66,7 +65,7 @@ func nodeFP(n Node) uint64 {
 		}
 		return fpNode("join", parts...)
 	case *Agg:
-		parts := []uint64{nodeFP(v.Child), xhash.U64(boolBit(v.DisablePreAgg), fpSeed)}
+		parts := []uint64{nodeFP(v.Child)}
 		for _, g := range v.GroupBy {
 			parts = append(parts, xhash.String(g, fpSeed))
 		}

@@ -33,14 +33,13 @@ const (
 // materialized before partitioning began), then follow their partition to
 // the spilled phase.
 //
-// With Grace set, the operator instead behaves as the classical grace hash
-// join baseline (§4.1): both sides always partition and every partition is
-// joined separately — no streaming probe phase.
+// Under Ctx.ForceGrace, the operator instead behaves as the classical grace
+// hash join baseline (§4.1): both sides always partition and every partition
+// is joined separately — no streaming probe phase.
 type Join struct {
 	Build, Probe         Node
 	BuildKeys, ProbeKeys []string
 	Kind                 JoinKind
-	Grace                bool
 
 	schema *data.Schema
 }
@@ -63,10 +62,6 @@ func NewJoin(kind JoinKind, build Node, buildKeys []string, probe Node, probeKey
 
 // Schema implements Node.
 func (j *Join) Schema() *data.Schema { return j.schema }
-
-// grace reports whether this join runs as a grace hash join, either by its
-// own flag or by the context-wide baseline switch.
-func (j *Join) grace(ctx *Ctx) bool { return j.Grace || ctx.ForceGrace }
 
 func indicesOf(s *data.Schema, names []string) []int {
 	out := make([]int, len(names))
@@ -98,7 +93,7 @@ func (j *Join) Run(ctx *Ctx) (*Stream, error) {
 	// grace baseline has no streaming phase and builds no global table.
 	var ht *joinTable
 	routedMask := bres.Mask
-	if j.grace(ctx) {
+	if ctx.ForceGrace {
 		routedMask = ^uint64(0) >> (64 - uint(bres.Partitions))
 	} else {
 		memPages := make([]*pages.Page, 0, len(bres.Unpartitioned)+len(bres.InMemory))
@@ -125,7 +120,7 @@ func (j *Join) label(ctx *Ctx) string {
 	case Outer:
 		kind = "outer"
 	}
-	if j.grace(ctx) {
+	if ctx.ForceGrace {
 		kind += " grace"
 	}
 	return kind
@@ -142,7 +137,7 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 	bKeyCols := indicesOf(bSchema, j.BuildKeys)
 
 	cfg := ctx.coreConfig()
-	if j.grace(ctx) {
+	if ctx.ForceGrace {
 		cfg.Mode = core.ModeAlwaysPartition
 	}
 	shared := core.NewShared(cfg)
@@ -169,7 +164,7 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 		return nil, nil, nil, 0, err
 	}
 	var est int64
-	if !j.grace(ctx) { // the grace baseline builds no global table
+	if !ctx.ForceGrace { // the grace baseline builds no global table
 		for w := 1; w < workers; w++ {
 			sketches[0].Merge(&sketches[w])
 		}
@@ -639,7 +634,7 @@ func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 	// the grace baseline (the unified join already covered them in the
 	// global in-memory table).
 	var build []*pages.Page
-	if js.j.grace(js.ctx) {
+	if js.ctx.ForceGrace {
 		build = append(build, js.bres.InMemoryByPart(p)...)
 	}
 	if js.sched != nil {

@@ -75,6 +75,10 @@ func NewFixed(size, tupleSize int) *Page {
 	return p
 }
 
+// SizeFor returns the size of the smallest slotted page that holds one tuple
+// of n bytes.
+func SizeFor(n int) int { return headerSize + n + slotSize }
+
 // Reset clears the page for reuse, keeping its layout mode and buffer.
 func (p *Page) Reset() {
 	p.dataEnd = headerSize

@@ -43,7 +43,7 @@ const (
 	// ClassPrefetch marks speculative reads: scan lookahead and partition
 	// readback prefetch.
 	ClassPrefetch
-	// ClassBackground marks deferrable maintenance I/O (cache demotion).
+	// ClassBackground marks deferrable maintenance I/O (table bulk loads).
 	ClassBackground
 	// NumClasses is the number of priority classes.
 	NumClasses = 4

@@ -144,8 +144,9 @@ type Config struct {
 	// SpillParity is the parity stripe width K: every K spill block writes
 	// are joined by one XOR parity block on a distinct device, so spilled
 	// data survives silent corruption and the loss of one device per stripe
-	// (reconstruct-on-read). 0 disables spill integrity entirely — no
-	// checksummed frames, no parity, the pre-integrity write path.
+	// (reconstruct-on-read). 0 writes no parity. Every spilled page carries a
+	// checksummed frame either way, so corruption and misdirected reads are
+	// always detected; parity is what repairs them.
 	SpillParity int
 	// Profile records per-operator execution spans for every query so
 	// Result.Profile returns an EXPLAIN ANALYZE-style tree. Off by default;
@@ -282,12 +283,24 @@ func Open(cfg Config) (*Engine, error) {
 	if c.ResultCacheBytes > 0 {
 		e.results = rescache.New(rescache.Config{
 			Capacity: c.ResultCacheBytes,
-			Array:    e.spillArr,
 			Gov:      e.gov,
-			IO:       e.spillSched,
+			Spill:    e.spillConfig(),
 		})
 	}
 	return e, nil
+}
+
+// spillConfig is the engine's spill template: the spill array, its shared
+// I/O scheduler, and the configured parity and compression. A query adds its
+// lease and fairness key; the result cache adds a lease per demotion and
+// keeps fairness key 0.
+func (e *Engine) spillConfig() *core.SpillConfig {
+	return &core.SpillConfig{
+		Array:    e.spillArr,
+		Compress: e.cfg.Compression,
+		Parity:   e.cfg.SpillParity,
+		Sched:    e.spillSched,
+	}
 }
 
 // RegisterTable adds an in-memory table to the catalog. Registration
@@ -499,14 +512,9 @@ func (e *Engine) NewCtx() *exec.Ctx {
 		ctx.Budget = pages.NewBudget(e.cfg.MemoryBudget)
 	}
 	if spill {
-		ctx.Spill = &core.SpillConfig{
-			Array:    e.spillArr,
-			Lease:    e.spillArr.NewLease(),
-			Compress: e.cfg.Compression,
-			Parity:   e.cfg.SpillParity,
-			Query:    ctx.QueryID,
-			Sched:    e.spillSched,
-		}
+		ctx.Spill = e.spillConfig()
+		ctx.Spill.Lease = e.spillArr.NewLease()
+		ctx.Spill.Query = ctx.QueryID
 	}
 	if e.cfg.Profile {
 		ctx.Trace = trace.New(ctx.Workers)
@@ -558,10 +566,11 @@ type Stats struct {
 	// bounds (mean latency = DemandReadTime / DemandReads).
 	DemandReads    int64
 	DemandReadTime time.Duration
-	// Spill integrity counters (Config.SpillParity > 0): frames whose
-	// checksums verified on readback, blocks that failed verification,
-	// blocks rebuilt from their parity stripe, and the parity bytes written
-	// alongside the spilled data (the redundancy overhead).
+	// Spill integrity counters: frames whose checksums verified on readback
+	// (every spilled page read back), blocks that failed verification, and —
+	// with Config.SpillParity > 0 — blocks rebuilt from their parity stripe
+	// and the parity bytes written alongside the spilled data (the
+	// redundancy overhead).
 	SpillPagesVerified   int64
 	SpillChecksumErrors  int64
 	SpillReconstructions int64
