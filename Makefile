@@ -24,10 +24,11 @@ ledger-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# The operator microbenchmarks are run by hand (EXPERIMENTS.md quotes them);
-# one iteration each keeps them compiling and running.
+# The operator and codec microbenchmarks are run by hand (EXPERIMENTS.md
+# quotes them); one iteration each keeps them compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'JoinProbe|JoinBuild|AggMerge|AggPreAgg|ExtSortSpill|ExtSortInMemory|ExprResidual' -benchtime 1x ./internal/exec/
+	$(GO) test -run '^$$' -bench CompressUnit -benchtime 1x ./internal/codec/
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the

@@ -109,13 +109,11 @@ type entry struct {
 	batch *data.Batch // hot tier
 
 	// Demoted representation: one run on the spill array under the entry's
-	// own lease, the parity stripes that can rebuild its blocks, and the
-	// page size it was written with.
-	lease    *nvmesim.Lease
-	run      core.PartitionWork
-	stripes  []*core.StripeGroup
-	pageSize int
-	rows     int
+	// own lease and the parity stripes that can rebuild its blocks.
+	lease   *nvmesim.Lease
+	run     core.PartitionWork
+	stripes []*core.StripeGroup
+	rows    int
 }
 
 // score is the eviction benefit density: time saved per byte retained,
@@ -380,7 +378,7 @@ func (c *Cache) demoteLocked(e *entry) error {
 		sc.Lease.Free()
 		return err
 	}
-	e.lease, e.run, e.stripes, e.pageSize, e.rows = sc.Lease, res.Runs[0], res.Stripes, shared.Config().PageSize, b.Rows()
+	e.lease, e.run, e.stripes, e.rows = sc.Lease, res.Runs[0], res.Stripes, b.Rows()
 	e.batch = nil
 	c.rawDisk += e.size
 	c.demotions.Add(1)
@@ -394,7 +392,7 @@ func (c *Cache) demoteLocked(e *entry) error {
 // once; no per-field copies).
 func (c *Cache) restoreLocked(e *entry) (*data.Batch, error) {
 	sp := c.cfg.Spill
-	sched := core.NewPartitionScheduler(nil, sp.Array, e.pageSize, []core.PartitionWork{e.run}, 0, nil)
+	sched := core.NewPartitionScheduler(nil, sp.Array, []core.PartitionWork{e.run}, 0, nil)
 	defer sched.Close()
 	sched.BindIO(sp.Sched, sp.Query)
 	sched.SetIntegrity(e.stripes)

@@ -1,8 +1,8 @@
 //go:build !race
 
-// Allocation regression tests for decompression. Excluded under -race: the
-// race runtime drops pooled objects at random, so the pools that keep decoding
-// allocation-free cannot be measured there.
+// Allocation regression tests for compression and decompression. Excluded
+// under -race: the race runtime drops pooled objects at random, so the pools
+// that keep coding allocation-free cannot be measured there.
 
 package codec
 
@@ -41,6 +41,21 @@ func TestDecompressAllocs(t *testing.T) {
 		}
 		if perPage > limit {
 			t.Errorf("%s: %d bytes allocated per decompressed page, want ≤ %d", c.Name(), perPage, limit)
+		}
+	}
+}
+
+// TestCompressAllocs: compressing a staging block (60 KiB of tuples) into a
+// dst with room for the output allocates nothing. DEFLATE's encoders are pooled and write
+// straight into dst, with no intermediate buffer to grow and copy out.
+func TestCompressAllocs(t *testing.T) {
+	block := testInputs()["tuples"]
+	for _, id := range []ID{LZ4Default, Deflate1, Deflate6} {
+		c := ByID(id)
+		dst := make([]byte, 0, 2*len(block))
+		c.Compress(dst, block) // fill the encoder pool
+		if n := testing.AllocsPerRun(20, func() { c.Compress(dst, block) }); n != 0 {
+			t.Errorf("%s: %.1f allocations per compressed block, want 0", c.Name(), n)
 		}
 	}
 }

@@ -272,12 +272,43 @@ func benchCodec(b *testing.B, id ID, compress bool) {
 	}
 }
 
-func BenchmarkCompressLZ4A8(b *testing.B)     { benchCodec(b, LZ4Fastest, true) }
-func BenchmarkCompressLZ4(b *testing.B)       { benchCodec(b, LZ4Default, true) }
-func BenchmarkCompressLZ4HC16(b *testing.B)   { benchCodec(b, LZ4HC16, true) }
-func BenchmarkCompressSnappy(b *testing.B)    { benchCodec(b, Snappy, true) }
-func BenchmarkCompressDeflate1(b *testing.B)  { benchCodec(b, Deflate1, true) }
-func BenchmarkCompressDeflate6(b *testing.B)  { benchCodec(b, Deflate6, true) }
-func BenchmarkCompressBWT(b *testing.B)       { benchCodec(b, BWT, true) }
-func BenchmarkDecompressLZ4(b *testing.B)     { benchCodec(b, LZ4Default, false) }
+// BenchmarkCompressUnit compresses the same 60 KiB of tuples two ways: as
+// 4 KiB pages, one codec call each, and as one block — the spill writer's
+// unit when it compressed pages, and now that it compresses staging blocks.
+// It reports ns/byte and the compression ratio of each unit.
+func BenchmarkCompressUnit(b *testing.B) {
+	in := testInputs()["tuples"]
+	for _, id := range []ID{LZ4Default, Deflate1} {
+		c := ByID(id)
+		for _, unit := range []int{4 << 10, len(in)} {
+			name := "page4KiB"
+			if unit == len(in) {
+				name = "block"
+			}
+			b.Run(c.Name()+"/"+name, func(b *testing.B) {
+				out := make([]byte, 0, 2*len(in))
+				compressed := 0
+				b.SetBytes(int64(len(in)))
+				for i := 0; i < b.N; i++ {
+					compressed = 0
+					for off := 0; off < len(in); off += unit {
+						out = c.Compress(out[:0], in[off:min(off+unit, len(in))])
+						compressed += len(out)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(in)), "ns/byte")
+				b.ReportMetric(float64(len(in))/float64(compressed), "ratio")
+			})
+		}
+	}
+}
+
+func BenchmarkCompressLZ4A8(b *testing.B)      { benchCodec(b, LZ4Fastest, true) }
+func BenchmarkCompressLZ4(b *testing.B)        { benchCodec(b, LZ4Default, true) }
+func BenchmarkCompressLZ4HC16(b *testing.B)    { benchCodec(b, LZ4HC16, true) }
+func BenchmarkCompressSnappy(b *testing.B)     { benchCodec(b, Snappy, true) }
+func BenchmarkCompressDeflate1(b *testing.B)   { benchCodec(b, Deflate1, true) }
+func BenchmarkCompressDeflate6(b *testing.B)   { benchCodec(b, Deflate6, true) }
+func BenchmarkCompressBWT(b *testing.B)        { benchCodec(b, BWT, true) }
+func BenchmarkDecompressLZ4(b *testing.B)      { benchCodec(b, LZ4Default, false) }
 func BenchmarkDecompressDeflate6(b *testing.B) { benchCodec(b, Deflate6, false) }

@@ -19,7 +19,22 @@ type deflateCodec struct {
 	id    ID
 	name  string
 	level int
-	pool  sync.Pool // *flate.Writer
+	pool  sync.Pool // *deflater
+}
+
+// deflater is a pooled DEFLATE encoder: a flate writer, reset per call, that
+// compresses straight into the caller's dst through out.
+type deflater struct {
+	out appender
+	w   *flate.Writer
+}
+
+// appender is an io.Writer that appends to a byte slice.
+type appender struct{ b []byte }
+
+func (a *appender) Write(p []byte) (int, error) {
+	a.b = append(a.b, p...)
+	return len(p), nil
 }
 
 func newDeflate(id ID, name string, level int) *deflateCodec {
@@ -37,26 +52,27 @@ func (c *deflateCodec) ID() ID       { return c.id }
 func (c *deflateCodec) Name() string { return c.name }
 
 func (c *deflateCodec) Compress(dst, src []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	var buf bytes.Buffer
-	w, _ := c.pool.Get().(*flate.Writer)
-	if w == nil {
-		var err error
-		w, err = flate.NewWriter(&buf, c.level)
+	d, _ := c.pool.Get().(*deflater)
+	if d == nil {
+		d = &deflater{}
+		w, err := flate.NewWriter(&d.out, c.level)
 		if err != nil {
 			panic(fmt.Sprintf("codec: flate.NewWriter(%d): %v", c.level, err))
 		}
+		d.w = w
 	} else {
-		w.Reset(&buf)
+		d.w.Reset(&d.out)
 	}
-	if _, err := w.Write(src); err != nil {
+	d.out.b = binary.AppendUvarint(dst, uint64(len(src)))
+	if _, err := d.w.Write(src); err != nil {
 		panic(fmt.Sprintf("codec: flate write to memory failed: %v", err))
 	}
-	if err := w.Close(); err != nil {
+	if err := d.w.Close(); err != nil {
 		panic(fmt.Sprintf("codec: flate close failed: %v", err))
 	}
-	c.pool.Put(w)
-	return append(dst, buf.Bytes()...)
+	dst, d.out.b = d.out.b, nil // the pool must not keep the caller's buffer
+	c.pool.Put(d)
+	return dst
 }
 
 func (c *deflateCodec) Decompress(dst, src []byte) ([]byte, error) {

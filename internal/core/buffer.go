@@ -80,7 +80,7 @@ type SpillConfig struct {
 	// Parity is the XOR parity stripe width: every Parity staging-block
 	// writes form a stripe group whose parity block rebuilds a lost or
 	// corrupt block on read. 0 writes no parity. Groups span distinct
-	// devices when Parity+1 <= live devices. Every spilled page carries a
+	// devices when Parity+1 <= live devices. Every staging block is one
 	// checksummed frame either way, so corruption is always detected.
 	Parity int
 	// Sched, when non-nil, is the engine's shared I/O scheduler for the

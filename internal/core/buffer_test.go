@@ -45,7 +45,7 @@ func storeN(b *Buffer, n, size int, offset uint64) {
 
 // collectKeys gathers every stored key from a finalized result, reading
 // spilled partitions back from the array.
-func collectKeys(t *testing.T, arr *nvmesim.Array, pageSize int, res *Result) map[uint64]int {
+func collectKeys(t *testing.T, arr *nvmesim.Array, res *Result) map[uint64]int {
 	t.Helper()
 	out := map[uint64]int{}
 	scan := func(p *pages.Page) {
@@ -63,7 +63,7 @@ func collectKeys(t *testing.T, arr *nvmesim.Array, pageSize int, res *Result) ma
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := openPartition(t, nil, arr, pageSize, part, res.Spilled[part], nil)
+		r := openPartition(t, nil, arr, part, res.Spilled[part], nil)
 		pgs, err := readAll(r)
 		if err != nil {
 			t.Fatalf("reading partition %d: %v", part, err)
@@ -108,7 +108,7 @@ func TestInMemoryNoPartitioning(t *testing.T) {
 	if res.HasSpilled() {
 		t.Fatal("spilled without a budget")
 	}
-	checkAllKeys(t, collectKeys(t, nil, 4096, res), 1000, 0)
+	checkAllKeys(t, collectKeys(t, nil, res), 1000, 0)
 	if res.Tuples != 1000 {
 		t.Fatalf("Tuples = %d", res.Tuples)
 	}
@@ -134,7 +134,7 @@ func TestAdaptivePartitioningTriggers(t *testing.T) {
 	if len(res.InMemory) == 0 {
 		t.Fatal("no partitioned pages after trigger")
 	}
-	checkAllKeys(t, collectKeys(t, nil, 4096, res), 1400, 0)
+	checkAllKeys(t, collectKeys(t, nil, res), 1400, 0)
 }
 
 // TestPartitionPrefixInvariant checks §5.3: partition bits are a prefix of
@@ -161,7 +161,7 @@ func TestPartitionPrefixInvariant(t *testing.T) {
 			}
 		}
 	}
-	checkAllKeys(t, collectKeys(t, nil, 4096, res), 5000, 0)
+	checkAllKeys(t, collectKeys(t, nil, res), 5000, 0)
 }
 
 func TestSpillingRoundTrip(t *testing.T) {
@@ -187,7 +187,7 @@ func TestSpillingRoundTrip(t *testing.T) {
 	if res.Counters[metrics.SpilledBytes] == 0 || res.Counters[metrics.WrittenBytes] == 0 {
 		t.Fatalf("spill counters empty: %+v", res)
 	}
-	checkAllKeys(t, collectKeys(t, arr, 4096, res), n, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), n, 0)
 }
 
 func TestHybridKeepsPartitionsInMemory(t *testing.T) {
@@ -208,7 +208,7 @@ func TestHybridKeepsPartitionsInMemory(t *testing.T) {
 	if got := len(res.SpilledPartitions()); got == res.Partitions {
 		t.Fatalf("hybrid spilling spilled all %d partitions on slight overflow", got)
 	}
-	checkAllKeys(t, collectKeys(t, arr, 4096, res), n, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), n, 0)
 }
 
 func TestSpillAllSpillsEverything(t *testing.T) {
@@ -226,7 +226,7 @@ func TestSpillAllSpillsEverything(t *testing.T) {
 	if got := len(res.SpilledPartitions()); got != res.Partitions {
 		t.Fatalf("spill-all spilled %d of %d partitions", got, res.Partitions)
 	}
-	checkAllKeys(t, collectKeys(t, arr, 4096, res), n, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), n, 0)
 }
 
 func TestSpillAllSpillsMoreThanHybrid(t *testing.T) {
@@ -289,7 +289,7 @@ func TestCompressedSpillRoundTrip(t *testing.T) {
 	if histTotal != res.SpilledPages {
 		t.Fatalf("histogram covers %d pages, spilled %d", histTotal, res.SpilledPages)
 	}
-	checkAllKeys(t, collectKeys(t, arr, 4096, res), n, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), n, 0)
 }
 
 func TestCompressionReducesWrittenBytes(t *testing.T) {
@@ -312,7 +312,7 @@ func TestCompressionReducesWrittenBytes(t *testing.T) {
 	if res.Counters[metrics.WrittenBytes] >= res.Counters[metrics.SpilledBytes] {
 		t.Fatalf("I/O-bound spill not compressed: wrote %d of %d raw", res.Counters[metrics.WrittenBytes], res.Counters[metrics.SpilledBytes])
 	}
-	checkAllKeys(t, collectKeys(t, arr, 4096, res), 30000, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), 30000, 0)
 }
 
 func TestSpillWriteErrorSurfaces(t *testing.T) {
@@ -360,7 +360,7 @@ func TestMultiThreadedMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collectKeys(t, arr, 4096, res)
+	got := collectKeys(t, arr, res)
 	checkAllKeys(t, got, threads*perThread, 0)
 }
 
@@ -385,7 +385,7 @@ func TestModesEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := collectKeys(t, arr, 4096, res)
+			got := collectKeys(t, arr, res)
 			if len(got) != n {
 				t.Fatalf("mode %d budget %dK: %d keys, want %d", mode, budgetKB, len(got), n)
 			}
@@ -410,7 +410,7 @@ func TestVariableSizeTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := s.Finalize()
-	got := collectKeys(t, arr, 4096, res)
+	got := collectKeys(t, arr, res)
 	checkAllKeys(t, got, n, 0)
 }
 
@@ -432,7 +432,7 @@ func TestAllocTuple(t *testing.T) {
 	binary.LittleEndian.PutUint64(dst, 7)
 	b.Finish()
 	res, _ := s.Finalize()
-	got := collectKeys(t, nil, 4096, res)
+	got := collectKeys(t, nil, res)
 	if got[7] != 1 {
 		t.Fatal("in-place tuple lost")
 	}

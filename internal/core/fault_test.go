@@ -65,7 +65,7 @@ func TestSpillTransientWriteRetrySucceeds(t *testing.T) {
 		t.Fatal("no retries counted despite scripted transient faults")
 	}
 	assertWriterClean(t, b)
-	checkAllKeys(t, collectKeys(t, arr, 4096, res), n, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), n, 0)
 }
 
 func TestSpillFailoverFromDyingDevice(t *testing.T) {
@@ -94,7 +94,7 @@ func TestSpillFailoverFromDyingDevice(t *testing.T) {
 		t.Fatal("scripted FaultDeath did not kill the device")
 	}
 	assertWriterClean(t, b)
-	checkAllKeys(t, collectKeys(t, arr, 4096, res), n, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), n, 0)
 }
 
 func TestSpillAllDevicesDeadIsFatal(t *testing.T) {
@@ -213,7 +213,7 @@ func TestReadTransientRetrySucceeds(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], nil)
+		r := openPartition(t, nil, arr, part, res.Spilled[part], nil)
 		pgs, err := readAll(r)
 		if err != nil {
 			t.Fatalf("reading partition %d under transient faults: %v", part, err)
@@ -249,7 +249,7 @@ func TestReadDeadDeviceIsFatal(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], nil)
+		r := openPartition(t, nil, arr, part, res.Spilled[part], nil)
 		_, err := readAll(r)
 		r.Release()
 		if err != nil {
@@ -287,7 +287,7 @@ func TestReadCancellation(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := openPartition(t, ctx, arr, 4096, part, res.Spilled[part], nil)
+		r := openPartition(t, ctx, arr, part, res.Spilled[part], nil)
 		_, err := readAll(r)
 		r.Release()
 		if !errors.Is(err, context.Canceled) {

@@ -11,7 +11,7 @@ import (
 
 // Spill integrity: XOR parity stripes and reconstruct-on-read.
 //
-// Every spill payload is wrapped in a checksummed frame (pages.AppendFrame)
+// Every staging block is written as one checksummed frame (pages.AppendFrame)
 // whose sequence number is unique in the process, and every block read is
 // verified before anything is decoded. With SpillConfig.Parity = K > 0,
 // every K consecutive staging block writes from one writer also form a
@@ -25,7 +25,7 @@ import (
 // On readback, a frame that fails verification (bit rot, torn write,
 // misdirected read) or a block read that fails permanently (dead device)
 // triggers reconstruction: read the group's surviving K-1 data blocks and
-// its parity, XOR them, and re-verify the frames of the rebuilt block. Only
+// its parity, XOR them, and re-verify the rebuilt block's frame. Only
 // a second fault inside the same group — or damage to a block that was
 // never striped — makes the error fatal, and then it surfaces as a
 // structured *QueryError naming the device and partition.
@@ -86,55 +86,58 @@ func (rp *repairer) enabled() bool { return rp != nil && len(rp.byLoc) > 0 }
 
 // vstats counts the integrity work of one block validation.
 type vstats struct {
-	verified        int64 // framed pages whose checksums verified
-	checksumErrors  int64 // framed pages (blocks) that failed verification
+	verified        int64 // pages of blocks whose frame verified
+	checksumErrors  int64 // blocks that failed verification
 	reconstructions int64 // blocks rebuilt from parity
 }
 
-// validBlock returns a verified copy of the block at loc. buf holds the
-// block's read contents (readErr == nil) or garbage (readErr != nil, e.g. a
-// dead device); slots are the block's page slots and part the partition the
-// caller expects (-1 = unknown). When verification fails — or the read
-// itself did — the block is reconstructed in place from its stripe group
-// and re-verified. The returned buffer is always buf. A nil error means
-// every page in the block verified; a non-nil error is a structured
-// *QueryError naming the device and partition.
-func (rp *repairer) validBlock(loc nvmesim.Loc, buf []byte, slots []SpilledSlot, part int, readErr error) (vstats, error) {
+// validBlock verifies the block at loc and returns its frame's payload,
+// aliasing buf. buf holds the block's read contents (readErr == nil) or
+// garbage (readErr != nil, e.g. a dead device); slots are the block's page
+// slots, whose Seq is the block's, and part the partition the caller expects
+// (-1 = unknown). When verification fails — or the read itself did — the
+// block is reconstructed in place from its stripe group and re-verified. A
+// nil error means the block's one frame verified, and with it every page in
+// the block; a non-nil error is a structured *QueryError naming the device
+// and partition.
+func (rp *repairer) validBlock(loc nvmesim.Loc, buf []byte, slots []SpilledSlot, part int, readErr error) ([]byte, vstats, error) {
 	var st vstats
+	seq := slots[0].Seq
 	cause := readErr
 	if cause == nil {
-		err := verifyBlockFrames(buf, slots, part)
+		payload, err := pages.VerifyFrame(buf, part, seq)
 		if err == nil {
 			st.verified = int64(len(slots))
-			return st, nil
+			return payload, st, nil
 		}
 		st.checksumErrors++
 		cause = err
 	}
 	if !rp.enabled() {
-		return st, spillReadError(loc, part, cause)
+		return nil, st, spillReadError(loc, part, cause)
 	}
 	g := rp.byLoc[loc]
 	if g == nil || g.Parity == 0 {
-		return st, spillReadError(loc, part, cause)
+		return nil, st, spillReadError(loc, part, cause)
 	}
 	if err := rp.reconstruct(g, loc, buf); err != nil {
-		return st, &QueryError{
+		return nil, st, &QueryError{
 			Op: "spill-read", Part: part, Device: loc.Device(),
 			Err: fmt.Errorf("block %v unrecoverable (%v): %w", loc, cause, err),
 		}
 	}
-	if err := verifyBlockFrames(buf, slots, part); err != nil {
-		// The rebuilt block still fails its checksums: a second silent
+	payload, err := pages.VerifyFrame(buf, part, seq)
+	if err != nil {
+		// The rebuilt block still fails its checksum: a second silent
 		// fault elsewhere in the group (or in the parity block itself).
-		return st, &QueryError{
+		return nil, st, &QueryError{
 			Op: "spill-read", Part: part, Device: loc.Device(),
 			Err: fmt.Errorf("block %v unrecoverable (%v): reconstruction produced %w", loc, cause, err),
 		}
 	}
 	st.reconstructions++
 	st.verified = int64(len(slots))
-	return st, nil
+	return payload, st, nil
 }
 
 // reconstruct rebuilds the block at target into dst by XORing the stripe's
@@ -200,21 +203,6 @@ func (rp *repairer) readBlock(loc nvmesim.Loc, dst []byte) (int, error) {
 		}
 		clock.Sleep(retryBackoff(attempt))
 	}
-}
-
-// verifyBlockFrames checks every slot's frame of a block before anything is
-// decoded — partial decode-then-fail would hand half a block downstream.
-func verifyBlockFrames(buf []byte, slots []SpilledSlot, part int) error {
-	for _, s := range slots {
-		end := int(s.Off) + int(s.Len)
-		if end > len(buf) {
-			return &pages.FrameError{Reason: fmt.Sprintf("slot extent [%d:%d) beyond block of %d", s.Off, end, len(buf)), Part: part, Seq: s.Seq}
-		}
-		if _, err := pages.VerifyFrame(buf[s.Off:end], part, s.Seq); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // spillReadError wraps an unrecoverable readback fault in the structured

@@ -55,7 +55,7 @@ func collectVerified(t *testing.T, arr *nvmesim.Array, res *Result) (map[uint64]
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], res.Stripes)
+		r := openPartition(t, nil, arr, part, res.Spilled[part], res.Stripes)
 		pgs, err := readAll(r)
 		if err != nil {
 			t.Fatalf("reading partition %d: %v", part, err)
@@ -159,7 +159,7 @@ func TestDoubleFaultIsStructuredError(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], res.Stripes)
+		r := openPartition(t, nil, arr, part, res.Spilled[part], res.Stripes)
 		_, err := readAll(r)
 		r.Release()
 		if err == nil {
@@ -190,7 +190,7 @@ func TestSilentDoubleFaultIsStructuredError(t *testing.T) {
 		if len(res.Spilled[part]) == 0 {
 			continue
 		}
-		r := openPartition(t, nil, arr, 4096, part, res.Spilled[part], res.Stripes)
+		r := openPartition(t, nil, arr, part, res.Spilled[part], res.Stripes)
 		_, err := readAll(r)
 		r.Release()
 		if err == nil {
@@ -220,7 +220,7 @@ func TestSchedulerHealsCorruption(t *testing.T) {
 			work = append(work, PartitionWork{Part: part, Slots: res.Spilled[part]})
 		}
 	}
-	sched := NewPartitionScheduler(context.Background(), arr, 4096, work, 0, pages.NewBudget(1<<20))
+	sched := NewPartitionScheduler(context.Background(), arr, work, 0, pages.NewBudget(1<<20))
 	sched.SetIntegrity(res.Stripes)
 	defer sched.Close()
 	got := map[uint64]int{}
@@ -271,7 +271,7 @@ func TestSchedulerDoubleFaultIsStructuredError(t *testing.T) {
 			work = append(work, PartitionWork{Part: part, Slots: res.Spilled[part]})
 		}
 	}
-	sched := NewPartitionScheduler(context.Background(), arr, 4096, work, 0, pages.NewBudget(1<<20))
+	sched := NewPartitionScheduler(context.Background(), arr, work, 0, pages.NewBudget(1<<20))
 	sched.SetIntegrity(res.Stripes)
 	defer sched.Close()
 	sawError := false
@@ -341,7 +341,7 @@ func TestMisdirectedReadAcrossOperatorsIsCaught(t *testing.T) {
 	}
 	// The next request on device 0 is the read of b's block: it serves a's.
 	arr.SetFaultPlan(0, nvmesim.FaultPlan{Script: map[int64]nvmesim.FaultKind{1: nvmesim.FaultStale}})
-	r := openPartition(t, nil, arr, 4096, 0, b.Spilled[0], b.Stripes)
+	r := openPartition(t, nil, arr, 0, b.Spilled[0], b.Stripes)
 	pgs, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)

@@ -9,11 +9,20 @@ import (
 )
 
 // blockGroup is one staging block of a spilled partition and the page slots
-// it holds; slots are grouped by block so each block is read exactly once.
+// it holds; slots are grouped by block so each block is read and decoded
+// exactly once.
 type blockGroup struct {
-	loc      nvmesim.Loc
-	slots    []SpilledSlot
-	buf      []byte // read buffer, from queueing until the block is recycled
+	loc   nvmesim.Loc
+	slots []SpilledSlot
+	size  int    // decoded size: the sum of the slots' Len
+	buf   []byte // read buffer, from queueing until the block is recycled
+	// payload is the verified frame's encoded block, aliasing buf. dec is the
+	// decoded block the slots index, set when the consumer reaches the
+	// block's first page: payload itself for a raw block, else owned, a
+	// recycler buffer.
+	payload  []byte
+	dec      []byte
+	owned    []byte
 	attempts int
 	done     bool // the read completed (verified, or failed)
 }
@@ -28,35 +37,39 @@ const DefaultReadDepth = 8
 // maxReadAttempts bounds transient-error retries per block read.
 const maxReadAttempts = 4
 
-// decodeSlot decodes one staged page of a completed, verified block read. A
-// raw page aliases buf; a compressed one is decompressed into a recycler
-// buffer, returned as owned for the caller to recycle once the page is dead.
-func decodeSlot(buf []byte, s SpilledSlot, pageSize int) (p *pages.Page, owned []byte, err error) {
-	if int(s.Off)+int(s.Len) > len(buf) {
-		return nil, nil, fmt.Errorf("core: spilled slot %v exceeds block bounds", s)
-	}
-	// The extent starts with the (already verified) integrity header; the
-	// encoded page follows it.
-	if s.Len < pages.FrameSize {
-		return nil, nil, fmt.Errorf("core: spilled slot %v shorter than its frame header", s)
-	}
-	data := buf[s.Off+pages.FrameSize : s.Off+s.Len]
-	block := data
-	if s.Scheme != codec.None {
-		c := codec.ByID(s.Scheme)
+// decodeBlock decodes a verified block's payload, stored under scheme, into
+// the size bytes its slots index. A raw block is the payload itself; a
+// compressed one is decompressed into a recycler buffer, returned as owned
+// for the caller to recycle once the block's pages are dead.
+func decodeBlock(payload []byte, scheme codec.ID, size int) (dec, owned []byte, err error) {
+	dec = payload
+	if scheme != codec.None {
+		c := codec.ByID(scheme)
 		if c == nil {
-			return nil, nil, fmt.Errorf("core: spilled slot uses unknown codec %d", s.Scheme)
+			return nil, nil, fmt.Errorf("core: spilled block uses unknown codec %d", scheme)
 		}
-		dec, err := c.Decompress(pages.GetBuf(pageSize)[:0], data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decompressing spilled page: %w", err)
+		owned = pages.GetBuf(size)
+		if dec, err = c.Decompress(owned[:0], payload); err != nil {
+			pages.PutBuf(owned)
+			return nil, nil, fmt.Errorf("core: decompressing spilled block: %w", err)
 		}
-		block, owned = dec, dec[:cap(dec)]
 	}
-	p, err = pages.Load(block[:pageSize])
-	if err != nil {
+	if len(dec) != size {
 		pages.PutBuf(owned)
-		return nil, nil, fmt.Errorf("core: loading spilled page: %w", err)
+		return nil, nil, fmt.Errorf("core: spilled block decodes to %d bytes, its slots hold %d", len(dec), size)
 	}
-	return p, owned, nil
+	return dec, owned, nil
+}
+
+// loadSlot returns a page view of slot s of the decoded block dec.
+func loadSlot(dec []byte, s SpilledSlot) (*pages.Page, error) {
+	end := int(s.Off) + int(s.Len)
+	if end > len(dec) {
+		return nil, fmt.Errorf("core: spilled slot %v exceeds its decoded block of %d bytes", s, len(dec))
+	}
+	p, err := pages.Load(dec[s.Off:end:end])
+	if err != nil {
+		return nil, fmt.Errorf("core: loading spilled page: %w", err)
+	}
+	return p, nil
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // spillOnePartition materializes tuples so that everything spills, and
-// returns the array, page size and the slots of one spilled partition.
-func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, int, []SpilledSlot) {
+// returns the array and the slots of one spilled partition.
+func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, []SpilledSlot) {
 	t.Helper()
 	arr := fastArray(1)
 	s := NewShared(Config{
@@ -33,20 +33,20 @@ func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, int, []Spil
 	}
 	for p := 0; p < res.Partitions; p++ {
 		if len(res.Spilled[p]) > 0 {
-			return arr, 4096, res.Spilled[p]
+			return arr, res.Spilled[p]
 		}
 	}
 	t.Fatal("nothing spilled")
-	return nil, 0, nil
+	return nil, nil
 }
 
 // openPartition opens slots for readback through a one-item
 // PartitionScheduler that is closed when the test ends. part is the
 // partition their frames verify against (-1 skips the check); stripes is the
 // result's parity directory (nil = nothing can be rebuilt).
-func openPartition(t *testing.T, ctx context.Context, arr *nvmesim.Array, pageSize, part int, slots []SpilledSlot, stripes []*StripeGroup) *PartitionCursor {
+func openPartition(t *testing.T, ctx context.Context, arr *nvmesim.Array, part int, slots []SpilledSlot, stripes []*StripeGroup) *PartitionCursor {
 	t.Helper()
-	sched := NewPartitionScheduler(ctx, arr, pageSize, []PartitionWork{{Part: part, Slots: slots}}, 4, nil)
+	sched := NewPartitionScheduler(ctx, arr, []PartitionWork{{Part: part, Slots: slots}}, 4, nil)
 	sched.SetIntegrity(stripes)
 	t.Cleanup(sched.Close)
 	return sched.Open(0)
@@ -69,7 +69,7 @@ func readAll(cur *PartitionCursor) ([]*pages.Page, error) {
 
 func TestPartitionReaderEmpty(t *testing.T) {
 	arr := fastArray(1)
-	r := openPartition(t, nil, arr, 4096, -1, nil, nil)
+	r := openPartition(t, nil, arr, -1, nil, nil)
 	defer r.Release()
 	p, err := r.Next()
 	if err != nil || p != nil {
@@ -82,9 +82,9 @@ func TestPartitionReaderEmpty(t *testing.T) {
 }
 
 func TestPartitionReaderReadError(t *testing.T) {
-	arr, pageSize, slots := spillOnePartition(t, false)
+	arr, slots := spillOnePartition(t, false)
 	arr.InjectFailures(0, 1000)
-	r := openPartition(t, nil, arr, pageSize, -1, slots, nil)
+	r := openPartition(t, nil, arr, -1, slots, nil)
 	defer r.Release()
 	// InjectFailures fails transiently, so this is the retry budget running
 	// out: a structured error naming the device, and sticky.
@@ -102,34 +102,42 @@ func TestPartitionReaderReadError(t *testing.T) {
 }
 
 func TestPartitionReaderCorruptSlot(t *testing.T) {
-	arr, pageSize, slots := spillOnePartition(t, true)
+	arr, slots := spillOnePartition(t, true)
 	bad := make([]SpilledSlot, len(slots))
 	copy(bad, slots)
 	// Slot pointing past its block.
 	bad[0].Off = uint32(bad[0].Loc.Size())
 	bad[0].Len = 64
-	r := openPartition(t, nil, arr, pageSize, -1, bad, nil)
+	r := openPartition(t, nil, arr, -1, bad, nil)
 	defer r.Release()
-	if _, err := readAll(r); err == nil {
-		t.Fatal("out-of-bounds slot accepted")
-	}
+	_, err := readAll(r)
+	wantBlockError(t, err, bad[0].Loc)
 }
 
 func TestPartitionReaderUnknownScheme(t *testing.T) {
-	arr, pageSize, slots := spillOnePartition(t, true)
+	arr, slots := spillOnePartition(t, true)
 	bad := make([]SpilledSlot, len(slots))
 	copy(bad, slots)
 	bad[0].Scheme = codec.ID(250)
-	r := openPartition(t, nil, arr, pageSize, -1, bad, nil)
+	r := openPartition(t, nil, arr, -1, bad, nil)
 	defer r.Release()
-	if _, err := readAll(r); err == nil {
-		t.Fatal("unknown codec accepted")
+	_, err := readAll(r)
+	wantBlockError(t, err, bad[0].Loc)
+}
+
+// wantBlockError fails unless err is the structured readback error of the
+// block at loc.
+func wantBlockError(t *testing.T, err error, loc nvmesim.Loc) {
+	t.Helper()
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Op != "spill-read" || qe.Device != loc.Device() {
+		t.Fatalf("err = %v, want a spill-read *QueryError on device %d", err, loc.Device())
 	}
 }
 
 func TestPartitionReaderBytesRead(t *testing.T) {
-	arr, pageSize, slots := spillOnePartition(t, false)
-	r := openPartition(t, nil, arr, pageSize, -1, slots, nil)
+	arr, slots := spillOnePartition(t, false)
+	r := openPartition(t, nil, arr, -1, slots, nil)
 	pgs, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
@@ -143,20 +151,23 @@ func TestPartitionReaderBytesRead(t *testing.T) {
 		t.Fatal("readback tracked no recycler-backed buffers")
 	}
 	r.Release()
-	if blocks, pageBufs := ownedBufs(r.it); blocks+pageBufs != 0 {
-		t.Fatalf("Release kept %d block and %d page buffers", blocks, pageBufs)
+	if blocks, decoded := ownedBufs(r.it); blocks+decoded != 0 {
+		t.Fatalf("Release kept %d block and %d decoded buffers", blocks, decoded)
 	}
 }
 
 // ownedBufs counts the recycler-backed buffers a work item holds: block read
-// buffers, and decompression buffers of pages handed out.
-func ownedBufs(it *schedItem) (blocks, pageBufs int) {
+// buffers, and the buffers compressed blocks were decoded into.
+func ownedBufs(it *schedItem) (blocks, decoded int) {
 	for _, g := range it.groups {
 		if g.buf != nil {
 			blocks++
 		}
+		if g.owned != nil {
+			decoded++
+		}
 	}
-	return blocks, len(it.pageBufs)
+	return blocks, decoded
 }
 
 func TestUringDepthAtSubmit(t *testing.T) {

@@ -24,7 +24,7 @@ type PartitionWork struct {
 // write path already overlaps). It owns one I/O ring, takes an ordered list
 // of partition work items, and hands each consumer a streaming cursor.
 //
-// Prefetch is budget-aware: block and decode buffers for partitions no
+// Prefetch is budget-aware: read and decode buffers for partitions no
 // consumer has opened yet are reserved against the query budget first, and
 // the scheduler simply stops looking ahead when the reservation fails —
 // lookahead shrinks under memory pressure instead of OOMing. Demand reads
@@ -38,12 +38,11 @@ type PartitionWork struct {
 // on a condition variable. All methods and cursors are safe for concurrent
 // use by one consumer per partition.
 type PartitionScheduler struct {
-	ctx      context.Context
-	arr      *nvmesim.Array
-	clock    nvmesim.Clock
-	budget   *pages.Budget
-	pageSize int
-	depth    int
+	ctx    context.Context
+	arr    *nvmesim.Array
+	clock  nvmesim.Clock
+	budget *pages.Budget
+	depth  int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -85,12 +84,11 @@ type schedItem struct {
 
 	// Hand-out position: the consumer has had the pages of every group
 	// before outGroup and the first outPage slots of groups[outGroup].
-	// Groups before freed have been recycled (ReleaseEarlier); pageBufs are
-	// the decompression buffers of handed-out pages not recycled yet.
+	// Groups before freed have had their read and decode buffers recycled
+	// (ReleaseEarlier).
 	outGroup int
 	outPage  int
 	freed    int
-	pageBufs [][]byte
 
 	opened   bool
 	released bool
@@ -118,17 +116,16 @@ type schedItem struct {
 // cancels blocking waits (nil = background); depth bounds in-flight block
 // reads across the whole scheduler (<= 0 selects DefaultReadDepth); budget,
 // when non-nil, gates prefetch lookahead (demand reads are never gated).
-func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, pageSize int, work []PartitionWork, depth int, budget *pages.Budget) *PartitionScheduler {
+func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, work []PartitionWork, depth int, budget *pages.Budget) *PartitionScheduler {
 	if depth <= 0 {
 		depth = DefaultReadDepth
 	}
 	s := &PartitionScheduler{
-		ctx:      ctx,
-		arr:      arr,
-		clock:    arr.Clock(),
-		budget:   budget,
-		pageSize: pageSize,
-		depth:    depth,
+		ctx:    ctx,
+		arr:    arr,
+		clock:  arr.Clock(),
+		budget: budget,
+		depth:  depth,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.ring = uring.New(arr)
@@ -148,6 +145,7 @@ func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, pageSize int
 				it.groups = append(it.groups, blockGroup{loc: sl.Loc})
 			}
 			it.groups[gi].slots = append(it.groups[gi].slots, sl)
+			it.groups[gi].size += int(sl.Len)
 		}
 		s.items[i] = it
 	}
@@ -233,9 +231,9 @@ func (s *PartitionScheduler) issueLocked() {
 		}
 		for it.nextGroup < len(it.groups) && preInflight < s.depth {
 			g := &it.groups[it.nextGroup]
-			// A prefetched group costs its block read buffer plus one
-			// decode buffer per staged page.
-			cost := int64(g.loc.Size()) + int64(len(g.slots))*int64(s.pageSize)
+			// A prefetched group costs its block read buffer plus its
+			// decoded size.
+			cost := int64(g.loc.Size()) + int64(g.size)
 			if !s.budget.TryReserve(cost) {
 				// Budget headroom gone: shrink the lookahead window rather
 				// than abandoning overlap entirely. One unreserved group may
@@ -324,8 +322,8 @@ func (s *PartitionScheduler) retryUnlocked(comps []uring.Completion) ([]uring.Co
 }
 
 // processLocked folds reaped completions into item state: a block that read
-// and verified is ready for its consumer to decode page by page, failures
-// become sticky structured errors.
+// and verified is ready for its consumer to decode, failures become sticky
+// structured errors.
 func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*schedItem) {
 	for _, it := range retried {
 		it.counts[metrics.SpillRetries]++
@@ -361,29 +359,26 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 		// mismatch triggers parity reconstruction in place. The repair I/O
 		// runs under the scheduler lock — it is the cold path, and followers
 		// simply wait out the rare rebuild.
-		st, err := s.repairerLocked().validBlock(g.loc, g.buf, g.slots, it.part, c.Err)
+		payload, st, err := s.repairerLocked().validBlock(g.loc, g.buf, g.slots, it.part, c.Err)
 		it.counts[metrics.SpillPagesVerified] += st.verified
 		it.counts[metrics.SpillChecksumErrors] += st.checksumErrors
 		it.counts[metrics.SpillReconstructions] += st.reconstructions
 		if err != nil {
 			it.err = err
 		}
+		g.payload = payload
 	}
 }
 
-// recycleLocked returns to the recycler the block buffers of the groups
-// before end and the decompression buffers of all but the last keep pages
-// handed out. No read into those groups may be in flight.
-func (it *schedItem) recycleLocked(end, keep int) {
+// recycleLocked returns to the recycler the read and decode buffers of the
+// groups before end. No read into those groups may be in flight.
+func (it *schedItem) recycleLocked(end int) {
 	for ; it.freed < end; it.freed++ {
-		pages.PutBuf(it.groups[it.freed].buf)
-		it.groups[it.freed].buf = nil
+		g := &it.groups[it.freed]
+		pages.PutBuf(g.buf)
+		pages.PutBuf(g.owned)
+		g.buf, g.payload, g.dec, g.owned = nil, nil, nil, nil
 	}
-	n := max(len(it.pageBufs)-keep, 0)
-	for _, b := range it.pageBufs[:n] {
-		pages.PutBuf(b)
-	}
-	it.pageBufs = append(it.pageBufs[:0], it.pageBufs[n:]...)
 }
 
 // Close drains outstanding reads and recycles every remaining buffer and
@@ -423,7 +418,7 @@ func (s *PartitionScheduler) Close() {
 		}
 		it.released = true
 		if !aborted {
-			it.recycleLocked(len(it.groups), 0)
+			it.recycleLocked(len(it.groups))
 		}
 	}
 	s.cond.Broadcast()
@@ -462,9 +457,10 @@ type PartitionCursor struct {
 
 // Next returns the partition's next page, or (nil, nil) once every page has
 // been handed out. Pages come in spill (slot) order, whatever order their
-// blocks complete in, each decoded outside the scheduler lock as it is handed
-// out; it stays valid until Release, or until ReleaseEarlier after a later
-// Next. While the next page's block is missing, Next joins the
+// blocks complete in. A block is decoded once, outside the scheduler lock,
+// when the consumer reaches its first page, and each page is a view into the
+// decoded block; it stays valid until Release, or until ReleaseEarlier after
+// a later Next. While the next page's block is missing, Next joins the
 // leader/follower pump: the leader submits and polls the shared ring with the
 // scheduler lock dropped; followers wait for its broadcast.
 func (c *PartitionCursor) Next() (*pages.Page, error) {
@@ -501,19 +497,27 @@ func (c *PartitionCursor) Next() (*pages.Page, error) {
 				s.pumpLocked(false)
 				continue
 			}
-			slot, buf := g.slots[it.outPage], g.buf
+			if it.outPage == 0 {
+				// The consumer reached the block: decode all of it once.
+				payload, scheme := g.payload, g.slots[0].Scheme
+				s.mu.Unlock()
+				dec, owned, err := decodeBlock(payload, scheme, g.size)
+				s.mu.Lock()
+				if err != nil {
+					it.err = spillReadError(g.loc, it.part, err)
+					continue
+				}
+				g.dec, g.owned = dec, owned
+			}
+			slot, dec := g.slots[it.outPage], g.dec
 			it.outPage++
 			s.mu.Unlock()
-			p, owned, err := decodeSlot(buf, slot, s.pageSize)
-			s.mu.Lock()
+			p, err := loadSlot(dec, slot)
 			if err != nil {
-				it.err = WrapQueryError("spill-read", err)
+				s.mu.Lock()
+				it.err = spillReadError(g.loc, it.part, err)
 				continue
 			}
-			if owned != nil {
-				it.pageBufs = append(it.pageBufs, owned)
-			}
-			s.mu.Unlock()
 			return p, nil
 		}
 		if s.pumping {
@@ -525,15 +529,16 @@ func (c *PartitionCursor) Next() (*pages.Page, error) {
 }
 
 // ReleaseEarlier declares every page handed out before the latest Next dead
-// and recycles the buffers only those pages used. A consumer that copies out
-// what it keeps (the external sort's merge) calls it after every Next and so
-// owns at most depth+1 blocks of the partition; one that only calls Release
-// owns all of it.
+// and recycles the read and decode buffers of the blocks only those pages
+// used. A consumer that copies out what it keeps (the external sort's merge)
+// calls it after every Next and so owns at most depth+1 blocks of the
+// partition, one of them decoded; one that only calls Release owns all of
+// it.
 func (c *PartitionCursor) ReleaseEarlier() {
 	s, it := c.s, c.it
 	s.mu.Lock()
 	if !it.released {
-		it.recycleLocked(it.outGroup, 1)
+		it.recycleLocked(it.outGroup)
 	}
 	s.mu.Unlock()
 }
@@ -552,7 +557,7 @@ func (c *PartitionCursor) Release() {
 			it.reserved = 0
 		}
 		if it.inflightN == 0 {
-			it.recycleLocked(len(it.groups), 0)
+			it.recycleLocked(len(it.groups))
 		}
 	}
 	s.mu.Unlock()

@@ -15,8 +15,8 @@ import (
 )
 
 // spillAllPartitions materializes tuples under ModeSpillAll and returns the
-// array, page size, result, and the work list over every spilled partition.
-func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, pageSize int, res *Result, work []PartitionWork) {
+// array, result, and the work list over every spilled partition.
+func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, res *Result, work []PartitionWork) {
 	t.Helper()
 	a := fastArray(2)
 	s := NewShared(Config{
@@ -40,7 +40,7 @@ func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, pageSi
 	if len(work) < 2 {
 		t.Fatalf("only %d partitions spilled; the scheduler tests need lookahead targets", len(work))
 	}
-	return a, 4096, r, work
+	return a, r, work
 }
 
 // drain pulls every page from a cursor, collecting the stored keys.
@@ -62,9 +62,9 @@ func drain(t *testing.T, cur *PartitionCursor, into map[uint64]int) {
 
 func TestSchedulerStreamsAllPartitions(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		arr, pageSize, res, work := spillAllPartitions(t, compress)
+		arr, res, work := spillAllPartitions(t, compress)
 		budget := pages.NewBudget(1 << 20)
-		sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget)
+		sched := NewPartitionScheduler(nil, arr, work, 4, budget)
 		got := map[uint64]int{}
 		for _, p := range res.InMemory {
 			for i := 0; i < p.Tuples(); i++ {
@@ -88,9 +88,9 @@ func TestSchedulerStreamsAllPartitions(t *testing.T) {
 }
 
 func TestSchedulerPrefetchesAhead(t *testing.T) {
-	arr, pageSize, _, work := spillAllPartitions(t, true)
+	arr, _, work := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget)
+	sched := NewPartitionScheduler(nil, arr, work, 8, budget)
 	defer sched.Close()
 
 	got := map[uint64]int{}
@@ -114,11 +114,11 @@ func TestSchedulerPrefetchesAhead(t *testing.T) {
 }
 
 func TestSchedulerBudgetFloorUnderPressure(t *testing.T) {
-	arr, pageSize, _, work := spillAllPartitions(t, true)
+	arr, _, work := spillAllPartitions(t, true)
 	// A budget with no headroom at all: every TryReserve fails, so lookahead
 	// must shrink to the single unreserved in-flight block — not stop.
 	budget := pages.NewBudget(1)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget)
+	sched := NewPartitionScheduler(nil, arr, work, 8, budget)
 	got := map[uint64]int{}
 	var prefetched int64
 	for i := range work {
@@ -137,11 +137,11 @@ func TestSchedulerBudgetFloorUnderPressure(t *testing.T) {
 }
 
 func TestSchedulerReadErrorIsStructuredAndSticky(t *testing.T) {
-	arr, pageSize, _, work := spillAllPartitions(t, false)
+	arr, _, work := spillAllPartitions(t, false)
 	arr.InjectFailures(0, 1000)
 	arr.InjectFailures(1, 1000)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget)
+	sched := NewPartitionScheduler(nil, arr, work, 4, budget)
 	cur := sched.Open(0)
 	_, err := cur.Next()
 	if err == nil {
@@ -165,12 +165,12 @@ func TestSchedulerReadErrorIsStructuredAndSticky(t *testing.T) {
 }
 
 func TestSchedulerDeviceDeathMidPrefetch(t *testing.T) {
-	arr, pageSize, _, work := spillAllPartitions(t, false)
+	arr, _, work := spillAllPartitions(t, false)
 	budget := pages.NewBudget(1 << 20)
 	// Depth 1 keeps most of the readback unsubmitted while the first
 	// partition drains, so the kill lands on reads the scheduler still has
 	// queued — the prefetch-in-progress shape.
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 1, budget)
+	sched := NewPartitionScheduler(nil, arr, work, 1, budget)
 
 	// Drain the first partition so prefetch for the rest is in flight, then
 	// kill both devices: later partitions must fail with structured errors
@@ -214,10 +214,10 @@ func TestSchedulerDeviceDeathMidPrefetch(t *testing.T) {
 }
 
 func TestSchedulerCanceledContext(t *testing.T) {
-	arr, pageSize, _, work := spillAllPartitions(t, false)
+	arr, _, work := spillAllPartitions(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sched := NewPartitionScheduler(ctx, arr, pageSize, work, 4, nil)
+	sched := NewPartitionScheduler(ctx, arr, work, 4, nil)
 	cur := sched.Open(0)
 	if _, err := cur.Next(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -227,9 +227,9 @@ func TestSchedulerCanceledContext(t *testing.T) {
 }
 
 func TestSchedulerCloseWithoutOpen(t *testing.T) {
-	arr, pageSize, _, work := spillAllPartitions(t, true)
+	arr, _, work := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 8, budget)
+	sched := NewPartitionScheduler(nil, arr, work, 8, budget)
 	// Force prefetch to start without any consumer: open and drop one page.
 	cur := sched.Open(0)
 	if _, err := cur.Next(); err != nil {
@@ -245,9 +245,9 @@ func TestSchedulerCloseWithoutOpen(t *testing.T) {
 }
 
 func TestSchedulerConcurrentConsumers(t *testing.T) {
-	arr, pageSize, _, work := spillAllPartitions(t, true)
+	arr, _, work := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, pageSize, work, 4, budget)
+	sched := NewPartitionScheduler(nil, arr, work, 4, budget)
 	var mu sync.Mutex
 	got := map[uint64]int{}
 	var wg sync.WaitGroup
@@ -292,8 +292,8 @@ func TestSchedulerConcurrentConsumers(t *testing.T) {
 }
 
 // spillFramedLZ4 spills n 64-byte tuples, keys 0..n-1 stored in order, into
-// two partitions under ModeSpillAll, with every page LZ4-compressed and
-// framed, and returns the array, the result and its work list. A partition's
+// two partitions under ModeSpillAll, with every staging block LZ4-compressed
+// and framed, and returns the array, the result and its work list. A partition's
 // pages are spilled in the order they filled, so in spill order its keys
 // ascend.
 func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []PartitionWork) {
@@ -304,7 +304,7 @@ func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []PartitionWo
 		Spill: &SpillConfig{Array: arr, Compress: true, RunN: 1 << 30, Parity: 1},
 	})
 	b := s.NewBuffer()
-	b.reg.level = 3 // pin LZ4Default: every slot compressed, however the timing falls
+	b.reg.PinScheme(codec.LZ4Default) // every block compressed, however the timing falls
 	for i := 0; i < n; i++ {
 		key := uint64(i)
 		tuple := tup(key, 64)
@@ -381,7 +381,7 @@ func TestCursorYieldsPagesInSpillOrder(t *testing.T) {
 		Script:       map[int64]nvmesim.FaultKind{1: nvmesim.FaultSpike},
 		SpikeLatency: 20 * time.Millisecond,
 	})
-	sched := NewPartitionScheduler(nil, arr, 4096, work[:1], 8, nil)
+	sched := NewPartitionScheduler(nil, arr, work[:1], 8, nil)
 	sched.SetIntegrity(res.Stripes)
 	defer sched.Close()
 	cur := sched.Open(0)
@@ -410,13 +410,14 @@ func TestCursorYieldsPagesInSpillOrder(t *testing.T) {
 // external sort's merge opens its runs, and read one page at a time by a
 // consumer that declares everything before its latest page dead
 // (ReleaseEarlier): no cursor ever owns the buffers of more than read depth +
-// 1 blocks, nor more than the latest page's decompression buffer. Close still
-// returns every buffer, also those of a partition abandoned halfway.
+// 1 blocks, nor more than one decoded block — the one its latest page is in.
+// Close still returns every buffer, also those of a partition abandoned
+// halfway.
 func TestCursorFootprintIsReadDepthPlusOne(t *testing.T) {
 	const n = 40000
 	arr, res, work := spillFramedLZ4(t, n)
 	for _, depth := range []int{1, 3} {
-		sched := NewPartitionScheduler(nil, arr, 4096, work, depth, nil)
+		sched := NewPartitionScheduler(nil, arr, work, depth, nil)
 		sched.SetIntegrity(res.Stripes)
 		var curs []*PartitionCursor
 		for i := range work {
@@ -425,7 +426,7 @@ func TestCursorFootprintIsReadDepthPlusOne(t *testing.T) {
 		for i, cur := range curs {
 			part := work[i].Part
 			var keys []uint64
-			maxBlocks := 0
+			maxBlocks, maxDecoded := 0, 0
 			for pg := 0; ; pg++ {
 				p, err := cur.Next()
 				if err != nil {
@@ -433,19 +434,19 @@ func TestCursorFootprintIsReadDepthPlusOne(t *testing.T) {
 				}
 				cur.ReleaseEarlier()
 				for j, c := range curs {
-					blocks, pageBufs := ownedBufs(c.it)
-					if blocks > depth+1 || pageBufs > 1 {
-						t.Fatalf("depth %d, reading partition %d, page %d: partition %d owns %d blocks and %d page buffers",
-							depth, part, pg, work[j].Part, blocks, pageBufs)
+					blocks, decoded := ownedBufs(c.it)
+					if blocks > depth+1 || decoded > 1 {
+						t.Fatalf("depth %d, reading partition %d, page %d: partition %d owns %d blocks and %d decoded blocks",
+							depth, part, pg, work[j].Part, blocks, decoded)
 					}
 				}
-				blocks, _ := ownedBufs(cur.it)
-				maxBlocks = max(maxBlocks, blocks)
+				blocks, decoded := ownedBufs(cur.it)
+				maxBlocks, maxDecoded = max(maxBlocks, blocks), max(maxDecoded, decoded)
 				if p == nil {
 					cur.Release()
-					if blocks, pageBufs := ownedBufs(cur.it); blocks+pageBufs != 0 {
-						t.Fatalf("depth %d, partition %d: Release left %d blocks and %d page buffers",
-							depth, part, blocks, pageBufs)
+					if blocks, decoded := ownedBufs(cur.it); blocks+decoded != 0 {
+						t.Fatalf("depth %d, partition %d: Release left %d blocks and %d decoded blocks",
+							depth, part, blocks, decoded)
 					}
 					checkAscending(t, keys, part, n)
 					break
@@ -455,14 +456,15 @@ func TestCursorFootprintIsReadDepthPlusOne(t *testing.T) {
 					break // abandoned mid-partition: Close must reclaim it
 				}
 			}
-			if maxBlocks < 2 {
-				t.Fatalf("depth %d, partition %d: never more than %d block owned; no read-ahead ran", depth, part, maxBlocks)
+			if maxBlocks < 2 || maxDecoded != 1 {
+				t.Fatalf("depth %d, partition %d: at most %d blocks and %d decoded blocks owned; want read-ahead and one decoded block",
+					depth, part, maxBlocks, maxDecoded)
 			}
 		}
 		sched.Close()
 		for i, it := range sched.items {
-			if blocks, pageBufs := ownedBufs(it); blocks+pageBufs != 0 {
-				t.Fatalf("depth %d, item %d: Close left %d blocks and %d page buffers", depth, i, blocks, pageBufs)
+			if blocks, decoded := ownedBufs(it); blocks+decoded != 0 {
+				t.Fatalf("depth %d, item %d: Close left %d blocks and %d decoded blocks", depth, i, blocks, decoded)
 			}
 		}
 	}

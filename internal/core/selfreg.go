@@ -40,12 +40,14 @@ const (
 //
 //   - operator cost: time the operator spends producing each page
 //     (A in Figure 4), reported by the Umami buffer between allocations;
-//   - compression cost: measured around each CompressPage call;
+//   - compression cost: measured around each CompressBlock call, which
+//     compresses a whole staging block of raw pages at once;
 //   - I/O cost: completion latency divided by the number of simultaneous
 //     requests (B in Figure 4 — the paper encodes request start times in
 //     io_uring user-data fields; our uring layer timestamps completions).
 //
-// After a run of N pages it compares CPU cost (operator + compression, per
+// After a run of N pages — counted in pages, whatever the blocks they were
+// compressed in — it compares CPU cost (operator + compression, per
 // source byte) with effective I/O cost (per source byte, i.e. scaled by the
 // achieved compression ratio). If I/O cost dominates, it steps up the
 // unified scale; if CPU cost dominates, it steps down. One Regulator per
@@ -109,14 +111,15 @@ func (r *Regulator) ObserveIO(c uring.Completion, inflight int) {
 	r.ioBytes += float64(c.N)
 }
 
-// CompressPage compresses src with the current scheme, measuring cost, and
-// returns the encoded bytes plus the scheme used. For the Uncompressed
-// scheme it returns src unchanged. The returned slice is only valid until
-// the next CompressPage call.
-func (r *Regulator) CompressPage(src []byte) ([]byte, codec.ID) {
+// CompressBlock compresses src, a staging block of n sealed pages, with the
+// current scheme in one codec call, measuring cost, and returns the encoded
+// bytes plus the scheme used. For the Uncompressed scheme it returns src
+// unchanged. The run and the scheme histogram advance by n pages. The
+// returned slice is only valid until the next CompressBlock call.
+func (r *Regulator) CompressBlock(src []byte, n int) ([]byte, codec.ID) {
 	id := DefaultScale[r.level]
-	r.pagesInRun++
-	r.pagesPerScheme[id]++
+	r.pagesInRun += n
+	r.pagesPerScheme[id] += int64(n)
 	r.rawBytes += float64(len(src))
 	var out []byte
 	if id == codec.None {

@@ -27,7 +27,7 @@ func feedRun(r *Regulator, opNsPerByte, ioNsPerByte float64) {
 	page := regPage
 	for i := 0; i < r.runN; i++ {
 		r.ObserveOperator(time.Duration(opNsPerByte*float64(len(page))), len(page))
-		out, _ := r.CompressPage(page)
+		out, _ := r.CompressBlock(page, 1)
 		r.ObserveIO(uring.Completion{
 			N:       len(out),
 			Latency: time.Duration(ioNsPerByte * float64(len(out))),
@@ -119,14 +119,14 @@ func TestRegulatorHoldsWithoutIO(t *testing.T) {
 	// Flush the measurement run that still carries I/O observations from
 	// the setup phase.
 	for i := 0; i < r.runN; i++ {
-		r.CompressPage(page)
+		r.CompressBlock(page, 1)
 	}
 	level := r.Level()
 	// Pages flow but no I/O completions are observed (bursty spilling with
 	// writes still in flight): the regulator must hold its setting rather
 	// than drift — moving blind would fight the burst pattern.
 	for i := 0; i < 20*r.runN; i++ {
-		r.CompressPage(page)
+		r.CompressBlock(page, 1)
 	}
 	if r.Level() != level {
 		t.Fatalf("level moved from %d to %d without any observed I/O", level, r.Level())
@@ -138,7 +138,7 @@ func TestRegulatorRoundTripsAllSchemes(t *testing.T) {
 	page := bytes.Repeat([]byte("spill data spill data "), 100)
 	for li := range DefaultScale {
 		r.level = li
-		out, id := r.CompressPage(page)
+		out, id := r.CompressBlock(page, 1)
 		if id != DefaultScale[li] {
 			t.Fatalf("scheme mismatch at level %d", li)
 		}
@@ -159,7 +159,7 @@ func TestRegulatorHistogram(t *testing.T) {
 	r := NewRegulator(4)
 	page := bytes.Repeat([]byte("x y z "), 100)
 	for i := 0; i < 8; i++ {
-		r.CompressPage(page)
+		r.CompressBlock(page, 1)
 	}
 	h := r.SchemeHistogram()
 	var total int64
@@ -168,6 +168,27 @@ func TestRegulatorHistogram(t *testing.T) {
 	}
 	if total != 8 {
 		t.Fatalf("histogram total %d, want 8", total)
+	}
+}
+
+// TestRegulatorCountsBlockPages: one call compresses a staging block of 16
+// pages, and the run and the scheme histogram advance by 16 pages, not by one
+// call — so RunN and the histogram keep counting pages.
+func TestRegulatorCountsBlockPages(t *testing.T) {
+	r := NewRegulator(64)
+	block := bytes.Repeat(regPage, 16)
+	r.CompressBlock(block, 16)
+	if r.pagesInRun != 16 {
+		t.Fatalf("run advanced by %d pages, want 16", r.pagesInRun)
+	}
+	if h := r.SchemeHistogram(); h[codec.None] != 16 {
+		t.Fatalf("histogram %v, want 16 pages uncompressed", h)
+	}
+	for i := 0; i < 3; i++ {
+		r.CompressBlock(block, 16)
+	}
+	if r.pagesInRun != 0 {
+		t.Fatalf("64 pages in four blocks left %d pages in the run; want it closed at RunN", r.pagesInRun)
 	}
 }
 

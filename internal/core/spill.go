@@ -14,36 +14,40 @@ import (
 	"github.com/spilly-db/spilly/internal/uring"
 )
 
-// SpilledSlot locates one spilled page: the staging block it lives in and
-// its extent within that block. The paper serializes [offset, size, scheme]
-// slot directories into the staging areas themselves (§5.3); since spilled
-// data is ephemeral — it never outlives the query — this reproduction keeps
-// the directory in memory alongside the paper's in-memory
+// SpilledSlot locates one spilled page: the staging block it was written in
+// and its raw extent inside that block once decoded. The staging block is the
+// unit of compression and framing: its raw pages are compressed by one codec
+// call and written inside one checksummed frame, so every slot of a block
+// carries the block's Scheme and Seq. The paper serializes [offset, size,
+// scheme] slot directories into the staging areas themselves (§5.3); since
+// spilled data is ephemeral — it never outlives the query — this
+// reproduction keeps the directory in memory alongside the paper's in-memory
 // spilledPageLocations list, which is equivalent and avoids re-parsing.
 type SpilledSlot struct {
 	Loc    nvmesim.Loc // staging block location on the array
-	Off    uint32      // offset of the framed page within the block
-	Len    uint32      // framed length: pages.FrameSize + encoded page
-	Scheme codec.ID    // codec used, None = raw page bytes
-	// Seq is the page's integrity sequence number, unique in the process
-	// (frameSeq). The extent holds a pages.FrameSize header followed by the
-	// encoded page, and readback verifies the frame before decoding.
+	Off    uint32      // offset of the sealed page within the decoded block
+	Len    uint32      // length of the sealed page
+	Scheme codec.ID    // codec the block was compressed with, None = raw pages
+	// Seq is the block's integrity sequence number, unique in the process
+	// (frameSeq). The block on the array is one pages.FrameSize header
+	// followed by the encoded block, and readback verifies the frame before
+	// decoding.
 	Seq uint32
 }
 
-// frameSeq issues every spilled page's integrity sequence number. One
+// frameSeq issues every spilled block's integrity sequence number. One
 // process-wide counter, not one per operator: two operators — or a query
-// and the result cache — never frame different pages with the same
+// and the result cache — never frame different blocks with the same
 // identity, so a misdirected read between them cannot verify.
 var frameSeq atomic.Uint32
 
-// stagingArea accumulates the framed pages destined for one partition until
-// it holds at least the flush threshold, so that compression output — which
-// shrinks below the page size — and small pages still produce large,
-// block-aligned writes (paper §5.3, Figure 4).
+// stagingArea accumulates the raw sealed pages destined for one partition
+// until they reach the flush threshold. The block is then compressed as one
+// unit and written in one frame: small pages compress as well as the paper's
+// 64 KiB ones, and every write is one block (paper §5.3, Figure 4).
 type stagingArea struct {
 	buf   []byte
-	slots []SpilledSlot // Loc filled in at flush time
+	slots []SpilledSlot // Loc, Scheme and Seq filled in at flush time
 }
 
 // inflightWrite tracks one write request from queueing until its buffer can
@@ -85,7 +89,8 @@ func retryBackoff(attempt int) time.Duration {
 
 // spillWriter performs asynchronous, optionally compressed page spilling
 // for one worker thread (paper Listing 2). It owns the thread's I/O ring.
-// Every page leaves through a staging area inside a checksummed frame.
+// Every page leaves through a staging block, compressed and framed as one
+// unit.
 //
 // Fault handling: completions with transient errors are retried (same data,
 // fresh allocation — possibly on another device) with capped exponential
@@ -101,7 +106,7 @@ type spillWriter struct {
 	reg      *Regulator      // nil: spill raw pages without the compression path
 	pool     *pages.Pool
 	parts    int
-	flushAt  int // staging flush threshold in bytes (>= one device block)
+	flushAt  int // staging flush threshold in raw page bytes (>= one device block)
 	maxAhead int // bound on in-flight write requests per thread
 
 	staging     []*stagingArea // per partition, lazily allocated
@@ -130,8 +135,8 @@ type spillWriter struct {
 }
 
 func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, maxAhead, parity int) *spillWriter {
-	// The paper's staging areas write out at >= 64 KiB regardless of the
-	// page size (§5.3).
+	// A staging block holds >= 64 KiB of raw pages regardless of the page
+	// size, the paper's page size and so its compression unit (§5.3, §4.4).
 	flushAt := max(pool.PageSize(), 64<<10)
 	if maxAhead <= 0 {
 		maxAhead = 32
@@ -173,11 +178,11 @@ func (w *spillWriter) canceled() bool {
 }
 
 // spillPage queues page p (belonging to partition p.Part) for writing: its
-// bytes — compressed when the regulator is on — move into the partition's
-// staging area inside a checksummed frame, and the page itself is
-// immediately recycled. Staging batches small or compressed pages into
-// >= flushAt writes (§5.3). After a fatal spill error the page is recycled
-// without I/O — the query is failing; what matters is that no buffer leaks.
+// sealed bytes are appended to the partition's staging area and the page
+// itself is immediately recycled. Once the staging area holds flushAt raw
+// bytes it is compressed and written as one block (§5.3). After a fatal
+// spill error the page is recycled without I/O — the query is failing; what
+// matters is that no buffer leaks.
 func (w *spillWriter) spillPage(p *pages.Page) {
 	part := p.Part
 	if part < 0 || part >= w.parts {
@@ -191,22 +196,13 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 	w.spilledPages++
 	w.counts[metrics.SpilledBytes] += int64(len(raw))
 
-	enc, scheme := raw, codec.None
-	if w.reg != nil {
-		enc, scheme = w.reg.CompressPage(raw)
-	}
 	st := w.staging[part]
 	if st == nil {
 		st = &stagingArea{buf: w.getStagingBuf()}
 		w.staging[part] = st
 	}
-	// The slot records the sequence number readback verifies against.
-	seq := frameSeq.Add(1)
-	st.slots = append(st.slots, SpilledSlot{
-		Off: uint32(len(st.buf)), Len: uint32(pages.FrameSize + len(enc)),
-		Scheme: scheme, Seq: seq,
-	})
-	st.buf = pages.AppendFrame(st.buf, part, seq, enc)
+	st.slots = append(st.slots, SpilledSlot{Off: uint32(len(st.buf)), Len: uint32(len(raw))})
+	st.buf = append(st.buf, raw...)
 	w.pool.Put(p)
 	if len(st.buf) >= w.flushAt {
 		w.flushStaging(part)
@@ -214,10 +210,12 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 	w.pump()
 }
 
-// flushStaging writes out partition part's staging area, if any.
+// flushStaging writes out partition part's staging area, if any: one
+// regulator call compresses the whole block, and the result goes to the
+// array inside one frame with one sequence number.
 func (w *spillWriter) flushStaging(part int) {
 	st := w.staging[part]
-	if st == nil || len(st.buf) == 0 {
+	if st == nil {
 		return
 	}
 	w.staging[part] = nil
@@ -225,24 +223,31 @@ func (w *spillWriter) flushStaging(part int) {
 		w.putStagingBuf(st.buf)
 		return
 	}
+	enc, scheme := st.buf, codec.None
+	if w.reg != nil {
+		enc, scheme = w.reg.CompressBlock(st.buf, len(st.slots))
+	}
+	seq := frameSeq.Add(1)
+	buf := pages.AppendFrame(w.getStagingBuf(), part, seq, enc)
+	w.putStagingBuf(st.buf)
 	ud := w.newUD()
-	loc, err := w.ring.QueueWrite(st.buf, ud)
+	loc, err := w.ring.QueueWrite(buf, ud)
 	if err != nil {
 		w.fail(err)
-		w.putStagingBuf(st.buf)
+		w.putStagingBuf(buf)
 		return
 	}
 	slotFrom := len(w.slots[part])
 	for _, s := range st.slots {
-		s.Loc = loc
+		s.Loc, s.Scheme, s.Seq = loc, scheme, seq
 		w.slots[part] = append(w.slots[part], s)
 	}
-	rec := &inflightWrite{buf: st.buf, part: part, slotFrom: slotFrom, slotTo: len(w.slots[part]), stripeIdx: -1}
+	rec := &inflightWrite{buf: buf, part: part, slotFrom: slotFrom, slotTo: len(w.slots[part]), stripeIdx: -1}
 	if w.parity > 0 {
-		w.addStripeMember(rec, loc, st.buf)
+		w.addStripeMember(rec, loc, buf)
 	}
 	w.inflight[ud] = rec
-	w.counts[metrics.WrittenBytes] += int64(len(st.buf))
+	w.counts[metrics.WrittenBytes] += int64(len(buf))
 }
 
 // addStripeMember folds a just-queued staging block into the open stripe

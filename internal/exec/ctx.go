@@ -171,7 +171,7 @@ func (c *Ctx) canceled() error {
 // to the engine's shared I/O dispatcher, verifying against the given parity
 // stripes, and closed at query end.
 func (c *Ctx) newPartitionScheduler(items []core.PartitionWork, stripes []*core.StripeGroup, depth int) *core.PartitionScheduler {
-	s := core.NewPartitionScheduler(c.goCtx(), c.Spill.Array, c.pageSize(), items, depth, c.Budget)
+	s := core.NewPartitionScheduler(c.goCtx(), c.Spill.Array, items, depth, c.Budget)
 	s.BindIO(c.Spill.Sched, c.Spill.Query)
 	s.SetIntegrity(stripes)
 	c.AddCleanup(s.Close)

@@ -127,7 +127,7 @@ var defs = [NumCounters]Def{
 	SpillFailovers: {JSON: "spill_failovers", Family: "spilly_spill_failovers_total",
 		Help: "Spill writes re-striped away from a dead device.", Label: "failovers"},
 	SpillPagesVerified: {JSON: "spill_pages_verified", Family: "spilly_spill_pages_verified_total",
-		Help: "Spilled page frames whose checksums verified on readback.", Label: "verified"},
+		Help: "Spilled pages whose block frame's checksum verified on readback.", Label: "verified"},
 	SpillChecksumErrors: {JSON: "spill_checksum_errors", Family: "spilly_spill_checksum_errors_total",
 		Help: "Spilled blocks that failed checksum verification on readback.", Label: "csum-errors"},
 	SpillReconstructions: {JSON: "spill_reconstructions", Family: "spilly_spill_reconstructions_total",

@@ -7,23 +7,24 @@ import (
 	"github.com/spilly-db/spilly/internal/xhash"
 )
 
-// Spill page frames.
+// Spill block frames.
 //
 // Spilled pages live on a raw block device with no filesystem underneath,
 // so nothing below the engine detects bit rot, torn writes, or misdirected
 // reads — a corrupted page would decompress (or not) into wrong tuples and
-// flow silently into results. When spill integrity is enabled, every page
-// payload handed to the spill writer is wrapped in a small frame:
+// flow silently into results. The spill writer therefore writes every
+// staging block — its raw pages, compressed as one unit when compression is
+// on — as the payload of one small frame:
 //
 //	offset  size  field
 //	0       4     magic   0x53504C46 ("SPLF")
-//	4       4     seq     engine-unique page sequence number
+//	4       4     seq     engine-unique block sequence number
 //	8       4     part    owning partition id (+1; 0 = unpartitioned)
 //	12      4     len     payload length in bytes
 //	16      8     sum     xhash64(payload, seed=seq)
 //
 // The checksum seed is the sequence number, so two identical payloads
-// written as different pages still carry different sums — a stale read
+// written as different blocks still carry different sums — a stale read
 // that serves a perfectly valid *other* frame is caught by the seq check
 // first and by the sum even if an attacker-grade coincidence matched seq.
 // Verification happens in the readback cursors before any byte reaches a

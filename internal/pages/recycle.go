@@ -6,7 +6,7 @@ import (
 )
 
 // Buffer recycling for spill-restore I/O. Partition readers allocate one
-// block buffer per read and one decompression buffer per compressed slot;
+// block buffer per read and one decompression buffer per compressed block;
 // during a grace join or a spilled aggregation that is thousands of
 // short-lived 16–64 KiB allocations per query. GetBuf/PutBuf route them
 // through a process-wide sync.Pool instead, so steady-state restore reuses

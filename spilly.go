@@ -566,7 +566,7 @@ type Stats struct {
 	// bounds (mean latency = DemandReadTime / DemandReads).
 	DemandReads    int64
 	DemandReadTime time.Duration
-	// Spill integrity counters: frames whose checksums verified on readback
+	// Spill integrity counters: pages whose block frame verified on readback
 	// (every spilled page read back), blocks that failed verification, and —
 	// with Config.SpillParity > 0 — blocks rebuilt from their parity stripe
 	// and the parity bytes written alongside the spilled data (the
