@@ -47,9 +47,11 @@ fuzz-colstore:
 # Race-detector pass over the concurrency-heavy packages (morsel workers,
 # partition spilling, the sharded aggregation group table against its
 # map-based reference at 1, 2 and 8 workers, per-worker stats accumulators,
-# span buffers, fault recovery, utilization tracer).
+# span buffers, fault recovery, utilization tracer, and the shared I/O
+# dispatcher every query's rings and scan readers submit through).
 race:
-	$(GO) test -race -short ./internal/exec/ ./internal/core/ ./internal/cache/ ./internal/chaos/ ./internal/trace/ ./internal/metrics/
+	$(GO) test -race -short ./internal/exec/ ./internal/core/ ./internal/cache/ ./internal/chaos/ ./internal/trace/ ./internal/metrics/ \
+		./internal/iosched/ ./internal/uring/ ./internal/colstore/
 
 # Multi-query stress gate: concurrent TPC-H mixes through the admission
 # governor and per-query spill leases, under the race detector — overlap

@@ -164,8 +164,8 @@ func main() {
 }
 
 // printIOSched summarizes the shared I/O schedulers: how much work each
-// class pushed through, how often lower classes yielded, and the
-// promotion/aging traffic. An array that saw no I/O prints nothing.
+// class pushed through, how often lower classes yielded, and the aging
+// traffic. An array that saw no I/O prints nothing.
 func printIOSched(eng *spilly.Engine) {
 	for _, sn := range eng.IOSchedSnapshots() {
 		var total, deferred int64
@@ -176,11 +176,11 @@ func printIOSched(eng *spilly.Engine) {
 		if total == 0 {
 			continue
 		}
-		fmt.Printf("iosched[%s]: %d dispatched (%d demand, %d spill-write, %d prefetch, %d background), %d deferred, %d promoted, %d aged\n",
+		fmt.Printf("iosched[%s]: %d dispatched (%d demand, %d spill-write, %d prefetch, %d background), %d deferred, %d aged\n",
 			sn.Name, total,
 			sn.Stats.Classes[0].Dispatched, sn.Stats.Classes[1].Dispatched,
 			sn.Stats.Classes[2].Dispatched, sn.Stats.Classes[3].Dispatched,
-			deferred, sn.Stats.Promoted, sn.Stats.Aged)
+			deferred, sn.Stats.Aged)
 	}
 }
 

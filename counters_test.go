@@ -206,7 +206,6 @@ spilly_iosched_device_depth gauge
 spilly_iosched_device_queued gauge
 spilly_iosched_dispatched_total counter
 spilly_iosched_inflight gauge
-spilly_iosched_promoted_total counter
 spilly_iosched_queued gauge
 spilly_queries_canceled_total counter
 spilly_queries_completed_total counter
@@ -334,10 +333,10 @@ func TestMetricFamilyValues(t *testing.T) {
 			RestoreBytes: 24, Drops: 25, Invalidated: 26, Shrinks: 27,
 		},
 		ioScheds: []IOSchedSnapshot{
-			{Name: "spill", Stats: iosched.Stats{Promoted: 5, Aged: 3, Queued: 7, Inflight: 8},
+			{Name: "spill", Stats: iosched.Stats{Aged: 3, Queued: 7, Inflight: 8},
 				Devices: []iosched.DeviceStats{{ReadDepth: 6, WriteDepth: 2, ReadQueued: 4, WriteQueued: 3,
 					ReadBacklog: 250 * ms, WriteBacklog: 500 * ms}}},
-			{Name: "table", Stats: iosched.Stats{Promoted: 31, Aged: 32, Queued: 33, Inflight: 34},
+			{Name: "table", Stats: iosched.Stats{Aged: 32, Queued: 33, Inflight: 34},
 				Devices: []iosched.DeviceStats{{}, {ReadDepth: 35}}},
 		},
 		spillDevs: []nvmesim.DeviceStats{{}, {BytesRead: 41, BytesWritten: 4096, Reads: 43, Writes: 44, SpillBytes: 45,
@@ -407,8 +406,6 @@ func TestMetricFamilyValues(t *testing.T) {
 		`spilly_iosched_deferred_total{array="spill",class="demand"} 2`,
 		`spilly_iosched_deferred_total{array="spill",class="prefetch"} 30`,
 		`spilly_iosched_deferred_total{array="table",class="background"} 62`,
-		`spilly_iosched_promoted_total{array="spill"} 5`,
-		`spilly_iosched_promoted_total{array="table"} 31`,
 		`spilly_iosched_aged_total{array="spill"} 3`,
 		`spilly_iosched_aged_total{array="table"} 32`,
 		`spilly_iosched_queued{array="spill"} 7`,
@@ -541,7 +538,6 @@ func TestMetricsExposition(t *testing.T) {
 		"spilly_cache_hits_total":               {`tier="memory"`, `tier="nvme"`},
 		"spilly_iosched_dispatched_total":       {`array="spill",class="demand"`, `array="spill",class="spill_write"`, `array="table",class="prefetch"`, `array="table",class="background"`},
 		"spilly_iosched_deferred_total":         {`array="spill",class="prefetch"`},
-		"spilly_iosched_promoted_total":         {`array="spill"`, `array="table"`},
 		"spilly_iosched_aged_total":             {`array="spill"`},
 		"spilly_iosched_queued":                 {`array="spill"`},
 		"spilly_iosched_inflight":               {`array="table"`},

@@ -56,7 +56,7 @@ func spillCorpus(sf float64) [][]byte {
 		cursorBatch := data.NewBatch(schema, 0)
 		var cursor atomic.Int64
 		pg := pages.New(pages.DefaultPageSize)
-		reader := mt.NewReader(cols, &cursor)
+		reader := mt.NewReader(cols, &cursor, 0)
 		for {
 			n, err := reader.Next(cursorBatch)
 			if err != nil || n == 0 {

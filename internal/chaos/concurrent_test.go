@@ -193,8 +193,8 @@ func TestBuildThenAdmitUnderTransientFaults(t *testing.T) {
 }
 
 // TestMixedClassLoadUnderDeviceChaos drives the shared I/O scheduler with
-// its full class mix — table-scan prefetch and promoted demand reads on the
-// table array, spill writes and readback demand reads on the spill array —
+// its full class mix — table-scan prefetch on the table array, spill writes
+// and readback demand reads on the spill array —
 // from eight concurrent queries while a spill device dies mid-run and both
 // arrays inject latency spikes. With parity on, every query must either
 // return its exact serial result (healing dead-device readbacks from
@@ -297,13 +297,14 @@ func TestMixedClassLoadUnderDeviceChaos(t *testing.T) {
 	}
 	// The mix must actually have exercised the class spectrum: spill writes
 	// and readback demand reads on the spill array, scan prefetch on the
-	// table array.
+	// table array. A scan read keeps its class even when a worker blocks on
+	// it, so the table array sees no demand reads at all.
 	spillC := snaps[0].Stats.Classes
 	if spillC[uring.ClassSpillWrite].Dispatched == 0 || spillC[uring.ClassDemand].Dispatched == 0 {
 		t.Errorf("spill scheduler missed classes: %+v", spillC)
 	}
 	tableC := snaps[1].Stats.Classes
-	if tableC[uring.ClassPrefetch].Dispatched == 0 {
-		t.Errorf("table scheduler saw no prefetch-class scans: %+v", tableC)
+	if tableC[uring.ClassPrefetch].Dispatched == 0 || tableC[uring.ClassDemand].Dispatched != 0 {
+		t.Errorf("table scheduler: want prefetch-class scans and no demand reads: %+v", tableC)
 	}
 }

@@ -30,7 +30,7 @@ func lineitemScan(t testing.TB, groupSize, warm int, cols ...string) (next func(
 		proj[i] = dt.Schema().MustIndex(c)
 	}
 	var cursor atomic.Int64
-	r := dt.NewReader(proj, &cursor)
+	r := dt.NewReader(proj, &cursor, 0)
 	b := data.NewBatch(schema, 0)
 	next = func() {
 		if n, err := r.Next(b); err != nil || n == 0 {

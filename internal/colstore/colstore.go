@@ -28,31 +28,23 @@ type Table interface {
 	Groups() int
 	GroupRows(g int) int
 	// NewReader returns a per-worker reader over the projected columns.
-	// All readers sharing cursor collectively scan each group once.
-	NewReader(proj []int, cursor *atomic.Int64) Reader
+	// All readers sharing cursor collectively scan each group once. query
+	// is the fairness key the reader's I/O carries into the shared I/O
+	// scheduler, so one query's scan flood cannot crowd out another's.
+	NewReader(proj []int, cursor *atomic.Int64, query uint64) Reader
 }
 
 // Reader yields row groups as batches. Next fills b (after resetting it)
 // and returns the number of rows, or 0 at end of table.
 type Reader interface {
 	Next(b *data.Batch) (int, error)
-}
-
-// ScanOpts carries per-scan reader options.
-type ScanOpts struct {
-	// Query is the fairness key scan reads carry into the shared I/O
-	// scheduler, so one query's scan flood cannot crowd out another's.
-	Query uint64
-	// Depth bounds the row groups each reader keeps in flight
-	// (0 = DefaultScanDepth).
-	Depth int
-}
-
-// OptsTable is implemented by tables whose readers accept per-scan options;
-// executors type-assert for it and fall back to NewReader otherwise.
-type OptsTable interface {
-	Table
-	NewReaderOpts(proj []int, cursor *atomic.Int64, opts ScanOpts) Reader
+	// Close quiesces the reader's outstanding I/O and releases its buffers.
+	// Idempotent; consumers call it when abandoning a scan mid-stream.
+	Close()
+	// StallNanos is the wall time the reader's worker spent blocked on
+	// table reads, and Stalls how many times it blocked.
+	StallNanos() int64
+	Stalls() int64
 }
 
 // MemTable is a fully in-memory columnar table.
@@ -132,15 +124,10 @@ func (t *MemTable) GroupRows(g int) int {
 func (t *MemTable) Column(i int) *data.Column { return &t.cols[i] }
 
 // NewReader implements Table. In-memory readers alias table storage —
-// parallel in-memory scans are pointer dereferences, as the paper notes.
-func (t *MemTable) NewReader(proj []int, cursor *atomic.Int64) Reader {
+// parallel in-memory scans are pointer dereferences, as the paper notes —
+// and do no I/O, so the query key is unused.
+func (t *MemTable) NewReader(proj []int, cursor *atomic.Int64, _ uint64) Reader {
 	return &memReader{t: t, proj: proj, cursor: cursor}
-}
-
-// NewReaderOpts implements OptsTable; in-memory scans do no I/O, so the
-// options are irrelevant and it simply delegates to NewReader.
-func (t *MemTable) NewReaderOpts(proj []int, cursor *atomic.Int64, _ ScanOpts) Reader {
-	return t.NewReader(proj, cursor)
 }
 
 type memReader struct {
@@ -148,6 +135,10 @@ type memReader struct {
 	proj   []int
 	cursor *atomic.Int64
 }
+
+func (r *memReader) Close()            {}
+func (r *memReader) StallNanos() int64 { return 0 }
+func (r *memReader) Stalls() int64     { return 0 }
 
 func (r *memReader) Next(b *data.Batch) (int, error) {
 	g := int(r.cursor.Add(1) - 1)
@@ -195,8 +186,8 @@ type Store struct {
 	cache *Cache
 
 	// sched, when set, routes every table read and write through the
-	// engine's shared I/O scheduler: scans as prefetch-class (promoted to
-	// demand when a worker blocks), bulk loads as background-class.
+	// engine's shared I/O scheduler: scans as prefetch-class, bulk loads as
+	// background-class.
 	sched uring.Dispatcher
 }
 

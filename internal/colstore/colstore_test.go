@@ -61,7 +61,7 @@ func scanAll(t *testing.T, tbl Table, proj []int, workers int) []*data.Batch {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := tbl.NewReader(proj, &cursor)
+			r := tbl.NewReader(proj, &cursor, 0)
 			for {
 				b := data.NewBatch(schema, 0)
 				n, err := r.Next(b)
@@ -282,10 +282,10 @@ func TestReadErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d := 0; d < 4; d++ {
-		arr.InjectFailures(d, 1000)
+		arr.SetFaultPlan(d, nvmesim.FaultPlan{ReadErrRate: 1})
 	}
 	var cursor atomic.Int64
-	r := dt.NewReader([]int{0}, &cursor)
+	r := dt.NewReader([]int{0}, &cursor, 0)
 	b := data.NewBatch(data.NewSchema(data.ColumnDef{Name: "id", Type: data.Int64}), 0)
 	if _, err := r.Next(b); err == nil {
 		t.Fatal("injected read failure did not surface")
@@ -304,10 +304,10 @@ func TestReadErrorStickyAndDrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d := 0; d < 4; d++ {
-		arr.InjectFailures(d, 1000)
+		arr.SetFaultPlan(d, nvmesim.FaultPlan{ReadErrRate: 1})
 	}
 	var cursor atomic.Int64
-	r := dt.NewReader([]int{0, 1, 2}, &cursor).(*diskReader)
+	r := dt.NewReader([]int{0, 1, 2}, &cursor, 0).(*diskReader)
 	b := data.NewBatch(data.NewSchema(
 		data.ColumnDef{Name: "id", Type: data.Int64},
 		data.ColumnDef{Name: "qty", Type: data.Int64},
@@ -339,7 +339,7 @@ func TestReaderCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cursor atomic.Int64
-	r := dt.NewReader([]int{0}, &cursor).(*diskReader)
+	r := dt.NewReader([]int{0}, &cursor, 0).(*diskReader)
 	b := data.NewBatch(data.NewSchema(data.ColumnDef{Name: "id", Type: data.Int64}), 0)
 	if _, err := r.Next(b); err != nil { // leaves lookahead groups in flight
 		t.Fatal(err)
@@ -368,10 +368,10 @@ func TestReadErrorUnderSharedScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d := 0; d < 4; d++ {
-		arr.InjectFailures(d, 10000)
+		arr.SetFaultPlan(d, nvmesim.FaultPlan{ReadErrRate: 1})
 	}
 	var cursor atomic.Int64
-	r := dt.NewReaderOpts([]int{0, 1, 2, 3, 4}, &cursor, ScanOpts{Query: 7, Depth: 8}).(*diskReader)
+	r := dt.NewReader([]int{0, 1, 2, 3, 4}, &cursor, 7).(*diskReader)
 	b := data.NewBatch(mt.Schema(), 0)
 	if _, err := r.Next(b); err == nil {
 		t.Fatal("injected read failure did not surface")

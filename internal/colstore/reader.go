@@ -10,7 +10,7 @@ import (
 )
 
 // DefaultScanDepth is the number of row groups each external-scan reader
-// keeps in flight unless ScanOpts.Depth says otherwise. A column's
+// keeps in flight. A column's
 // consecutive groups sit on consecutive devices (WriteTable), so a window of
 // this many groups per reader, times the worker count, is how many SSDs a
 // one-column scan keeps busy; wider projections reach every device sooner
@@ -24,9 +24,8 @@ const DefaultScanDepth = 4
 //
 // Under the shared I/O scheduler the lookahead reads are prefetch class:
 // they fill idle device headroom but yield to demand reads and spill
-// writes. When the worker is about to block, the reads of the oldest
-// in-flight group are promoted to demand — the scan is no longer ahead of
-// the consumer, so its next group is on the critical path.
+// writes. A read keeps that class even once the worker blocks on it; the
+// scheduler's aging bounds how long it can stay deferred.
 //
 // Buffer ownership: the reader owns its read buffers and the columns it
 // decodes into for its whole life, so a group in steady state allocates
@@ -42,7 +41,7 @@ type diskReader struct {
 	ring   *uring.Ring
 	clock  nvmesim.Clock
 
-	slots    []inflightGroup  // the lookahead window, ScanOpts.Depth wide
+	slots    []inflightGroup  // the lookahead window, DefaultScanDepth wide
 	inflight []*inflightGroup // the slots in use, oldest first
 	cols     []data.Column    // decode targets, one per projected column
 	dec      decoder
@@ -63,42 +62,31 @@ type inflightGroup struct {
 	rows    int
 	bufs    [][]byte // the chunk to decode, per projected column
 	own     [][]byte // the slot's read buffers, used when the store has no cache
-	waiting []bool   // read still outstanding
 	missing int
 }
 
 func userData(slot, i int) uint64 { return uint64(slot)<<32 | uint64(i) }
 
-// NewReader implements Table, with the default scan options.
-func (t *DiskTable) NewReader(proj []int, cursor *atomic.Int64) Reader {
-	return t.NewReaderOpts(proj, cursor, ScanOpts{})
-}
-
-// NewReaderOpts implements OptsTable: opts.Depth overrides the default
-// scan depth, opts.Query keys the reads in the shared I/O scheduler.
-func (t *DiskTable) NewReaderOpts(proj []int, cursor *atomic.Int64, opts ScanOpts) Reader {
-	depth := opts.Depth
-	if depth <= 0 {
-		depth = DefaultScanDepth
-	}
+// NewReader implements Table; query keys the reads in the shared I/O
+// scheduler.
+func (t *DiskTable) NewReader(proj []int, cursor *atomic.Int64, query uint64) Reader {
 	ring := uring.New(t.store.arr)
-	ring.Bind(t.store.sched, uring.ClassPrefetch, opts.Query)
+	ring.Bind(t.store.sched, uring.ClassPrefetch, query)
 	r := &diskReader{
 		t:        t,
 		proj:     proj,
 		cursor:   cursor,
 		ring:     ring,
 		clock:    t.store.arr.Clock(),
-		slots:    make([]inflightGroup, depth),
-		inflight: make([]*inflightGroup, 0, depth),
+		slots:    make([]inflightGroup, DefaultScanDepth),
+		inflight: make([]*inflightGroup, 0, DefaultScanDepth),
 		cols:     make([]data.Column, len(proj)),
 	}
 	for i := range r.slots {
 		r.slots[i] = inflightGroup{
-			slot:    i,
-			bufs:    make([][]byte, len(proj)),
-			own:     make([][]byte, len(proj)),
-			waiting: make([]bool, len(proj)),
+			slot: i,
+			bufs: make([][]byte, len(proj)),
+			own:  make([][]byte, len(proj)),
 		}
 	}
 	for i, col := range proj {
@@ -131,22 +119,14 @@ func (r *diskReader) Next(b *data.Batch) (int, error) {
 			return 0, nil // table exhausted
 		}
 		r.ring.Submit()
-		// No group is complete: the worker is about to stall on I/O. The
-		// oldest group's reads are on the critical path now — promote them
-		// to demand class — and charge the blocked time to the scan.
-		oldest := r.inflight[0]
-		for i, w := range oldest.waiting {
-			if w {
-				r.ring.Promote(userData(oldest.slot, i))
-			}
-		}
+		// No group is complete: the worker stalls on I/O, and the blocked
+		// time is charged to the scan.
 		t0 := r.clock.Now()
 		r.scratch = r.ring.Poll(r.scratch[:0], true)
 		r.stallNs += r.clock.Now().Sub(t0).Nanoseconds()
 		r.stalls++
 		for _, c := range r.scratch {
 			g, i := &r.slots[c.UserData>>32], int(uint32(c.UserData))
-			g.waiting[i] = false
 			if c.Err != nil {
 				return 0, r.fail(fmt.Errorf("colstore: reading %s: %w", r.t.name, c.Err))
 			}
@@ -170,10 +150,9 @@ func (r *diskReader) fail(err error) error {
 	return r.err
 }
 
-// Close quiesces the reader's outstanding I/O (draining dispatched reads,
-// cancelling deferred ones) and releases its buffer references. Idempotent;
-// consumers call it when abandoning a scan mid-stream. A later Next returns
-// the sticky error if one is set, end-of-table otherwise.
+// Close implements Reader: it drains dispatched reads, cancels deferred
+// ones and drops the buffer references. A later Next returns the sticky
+// error if one is set, end-of-table otherwise.
 func (r *diskReader) Close() {
 	r.closed = true
 	r.drain()
@@ -191,14 +170,12 @@ func (r *diskReader) drain() {
 	r.exhaust = true
 }
 
-// StallNanos returns the cumulative wall time this reader's worker spent
-// blocked waiting for group reads.
+// StallNanos implements Reader: the cumulative wall time this reader's
+// worker spent blocked waiting for group reads.
 func (r *diskReader) StallNanos() int64 { return r.stallNs }
 
-// Stalls returns how many times the worker blocked waiting for a group
-// read (each block promotes the oldest group's reads to demand class);
-// StallNanos/Stalls is the mean demand wait per block — how long each
-// promoted, latency-critical read kept its worker waiting.
+// Stalls implements Reader: how many times the worker blocked waiting for a
+// group read. StallNanos/Stalls is the mean wait per block.
 func (r *diskReader) Stalls() int64 { return r.stalls }
 
 // fill tops up the in-flight group window, serving chunks from the buffer
@@ -228,7 +205,6 @@ func (r *diskReader) fill() {
 				ig.bufs[i] = ig.own[i][:ref.Loc.Size()]
 			}
 			r.ring.QueueRead(ref.Loc, ig.bufs[i], userData(ig.slot, i))
-			ig.waiting[i] = true
 			ig.missing++
 		}
 		r.inflight = append(r.inflight, ig)

@@ -78,7 +78,7 @@ func TestTPCHColumnsRoundTrip(t *testing.T) {
 		}
 		columns += len(proj)
 		var cursor atomic.Int64
-		r := dt.NewReader(proj, &cursor)
+		r := dt.NewReader(proj, &cursor, 0)
 		b := data.NewBatch(schema, 0)
 		seen := int64(0)
 		for {
@@ -163,7 +163,7 @@ func BenchmarkDiskScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cursor atomic.Int64
-		r := dt.NewReader(proj, &cursor)
+		r := dt.NewReader(proj, &cursor, 0)
 		for {
 			n, err := r.Next(batch)
 			if err != nil {

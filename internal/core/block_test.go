@@ -31,7 +31,7 @@ func TestBlockCompressionBeatsPageCompression(t *testing.T) {
 	}, nvmesim.RealClock{})
 	s := core.NewShared(core.Config{
 		PageSize: 4096, Partitions: 4, Budget: pages.NewBudget(32 << 10), Mode: core.ModeSpillAll,
-		Spill: &core.SpillConfig{Array: arr, Compress: true, RunN: 1 << 30},
+		Spill: &core.SpillConfig{Array: arr, Compress: true},
 	})
 	b := s.NewBuffer()
 	b.Regulator().PinScheme(codec.LZ4Default)

@@ -73,10 +73,6 @@ type SpillConfig struct {
 	Lease *nvmesim.Lease
 	// Compress enables self-regulating compression over DefaultScale.
 	Compress bool
-	// RunN is the regulator run length in pages (default 2× MaxAhead).
-	RunN int
-	// MaxAhead bounds in-flight write requests per thread (default 32).
-	MaxAhead int
 	// Parity is the XOR parity stripe width: every Parity staging-block
 	// writes form a stripe group whose parity block rebuilds a lost or
 	// corrupt block on read. 0 writes no parity. Groups span distinct
@@ -135,16 +131,9 @@ func (c *Config) withDefaults() Config {
 		out.PartitionAt = DefaultPartitionAt
 	}
 	if out.Spill != nil {
+		// The operator keeps the spill config it started with: the query
+		// context clears its own Lease field at Close.
 		s := *out.Spill
-		if s.MaxAhead <= 0 {
-			s.MaxAhead = 32
-		}
-		if s.RunN <= 0 {
-			// Short runs adapt within the few hundred pages a laptop-scale
-			// spill produces; the paper's 2x-queue-depth default assumes
-			// millions of spilled pages.
-			s.RunN = 8
-		}
 		out.Spill = &s
 	}
 	return out
@@ -244,9 +233,9 @@ func (s *Shared) NewBuffer() *Buffer {
 		ring.SetLease(cfg.Spill.Lease)
 		ring.Bind(cfg.Spill.Sched, uring.ClassSpillWrite, cfg.Spill.Query)
 		if cfg.Spill.Compress {
-			b.reg = NewRegulator(cfg.Spill.RunN)
+			b.reg = NewRegulator(regulatorRun)
 		}
-		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.MaxAhead, cfg.Spill.Parity)
+		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.Parity)
 	}
 	return b
 }

@@ -267,7 +267,7 @@ func TestCompressedSpillRoundTrip(t *testing.T) {
 	arr := fastArray(1)
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 8, Budget: pages.NewBudget(128 << 10), PartitionAt: 0.3,
-		Spill: &SpillConfig{Array: arr, Compress: true, RunN: 4, MaxAhead: 8},
+		Spill: &SpillConfig{Array: arr, Compress: true},
 	})
 	b := s.NewBuffer()
 	const n = 20000
@@ -301,10 +301,12 @@ func TestCompressionReducesWrittenBytes(t *testing.T) {
 	}, nvmesim.RealClock{})
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 8, Budget: pages.NewBudget(64 << 10), PartitionAt: 0.3,
-		Spill: &SpillConfig{Array: arr, Compress: true, RunN: 4, MaxAhead: 8},
+		Spill: &SpillConfig{Array: arr, Compress: true},
 	})
 	b := s.NewBuffer()
-	storeN(b, 30000, 32, 0)
+	// About 50 staging blocks: more than spillMaxAhead, so the writer waits
+	// on completions and the regulator sees the slow device mid-spill.
+	storeN(b, 100000, 32, 0)
 	if err := b.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +314,12 @@ func TestCompressionReducesWrittenBytes(t *testing.T) {
 	if res.Counters[metrics.WrittenBytes] >= res.Counters[metrics.SpilledBytes] {
 		t.Fatalf("I/O-bound spill not compressed: wrote %d of %d raw", res.Counters[metrics.WrittenBytes], res.Counters[metrics.SpilledBytes])
 	}
-	checkAllKeys(t, collectKeys(t, arr, res), 30000, 0)
+	checkAllKeys(t, collectKeys(t, arr, res), 100000, 0)
 }
 
 func TestSpillWriteErrorSurfaces(t *testing.T) {
 	arr := fastArray(1)
-	arr.InjectFailures(0, 1000000)
+	arr.SetFaultPlan(0, nvmesim.FaultPlan{WriteErrRate: 1})
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 8, Budget: pages.NewBudget(32 << 10), PartitionAt: 0.3,
 		Spill: &SpillConfig{Array: arr},
@@ -397,7 +399,7 @@ func TestVariableSizeTuples(t *testing.T) {
 	arr := fastArray(1)
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 8, Budget: pages.NewBudget(64 << 10), PartitionAt: 0.3,
-		Spill: &SpillConfig{Array: arr, Compress: true, RunN: 4},
+		Spill: &SpillConfig{Array: arr, Compress: true},
 	})
 	b := s.NewBuffer()
 	const n = 8000
@@ -461,7 +463,7 @@ func TestBudgetBounded(t *testing.T) {
 	budget := pages.NewBudget(128 << 10)
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 8, Budget: budget, PartitionAt: 0.3,
-		Spill: &SpillConfig{Array: arr, MaxAhead: 8},
+		Spill: &SpillConfig{Array: arr},
 	})
 	b := s.NewBuffer()
 	maxUsed := int64(0)
@@ -473,7 +475,7 @@ func TestBudgetBounded(t *testing.T) {
 		}
 	}
 	b.Finish()
-	// Allow budget + in-flight headroom (MaxAhead pages + slack).
+	// Allow budget + in-flight headroom (write buffers + slack).
 	limit := int64(128<<10) + int64(16*4096)
 	if maxUsed > limit {
 		t.Fatalf("memory grew to %d, budget 128K + headroom %d", maxUsed, limit)

@@ -20,7 +20,7 @@ func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, []SpilledSl
 	arr := fastArray(1)
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 4, Budget: pages.NewBudget(32 << 10), Mode: ModeSpillAll,
-		Spill: &SpillConfig{Array: arr, Compress: compress, RunN: 4},
+		Spill: &SpillConfig{Array: arr, Compress: compress},
 	})
 	b := s.NewBuffer()
 	storeN(b, 5000, 32, 0)
@@ -83,11 +83,11 @@ func TestPartitionReaderEmpty(t *testing.T) {
 
 func TestPartitionReaderReadError(t *testing.T) {
 	arr, slots := spillOnePartition(t, false)
-	arr.InjectFailures(0, 1000)
+	arr.SetFaultPlan(0, nvmesim.FaultPlan{ReadErrRate: 1})
 	r := openPartition(t, nil, arr, -1, slots, nil)
 	defer r.Release()
-	// InjectFailures fails transiently, so this is the retry budget running
-	// out: a structured error naming the device, and sticky.
+	// Every read fails transiently, so this is the retry budget running out:
+	// a structured error naming the device, and sticky.
 	_, err := r.Next()
 	var qe *QueryError
 	if !errors.As(err, &qe) {

@@ -95,12 +95,6 @@ type schedItem struct {
 	reserved int64 // prefetch budget reservation, released at Open/Release
 	err      error // sticky per-partition failure
 
-	// pendingUDs tracks this item's in-flight read userDatas for
-	// class promotion at Open. Mutated only under the scheduler lock;
-	// retried reads get fresh userDatas that are not tracked (stale
-	// entries make Promote a no-op, which is safe).
-	pendingUDs map[uint64]struct{}
-
 	// counts is the partition's readback telemetry, handed to the consumer
 	// by PartitionCursor.Counters: bytes read, retries, integrity work, and
 	// the demand-read pair — completed reads that were queued demand-class
@@ -154,9 +148,10 @@ func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, work []Parti
 
 // BindIO routes the scheduler's readback I/O through the engine's shared
 // dispatcher under the given query fairness key (nil = keep the private
-// ring): prefetch reads carry ClassPrefetch, reads for opened items
-// ClassDemand, and Open promotes an item's still-deferred reads the moment a
-// consumer blocks on it. Parity repair reads go the same way, as demand.
+// ring): prefetch reads carry ClassPrefetch and reads for opened items
+// ClassDemand. A read keeps the class it was queued with; a prefetch still
+// deferred when its item opens is bounded by the dispatcher's aging. Parity
+// repair reads go the same way, as demand.
 // Call before the first Open.
 func (s *PartitionScheduler) BindIO(d uring.Dispatcher, query uint64) {
 	s.ring.Bind(d, uring.ClassPrefetch, query)
@@ -184,7 +179,7 @@ func (s *PartitionScheduler) repairerLocked() *repairer {
 // Open hands out the streaming cursor for work item i. Each item must be
 // opened by exactly one consumer; opening releases the item's prefetch
 // reservation (its pages now stand in for the partition the consumer would
-// otherwise have materialized) and promotes its remaining reads to demand.
+// otherwise have materialized), and its reads queued from now on are demand.
 func (s *PartitionScheduler) Open(i int) *PartitionCursor {
 	s.mu.Lock()
 	it := s.items[i]
@@ -194,13 +189,6 @@ func (s *PartitionScheduler) Open(i int) *PartitionCursor {
 		it.reserved = 0
 	}
 	pre := it.issued
-	// A consumer now blocks on this item: re-tag its still-deferred reads
-	// as demand so the shared dispatcher stops holding them behind other
-	// queries' traffic. Promote only touches the dispatcher (no-op on a
-	// private ring), so it is safe alongside a pumping leader.
-	for ud := range it.pendingUDs {
-		s.ring.Promote(ud)
-	}
 	s.mu.Unlock()
 	return &PartitionCursor{s: s, it: it, pre: pre}
 }
@@ -273,10 +261,6 @@ func (s *PartitionScheduler) queueGroupLocked(it *schedItem) {
 	}
 	s.ring.QueueReadClass(g.loc, g.buf, s.nextUD, class)
 	s.pending[s.nextUD] = pendingRead{item: it, group: it.nextGroup, demand: class == uring.ClassDemand}
-	if it.pendingUDs == nil {
-		it.pendingUDs = make(map[uint64]struct{})
-	}
-	it.pendingUDs[s.nextUD] = struct{}{}
 	it.nextGroup++
 	it.inflightN++
 	s.inflight++
@@ -335,7 +319,6 @@ func (s *PartitionScheduler) processLocked(comps []uring.Completion, retried []*
 		}
 		delete(s.pending, c.UserData)
 		it := pr.item
-		delete(it.pendingUDs, c.UserData)
 		it.inflightN--
 		s.inflight--
 		g := &it.groups[pr.group]

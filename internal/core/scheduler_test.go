@@ -21,7 +21,7 @@ func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, res *R
 	a := fastArray(2)
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 4, Budget: pages.NewBudget(32 << 10), Mode: ModeSpillAll,
-		Spill: &SpillConfig{Array: a, Compress: compress, RunN: 4},
+		Spill: &SpillConfig{Array: a, Compress: compress},
 	})
 	b := s.NewBuffer()
 	storeN(b, 5000, 32, 0)
@@ -138,8 +138,8 @@ func TestSchedulerBudgetFloorUnderPressure(t *testing.T) {
 
 func TestSchedulerReadErrorIsStructuredAndSticky(t *testing.T) {
 	arr, _, work := spillAllPartitions(t, false)
-	arr.InjectFailures(0, 1000)
-	arr.InjectFailures(1, 1000)
+	arr.SetFaultPlan(0, nvmesim.FaultPlan{ReadErrRate: 1})
+	arr.SetFaultPlan(1, nvmesim.FaultPlan{ReadErrRate: 1})
 	budget := pages.NewBudget(1 << 20)
 	sched := NewPartitionScheduler(nil, arr, work, 4, budget)
 	cur := sched.Open(0)
@@ -301,7 +301,7 @@ func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []PartitionWo
 	arr := fastArray(2)
 	s := NewShared(Config{
 		PageSize: 4096, Partitions: 2, Budget: pages.NewBudget(32 << 10), Mode: ModeSpillAll,
-		Spill: &SpillConfig{Array: arr, Compress: true, RunN: 1 << 30, Parity: 1},
+		Spill: &SpillConfig{Array: arr, Compress: true, Parity: 1},
 	})
 	b := s.NewBuffer()
 	b.reg.PinScheme(codec.LZ4Default) // every block compressed, however the timing falls

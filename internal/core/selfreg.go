@@ -73,12 +73,17 @@ type Regulator struct {
 	scratch        []byte
 }
 
+// regulatorRun is the spill writer's regulator run length in pages. Short
+// runs adapt within the few hundred pages a laptop-scale spill produces; the
+// paper's 2x-queue-depth default assumes millions of spilled pages.
+const regulatorRun = 8
+
 // NewRegulator returns a regulator over DefaultScale starting at level 0
-// (uncompressed). runN is the number of pages per measurement run; the
-// paper defaults to 2× the I/O queue depth.
+// (uncompressed). runN is the number of pages per measurement run
+// (<= 0 selects regulatorRun).
 func NewRegulator(runN int) *Regulator {
 	if runN <= 0 {
-		runN = 16
+		runN = regulatorRun
 	}
 	return &Regulator{runN: runN}
 }

@@ -173,7 +173,7 @@ func TestRegulatorHistogram(t *testing.T) {
 
 // TestRegulatorCountsBlockPages: one call compresses a staging block of 16
 // pages, and the run and the scheme histogram advance by 16 pages, not by one
-// call — so RunN and the histogram keep counting pages.
+// call — so the run length and the histogram keep counting pages.
 func TestRegulatorCountsBlockPages(t *testing.T) {
 	r := NewRegulator(64)
 	block := bytes.Repeat(regPage, 16)
@@ -188,7 +188,7 @@ func TestRegulatorCountsBlockPages(t *testing.T) {
 		r.CompressBlock(block, 16)
 	}
 	if r.pagesInRun != 0 {
-		t.Fatalf("64 pages in four blocks left %d pages in the run; want it closed at RunN", r.pagesInRun)
+		t.Fatalf("64 pages in four blocks left %d pages in the run; want it closed at runN", r.pagesInRun)
 	}
 }
 

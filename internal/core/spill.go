@@ -78,6 +78,10 @@ const (
 	retryBackoffMax  = 2 * time.Millisecond
 )
 
+// spillMaxAhead bounds one writer's in-flight write requests; past it the
+// writer blocks on a completion before queueing more (Listing 2).
+const spillMaxAhead = 32
+
 // retryBackoff returns the backoff before retry number attempt (1-based).
 func retryBackoff(attempt int) time.Duration {
 	d := retryBackoffBase << uint(attempt-1)
@@ -100,14 +104,13 @@ func retryBackoff(attempt int) time.Duration {
 // further pages are recycled instead of written. Buffers are returned to
 // their pools on every path, including cancellation.
 type spillWriter struct {
-	ring     *uring.Ring
-	clock    nvmesim.Clock
-	ctx      context.Context // nil = never canceled
-	reg      *Regulator      // nil: spill raw pages without the compression path
-	pool     *pages.Pool
-	parts    int
-	flushAt  int // staging flush threshold in raw page bytes (>= one device block)
-	maxAhead int // bound on in-flight write requests per thread
+	ring    *uring.Ring
+	clock   nvmesim.Clock
+	ctx     context.Context // nil = never canceled
+	reg     *Regulator      // nil: spill raw pages without the compression path
+	pool    *pages.Pool
+	parts   int
+	flushAt int // staging flush threshold in raw page bytes (>= one device block)
 
 	staging     []*stagingArea // per partition, lazily allocated
 	stagingFree [][]byte
@@ -134,13 +137,10 @@ type spillWriter struct {
 	scratch  []uring.Completion
 }
 
-func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, maxAhead, parity int) *spillWriter {
+func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool *pages.Pool, parts, parity int) *spillWriter {
 	// A staging block holds >= 64 KiB of raw pages regardless of the page
 	// size, the paper's page size and so its compression unit (§5.3, §4.4).
 	flushAt := max(pool.PageSize(), 64<<10)
-	if maxAhead <= 0 {
-		maxAhead = 32
-	}
 	w := &spillWriter{
 		ring:     ring,
 		clock:    ring.Array().Clock(),
@@ -149,7 +149,6 @@ func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool 
 		pool:     pool,
 		parts:    parts,
 		flushAt:  flushAt,
-		maxAhead: maxAhead,
 		parity:   parity,
 		staging:  make([]*stagingArea, parts),
 		inflight: make(map[uint64]*inflightWrite),
@@ -309,7 +308,7 @@ func (w *spillWriter) sealStripe() {
 // too many writes are in flight (bounding memory, per Listing 2).
 func (w *spillWriter) pump() {
 	w.ring.Submit()
-	w.drain(len(w.inflight) >= w.maxAhead)
+	w.drain(len(w.inflight) >= spillMaxAhead)
 }
 
 // drain reaps completions; if block is true it waits for at least one.

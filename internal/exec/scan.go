@@ -62,22 +62,17 @@ func (s *Scan) Run(ctx *Ctx) (*Stream, error) {
 			return
 		}
 		stalled[w] = true
-		if sr, ok := readers[w].(interface {
-			StallNanos() int64
-			Stalls() int64
-		}); ok {
-			ctx.report(sp, &metrics.Snapshot{
-				metrics.ScanStallNanos: sr.StallNanos(),
-				metrics.ScanStalls:     sr.Stalls(),
-			})
-		}
+		ctx.report(sp, &metrics.Snapshot{
+			metrics.ScanStallNanos: readers[w].StallNanos(),
+			metrics.ScanStalls:     readers[w].Stalls(),
+		})
 	}
 	return ctx.traceStream(&Stream{
 		schema: s.schema,
 		abandon: func(w int) {
 			mu.Lock()
-			if c, ok := readers[w].(interface{ Close() }); ok {
-				c.Close()
+			if readers[w] != nil {
+				readers[w].Close()
 			}
 			chargeStall(w)
 			mu.Unlock()
@@ -86,12 +81,7 @@ func (s *Scan) Run(ctx *Ctx) (*Stream, error) {
 		next: func(w int, b *data.Batch) (int, error) {
 			mu.Lock()
 			if readers[w] == nil {
-				if ot, ok := s.Table.(colstore.OptsTable); ok {
-					readers[w] = ot.NewReaderOpts(s.proj, &cursor,
-						colstore.ScanOpts{Query: ctx.QueryID})
-				} else {
-					readers[w] = s.Table.NewReader(s.proj, &cursor)
-				}
+				readers[w] = s.Table.NewReader(s.proj, &cursor, ctx.QueryID)
 			}
 			r := readers[w]
 			mu.Unlock()

@@ -19,9 +19,10 @@
 //     headroom — the demand-read fast path.
 //   - Within a class, queries take turns round-robin, so one query's
 //     flood cannot monopolize a device against its neighbors.
-//   - Deferred requests age: waiting AgeAfter promotes a request one
-//     class per interval (and an aged prefetch escapes the share cap), so
-//     no class starves under sustained higher-priority load.
+//   - A request keeps the class it was queued with. Deferred requests age
+//     instead: waiting AgeAfter lets a request dispatch one class higher
+//     per interval (and an aged prefetch escapes the share cap), so no
+//     class starves under sustained higher-priority load.
 //
 // The scheduler is cooperative, like the simulated array it drives: device
 // time passes on the model clock, and any ring's Submit or Poll advances
@@ -187,7 +188,7 @@ func (q *classQueue) pick(eff, orig uring.Class, now time.Time, ageAfter time.Du
 	return nil
 }
 
-// remove deletes a specific deferred request (promotion, cancellation).
+// remove deletes a specific deferred request (cancellation).
 func (q *classQueue) remove(rq *ioReq) bool {
 	f, ok := q.fifos[rq.query]
 	if !ok {
@@ -242,7 +243,6 @@ type Scheduler struct {
 	// Counters (guarded by mu; snapshot via Stats).
 	dispatchedC [uring.NumClasses]int64
 	deferredC   [uring.NumClasses]int64
-	promotedN   int64
 	agedN       int64
 }
 
@@ -456,30 +456,6 @@ func (rd *ringDisp) Outstanding() int {
 	return n
 }
 
-// Promote implements uring.DispatchRing: a still-deferred request moves to
-// the demand class (and dispatches immediately if its channel has room).
-func (rd *ringDisp) Promote(ud uint64) bool {
-	s := rd.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rq, ok := rd.deferred[ud]
-	if !ok {
-		return false
-	}
-	if rq.class == uring.ClassDemand {
-		return true
-	}
-	c := &s.devs[rq.loc.Device()].ch[int(rq.op)]
-	if !c.queues[rq.class].remove(rq) {
-		return false
-	}
-	rq.class = uring.ClassDemand
-	c.queues[uring.ClassDemand].push(rq)
-	s.promotedN++
-	s.advanceLocked(s.clock.Now())
-	return true
-}
-
 // CancelDeferred implements uring.DispatchRing.
 func (rd *ringDisp) CancelDeferred() int {
 	s := rd.s
@@ -507,10 +483,13 @@ type ClassCounters struct {
 // Stats is a point-in-time scheduler snapshot.
 type Stats struct {
 	Classes  [uring.NumClasses]ClassCounters
-	Promoted int64 // explicit prefetch→demand promotions (Ring.Promote)
 	Aged     int64 // requests dispatched above their tagged class by aging
 	Queued   int64 // currently deferred
 	Inflight int64 // dispatched, modeled device time not yet passed
+
+	// Promoted is always 0: a queued read keeps the class it was queued
+	// with. The field stays because the benchmark ledger still reads it.
+	Promoted int64
 }
 
 // Stats returns cumulative counters and current queue gauges.
@@ -522,7 +501,6 @@ func (s *Scheduler) Stats() Stats {
 	for i := 0; i < uring.NumClasses; i++ {
 		st.Classes[i] = ClassCounters{Dispatched: s.dispatchedC[i], Deferred: s.deferredC[i]}
 	}
-	st.Promoted = s.promotedN
 	st.Aged = s.agedN
 	for di := range s.devs {
 		for chIdx := 0; chIdx < 2; chIdx++ {

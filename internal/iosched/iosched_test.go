@@ -178,37 +178,55 @@ func TestPrefetchFloodCannotStarveDemand(t *testing.T) {
 // occupied prefetch share must still dispatch once it has aged, even though
 // the cap never clears.
 func TestAgingEscapesShareCap(t *testing.T) {
-	sched, arr, clk := newSched(1, iosched.Config{
-		DepthTarget: 4, PrefetchShare: 0.5, AgeAfter: 2 * time.Millisecond,
-	})
-	// Two long reads (~200 ms each) pin both prefetch-share slots.
-	locs := writeBlocks(t, arr, 2, 200_000)
-	small := writeBlocks(t, arr, 1, 4096)
+	const ageAfter = 2 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		class uring.Class
+		// wait is how long the queued request may take to dispatch.
+		wait time.Duration
+	}{
+		// After (background - spill-write) * AgeAfter = 4 ms the request is
+		// old enough to run at spill-write level, which the share cap does
+		// not bind.
+		{"background", uring.ClassBackground, 5 * time.Millisecond},
+		// A read keeps the class it was queued with, so aging alone bounds
+		// how long a prefetch waits behind a full prefetch share: at most
+		// (prefetch - demand) * AgeAfter.
+		{"prefetch", uring.ClassPrefetch, time.Duration(uring.ClassPrefetch-uring.ClassDemand) * ageAfter},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, arr, clk := newSched(1, iosched.Config{
+				DepthTarget: 4, PrefetchShare: 0.5, AgeAfter: ageAfter,
+			})
+			// Two long reads (~200 ms each) pin both prefetch-share slots.
+			locs := writeBlocks(t, arr, 2, 200_000)
+			small := writeBlocks(t, arr, 1, 4096)
 
-	pre := uring.New(arr)
-	pre.Bind(sched, uring.ClassPrefetch, 1)
-	pre.QueueRead(locs[0], make([]byte, 200_000), 1)
-	pre.QueueRead(locs[1], make([]byte, 200_000), 2)
-	pre.Submit()
+			pre := uring.New(arr)
+			pre.Bind(sched, uring.ClassPrefetch, 1)
+			pre.QueueRead(locs[0], make([]byte, 200_000), 1)
+			pre.QueueRead(locs[1], make([]byte, 200_000), 2)
+			pre.Submit()
 
-	bg := uring.New(arr)
-	bg.Bind(sched, uring.ClassPrefetch, 2)
-	bg.QueueReadClass(small[0], make([]byte, 4096), 9, uring.ClassBackground)
-	bg.Submit()
+			late := uring.New(arr)
+			late.Bind(sched, uring.ClassPrefetch, 2)
+			late.QueueReadClass(small[0], make([]byte, 4096), 9, tc.class)
+			late.Submit()
 
-	st := sched.Stats()
-	if st.Inflight != 2 || st.Queued != 1 {
-		t.Fatalf("before aging: inflight=%d queued=%d, want 2/1", st.Inflight, st.Queued)
-	}
-	// After (background - spill-write) * AgeAfter = 4 ms the request is old
-	// enough to run at spill-write level, which the share cap does not bind.
-	clk.Advance(5 * time.Millisecond)
-	st = sched.Stats()
-	if st.Classes[uring.ClassBackground].Dispatched != 1 || st.Queued != 0 {
-		t.Fatalf("aged background not dispatched: %+v", st)
-	}
-	if st.Aged != 1 {
-		t.Fatalf("aged=%d, want 1", st.Aged)
+			st := sched.Stats()
+			if st.Inflight != 2 || st.Queued != 1 {
+				t.Fatalf("before aging: inflight=%d queued=%d, want 2/1", st.Inflight, st.Queued)
+			}
+			before := st.Classes[tc.class].Dispatched
+			clk.Advance(tc.wait)
+			st = sched.Stats()
+			if st.Classes[tc.class].Dispatched != before+1 || st.Queued != 0 {
+				t.Fatalf("aged %s not dispatched within %v: %+v", tc.class, tc.wait, st)
+			}
+			if st.Aged != 1 || st.Promoted != 0 {
+				t.Fatalf("aged=%d promoted=%d, want 1/0", st.Aged, st.Promoted)
+			}
+		})
 	}
 }
 
@@ -254,35 +272,6 @@ func TestRoundRobinAcrossQueries(t *testing.T) {
 	// read in after at most the in-flight request plus one more of A's.
 	if aBefore > 2 {
 		t.Fatalf("%d of query A's reads served before query B's first, want <= 2", aBefore)
-	}
-}
-
-// TestPromoteMovesDeferredToDemand: promoting a still-deferred prefetch
-// dispatches it through the demand path; promoting an already dispatched
-// request reports false.
-func TestPromoteMovesDeferredToDemand(t *testing.T) {
-	sched, arr, _ := newSched(1, iosched.Config{DepthTarget: 2, PrefetchShare: 0.5})
-	locs := writeBlocks(t, arr, 3, 4096)
-
-	r := uring.New(arr)
-	r.Bind(sched, uring.ClassPrefetch, 1)
-	for i := 0; i < 3; i++ {
-		r.QueueRead(locs[i], make([]byte, 4096), uint64(100+i))
-	}
-	r.Submit() // ud 100 dispatches (share cap 1), 101 and 102 defer
-
-	if !r.Promote(101) {
-		t.Fatal("Promote(101) = false for a deferred request")
-	}
-	st := sched.Stats()
-	if st.Promoted != 1 || st.Inflight != 2 || st.Queued != 1 {
-		t.Fatalf("after promote: %+v", st)
-	}
-	if r.Promote(100) {
-		t.Fatal("Promote(100) = true for an already dispatched request")
-	}
-	if comps := r.WaitAll(nil); len(comps) != 3 {
-		t.Fatalf("completions: %d, want 3", len(comps))
 	}
 }
 

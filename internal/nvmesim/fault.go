@@ -260,11 +260,6 @@ func (d *device) injectFault(dev int, op string) (error, time.Duration, faultEff
 		d.countErr(op)
 		return &DeviceError{Device: dev, Op: op, Err: ErrDeviceDead}, 0, faultEffect{}
 	}
-	// Legacy knob: fail the next N requests with a transient error.
-	if d.failNext.Load() > 0 && d.failNext.Add(-1) >= 0 {
-		d.countErr(op)
-		return &DeviceError{Device: dev, Op: op, Err: fmt.Errorf("injected %s failure: %w", op, ErrTransient)}, 0, faultEffect{}
-	}
 	f := d.faults.Load()
 	if f == nil {
 		return nil, 0, faultEffect{}

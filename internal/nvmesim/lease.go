@@ -19,7 +19,7 @@ import (
 // allocRec is one live spill allocation on a device.
 type allocRec struct {
 	size  int64  // aligned size in bytes
-	lease uint64 // owning lease id; 0 = unleased (permanent until Reset)
+	lease uint64 // owning lease id; 0 = unleased (never freed)
 }
 
 // extent is one free range in a device's spill area, [off, off+size).
@@ -108,7 +108,7 @@ func (a *Array) LeaseLiveBytes() map[uint64]int64 {
 }
 
 // AllocSpillLease reserves size bytes in device dev's spill area under the
-// given lease (nil = unleased, kept until Reset) and returns the starting
+// given lease (nil = unleased, never freed) and returns the starting
 // offset. Size is rounded up to the block size. Freed extents are reused
 // first fit; otherwise the allocation extends the device's write cursor —
 // still the paper's single per-SSD coordination point (§5.1), now guarded by

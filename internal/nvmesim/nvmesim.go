@@ -79,7 +79,7 @@ type device struct {
 	readBusy  time.Time        // read channel busy-until
 	writeBusy time.Time        // write channel busy-until
 
-	writeCursor  atomic.Int64 // spill high-water mark; the paper's per-SSD counter (§5.1)
+	writeCursor atomic.Int64 // spill high-water mark; the paper's per-SSD counter (§5.1)
 
 	// Spill allocation bookkeeping (lease.go): live extents by offset and
 	// the sorted, coalesced free list below the write cursor. allocMu is
@@ -95,8 +95,7 @@ type device struct {
 	writes       atomic.Int64
 
 	// Fault injection state (fault.go).
-	failNext   atomic.Int32 // legacy knob: fail the next N requests
-	dead       atomic.Bool  // permanent device failure
+	dead       atomic.Bool // permanent device failure
 	faults     atomic.Pointer[faultState]
 	readErrs   atomic.Int64
 	writeErrs  atomic.Int64
@@ -128,32 +127,16 @@ func New(n int, spec DeviceSpec, clock Clock) *Array {
 	return a
 }
 
-// NewHeterogeneous returns an array with per-device specs (used for cloud
-// instance profiles, §6.9).
-func NewHeterogeneous(specs []DeviceSpec, clock Clock) *Array {
-	if clock == nil {
-		clock = RealClock{}
-	}
-	a := &Array{clock: clock}
-	for _, s := range specs {
-		a.devices = append(a.devices, &device{spec: s, store: make(map[int64][]byte)})
-	}
-	return a
-}
-
 // Devices returns the number of devices in the array.
 func (a *Array) Devices() int { return len(a.devices) }
 
 // Clock returns the array's clock.
 func (a *Array) Clock() Clock { return a.clock }
 
-// Spec returns the spec of device dev.
-func (a *Array) Spec(dev int) DeviceSpec { return a.devices[dev].spec }
-
 // AllocSpill reserves size bytes in device dev's spill area without a lease
 // and returns the starting offset. Size is rounded up to the block size.
-// Unleased allocations live until Reset — the column store uses them for
-// permanent table chunks; spill writers allocate through AllocSpillLease so
+// Unleased allocations are never freed: they live as long as the array — the
+// column store uses them for permanent table chunks; spill writers allocate through AllocSpillLease so
 // query teardown can reclaim exactly its own extents.
 func (a *Array) AllocSpill(dev int, size int) (int64, error) {
 	return a.AllocSpillLease(dev, size, nil)
@@ -308,11 +291,6 @@ func transferTime(n int, bw float64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) / bw * float64(time.Second))
-}
-
-// InjectFailures makes the next n requests on device dev fail (tests).
-func (a *Array) InjectFailures(dev, n int) {
-	a.devices[dev].failNext.Store(int32(n))
 }
 
 // Stats is a snapshot of array-wide I/O counters.

@@ -166,7 +166,7 @@ func TestCapacityLimit(t *testing.T) {
 
 func TestInjectedFailures(t *testing.T) {
 	a, _ := virtualArray(1)
-	a.InjectFailures(0, 2)
+	a.SetFaultPlan(0, FaultPlan{Script: map[int64]FaultKind{1: FaultTransient, 2: FaultTransient}})
 	if _, err := a.Write(0, 0, make([]byte, 64)); err == nil {
 		t.Fatal("first injected write failure missing")
 	}

@@ -1,9 +1,6 @@
 package pages
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Buffer recycling for spill-restore I/O. Partition readers allocate one
 // block buffer per read and one decompression buffer per compressed block;
@@ -21,11 +18,7 @@ import (
 // nothing and evicts usefully-sized ones.
 const minRecycleBuf = 4 << 10
 
-var (
-	bufPool     sync.Pool
-	bufRecycled atomic.Int64 // Gets served from the pool
-	bufMisses   atomic.Int64 // Gets that had to allocate
-)
+var bufPool sync.Pool
 
 // GetBuf returns a byte slice of length n, reusing a recycled buffer when
 // one with sufficient capacity is available. Contents are undefined.
@@ -33,12 +26,10 @@ func GetBuf(n int) []byte {
 	if v := bufPool.Get(); v != nil {
 		b := *(v.(*[]byte))
 		if cap(b) >= n {
-			bufRecycled.Add(1)
 			return b[:n]
 		}
 		// Too small for this request; drop it rather than hold both.
 	}
-	bufMisses.Add(1)
 	return make([]byte, n)
 }
 
@@ -50,10 +41,4 @@ func PutBuf(b []byte) {
 	}
 	b = b[:0]
 	bufPool.Put(&b)
-}
-
-// RecycleStats returns cumulative GetBuf outcomes (pool hits, allocations)
-// for tests and diagnostics.
-func RecycleStats() (recycled, misses int64) {
-	return bufRecycled.Load(), bufMisses.Load()
 }

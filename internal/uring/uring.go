@@ -37,7 +37,7 @@ type Class uint8
 const (
 	// ClassDemand marks reads a consumer is blocked on.
 	ClassDemand Class = iota
-	// ClassSpillWrite marks phase-1 spill writes; the writer's maxAhead
+	// ClassSpillWrite marks phase-1 spill writes; the spill writer's write-ahead
 	// backpressure bounds how many a query can have outstanding.
 	ClassSpillWrite
 	// ClassPrefetch marks speculative reads: scan lookahead and partition
@@ -101,9 +101,6 @@ type DispatchRing interface {
 	Poll(out []Completion, block bool, cancel func() bool) []Completion
 	// Outstanding counts this ring's submitted-but-unreaped requests.
 	Outstanding() int
-	// Promote re-tags a still-deferred request as demand (a consumer now
-	// blocks on it); returns false if it already dispatched.
-	Promote(userData uint64) bool
 	// CancelDeferred drops this ring's not-yet-dispatched requests
 	// without completing them, returning how many were dropped. Used by
 	// teardown paths that will never poll again.
@@ -207,12 +204,6 @@ type Ring struct {
 	// default priority class queued requests carry.
 	dr    DispatchRing
 	class Class
-
-	// Cumulative counters for the harness.
-	writesQueued int64
-	readsQueued  int64
-	bytesWritten int64
-	bytesRead    int64
 }
 
 // New returns a ring over the given array.
@@ -243,18 +234,6 @@ func (r *Ring) Bind(d Dispatcher, class Class, query uint64) {
 	}
 	r.dr = d.Register(query)
 	r.class = class
-}
-
-// Promote re-tags a still-deferred request as demand — the caller's
-// consumer now blocks on it. It is a no-op on unbound rings (their requests
-// always dispatch at Submit) and on requests already dispatched. Unlike the
-// rest of the Ring API, Promote is safe to call concurrently with the
-// ring's owner: it only touches the dispatcher, which locks internally.
-func (r *Ring) Promote(userData uint64) bool {
-	if r.dr == nil {
-		return false
-	}
-	return r.dr.Promote(userData)
 }
 
 // CancelDeferred drops the ring's not-yet-dispatched requests, returning
@@ -302,7 +281,6 @@ func (r *Ring) QueueWriteDev(dev int, buf []byte, userData uint64) (nvmesim.Loc,
 	}
 	loc := nvmesim.MakeLoc(dev, off, len(buf))
 	r.sq = append(r.sq, sqe{op: OpWrite, dev: dev, loc: loc, buf: buf, userData: userData, class: r.class})
-	r.writesQueued++
 	return loc, nil
 }
 
@@ -310,15 +288,14 @@ func (r *Ring) QueueWriteDev(dev int, buf []byte, userData uint64) (nvmesim.Loc,
 // loc.Size() bytes minus alignment padding; the stored block length governs.
 func (r *Ring) QueueRead(loc nvmesim.Loc, buf []byte, userData uint64) {
 	r.sq = append(r.sq, sqe{op: OpRead, loc: loc, buf: buf, userData: userData, class: r.class})
-	r.readsQueued++
 }
 
 // QueueReadClass queues a read under an explicit priority class, overriding
 // the ring's default — the PartitionScheduler distinguishes demand reads
-// (a consumer blocks on them) from prefetch on the same ring.
+// (a consumer blocks on them) from prefetch on the same ring. The class is
+// fixed here: a queued read never changes class.
 func (r *Ring) QueueReadClass(loc nvmesim.Loc, buf []byte, userData uint64, class Class) {
 	r.sq = append(r.sq, sqe{op: OpRead, loc: loc, buf: buf, userData: userData, class: class})
-	r.readsQueued++
 }
 
 // Submit flushes the local submission queue as one batch and returns the
@@ -355,17 +332,11 @@ func (r *Ring) Submit() int {
 			c.readyAt = ready
 			c.Err = err
 			c.N = len(e.buf)
-			if err == nil {
-				r.bytesWritten += int64(len(e.buf))
-			}
 		case OpRead:
 			ready, nr, err := r.arr.Read(e.loc.Device(), e.loc.Offset(), e.buf)
 			c.readyAt = ready
 			c.Err = err
 			c.N = nr
-			if err == nil {
-				r.bytesRead += int64(nr)
-			}
 		}
 		if c.Err != nil {
 			c.readyAt = now
@@ -402,21 +373,7 @@ const maxPollWait = time.Millisecond
 // probe reports cancellation.
 func (r *Ring) Poll(out []Completion, block bool) []Completion {
 	if r.dr != nil {
-		n0 := len(out)
-		out = r.dr.Poll(out, block, r.cancel)
-		// Byte counters move to reap time on bound rings: success is only
-		// known once the dispatcher completes the request.
-		for _, c := range out[n0:] {
-			if c.Err != nil {
-				continue
-			}
-			if c.Op == OpWrite {
-				r.bytesWritten += int64(c.N)
-			} else {
-				r.bytesRead += int64(c.N)
-			}
-		}
-		return out
+		return r.dr.Poll(out, block, r.cancel)
 	}
 	for {
 		now := r.clock.Now()
@@ -454,9 +411,4 @@ func (r *Ring) WaitAll(out []Completion) []Completion {
 		out = r.Poll(out, true)
 	}
 	return out
-}
-
-// Counters reports cumulative request and byte counts for the harness.
-func (r *Ring) Counters() (writes, reads, bytesWritten, bytesRead int64) {
-	return r.writesQueued, r.readsQueued, r.bytesWritten, r.bytesRead
 }

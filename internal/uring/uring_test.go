@@ -129,7 +129,7 @@ func TestCompletionOrderByReadyTime(t *testing.T) {
 
 func TestErrorSurfacesInCompletion(t *testing.T) {
 	r, _ := newRing(1)
-	r.Array().InjectFailures(0, 1)
+	r.Array().SetFaultPlan(0, nvmesim.FaultPlan{Script: map[int64]nvmesim.FaultKind{1: nvmesim.FaultTransient}})
 	r.QueueWrite(make([]byte, 512), 9)
 	comps := r.WaitAll(nil)
 	if len(comps) != 1 || comps[0].Err == nil {
@@ -160,9 +160,9 @@ func TestCounters(t *testing.T) {
 	r.WaitAll(nil)
 	r.QueueRead(loc, make([]byte, 1024), 2)
 	r.WaitAll(nil)
-	w, rd, bw, br := r.Counters()
-	if w != 1 || rd != 1 || bw != 1024 || br != 1024 {
-		t.Fatalf("counters: w=%d r=%d bw=%d br=%d", w, rd, bw, br)
+	d := r.Array().PerDevice()[0]
+	if d.Writes != 1 || d.Reads != 1 || d.BytesWritten != 1024 || d.BytesRead != 1024 {
+		t.Fatalf("device counters: %+v", d)
 	}
 }
 

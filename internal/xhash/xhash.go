@@ -43,11 +43,6 @@ func U64(x, seed uint64) uint64 {
 	return mix(x^secret1, seed^secret2)
 }
 
-// U32 hashes a single 32-bit value with the given seed.
-func U32(x uint32, seed uint64) uint64 {
-	return U64(uint64(x), seed)
-}
-
 // Combine merges two 64-bit hashes into one, order-dependently. It is used
 // to build multi-column keys.
 func Combine(h1, h2 uint64) uint64 {

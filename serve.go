@@ -232,8 +232,6 @@ func (s *scrape) ioSchedFamilies() []obsrv.Family {
 		vector("spilly_iosched_deferred_total", "counter",
 			"Of the dispatched requests, those that waited at least one scheduling pass.",
 			classes, func(c iosched.ClassCounters) int64 { return c.Deferred }),
-		vector("spilly_iosched_promoted_total", "counter", "Deferred reads promoted to demand class by a blocking consumer.",
-			scheds, func(s iosched.Stats) int64 { return s.Promoted }),
 		vector("spilly_iosched_aged_total", "counter",
 			"Deferred requests dispatched above their class's share by the aging escape hatch.",
 			scheds, func(s iosched.Stats) int64 { return s.Aged }),

@@ -554,8 +554,8 @@ type Stats struct {
 	// finished — the scan-side analog of SpillStallTime.
 	ScanStallTime time.Duration
 	// ScanStalls counts how many times scan workers blocked waiting for a
-	// group read (each block promotes the group's reads to demand class);
-	// ScanStallTime/ScanStalls is the mean demand wait per scan block.
+	// group read; ScanStallTime/ScanStalls is the mean wait per scan block.
+	// Scan reads stay prefetch class while a worker waits on them.
 	ScanStalls int64
 	// DemandReads counts spill-readback reads issued demand-class (their
 	// partition's consumer had already opened it); DemandReadTime is the
