@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 ledger-smoke bench-smoke tier2 race stress chaos fuzz-colstore bench-parity bench-rescache profile-smoke clean
+.PHONY: all tier1 ledger-smoke bench-smoke tier2 race stress chaos fuzz-colstore bench-parity profile-smoke clean
 
 all: tier1
 
@@ -33,10 +33,10 @@ bench-smoke:
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the
 # silent-corruption and device-loss scenarios), twenty seconds of fuzzing the
-# chunk decoder, and the two performance gates whose features no ledger
-# workload sets yet (spill-integrity tax, result reuse). Everything else is
-# gated by `bash benchmark/run.sh --compare`.
-tier2: chaos fuzz-colstore bench-parity bench-rescache
+# chunk decoder, and the one performance gate whose feature no ledger
+# workload sets yet (the spill-integrity tax). Everything else is gated by
+# `bash benchmark/run.sh --compare`.
+tier2: chaos fuzz-colstore bench-parity
 
 # Chunk-decoder fuzzing: DecodeChunk reads bytes that came off a device, so
 # no input may make it panic or allocate by a header field alone. Tier-1 runs
@@ -91,15 +91,6 @@ profile-smoke:
 # failure replays deterministically.
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos/
-
-# Result-reuse gate: the cold/warm-memory/warm-nvme/post-invalidation
-# report, then the warm-hit latency comparison against the committed
-# baseline (BENCH_rescache.json; fails on a warm-hit regression beyond 20%
-# plus an absolute jitter slack, any cross-phase result checksum mismatch,
-# or a warm phase that fails to hit the cache at all).
-bench-rescache:
-	$(GO) run ./cmd/spillybench -exp rescache
-	$(GO) run ./cmd/rescachecmp -baseline BENCH_rescache.json
 
 # Spill-integrity gate: the parity-off-vs-on report on the spill-heavy
 # queries, then the self-relative wall-time comparison (no committed

@@ -12,7 +12,6 @@
 //	spillyquery -q 9 -sf 0.5 -serve :8080                            # live /metrics, /queries, pprof
 //	spillyquery -q 9 -sf 0.05 -budget 2097152 -concurrent 8          # 8 admitted copies sharing the budget
 //	spillyquery -q 1 -sf 0.05 -cachebytes 8388608                    # 8 MB table buffer cache
-//	spillyquery -q 1 -sf 0.05 -rescache 16777216 -repeat 2           # second run hits the result cache
 package main
 
 import (
@@ -41,8 +40,7 @@ func main() {
 		parity   = flag.Int("parity", 0, "spill parity stripe width K: checksummed pages + one XOR parity block per K spill blocks (0 = off)")
 		conc     = flag.Int("concurrent", 1, "run this many copies of the query concurrently through the admission governor")
 		cacheB   = flag.Int64("cachebytes", 0, "table buffer cache size in bytes (0 = no buffer cache)")
-		rescache = flag.Int64("rescache", 0, "query-result reuse cache hot-tier size in bytes (0 = no result cache)")
-		repeat   = flag.Int("repeat", 1, "run the query this many times in sequence (later runs can hit the result cache)")
+		repeat   = flag.Int("repeat", 1, "run the query this many times in sequence")
 	)
 	flag.Parse()
 
@@ -61,14 +59,13 @@ func main() {
 	}
 
 	eng, err := spilly.Open(spilly.Config{
-		Workers:          *workers,
-		MemoryBudget:     *budget,
-		Baseline:         bl,
-		Compression:      *compress,
-		Profile:          *profile,
-		SpillParity:      *parity,
-		CacheBytes:       *cacheB,
-		ResultCacheBytes: *rescache,
+		Workers:      *workers,
+		MemoryBudget: *budget,
+		Baseline:     bl,
+		Compression:  *compress,
+		Profile:      *profile,
+		SpillParity:  *parity,
+		CacheBytes:   *cacheB,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -106,19 +103,12 @@ func main() {
 			os.Exit(1)
 		}
 		if *repeat > 1 {
-			note := ""
-			if res.Stats.ResultCacheHit {
-				note = fmt.Sprintf("  (result cache hit, %s tier)", res.Stats.ResultCacheTier)
-			}
-			fmt.Printf("run %d: %v%s\n", i+1, res.Stats.Duration, note)
+			fmt.Printf("run %d: %v\n", i+1, res.Stats.Duration)
 		}
 	}
 	fmt.Print(spilly.FormatBatch(res.Batch, *rows))
 	s := res.Stats
 	fmt.Printf("\nQ%d: %v, %d rows out\n", *q, s.Duration, res.Batch.Len())
-	if s.ResultCacheHit {
-		fmt.Printf("result cache: hit (%s tier); plan not executed\n", s.ResultCacheTier)
-	}
 	fmt.Printf("scanned: %d tuples (%.1f MB), %.0f tuples/s, %.1f cycles/byte\n",
 		s.ScannedRows, float64(s.ScannedBytes)/(1<<20), s.TuplesPerSec, s.CyclesPerByte)
 	if s.ScanStallTime > 0 {
@@ -149,13 +139,6 @@ func main() {
 			fmt.Printf(" (%d blocks too large to cache)", bc.Oversized)
 		}
 		fmt.Println()
-	}
-	if *rescache > 0 {
-		rc := eng.ResultCacheStats()
-		fmt.Printf("result cache: %d memory hits, %d nvme hits, %d misses; %d hot (%.1f MB), %d demoted (%.1f MB raw)\n",
-			rc.HitsMemory, rc.HitsNVMe, rc.Misses,
-			rc.HotEntries, float64(rc.HotBytes)/(1<<20),
-			rc.DiskEntries, float64(rc.DiskBytes)/(1<<20))
 	}
 	printIOSched(eng)
 	if *profile {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,6 +60,55 @@ func assertArrayDrained(t *testing.T, eng *Engine) {
 	if g := eng.GovernorStats(); g.Granted != 0 || g.Active != 0 || g.Queued != 0 {
 		t.Errorf("governor not drained: %+v", g)
 	}
+}
+
+// TestBufferCacheColdWarmBitIdentical runs every TPC-H query twice over
+// tables on the array: cold, right after ClearCaches empties the table
+// buffer cache, and warm, with its scans served from that cache. The budget
+// is tight enough that the big joins spill. Both runs must be bit-identical,
+// and once the sweep ends the spill array and the governor must be drained.
+func TestBufferCacheColdWarmBitIdentical(t *testing.T) {
+	eng, err := Open(Config{
+		Workers:      2,
+		MemoryBudget: 256 << 10,
+		Compression:  true,
+		CacheBytes:   64 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadTPCH(0.01, true); err != nil {
+		t.Fatal(err)
+	}
+	var spilled int64
+	for q := 1; q <= tpch.NumQueries; q++ {
+		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
+			eng.ClearCaches()
+			if bc := eng.BufferCacheStats(); bc.Used != 0 || bc.Blocks != 0 {
+				t.Fatalf("buffer cache holds %d blocks (%d bytes) after ClearCaches", bc.Blocks, bc.Used)
+			}
+			cold, err := eng.RunTPCH(q)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			spilled += cold.Stats.SpilledBytes
+			hits := eng.BufferCacheStats().Hits
+			warm, err := eng.RunTPCH(q)
+			if err != nil {
+				t.Fatalf("warm: %v", err)
+			}
+			if eng.BufferCacheStats().Hits == hits {
+				t.Error("warm run never hit the buffer cache")
+			}
+			if chaos.Fingerprint(warm.Batch) != chaos.Fingerprint(cold.Batch) {
+				t.Error("warm result differs from cold run")
+			}
+		})
+	}
+	if spilled == 0 {
+		t.Error("no query spilled: the budget no longer exercises the spill path")
+	}
+	assertArrayDrained(t, eng)
 }
 
 // spillCtx builds a spilling execution context over the shared array —
@@ -436,6 +486,104 @@ func TestCatalogConcurrentRegistration(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// verTableRows is sized so a query's scan and sum overlap several
+// registrations of the next version.
+const verTableRows = 256 << 10
+
+// registerVerTable swaps in version ver of the "ver" table: verTableRows
+// rows, every value float64(ver).
+func registerVerTable(eng *Engine, ver int64) {
+	sch := NewSchema(ColumnDef{Name: "v", Type: Float64})
+	mt := NewMemTable("ver", sch, 0)
+	b := NewBatch(sch, verTableRows)
+	for i := 0; i < verTableRows; i++ {
+		b.Cols[0].F = append(b.Cols[0].F, float64(ver))
+	}
+	b.SetLen(verTableRows)
+	mt.Append(b)
+	eng.RegisterTable(mt)
+}
+
+// TestCatalogVersionRace hammers RegisterTable against running queries
+// under the race detector. Every row of table version v holds the value v,
+// so a result reveals exactly which snapshot produced it: a query must never
+// see a torn snapshot, and a querier that observed version lo registered
+// before it planned must never be handed a sum from an older version.
+func TestCatalogVersionRace(t *testing.T) {
+	eng, err := Open(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerVerTable(eng, 1)
+	var cur atomic.Int64
+	cur.Store(1)
+
+	const versions = 20
+	loaderDone := make(chan struct{})
+	go func() {
+		defer close(loaderDone)
+		for v := int64(2); v <= versions; v++ {
+			registerVerTable(eng, v)
+			cur.Store(v)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := false; !done; {
+				select {
+				case <-loaderDone:
+					done = true // one final pass after the last registration
+				default:
+				}
+				lo := cur.Load()
+				tbl, err := eng.Table("ver")
+				if err != nil {
+					errs <- err
+					return
+				}
+				sc := NewScan(tbl, "v")
+				plan := NewAgg(sc, nil, []AggSpec{{Func: Sum, Col: "v", As: "s"}})
+				// Twice per snapshot: a plan runs again over the snapshot it
+				// was built on, whatever was registered in between.
+				for rep := 0; rep < 2; rep++ {
+					res, err := eng.Run(plan)
+					if err != nil {
+						errs <- err
+						return
+					}
+					sum := res.Batch.Cols[0].F[0]
+					ver := int64(sum / verTableRows)
+					if float64(ver)*verTableRows != sum {
+						errs <- fmt.Errorf("sum %v is not a whole version multiple: torn snapshot?", sum)
+						return
+					}
+					if ver < lo {
+						errs <- fmt.Errorf("stale result: saw version %d after version %d was registered", ver, lo)
+						return
+					}
+					if hi := cur.Load(); ver > hi+1 {
+						errs <- fmt.Errorf("impossible version %d (current %d)", ver, hi)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := eng.SpillArray().Leases(); n != 0 {
+		t.Errorf("%d leases live after drain", n)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	rescache "github.com/spilly-db/spilly/internal/cache"
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/exec"
 	"github.com/spilly-db/spilly/internal/iosched"
@@ -32,7 +31,7 @@ func TestCounterTableMatchesStats(t *testing.T) {
 	notCounters := map[string]bool{
 		"Duration": true, "TuplesPerSec": true, "CyclesPerByte": true,
 		"AdmissionWait": true, "MemoryGrant": true, "AllocApprox": true,
-		"ResultCacheHit": true, "ResultCacheTier": true, "Schemes": true,
+		"Schemes": true,
 	}
 	statsType := reflect.TypeOf(Stats{})
 	fed := map[string]bool{}
@@ -169,19 +168,6 @@ spilly_bufcache_hits_total counter
 spilly_bufcache_misses_total counter
 spilly_bufcache_oversized_total counter
 spilly_bufcache_used_bytes gauge
-spilly_cache_bytes gauge
-spilly_cache_demotions_total counter
-spilly_cache_drops_total counter
-spilly_cache_entries gauge
-spilly_cache_hits_total counter
-spilly_cache_invalidated_total counter
-spilly_cache_misses_total counter
-spilly_cache_puts_total counter
-spilly_cache_rejects_total counter
-spilly_cache_reserved_bytes gauge
-spilly_cache_restore_bytes_total counter
-spilly_cache_restores_total counter
-spilly_cache_shrinks_total counter
 spilly_device_dead gauge
 spilly_device_errors_total counter
 spilly_device_io_errors_total counter
@@ -327,11 +313,6 @@ func TestMetricFamilyValues(t *testing.T) {
 		liveExtents: 19,
 		leaseLive:   map[uint64]int64{12: 8192, 3: 512},
 		bufCache:    colstore.CacheStats{Hits: 10, Misses: 4, Used: 8192, Blocks: 2, Oversized: 1},
-		resCache: rescache.Stats{
-			HotEntries: 3, HotBytes: 1024, DiskEntries: 1, DiskBytes: 512, Reserved: 2048,
-			HitsMemory: 5, HitsNVMe: 2, Misses: 6, Puts: 4, Rejects: 21, Demotions: 22, Restores: 23,
-			RestoreBytes: 24, Drops: 25, Invalidated: 26, Shrinks: 27,
-		},
 		ioScheds: []IOSchedSnapshot{
 			{Name: "spill", Stats: iosched.Stats{Aged: 3, Queued: 7, Inflight: 8},
 				Devices: []iosched.DeviceStats{{ReadDepth: 6, WriteDepth: 2, ReadQueued: 4, WriteQueued: 3,
@@ -383,22 +364,6 @@ func TestMetricFamilyValues(t *testing.T) {
 		"spilly_bufcache_used_bytes 8192",
 		"spilly_bufcache_blocks 2",
 		"spilly_bufcache_oversized_total 1",
-		`spilly_cache_entries{tier="memory"} 3`,
-		`spilly_cache_entries{tier="nvme"} 1`,
-		`spilly_cache_bytes{tier="memory"} 1024`,
-		`spilly_cache_bytes{tier="nvme"} 512`,
-		`spilly_cache_hits_total{tier="memory"} 5`,
-		`spilly_cache_hits_total{tier="nvme"} 2`,
-		"spilly_cache_reserved_bytes 2048",
-		"spilly_cache_misses_total 6",
-		"spilly_cache_puts_total 4",
-		"spilly_cache_rejects_total 21",
-		"spilly_cache_demotions_total 22",
-		"spilly_cache_restores_total 23",
-		"spilly_cache_restore_bytes_total 24",
-		"spilly_cache_drops_total 25",
-		"spilly_cache_invalidated_total 26",
-		"spilly_cache_shrinks_total 27",
 		`spilly_iosched_dispatched_total{array="spill",class="demand"} 100`,
 		`spilly_iosched_dispatched_total{array="spill",class="prefetch"} 40`,
 		`spilly_iosched_dispatched_total{array="spill",class="spill_write"} 0`,
@@ -454,7 +419,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	eng, err := Open(Config{
 		Workers: 2, MemoryBudget: 512 << 10, Compression: true,
-		CacheBytes: 1 << 20, ResultCacheBytes: 1 << 20,
+		CacheBytes: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +442,7 @@ func TestMetricsExposition(t *testing.T) {
 	// The engine is idle: every subsystem's sample equals what its own
 	// accessor reports now (TestMetricFamilyValues pins field → family; this
 	// pins accessor → scrape, e.g. the two arrays under their own labels).
-	bc, rc, gov, sched := eng.BufferCacheStats(), eng.ResultCacheStats(), eng.GovernorStats(), eng.IOSchedSnapshots()
+	bc, gov, sched := eng.BufferCacheStats(), eng.GovernorStats(), eng.IOSchedSnapshots()
 	spill, table := eng.SpillArray().PerDevice(), eng.TableArray().PerDevice()
 	for _, w := range []struct {
 		family, labels string
@@ -489,9 +454,6 @@ func TestMetricsExposition(t *testing.T) {
 		{"spilly_engine_admission_total_bytes", "", gov.Total},
 		{"spilly_bufcache_misses_total", "", bc.Misses},
 		{"spilly_bufcache_used_bytes", "", bc.Used},
-		{"spilly_cache_entries", `tier="memory"`, int64(rc.HotEntries)},
-		{"spilly_cache_bytes", `tier="memory"`, rc.HotBytes},
-		{"spilly_cache_puts_total", "", rc.Puts},
 		{"spilly_iosched_dispatched_total", `array="spill",class="spill_write"`, sched[0].Stats.Classes[uring.ClassSpillWrite].Dispatched},
 		{"spilly_iosched_dispatched_total", `array="table",class="prefetch"`, sched[1].Stats.Classes[uring.ClassPrefetch].Dispatched},
 		{"spilly_device_written_bytes_total", `array="spill",device="0"`, spill[0].BytesWritten},
@@ -534,8 +496,6 @@ func TestMetricsExposition(t *testing.T) {
 	for family, labels := range map[string][]string{
 		"spilly_device_written_bytes_total":     {`array="spill",device="0"`, `array="spill",device="7"`, `array="table",device="0"`},
 		"spilly_device_spill_bytes":             {`array="spill",device="0"`, `array="table",device="7"`},
-		"spilly_cache_entries":                  {`tier="memory"`, `tier="nvme"`},
-		"spilly_cache_hits_total":               {`tier="memory"`, `tier="nvme"`},
 		"spilly_iosched_dispatched_total":       {`array="spill",class="demand"`, `array="spill",class="spill_write"`, `array="table",class="prefetch"`, `array="table",class="background"`},
 		"spilly_iosched_deferred_total":         {`array="spill",class="prefetch"`},
 		"spilly_iosched_aged_total":             {`array="spill"`},
@@ -558,8 +518,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("completed = %v, in flight = %v, want 1 and 0",
 			samples["spilly_queries_completed_total"], samples["spilly_queries_in_flight"])
 	}
-	if samples["spilly_bufcache_misses_total"][""] == 0 || samples["spilly_cache_misses_total"][""] != 1 {
-		t.Errorf("bufcache misses = %v, result-cache misses = %v, want > 0 and 1",
-			samples["spilly_bufcache_misses_total"], samples["spilly_cache_misses_total"])
+	if samples["spilly_bufcache_misses_total"][""] == 0 {
+		t.Errorf("bufcache misses = %v, want > 0", samples["spilly_bufcache_misses_total"])
 	}
 }

@@ -37,7 +37,7 @@ func TestRegistryComplete(t *testing.T) {
 		"sec2-hw-cost", "sec3-io-model", "fig2", "sec44-cpb", "fig3",
 		"fig5", "fig6", "fig7", "fig8", "sec65-hybrid", "fig9",
 		"sec66-hashing", "fig10", "fig11", "fig12", "sec52-tablecomp",
-		"ablation-umami", "parity", "rescache",
+		"ablation-umami", "parity",
 	}
 	for _, id := range want {
 		if ByID(id) == nil {

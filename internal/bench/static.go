@@ -84,49 +84,61 @@ func runIOModel(w io.Writer, o Options) error {
 	fmt.Fprintf(w, "\nMeasured on the simulated array (%d tuples of 128B, 4KB pages):\n", n)
 	spec := nvmesim.DeviceSpec{ReadBandwidth: 110e6 * 8, WriteBandwidth: 62e6 * 8, Latency: 100 * time.Microsecond}
 
-	measure := func(pointAccess bool) (float64, float64) {
+	// measure writes n tuples' worth of 4 KB pages: one page per tuple with
+	// point access (each "insert" rewrites the page holding its bucket), one
+	// per 32 tuples when tuples accumulate into partition pages. Any failed
+	// write fails the experiment.
+	measure := func(pointAccess bool) (float64, float64, error) {
 		arr := nvmesim.New(1, spec, nvmesim.RealClock{})
 		ring := uring.New(arr)
-		start := time.Now()
-		var written int64
+		stride := int64(4096 / 128)
 		if pointAccess {
-			// Each "insert" rewrites the 4 KB page containing the bucket.
-			page := make([]byte, 4096)
-			for i := int64(0); i < n; i++ {
-				buf := page
-				if _, err := ring.QueueWrite(buf, uint64(i)); err != nil {
-					return 0, 0
-				}
-				written += 4096
-				if ring.Outstanding()+ring.Pending() > 64 {
-					ring.Submit()
-					ring.Poll(nil, true)
+			stride = 1
+		}
+		page := make([]byte, 4096)
+		var done []uring.Completion
+		check := func() error {
+			for _, c := range done {
+				if c.Err != nil {
+					return fmt.Errorf("sec3-io-model: page write: %w", c.Err)
 				}
 			}
-		} else {
-			// Tuples accumulate into 4 KB partition pages, one write per page.
-			page := make([]byte, 4096)
-			perPage := int64(4096 / 128)
-			for i := int64(0); i < n; i += perPage {
-				if _, err := ring.QueueWrite(page, uint64(i)); err != nil {
-					return 0, 0
-				}
-				written += 4096
-				if ring.Outstanding()+ring.Pending() > 64 {
-					ring.Submit()
-					ring.Poll(nil, true)
+			done = done[:0]
+			return nil
+		}
+		start := time.Now()
+		var written int64
+		for i := int64(0); i < n; i += stride {
+			if _, err := ring.QueueWrite(page, uint64(i)); err != nil {
+				return 0, 0, fmt.Errorf("sec3-io-model: queue page write: %w", err)
+			}
+			written += 4096
+			if ring.Outstanding()+ring.Pending() > 64 {
+				ring.Submit()
+				done = ring.Poll(done, true)
+				if err := check(); err != nil {
+					return 0, 0, err
 				}
 			}
 		}
-		ring.WaitAll(nil)
+		done = ring.WaitAll(done)
+		if err := check(); err != nil {
+			return 0, 0, err
+		}
 		el := time.Since(start).Seconds()
-		return float64(n) / el, float64(written) / 1e9
+		return float64(n) / el, float64(written) / 1e9, nil
 	}
 
 	mt := newTable("Strategy", "I/O GB", "Tuples/s")
-	tp1, io1 := measure(true)
+	tp1, io1, err := measure(true)
+	if err != nil {
+		return err
+	}
 	mt.row("Hash table on SSD (write amp 32x)", io1, tp1)
-	tp2, io2 := measure(false)
+	tp2, io2, err := measure(false)
+	if err != nil {
+		return err
+	}
 	mt.row("Partition to SSD", io2, tp2)
 	mt.write(w)
 	fmt.Fprintf(w, "\nShape check: partitioning sustains ~%0.fx the tuple throughput of\n", tp2/tp1)

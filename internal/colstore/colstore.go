@@ -18,11 +18,6 @@ const DefaultRowGroupSize = 32 * 1024
 // morsel-stealing mechanism of morsel-driven parallelism.
 type Table interface {
 	Name() string
-	// ID is a process-unique identity for this table snapshot.
-	// Re-registering a table under the same name yields a new snapshot
-	// with a new ID, so plan fingerprints taken over different snapshots
-	// never alias each other in the result cache.
-	ID() uint64
 	Schema() *data.Schema
 	Rows() int64
 	Groups() int
@@ -50,15 +45,11 @@ type Reader interface {
 // MemTable is a fully in-memory columnar table.
 type MemTable struct {
 	name      string
-	id        uint64
 	schema    *data.Schema
 	cols      []data.Column
 	rows      int
 	groupSize int
 }
-
-// tableIDs issues process-unique snapshot identities (Table.ID).
-var tableIDs atomic.Uint64
 
 // NewMemTable returns an empty in-memory table. groupSize <= 0 selects the
 // default row group size.
@@ -66,7 +57,7 @@ func NewMemTable(name string, schema *data.Schema, groupSize int) *MemTable {
 	if groupSize <= 0 {
 		groupSize = DefaultRowGroupSize
 	}
-	t := &MemTable{name: name, id: tableIDs.Add(1), schema: schema, groupSize: groupSize, cols: make([]data.Column, schema.Len())}
+	t := &MemTable{name: name, schema: schema, groupSize: groupSize, cols: make([]data.Column, schema.Len())}
 	for i, c := range schema.Cols {
 		t.cols[i].Type = c.Type
 	}
@@ -92,9 +83,6 @@ func (t *MemTable) Append(b *data.Batch) {
 
 // Name implements Table.
 func (t *MemTable) Name() string { return t.name }
-
-// ID implements Table.
-func (t *MemTable) ID() uint64 { return t.id }
 
 // Schema implements Table.
 func (t *MemTable) Schema() *data.Schema { return t.schema }
@@ -210,7 +198,6 @@ func (s *Store) SetIOSched(d uring.Dispatcher) { s.sched = d }
 // DiskTable is a table stored as encoded column chunks on the array.
 type DiskTable struct {
 	name      string
-	id        uint64
 	schema    *data.Schema
 	rows      int64
 	groupSize int
@@ -232,7 +219,6 @@ type DiskTable struct {
 func (s *Store) WriteTable(mt *MemTable) (*DiskTable, error) {
 	dt := &DiskTable{
 		name:      mt.name,
-		id:        tableIDs.Add(1),
 		schema:    mt.schema,
 		rows:      int64(mt.rows),
 		groupSize: mt.groupSize,
@@ -303,9 +289,6 @@ func rawColumnBytes(c *data.Column, lo, hi int) int64 {
 
 // Name implements Table.
 func (t *DiskTable) Name() string { return t.name }
-
-// ID implements Table.
-func (t *DiskTable) ID() uint64 { return t.id }
 
 // Schema implements Table.
 func (t *DiskTable) Schema() *data.Schema { return t.schema }

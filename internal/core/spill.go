@@ -36,9 +36,9 @@ type SpilledSlot struct {
 }
 
 // frameSeq issues every spilled block's integrity sequence number. One
-// process-wide counter, not one per operator: two operators — or a query
-// and the result cache — never frame different blocks with the same
-// identity, so a misdirected read between them cannot verify.
+// process-wide counter, not one per operator: two operators — of one query
+// or of two — never frame different blocks with the same identity, so a
+// misdirected read between them cannot verify.
 var frameSeq atomic.Uint32
 
 // stagingArea accumulates the raw sealed pages destined for one partition

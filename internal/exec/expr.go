@@ -2,11 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"github.com/spilly-db/spilly/internal/data"
-	"github.com/spilly-db/spilly/internal/xhash"
 )
 
 // Expr is a compiled scalar expression over batches. Each constructor builds
@@ -36,58 +34,12 @@ type Expr struct {
 	cI       int64
 	cF       float64
 	cS       string
-
-	// fp is the expression's structural fingerprint, set by every
-	// constructor (see fingerprint.go). Kernels erase structure, so the hash
-	// is recorded at construction time; 0 marks the zero Expr.
-	fp uint64
-}
-
-// fpSeed seeds every fingerprint hash in the package.
-const fpSeed uint64 = 0x5ca1ab1e
-
-// fpEmptyExpr tags the zero Expr (e.g. an absent scan filter).
-const fpEmptyExpr uint64 = 0xe321a97b0d15ea5e
-
-// fpNz keeps legitimate fingerprints out of the 0 = "uncacheable" sentinel.
-func fpNz(h uint64) uint64 {
-	if h == 0 {
-		return 1
-	}
-	return h
-}
-
-// fpNode hashes an op tag with its ordered parts, propagating the
-// uncacheable sentinel: any zero part zeroes the result.
-func fpNode(op string, parts ...uint64) uint64 {
-	h := xhash.String(op, fpSeed)
-	for _, p := range parts {
-		if p == 0 {
-			return 0
-		}
-		h = xhash.Combine(h, p)
-	}
-	return fpNz(h)
 }
 
 // isZero reports the zero Expr: no expression, such as an absent filter.
-func (e Expr) isZero() bool { return e.fp == 0 }
-
-// fingerprint returns the expression's structural fingerprint: the recorded
-// hash, or a fixed tag for the zero Expr.
-func (e Expr) fingerprint() uint64 {
-	if e.isZero() {
-		return fpEmptyExpr
-	}
-	return e.fp
-}
-
-func fingerprints(es []Expr) []uint64 {
-	fps := make([]uint64, len(es))
-	for i, e := range es {
-		fps[i] = e.fingerprint()
-	}
-	return fps
+// Every constructor builds exactly one kernel, so it is the one with none.
+func (e Expr) isZero() bool {
+	return e.vecSel == nil && e.vecI == nil && e.vecF == nil && e.vecS == nil
 }
 
 func (e Expr) isColRef() bool { return e.col1 != 0 }
@@ -113,13 +65,10 @@ func (e Expr) AsFloat() Expr {
 	case data.Float64:
 		return e
 	case data.Int64, data.Date, data.Bool:
-		fp := fpNode("asfloat", e.fingerprint())
 		if e.constant {
-			out := ConstFloat(float64(e.cI))
-			out.fp = fp
-			return out
+			return ConstFloat(float64(e.cI))
 		}
-		out := Expr{Type: data.Float64, fp: fp}
+		out := Expr{Type: data.Float64}
 		if e.isColRef() {
 			ci := e.colIdx()
 			out.vecF = func(ba *data.Batch, sel []int32, o []float64) {
@@ -155,8 +104,7 @@ func (e Expr) AsFloat() Expr {
 func Col(s *data.Schema, name string) Expr {
 	idx := s.MustIndex(name)
 	t := s.Cols[idx].Type
-	e := Expr{Type: t, col1: int32(idx) + 1, fp: fpNode("col", xhash.String(name, fpSeed),
-		xhash.U64(uint64(idx), fpSeed), xhash.U64(uint64(t), fpSeed))}
+	e := Expr{Type: t, col1: int32(idx) + 1}
 	switch t {
 	case data.Float64:
 		e.vecF = gather(floatLane, idx)
@@ -169,8 +117,7 @@ func Col(s *data.Schema, name string) Expr {
 }
 
 func constIntExpr(t data.Type, v int64) Expr {
-	return Expr{Type: t, constant: true, cI: v, vecI: fill(v),
-		fp: fpNode("consti", xhash.U64(uint64(t), fpSeed), xhash.U64(uint64(v), fpSeed))}
+	return Expr{Type: t, constant: true, cI: v, vecI: fill(v)}
 }
 
 // ConstInt compiles an integer literal.
@@ -178,14 +125,12 @@ func ConstInt(v int64) Expr { return constIntExpr(data.Int64, v) }
 
 // ConstFloat compiles a float literal.
 func ConstFloat(v float64) Expr {
-	return Expr{Type: data.Float64, constant: true, cF: v, vecF: fill(v),
-		fp: fpNode("constf", xhash.U64(math.Float64bits(v), fpSeed))}
+	return Expr{Type: data.Float64, constant: true, cF: v, vecF: fill(v)}
 }
 
 // ConstStr compiles a string literal.
 func ConstStr(v string) Expr {
-	return Expr{Type: data.String, constant: true, cS: v, vecS: fill(v),
-		fp: fpNode("consts", xhash.String(v, fpSeed))}
+	return Expr{Type: data.String, constant: true, cS: v, vecS: fill(v)}
 }
 
 // ConstDate compiles a date literal from "YYYY-MM-DD".
@@ -203,21 +148,20 @@ func ConstBool(v bool) Expr {
 // arith compiles a op b; an int operand is promoted when the other is a
 // float, and two literals fold into one.
 func arith(a, b Expr, op arithOp) Expr {
-	fp := fpNode("arith", xhash.U64(uint64(op), fpSeed), a.fingerprint(), b.fingerprint())
 	if a.Type == data.Float64 || b.Type == data.Float64 {
-		return floatArith(a.AsFloat(), b.AsFloat(), op, fp)
+		return floatArith(a.AsFloat(), b.AsFloat(), op)
 	}
 	if a.constant && b.constant {
 		return ConstInt(applyOp(op, a.cI, b.cI))
 	}
-	return Expr{Type: data.Int64, fp: fp, vecI: arithKernel(intLane, a, b, op)}
+	return Expr{Type: data.Int64, vecI: arithKernel(intLane, a, b, op)}
 }
 
-func floatArith(a, b Expr, op arithOp, fp uint64) Expr {
+func floatArith(a, b Expr, op arithOp) Expr {
 	if a.constant && b.constant {
 		return ConstFloat(applyOp(op, a.cF, b.cF))
 	}
-	return Expr{Type: data.Float64, fp: fp, vecF: arithKernel(floatLane, a, b, op)}
+	return Expr{Type: data.Float64, vecF: arithKernel(floatLane, a, b, op)}
 }
 
 // Add compiles a + b with int→float promotion.
@@ -231,7 +175,7 @@ func Mul(a, b Expr) Expr { return arith(a, b, aMul) }
 
 // Div compiles a / b (always float, SQL decimal division).
 func Div(a, b Expr) Expr {
-	return floatArith(a.AsFloat(), b.AsFloat(), aDiv, fpNode("div", a.fingerprint(), b.fingerprint()))
+	return floatArith(a.AsFloat(), b.AsFloat(), aDiv)
 }
 
 // Cmp compiles a comparison. op is one of "<", "<=", ">", ">=", "=", "<>".
@@ -239,7 +183,7 @@ func Div(a, b Expr) Expr {
 // is promoted when the other is a float) or integers.
 func Cmp(op string, a, b Expr) Expr {
 	o := cmpOpOf(op)
-	e := Expr{Type: data.Bool, fp: fpNode("cmp", xhash.String(op, fpSeed), a.fingerprint(), b.fingerprint())}
+	e := Expr{Type: data.Bool}
 	switch {
 	case a.Type == data.String || b.Type == data.String:
 		if a.Type != data.String || b.Type != data.String {
@@ -260,14 +204,11 @@ func Cmp(op string, a, b Expr) Expr {
 // that survived the earlier ones — batch-level short-circuiting. And() is
 // true.
 func And(exprs ...Expr) Expr {
-	fp := fpNode("and", fingerprints(exprs)...)
 	if len(exprs) == 0 {
-		e := ConstBool(true)
-		e.fp = fp
-		return e
+		return ConstBool(true)
 	}
 	es := append([]Expr(nil), exprs...)
-	return Expr{Type: data.Bool, fp: fp, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
+	return Expr{Type: data.Bool, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
 		out = es[0].EvalBool(b, sel, out)
 		for _, c := range es[1:] {
 			// Stop once the selection is empty: nothing left to refine, and a
@@ -286,14 +227,11 @@ func And(exprs ...Expr) Expr {
 // sees only the live rows no earlier disjunct accepted, and the result is
 // the live rows minus those none accepted. Or() is false.
 func Or(exprs ...Expr) Expr {
-	fp := fpNode("or", fingerprints(exprs)...)
 	if len(exprs) == 0 {
-		e := ConstBool(false)
-		e.fp = fp
-		return e
+		return ConstBool(false)
 	}
 	es := append([]Expr(nil), exprs...)
-	return Expr{Type: data.Bool, fp: fp, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
+	return Expr{Type: data.Bool, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
 		n := liveRows(b, sel)
 		rp, hp := selPool.get(n), selPool.get(n)
 		rest := exceptRows((*rp)[:0], sel, n, nil)
@@ -312,7 +250,7 @@ func Or(exprs ...Expr) Expr {
 
 // Not compiles a negation: the live rows minus the operand's selection.
 func Not(e Expr) Expr {
-	return Expr{Type: data.Bool, fp: fpNode("not", e.fingerprint()), vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
+	return Expr{Type: data.Bool, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
 		hp := selPool.get(liveRows(b, sel))
 		out = exceptRows(out, sel, b.Len(), e.EvalBool(b, sel, (*hp)[:0]))
 		selPool.put(hp)
@@ -323,15 +261,13 @@ func Not(e Expr) Expr {
 // Like compiles a SQL LIKE pattern with % and _ wildcards.
 func Like(e Expr, pattern string) Expr {
 	needLane("Like", e, true)
-	return Expr{Type: data.Bool, fp: fpNode("like", e.fingerprint(), xhash.String(pattern, fpSeed)),
-		vecSel: matchKernel(strLane, e, compileLike(pattern), false)}
+	return Expr{Type: data.Bool, vecSel: matchKernel(strLane, e, compileLike(pattern), false)}
 }
 
 // NotLike compiles NOT LIKE.
 func NotLike(e Expr, pattern string) Expr {
 	needLane("NotLike", e, true)
-	return Expr{Type: data.Bool, fp: fpNode("notlike", e.fingerprint(), xhash.String(pattern, fpSeed)),
-		vecSel: matchKernel(strLane, e, compileLike(pattern), true)}
+	return Expr{Type: data.Bool, vecSel: matchKernel(strLane, e, compileLike(pattern), true)}
 }
 
 // compileLike builds a matcher for a LIKE pattern, fast-pathing the common
@@ -421,21 +357,13 @@ func inSet[T comparable](vals []T) func(T) bool {
 // InStr compiles membership in a string set.
 func InStr(e Expr, vals ...string) Expr {
 	needLane("InStr", e, true)
-	fps := []uint64{e.fingerprint()}
-	for _, v := range vals {
-		fps = append(fps, xhash.String(v, fpSeed))
-	}
-	return Expr{Type: data.Bool, fp: fpNode("instr", fps...), vecSel: matchKernel(strLane, e, inSet(vals), false)}
+	return Expr{Type: data.Bool, vecSel: matchKernel(strLane, e, inSet(vals), false)}
 }
 
 // InInt compiles membership in an integer set.
 func InInt(e Expr, vals ...int64) Expr {
 	needLane("InInt", e, false)
-	fps := []uint64{e.fingerprint()}
-	for _, v := range vals {
-		fps = append(fps, xhash.U64(uint64(v), fpSeed))
-	}
-	return Expr{Type: data.Bool, fp: fpNode("inint", fps...), vecSel: matchKernel(intLane, e, inSet(vals), false)}
+	return Expr{Type: data.Bool, vecSel: matchKernel(intLane, e, inSet(vals), false)}
 }
 
 // Case compiles CASE WHEN cond THEN a ELSE b END.
@@ -443,7 +371,7 @@ func Case(cond, then, els Expr) Expr {
 	if then.Type != els.Type && !(then.Type != data.String && els.Type != data.String) {
 		panic("exec: CASE branches of incompatible types")
 	}
-	e := Expr{Type: then.Type, fp: fpNode("case", cond.fingerprint(), then.fingerprint(), els.fingerprint())}
+	e := Expr{Type: then.Type}
 	switch {
 	case then.Type == data.String:
 		e.vecS = caseKernel(strLane, cond, then, els)
@@ -459,7 +387,7 @@ func Case(cond, then, els Expr) Expr {
 // YearOf compiles EXTRACT(YEAR FROM date).
 func YearOf(e Expr) Expr {
 	needLane("YearOf", e, false)
-	return Expr{Type: data.Int64, fp: fpNode("year", e.fingerprint()), vecI: func(b *data.Batch, sel []int32, o []int64) {
+	return Expr{Type: data.Int64, vecI: func(b *data.Batch, sel []int32, o []int64) {
 		e.EvalI(b, sel, o)
 		for j := range o {
 			o[j] = data.Year(o[j])
@@ -470,9 +398,8 @@ func YearOf(e Expr) Expr {
 // Substr compiles SUBSTRING(s FROM start FOR length) with 1-based start.
 func Substr(e Expr, start, length int) Expr {
 	needLane("Substr", e, true)
-	fp := fpNode("substr", e.fingerprint(), xhash.U64(uint64(int64(start)), fpSeed), xhash.U64(uint64(int64(length)), fpSeed))
 	lo := start - 1
-	return Expr{Type: data.String, fp: fp, vecS: func(b *data.Batch, sel []int32, o []string) {
+	return Expr{Type: data.String, vecS: func(b *data.Batch, sel []int32, o []string) {
 		e.EvalS(b, sel, o)
 		for j, v := range o {
 			if lo < 0 || lo >= len(v) {
@@ -487,8 +414,7 @@ func Substr(e Expr, start, length int) Expr {
 // IsNotNull compiles col IS NOT NULL for the named column.
 func IsNotNull(s *data.Schema, name string) Expr {
 	idx := s.MustIndex(name)
-	fp := fpNode("isnotnull", xhash.String(name, fpSeed), xhash.U64(uint64(idx), fpSeed))
-	return Expr{Type: data.Bool, fp: fp, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
+	return Expr{Type: data.Bool, vecSel: func(b *data.Batch, sel []int32, out []int32) []int32 {
 		null := b.Cols[idx].Null
 		if null == nil {
 			// No null bitmap: every live row passes.

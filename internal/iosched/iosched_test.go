@@ -95,7 +95,7 @@ func TestDemandDispatchesBeforeQueuedPrefetch(t *testing.T) {
 }
 
 // TestSpillWriteBeatsBackground: on the write channel, a queued spill write
-// overtakes earlier-queued background (cache demotion) writes.
+// overtakes earlier-queued background (table load) writes.
 func TestSpillWriteBeatsBackground(t *testing.T) {
 	sched, arr, _ := newSched(1, iosched.Config{DepthTarget: 2, PrefetchShare: 0.5})
 

@@ -33,15 +33,6 @@ type Governor struct {
 	active  int
 	waiters []*govWaiter
 
-	// cacheReserved is memory rented out to the result cache (ReserveCache).
-	// It is subtracted from admission headroom exactly like granted bytes,
-	// but the cache is a strictly lower-priority tenant: reservations are
-	// refused while queries queue, and an admission shortfall triggers the
-	// pressure callback asking the cache to surrender memory before the
-	// query is queued.
-	cacheReserved int64
-	pressure      func(need int64)
-
 	admitted  atomic.Int64
 	timeouts  atomic.Int64
 	waitNanos atomic.Int64
@@ -110,24 +101,6 @@ func (g *Governor) Admit(ctx context.Context, timeout time.Duration) (*Grant, ti
 			g.admitted.Add(1)
 			return grant, 0, nil
 		}
-		// Shortfall. Before queueing, ask the result cache (if any) to
-		// surrender enough reservation to cover a floor-sized grant, then
-		// retry once. The callback runs outside g.mu — it calls back into
-		// ReleaseCache — so a racing reservation can steal the freed
-		// memory; the retry is best-effort and the queue below is the
-		// backstop.
-		if pressure, need := g.pressure, g.floor-(g.total-g.granted-g.cacheReserved); pressure != nil && need > 0 && g.cacheReserved > 0 {
-			g.mu.Unlock()
-			pressure(need)
-			g.mu.Lock()
-			if len(g.waiters) == 0 {
-				if grant := g.grantLocked(g.active > 0); grant != nil {
-					g.mu.Unlock()
-					g.admitted.Add(1)
-					return grant, 0, nil
-				}
-			}
-		}
 	}
 	w := &govWaiter{ch: make(chan *Grant, 1)}
 	g.waiters = append(g.waiters, w)
@@ -165,7 +138,7 @@ func (g *Governor) Admit(ctx context.Context, timeout time.Duration) (*Grant, ti
 // converge toward an even split instead of the first claiming everything; a
 // lone query gets the full remainder. Caller holds g.mu.
 func (g *Governor) grantLocked(share bool) *Grant {
-	avail := g.total - g.granted - g.cacheReserved
+	avail := g.total - g.granted
 	if avail < g.floor {
 		return nil
 	}
@@ -205,59 +178,6 @@ func (g *Governor) wakeLocked() {
 	}
 }
 
-// SetPressure registers the callback invoked (without g.mu held) when an
-// admission falls short while the cache holds a reservation. need is the
-// shortfall in bytes; the callback should call ReleaseCache (directly or
-// via cache eviction) for at least that much if it can.
-func (g *Governor) SetPressure(fn func(need int64)) {
-	g.mu.Lock()
-	g.pressure = fn
-	g.mu.Unlock()
-}
-
-// ReserveCache rents bytes of idle headroom to the result cache. The
-// reservation is refused (returns false) when queries are queued for
-// admission or when taking it would leave less than one admission floor
-// free — the cache never starves live queries; it only borrows what
-// admission wasn't using.
-func (g *Governor) ReserveCache(bytes int64) bool {
-	if bytes <= 0 {
-		return true
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.waiters) > 0 {
-		return false
-	}
-	if g.total-g.granted-g.cacheReserved-bytes < g.floor {
-		return false
-	}
-	g.cacheReserved += bytes
-	return true
-}
-
-// ReleaseCache returns bytes of cache reservation and wakes any queued
-// admissions that now fit.
-func (g *Governor) ReleaseCache(bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	g.mu.Lock()
-	g.cacheReserved -= bytes
-	if g.cacheReserved < 0 {
-		panic("pages: cache reservation released below zero")
-	}
-	g.wakeLocked()
-	g.mu.Unlock()
-}
-
-// CacheReserved returns the bytes currently reserved by the result cache.
-func (g *Governor) CacheReserved() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cacheReserved
-}
-
 // abandon removes w from the queue after a timeout or cancellation. If a
 // releaser granted w concurrently, the grant is taken back.
 func (g *Governor) abandon(w *govWaiter) {
@@ -280,11 +200,10 @@ func (g *Governor) abandon(w *govWaiter) {
 
 // GovernorStats is a snapshot of admission state and totals.
 type GovernorStats struct {
-	Total         int64 // governed budget in bytes
-	Granted       int64 // bytes currently granted
-	CacheReserved int64 // bytes rented to the result cache
-	Active        int   // queries currently holding a grant
-	Queued        int   // queries waiting for admission
+	Total   int64 // governed budget in bytes
+	Granted int64 // bytes currently granted
+	Active  int   // queries currently holding a grant
+	Queued  int   // queries waiting for admission
 	// Cumulative totals.
 	Admitted  int64         // grants handed out
 	Timeouts  int64         // admissions that timed out
@@ -295,11 +214,10 @@ type GovernorStats struct {
 func (g *Governor) Stats() GovernorStats {
 	g.mu.Lock()
 	s := GovernorStats{
-		Total:         g.total,
-		Granted:       g.granted,
-		CacheReserved: g.cacheReserved,
-		Active:        g.active,
-		Queued:        len(g.waiters),
+		Total:   g.total,
+		Granted: g.granted,
+		Active:  g.active,
+		Queued:  len(g.waiters),
 	}
 	g.mu.Unlock()
 	s.Admitted = g.admitted.Load()

@@ -173,97 +173,3 @@ func TestGovernorGrantReleaseIdempotent(t *testing.T) {
 		t.Fatalf("Active = %d after double release, want 0", s.Active)
 	}
 }
-
-// TestGovernorCacheReservation covers the cache-as-tenant contract: the
-// reservation comes out of admission headroom, is refused when it would
-// squeeze admissions below one floor, and releasing it wakes the queue.
-func TestGovernorCacheReservation(t *testing.T) {
-	g := NewGovernor(100, 10)
-	if !g.ReserveCache(40) {
-		t.Fatal("idle governor refused a reservation leaving ample headroom")
-	}
-	if got := g.CacheReserved(); got != 40 {
-		t.Fatalf("CacheReserved = %d, want 40", got)
-	}
-	// 60 free; reserving 55 would leave 5 < floor.
-	if g.ReserveCache(55) {
-		t.Fatal("reservation below-floor headroom accepted")
-	}
-	// A lone admission gets everything but the reservation.
-	grant, _, err := g.Admit(context.Background(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grant.Bytes() != 60 {
-		t.Fatalf("grant = %d, want 60 (total - cacheReserved)", grant.Bytes())
-	}
-	// With everything granted or reserved, a reservation must be refused.
-	if g.ReserveCache(1) {
-		t.Fatal("reservation accepted with zero headroom")
-	}
-	// A queued admission is woken by ReleaseCache.
-	errc := make(chan error, 1)
-	var got *Grant
-	go func() {
-		gr, _, err := g.Admit(context.Background(), time.Second)
-		got = gr
-		errc <- err
-	}()
-	for g.Stats().Queued != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	if g.ReserveCache(1) {
-		t.Fatal("reservation accepted while admissions queue")
-	}
-	g.ReleaseCache(40)
-	if err := <-errc; err != nil {
-		t.Fatalf("queued admit after ReleaseCache: %v", err)
-	}
-	got.Release()
-	grant.Release()
-	if s := g.Stats(); s.Granted != 0 || s.CacheReserved != 0 {
-		t.Fatalf("governor did not drain: %+v", s)
-	}
-}
-
-// TestGovernorPressureCallback: an admission shortfall while the cache
-// holds a reservation must invoke the pressure callback and then succeed
-// without queueing when the callback frees enough.
-func TestGovernorPressureCallback(t *testing.T) {
-	g := NewGovernor(100, 10)
-	var asked int64
-	g.SetPressure(func(need int64) {
-		asked = need
-		g.ReleaseCache(need)
-	})
-	if !g.ReserveCache(85) {
-		t.Fatal("reservation refused")
-	}
-	// First admission takes the remaining 15 headroom without pressure.
-	first, _, err := g.Admit(context.Background(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asked != 0 {
-		t.Fatalf("pressure fired with headroom available (asked=%d)", asked)
-	}
-	// Second admission finds zero headroom: pressure fires, the cache
-	// surrenders, and the retry grants inline (wait == 0 means it never
-	// queued).
-	grant, wait, err := g.Admit(context.Background(), time.Second)
-	if err != nil {
-		t.Fatalf("admit under cache pressure: %v", err)
-	}
-	if wait != 0 {
-		t.Fatalf("admission queued (wait=%v); pressure retry should have granted inline", wait)
-	}
-	if asked < 10 {
-		t.Fatalf("pressure asked for %d, want >= floor shortfall of 10", asked)
-	}
-	grant.Release()
-	first.Release()
-	g.ReleaseCache(g.CacheReserved())
-	if got := g.CacheReserved(); got != 0 {
-		t.Fatalf("CacheReserved = %d after drain, want 0", got)
-	}
-}

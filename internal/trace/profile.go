@@ -30,11 +30,6 @@ type Profile struct {
 	// Filled in by the engine.
 	AdmissionWait time.Duration
 	MemoryGrant   int64
-	// CacheHit marks a query answered from the result reuse cache (no
-	// plan executed — the tree below is empty); CacheTier names the tier
-	// that served it ("memory" or "nvme"). Filled in by the engine.
-	CacheHit  bool
-	CacheTier string
 	// Roots are the top-level operators (normally one: the plan root).
 	Roots []*ProfileNode
 }
@@ -127,9 +122,6 @@ func FormatProfile(p *Profile) string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query: %s total, %d workers\n", fmtDur(p.Total), p.Workers)
-	if p.CacheHit {
-		fmt.Fprintf(&sb, "result cache: hit (%s tier); plan not executed\n", p.CacheTier)
-	}
 	q := &p.Query
 	if p.AdmissionWait > 0 || p.MemoryGrant > 0 {
 		fmt.Fprintf(&sb, "admission: wait=%s grant=%s budget-peak=%s\n",

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	rescache "github.com/spilly-db/spilly/internal/cache"
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/iosched"
 	"github.com/spilly-db/spilly/internal/metrics"
@@ -23,10 +22,9 @@ import (
 //   - /metrics — Prometheus text-format families: every counter of the
 //     engine's counter table summed over executed queries (spilly_query_*,
 //     spilly_spill_*), query lifecycle totals, admission governor, spill
-//     leases, buffer-cache (spilly_bufcache_*), result-cache
-//     (spilly_cache_*) and shared-I/O-scheduler (spilly_iosched_*) state,
-//     and per-device NVMe-array counters (bytes, request counts, spill
-//     area, simulated queue backlog).
+//     leases, buffer-cache (spilly_bufcache_*) and shared-I/O-scheduler
+//     (spilly_iosched_*) state, and per-device NVMe-array counters (bytes,
+//     request counts, spill area, simulated queue backlog).
 //   - /queries — JSON snapshot of in-flight queries with live counters
 //     and, under Config.Profile, their operator spans so far.
 //   - /debug/pprof/ — the standard Go profiling endpoints.
@@ -53,7 +51,6 @@ type scrape struct {
 	liveExtents int64
 	leaseLive   map[uint64]int64
 	bufCache    colstore.CacheStats
-	resCache    rescache.Stats
 	ioScheds    []IOSchedSnapshot
 	spillDevs   []nvmesim.DeviceStats
 	tableDevs   []nvmesim.DeviceStats
@@ -69,7 +66,6 @@ func (e *Engine) scrape() *scrape {
 		liveExtents: e.spillArr.LiveExtents(),
 		leaseLive:   e.spillArr.LeaseLiveBytes(),
 		bufCache:    e.BufferCacheStats(),
-		resCache:    e.ResultCacheStats(),
 		ioScheds:    e.IOSchedSnapshots(),
 		spillDevs:   e.spillArr.PerDevice(),
 		tableDevs:   e.tableArr.PerDevice(),
@@ -161,36 +157,8 @@ func (s *scrape) families() []obsrv.Family {
 		scalar("spilly_bufcache_oversized_total", "counter",
 			"Block inserts refused for exceeding the per-shard capacity (cache capacity / 16).", bc.Oversized),
 	)
-	fams = append(fams, s.resultCacheFamilies()...)
 	fams = append(fams, s.ioSchedFamilies()...)
 	return append(fams, s.deviceFamilies()...)
-}
-
-func (s *scrape) resultCacheFamilies() []obsrv.Family {
-	rc := s.resCache
-	type tier struct{ entries, bytes, hits int64 }
-	tiers := []labelled[tier]{
-		{`tier="memory"`, tier{int64(rc.HotEntries), rc.HotBytes, rc.HitsMemory}},
-		{`tier="nvme"`, tier{int64(rc.DiskEntries), rc.DiskBytes, rc.HitsNVMe}},
-	}
-	return []obsrv.Family{
-		vector("spilly_cache_entries", "gauge", "Result-cache entries resident per tier.",
-			tiers, func(t tier) int64 { return t.entries }),
-		vector("spilly_cache_bytes", "gauge", "Result-cache bytes resident per tier (nvme is the raw, uncompressed footprint).",
-			tiers, func(t tier) int64 { return t.bytes }),
-		scalar("spilly_cache_reserved_bytes", "gauge", "Governor memory reservation currently held by the result cache.", rc.Reserved),
-		vector("spilly_cache_hits_total", "counter", "Result-cache hits by serving tier.",
-			tiers, func(t tier) int64 { return t.hits }),
-		scalar("spilly_cache_misses_total", "counter", "Cacheable queries that found no usable result-cache entry.", rc.Misses),
-		scalar("spilly_cache_puts_total", "counter", "Results admitted into the cache.", rc.Puts),
-		scalar("spilly_cache_rejects_total", "counter", "Results refused by cost-based admission.", rc.Rejects),
-		scalar("spilly_cache_demotions_total", "counter", "Entries demoted from memory to the NVMe spill array.", rc.Demotions),
-		scalar("spilly_cache_restores_total", "counter", "Demoted entries read back from the spill array.", rc.Restores),
-		scalar("spilly_cache_restore_bytes_total", "counter", "Raw bytes materialized by result-cache restores.", rc.RestoreBytes),
-		scalar("spilly_cache_drops_total", "counter", "Entries dropped outright (eviction without demotion, or unreadable).", rc.Drops),
-		scalar("spilly_cache_invalidated_total", "counter", "Entries invalidated by catalog changes.", rc.Invalidated),
-		scalar("spilly_cache_shrinks_total", "counter", "Governor pressure callbacks that shrank the cache.", rc.Shrinks),
-	}
 }
 
 // ioSchedFamilies exports the shared I/O schedulers: per-class dispatch

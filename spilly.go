@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	rtmetrics "runtime/metrics"
@@ -29,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	rescache "github.com/spilly-db/spilly/internal/cache"
 	"github.com/spilly-db/spilly/internal/colstore"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
@@ -40,7 +38,6 @@ import (
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/tpch"
 	"github.com/spilly-db/spilly/internal/trace"
-	"github.com/spilly-db/spilly/internal/xhash"
 )
 
 // Baseline selects which engine of the paper's evaluation this one behaves
@@ -125,14 +122,6 @@ type Config struct {
 	// CacheBytes sizes the table buffer cache (0 = no cache; scans are
 	// always cold).
 	CacheBytes int64
-	// ResultCacheBytes sizes the hot tier of the query-result reuse cache
-	// (0 = no result caching). Cached results are keyed by plan
-	// fingerprint and catalog generation; hits bypass execution and the
-	// admission queue entirely. Hot-tier memory is rented from the
-	// admission governor's idle headroom and surrendered under pressure;
-	// evicted entries demote to the spill array instead of dropping. See
-	// internal/cache and DESIGN.md §14.
-	ResultCacheBytes int64
 	// PageSize and Partitions cap Umami's fan-out: pages are at most
 	// PageSize bytes and operators split into at most Partitions partitions
 	// (defaults 64 KiB, 64). Under a memory budget each query derives what it
@@ -196,15 +185,6 @@ type Engine struct {
 	spillSched *iosched.Scheduler
 	tableSched *iosched.Scheduler
 	ioKeys     atomic.Uint64
-
-	// results is the query-result reuse cache (nil unless
-	// Config.ResultCacheBytes > 0); catalogGen is the catalog generation
-	// its keys embed. RegisterTable brackets the table swap with two
-	// generation bumps (see its comment), so a lookup can never pair a
-	// cached result with a catalog view from the other side of a
-	// registration.
-	results    *rescache.Cache
-	catalogGen atomic.Uint64
 
 	// Catalog. tmu guards tables and sf: registration and queries may run
 	// concurrently (readers take the read lock, loaders the write lock).
@@ -280,56 +260,15 @@ func Open(cfg Config) (*Engine, error) {
 	if c.MemoryBudget > 0 {
 		e.gov = pages.NewGovernor(c.MemoryBudget, c.MemoryFloor)
 	}
-	if c.ResultCacheBytes > 0 {
-		e.results = rescache.New(rescache.Config{
-			Capacity: c.ResultCacheBytes,
-			Gov:      e.gov,
-			Spill:    e.spillConfig(),
-		})
-	}
 	return e, nil
 }
 
-// spillConfig is the engine's spill template: the spill array, its shared
-// I/O scheduler, and the configured parity and compression. A query adds its
-// lease and fairness key; the result cache adds a lease per demotion and
-// keeps fairness key 0.
-func (e *Engine) spillConfig() *core.SpillConfig {
-	return &core.SpillConfig{
-		Array:    e.spillArr,
-		Compress: e.cfg.Compression,
-		Parity:   e.cfg.SpillParity,
-		Sched:    e.spillSched,
-	}
-}
-
-// RegisterTable adds an in-memory table to the catalog. Registration
-// bumps the catalog generation twice — once before and once after the
-// table swap — invalidating every cached query result. The bracket makes
-// the race-free invariant hold in both directions for a concurrent
-// cached Run, whose generation load and catalog read are separate
-// atomic/lock sections:
-//
-//   - A query that loads the pre-swap generation but reads the new
-//     catalog fails Put's generation re-check (the post-swap bump
-//     changed it), so a new table is never paired with an old key.
-//   - A query that loads the post-first-bump generation but reads the
-//     old catalog either Puts before the post-swap bump — and is then
-//     dropped by RemoveStale, whose cutoff is the post-swap generation —
-//     or Puts after it and fails the re-check. Either way a
-//     pre-registration result can never be served under the
-//     post-registration generation. (Observing the post-swap generation
-//     implies the swap itself is visible: the second Add is sequenced
-//     after tmu.Unlock.)
+// RegisterTable adds an in-memory table to the catalog, replacing any table
+// of the same name. Queries already planned keep the snapshot they hold.
 func (e *Engine) RegisterTable(t *colstore.MemTable) {
-	e.catalogGen.Add(1)
 	e.tmu.Lock()
 	e.tables[t.Name()] = t
 	e.tmu.Unlock()
-	gen := e.catalogGen.Add(1)
-	if e.results != nil {
-		e.results.RemoveStale(gen)
-	}
 }
 
 // StoreOnArray moves a registered in-memory table onto the simulated NVMe
@@ -429,27 +368,12 @@ func (e *Engine) TPCH() *tpch.DB {
 	return db
 }
 
-// ClearCaches empties the table buffer cache and the query-result reuse
-// cache — both tiers of the latter, including demoted entries on the
-// spill array (their leases are freed and any governor reservation
-// returned). After ClearCaches the next run of any query is a true cold
-// run: scans hit the table array and the plan executes end to end (§6.1).
+// ClearCaches empties the table buffer cache. After ClearCaches the next run
+// of any query is a true cold run: scans hit the table array (§6.1).
 func (e *Engine) ClearCaches() {
 	if e.cache != nil {
 		e.cache.Clear()
 	}
-	if e.results != nil {
-		e.results.Clear()
-	}
-}
-
-// ResultCacheStats returns a snapshot of the query-result reuse cache
-// (zero when Config.ResultCacheBytes is 0).
-func (e *Engine) ResultCacheStats() rescache.Stats {
-	if e.results == nil {
-		return rescache.Stats{}
-	}
-	return e.results.Stats()
 }
 
 // BufferCacheStats returns a snapshot of the table buffer cache (zero
@@ -459,16 +383,6 @@ func (e *Engine) BufferCacheStats() colstore.CacheStats {
 		return colstore.CacheStats{}
 	}
 	return e.cache.Stats()
-}
-
-// DemoteResultCache forces every hot result-cache entry onto the spill
-// array and returns how many entries were demoted (bench/test hook for
-// measuring warm-NVMe hits).
-func (e *Engine) DemoteResultCache() int {
-	if e.results == nil {
-		return 0
-	}
-	return e.results.DemoteAll()
 }
 
 // SpillArray exposes the spill target array (harness instrumentation).
@@ -512,9 +426,14 @@ func (e *Engine) NewCtx() *exec.Ctx {
 		ctx.Budget = pages.NewBudget(e.cfg.MemoryBudget)
 	}
 	if spill {
-		ctx.Spill = e.spillConfig()
-		ctx.Spill.Lease = e.spillArr.NewLease()
-		ctx.Spill.Query = ctx.QueryID
+		ctx.Spill = &core.SpillConfig{
+			Array:    e.spillArr,
+			Compress: e.cfg.Compression,
+			Parity:   e.cfg.SpillParity,
+			Sched:    e.spillSched,
+			Lease:    e.spillArr.NewLease(),
+			Query:    ctx.QueryID,
+		}
 	}
 	if e.cfg.Profile {
 		ctx.Trace = trace.New(ctx.Workers)
@@ -615,12 +534,6 @@ type Stats struct {
 	// of this query's execution, making the per-query AllocObjects /
 	// AllocBytes / GCPause / NumGC attributions approximate.
 	AllocApprox bool
-	// ResultCacheHit is true when the result was served from the reuse
-	// cache without executing the plan (Duration is then the lookup +
-	// restore time); ResultCacheTier names the serving tier ("memory" or
-	// "nvme").
-	ResultCacheHit  bool
-	ResultCacheTier string
 	// Schemes counts spilled pages per compression scheme name (§6.8).
 	Schemes map[string]int64
 }
@@ -667,7 +580,7 @@ func (e *Engine) RunContext(goCtx context.Context, node exec.Node) (*Result, err
 func (e *Engine) RunTPCHContext(goCtx context.Context, q int) (*Result, error) {
 	ctx := e.NewCtx()
 	ctx.Context = goCtx
-	return e.runAdmitted(ctx, fmt.Sprintf("tpch-q%d", q), e.tpchFingerprint(q), func() (exec.Node, error) {
+	return e.runAdmitted(ctx, fmt.Sprintf("tpch-q%d", q), func() (exec.Node, error) {
 		return tpch.BuildQuery(ctx, e.TPCH(), q)
 	})
 }
@@ -714,41 +627,7 @@ func (e *Engine) GovernorStats() pages.GovernorStats {
 
 // RunCtx executes a plan under a caller-provided context.
 func (e *Engine) RunCtx(ctx *exec.Ctx, node exec.Node) (*Result, error) {
-	return e.runLabeled(ctx, node, "query")
-}
-
-// runLabeled runs an already-built plan through the admission path. The
-// plan's structural fingerprint keys the result cache; plans containing
-// hand-built expressions (or node types the fingerprinter doesn't know)
-// fingerprint to 0 and are never cached. Scans hash the table snapshot's
-// process-unique ID, so a plan built over an old snapshot of a
-// re-registered table can never share a cache entry with plans over the
-// new one — mutating a MemTable in place after caching a plan over it is
-// the one way to serve stale bits, and registered tables are append-only
-// by convention.
-func (e *Engine) runLabeled(ctx *exec.Ctx, node exec.Node, label string) (*Result, error) {
-	planFP, _ := exec.PlanFingerprint(node)
-	return e.runAdmitted(ctx, label, planFP, func() (exec.Node, error) { return node, nil })
-}
-
-// tpchFingerprint is the result-cache key for a TPC-H query. TPC-H plans
-// are built *after* admission (Q11/Q15/Q22 run scalar subqueries at
-// build time), so the pre-admission cache lookup can't hash the plan
-// tree; (query number, scale factor) determines the plan because
-// BuildQuery is deterministic given the catalog, and the catalog
-// generation in the key covers the catalog itself.
-func (e *Engine) tpchFingerprint(q int) uint64 {
-	e.tmu.RLock()
-	sf := e.sf
-	e.tmu.RUnlock()
-	const seed = 0x5ca1ab1e
-	h := xhash.String("tpch", seed)
-	h = xhash.Combine(h, xhash.U64(uint64(int64(q)), seed))
-	h = xhash.Combine(h, xhash.U64(math.Float64bits(sf), seed))
-	if h == 0 {
-		h = 1
-	}
-	return h
+	return e.runAdmitted(ctx, "query", func() (exec.Node, error) { return node, nil })
 }
 
 // admitCtx waits for a memory grant when the engine is governed and resizes
@@ -774,52 +653,14 @@ func (e *Engine) admitCtx(ctx *exec.Ctx) (*pages.Grant, time.Duration, error) {
 	return grant, wait, nil
 }
 
-// serveCached answers a query from the result cache when possible,
-// bypassing admission entirely — a warm hit neither queues for a memory
-// grant nor touches the spill lease the context pre-created (the lease is
-// freed by ctx.Close). Returns nil on a miss (or unreadable demoted
-// entry, which the cache drops so the recompute can re-populate it).
-func (e *Engine) serveCached(ctx *exec.Ctx, key rescache.Key) *Result {
-	start := time.Now()
-	b, tier, _ := e.results.Get(key)
-	if b == nil {
-		return nil
-	}
-	ctx.Close() // frees the query's unused spill lease
-	st := statsFrom(&metrics.Snapshot{}, time.Since(start))
-	st.ResultCacheHit = true
-	st.ResultCacheTier = tier.String()
-	res := &Result{Batch: b, Stats: st}
-	if ctx.Trace != nil {
-		res.profile = ctx.Trace.Profile(st.Duration)
-		res.profile.CacheHit = true
-		res.profile.CacheTier = st.ResultCacheTier
-	}
-	e.faults.QueryCompleted()
-	return res
-}
-
-// runAdmitted is the shared execution path: it consults the result cache,
-// then waits for a memory grant, registers the query with the
-// observability endpoint under label, builds and runs the plan, and folds
-// the execution counters into engine-wide totals. Plan construction
-// happens after admission because some TPC-H plans (Q11/Q15/Q22) execute
-// scalar subqueries at build time — that work must run under the query's
-// grant and spill lease too. planFP is the plan's canonical fingerprint
-// (0 = uncacheable).
-func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, planFP uint64, build func() (exec.Node, error)) (*Result, error) {
+// runAdmitted is the shared execution path: it waits for a memory grant,
+// registers the query with the observability endpoint under label, builds
+// and runs the plan, and folds the execution counters into engine-wide
+// totals. Plan construction happens after admission because some TPC-H
+// plans (Q11/Q15/Q22) execute scalar subqueries at build time — that work
+// must run under the query's grant and spill lease too.
+func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, build func() (exec.Node, error)) (*Result, error) {
 	e.faults.QueryStarted()
-	var key rescache.Key
-	cacheable := e.results != nil && planFP != 0
-	if cacheable {
-		// The generation is captured before the lookup and re-checked at
-		// Put: a RegisterTable racing this query bumps it first, so a
-		// result computed against a mid-flight catalog can't be stored.
-		key = rescache.Key{Plan: planFP, Gen: e.catalogGen.Load()}
-		if res := e.serveCached(ctx, key); res != nil {
-			return res, nil
-		}
-	}
 	grant, admitWait, err := e.admitCtx(ctx)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -873,19 +714,6 @@ func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, planFP uint64, build f
 	// id is past ours) while we ran.
 	st.AllocApprox = q.concurrentAtStart || e.queryID.Load() > q.id
 	st.Schemes = ctx.Stats.Schemes.Load()
-	if cacheable && e.catalogGen.Load() == key.Gen {
-		// Return the query's memory before offering the result: the cache
-		// rents governor headroom, and a lone query's grant is the whole
-		// budget — renting against it would always fail and demote every
-		// entry straight to NVMe. Close and Release are idempotent, so the
-		// deferred teardown above stays a no-op backstop.
-		ctx.Close()
-		grant.Release()
-		// Cost-based admission inside Put decides whether this result is
-		// worth keeping; the generation re-check above keeps results that
-		// straddled a catalog change out of the cache entirely.
-		e.results.Put(key, out, dur)
-	}
 	e.faults.QueryCompleted()
 	res := &Result{Batch: out, Stats: st}
 	if ctx.Trace != nil {
@@ -982,14 +810,14 @@ func (e *Engine) JoinMicroPlan() exec.Node { return tpch.JoinMicro(e.TPCH()) }
 // RunTPCH builds and runs TPC-H query q (1–22).
 func (e *Engine) RunTPCH(q int) (*Result, error) {
 	ctx := e.NewCtx()
-	return e.runAdmitted(ctx, fmt.Sprintf("tpch-q%d", q), e.tpchFingerprint(q), func() (exec.Node, error) {
+	return e.runAdmitted(ctx, fmt.Sprintf("tpch-q%d", q), func() (exec.Node, error) {
 		return tpch.BuildQuery(ctx, e.TPCH(), q)
 	})
 }
 
-// TraceQuery runs a plan like Run does — admitted, registered, counted, but
-// never served from the result cache — while sampling engine utilization at
-// the given interval (Figure 8). The returned samples carry rates for keys
+// TraceQuery runs a plan like Run does — admitted, registered, counted —
+// while sampling engine utilization at the given interval (Figure 8). The
+// returned samples carry rates for keys
 // "tuples" (scanned rows/s), "spill_write" and "spill_read" (bytes/s on
 // the spill array), "table_read" (bytes/s on the table array), and
 // "mem_bytes" (a memory-bandwidth proxy: all bytes touched/s).
@@ -1009,7 +837,7 @@ func (e *Engine) TraceQuery(node exec.Node, interval time.Duration) (*Result, []
 		}
 	})
 	tracer.Start()
-	res, err := e.runAdmitted(ctx, "trace", 0, func() (exec.Node, error) { return node, nil })
+	res, err := e.runAdmitted(ctx, "trace", func() (exec.Node, error) { return node, nil })
 	samples := tracer.Stop()
 	if err != nil {
 		return nil, nil, err

@@ -157,7 +157,7 @@ func TestTraceQuery(t *testing.T) {
 // different values for it; with one value in use it is a constant, and a
 // value the engine can derive from its inputs is derived.
 func TestConfigSurface(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 15 {
-		t.Fatalf("Config has %d fields, want 15", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 14 {
+		t.Fatalf("Config has %d fields, want 14", n)
 	}
 }
