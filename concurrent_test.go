@@ -336,6 +336,79 @@ func TestConcurrentStatsApprox(t *testing.T) {
 	}
 }
 
+// TestConcurrentSpillsShareRegulatorSeed: four spilling queries run at once
+// on one engine, every one of their operators' regulators starting from and
+// writing back to the engine's regulator seed, and each result must be
+// bit-identical to its serial run. The queries are the aggregation and join
+// microbenchmarks, which spill their whole input — enough blocks per worker
+// that the regulator measures completed writes — onto a narrow, slowed
+// array, so the seed settles above raw. A second engine opened in the same
+// process must still start its first spill raw: the seed belongs to the
+// engine.
+func TestConcurrentSpillsShareRegulatorSeed(t *testing.T) {
+	cfg := stressConfig()
+	cfg.SpillDevices = 1
+	cfg.Device = DefaultDevice.Scaled(0.1)
+	plans := []func(*Engine) exec.Node{
+		(*Engine).AggMicroPlan, (*Engine).JoinMicroPlan, (*Engine).AggMicroPlan, (*Engine).JoinMicroPlan,
+	}
+	eng := loadEngine(t, cfg)
+
+	want := make([]string, len(plans))
+	for i, plan := range plans[:2] {
+		res, err := eng.Run(plan(eng))
+		if err != nil {
+			t.Fatalf("serial plan %d: %v", i, err)
+		}
+		if res.Stats.SpilledBytes == 0 {
+			t.Fatalf("serial plan %d did not spill", i)
+		}
+		want[i], want[i+2] = chaos.Fingerprint(res.Batch), chaos.Fingerprint(res.Batch)
+	}
+	if eng.regSeed.Level() == 0 {
+		t.Fatal("the serial spills left the seed at raw on a slowed one-device array")
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(plans))
+	for i, plan := range plans {
+		wg.Add(1)
+		go func(i int, plan func(*Engine) exec.Node) {
+			defer wg.Done()
+			res, err := eng.Run(plan(eng))
+			switch {
+			case err != nil:
+				errs <- fmt.Errorf("concurrent plan %d: %w", i, err)
+			case res.Stats.SpilledBytes == 0:
+				errs <- fmt.Errorf("concurrent plan %d did not spill", i)
+			case chaos.Fingerprint(res.Batch) != want[i]:
+				errs <- fmt.Errorf("concurrent plan %d result differs from serial run", i)
+			}
+		}(i, plan)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	assertArrayDrained(t, eng)
+
+	fresh := loadEngine(t, cfg)
+	if fresh.regSeed.Level() != 0 {
+		t.Fatalf("a new engine's seed starts at level %d", fresh.regSeed.Level())
+	}
+	res, err := fresh.Run(plans[0](fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Schemes["raw"] == 0 {
+		t.Errorf("a new engine's first spill wrote no raw page (%v): it started from another engine's level", res.Stats.Schemes)
+	}
+	if chaos.Fingerprint(res.Batch) != want[0] {
+		t.Error("the new engine's result differs from the first engine's")
+	}
+}
+
 // slowAdmissionConfig builds an engine whose whole budget is pinned by a
 // single query (floor == budget, so admission is strictly serial) and
 // whose simulated SSDs are slow enough that a spilling holder query stays

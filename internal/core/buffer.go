@@ -73,6 +73,11 @@ type SpillConfig struct {
 	Lease *nvmesim.Lease
 	// Compress enables self-regulating compression over DefaultScale.
 	Compress bool
+	// Seed, with Compress, is the engine's regulator seed: every Buffer's
+	// regulator starts at the level the engine's last measured spill
+	// settled on and writes its own back when it finishes. Nil starts every
+	// regulator at level 0 (tests that own their array).
+	Seed *RegulatorSeed
 	// Parity is the XOR parity stripe width: every Parity staging-block
 	// writes form a stripe group whose parity block rebuilds a lost or
 	// corrupt block on read. 0 writes no parity. Groups span distinct
@@ -233,7 +238,7 @@ func (s *Shared) NewBuffer() *Buffer {
 		ring.SetLease(cfg.Spill.Lease)
 		ring.Bind(cfg.Spill.Sched, uring.ClassSpillWrite, cfg.Spill.Query)
 		if cfg.Spill.Compress {
-			b.reg = NewRegulator(regulatorRun)
+			b.reg = newSeededRegulator(regulatorRun, cfg.Spill.Seed)
 		}
 		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.Parity)
 	}
@@ -589,6 +594,7 @@ func (b *Buffer) Finish() error {
 		r.Stripes = append(r.Stripes, b.writer.stripes...)
 	}
 	if b.reg != nil {
+		s.cfg.Spill.Seed.settle(b.reg)
 		r.SchemeHistogram = MergeHistograms(r.SchemeHistogram, b.reg.SchemeHistogram())
 		r.Counters.Merge(&metrics.Snapshot{
 			metrics.RegLevelChanges: int64(b.reg.LevelChanges()),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"github.com/spilly-db/spilly/internal/codec"
@@ -52,9 +53,19 @@ const (
 // achieved compression ratio). If I/O cost dominates, it steps up the
 // unified scale; if CPU cost dominates, it steps down. One Regulator per
 // worker thread; not safe for concurrent use.
+//
+// The paper's regulator lives as long as its worker thread, so a new
+// operator starts where the thread's last spill settled. Here a Regulator
+// lives as long as one operator's per-worker Buffer; a RegulatorSeed carries
+// the settled level from one Buffer to the next across the engine's operators
+// and queries, so a spill does not begin raw on an array that the previous
+// spill found I/O-bound.
 type Regulator struct {
 	level int // position on DefaultScale
 	runN  int
+	// measured is set once a run closes with completed I/O observed: only
+	// then does the level reflect this spill's costs rather than its start.
+	measured bool
 
 	// Accumulators for the current run.
 	pagesInRun int
@@ -74,18 +85,54 @@ type Regulator struct {
 }
 
 // regulatorRun is the spill writer's regulator run length in pages. Short
-// runs adapt within the few hundred pages a laptop-scale spill produces; the
-// paper's 2x-queue-depth default assumes millions of spilled pages.
+// runs adapt within the few hundred pages one operator's worker spills at
+// laptop scale; the paper's 2x-queue-depth default assumes millions of
+// spilled pages per thread.
 const regulatorRun = 8
 
 // NewRegulator returns a regulator over DefaultScale starting at level 0
-// (uncompressed). runN is the number of pages per measurement run
-// (<= 0 selects regulatorRun).
+// (uncompressed): the cold start of a thread that has not spilled yet. A
+// Buffer whose SpillConfig carries a RegulatorSeed starts at the seed's level
+// instead. runN is the number of pages per measurement run (<= 0 selects
+// regulatorRun).
 func NewRegulator(runN int) *Regulator {
 	if runN <= 0 {
 		runN = regulatorRun
 	}
 	return &Regulator{runN: runN}
+}
+
+// RegulatorSeed is the level on DefaultScale the most recent measured spill
+// settled on, shared by every Buffer of one engine. The zero value is a cold
+// start at level 0; a nil seed is a cold start that records nothing. Safe
+// for concurrent use.
+type RegulatorSeed struct{ level atomic.Int32 }
+
+// Level returns the seeded start level (0 for a nil seed).
+func (s *RegulatorSeed) Level() int {
+	if s == nil {
+		return 0
+	}
+	return int(s.level.Load())
+}
+
+// newSeededRegulator returns a regulator starting at seed's level, which
+// counts as reached.
+func newSeededRegulator(runN int, seed *RegulatorSeed) *Regulator {
+	r := NewRegulator(runN)
+	r.level = seed.Level()
+	r.maxLevel = r.level
+	return r
+}
+
+// settle writes r's level back to seed if r measured at least one run with
+// completed I/O; a regulator that never did (an operator that spilled too
+// little, or not at all) would only write back the level it started from,
+// possibly overwriting a fresher one.
+func (s *RegulatorSeed) settle(r *Regulator) {
+	if s != nil && r.measured {
+		s.level.Store(int32(r.level))
+	}
 }
 
 // Scheme returns the currently selected codec ID.
@@ -164,6 +211,7 @@ func (r *Regulator) adjust() {
 		// run's completions will tell us which way to move.
 		return
 	}
+	r.measured = true
 	ratio := r.outBytes / r.rawBytes           // compressed fraction
 	ioCostPerRaw := r.ioNs / r.ioBytes * ratio // ns per *source* byte at current ratio
 	switch {
@@ -202,7 +250,7 @@ func (r *Regulator) SchemeHistogram() map[codec.ID]int64 {
 func (r *Regulator) LevelChanges() int { return r.levelChanges }
 
 // MaxLevel returns the highest position on the unified scale the regulator
-// reached over its lifetime.
+// reached over its lifetime, its start level included.
 func (r *Regulator) MaxLevel() int { return r.maxLevel }
 
 // MergeHistograms sums per-thread scheme histograms.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/spilly-db/spilly/internal/codec"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/uring"
 )
 
@@ -231,5 +232,139 @@ func TestDefaultScaleRatioTrend(t *testing.T) {
 	}
 	if float64(sizes[len(sizes)-1]) > 0.8*float64(sizes[1]) {
 		t.Fatalf("deepest setting (%d bytes) not clearly better than shallowest (%d bytes)", sizes[len(sizes)-1], sizes[1])
+	}
+}
+
+// seededShared returns a compressing operator whose buffers carry seed (nil:
+// every regulator starts cold).
+func seededShared(seed *RegulatorSeed) *Shared {
+	return NewShared(Config{
+		PageSize: 4096, Partitions: 4,
+		Spill: &SpillConfig{Array: fastArray(1), Compress: true, Seed: seed},
+	})
+}
+
+// spillOneBlock writes one run of about 50 KiB through b — less than a
+// staging block, so it leaves as exactly one compressed block — finishes b
+// and returns the scheme the block was written with.
+func spillOneBlock(t *testing.T, s *Shared, b *Buffer) codec.ID {
+	t.Helper()
+	if err := b.SpillRun(500, func(i int) []byte { return tup(uint64(i), 100) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) != 1 || len(res.Runs[0].Slots) == 0 {
+		t.Fatalf("spilled %d runs; want one", len(res.Runs))
+	}
+	first := res.Runs[0].Slots[0]
+	for _, sl := range res.Runs[0].Slots {
+		if sl.Seq != first.Seq {
+			t.Fatalf("the run spans blocks %d and %d; want one block", first.Seq, sl.Seq)
+		}
+	}
+	return first.Scheme
+}
+
+// TestRegulatorSeedWarmStartsNextBuffer: a buffer whose regulator an
+// I/O-bound run drove up the scale leaves its level in the seed, and the
+// next buffer on that seed compresses its very first block at that level,
+// before any write of its own has completed.
+func TestRegulatorSeedWarmStartsNextBuffer(t *testing.T) {
+	var seed RegulatorSeed
+	s1 := seededShared(&seed)
+	b1 := s1.NewBuffer()
+	for i := 0; i < 20; i++ {
+		feedRun(b1.Regulator(), 0.01, 50.0)
+	}
+	level := b1.Regulator().Level()
+	if level < 3 {
+		t.Fatalf("setup failed: I/O-bound runs only reached level %d", level)
+	}
+	// Drop the completion feedRun's last page carried into the open run:
+	// the block then closes a run with no completion in it, so the level
+	// holds through it.
+	b1.Regulator().resetRun()
+	if got := spillOneBlock(t, s1, b1); got != DefaultScale[level] {
+		t.Fatalf("first buffer wrote its block as %v, want %v", got, DefaultScale[level])
+	}
+	if seed.Level() != level {
+		t.Fatalf("seed holds level %d after the first buffer finished at %d", seed.Level(), level)
+	}
+
+	s2 := seededShared(&seed)
+	b2 := s2.NewBuffer()
+	if b2.Regulator().Level() != level {
+		t.Fatalf("next buffer starts at level %d, want the seed's %d", b2.Regulator().Level(), level)
+	}
+	if got := spillOneBlock(t, s2, b2); got != DefaultScale[level] {
+		t.Fatalf("next buffer wrote its first block as %v, want %v", got, DefaultScale[level])
+	}
+}
+
+// TestRegulatorSeedKeptByBufferThatNeverSpilled: a buffer that never spilled
+// never measured a run, so it must not overwrite the seed with the level it
+// started from, nor with anything else.
+func TestRegulatorSeedKeptByBufferThatNeverSpilled(t *testing.T) {
+	var seed RegulatorSeed
+	seed.level.Store(5)
+	s := seededShared(&seed)
+	b := s.NewBuffer()
+	// The regulator moves without I/O measurements: they are the only
+	// thing that may make it write back.
+	b.Regulator().level = 2
+	storeN(b, 1000, 32, 0)
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := s.Finalize(); res.SpilledPages != 0 {
+		t.Fatalf("setup failed: an unbudgeted buffer spilled %d pages", res.SpilledPages)
+	}
+	if seed.Level() != 5 {
+		t.Fatalf("a buffer that never spilled moved the seed from 5 to %d", seed.Level())
+	}
+}
+
+// TestRegulatorNilSeedStartsRaw: without a seed a buffer's regulator starts
+// raw however far an earlier buffer climbed, and finishing with a measured
+// regulator has nothing to write back to.
+func TestRegulatorNilSeedStartsRaw(t *testing.T) {
+	s1 := seededShared(nil)
+	b1 := s1.NewBuffer()
+	for i := 0; i < 20; i++ {
+		feedRun(b1.Regulator(), 0.01, 50.0)
+	}
+	if b1.Regulator().Level() == 0 {
+		t.Fatal("setup failed: regulator never went up")
+	}
+	spillOneBlock(t, s1, b1)
+
+	s2 := seededShared(nil)
+	b2 := s2.NewBuffer()
+	if got := spillOneBlock(t, s2, b2); got != codec.None {
+		t.Fatalf("unseeded buffer wrote its first block as %v, want raw", got)
+	}
+}
+
+// TestRegulatorMaxLevelCountsStartLevel: a warm start counts as reached, so
+// RegMaxLevel is never below the level a buffer's regulator started at, even
+// when it never climbed.
+func TestRegulatorMaxLevelCountsStartLevel(t *testing.T) {
+	var seed RegulatorSeed
+	seed.level.Store(4)
+	s := seededShared(&seed)
+	b := s.NewBuffer()
+	if b.Regulator().MaxLevel() != 4 {
+		t.Fatalf("MaxLevel %d at a warm start from level 4", b.Regulator().MaxLevel())
+	}
+	spillOneBlock(t, s, b)
+	res, _ := s.Finalize()
+	if got := res.Counters[metrics.RegMaxLevel]; got < 4 {
+		t.Fatalf("RegMaxLevel %d below the start level 4", got)
 	}
 }

@@ -137,7 +137,7 @@ var defs = [NumCounters]Def{
 	RegLevelChanges: {JSON: "reg_level_changes", Family: "spilly_query_reg_level_changes_total",
 		Help: "Scheme transitions made by the self-regulating compression.", Label: "reg-changes"},
 	RegMaxLevel: {Kind: Max, JSON: "reg_max_level", Family: "spilly_query_reg_max_level",
-		Help: "Highest level the compression regulator reached on its unified scale.", Label: "reg-max-level"},
+		Help: "Highest level the compression regulator reached on its unified scale, its warm-start level included.", Label: "reg-max-level"},
 	AllocObjects: {JSON: "alloc_objects", Family: "spilly_query_alloc_objects_total",
 		Help: "Heap objects allocated during query execution."},
 	AllocBytes: {Unit: Bytes, JSON: "alloc_bytes", Family: "spilly_query_alloc_bytes_total",

@@ -186,6 +186,10 @@ type Engine struct {
 	tableSched *iosched.Scheduler
 	ioKeys     atomic.Uint64
 
+	// regSeed is the compression level every query's regulators start from
+	// and settle back into (core.RegulatorSeed).
+	regSeed core.RegulatorSeed
+
 	// Catalog. tmu guards tables and sf: registration and queries may run
 	// concurrently (readers take the read lock, loaders the write lock).
 	tmu    sync.RWMutex
@@ -429,6 +433,7 @@ func (e *Engine) NewCtx() *exec.Ctx {
 		ctx.Spill = &core.SpillConfig{
 			Array:    e.spillArr,
 			Compress: e.cfg.Compression,
+			Seed:     &e.regSeed,
 			Parity:   e.cfg.SpillParity,
 			Sched:    e.spillSched,
 			Lease:    e.spillArr.NewLease(),
@@ -496,7 +501,8 @@ type Stats struct {
 	SpillParityBytes     int64
 	// RegLevelChanges counts scheme transitions made by the self-regulating
 	// compression (§4.4); RegMaxLevel is the highest level any operator's
-	// regulator reached on its unified scale.
+	// regulator reached on its unified scale, counting the level it started
+	// at (a regulator warm-starts at the engine's last settled level).
 	RegLevelChanges int64
 	RegMaxLevel     int64
 	// PeakMemory is the high-water mark of the query's materialization
