@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 ledger-smoke bench-smoke tier2 race stress chaos fuzz-colstore bench-parity profile-smoke clean
+.PHONY: all tier1 ledger-smoke bench-smoke tier2 race stress chaos fuzz-colstore fuzz-codec bench-parity profile-smoke clean
 
 all: tier1
 
@@ -28,21 +28,30 @@ ledger-smoke:
 # quotes them); one iteration each keeps them compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'JoinProbe|JoinBuild|AggMerge|AggPreAgg|ExtSortSpill|ExtSortInMemory|ExprResidual' -benchtime 1x ./internal/exec/
-	$(GO) test -run '^$$' -bench CompressUnit -benchtime 1x ./internal/codec/
+	$(GO) test -run '^$$' -bench 'CompressUnit|DecompressDeflate1' -benchtime 1x ./internal/codec/
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the
-# silent-corruption and device-loss scenarios), twenty seconds of fuzzing the
-# chunk decoder, and the one performance gate whose feature no ledger
-# workload sets yet (the spill-integrity tax). Everything else is gated by
-# `bash benchmark/run.sh --compare`.
-tier2: chaos fuzz-colstore bench-parity
+# silent-corruption and device-loss scenarios), twenty seconds each of fuzzing
+# the chunk decoder and the DEFLATE codec, and the one performance gate whose
+# feature no ledger workload sets yet (the spill-integrity tax). Everything
+# else is gated by `bash benchmark/run.sh --compare`.
+tier2: chaos fuzz-colstore fuzz-codec bench-parity
 
 # Chunk-decoder fuzzing: DecodeChunk reads bytes that came off a device, so
 # no input may make it panic or allocate by a header field alone. Tier-1 runs
 # FuzzDecodeChunk's seed corpus as a test; this mutates it.
 fuzz-colstore:
 	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzDecodeChunk -fuzztime 20s
+
+# DEFLATE codec fuzzing against compress/flate, the oracle: our output decodes
+# through it, its output at every level decodes through ours, and no input
+# makes Decompress panic or allocate past maxInflateRatio. Tier-1 runs
+# FuzzDeflate's seed corpus as a test. Each input costs nine encodes, so the
+# minimization of every new input is capped at 200 runs, which leaves the
+# twenty seconds to exploring.
+fuzz-codec:
+	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeflate -fuzztime 20s -fuzzminimizetime 200x
 
 # Race-detector pass over the concurrency-heavy packages (morsel workers,
 # partition spilling, the sharded aggregation group table against its

@@ -1,55 +1,49 @@
 package codec
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // bwtCodec is a from-scratch Burrows-Wheeler block-sorting compressor
 // standing in for BZ2: a BWT (via a prefix-doubling suffix array over the
-// block plus sentinel), a move-to-front transform, and a flate entropy
-// stage. Like BZ2 in the paper's Figure 3, it compresses well but its cost
-// is an order of magnitude above the other schemes, so the unified scale
-// excludes it.
-type bwtCodec struct {
-	pool sync.Pool // *flate.Writer, level 6
+// block plus sentinel), a move-to-front transform, and a DEFLATE entropy
+// stage (the deflate codecs' encoder at level 6). Like BZ2 in the paper's
+// Figure 3, it compresses well but its cost is an order of magnitude above
+// the other schemes, so the unified scale excludes it.
+type bwtCodec struct{}
+
+// bwtState is a pooled coder's scratch, grown to the largest block seen.
+type bwtState struct {
+	sa, rank, tmp []int32 // suffixArray
+	lf            []int32 // inverse: the LF mapping
+	full          []uint16
+	l             []byte // the transformed block
 }
 
-func init() { register(&bwtCodec{}) }
+var bwtStates = sync.Pool{New: func() any { return new(bwtState) }}
 
-func (c *bwtCodec) ID() ID       { return BWT }
-func (c *bwtCodec) Name() string { return "bwt" }
+func init() { register(bwtCodec{}) }
 
-func (c *bwtCodec) Compress(dst, src []byte) []byte {
+func (bwtCodec) ID() ID       { return BWT }
+func (bwtCodec) Name() string { return "bwt" }
+
+func (bwtCodec) Compress(dst, src []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst
 	}
-	l, primary := bwtForward(src)
+	st := bwtStates.Get().(*bwtState)
+	l, primary := st.forward(src)
 	dst = binary.AppendUvarint(dst, uint64(primary))
 	mtfEncode(l)
-	var buf bytes.Buffer
-	w, _ := c.pool.Get().(*flate.Writer)
-	if w == nil {
-		w, _ = flate.NewWriter(&buf, 6)
-	} else {
-		w.Reset(&buf)
-	}
-	if _, err := w.Write(l); err != nil {
-		panic(fmt.Sprintf("codec: bwt flate write: %v", err))
-	}
-	if err := w.Close(); err != nil {
-		panic(fmt.Sprintf("codec: bwt flate close: %v", err))
-	}
-	c.pool.Put(w)
-	return append(dst, buf.Bytes()...)
+	dst = deflate(dst, l, 6)
+	bwtStates.Put(st)
+	return dst
 }
 
-func (c *bwtCodec) Decompress(dst, src []byte) ([]byte, error) {
+func (bwtCodec) Decompress(dst, src []byte) ([]byte, error) {
 	n, k := binary.Uvarint(src)
 	if k <= 0 {
 		return dst, ErrCorrupt
@@ -62,24 +56,24 @@ func (c *bwtCodec) Decompress(dst, src []byte) ([]byte, error) {
 	if k <= 0 || primary > n {
 		return dst, ErrCorrupt
 	}
-	l, err := inflate(nil, src[k:], n)
+	st := bwtStates.Get().(*bwtState)
+	defer bwtStates.Put(st)
+	l, err := inflate(st.l[:0], src[k:], n)
 	if err != nil {
 		return dst, err
 	}
+	st.l = l
 	mtfDecode(l)
-	out, err := bwtInverse(l, int(primary))
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, out...), nil
+	return st.inverse(dst, l, int(primary))
 }
 
-// bwtForward returns the Burrows-Wheeler transform of src (computed over
-// src plus a virtual sentinel smaller than every byte) with the sentinel
-// position removed, plus that position ("primary index").
-func bwtForward(src []byte) (l []byte, primary int) {
-	sa := suffixArray(src)
-	l = make([]byte, 0, len(src))
+// forward returns the Burrows-Wheeler transform of src (computed over src
+// plus a virtual sentinel smaller than every byte) with the sentinel
+// position removed, plus that position ("primary index"). The transform is
+// st's scratch, valid until st's next use.
+func (st *bwtState) forward(src []byte) (l []byte, primary int) {
+	sa := st.suffixArray(src)
+	l = slices.Grow(st.l[:0], len(src))
 	for i, j := range sa {
 		if j == 0 {
 			primary = i
@@ -87,19 +81,21 @@ func bwtForward(src []byte) (l []byte, primary int) {
 		}
 		l = append(l, src[j-1])
 	}
+	st.l = l
 	return l, primary
 }
 
-// bwtInverse reverses bwtForward.
-func bwtInverse(l []byte, primary int) ([]byte, error) {
+// inverse reverses forward, appending the block to dst.
+func (st *bwtState) inverse(dst, l []byte, primary int) ([]byte, error) {
 	n := len(l)
 	m := n + 1
 	if primary > n {
-		return nil, ErrCorrupt
+		return dst, ErrCorrupt
 	}
 	// Rebuild the full last column with the sentinel (symbol 0; bytes are
 	// shifted up by one).
-	full := make([]uint16, m)
+	full := slices.Grow(st.full[:0], m)[:m]
+	st.full = full
 	for i, idx := 0, 0; i < m; i++ {
 		if i == primary {
 			full[i] = 0
@@ -119,7 +115,8 @@ func bwtInverse(l []byte, primary int) ([]byte, error) {
 		c[s] = sum
 		sum += counts[s]
 	}
-	lf := make([]int32, m)
+	lf := slices.Grow(st.lf[:0], m)[:m]
+	st.lf = lf
 	var seen [257]int
 	for i, ch := range full {
 		lf[i] = int32(c[ch] + seen[ch])
@@ -127,27 +124,30 @@ func bwtInverse(l []byte, primary int) ([]byte, error) {
 	}
 	// Row 0 is the rotation starting with the sentinel; its last column is
 	// the final byte of the text. Walk backward n times.
-	out := make([]byte, n)
+	base := len(dst)
+	out := slices.Grow(dst, n)[:base+n]
 	i := int32(0)
 	for k := n - 1; k >= 0; k-- {
 		ch := full[i]
 		if ch == 0 {
-			return nil, ErrCorrupt // hit the sentinel too early
+			return dst, ErrCorrupt // hit the sentinel too early
 		}
-		out[k] = byte(ch - 1)
+		out[base+k] = byte(ch - 1)
 		i = lf[i]
 	}
 	return out, nil
 }
 
 // suffixArray computes the suffix array of s plus a sentinel smaller than
-// all bytes, by prefix doubling (O(n log^2 n)). Adequate for 64 KiB pages;
-// the BWT codec is *supposed* to be expensive (it plays BZ2's role).
-func suffixArray(s []byte) []int32 {
+// all bytes, by prefix doubling (O(n log^2 n)), in st's scratch. Adequate
+// for 64 KiB pages; the BWT codec is *supposed* to be expensive (it plays
+// BZ2's role).
+func (st *bwtState) suffixArray(s []byte) []int32 {
 	m := len(s) + 1
-	sa := make([]int32, m)
-	rank := make([]int32, m)
-	tmp := make([]int32, m)
+	st.sa = slices.Grow(st.sa[:0], m)[:m]
+	st.rank = slices.Grow(st.rank[:0], m)[:m]
+	st.tmp = slices.Grow(st.tmp[:0], m)[:m]
+	sa, rank, tmp := st.sa, st.rank, st.tmp
 	for i := range sa {
 		sa[i] = int32(i)
 	}
@@ -162,12 +162,11 @@ func suffixArray(s []byte) []int32 {
 			}
 			return 0
 		}
-		sort.Slice(sa, func(a, b int) bool {
-			x, y := sa[a], sa[b]
+		slices.SortFunc(sa, func(x, y int32) int {
 			if rank[x] != rank[y] {
-				return rank[x] < rank[y]
+				return int(rank[x] - rank[y])
 			}
-			return second(x) < second(y)
+			return int(second(x) - second(y))
 		})
 		tmp[sa[0]] = 0
 		for i := 1; i < m; i++ {

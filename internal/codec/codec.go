@@ -10,11 +10,15 @@
 //     search depths) — the paper's multiple LZ4 settings.
 //   - snappy: a from-scratch Snappy-format-style codec — one fixed setting,
 //     off the pareto frontier exactly as the paper finds.
-//   - deflate-*: stdlib compress/flate at several levels, standing in for
-//     ZSTD's settings (documented substitution, see DESIGN.md).
+//   - deflate-*: a from-scratch whole-block raw-DEFLATE (RFC 1951) encoder
+//     and decoder at levels 1, 3, 6 and 9, standing in for ZSTD's settings
+//     (documented substitution, see DESIGN.md). It works slice to slice on
+//     the block the spill path holds; compress/flate is only the tests'
+//     oracle.
 //   - bwt: a from-scratch Burrows-Wheeler block-sorting compressor
-//     (BWT + move-to-front + RLE + flate entropy stage), standing in for
-//     BZ2: very high cost, high ratio, excluded from the unified scale.
+//     (BWT + move-to-front, with the DEFLATE encoder as entropy stage),
+//     standing in for BZ2: very high cost, high ratio, excluded from the
+//     unified scale.
 //
 // All codecs are self-framing: Decompress needs no out-of-band length.
 package codec

@@ -60,70 +60,90 @@ func (c *lz4Codec) Compress(dst, src []byte) []byte {
 		// Too short for any match: single literal run.
 		return lz4EmitFinal(dst, src)
 	}
-
-	var table [lz4TableSize]int32 // position+1 of last occurrence of each hash
-	var chain []int32             // HC: previous position+1 with same hash
-	if c.depth > 0 {
-		chain = make([]int32, len(src))
+	if c.depth == 0 {
+		return c.compressFast(dst, src)
 	}
+	return c.compressHC(dst, src)
+}
 
+// compressFast is the fast path: one hash-table probe per position with
+// skip acceleration, matches extended eight bytes at a time, and ip-2
+// re-indexed after each match, as reference LZ4 does.
+func (c *lz4Codec) compressFast(dst, src []byte) []byte {
+	var table [lz4TableSize]int32 // position+1 of last occurrence of each hash
 	anchor := 0
 	ip := 1 // position 0 can never reference an earlier match
 	limit := len(src) - lz4MatchGuard
+	end := len(src) - lz4LastLits
 	table[lz4Hash(load32(src, 0))] = 1
-
 	for ip <= limit {
-		h := lz4Hash(load32(src, ip))
+		cur := load32(src, ip)
+		h := lz4Hash(cur)
 		cand := int(table[h]) - 1
-		if c.depth > 0 {
-			chain[ip] = table[h]
-		}
 		table[h] = int32(ip + 1)
-
-		matchPos, matchLen := -1, 0
-		if c.depth == 0 {
-			if cand >= 0 && ip-cand <= lz4MaxOffset && load32(src, cand) == load32(src, ip) {
-				matchPos = cand
-				matchLen = lz4ExtendMatch(src, cand, ip, limit+lz4MatchGuard-lz4LastLits)
-			}
-		} else {
-			// Walk the chain, keep the longest match.
-			end := limit + lz4MatchGuard - lz4LastLits
-			for probes := 0; cand >= 0 && ip-cand <= lz4MaxOffset && probes < c.depth; probes++ {
-				if load32(src, cand) == load32(src, ip) {
-					l := lz4ExtendMatch(src, cand, ip, end)
-					if l > matchLen {
-						matchLen, matchPos = l, cand
-					}
-				}
-				cand = int(chain[cand]) - 1
-			}
-		}
-
-		if matchLen < lz4MinMatch {
+		if cand < 0 || ip-cand > lz4MaxOffset || load32(src, cand) != cur {
 			ip = lz4Advance(ip, anchor, c.accel)
 			continue
 		}
-
+		n := lz4MinMatch + lz4ExtendMatch(src, cand+lz4MinMatch, ip+lz4MinMatch, end)
 		// Extend the match backward over pending literals.
-		for matchPos > 0 && ip > anchor && src[matchPos-1] == src[ip-1] {
-			matchPos--
+		for cand > 0 && ip > anchor && src[cand-1] == src[ip-1] {
+			cand--
 			ip--
-			matchLen++
+			n++
 		}
-
-		dst = lz4EmitSequence(dst, src[anchor:ip], ip-matchPos, matchLen)
-		ip += matchLen
+		dst = lz4EmitSequence(dst, src[anchor:ip], ip-cand, n)
+		ip += n
 		anchor = ip
+		if ip <= limit {
+			table[lz4Hash(load32(src, ip-2))] = int32(ip - 1)
+		}
+	}
+	return lz4EmitFinal(dst, src[anchor:])
+}
 
-		// Index interior positions of the match region for future matches
-		// (cheap variant: index every other position).
-		if c.depth > 0 {
-			for j := ip - matchLen + 1; j < ip && j <= limit; j++ {
-				hj := lz4Hash(load32(src, j))
-				chain[j] = table[hj]
-				table[hj] = int32(j + 1)
+// compressHC is the high-compression path: hash chains, the longest of up to
+// depth candidates per position, and every position inside a match indexed.
+func (c *lz4Codec) compressHC(dst, src []byte) []byte {
+	var table [lz4TableSize]int32    // position+1 of last occurrence of each hash
+	chain := make([]int32, len(src)) // previous position+1 with same hash
+	anchor := 0
+	ip := 1
+	limit := len(src) - lz4MatchGuard
+	end := len(src) - lz4LastLits
+	table[lz4Hash(load32(src, 0))] = 1
+	for ip <= limit {
+		h := lz4Hash(load32(src, ip))
+		cand := int(table[h]) - 1
+		chain[ip] = table[h]
+		table[h] = int32(ip + 1)
+
+		// Walk the chain, keep the longest match.
+		bestPos, bestLen := -1, 0
+		for probes := 0; cand >= 0 && ip-cand <= lz4MaxOffset && probes < c.depth; probes++ {
+			if load32(src, cand) == load32(src, ip) {
+				if l := lz4ExtendMatch(src, cand, ip, end); l > bestLen {
+					bestLen, bestPos = l, cand
+				}
 			}
+			cand = int(chain[cand]) - 1
+		}
+		if bestLen < lz4MinMatch {
+			ip = lz4Advance(ip, anchor, c.accel)
+			continue
+		}
+		for bestPos > 0 && ip > anchor && src[bestPos-1] == src[ip-1] {
+			bestPos--
+			ip--
+			bestLen++
+		}
+		dst = lz4EmitSequence(dst, src[anchor:ip], ip-bestPos, bestLen)
+		ip += bestLen
+		anchor = ip
+		for j := ip - bestLen + 1; j < ip && j <= limit; j++ {
+			hj := lz4Hash(load32(src, j))
+			chain[j] = table[hj]
+			table[hj] = int32(j + 1)
 		}
 	}
 	return lz4EmitFinal(dst, src[anchor:])
@@ -137,13 +157,9 @@ func lz4Advance(ip, anchor, accel int) int {
 }
 
 // lz4ExtendMatch returns the match length between positions ref and pos,
-// scanning no further than end.
+// scanning no further than end, eight bytes at a time.
 func lz4ExtendMatch(src []byte, ref, pos, end int) int {
-	n := 0
-	for pos+n < end && src[ref+n] == src[pos+n] {
-		n++
-	}
-	return n
+	return matchLen(src[ref:], src[pos:end])
 }
 
 func lz4EmitSequence(dst, literals []byte, offset, matchLen int) []byte {

@@ -83,3 +83,58 @@ func TestBlockCompressionBeatsPageCompression(t *testing.T) {
 	}
 	t.Logf("%d pages: %d bytes as blocks, %d as pages (%.3f)", spilled, written, perPage, float64(written)/float64(perPage))
 }
+
+// TestDefaultScaleShrinksOutput: the regulator climbs DefaultScale to trade
+// CPU for I/O, which pays only if no step writes more bytes than the one
+// below it. Staging blocks of TPC-H lineitem tuples on 4 KiB pages, as the
+// spill writer stages them, take no more bytes at any scheme from lz4-a8 to
+// deflate-9 than at the scheme before it, nor at lz4-a8 than raw.
+func TestDefaultScaleShrinksOutput(t *testing.T) {
+	li := (&tpch.Gen{SF: 0.01}).Table(tpch.Lineitem)
+	batch := &data.Batch{Schema: li.Schema()}
+	for i := range li.Schema().Cols {
+		batch.Cols = append(batch.Cols, *li.Column(i))
+	}
+	batch.SetLen(int(li.Rows()))
+	rc := data.NewRowCodec(li.Schema().Types())
+
+	var blocks [][]byte
+	var block []byte
+	pg := pages.New(4096)
+	for r := 0; r < int(li.Rows()) && len(blocks) < 8; r++ {
+		tuple := make([]byte, rc.Size(batch, r))
+		rc.Encode(tuple, batch, r)
+		if _, ok := pg.Append(tuple); ok {
+			continue
+		}
+		block = append(block, pg.Seal()...)
+		if len(block) >= 64<<10 {
+			blocks = append(blocks, block)
+			block = nil
+		}
+		pg = pages.New(4096)
+		pg.Append(tuple)
+	}
+	if len(blocks) < 8 {
+		t.Fatalf("only %d staging blocks of lineitem", len(blocks))
+	}
+	prev, prevName := 0, "raw"
+	for _, b := range blocks {
+		prev += len(b)
+	}
+	if core.DefaultScale[0] != codec.None {
+		t.Fatalf("the scale starts at %v, not raw", core.DefaultScale[0])
+	}
+	for _, id := range core.DefaultScale[1:] {
+		c := codec.ByID(id)
+		size := 0
+		for _, b := range blocks {
+			size += len(c.Compress(nil, b))
+		}
+		t.Logf("%-9s %7d bytes", c.Name(), size)
+		if size > prev {
+			t.Errorf("%s writes %d bytes, more than the %d of %s below it", c.Name(), size, prev, prevName)
+		}
+		prev, prevName = size, c.Name()
+	}
+}

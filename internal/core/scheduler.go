@@ -445,10 +445,9 @@ type PartitionCursor struct {
 // decoded block; it stays valid until Release, or until ReleaseEarlier after
 // a later Next. While the next page's block is missing, Next joins the
 // leader/follower pump: the leader submits and polls the shared ring with the
-// scheduler lock dropped; followers wait for its broadcast.
+// scheduler lock dropped; followers wait for its broadcast. Only those waits
+// count as stall; decoding a block and loading a page are the consumer's CPU.
 func (c *PartitionCursor) Next() (*pages.Page, error) {
-	start := time.Now()
-	defer func() { c.stallNs += int64(time.Since(start)) }()
 	s, it := c.s, c.it
 	s.mu.Lock()
 	for {
@@ -503,11 +502,13 @@ func (c *PartitionCursor) Next() (*pages.Page, error) {
 			}
 			return p, nil
 		}
+		start := time.Now()
 		if s.pumping {
 			s.cond.Wait()
-			continue
+		} else {
+			s.pumpLocked(true)
 		}
-		s.pumpLocked(true)
+		c.stallNs += int64(time.Since(start))
 	}
 }
 
@@ -548,8 +549,8 @@ func (c *PartitionCursor) Release() {
 
 // Counters returns the partition's readback counters: bytes read, retries,
 // demand reads and their latency, integrity work, the wall time this
-// cursor's consumer spent inside Next, and whether readback had started
-// before Open. Call it once the consumer is done pulling.
+// cursor's consumer spent in Next waiting for reads, and whether readback
+// had started before Open. Call it once the consumer is done pulling.
 func (c *PartitionCursor) Counters() metrics.Snapshot {
 	c.s.mu.Lock()
 	n := c.it.counts

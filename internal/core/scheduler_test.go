@@ -406,6 +406,49 @@ func TestCursorYieldsPagesInSpillOrder(t *testing.T) {
 	cur.Release()
 }
 
+// TestCursorStallCountsOnlyWaits: a cursor whose compressed blocks all
+// completed before its first Next never waits for a read, so it reports no
+// stall, however long decoding those blocks takes. Stall is worker time
+// blocked on readback, not the consumer's own decode work.
+func TestCursorStallCountsOnlyWaits(t *testing.T) {
+	const n = 40000
+	arr, res, work := spillFramedLZ4(t, n)
+	sched := NewPartitionScheduler(nil, arr, work[:1], 64, nil)
+	sched.SetIntegrity(res.Stripes)
+	defer sched.Close()
+	it := sched.items[0]
+	if len(it.groups) > sched.depth {
+		t.Fatalf("%d blocks exceed the read depth %d; prefetch cannot finish them all", len(it.groups), sched.depth)
+	}
+	sched.mu.Lock()
+	for it.nextGroup < len(it.groups) || it.inflightN > 0 {
+		sched.pumpLocked(true) // prefetch: nothing is opened yet
+	}
+	sched.mu.Unlock()
+	for i, g := range it.groups {
+		if !g.done || g.dec != nil {
+			t.Fatalf("block %d: done=%v decoded=%v before the first Next", i, g.done, g.dec != nil)
+		}
+	}
+	cur := sched.Open(0)
+	var keys []uint64
+	for {
+		p, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == nil {
+			break
+		}
+		keys = pageKeys(keys, p)
+	}
+	checkAscending(t, keys, work[0].Part, n)
+	if stall := cur.Counters()[metrics.SpillStallNanos]; stall != 0 {
+		t.Fatalf("cursor reports %v of spill stall; every block was read before its first Next", time.Duration(stall))
+	}
+	cur.Release()
+}
+
 // TestCursorFootprintIsReadDepthPlusOne: partitions opened together, as the
 // external sort's merge opens its runs, and read one page at a time by a
 // consumer that declares everything before its latest page dead

@@ -468,7 +468,8 @@ type Stats struct {
 	SpillRetries   int64
 	SpillFailovers int64
 	// SpillStallTime is worker wall time spent stalled inside spill
-	// readback (waiting for pages the scheduler had not yet prefetched);
+	// readback (waiting for blocks the scheduler had not yet read; decoding
+	// them is not stall);
 	// PrefetchedPartitions counts spilled partitions whose readback was
 	// already in flight when phase 2 reached them.
 	SpillStallTime       time.Duration
