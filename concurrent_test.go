@@ -243,6 +243,11 @@ func stressConfig() Config {
 	}
 }
 
+// raceCPUFactor is how many times slower the engine's CPU work runs in this
+// test binary than in a plain build: 1, or more under the race detector
+// (race_test.go).
+var raceCPUFactor = 1.0
+
 // stressQueries is the mixed workload: aggregations, multi-join pipelines,
 // string-heavy joins, and sorts — the spill-heavy spread of TPC-H.
 var stressQueries = []int{1, 3, 5, 9, 12, 13, 18, 21}
@@ -345,10 +350,18 @@ func TestConcurrentStatsApprox(t *testing.T) {
 // array, so the seed settles above raw. A second engine opened in the same
 // process must still start its first spill raw: the seed belongs to the
 // engine.
+//
+// "Slowed" has to hold against the CPU the regulator measures, or it
+// oscillates between raw and the first level: an LZ4 pass dearer than the
+// writes it saves steps it down, and the seed takes whichever level the
+// last buffer to finish stopped at. The race detector slows the operators
+// and the codecs by up to raceCPUFactor and the simulated device not at all,
+// so the writes are slowed by that factor too.
 func TestConcurrentSpillsShareRegulatorSeed(t *testing.T) {
 	cfg := stressConfig()
 	cfg.SpillDevices = 1
 	cfg.Device = DefaultDevice.Scaled(0.1)
+	cfg.Device.WriteBandwidth /= raceCPUFactor
 	plans := []func(*Engine) exec.Node{
 		(*Engine).AggMicroPlan, (*Engine).JoinMicroPlan, (*Engine).AggMicroPlan, (*Engine).JoinMicroPlan,
 	}

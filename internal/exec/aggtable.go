@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/spilly-db/spilly/internal/data"
@@ -25,7 +26,9 @@ import (
 // many groups there are.
 //
 // Tuples merge a run at a time (mergeRun): a shard's tuples of one page, a
-// read-back page, a chunk of overflow tuples.
+// read-back page, a chunk of overflow tuples. A run opens its new groups in
+// bulk: it numbers them in run order first, then copies their keys and
+// extends every state array once, by the number it opened.
 //
 // The zero value plus a and hint is an empty table; arrays are allocated on
 // the first insert, so shards that receive no tuple cost nothing.
@@ -75,7 +78,7 @@ func (t *groupTable) key(g int) []byte {
 type mergeStage struct {
 	tuples  [][]byte      // a run, gathered by the caller …
 	hashes  []uint64      // … and its key hashes
-	first   []uint64      // the slot each tuple's probe starts at
+	at      []uint64      // the slot each tuple's probe starts at; for a miss, the empty slot it ended at
 	gs      []int32       // each tuple's group
 	cols    []data.Column // the run's state fields, decoded by fold
 	seq     []int32       // 0, 1, 2, …: the rows of cols
@@ -99,43 +102,51 @@ func (t *groupTable) mergeTuples(tuples [][]byte, st *mergeStage) {
 //
 //  1. load the slot every tuple's probe starts at;
 //  2. touch the key of every group a first slot's tag points to;
-//  3. resolve each tuple to its group, or to a miss;
-//  4. open the misses in run order, probing again, so that a key repeated
-//     within the run opens one group;
+//  3. resolve each tuple to its group, or to a miss and the empty slot its
+//     probe ended at;
+//  4. open the misses in run order (openMisses): each takes the slot it
+//     recorded, walking on only past a slot an earlier miss of the run took,
+//     so that a key repeated within the run opens one group; then the key
+//     and state arrays are extended once for all the groups opened;
 //  5. fold each aggregate column over the resolved groups.
 //
-// Each group folds its tuples in run order.
+// New groups are numbered in run order, and each group folds its tuples in
+// run order.
 func (t *groupTable) mergeRun(tuples [][]byte, hs []uint64, st *mergeStage) {
 	if t.slots == nil {
-		t.grow()
+		t.alloc()
 	}
 	n := len(tuples)
 	hs = hs[:n]
 	mask := uint64(len(t.slots) - 1)
-	first := sized(st.first, n)
+	at := sized(st.at, n)
 	for j, h := range hs {
-		first[j] = t.slots[h&mask]
+		at[j] = t.slots[h&mask]
 	}
 	touched := st.touched
-	for j, s := range first {
+	for j, s := range at {
 		if s != 0 && s>>32 == hs[j]&0xffffffff {
 			touched |= t.key(int(uint32(s)) - 1)[0]
 		}
 	}
 	st.touched = touched
 	gs := sized(st.gs, n)
+	misses := 0
 	for j, h := range hs {
 		gs[j] = -1
-		if first[j] != 0 {
-			gs[j], _ = t.probe(tuples[j], h)
+		if at[j] == 0 {
+			at[j] = h & mask
+		} else {
+			gs[j], at[j] = t.probe(tuples[j], h)
+		}
+		if gs[j] < 0 {
+			misses++
 		}
 	}
-	for j, g := range gs {
-		if g < 0 {
-			gs[j] = t.open(tuples[j], hs[j])
-		}
+	st.at, st.gs = at, gs
+	if misses > 0 {
+		t.openMisses(tuples, hs, gs, at, misses)
 	}
-	st.first, st.gs = first, gs
 	t.fold(tuples, gs, st)
 }
 
@@ -149,43 +160,95 @@ func (t *groupTable) probe(tuple []byte, h uint64) (int32, uint64) {
 		if s == 0 {
 			return -1, i
 		}
-		if s&^0xffffffff == tag && t.sameKey(int(uint32(s))-1, tuple) {
+		if s&^0xffffffff == tag && t.sameKey(t.key(int(uint32(s))-1), tuple) {
 			return int32(uint32(s)) - 1, i
 		}
 	}
 }
 
-// open returns the group of tuple, opening it unless an earlier tuple of the
-// run did.
-func (t *groupTable) open(tuple []byte, h uint64) int32 {
-	if (t.n+1)*4 > len(t.slots)*3 {
-		t.grow()
-	}
-	g, i := t.probe(tuple, h)
-	if g >= 0 {
-		return g
-	}
+// openMisses is mergeRun's stage 4: it resolves the run's misses (gs[j] < 0,
+// whose probes ended at the empty slot at[j]) to groups, in run order. A miss
+// takes its slot and opens a group unless an earlier miss of the run took
+// the slot first; then it walks on, and finds that miss's group if it
+// repeats its key. The slot array grows at most once, when the first group
+// that needs it opens, for every miss still to come: those probe the new
+// array from where their hashes start. The new groups' keys are copied, and
+// their states zeroed, once they are all numbered, so every array is
+// extended once by exactly the groups the run opened.
+//
+// The run's k-th new group records the tuple that opened it in at[k]: by
+// then miss k has taken its slot, and the k-th group opens at a tuple j ≥ k,
+// so the entries it overwrites are ones no miss reads again.
+func (t *groupTable) openMisses(tuples [][]byte, hs []uint64, gs []int32, at []uint64, misses int) {
 	a := t.a
-	g = int32(t.n)
-	t.n++
-	t.slots[i] = h<<32 | uint64(g+1)
-	if a.keyW == 0 {
-		t.keyOff = append(t.keyOff, len(t.keys))
+	n0 := t.n
+	mask := uint64(len(t.slots) - 1)
+	for j, g := range gs {
+		if g >= 0 {
+			continue
+		}
+		tuple, h := tuples[j], hs[j]
+		i := at[j]
+		for {
+			s := t.slots[i]
+			if s == 0 && (t.n+1)*4 > len(t.slots)*3 {
+				t.grow(t.n + misses)
+				mask = uint64(len(t.slots) - 1)
+				for k := j; k < len(gs); k++ {
+					if gs[k] < 0 {
+						at[k] = hs[k] & mask
+					}
+				}
+				i = at[j]
+				continue
+			}
+			if s == 0 {
+				g = int32(t.n)
+				at[t.n-n0] = uint64(j)
+				t.n++
+				t.slots[i] = h<<32 | uint64(g+1)
+				break
+			}
+			// Only a group this run opened can have the key: the probe pass
+			// found it in none of the others. Its key is still in the tuple
+			// that opened it.
+			other := int(uint32(s)) - 1
+			if other >= n0 && s>>32 == h&0xffffffff && t.sameKey(tuples[at[other-n0]], tuple) {
+				g = int32(other)
+				break
+			}
+			i = (i + 1) & mask
+		}
+		misses--
+		gs[j] = g
 	}
-	t.keys = a.rc.AppendKey(t.keys, tuple, len(a.keyFields))
-	t.ints = append(t.ints, make([]int64, a.ni)...)
-	t.floats = append(t.floats, make([]float64, a.nf)...)
-	t.seen = append(t.seen, make([]bool, a.nm)...)
-	return g
+	opened := at[:t.n-n0]
+	if w := a.keyW; w > 0 {
+		keys := extend(t.keys, len(opened)*w)
+		dst := keys[n0*w:]
+		for k, j := range opened {
+			copy(dst[k*w:(k+1)*w], tuples[j])
+		}
+		t.keys = keys
+	} else {
+		t.keyOff = slices.Grow(t.keyOff, len(opened))
+		for _, j := range opened {
+			t.keyOff = append(t.keyOff, len(t.keys))
+			t.keys = a.rc.AppendKey(t.keys, tuples[j], len(a.keyFields))
+		}
+	}
+	t.ints = extend(t.ints, len(opened)*a.ni)
+	t.floats = extend(t.floats, len(opened)*a.nf)
+	t.seen = extend(t.seen, len(opened)*a.nm)
 }
 
-// sameKey reports whether tuple has group g's key; NULL matches NULL. A
-// fixed-width key compares its 8-byte slots, so floats compare by their bits
-// (NaN is one key, +0 and −0 are two), and the null bitmap under the key
-// fields' bits only: the bitmap also carries the Min/Max state bits.
-func (t *groupTable) sameKey(g int, tuple []byte) bool {
+// sameKey reports whether tuple has the key key, a group's key copy or the
+// tuple that opened it; NULL matches NULL. A fixed-width key compares its
+// 8-byte slots, so floats compare by their bits (NaN is one key, +0 and −0
+// are two), and the null bitmap under the key fields' bits only: the bitmap
+// also carries the Min/Max state bits.
+func (t *groupTable) sameKey(key, tuple []byte) bool {
 	a := t.a
-	key := t.key(g)
 	if a.keyW == 0 {
 		return a.rc.KeyEqual(key, tuple, a.keyFields)
 	}
@@ -203,29 +266,42 @@ func (t *groupTable) sameKey(g int, tuple []byte) bool {
 	return true
 }
 
-// grow doubles the slot array (or allocates everything, the first time) and
-// re-inserts the slots by the hash bits they carry.
-func (t *groupTable) grow() {
-	if t.slots == nil {
-		groups := t.hint
-		size := groupTableMinSlots
-		for size*3 < (groups+1)*4 {
-			size *= 2
-		}
-		a := t.a
-		t.slots = make([]uint64, size)
+// alloc allocates the table for its hint: a slot array that holds hint
+// groups, and key and state arrays of that capacity (a string key's fixed
+// part only: its bodies vary).
+func (t *groupTable) alloc() {
+	a, groups := t.a, t.hint
+	t.slots = make([]uint64, slotsFor(groupTableMinSlots, groups+1))
+	if a.keyW > 0 {
 		t.keys = make([]byte, 0, groups*a.keyW)
-		t.ints = make([]int64, 0, groups*a.ni)
-		t.floats = make([]float64, 0, groups*a.nf)
-		t.seen = make([]bool, 0, groups*a.nm)
-		return
+	} else {
+		t.keys = make([]byte, 0, groups*a.rc.FieldOffset(len(a.keyFields)))
+		t.keyOff = make([]int, 0, groups)
 	}
-	if len(t.slots) >= 1<<31 {
+	t.ints = make([]int64, 0, groups*a.ni)
+	t.floats = make([]float64, 0, groups*a.nf)
+	t.seen = make([]bool, 0, groups*a.nm)
+}
+
+// slotsFor returns the least power-of-two multiple of size that holds groups
+// at three quarters full.
+func slotsFor(size, groups int) int {
+	for size*3 < groups*4 {
+		size *= 2
+	}
+	return size
+}
+
+// grow enlarges the slot array, in one step, to hold groups and re-inserts
+// the slots by the hash bits they carry.
+func (t *groupTable) grow(groups int) {
+	size := slotsFor(len(t.slots), groups)
+	if size > 1<<31 {
 		panic("exec: aggregation group table is full")
 	}
 	old := t.slots
-	t.slots = make([]uint64, 2*len(old))
-	mask := uint64(len(t.slots) - 1)
+	t.slots = make([]uint64, size)
+	mask := uint64(size - 1)
 	for _, s := range old {
 		if s == 0 {
 			continue
@@ -408,29 +484,37 @@ func (t *groupTable) emit(b *data.Batch, lo, hi int, arena *data.ByteArena) {
 	nk := len(a.keyFields)
 	for f := 0; f < nk; f++ {
 		c := &b.Cols[f]
+		// null ORs the groups' null bytes holding the field's bit, so that a
+		// column without a NULL key takes no second pass for its marks.
+		by, bit := f/8, byte(1)<<(f%8)
+		var null byte
 		switch c.Type {
 		case data.Float64:
 			c.F = sized(c.F, n)
 			for j := range c.F {
-				c.F[j] = rc.Float(t.key(lo+j), f)
+				key := t.key(lo + j)
+				c.F[j] = rc.Float(key, f)
+				null |= key[by]
 			}
 		case data.String:
 			c.S = sized(c.S, n)
 			for j := range c.S {
-				c.S[j] = arena.InternBytes(rc.StrBytes(t.key(lo+j), f))
+				key := t.key(lo + j)
+				c.S[j] = arena.InternBytes(rc.StrBytes(key, f))
+				null |= key[by]
 			}
 		default:
 			c.I = sized(c.I, n)
 			for j := range c.I {
-				c.I[j] = rc.Int(t.key(lo+j), f)
+				key := t.key(lo + j)
+				c.I[j] = rc.Int(key, f)
+				null |= key[by]
 			}
 		}
-		for j := 0; j < n; j++ {
-			if rc.IsNull(t.key(lo+j), f) {
-				if c.Null == nil {
-					c.Null = make([]bool, n)
-				}
-				c.Null[j] = true
+		if null&bit != 0 {
+			c.Null = make([]bool, n)
+			for j := range c.Null {
+				c.Null[j] = rc.IsNull(t.key(lo+j), f)
 			}
 		}
 	}
@@ -474,6 +558,14 @@ func (t *groupTable) emit(b *data.Batch, lo, hi int, arena *data.ByteArena) {
 		}
 	}
 	b.SetLen(n)
+}
+
+// extend returns s lengthened by n zero entries, its array grown the way
+// append grows one.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 // sized returns s with length n, reusing its array when that is large

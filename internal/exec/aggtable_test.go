@@ -53,23 +53,39 @@ var aggPropSchema = data.NewSchema(
 	data.ColumnDef{Name: "vi", Type: data.Int64},
 	data.ColumnDef{Name: "vf", Type: data.Float64},
 	data.ColumnDef{Name: "vs", Type: data.String},
+	data.ColumnDef{Name: "ni", Type: data.Int64},
+	data.ColumnDef{Name: "ns", Type: data.String},
 )
 
+// aggPropMaskless are the key columns that every third batch leaves without
+// a null mask, so that tables whose groups have NULL keys also meet keys
+// from batches that carry no marks. ni and ns are second integer and string
+// keys with their own values.
+var aggPropMaskless = map[string]bool{"ki": true, "kd": true, "ni": true, "ns": true}
+
 // aggPropInput draws rows whose keys take `card` values per column. A tenth
-// of every column is NULL, with garbage left under the mark; one key value
-// in eight never sees a non-NULL vs or vf, so its Min/Max stay unseen.
+// of every column is NULL (but see aggPropMaskless), with garbage left under
+// the mark; one key value in eight never sees a non-NULL vs or
+// vf, so its Min/Max stay unseen.
 // Floats are multiples of 1/4, so sums are exact in any order.
 func aggPropInput(rng *rand.Rand, rows, card int) *batchesNode {
+	return aggKeyedInput(rng, rows, func(int) int { return rng.Intn(card) })
+}
+
+// aggKeyedInput is aggPropInput with row r's key number drawn by key(r).
+func aggKeyedInput(rng *rand.Rand, rows int, key func(r int) int) *batchesNode {
 	n := &batchesNode{schema: aggPropSchema}
 	for done := 0; done < rows; {
 		size := min(1+rng.Intn(1500), rows-done)
-		done += size
 		b := data.NewBatch(aggPropSchema, size)
-		for c := range b.Cols {
-			b.Cols[c].Null = make([]bool, size)
+		maskless := len(n.batches)%3 == 2
+		for c, def := range aggPropSchema.Cols {
+			if !(maskless && aggPropMaskless[def.Name]) {
+				b.Cols[c].Null = make([]bool, size)
+			}
 		}
 		for r := 0; r < size; r++ {
-			k := rng.Intn(card)
+			k := key(done + r)
 			b.Cols[0].I = append(b.Cols[0].I, int64(k)*7919-3)
 			b.Cols[1].F = append(b.Cols[1].F, float64(k%97)*0.25-5)
 			b.Cols[2].S = append(b.Cols[2].S, strings.Repeat("k", k%5)+fmt.Sprint(k%211))
@@ -77,17 +93,69 @@ func aggPropInput(rng *rand.Rand, rows, card int) *batchesNode {
 			b.Cols[4].I = append(b.Cols[4].I, int64(rng.Intn(2000)-1000))
 			b.Cols[5].F = append(b.Cols[5].F, float64(rng.Intn(4000)-2000)*0.25)
 			b.Cols[6].S = append(b.Cols[6].S, fmt.Sprintf("v%03d", rng.Intn(500)))
+			b.Cols[7].I = append(b.Cols[7].I, int64(k)*31+7)
+			b.Cols[8].S = append(b.Cols[8].S, fmt.Sprint("n", k))
 			for c := range b.Cols {
-				b.Cols[c].Null[r] = rng.Intn(10) == 0
+				if b.Cols[c].Null != nil {
+					b.Cols[c].Null[r] = rng.Intn(10) == 0
+				}
 			}
 			if k%8 == 0 {
 				b.Cols[5].Null[r], b.Cols[6].Null[r] = true, true
 			}
 		}
+		done += size
 		b.SetLen(size)
 		n.batches = append(n.batches, b)
 	}
 	return n
+}
+
+// aggRepeatsInput keeps repeating keys among the misses of the merge's runs.
+// Its first preAggProbeRows + rows/5 rows draw from a million keys, so that
+// nearly every row opens a group and phase 1 bypasses pre-aggregation
+// wherever a worker sees a full probe window; the rest are new keys four rows
+// each, which a bypassing worker writes into one page and phase 2 then meets
+// four times in one run, all of them new to its table.
+func aggRepeatsInput(rows int) *batchesNode {
+	rng := rand.New(rand.NewSource(5))
+	return aggKeyedInput(rng, rows, func(r int) int {
+		if r < preAggProbeRows+rows/5 {
+			return rng.Intn(1 << 20)
+		}
+		return 1<<20 + r/4
+	})
+}
+
+// aggHint0Shapes are the key shapes aggHint0Input concentrates.
+var aggHint0Shapes = [][]string{{"ki"}, {"kd", "ki"}}
+
+// aggHint0Input draws rows over 30 keys whose hashes, grouped by either of
+// aggHint0Shapes, all pick global shard 0 (and so one spilled partition). The
+// phase-1 sketch then sizes every shard for no group (hint 0), and the first
+// page that reaches shard 0 brings it more new groups in one run than its
+// 16 slots hold.
+func aggHint0Input(rows int) *batchesNode {
+	schema := data.NewSchema(data.ColumnDef{Name: "ki", Type: data.Int64}, data.ColumnDef{Name: "kd", Type: data.Date})
+	var keys []int
+	shiftS := uint(64 - log2(aggShards))
+	for lo := 0; len(keys) < 30; lo += 4096 {
+		b := data.NewBatch(schema, 4096)
+		for k := lo; k < lo+4096; k++ {
+			b.Cols[0].I = append(b.Cols[0].I, int64(k)*7919-3)
+			b.Cols[1].I = append(b.Cols[1].I, int64(9000+k%31))
+		}
+		b.SetLen(4096)
+		h1 := data.HashColumns(b, nil, []int{0}, nil)
+		h2 := data.HashColumns(b, nil, []int{1, 0}, nil)
+		for i := range h1 {
+			if h1[i]>>shiftS == 0 && h2[i]>>shiftS == 0 && len(keys) < 30 {
+				keys = append(keys, lo+i)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(6))
+	return aggKeyedInput(rng, rows, func(int) int { return keys[rng.Intn(len(keys))] })
 }
 
 var aggPropSpecs = []AggSpec{
@@ -107,7 +175,7 @@ var aggPropSpecs = []AggSpec{
 // cell renders one value the way the reference and the output are compared.
 func cell(c *data.Column, r int) string {
 	switch {
-	case c.Null != nil && c.Null[r]:
+	case isNull(c, r):
 		return "NULL"
 	case c.Type == data.Float64:
 		return fmt.Sprint(c.F[r])
@@ -117,6 +185,8 @@ func cell(c *data.Column, r int) string {
 		return fmt.Sprint(c.I[r])
 	}
 }
+
+func isNull(c *data.Column, r int) bool { return c.Null != nil && c.Null[r] }
 
 // refGroup is one group of the map-based reference evaluator.
 type refGroup struct {
@@ -149,7 +219,7 @@ func aggReference(in *batchesNode, groupBy []string) []string {
 				groups[g.key] = g
 			}
 			g.n++
-			if !vi.Null[r] {
+			if !isNull(vi, r) {
 				x := vi.I[r]
 				g.cnt++
 				g.sumI += float64(x)
@@ -160,7 +230,7 @@ func aggReference(in *batchesNode, groupBy []string) []string {
 				}
 				g.seenVI = true
 			}
-			if !vf.Null[r] {
+			if !isNull(vf, r) {
 				x := vf.F[r]
 				g.sumF += x
 				g.avgF += x
@@ -170,7 +240,7 @@ func aggReference(in *batchesNode, groupBy []string) []string {
 				}
 				g.seenVF = true
 			}
-			if !vs.Null[r] {
+			if !isNull(vs, r) {
 				x := vs.S[r]
 				if !g.seenVS || x < g.minVS {
 					g.minVS = x
@@ -180,7 +250,7 @@ func aggReference(in *batchesNode, groupBy []string) []string {
 				}
 				g.seenVS = true
 			}
-			if !kd.Null[r] {
+			if !isNull(kd, r) {
 				if x := kd.I[r]; !g.kd || x > g.maxKD {
 					g.maxKD = x
 				}
@@ -231,33 +301,43 @@ func diffRows(t *testing.T, got, want []string) {
 
 // TestAggMatchesMapReference is the group table's property test: every key
 // shape, every aggregate function, in memory and spilling, at 1, 2 and 8
-// workers, against a map-based evaluation of the same rows.
+// workers, against a map-based evaluation of the same rows. The shapes take
+// phase 2's fixed-width keys and its string keys, alone and composite.
 func TestAggMatchesMapReference(t *testing.T) {
 	shapes := [][]string{
-		{"ki"}, {"kf"}, {"ks"}, {"kd"},
-		{"ki", "ks"}, {"ks", "kf", "ki"}, {"kd", "ki"},
+		{"ki"}, {"kf"}, {"ks"}, {"kd"}, {"ni"}, {"ns"},
+		{"ki", "ks"}, {"ks", "kf", "ki"}, {"kd", "ki"}, {"ni", "kd"},
 		nil,
 	}
 	rows := 60000
 	if testing.Short() {
 		rows = 25000
 	}
-	// 40 keys per column pre-aggregate almost completely; 30000 mostly open
-	// a group per row, which at one worker also trips the bypass.
-	for _, card := range []int{40, 30000} {
-		in := aggPropInput(rand.New(rand.NewSource(int64(card))), rows, card)
-		for _, groupBy := range shapes {
-			want := aggReference(in, groupBy)
+	inputs := []struct {
+		name   string
+		in     *batchesNode
+		shapes [][]string
+	}{
+		// 40 keys per column pre-aggregate almost completely; 30000 mostly
+		// open a group per row, which at one worker also trips the bypass.
+		{"card=40", aggPropInput(rand.New(rand.NewSource(40)), rows, 40), shapes},
+		{"card=30000", aggPropInput(rand.New(rand.NewSource(30000)), rows, 30000), shapes},
+		{"repeats", aggRepeatsInput(rows), [][]string{{"ki"}, {"ns"}, {"kd", "ki"}, {"ni", "kd"}}},
+		{"hint0", aggHint0Input(rows / 4), aggHint0Shapes},
+	}
+	for _, input := range inputs {
+		for _, groupBy := range input.shapes {
+			want := aggReference(input.in, groupBy)
 			for _, workers := range []int{1, 2, 8} {
 				for _, mode := range []string{"memory", "spill"} {
-					name := fmt.Sprintf("card=%d/by=%s/workers=%d/%s", card, strings.Join(groupBy, ","), workers, mode)
+					name := fmt.Sprintf("%s/by=%s/workers=%d/%s", input.name, strings.Join(groupBy, ","), workers, mode)
 					t.Run(name, func(t *testing.T) {
 						ctx := testCtx(workers)
 						if mode == "spill" {
 							ctx = spillCtx(workers, 256)
 						}
 						defer ctx.Close()
-						out, err := Collect(ctx, NewAgg(in, groupBy, aggPropSpecs))
+						out, err := Collect(ctx, NewAgg(input.in, groupBy, aggPropSpecs))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -414,6 +494,17 @@ func TestGroupTableCollisionsAndGrowth(t *testing.T) {
 		}
 		sort.Strings(got)
 		diffRows(t, got, wantRows)
+
+		// One tuple a run, into a table without a hint: a run whose new group
+		// finds the table full grows it, and its miss then walks the new
+		// array from its hash past the groups of earlier runs.
+		one := &groupTable{a: a}
+		for j := range tuples {
+			one.mergeRun(tuples[j:j+1], hs[j:j+1], &st)
+		}
+		if one.n != len(want) {
+			t.Fatalf("%s, one tuple a run: %d groups, want %d", name, one.n, len(want))
+		}
 
 		// A reset table is empty and reusable.
 		tbl.reset()

@@ -229,6 +229,58 @@ func TestAllocsAggMergeExistingGroup(t *testing.T) {
 	}
 }
 
+// TestAllocsAggMergeNewGroups pins the phase-2 miss path: merging a run of
+// partial tuples that all open new groups into a table whose arrays already
+// hold that many — slots sized by the hint, keys copied and states zeroed in
+// one extension each — must not touch the heap, with a string key or a
+// fixed-width one.
+func TestAllocsAggMergeNewGroups(t *testing.T) {
+	for _, groupBy := range [][]string{{"i", "s"}, {"i"}} {
+		a := NewAgg(&ValuesNode{Batch: evalBatch()}, groupBy, []AggSpec{
+			{Func: CountStar, As: "n"},
+			{Func: Avg, Col: "f", As: "avg"},
+			{Func: Min, Col: "s", As: "min_s"},
+			{Func: Max, Col: "f", As: "max_f"},
+		})
+		pb := data.NewBatch(a.partial, 97)
+		for k := 0; k < 97; k++ {
+			row := []any{int64(k), fmt.Sprint("MEDIUM POLISHED COPPER #", k), int64(1), float64(k), int64(1), "MEDIUM POLISHED COPPER", float64(k)}
+			if len(groupBy) == 1 {
+				row = append(row[:1], row[2:]...)
+			}
+			for f, v := range row {
+				c := &pb.Cols[f]
+				switch v := v.(type) {
+				case int64:
+					c.I = append(c.I, v)
+				case float64:
+					c.F = append(c.F, v)
+				case string:
+					c.S = append(c.S, v)
+				}
+			}
+		}
+		pb.SetLen(97)
+		tuples := partialTuples(a, pb)
+		hashes := make([]uint64, len(tuples))
+		for i, tuple := range tuples {
+			hashes[i] = a.rc.HashTuple(tuple, a.keyFields)
+		}
+		tbl := &groupTable{a: a, hint: len(tuples)}
+		var st mergeStage
+		got := testing.AllocsPerRun(100, func() {
+			tbl.reset()
+			tbl.mergeRun(tuples, hashes, &st)
+		})
+		if got != 0 {
+			t.Errorf("by %v: opening %d new groups: %.2f allocs per run, want 0", groupBy, len(tuples), got)
+		}
+		if tbl.n != len(tuples) {
+			t.Fatalf("by %v: %d groups, want %d", groupBy, tbl.n, len(tuples))
+		}
+	}
+}
+
 // TestAllocsAggPreAggExistingGroups pins the phase-1 hit path: consuming a
 // batch whose keys are all in the local table — hashed, resolved and folded a
 // column at a time, NULL inputs, a string key and string Min/Max included —
