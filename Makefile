@@ -56,11 +56,14 @@ fuzz-codec:
 # Race-detector pass over the concurrency-heavy packages (morsel workers,
 # partition spilling, the sharded aggregation group table against its
 # map-based reference at 1, 2 and 8 workers, per-worker stats accumulators,
-# span buffers, fault recovery, utilization tracer, and the shared I/O
-# dispatcher every query's rings and scan readers submit through).
+# span buffers, fault recovery, utilization tracer, the shared I/O
+# dispatcher every query's rings and scan readers submit through, and the
+# process-wide recycler concurrent queries share). Race builds poison every
+# buffer handed back to the recycler, so these runs also catch a reader of
+# a released page.
 race:
 	$(GO) test -race -short ./internal/exec/ ./internal/core/ ./internal/cache/ ./internal/chaos/ ./internal/trace/ ./internal/metrics/ \
-		./internal/iosched/ ./internal/uring/ ./internal/colstore/
+		./internal/iosched/ ./internal/uring/ ./internal/colstore/ ./internal/pages/ ./internal/data/
 
 # Multi-query stress gate: concurrent TPC-H mixes through the admission
 # governor and per-query spill leases, under the race detector — overlap

@@ -641,26 +641,62 @@ type Result struct {
 	SchemeHistogram map[codec.ID]int64
 
 	inMemByPart [][]*pages.Page
-	released    bool
+
+	endMu    sync.Mutex
+	recycled bool  // the in-memory pages' buffers are back in the recycler
+	released bool  // and their budget reservation is returned
+	reserved int64 // what that reservation was, counted before recycling
 }
 
-// ReleaseMemory returns the budget reservation of every in-memory page in
-// the result. Operators register it as a query-end cleanup (exec.Ctx.Close)
-// once the result's pages can no longer be read — so Budget.Used() returns
-// to zero after every query instead of holding finished operators' pages
-// until the GC collects them. Idempotent; the pages themselves stay valid
-// (only the accounting changes).
+// Recycle hands the result's in-memory page buffers to the recycler, where
+// the next operator — of this query or another — takes them. Operators call
+// it where the pages' last reader is done: the aggregation after its global
+// merge, the join once every worker is through the probe phase that reads
+// them, the sort and the window after emit. The pages' budget reservation
+// stays until ReleaseMemory at query end, as if they were still held: which
+// operators of a query spill does not depend on when an earlier one
+// finished. Idempotent and safe for concurrent use. Afterwards the pages are
+// gone: a tuple view that still aliases one reads whatever the buffer's next
+// owner wrote there.
+func (r *Result) Recycle() {
+	if r == nil {
+		return
+	}
+	r.endMu.Lock()
+	defer r.endMu.Unlock()
+	r.recycleLocked()
+}
+
+func (r *Result) recycleLocked() {
+	if r.recycled {
+		return
+	}
+	r.recycled = true
+	for _, pgs := range [2][]*pages.Page{r.InMemory, r.Unpartitioned} {
+		for _, p := range pgs {
+			r.reserved += int64(p.Size())
+			p.Recycle()
+		}
+	}
+}
+
+// ReleaseMemory returns the budget reservation of the result's in-memory
+// pages, recycling them first if the operator has not. exec.Ctx registers it
+// as a query-end cleanup, so Budget.Used() returns to zero after every
+// query, failed and canceled ones included. Idempotent and safe for
+// concurrent use.
 func (r *Result) ReleaseMemory(budget *pages.Budget) {
-	if r == nil || r.released {
+	if r == nil {
+		return
+	}
+	r.endMu.Lock()
+	defer r.endMu.Unlock()
+	if r.released {
 		return
 	}
 	r.released = true
-	for _, p := range r.InMemory {
-		budget.Release(int64(p.Size()))
-	}
-	for _, p := range r.Unpartitioned {
-		budget.Release(int64(p.Size()))
-	}
+	r.recycleLocked()
+	budget.Release(r.reserved)
 }
 
 // Finalize returns the merged result once every thread's buffer has called

@@ -112,8 +112,7 @@ type spillWriter struct {
 	parts   int
 	flushAt int // staging flush threshold in raw page bytes (>= one device block)
 
-	staging     []*stagingArea // per partition, lazily allocated
-	stagingFree [][]byte
+	staging []*stagingArea // per partition, lazily allocated
 
 	inflight map[uint64]*inflightWrite
 	nextUD   uint64
@@ -177,8 +176,9 @@ func (w *spillWriter) canceled() bool {
 }
 
 // spillPage queues page p (belonging to partition p.Part) for writing: its
-// sealed bytes are appended to the partition's staging area and the page
-// itself is immediately recycled. Once the staging area holds flushAt raw
+// sealed bytes — header, tuples and slots, not the gap between them — are
+// appended to the partition's staging area and the page itself is
+// immediately recycled. Once the staging area holds flushAt raw
 // bytes it is compressed and written as one block (§5.3). After a fatal
 // spill error the page is recycled without I/O — the query is failing; what
 // matters is that no buffer leaks.
@@ -191,17 +191,17 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 		w.pool.Put(p)
 		return
 	}
-	raw := p.Seal()
-	w.spilledPages++
-	w.counts[metrics.SpilledBytes] += int64(len(raw))
-
 	st := w.staging[part]
 	if st == nil {
 		st = &stagingArea{buf: w.getStagingBuf()}
 		w.staging[part] = st
 	}
-	st.slots = append(st.slots, SpilledSlot{Off: uint32(len(st.buf)), Len: uint32(len(raw))})
-	st.buf = append(st.buf, raw...)
+	off := len(st.buf)
+	st.buf = p.AppendSealed(st.buf)
+	n := len(st.buf) - off
+	w.spilledPages++
+	w.counts[metrics.SpilledBytes] += int64(n)
+	st.slots = append(st.slots, SpilledSlot{Off: uint32(off), Len: uint32(n)})
 	w.pool.Put(p)
 	if len(st.buf) >= w.flushAt {
 		w.flushStaging(part)
@@ -493,17 +493,11 @@ func (w *spillWriter) fail(err error) {
 	}
 }
 
+// getStagingBuf returns an empty staging buffer from the recycler.
 func (w *spillWriter) getStagingBuf() []byte {
-	if n := len(w.stagingFree); n > 0 {
-		b := w.stagingFree[n-1]
-		w.stagingFree = w.stagingFree[:n-1]
-		return b[:0]
-	}
-	return make([]byte, 0, w.flushAt+pages.DefaultPageSize)
+	return pages.GetBuf(w.flushAt + pages.DefaultPageSize)[:0]
 }
 
-func (w *spillWriter) putStagingBuf(b []byte) {
-	if len(w.stagingFree) < 8 {
-		w.stagingFree = append(w.stagingFree, b)
-	}
-}
+// putStagingBuf hands a staging buffer no write references any more back to
+// the recycler.
+func (w *spillWriter) putStagingBuf(b []byte) { pages.PutBuf(b) }

@@ -7,6 +7,7 @@
 package data
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/spilly-db/spilly/internal/xhash"
@@ -142,5 +143,24 @@ func TestAllocsAppendToArena(t *testing.T) {
 	})
 	if got > 0.1 {
 		t.Errorf("AppendToArena: %.3f allocs/run, want amortized < 0.1", got)
+	}
+}
+
+// TestAllocsHashColumnsGrowOnce: hashing n rows into an empty slice grows it
+// once, not once per append growth step, and into one of room enough not at
+// all.
+func TestAllocsHashColumnsGrowOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var b *Batch
+	for b == nil || b.Rows() < 100 {
+		b = randVecBatch(rng)
+	}
+	keys := []int{0, 2}
+	if got := testing.AllocsPerRun(20, func() { HashColumns(b, b.Sel, keys, nil) }); got > 1 {
+		t.Errorf("hashing %d rows into an empty slice allocated %.0f times, want at most 1", b.Rows(), got)
+	}
+	out := make([]uint64, 0, b.Rows())
+	if got := testing.AllocsPerRun(20, func() { out = HashColumns(b, b.Sel, keys, out[:0]) }); got != 0 {
+		t.Errorf("hashing %d rows into a slice with room allocated %.0f times", b.Rows(), got)
 	}
 }

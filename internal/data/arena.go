@@ -3,12 +3,18 @@ package data
 import "unsafe"
 
 // arenaChunkSize is the allocation granularity of a ByteArena. 64 KiB
-// amortizes one heap allocation over thousands of TPC-H-sized strings.
-const arenaChunkSize = 64 << 10
+// amortizes one heap allocation over thousands of TPC-H-sized strings. An
+// arena's chunks start at arenaFirstChunk and double up to it, so that the
+// many arenas that intern a few strings each (a worker's of an 8-row ORDER
+// BY, of a join that matched little) do not cost 64 KiB apiece.
+const (
+	arenaChunkSize  = 64 << 10
+	arenaFirstChunk = 1 << 10
+)
 
 // ByteArena is a bump allocator for variable-length values restored from
 // spilled or materialized tuples. Interning through an arena replaces one
-// heap allocation per string with one per 64 KiB chunk, and — just as
+// heap allocation per string with one per chunk of up to 64 KiB, and — just as
 // important for recycling — it decouples the interned value from the page
 // buffer it was decoded out of: once every consumer interns what it keeps,
 // page buffers can be returned to the recycler without dangling strings.
@@ -32,7 +38,7 @@ func (a *ByteArena) InternBytes(b []byte) string {
 		return string(b)
 	}
 	if len(a.buf)+len(b) > cap(a.buf) {
-		a.buf = make([]byte, 0, arenaChunkSize)
+		a.grow(len(b))
 	}
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
@@ -51,9 +57,19 @@ func (a *ByteArena) Copy(b []byte) []byte {
 		return append([]byte(nil), b...)
 	}
 	if len(a.buf)+len(b) > cap(a.buf) {
-		a.buf = make([]byte, 0, arenaChunkSize)
+		a.grow(len(b))
 	}
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
 	return a.buf[n : n+len(b) : n+len(b)]
+}
+
+// grow starts a chunk that holds at least n bytes (n <= arenaChunkSize/4):
+// twice the last one, from arenaFirstChunk up to arenaChunkSize.
+func (a *ByteArena) grow(n int) {
+	size := min(max(2*cap(a.buf), arenaFirstChunk), arenaChunkSize)
+	for size < n {
+		size *= 2
+	}
+	a.buf = make([]byte, 0, size)
 }

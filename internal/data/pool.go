@@ -13,11 +13,14 @@ import (
 // reallocated lazily on the next fill.
 const batchShrinkCap = 8192
 
-// BatchPool recycles batches of one schema. Operators lease a batch with
-// Get and return it with Put (or Batch.Release); between queries the pool
-// is just a sync.Pool, so unreturned batches are not leaked — they fall
-// back to the garbage collector — but every Get that is matched by a Put
-// runs the hot path without allocating.
+// BatchPool recycles batches of one schema for one query. Operators lease a
+// batch with Get and return it with Put (or Batch.Release); every Get that
+// is matched by a Put runs the hot path without allocating. The pool is a
+// plain free list that dies with its query, batches and all: unreturned
+// batches are not leaked — they fall to the garbage collector — and a
+// finished query's batches (and the arena chunks their strings point into)
+// are garbage at once, not kept alive through the next collection the way a
+// sync.Pool keeps what it holds.
 //
 // Ownership rule: the leaseholder may fill, reset, and read the batch, but
 // must not retain any column slice past Put. Strings appended to a pooled
@@ -26,16 +29,15 @@ const batchShrinkCap = 8192
 // see shrink.
 type BatchPool struct {
 	schema *Schema
-	pool   sync.Pool
+	mu     sync.Mutex
+	free   []*Batch
 	gets   atomic.Int64
 	puts   atomic.Int64
 }
 
 // NewBatchPool returns a pool producing batches of the given schema.
 func NewBatchPool(schema *Schema) *BatchPool {
-	bp := &BatchPool{schema: schema}
-	bp.pool.New = func() interface{} { return NewBatch(schema, 0) }
-	return bp
+	return &BatchPool{schema: schema}
 }
 
 // Schema returns the schema of the pooled batches.
@@ -44,7 +46,17 @@ func (bp *BatchPool) Schema() *Schema { return bp.schema }
 // Get leases a reset batch from the pool.
 func (bp *BatchPool) Get() *Batch {
 	bp.gets.Add(1)
-	b := bp.pool.Get().(*Batch)
+	var b *Batch
+	bp.mu.Lock()
+	if n := len(bp.free); n > 0 {
+		b = bp.free[n-1]
+		bp.free[n-1] = nil
+		bp.free = bp.free[:n-1]
+	}
+	bp.mu.Unlock()
+	if b == nil {
+		b = NewBatch(bp.schema, 0)
+	}
 	b.Reset()
 	b.pool = bp
 	return b
@@ -60,7 +72,9 @@ func (bp *BatchPool) Put(b *Batch) {
 	b.pool = nil
 	b.shrink()
 	b.Reset()
-	bp.pool.Put(b)
+	bp.mu.Lock()
+	bp.free = append(bp.free, b)
+	bp.mu.Unlock()
 }
 
 // Counters returns the cumulative Get and Put call counts. A balanced

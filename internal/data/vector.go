@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 
 	"github.com/spilly-db/spilly/internal/xhash"
 )
@@ -28,10 +29,11 @@ func HashColumns(b *Batch, sel []int32, keyCols []int, out []uint64) []uint64 {
 		n = len(sel)
 	}
 	base := len(out)
-	for i := 0; i < n; i++ {
-		out = append(out, hashSeed)
-	}
+	out = slices.Grow(out, n)[:base+n]
 	hs := out[base:]
+	for i := range hs {
+		hs[i] = hashSeed
+	}
 	for _, col := range keyCols {
 		c := &b.Cols[col]
 		if c.Null != nil {

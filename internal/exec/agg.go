@@ -199,7 +199,9 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 		}
 		finish := func() error {
 			aw.flushAll()
-			return aw.buf.Finish()
+			err := aw.buf.Finish()
+			aw.free()
+			return err
 		}
 		return consume, finish
 	})
@@ -218,7 +220,9 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	return a.mergePhase(ctx, sp, res, int64(sketches[0].Estimate()))
 }
 
-// aggWorker is one worker's phase-1 state.
+// aggWorker is one worker's phase-1 state. Its arrays outlive the query: a
+// worker takes a recycled aggWorker, sized for the aggregation at hand, and
+// hands it back when it finishes.
 type aggWorker struct {
 	a       *Agg
 	keyCols []int
@@ -253,42 +257,76 @@ type aggWorker struct {
 	out    *data.Batch // flush scratch: the table as a batch
 }
 
+var aggWorkers pages.FreeList[aggWorker]
+
 func newAggWorker(a *Agg, keyCols []int, buf *core.Buffer, sketch *hll.Sketch, preAgg bool) *aggWorker {
-	aw := &aggWorker{a: a, keyCols: keyCols, buf: buf, sketch: sketch, preAgg: preAgg}
+	aw := aggWorkers.Get()
+	if aw == nil {
+		aw = &aggWorker{}
+	}
+	aw.a, aw.keyCols, aw.buf, aw.sketch, aw.preAgg = a, keyCols, buf, sketch, preAgg
+	aw.rows, aw.opened, aw.n = 0, 0, 0
 	if !preAgg {
 		return aw
 	}
-	aw.ghash = make([]uint64, localAggMax)
-	aw.keys = make([]data.Column, len(keyCols))
+	// The table starts zeroed, and a flush zeroes what it used; a recycled
+	// worker's arrays are zeroed here, whatever the last one left.
+	aw.ghash = sized(aw.ghash, localAggMax)
+	aw.keys = sized(aw.keys, len(keyCols))
 	for k := range aw.keys {
 		c := &aw.keys[k]
 		c.Type = a.partial.Cols[k].Type
-		c.Null = make([]bool, localAggMax)
+		c.Null = zeroed(c.Null, localAggMax)
+		i, f, str := c.I, c.F, c.S
+		c.I, c.F, c.S = nil, nil, nil
 		switch c.Type {
 		case data.Float64:
-			c.F = make([]float64, localAggMax)
+			c.F = zeroed(f, localAggMax)
 		case data.String:
-			c.S = make([]string, localAggMax)
+			c.S = zeroed(str, localAggMax)
 		default:
-			c.I = make([]int64, localAggMax)
+			c.I = zeroed(i, localAggMax)
 		}
 	}
 	aw.states = aggStates{
-		ints:   make([]int64, a.ni*localAggMax),
-		floats: make([]float64, a.nf*localAggMax),
-		seen:   make([]bool, a.nm*localAggMax),
+		ints:   zeroed(aw.states.ints, a.ni*localAggMax),
+		floats: zeroed(aw.states.floats, a.nf*localAggMax),
+		seen:   zeroed(aw.states.seen, a.nm*localAggMax),
 		ni:     1, nf: 1, nm: 1,
 		span: localAggMax,
 	}
-	aw.unseen = make([]bool, a.nm*localAggMax)
+	aw.unseen = sized(aw.unseen, a.nm*localAggMax)
+	aw.strs = aw.strs[:0]
 	for i := range a.states {
 		if a.states[i].strMinMax() {
-			aw.strs = make([]string, a.nm*localAggMax)
+			aw.strs = zeroed(aw.strs, a.nm*localAggMax)
 			break
 		}
 	}
 	aw.out = data.NewBatch(a.partial, 0)
 	return aw
+}
+
+// free hands the worker to the recycler, keeping its arrays and dropping
+// every reference to the query's batches, strings and buffers.
+func (aw *aggWorker) free() {
+	aw.a, aw.keyCols, aw.buf, aw.sketch, aw.out = nil, nil, nil, nil, nil
+	clear(aw.view.Cols[:cap(aw.view.Cols)])
+	aw.view = data.Batch{Cols: aw.view.Cols[:0]}
+	for k := range aw.keys {
+		clear(aw.keys[k].S)
+	}
+	clear(aw.strs)
+	aw.slots = [localAggSlots]int32{}
+	aggWorkers.Put(aw)
+}
+
+// zeroed returns s with length n and every entry zero, reusing its array when
+// that is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = sized(s, n)
+	clear(s)
+	return s
 }
 
 // consume processes one input batch. Key hashes are computed for the whole
@@ -626,12 +664,9 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 		// One page at a time: hash its tuples once, cluster them by shard with
 		// a counting sort, then merge each shard's run under one lock.
 		// Bucket aggShards collects the overflow tuples.
-		var (
-			views  [][]byte
-			hashes []uint64
-			starts [aggShards + 3]int32
-			st     mergeStage
-		)
+		var starts [aggShards + 3]int32
+		st := getMergeStage()
+		defer st.free()
 		bucket := func(h uint64) int {
 			if mask&(1<<(h>>shiftP)) != 0 {
 				return aggShards
@@ -649,7 +684,8 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 			}
 			pg := memPages[pi]
 			n := pg.Tuples()
-			views, hashes = sized(views, n), sized(hashes, n)
+			views, hashes := sized(st.page, n), sized(st.pageHs, n)
+			st.page, st.pageHs = views, hashes
 			clear(starts[:])
 			for i := range hashes {
 				views[i] = pg.Tuple(i)
@@ -675,7 +711,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				}
 				t := &global[s]
 				t.mu.Lock()
-				t.mergeRun(tuples[lo:hi], hs[lo:hi], &st)
+				t.mergeRun(tuples[lo:hi], hs[lo:hi], st)
 				t.mu.Unlock()
 			}
 			for j := starts[aggShards]; j < starts[aggShards+1]; j++ {
@@ -693,6 +729,9 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	if err != nil {
 		return nil, err
 	}
+	// Every in-memory tuple is merged or, overflow, copied: the pages are
+	// dead, and the spilled partitions' merges take them from the recycler.
+	res.Recycle()
 	if len(a.GroupBy) == 0 && res.Tuples == 0 {
 		// An aggregate without GROUP BY has one group whatever its input:
 		// over no rows it is the partial state that saw nothing — counts and
@@ -741,15 +780,22 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 
 	// emitter is one worker's place in the output: the table it is walking
 	// and how far it got. A worker merges every spilled partition it takes
-	// into the one table it owns, emptied in between.
+	// into the one table it owns, emptied in between; its table and stage go
+	// back to the recycler when it runs out of tasks, the global shards' when
+	// every worker has.
 	type emitter struct {
 		t     *groupTable
 		next  int
 		own   *groupTable
-		stage mergeStage
+		stage *mergeStage
 		arena data.ByteArena
 	}
 	emitters := make([]emitter, workers)
+	end := newOutputEnd(workers, func() {
+		for s := range global {
+			global[s].release()
+		}
+	})
 
 	return ctx.traceStream(&Stream{
 		schema: a.schema,
@@ -758,6 +804,12 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 			for e.t == nil || e.next == e.t.n {
 				ti := int(taskCursor.Add(1) - 1)
 				if ti >= len(tasks) {
+					if e.own != nil {
+						e.own.release()
+						e.stage.free()
+						e.t, e.own, e.stage = nil, nil, nil
+					}
+					end.reach(w)
 					return 0, nil
 				}
 				t := tasks[ti]
@@ -768,10 +820,11 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				}
 				if e.own == nil {
 					e.own = &groupTable{a: a, hint: int(distinct / int64(res.Partitions) * 9 / 8)}
+					e.stage = getMergeStage()
 				}
 				e.t = e.own
 				e.t.reset()
-				if err := a.mergePartition(ctx, sp, e.t, &e.stage, overflow[t.part], t.part, sched, t.item); err != nil {
+				if err := a.mergePartition(ctx, sp, e.t, e.stage, overflow[t.part], t.part, sched, t.item); err != nil {
 					return 0, err
 				}
 			}

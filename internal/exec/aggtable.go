@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/pages"
 )
 
 // groupTable is the phase-2 aggregation hash table: one per shard of the
@@ -30,8 +31,9 @@ import (
 // bulk: it numbers them in run order first, then copies their keys and
 // extends every state array once, by the number it opened.
 //
-// The zero value plus a and hint is an empty table; arrays are allocated on
-// the first insert, so shards that receive no tuple cost nothing.
+// The zero value plus a and hint is an empty table; arrays are taken from the
+// recycler on the first insert, so shards that receive no tuple cost nothing,
+// and go back to it (release) once the table's output is drained.
 type groupTable struct {
 	mu sync.Mutex // global shards only; partition tables have one owner
 
@@ -66,6 +68,19 @@ func (t *groupTable) reset() {
 	t.strs = t.strs[:0]
 }
 
+// release hands the table's arrays to the recycler once nothing reads its
+// groups any more; the table is empty afterwards.
+func (t *groupTable) release() {
+	pages.PutArray(t.slots)
+	pages.PutArray(t.keys)
+	pages.PutArray(t.keyOff)
+	pages.PutArray(t.ints)
+	pages.PutArray(t.floats)
+	pages.PutArray(t.seen)
+	pages.PutArray(t.strs)
+	*t = groupTable{a: t.a, hint: t.hint}
+}
+
 func (t *groupTable) key(g int) []byte {
 	if w := t.a.keyW; w > 0 {
 		return t.keys[g*w:]
@@ -74,8 +89,11 @@ func (t *groupTable) key(g int) []byte {
 }
 
 // mergeStage is one worker's staging arrays for mergeRun, each as long as the
-// longest run it has merged.
+// longest run it has merged. Stages outlive their query: a worker takes one
+// from the recycler (getMergeStage) and hands it back when it ends.
 type mergeStage struct {
+	page    [][]byte      // the global merge's page: its tuples …
+	pageHs  []uint64      // … and their key hashes
 	tuples  [][]byte      // a run, gathered by the caller …
 	hashes  []uint64      // … and its key hashes
 	at      []uint64      // the slot each tuple's probe starts at; for a miss, the empty slot it ended at
@@ -83,6 +101,23 @@ type mergeStage struct {
 	cols    []data.Column // the run's state fields, decoded by fold
 	seq     []int32       // 0, 1, 2, …: the rows of cols
 	touched byte
+}
+
+var mergeStages pages.FreeList[mergeStage]
+
+// getMergeStage returns a recycled stage, or a new one.
+func getMergeStage() *mergeStage {
+	if st := mergeStages.Get(); st != nil {
+		return st
+	}
+	return &mergeStage{}
+}
+
+// free drops the stage's tuple views and hands it to the recycler.
+func (st *mergeStage) free() {
+	clear(st.page[:cap(st.page)])
+	clear(st.tuples[:cap(st.tuples)])
+	mergeStages.Put(st)
 }
 
 // mergeTuples hashes the key of every tuple and merges them as one run.
@@ -231,7 +266,7 @@ func (t *groupTable) openMisses(tuples [][]byte, hs []uint64, gs []int32, at []u
 		}
 		t.keys = keys
 	} else {
-		t.keyOff = slices.Grow(t.keyOff, len(opened))
+		t.keyOff = reserve(t.keyOff, len(opened))
 		for _, j := range opened {
 			t.keyOff = append(t.keyOff, len(t.keys))
 			t.keys = a.rc.AppendKey(t.keys, tuples[j], len(a.keyFields))
@@ -266,21 +301,22 @@ func (t *groupTable) sameKey(key, tuple []byte) bool {
 	return true
 }
 
-// alloc allocates the table for its hint: a slot array that holds hint
-// groups, and key and state arrays of that capacity (a string key's fixed
-// part only: its bodies vary).
+// alloc takes the table's arrays from the recycler for its hint: a cleared
+// slot array that holds hint groups, and key and state arrays of that
+// capacity (a string key's fixed part only: its bodies vary).
 func (t *groupTable) alloc() {
 	a, groups := t.a, t.hint
-	t.slots = make([]uint64, slotsFor(groupTableMinSlots, groups+1))
+	t.slots = pages.GetArray[uint64](slotsFor(groupTableMinSlots, groups+1))
+	clear(t.slots)
 	if a.keyW > 0 {
-		t.keys = make([]byte, 0, groups*a.keyW)
+		t.keys = pages.GetArray[byte](groups * a.keyW)[:0]
 	} else {
-		t.keys = make([]byte, 0, groups*a.rc.FieldOffset(len(a.keyFields)))
-		t.keyOff = make([]int, 0, groups)
+		t.keys = pages.GetArray[byte](groups * a.rc.FieldOffset(len(a.keyFields)))[:0]
+		t.keyOff = pages.GetArray[int](groups)[:0]
 	}
-	t.ints = make([]int64, 0, groups*a.ni)
-	t.floats = make([]float64, 0, groups*a.nf)
-	t.seen = make([]bool, 0, groups*a.nm)
+	t.ints = pages.GetArray[int64](groups * a.ni)[:0]
+	t.floats = pages.GetArray[float64](groups * a.nf)[:0]
+	t.seen = pages.GetArray[bool](groups * a.nm)[:0]
 }
 
 // slotsFor returns the least power-of-two multiple of size that holds groups
@@ -300,7 +336,8 @@ func (t *groupTable) grow(groups int) {
 		panic("exec: aggregation group table is full")
 	}
 	old := t.slots
-	t.slots = make([]uint64, size)
+	t.slots = pages.GetArray[uint64](size)
+	clear(t.slots)
 	mask := uint64(size - 1)
 	for _, s := range old {
 		if s == 0 {
@@ -312,6 +349,7 @@ func (t *groupTable) grow(groups int) {
 		}
 		t.slots[i] = s
 	}
+	pages.PutArray(old)
 }
 
 // fold is mergeRun's last stage: the run's state fields are decoded a column
@@ -560,12 +598,25 @@ func (t *groupTable) emit(b *data.Batch, lo, hi int, arena *data.ByteArena) {
 	b.SetLen(n)
 }
 
-// extend returns s lengthened by n zero entries, its array grown the way
-// append grows one.
-func extend[T any](s []T, n int) []T {
-	s = slices.Grow(s, n)[:len(s)+n]
+// extend returns s lengthened by n zero entries (see reserve).
+func extend[T pages.Plain](s []T, n int) []T {
+	s = reserve(s, n)[:len(s)+n]
 	clear(s[len(s)-n:])
 	return s
+}
+
+// reserve returns s with room for n more entries. When its array has none,
+// s moves to a recycled array twice as large and its old one goes back to the
+// recycler, so a growing table trades arrays with the recycler instead of
+// leaving them to the collector.
+func reserve[T pages.Plain](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	g := pages.GetArray[T](max(2*cap(s), len(s)+n))[:len(s)]
+	copy(g, s)
+	pages.PutArray(s)
+	return g
 }
 
 // sized returns s with length n, reusing its array when that is large
@@ -579,10 +630,13 @@ func sized[T any](s []T, n int) []T {
 }
 
 // iota32 returns s extended, where it is shorter, to 0, 1, …, n-1, and cut
-// to n.
+// to n. It grows s at most once.
 func iota32(s []int32, n int) []int32 {
-	for len(s) < n {
-		s = append(s, int32(len(s)))
+	if m := len(s); m < n {
+		s = slices.Grow(s, n-m)[:n]
+		for i := m; i < n; i++ {
+			s[i] = int32(i)
+		}
 	}
 	return s[:n]
 }

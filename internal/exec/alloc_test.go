@@ -315,3 +315,19 @@ func TestAllocsAggPreAggExistingGroups(t *testing.T) {
 		t.Fatalf("groups opened %d → %d, pre-aggregation on = %v: the keys were not all in the table", opened, aw.opened, aw.preAgg)
 	}
 }
+
+// TestAllocsIota32GrowsOnce: extending the row sequence to n grows it at most
+// once, whatever it held before.
+func TestAllocsIota32GrowsOnce(t *testing.T) {
+	for _, from := range []int{0, 100} {
+		if got := testing.AllocsPerRun(20, func() {
+			s := iota32(nil, from)
+			s = iota32(s, 1<<16)
+			if s[len(s)-1] != 1<<16-1 {
+				t.Fatal("iota32 is not 0, 1, …, n-1")
+			}
+		}); got > 2 {
+			t.Errorf("iota32 from %d rows to 64 Ki allocated %.0f times, want at most once per call", from, got)
+		}
+	}
+}

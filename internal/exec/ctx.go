@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/core"
@@ -261,7 +262,9 @@ func (c *Ctx) report(sp *trace.Span, n *metrics.Snapshot) {
 
 // finalize ends an operator's materialization phase once its workers have
 // finished their buffers: the merged result is reported, and the pages it
-// keeps in memory stay reserved until the query closes.
+// keeps in memory stay reserved until the query closes. The operator
+// recycles their buffers where their last reader is done (Result.Recycle);
+// the query-end release recycles them too when it never got there.
 func (c *Ctx) finalize(sp *trace.Span, shared *core.Shared) (*core.Result, error) {
 	r, err := shared.Finalize()
 	if err != nil {
@@ -493,6 +496,30 @@ func (b *barrier) deregister() {
 	if b.arrived >= b.total {
 		b.released = true
 		b.cond.Broadcast()
+	}
+}
+
+// outputEnd runs an operator's release once every worker has reached the end
+// of its output stream: then nothing reads the operator's tables or pages any
+// more. A stream a parent stops pulling early never gets there; the query-end
+// cleanups are the backstop for it and for failed queries.
+type outputEnd struct {
+	left    atomic.Int32
+	reached []atomic.Bool
+	release func()
+}
+
+func newOutputEnd(workers int, release func()) *outputEnd {
+	o := &outputEnd{reached: make([]atomic.Bool, workers), release: release}
+	o.left.Store(int32(workers))
+	return o
+}
+
+// reach records that worker w saw the end of the stream; the last worker to
+// get there runs the release. Repeated calls by one worker count once.
+func (o *outputEnd) reach(w int) {
+	if o.reached[w].CompareAndSwap(false, true) && o.left.Add(-1) == 0 {
+		o.release()
 	}
 }
 

@@ -72,14 +72,21 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 
 	var mu sync.Mutex
 	var resident []*runCursor
+	var residentBytes int64
 	// Resident runs keep their backing pages until the merge has streamed
-	// them out; return their budget reservation at query end.
-	ctx.AddCleanup(func() {
+	// them out; then their buffers are recycled — at the merge's end, or at
+	// query end when it never gets there. Their budget reservation is
+	// returned at query end, like a result's (core.Result.Recycle).
+	recycleResident := sync.OnceFunc(func() {
 		for _, run := range resident {
 			for _, p := range run.pgs {
-				ctx.Budget.Release(int64(p.Size()))
+				p.Recycle()
 			}
 		}
+	})
+	ctx.AddCleanup(func() {
+		recycleResident()
+		ctx.Budget.Release(residentBytes)
 	})
 	err = drainWorkers(ctx, "sort", in, func(int) (func(*data.Batch) error, func() error) {
 		g := &runGenerator{
@@ -93,6 +100,9 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 			if run != nil {
 				mu.Lock()
 				resident = append(resident, run)
+				for _, p := range run.pgs {
+					residentBytes += int64(p.Size())
+				}
 				mu.Unlock()
 			}
 			return g.buf.Finish()
@@ -107,7 +117,7 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 		return nil, err
 	}
 	ctx.spanPhase(sp, pc)
-	return s.mergeStream(ctx, sp, resident, res, rc, ord)
+	return s.mergeStream(ctx, sp, resident, res, rc, ord, recycleResident)
 }
 
 // sortCols returns the keys' column names.
@@ -290,8 +300,8 @@ func (g *runGenerator) sorted() [][]byte {
 }
 
 // spillRun sorts the accumulated run, hands it to the buffer in order and
-// returns its input pages to the budget. The run's writes complete while
-// the next run accumulates.
+// returns its input pages to the budget and their buffers to the recycler.
+// The run's writes complete while the next run accumulates.
 func (g *runGenerator) spillRun() error {
 	run := g.sorted()
 	err := g.buf.SpillRun(len(run), func(i int) []byte { return run[i] })
@@ -356,7 +366,7 @@ func (c *runCursor) next() ([]byte, error) {
 // the merge recycles what it has passed, a run holds at most depth+1 blocks.
 // The merge itself is sequential (one worker drives it; the others see
 // end-of-stream immediately), which is inherent to order-preserving output.
-func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *core.Result, rc *data.RowCodec, ord *tupleOrder) (*Stream, error) {
+func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *core.Result, rc *data.RowCodec, ord *tupleOrder, recycleResident func()) (*Stream, error) {
 	var spilled []*core.PartitionCursor
 	if len(res.Runs) > 0 {
 		sched := ctx.newPartitionScheduler(res.Runs, res.Stripes, max(1, core.DefaultReadDepth/len(res.Runs)))
@@ -409,12 +419,16 @@ func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *
 			}
 			if b.Len() == 0 {
 				// The merge is over: hand over each run's readback
-				// counters and recycle what a Limit left unread.
+				// counters, recycle what a Limit left unread, and end the
+				// runs' pages — every tuple emitted was copied out.
 				for _, pcur := range spilled {
 					ctx.reportCursor(sp, pcur)
 					pcur.Release()
 				}
 				spilled = nil
+				h.items = nil
+				recycleResident()
+				res.Recycle()
 			}
 			return b.Len(), nil
 		},

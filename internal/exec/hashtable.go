@@ -101,8 +101,9 @@ func buildJoinTable(pgs []*pages.Page, rc *data.RowCodec, keys []int, skip uint,
 	}
 	nBuckets := 1 << lg
 	t.shift = uint(64 - lg)
-	t.dir = make([]uint64, nBuckets+1)
-	t.entries = make([]uint64, total)
+	t.dir = pages.GetArray[uint64](nBuckets + 1)
+	clear(t.dir)
+	t.entries = pages.GetArray[uint64](total) // every entry is written below
 	if total == 0 {
 		return t, nil
 	}
@@ -122,7 +123,7 @@ func buildJoinTable(pgs []*pages.Page, rc *data.RowCodec, keys []int, skip uint,
 		mine := make([][]uint64, nParts)
 		lists[w] = mine
 		for part := range mine {
-			mine[part] = make([]uint64, 0, total/(workers*nParts)*5/4+16)
+			mine[part] = pages.GetArray[uint64](total/(workers*nParts)*5/4 + 16)[:0]
 		}
 		for {
 			pi := int(cursor.Add(1) - 1)
@@ -186,7 +187,23 @@ func buildJoinTable(pgs []*pages.Page, rc *data.RowCodec, keys []int, skip uint,
 	if err != nil {
 		return nil, err
 	}
+	for _, mine := range lists {
+		for _, l := range mine {
+			pages.PutArray(l)
+		}
+	}
 	return t, nil
+}
+
+// release hands the table's arrays to the recycler once no probe can reach
+// it any more. Safe on a nil table.
+func (t *joinTable) release() {
+	if t == nil {
+		return
+	}
+	pages.PutArray(t.dir)
+	pages.PutArray(t.entries)
+	t.dir, t.entries, t.pages = nil, nil, nil
 }
 
 func log2(v uint64) int {
@@ -218,7 +235,9 @@ type joinHit struct {
 // runs comparing hash bits; fill and exists compare keys with the tuples
 // that remain. Within a stage no load waits for another row's, so the
 // cache misses a probe takes — directory, entry, tuple — overlap across rows.
-// One per worker; its arrays are reused from batch to batch.
+// One per worker; its arrays are reused from batch to batch, and across
+// queries: a worker takes a recycled probe (getJoinProbe) and hands it back
+// when its stream ends.
 type joinProbe struct {
 	cols []int // key columns of the probe batch
 	// intKeys: every key is an 8-byte integer on both sides (fixed per join).
@@ -239,6 +258,27 @@ type joinProbe struct {
 	rows    []int32  // the last fill's matches: physical probe row …
 	tups    [][]byte // … and build tuple
 	touched byte
+}
+
+var joinProbes pages.FreeList[joinProbe]
+
+// getJoinProbe returns a recycled probe, or a new one, for key columns cols.
+func getJoinProbe(cols []int, intKeys bool) *joinProbe {
+	p := joinProbes.Get()
+	if p == nil {
+		p = &joinProbe{}
+	}
+	p.cols, p.intKeys = cols, intKeys
+	return p
+}
+
+// free drops the probe's references to its table, batch and build tuples
+// and hands it to the recycler.
+func (p *joinProbe) free() {
+	p.cols, p.t, p.in = nil, nil, nil
+	clear(p.tups[:cap(p.tups)])
+	p.cand, p.hits, p.rows, p.tups = p.cand[:0], p.hits[:0], p.rows[:0], p.tups[:0]
+	joinProbes.Put(p)
 }
 
 // start begins the join of in against t (nil: no table, nothing matches).

@@ -147,14 +147,19 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 	sketches := make([]hll.Sketch, workers)
 	err = drainWorkers(ctx, "join-build", bs, func(w int) (func(*data.Batch) error, func() error) {
 		buf := shared.NewBuffer()
-		var be batchEncoder
-		return func(b *data.Batch) error {
+		be := getBatchEncoder()
+		consume := func(b *data.Batch) error {
 			// Batch materialization: hashing, sizing, and encoding all run
 			// column-at-a-time.
 			be.materialize(buf, rcB, b, bKeyCols)
 			sketches[w].AddAll(be.hs)
 			return nil
-		}, buf.Finish
+		}
+		finish := func() error {
+			batchEncoders.Put(be)
+			return buf.Finish()
+		}
+		return consume, finish
 	})
 	if err != nil {
 		return nil, nil, nil, 0, err
@@ -196,6 +201,7 @@ type joinShared struct {
 	pshared *core.Shared
 
 	bar        *barrier
+	end        *outputEnd // last worker out releases pages stage 2 reads
 	finalOnce  sync.Once
 	pres       *core.Result
 	routed     []int
@@ -233,6 +239,12 @@ func (j *Join) probeStream(ctx *Ctx, sp *trace.Span, bres *core.Result, rcB *dat
 		probeIn:  ps,
 		bar:      newBarrier(ctx.workers()),
 	}
+	// Once every worker is through stage 2, the build side's in-memory pages
+	// (the grace baseline joins them there) and the probe side's are dead.
+	js.end = newOutputEnd(ctx.workers(), func() {
+		bres.Recycle()
+		js.pres.Recycle()
+	})
 	for i, f := range bKeys {
 		js.intKeys = js.intKeys && rcB.Types()[f].Fixed() && rcB.Types()[f] != data.Float64 &&
 			pSchema.Cols[js.pKeys[i]].Type == rcB.Types()[f]
@@ -284,7 +296,7 @@ type joinWorker struct {
 	pin   *data.Batch // stage 2: probe tuples of a partition page, decoded
 	arena data.ByteArena
 
-	probe   joinProbe
+	probe   *joinProbe
 	cur     *data.Batch // the batch being joined (in or pin); nil: fetch the next
 	decided bool        // cur's matches are all out and its rows routed
 	keep    []int32     // rows of cur that go out without a build tuple, from kpos on
@@ -319,7 +331,7 @@ type partJoinState struct {
 
 func newJoinWorker(js *joinShared, wid int) *joinWorker {
 	jw := &joinWorker{js: js, wid: wid, in: js.ctx.BatchPool(js.pSchema).Get(), stage: 1}
-	jw.probe.cols, jw.probe.intKeys = js.pKeys, js.intKeys
+	jw.probe = getJoinProbe(js.pKeys, js.intKeys)
 	if js.pshared != nil {
 		jw.pbuf = js.pshared.NewBuffer()
 	}
@@ -371,6 +383,11 @@ func (jw *joinWorker) next(b *data.Batch) (int, error) {
 			}
 		default:
 			jw.release()
+			if jw.probe != nil {
+				jw.probe.free()
+				jw.probe = nil
+				jw.js.end.reach(jw.wid)
+			}
 			return 0, nil
 		}
 	}
@@ -533,6 +550,12 @@ func (jw *joinWorker) finalizeProbe() error {
 		// in partitionStep, so prefetch lookahead tracks actual progress.
 		anySpilled := false
 		items := make([]core.PartitionWork, 0, 2*len(js.routed))
+		if !js.ctx.ForceGrace {
+			// Every worker is through stage 1: nothing probes the in-memory
+			// table any more, so it and the build pages it indexes are dead.
+			js.ht.release()
+			js.bres.Recycle()
+		}
 		for _, p := range js.routed {
 			bslots := js.bres.Spilled[p]
 			var pslots []core.SpilledSlot
@@ -609,9 +632,10 @@ func (jw *joinWorker) partitionStep() error {
 		}
 		if st.pg == nil {
 			// Partition fully joined: nothing references its pages anymore
-			// (outputs are arena-interned, the hash table dies with st), so
-			// the cursors' buffers can be recycled.
+			// (outputs are arena-interned), so its table's arrays and the
+			// cursors' buffers can be recycled.
 			jw.part = nil
+			st.ht.release()
 			if st.pcur != nil {
 				js.ctx.reportCursor(js.sp, st.pcur)
 				st.pcur.Release()

@@ -15,6 +15,7 @@ import (
 
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/pages"
 )
 
 // batchEncoder materializes rows of a batch through an Umami buffer: key
@@ -30,6 +31,19 @@ type batchEncoder struct {
 	sizes []int
 	dsts  [][]byte
 	enc   []byte
+}
+
+// batchEncoders recycles the encoders of the workers that materialize with
+// one of their own (join build, window): a worker takes one when it starts and
+// hands it back when it finishes. An encoder holds nothing of its batches.
+var batchEncoders pages.FreeList[batchEncoder]
+
+// getBatchEncoder returns a recycled encoder, or a new one.
+func getBatchEncoder() *batchEncoder {
+	if be := batchEncoders.Get(); be != nil {
+		return be
+	}
+	return &batchEncoder{}
 }
 
 // encodeRows is how many rows are encoded at a time: the scratch stays in

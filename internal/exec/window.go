@@ -114,13 +114,18 @@ func (w *Window) Run(ctx *Ctx) (*Stream, error) {
 	shared := core.NewShared(ctx.coreConfig())
 	err = drainWorkers(ctx, "window", in, func(int) (func(*data.Batch) error, func() error) {
 		buf := shared.NewBuffer()
-		var be batchEncoder
-		return func(b *data.Batch) error {
+		be := getBatchEncoder()
+		consume := func(b *data.Batch) error {
 			// Batch materialization, as in the join build: hashing,
 			// sizing, and encoding all run column-at-a-time.
 			be.materialize(buf, rc, b, partCols)
 			return nil
-		}, buf.Finish
+		}
+		finish := func() error {
+			batchEncoders.Put(be)
+			return buf.Finish()
+		}
+		return consume, finish
 	})
 	if err != nil {
 		return nil, err
@@ -164,6 +169,9 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 	}
 	ord := newTupleOrder(rc, w.Child.Schema(), w.OrderBy)
 	var cursor atomic.Int64
+	// Once every worker has run out of partitions, every window is emitted
+	// (its values copied out) and the in-memory pages are dead.
+	end := newOutputEnd(ctx.workers(), res.Recycle)
 	return ctx.traceStream(&Stream{
 		schema: w.schema,
 		next: func(wk int, b *data.Batch) (int, error) {
@@ -171,6 +179,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 			for {
 				p := int(cursor.Add(1) - 1)
 				if p >= res.Partitions {
+					end.reach(wk)
 					return 0, nil
 				}
 				tuples := append([][]byte(nil), routed[p]...)

@@ -58,21 +58,38 @@ const PartUnpartitioned = -1
 
 // New returns an empty page of the given size using the slotted
 // (variable-size tuple) layout.
-func New(size int) *Page {
-	p := &Page{buf: make([]byte, size)}
-	p.Reset()
-	return p
-}
+func New(size int) *Page { return newOn(make([]byte, size), 0) }
 
 // NewFixed returns an empty page of the given size holding fixed-size tuples
 // of tupleSize bytes each.
 func NewFixed(size, tupleSize int) *Page {
-	if tupleSize <= 0 || tupleSize > size-headerSize {
+	if tupleSize <= 0 {
 		panic(fmt.Sprintf("pages: invalid fixed tuple size %d for page size %d", tupleSize, size))
 	}
-	p := New(size)
-	p.fixed = tupleSize
+	return newOn(make([]byte, size), tupleSize)
+}
+
+// newOn returns an empty page over buf, slotted or holding tuples of fixed
+// bytes each. buf's contents are not read: Reset makes the page empty.
+func newOn(buf []byte, fixed int) *Page {
+	if fixed < 0 || fixed > len(buf)-headerSize {
+		panic(fmt.Sprintf("pages: invalid fixed tuple size %d for page size %d", fixed, len(buf)))
+	}
+	p := &Page{buf: buf, fixed: fixed}
+	p.Reset()
 	return p
+}
+
+// Recycle hands the page's buffer back to the recycler once no tuple on it
+// can be read any more. The page is empty and sizeless afterwards; a view
+// that still aliases the buffer reads whatever its next owner writes there
+// (poison, in race-detector builds). Recycling a page twice is a no-op.
+func (p *Page) Recycle() {
+	if p.buf == nil {
+		return
+	}
+	PutBuf(p.buf)
+	p.buf, p.dataEnd, p.slotStart, p.tuples = nil, 0, 0, 0
 }
 
 // SizeFor returns the size of the smallest slotted page that holds one tuple
@@ -207,6 +224,22 @@ func (p *Page) slotOffset(i int) int {
 // written to storage (optionally compressed first). The page remains usable
 // read-only afterwards.
 func (p *Page) Seal() []byte {
+	p.writeHeader()
+	return p.buf
+}
+
+// AppendSealed appends the page's sealed form without the gap between its
+// tuple bytes and its slot array: header and tuples, then the slots. That is
+// UsedBytes() bytes, and Load reads it like a full sealed block (it finds
+// the slots at the end of whatever block it is given). A recycled page's gap
+// holds an earlier owner's bytes, which must not reach a codec or a device.
+func (p *Page) AppendSealed(dst []byte) []byte {
+	p.writeHeader()
+	dst = append(dst, p.buf[:p.dataEnd]...)
+	return append(dst, p.buf[p.slotStart:]...)
+}
+
+func (p *Page) writeHeader() {
 	flags := uint32(0)
 	if p.fixed != 0 {
 		flags |= flagFixed
@@ -215,11 +248,10 @@ func (p *Page) Seal() []byte {
 	binary.LittleEndian.PutUint32(p.buf[4:], uint32(p.dataEnd))
 	binary.LittleEndian.PutUint32(p.buf[8:], uint32(p.fixed))
 	binary.LittleEndian.PutUint32(p.buf[12:], flags)
-	return p.buf
 }
 
-// Load re-creates a page view over a sealed block (as produced by Seal).
-// The block is aliased, not copied.
+// Load re-creates a page view over a sealed block (as produced by Seal or
+// AppendSealed). The block is aliased, not copied.
 func Load(block []byte) (*Page, error) {
 	if len(block) < headerSize {
 		return nil, ErrPageCorrupt

@@ -138,9 +138,10 @@ func NewPool(pageSize, fixedTupleSize int, budget *Budget) *Pool {
 // PageSize returns the size of pages this pool manages.
 func (p *Pool) PageSize() int { return p.pageSize }
 
-// Get returns a clean page, reusing a freed one when available. It charges
-// the budget for newly created pages but never fails: budget pressure is
-// handled by the caller deciding to spill, not by allocation failure.
+// Get returns a clean page, reusing a freed one when available and else a
+// buffer from the recycler before it allocates. It charges the budget for
+// newly created pages but never fails: budget pressure is handled by the
+// caller deciding to spill, not by allocation failure.
 func (p *Pool) Get() *Page {
 	if n := len(p.free); n > 0 {
 		pg := p.free[n-1]
@@ -150,10 +151,7 @@ func (p *Pool) Get() *Page {
 	}
 	p.budget.Reserve(int64(p.pageSize))
 	p.created++
-	if p.fixed != 0 {
-		return NewFixed(p.pageSize, p.fixed)
-	}
-	return New(p.pageSize)
+	return newOn(GetBuf(p.pageSize), p.fixed)
 }
 
 // Put returns a page to the free list for reuse. The budget is unaffected:
@@ -165,19 +163,23 @@ func (p *Pool) Put(pg *Page) {
 	p.free = append(p.free, pg)
 }
 
-// Discard drops a page entirely, releasing its budget share.
+// Discard drops a page whose tuples are dead, releasing its budget share and
+// recycling its buffer.
 func (p *Pool) Discard(pg *Page) {
 	p.budget.Release(int64(pg.Size()))
+	pg.Recycle()
 }
 
-// Close drops every page on the free list and releases its budget share.
+// Close recycles every page on the free list and releases its budget share.
 // Buffers call it after their last page retires so a finished operator's
-// clean pages stop counting against the query budget — without Close the
-// free list would hold its reservation until the pool itself is collected.
-// The pool stays usable after Close (Get simply allocates again).
+// clean pages stop counting against the query budget and go to the next
+// operator — without Close the free list would hold its reservation until
+// the pool itself is collected. The pool stays usable after Close (Get
+// simply takes from the recycler again).
 func (p *Pool) Close() {
 	for _, pg := range p.free {
 		p.budget.Release(int64(pg.Size()))
+		pg.Recycle()
 	}
 	p.closed += len(p.free)
 	p.free = nil
