@@ -5,14 +5,15 @@ GO ?= go
 all: tier1
 
 # Tier-1 gate: everything must build, vet clean, and pass tests, the ledger
-# module's included. The operators run at GOMAXPROCS 1, 2 and 8 as well: the
-# memory budget has to hold at any core count (CI runs the whole suite as
+# module's included. The operators and Umami (whose readback scheduler runs a
+# leader/follower pump across workers) run at GOMAXPROCS 1, 2 and 8 as well:
+# the memory budget has to hold at any core count (CI runs the whole suite as
 # that matrix).
 tier1: ledger-smoke bench-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/exec/ || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/exec/ ./internal/core/ || exit 1; done
 
 # The performance ledger (BENCHMARK.json, benchmark/) is a module of its own,
 # so `go build ./...` never compiles it and a signature change under

@@ -48,18 +48,18 @@ func TestBlockCompressionBeatsPageCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var work []core.PartitionWork
+	var streams []int
 	for part, slots := range res.Spilled {
 		if len(slots) > 0 {
-			work = append(work, core.PartitionWork{Part: part, Slots: slots})
+			streams = append(streams, part)
 		}
 	}
-	sched := core.NewPartitionScheduler(nil, arr, work, 0, nil)
+	sched := core.NewPartitionScheduler(nil, &core.SpillConfig{Array: arr}, nil, 0, []*core.Result{res}, streams, nil)
 	defer sched.Close()
 	lz4 := codec.ByID(codec.LZ4Default)
 	perPage, spilled := 0, 0
-	for i := range work {
-		cur := sched.Open(i)
+	for i := range streams {
+		cur := sched.Open(i, 0)
 		for {
 			p, err := cur.Next()
 			if err != nil {

@@ -152,6 +152,7 @@ type Shared struct {
 	partShift   uint // shift value once partitioning is active
 	partitionOn atomic.Bool
 	mask        SpillMask
+	runs        atomic.Int64 // sorted runs numbered so far (newRun)
 
 	mu       sync.Mutex
 	result   Result
@@ -175,6 +176,10 @@ func NewShared(cfg Config) *Shared {
 
 // Config returns the operator configuration (with defaults applied).
 func (s *Shared) Config() Config { return s.cfg }
+
+// newRun numbers the operator's next sorted run: its stream in
+// Result.Spilled, after the hash partitions.
+func (s *Shared) newRun() int { return s.cfg.Partitions + int(s.runs.Add(1)-1) }
 
 // PartitioningActive reports whether partitioning has been enabled.
 func (s *Shared) PartitioningActive() bool { return s.partitionOn.Load() }
@@ -496,7 +501,8 @@ func (b *Buffer) awaitPage() {
 // SpillRun writes one run — n tuples, tuple(i) the i-th in run order — as an
 // ordered sequence of pages from the buffer's pool, down an evicted hash
 // partition's path (staging, regulator, frames and parity, retries,
-// cancellation); its slots come back in order as one of the Result's Runs.
+// cancellation); its slots come back in order as one of the Result's
+// streams after the hash partitions.
 // The writes overlap whatever the caller does next; Finish waits for them.
 // SpillRun returns the writer's first error so far. The regulator's page
 // clock runs on between runs, so a run's first page carries the time the
@@ -505,7 +511,8 @@ func (b *Buffer) SpillRun(n int, tuple func(i int) []byte) error {
 	if b.writer == nil {
 		panic(oomPanic{})
 	}
-	run := b.writer.newRun()
+	run := b.s.newRun()
+	b.writer.newRun(run)
 	var p *pages.Page
 	for i := 0; i < n; i++ {
 		t := tuple(i)
@@ -582,12 +589,11 @@ func (b *Buffer) Finish() error {
 		r.inMemByPart[part] = append(r.inMemByPart[part], pgs...)
 	}
 	if b.writer != nil {
-		parts := s.cfg.Partitions
-		for part, slots := range b.writer.slots[:parts] {
-			r.Spilled[part] = append(r.Spilled[part], slots...)
+		if n := len(b.writer.slots); n > len(r.Spilled) {
+			r.Spilled = append(r.Spilled, make([][]SpilledSlot, n-len(r.Spilled))...)
 		}
-		for i, slots := range b.writer.slots[parts:] {
-			r.Runs = append(r.Runs, PartitionWork{Part: parts + i, Slots: slots})
+		for st, slots := range b.writer.slots {
+			r.Spilled[st] = append(r.Spilled[st], slots...)
 		}
 		r.SpilledPages += b.writer.spilledPages
 		r.Counters.Merge(&b.writer.counts)
@@ -613,12 +619,10 @@ type Result struct {
 	// treat their union uniformly (§4.2 "Independence").
 	InMemory      []*pages.Page
 	Unpartitioned []*pages.Page
-	// Spilled lists the spilled page slots per partition.
+	// Spilled lists the spilled page slots per stream: the hash partitions,
+	// then the runs SpillRun wrote, each run's slots in the order its pages
+	// were written. A stream's index is the partition its frames carry.
 	Spilled [][]SpilledSlot
-	// Runs lists the runs written by SpillRun, each a readback work item:
-	// its slots in the order its pages were written, and as Part the index
-	// its frames carry.
-	Runs []PartitionWork
 	// Partitions is the partition count; Mask the spilled-partition bits.
 	Partitions int
 	Mask       uint64
@@ -646,6 +650,8 @@ type Result struct {
 	recycled bool  // the in-memory pages' buffers are back in the recycler
 	released bool  // and their budget reservation is returned
 	reserved int64 // what that reservation was, counted before recycling
+
+	readers []*PartitionScheduler // reading the spilled streams; ReleaseMemory closes them
 }
 
 // Recycle hands the result's in-memory page buffers to the recycler, where
@@ -681,10 +687,10 @@ func (r *Result) recycleLocked() {
 }
 
 // ReleaseMemory returns the budget reservation of the result's in-memory
-// pages, recycling them first if the operator has not. exec.Ctx registers it
-// as a query-end cleanup, so Budget.Used() returns to zero after every
-// query, failed and canceled ones included. Idempotent and safe for
-// concurrent use.
+// pages, recycling them first if the operator has not, and closes the
+// schedulers reading its spilled streams back. exec.Ctx registers it as a
+// query-end cleanup, so Budget.Used() returns to zero after every query,
+// failed and canceled ones included. Idempotent and safe for concurrent use.
 func (r *Result) ReleaseMemory(budget *pages.Budget) {
 	if r == nil {
 		return
@@ -695,8 +701,20 @@ func (r *Result) ReleaseMemory(budget *pages.Budget) {
 		return
 	}
 	r.released = true
+	for _, s := range r.readers {
+		s.Close()
+	}
+	r.readers = nil
 	r.recycleLocked()
 	budget.Release(r.reserved)
+}
+
+// addReader registers a scheduler reading the result for ReleaseMemory to
+// close.
+func (r *Result) addReader(s *PartitionScheduler) {
+	r.endMu.Lock()
+	r.readers = append(r.readers, s)
+	r.endMu.Unlock()
 }
 
 // Finalize returns the merged result once every thread's buffer has called
@@ -705,7 +723,7 @@ func (s *Shared) Finalize() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.result.Mask = s.mask.Load()
-	if s.result.Mask != 0 || len(s.result.Runs) > 0 {
+	if s.result.Mask != 0 || len(s.result.Spilled) > s.result.Partitions {
 		s.result.Counters[metrics.SpilledOps] = 1
 	}
 	if s.PartitioningActive() {

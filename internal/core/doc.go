@@ -28,7 +28,7 @@
 // to a Shared operator state. After the materialization phase, Finalize
 // returns the materialization Result: in-memory pages (partitioned and
 // unpartitioned mixed — the build phase is partition-agnostic per §4.2
-// "Independence") plus the spilled partitions, which a
-// PartitionScheduler prefetches from the NVMe array and streams back through
-// one PartitionCursor per partition.
+// "Independence") plus the spilled streams — hash partitions, then sorted
+// runs — which a PartitionScheduler prefetches from the NVMe array and
+// streams back through one PartitionCursor per stream.
 package core

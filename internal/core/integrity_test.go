@@ -214,14 +214,13 @@ func TestSchedulerHealsCorruption(t *testing.T) {
 	const n = 20000
 	arr, res := paritySpill(t, 4, 2, n)
 	arr.SetFaultPlan(0, nvmesim.FaultPlan{Seed: 7, CorruptRate: 1.0})
-	var work []PartitionWork
+	var streams []int
 	for part := 0; part < res.Partitions; part++ {
 		if len(res.Spilled[part]) > 0 {
-			work = append(work, PartitionWork{Part: part, Slots: res.Spilled[part]})
+			streams = append(streams, part)
 		}
 	}
-	sched := NewPartitionScheduler(context.Background(), arr, work, 0, pages.NewBudget(1<<20))
-	sched.SetIntegrity(res.Stripes)
+	sched := readback(context.Background(), arr, pages.NewBudget(1<<20), 0, res, streams)
 	defer sched.Close()
 	got := map[uint64]int{}
 	for _, p := range res.Unpartitioned {
@@ -235,12 +234,12 @@ func TestSchedulerHealsCorruption(t *testing.T) {
 		}
 	}
 	var st vstats
-	for i := range work {
-		cur := sched.Open(i)
+	for i := range streams {
+		cur := sched.Open(i, 0)
 		for {
 			p, err := cur.Next()
 			if err != nil {
-				t.Fatalf("partition %d: %v", work[i].Part, err)
+				t.Fatalf("partition %d: %v", streams[i], err)
 			}
 			if p == nil {
 				break
@@ -265,18 +264,17 @@ func TestSchedulerDoubleFaultIsStructuredError(t *testing.T) {
 	arr, res := paritySpill(t, 4, 2, 20000)
 	arr.KillDevice(0)
 	arr.KillDevice(1)
-	var work []PartitionWork
+	var streams []int
 	for part := 0; part < res.Partitions; part++ {
 		if len(res.Spilled[part]) > 0 {
-			work = append(work, PartitionWork{Part: part, Slots: res.Spilled[part]})
+			streams = append(streams, part)
 		}
 	}
-	sched := NewPartitionScheduler(context.Background(), arr, work, 0, pages.NewBudget(1<<20))
-	sched.SetIntegrity(res.Stripes)
+	sched := readback(context.Background(), arr, pages.NewBudget(1<<20), 0, res, streams)
 	defer sched.Close()
 	sawError := false
-	for i := range work {
-		cur := sched.Open(i)
+	for i := range streams {
+		cur := sched.Open(i, 0)
 		var err error
 		for {
 			var p *pages.Page

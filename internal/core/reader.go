@@ -27,11 +27,12 @@ type blockGroup struct {
 	done     bool // the read completed (verified, or failed)
 }
 
-// DefaultReadDepth is the number of concurrent block reads a partition
-// scheduler keeps in flight per opened partition (and once more for
-// prefetch). Spilled partitions are read back by several workers at once, so
-// a moderate depth already saturates the array's aggregate queue depth
-// (§5.2: NVMe arrays need parallel, deep queues).
+// DefaultReadDepth is the number of block reads a partition scheduler keeps in
+// flight for each opened partition, and once more shared by the prefetch of
+// every partition not yet opened (NewPartitionScheduler). Spilled partitions
+// are read back by several workers at once, so a moderate depth already
+// saturates the array's aggregate queue depth (§5.2: NVMe arrays need
+// parallel, deep queues).
 const DefaultReadDepth = 8
 
 // maxReadAttempts bounds transient-error retries per block read.

@@ -14,8 +14,8 @@ import (
 )
 
 // spillOnePartition materializes tuples so that everything spills, and
-// returns the array and the slots of one spilled partition.
-func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, []SpilledSlot) {
+// returns the array, one spilled partition and its slots.
+func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, int, []SpilledSlot) {
 	t.Helper()
 	arr := fastArray(1)
 	s := NewShared(Config{
@@ -33,23 +33,24 @@ func spillOnePartition(t *testing.T, compress bool) (*nvmesim.Array, []SpilledSl
 	}
 	for p := 0; p < res.Partitions; p++ {
 		if len(res.Spilled[p]) > 0 {
-			return arr, res.Spilled[p]
+			return arr, p, res.Spilled[p]
 		}
 	}
 	t.Fatal("nothing spilled")
-	return nil, nil
+	return nil, 0, nil
 }
 
-// openPartition opens slots for readback through a one-item
+// openPartition opens slots for readback through a one-stream
 // PartitionScheduler that is closed when the test ends. part is the
-// partition their frames verify against (-1 skips the check); stripes is the
-// result's parity directory (nil = nothing can be rebuilt).
+// partition their frames verify against; stripes is the result's parity
+// directory (nil = nothing can be rebuilt).
 func openPartition(t *testing.T, ctx context.Context, arr *nvmesim.Array, part int, slots []SpilledSlot, stripes []*StripeGroup) *PartitionCursor {
 	t.Helper()
-	sched := NewPartitionScheduler(ctx, arr, []PartitionWork{{Part: part, Slots: slots}}, 4, nil)
-	sched.SetIntegrity(stripes)
+	res := &Result{Spilled: make([][]SpilledSlot, part+1), Stripes: stripes}
+	res.Spilled[part] = slots
+	sched := readback(ctx, arr, nil, 4, res, []int{part})
 	t.Cleanup(sched.Close)
-	return sched.Open(0)
+	return sched.Open(0, 0)
 }
 
 // readAll drains a cursor into a slice.
@@ -69,7 +70,7 @@ func readAll(cur *PartitionCursor) ([]*pages.Page, error) {
 
 func TestPartitionReaderEmpty(t *testing.T) {
 	arr := fastArray(1)
-	r := openPartition(t, nil, arr, -1, nil, nil)
+	r := openPartition(t, nil, arr, 0, nil, nil)
 	defer r.Release()
 	p, err := r.Next()
 	if err != nil || p != nil {
@@ -82,9 +83,9 @@ func TestPartitionReaderEmpty(t *testing.T) {
 }
 
 func TestPartitionReaderReadError(t *testing.T) {
-	arr, slots := spillOnePartition(t, false)
+	arr, part, slots := spillOnePartition(t, false)
 	arr.SetFaultPlan(0, nvmesim.FaultPlan{ReadErrRate: 1})
-	r := openPartition(t, nil, arr, -1, slots, nil)
+	r := openPartition(t, nil, arr, part, slots, nil)
 	defer r.Release()
 	// Every read fails transiently, so this is the retry budget running out:
 	// a structured error naming the device, and sticky.
@@ -102,24 +103,24 @@ func TestPartitionReaderReadError(t *testing.T) {
 }
 
 func TestPartitionReaderCorruptSlot(t *testing.T) {
-	arr, slots := spillOnePartition(t, true)
+	arr, part, slots := spillOnePartition(t, true)
 	bad := make([]SpilledSlot, len(slots))
 	copy(bad, slots)
 	// Slot pointing past its block.
 	bad[0].Off = uint32(bad[0].Loc.Size())
 	bad[0].Len = 64
-	r := openPartition(t, nil, arr, -1, bad, nil)
+	r := openPartition(t, nil, arr, part, bad, nil)
 	defer r.Release()
 	_, err := readAll(r)
 	wantBlockError(t, err, bad[0].Loc)
 }
 
 func TestPartitionReaderUnknownScheme(t *testing.T) {
-	arr, slots := spillOnePartition(t, true)
+	arr, part, slots := spillOnePartition(t, true)
 	bad := make([]SpilledSlot, len(slots))
 	copy(bad, slots)
 	bad[0].Scheme = codec.ID(250)
-	r := openPartition(t, nil, arr, -1, bad, nil)
+	r := openPartition(t, nil, arr, part, bad, nil)
 	defer r.Release()
 	_, err := readAll(r)
 	wantBlockError(t, err, bad[0].Loc)
@@ -136,8 +137,8 @@ func wantBlockError(t *testing.T, err error, loc nvmesim.Loc) {
 }
 
 func TestPartitionReaderBytesRead(t *testing.T) {
-	arr, slots := spillOnePartition(t, false)
-	r := openPartition(t, nil, arr, -1, slots, nil)
+	arr, part, slots := spillOnePartition(t, false)
+	r := openPartition(t, nil, arr, part, slots, nil)
 	pgs, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)

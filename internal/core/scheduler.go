@@ -11,18 +11,12 @@ import (
 	"github.com/spilly-db/spilly/internal/uring"
 )
 
-// PartitionWork is one spilled partition queued for readback: the partition
-// index and its spilled page slots (as recorded in a Result).
-type PartitionWork struct {
-	Part  int
-	Slots []SpilledSlot
-}
-
 // PartitionScheduler keeps the block reads of upcoming spilled partitions in
 // flight while the current partition is being processed (paper §5.1: "aiming
 // to maintain a full I/O queue" — phase 2's half of the overlap story; the
-// write path already overlaps). It owns one I/O ring, takes an ordered list
-// of partition work items, and hands each consumer a streaming cursor.
+// write path already overlaps). It owns one I/O ring, reads an ordered list
+// of spilled streams of one or more results, and hands each consumer a
+// streaming cursor.
 //
 // Prefetch is budget-aware: read and decode buffers for partitions no
 // consumer has opened yet are reserved against the query budget first, and
@@ -43,6 +37,8 @@ type PartitionScheduler struct {
 	clock  nvmesim.Clock
 	budget *pages.Budget
 	depth  int
+	sink   func(*metrics.Snapshot)
+	nres   int // results per stream position
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -56,9 +52,9 @@ type PartitionScheduler struct {
 	nextUD   uint64
 	scratch  []uring.Completion
 
-	// Integrity state (SetIntegrity): the parity stripe directory covering
-	// every work item's blocks and the lazily built repairer, whose reads go
-	// to the dispatcher and under the fairness key BindIO received.
+	// Integrity state: the union of the results' parity stripe directories
+	// and the lazily built repairer, whose reads go to the spill
+	// configuration's dispatcher under its fairness key.
 	stripes []*StripeGroup
 	rp      *repairer
 	sched   uring.Dispatcher
@@ -106,66 +102,72 @@ type schedItem struct {
 	counts metrics.Snapshot
 }
 
-// NewPartitionScheduler returns a scheduler over the given work items. ctx
-// cancels blocking waits (nil = background); depth bounds in-flight block
-// reads across the whole scheduler (<= 0 selects DefaultReadDepth); budget,
-// when non-nil, gates prefetch lookahead (demand reads are never gated).
-func NewPartitionScheduler(ctx context.Context, arr *nvmesim.Array, work []PartitionWork, depth int, budget *pages.Budget) *PartitionScheduler {
+// NewPartitionScheduler returns the readback scheduler for streams (indices
+// into Result.Spilled: hash partitions, then sorted runs) of results. Its work
+// list, and so its prefetch order, runs through streams and at each position
+// through results; Open(pos, r) opens stream streams[pos] of results[r].
+// Reads go to spill.Array, through spill.Sched under spill.Query when Sched is
+// non-nil, and verify against the union of the results' parity stripes. ctx
+// cancels blocking waits (nil = background). depth (<= 0 selects
+// DefaultReadDepth) bounds each opened stream's reads: at most depth in
+// flight, none more than depth blocks past the one its consumer is on.
+// Streams not yet opened share one more depth's worth of prefetch, gated by
+// budget when non-nil. Each cursor reports its counters to sink (nil = nowhere) once.
+// The results' ReleaseMemory closes the scheduler. If the streams hold no
+// spilled page, it is nil: it builds nothing, and its cursors end at once.
+func NewPartitionScheduler(ctx context.Context, spill *SpillConfig, budget *pages.Budget, depth int, results []*Result, streams []int, sink func(*metrics.Snapshot)) *PartitionScheduler {
+	slots := 0
+	for _, st := range streams {
+		for _, r := range results {
+			slots += len(r.Spilled[st])
+		}
+	}
+	if slots == 0 {
+		return nil
+	}
 	if depth <= 0 {
 		depth = DefaultReadDepth
 	}
 	s := &PartitionScheduler{
-		ctx:    ctx,
-		arr:    arr,
-		clock:  arr.Clock(),
-		budget: budget,
-		depth:  depth,
+		ctx:     ctx,
+		arr:     spill.Array,
+		clock:   spill.Array.Clock(),
+		budget:  budget,
+		depth:   depth,
+		sink:    sink,
+		nres:    len(results),
+		pending: make(map[uint64]pendingRead),
+		sched:   spill.Sched,
+		query:   spill.Query,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.ring = uring.New(arr)
+	s.ring = uring.New(spill.Array)
+	s.ring.Bind(spill.Sched, uring.ClassPrefetch, spill.Query)
 	if ctx != nil {
 		s.ring.SetCancel(func() bool { return ctx.Err() != nil })
 	}
-	s.pending = make(map[uint64]pendingRead)
-	s.items = make([]*schedItem, len(work))
-	for i, w := range work {
-		it := &schedItem{part: w.Part}
-		byLoc := make(map[nvmesim.Loc]int, len(w.Slots))
-		for _, sl := range w.Slots {
-			gi, ok := byLoc[sl.Loc]
-			if !ok {
-				gi = len(it.groups)
-				byLoc[sl.Loc] = gi
-				it.groups = append(it.groups, blockGroup{loc: sl.Loc})
+	for _, r := range results {
+		s.stripes = append(s.stripes, r.Stripes...)
+		r.addReader(s)
+	}
+	for _, st := range streams {
+		for _, r := range results {
+			it := &schedItem{part: st}
+			s.items = append(s.items, it)
+			byLoc := make(map[nvmesim.Loc]int, len(r.Spilled[st]))
+			for _, sl := range r.Spilled[st] {
+				gi, ok := byLoc[sl.Loc]
+				if !ok {
+					gi = len(it.groups)
+					byLoc[sl.Loc] = gi
+					it.groups = append(it.groups, blockGroup{loc: sl.Loc})
+				}
+				it.groups[gi].slots = append(it.groups[gi].slots, sl)
+				it.groups[gi].size += int(sl.Len)
 			}
-			it.groups[gi].slots = append(it.groups[gi].slots, sl)
-			it.groups[gi].size += int(sl.Len)
 		}
-		s.items[i] = it
 	}
 	return s
-}
-
-// BindIO routes the scheduler's readback I/O through the engine's shared
-// dispatcher under the given query fairness key (nil = keep the private
-// ring): prefetch reads carry ClassPrefetch and reads for opened items
-// ClassDemand. A read keeps the class it was queued with; a prefetch still
-// deferred when its item opens is bounded by the dispatcher's aging. Parity
-// repair reads go the same way, as demand.
-// Call before the first Open.
-func (s *PartitionScheduler) BindIO(d uring.Dispatcher, query uint64) {
-	s.ring.Bind(d, uring.ClassPrefetch, query)
-	s.sched, s.query = d, query
-}
-
-// SetIntegrity arms parity reconstruction for every work item: stripes is
-// the result's parity stripe directory (nil = frames still verify, but
-// nothing can be rebuilt). Call before the first Open.
-func (s *PartitionScheduler) SetIntegrity(stripes []*StripeGroup) {
-	s.mu.Lock()
-	s.stripes = stripes
-	s.rp = nil // rebuilt lazily against the new directory
-	s.mu.Unlock()
 }
 
 // repairerLocked returns the scheduler's repairer, building it on first use.
@@ -176,13 +178,17 @@ func (s *PartitionScheduler) repairerLocked() *repairer {
 	return s.rp
 }
 
-// Open hands out the streaming cursor for work item i. Each item must be
-// opened by exactly one consumer; opening releases the item's prefetch
-// reservation (its pages now stand in for the partition the consumer would
-// otherwise have materialized), and its reads queued from now on are demand.
-func (s *PartitionScheduler) Open(i int) *PartitionCursor {
+// Open hands out the streaming cursor for stream streams[pos] of
+// results[r]. Each must be opened by exactly one consumer; opening releases
+// the item's prefetch reservation (its pages now stand in for the partition
+// the consumer would otherwise have materialized), and its reads queued from
+// now on are demand.
+func (s *PartitionScheduler) Open(pos, r int) *PartitionCursor {
+	if s == nil {
+		return endedCursor
+	}
 	s.mu.Lock()
-	it := s.items[i]
+	it := s.items[pos*s.nres+r]
 	it.opened = true
 	if it.reserved > 0 {
 		s.budget.Release(it.reserved)
@@ -365,10 +371,13 @@ func (it *schedItem) recycleLocked(end int) {
 }
 
 // Close drains outstanding reads and recycles every remaining buffer and
-// budget reservation. Consumers register it as a query-end cleanup so error
+// budget reservation. The results' query-end release calls it, so error
 // paths and never-opened prefetch items cannot leak; it is idempotent and a
 // normal run that released every cursor has nothing left to do here.
 func (s *PartitionScheduler) Close() {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -429,14 +438,19 @@ func (s *PartitionScheduler) pumpLocked(block bool) {
 // PartitionCursor streams one spilled partition's pages back to a phase-2
 // consumer: Next yields pages in spill order until (nil, nil), Release
 // recycles the partition's buffers once nothing references its tuples
-// anymore (ReleaseEarlier, those of the pages already passed), and Counters
-// hands the consumer the partition's readback telemetry once it is consumed.
+// anymore (ReleaseEarlier, those of the pages already passed), and the
+// partition's readback counters go to the scheduler's sink once.
 type PartitionCursor struct {
-	s       *PartitionScheduler
-	it      *schedItem
-	pre     bool
-	stallNs int64
+	s        *PartitionScheduler
+	it       *schedItem
+	pre      bool
+	stallNs  int64
+	reported bool
 }
+
+// endedCursor is every cursor of a nil scheduler: it has nothing to read and
+// nothing to report.
+var endedCursor = &PartitionCursor{}
 
 // Next returns the partition's next page, or (nil, nil) once every page has
 // been handed out. Pages come in spill (slot) order, whatever order their
@@ -447,7 +461,32 @@ type PartitionCursor struct {
 // leader/follower pump: the leader submits and polls the shared ring with the
 // scheduler lock dropped; followers wait for its broadcast. Only those waits
 // count as stall; decoding a block and loading a page are the consumer's CPU.
+//
+// The cursor's counters go to the sink when Next first returns no page — at
+// the end of the partition or with an error — or at Release, whichever comes
+// first: once, and before the query reads its totals.
 func (c *PartitionCursor) Next() (*pages.Page, error) {
+	if c.s == nil {
+		return nil, nil
+	}
+	p, err := c.next()
+	if p == nil {
+		c.report()
+	}
+	return p, err
+}
+
+// report hands the cursor's counters to the scheduler's sink, once.
+func (c *PartitionCursor) report() {
+	if c.reported || c.s.sink == nil {
+		return
+	}
+	c.reported = true
+	n := c.Counters()
+	c.s.sink(&n)
+}
+
+func (c *PartitionCursor) next() (*pages.Page, error) {
 	s, it := c.s, c.it
 	s.mu.Lock()
 	for {
@@ -519,6 +558,9 @@ func (c *PartitionCursor) Next() (*pages.Page, error) {
 // partition, one of them decoded; one that only calls Release owns all of
 // it.
 func (c *PartitionCursor) ReleaseEarlier() {
+	if c.s == nil {
+		return
+	}
 	s, it := c.s, c.it
 	s.mu.Lock()
 	if !it.released {
@@ -530,8 +572,13 @@ func (c *PartitionCursor) ReleaseEarlier() {
 // Release recycles the partition's buffers and releases any leftover
 // prefetch reservation. Call it only once nothing references the
 // partition's tuples anymore. Buffers still owned by in-flight reads stay
-// out of the recycler until the scheduler's Close drains them.
+// out of the recycler until the scheduler's Close drains them. A cursor not
+// yet at its end reports its counters here.
 func (c *PartitionCursor) Release() {
+	if c.s == nil {
+		return
+	}
+	c.report()
 	s, it := c.s, c.it
 	s.mu.Lock()
 	if !it.released {
@@ -550,7 +597,7 @@ func (c *PartitionCursor) Release() {
 // Counters returns the partition's readback counters: bytes read, retries,
 // demand reads and their latency, integrity work, the wall time this
 // cursor's consumer spent in Next waiting for reads, and whether readback
-// had started before Open. Call it once the consumer is done pulling.
+// had started before Open — what the cursor reports to the sink.
 func (c *PartitionCursor) Counters() metrics.Snapshot {
 	c.s.mu.Lock()
 	n := c.it.counts

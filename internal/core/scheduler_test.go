@@ -15,8 +15,8 @@ import (
 )
 
 // spillAllPartitions materializes tuples under ModeSpillAll and returns the
-// array, result, and the work list over every spilled partition.
-func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, res *Result, work []PartitionWork) {
+// array, result, and every spilled partition.
+func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, res *Result, streams []int) {
 	t.Helper()
 	a := fastArray(2)
 	s := NewShared(Config{
@@ -34,13 +34,19 @@ func spillAllPartitions(t *testing.T, compress bool) (arr *nvmesim.Array, res *R
 	}
 	for p := 0; p < r.Partitions; p++ {
 		if len(r.Spilled[p]) > 0 {
-			work = append(work, PartitionWork{Part: p, Slots: r.Spilled[p]})
+			streams = append(streams, p)
 		}
 	}
-	if len(work) < 2 {
-		t.Fatalf("only %d partitions spilled; the scheduler tests need lookahead targets", len(work))
+	if len(streams) < 2 {
+		t.Fatalf("only %d partitions spilled; the scheduler tests need lookahead targets", len(streams))
 	}
-	return a, r, work
+	return a, r, streams
+}
+
+// readback returns the scheduler over the given streams of res, reading arr
+// directly and reporting to no sink.
+func readback(ctx context.Context, arr *nvmesim.Array, budget *pages.Budget, depth int, res *Result, streams []int) *PartitionScheduler {
+	return NewPartitionScheduler(ctx, &SpillConfig{Array: arr}, budget, depth, []*Result{res}, streams, nil)
 }
 
 // drain pulls every page from a cursor, collecting the stored keys.
@@ -62,17 +68,17 @@ func drain(t *testing.T, cur *PartitionCursor, into map[uint64]int) {
 
 func TestSchedulerStreamsAllPartitions(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		arr, res, work := spillAllPartitions(t, compress)
+		arr, res, streams := spillAllPartitions(t, compress)
 		budget := pages.NewBudget(1 << 20)
-		sched := NewPartitionScheduler(nil, arr, work, 4, budget)
+		sched := readback(nil, arr, budget, 4, res, streams)
 		got := map[uint64]int{}
 		for _, p := range res.InMemory {
 			for i := 0; i < p.Tuples(); i++ {
 				got[keyOf(p.Tuple(i))]++
 			}
 		}
-		for i := range work {
-			cur := sched.Open(i)
+		for i := range streams {
+			cur := sched.Open(i, 0)
 			drain(t, cur, got)
 			if cur.Counters()[metrics.SpillReadBytes] == 0 {
 				t.Fatalf("compress=%v item %d: no bytes read", compress, i)
@@ -88,20 +94,20 @@ func TestSchedulerStreamsAllPartitions(t *testing.T) {
 }
 
 func TestSchedulerPrefetchesAhead(t *testing.T) {
-	arr, _, work := spillAllPartitions(t, true)
+	arr, res, streams := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, work, 8, budget)
+	sched := readback(nil, arr, budget, 8, res, streams)
 	defer sched.Close()
 
 	got := map[uint64]int{}
-	first := sched.Open(0)
+	first := sched.Open(0, 0)
 	drain(t, first, got)
 	first.Release()
 
 	// Pumping item 0 must have pushed later partitions' reads onto the ring:
 	// every remaining open sees readback already under way.
-	for i := 1; i < len(work); i++ {
-		cur := sched.Open(i)
+	for i := 1; i < len(streams); i++ {
+		cur := sched.Open(i, 0)
 		drain(t, cur, got)
 		if cur.Counters()[metrics.PrefetchedPartitions] != 1 {
 			t.Fatalf("item %d was not prefetched while item 0 was consumed", i)
@@ -114,15 +120,15 @@ func TestSchedulerPrefetchesAhead(t *testing.T) {
 }
 
 func TestSchedulerBudgetFloorUnderPressure(t *testing.T) {
-	arr, _, work := spillAllPartitions(t, true)
+	arr, res, streams := spillAllPartitions(t, true)
 	// A budget with no headroom at all: every TryReserve fails, so lookahead
 	// must shrink to the single unreserved in-flight block — not stop.
 	budget := pages.NewBudget(1)
-	sched := NewPartitionScheduler(nil, arr, work, 8, budget)
+	sched := readback(nil, arr, budget, 8, res, streams)
 	got := map[uint64]int{}
 	var prefetched int64
-	for i := range work {
-		cur := sched.Open(i)
+	for i := range streams {
+		cur := sched.Open(i, 0)
 		drain(t, cur, got)
 		prefetched += cur.Counters()[metrics.PrefetchedPartitions]
 		cur.Release()
@@ -137,12 +143,12 @@ func TestSchedulerBudgetFloorUnderPressure(t *testing.T) {
 }
 
 func TestSchedulerReadErrorIsStructuredAndSticky(t *testing.T) {
-	arr, _, work := spillAllPartitions(t, false)
+	arr, res, streams := spillAllPartitions(t, false)
 	arr.SetFaultPlan(0, nvmesim.FaultPlan{ReadErrRate: 1})
 	arr.SetFaultPlan(1, nvmesim.FaultPlan{ReadErrRate: 1})
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, work, 4, budget)
-	cur := sched.Open(0)
+	sched := readback(nil, arr, budget, 4, res, streams)
+	cur := sched.Open(0, 0)
 	_, err := cur.Next()
 	if err == nil {
 		t.Fatal("injected read failure not surfaced")
@@ -151,8 +157,8 @@ func TestSchedulerReadErrorIsStructuredAndSticky(t *testing.T) {
 	if !errors.As(err, &qe) {
 		t.Fatalf("err = %v (%T), want *QueryError", err, err)
 	}
-	if qe.Op != "spill-read" || qe.Part != work[0].Part {
-		t.Fatalf("QueryError{Op: %q, Part: %d}, want {spill-read, %d}", qe.Op, qe.Part, work[0].Part)
+	if qe.Op != "spill-read" || qe.Part != streams[0] {
+		t.Fatalf("QueryError{Op: %q, Part: %d}, want {spill-read, %d}", qe.Op, qe.Part, streams[0])
 	}
 	if _, err2 := cur.Next(); err2 == nil {
 		t.Fatal("cursor forgot its error")
@@ -165,26 +171,26 @@ func TestSchedulerReadErrorIsStructuredAndSticky(t *testing.T) {
 }
 
 func TestSchedulerDeviceDeathMidPrefetch(t *testing.T) {
-	arr, _, work := spillAllPartitions(t, false)
+	arr, res, streams := spillAllPartitions(t, false)
 	budget := pages.NewBudget(1 << 20)
 	// Depth 1 keeps most of the readback unsubmitted while the first
 	// partition drains, so the kill lands on reads the scheduler still has
 	// queued — the prefetch-in-progress shape.
-	sched := NewPartitionScheduler(nil, arr, work, 1, budget)
+	sched := readback(nil, arr, budget, 1, res, streams)
 
 	// Drain the first partition so prefetch for the rest is in flight, then
 	// kill both devices: later partitions must fail with structured errors
 	// naming a device — never hang or return partial pages as success.
 	got := map[uint64]int{}
-	cur := sched.Open(0)
+	cur := sched.Open(0, 0)
 	drain(t, cur, got)
 	cur.Release()
 	arr.KillDevice(0)
 	arr.KillDevice(1)
 
 	sawError := false
-	for i := 1; i < len(work); i++ {
-		c := sched.Open(i)
+	for i := 1; i < len(streams); i++ {
+		c := sched.Open(i, 0)
 		for {
 			p, err := c.Next()
 			if err != nil {
@@ -214,11 +220,11 @@ func TestSchedulerDeviceDeathMidPrefetch(t *testing.T) {
 }
 
 func TestSchedulerCanceledContext(t *testing.T) {
-	arr, _, work := spillAllPartitions(t, false)
+	arr, res, streams := spillAllPartitions(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sched := NewPartitionScheduler(ctx, arr, work, 4, nil)
-	cur := sched.Open(0)
+	sched := readback(ctx, arr, nil, 4, res, streams)
+	cur := sched.Open(0, 0)
 	if _, err := cur.Next(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -226,12 +232,52 @@ func TestSchedulerCanceledContext(t *testing.T) {
 	sched.Close()
 }
 
+// TestCursorReportsOnce: every cursor hands its counters to the sink exactly
+// once — at the end of its partition, at an error, or at Release when its
+// consumer stops early — and before Close, so the reports add up to the
+// bytes the array read.
+func TestCursorReportsOnce(t *testing.T) {
+	arr, res, streams := spillAllPartitions(t, true)
+	var mu sync.Mutex
+	var reports, read int64
+	sink := func(n *metrics.Snapshot) {
+		mu.Lock()
+		reports++
+		read += n[metrics.SpillReadBytes]
+		mu.Unlock()
+	}
+	sched := NewPartitionScheduler(nil, &SpillConfig{Array: arr}, nil, 4, []*Result{res}, streams, sink)
+	defer sched.Close()
+	for i := range streams {
+		cur := sched.Open(i, 0)
+		if i == 0 {
+			// Stopped after one page: Release reports.
+			if _, err := cur.Next(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			drain(t, cur, map[uint64]int{})
+			cur.Next() // past the end: no second report
+		}
+		cur.Release()
+		cur.Release()
+		if reports != int64(i+1) {
+			t.Fatalf("after cursor %d: %d reports, want %d", i, reports, i+1)
+		}
+	}
+	// Cursor 0's abandoned reads may still be in flight; the ones the
+	// array completed before its report are what was reported.
+	if read == 0 || read > arr.Stats().BytesRead {
+		t.Fatalf("cursors reported %d bytes read, the array read %d", read, arr.Stats().BytesRead)
+	}
+}
+
 func TestSchedulerCloseWithoutOpen(t *testing.T) {
-	arr, _, work := spillAllPartitions(t, true)
+	arr, res, streams := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, work, 8, budget)
+	sched := readback(nil, arr, budget, 8, res, streams)
 	// Force prefetch to start without any consumer: open and drop one page.
-	cur := sched.Open(0)
+	cur := sched.Open(0, 0)
 	if _, err := cur.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +291,17 @@ func TestSchedulerCloseWithoutOpen(t *testing.T) {
 }
 
 func TestSchedulerConcurrentConsumers(t *testing.T) {
-	arr, _, work := spillAllPartitions(t, true)
+	arr, res, streams := spillAllPartitions(t, true)
 	budget := pages.NewBudget(1 << 20)
-	sched := NewPartitionScheduler(nil, arr, work, 4, budget)
+	sched := readback(nil, arr, budget, 4, res, streams)
 	var mu sync.Mutex
 	got := map[uint64]int{}
 	var wg sync.WaitGroup
-	for i := range work {
+	for i := range streams {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cur := sched.Open(i)
+			cur := sched.Open(i, 0)
 			local := map[uint64]int{}
 			for {
 				p, err := cur.Next()
@@ -293,10 +339,10 @@ func TestSchedulerConcurrentConsumers(t *testing.T) {
 
 // spillFramedLZ4 spills n 64-byte tuples, keys 0..n-1 stored in order, into
 // two partitions under ModeSpillAll, with every staging block LZ4-compressed
-// and framed, and returns the array, the result and its work list. A partition's
+// and framed, and returns the array, the result and its partitions. A partition's
 // pages are spilled in the order they filled, so in spill order its keys
 // ascend.
-func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []PartitionWork) {
+func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []int) {
 	t.Helper()
 	arr := fastArray(2)
 	s := NewShared(Config{
@@ -321,7 +367,7 @@ func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []PartitionWo
 	if err != nil {
 		t.Fatal(err)
 	}
-	var work []PartitionWork
+	var streams []int
 	for p := 0; p < res.Partitions; p++ {
 		blocks := map[nvmesim.Loc]bool{}
 		for _, sl := range res.Spilled[p] {
@@ -333,9 +379,9 @@ func spillFramedLZ4(t *testing.T, n int) (*nvmesim.Array, *Result, []PartitionWo
 		if len(blocks) < 4 {
 			t.Fatalf("partition %d spans %d blocks; the cursor tests need several", p, len(blocks))
 		}
-		work = append(work, PartitionWork{Part: p, Slots: res.Spilled[p]})
+		streams = append(streams, p)
 	}
-	return arr, res, work
+	return arr, res, streams
 }
 
 // pageKeys appends the keys of p's tuples to keys.
@@ -372,19 +418,18 @@ func checkAscending(t *testing.T, keys []uint64, part, n int) {
 // framed slots included.
 func TestCursorYieldsPagesInSpillOrder(t *testing.T) {
 	const n = 40000
-	arr, res, work := spillFramedLZ4(t, n)
-	first := work[0]
-	dev := first.Slots[0].Loc.Device()
+	arr, res, streams := spillFramedLZ4(t, n)
+	first := res.Spilled[streams[0]]
+	dev := first[0].Loc.Device()
 	// The plan's request counter starts now: request 1 on dev is block 0's
 	// read, the first block the scheduler issues.
 	arr.SetFaultPlan(dev, nvmesim.FaultPlan{
 		Script:       map[int64]nvmesim.FaultKind{1: nvmesim.FaultSpike},
 		SpikeLatency: 20 * time.Millisecond,
 	})
-	sched := NewPartitionScheduler(nil, arr, work[:1], 8, nil)
-	sched.SetIntegrity(res.Stripes)
+	sched := readback(nil, arr, nil, 8, res, streams[:1])
 	defer sched.Close()
-	cur := sched.Open(0)
+	cur := sched.Open(0, 0)
 	var keys []uint64
 	for {
 		p, err := cur.Next()
@@ -399,9 +444,9 @@ func TestCursorYieldsPagesInSpillOrder(t *testing.T) {
 	if s := arr.FaultStats(dev).Spikes; s != 1 {
 		t.Fatalf("%d spikes on device %d; block 0's read was not delayed", s, dev)
 	}
-	checkAscending(t, keys, first.Part, n)
-	if v := cur.Counters()[metrics.SpillPagesVerified]; v != int64(len(first.Slots)) {
-		t.Fatalf("%d pages verified, want all %d", v, len(first.Slots))
+	checkAscending(t, keys, streams[0], n)
+	if v := cur.Counters()[metrics.SpillPagesVerified]; v != int64(len(first)) {
+		t.Fatalf("%d pages verified, want all %d", v, len(first))
 	}
 	cur.Release()
 }
@@ -412,9 +457,8 @@ func TestCursorYieldsPagesInSpillOrder(t *testing.T) {
 // blocked on readback, not the consumer's own decode work.
 func TestCursorStallCountsOnlyWaits(t *testing.T) {
 	const n = 40000
-	arr, res, work := spillFramedLZ4(t, n)
-	sched := NewPartitionScheduler(nil, arr, work[:1], 64, nil)
-	sched.SetIntegrity(res.Stripes)
+	arr, res, streams := spillFramedLZ4(t, n)
+	sched := readback(nil, arr, nil, 64, res, streams[:1])
 	defer sched.Close()
 	it := sched.items[0]
 	if len(it.groups) > sched.depth {
@@ -430,7 +474,7 @@ func TestCursorStallCountsOnlyWaits(t *testing.T) {
 			t.Fatalf("block %d: done=%v decoded=%v before the first Next", i, g.done, g.dec != nil)
 		}
 	}
-	cur := sched.Open(0)
+	cur := sched.Open(0, 0)
 	var keys []uint64
 	for {
 		p, err := cur.Next()
@@ -442,7 +486,7 @@ func TestCursorStallCountsOnlyWaits(t *testing.T) {
 		}
 		keys = pageKeys(keys, p)
 	}
-	checkAscending(t, keys, work[0].Part, n)
+	checkAscending(t, keys, streams[0], n)
 	if stall := cur.Counters()[metrics.SpillStallNanos]; stall != 0 {
 		t.Fatalf("cursor reports %v of spill stall; every block was read before its first Next", time.Duration(stall))
 	}
@@ -458,16 +502,15 @@ func TestCursorStallCountsOnlyWaits(t *testing.T) {
 // halfway.
 func TestCursorFootprintIsReadDepthPlusOne(t *testing.T) {
 	const n = 40000
-	arr, res, work := spillFramedLZ4(t, n)
+	arr, res, streams := spillFramedLZ4(t, n)
 	for _, depth := range []int{1, 3} {
-		sched := NewPartitionScheduler(nil, arr, work, depth, nil)
-		sched.SetIntegrity(res.Stripes)
+		sched := readback(nil, arr, nil, depth, res, streams)
 		var curs []*PartitionCursor
-		for i := range work {
-			curs = append(curs, sched.Open(i))
+		for i := range streams {
+			curs = append(curs, sched.Open(i, 0))
 		}
 		for i, cur := range curs {
-			part := work[i].Part
+			part := streams[i]
 			var keys []uint64
 			maxBlocks, maxDecoded := 0, 0
 			for pg := 0; ; pg++ {
@@ -480,7 +523,7 @@ func TestCursorFootprintIsReadDepthPlusOne(t *testing.T) {
 					blocks, decoded := ownedBufs(c.it)
 					if blocks > depth+1 || decoded > 1 {
 						t.Fatalf("depth %d, reading partition %d, page %d: partition %d owns %d blocks and %d decoded blocks",
-							depth, part, pg, work[j].Part, blocks, decoded)
+							depth, part, pg, streams[j], blocks, decoded)
 					}
 				}
 				blocks, decoded := ownedBufs(cur.it)

@@ -259,11 +259,12 @@ func spillOneBlock(t *testing.T, s *Shared, b *Buffer) codec.ID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 1 || len(res.Runs[0].Slots) == 0 {
-		t.Fatalf("spilled %d runs; want one", len(res.Runs))
+	runs := res.Spilled[res.Partitions:]
+	if len(runs) != 1 || len(runs[0]) == 0 {
+		t.Fatalf("spilled %d runs; want one", len(runs))
 	}
-	first := res.Runs[0].Slots[0]
-	for _, sl := range res.Runs[0].Slots {
+	first := runs[0][0]
+	for _, sl := range runs[0] {
 		if sl.Seq != first.Seq {
 			t.Fatalf("the run spans blocks %d and %d; want one block", first.Seq, sl.Seq)
 		}

@@ -159,15 +159,16 @@ func newSpillWriter(ctx context.Context, ring *uring.Ring, reg *Regulator, pool 
 	return w
 }
 
-// newRun opens one more page sequence past the hash partitions — a sorted
-// run — with its own staging area and slot list, and returns its index. The
-// run's pages carry the index as their partition, so their frames verify
-// against it on readback.
-func (w *spillWriter) newRun() int {
-	w.staging = append(w.staging, nil)
-	w.slots = append(w.slots, nil)
-	w.parts++
-	return w.parts - 1
+// newRun opens stream run past the hash partitions — a sorted run, numbered
+// by Shared.newRun — with its own staging area and slot list. The run's
+// pages carry the stream as their partition, so their frames verify against
+// it on readback.
+func (w *spillWriter) newRun(run int) {
+	for w.parts <= run {
+		w.staging = append(w.staging, nil)
+		w.slots = append(w.slots, nil)
+		w.parts++
+	}
 }
 
 // canceled reports whether the query's context has been canceled.

@@ -10,6 +10,7 @@ import (
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/hll"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/trace"
 )
@@ -192,7 +193,7 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	// overshoots by the factor pre-aggregation failed to merge.
 	sketches := make([]hll.Sketch, workers)
 	err = drainWorkers(ctx, "agg", in, func(w int) (func(*data.Batch) error, func() error) {
-		aw := newAggWorker(a, keyCols, shared.NewBuffer(), &sketches[w], !ctx.NoPreAgg)
+		aw := newAggWorker(a, keyCols, shared.NewBuffer(), &sketches[w], !ctx.Grace)
 		consume := func(b *data.Batch) error {
 			aw.consume(b)
 			return nil
@@ -751,7 +752,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	type task struct {
 		shard int // >= 0: global shard; -1: partition
 		part  int
-		item  int // scheduler work item for partition tasks
+		pos   int // the partition's position in the readback's streams
 	}
 	var tasks []task
 	for s := range global {
@@ -763,19 +764,12 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	// so while one worker merges partition k the ring is already reading
 	// the next partitions — the merge loop never stalls at a partition
 	// boundary.
-	var items []core.PartitionWork
-	anySlots := false
-	for p := 0; p < res.Partitions; p++ {
-		if mask&(1<<uint(p)) != 0 {
-			tasks = append(tasks, task{shard: -1, part: p, item: len(items)})
-			items = append(items, core.PartitionWork{Part: p, Slots: res.Spilled[p]})
-			anySlots = anySlots || len(res.Spilled[p]) > 0
-		}
+	streams := res.SpilledPartitions()
+	for pos, p := range streams {
+		tasks = append(tasks, task{shard: -1, part: p, pos: pos})
 	}
-	var sched *core.PartitionScheduler
-	if anySlots {
-		sched = ctx.newPartitionScheduler(items, res.Stripes, core.DefaultReadDepth)
-	}
+	sched := core.NewPartitionScheduler(ctx.Context, ctx.Spill, ctx.Budget, core.DefaultReadDepth,
+		[]*core.Result{res}, streams, func(n *metrics.Snapshot) { ctx.report(sp, n) })
 	var taskCursor atomic.Int64
 
 	// emitter is one worker's place in the output: the table it is walking
@@ -824,7 +818,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				}
 				e.t = e.own
 				e.t.reset()
-				if err := a.mergePartition(ctx, sp, e.t, e.stage, overflow[t.part], t.part, sched, t.item); err != nil {
+				if err := a.mergePartition(e.t, e.stage, overflow[t.part], t.part, sched, t.pos); err != nil {
 					return 0, err
 				}
 			}
@@ -839,7 +833,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 
 // mergePartition merges one spilled partition (overflow tuples + read-back
 // pages, streamed through the scheduler) into t, a run at a time.
-func (a *Agg) mergePartition(ctx *Ctx, sp *trace.Span, t *groupTable, st *mergeStage, overflow [][]byte, part int, sched *core.PartitionScheduler, item int) error {
+func (a *Agg) mergePartition(t *groupTable, st *mergeStage, overflow [][]byte, part int, sched *core.PartitionScheduler, pos int) error {
 	// Overflow holds every in-memory tuple of this partition (routed there
 	// during the global merge); the spilled pages follow from the array.
 	for len(overflow) > 0 {
@@ -847,11 +841,7 @@ func (a *Agg) mergePartition(ctx *Ctx, sp *trace.Span, t *groupTable, st *mergeS
 		overflow = overflow[len(run):]
 		t.mergeTuples(run, st)
 	}
-	if sched == nil {
-		return nil
-	}
-	cur := sched.Open(item)
-	defer ctx.reportCursor(sp, cur)
+	cur := sched.Open(pos, 0)
 	for {
 		pg, err := cur.Next()
 		if err != nil {

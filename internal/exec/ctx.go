@@ -64,12 +64,10 @@ type Ctx struct {
 	// scheduler (Spill.Query when spilling is on). 0 is a valid key for
 	// one-off contexts; engines use the spill lease ID.
 	QueryID uint64
-	// ForceGrace makes every join run as a classical grace hash join —
-	// the always-partitioning baseline of Figure 2.
-	ForceGrace bool
-	// NoPreAgg disables local pre-aggregation — the classical
-	// partitioning-aggregation baseline of Figure 2.
-	NoPreAgg bool
+	// Grace runs the classical partitioning baselines of Figure 2: every
+	// join as a grace hash join, every aggregation without local
+	// pre-aggregation.
+	Grace bool
 
 	// poolMu guards pools, the per-schema batch pool registry operators
 	// lease scratch batches from (see BatchPool).
@@ -150,14 +148,6 @@ func (c *Ctx) workers() int {
 	return c.Workers
 }
 
-// goCtx returns the query's context, never nil.
-func (c *Ctx) goCtx() context.Context {
-	if c.Context == nil {
-		return context.Background()
-	}
-	return c.Context
-}
-
 // canceled returns the context's error once the query has been canceled or
 // its deadline passed, nil otherwise.
 func (c *Ctx) canceled() error {
@@ -165,18 +155,6 @@ func (c *Ctx) canceled() error {
 		return nil
 	}
 	return c.Context.Err()
-}
-
-// newPartitionScheduler returns the readback scheduler for an operator's
-// spilled partitions: depth block reads in flight per opened partition, bound
-// to the engine's shared I/O dispatcher, verifying against the given parity
-// stripes, and closed at query end.
-func (c *Ctx) newPartitionScheduler(items []core.PartitionWork, stripes []*core.StripeGroup, depth int) *core.PartitionScheduler {
-	s := core.NewPartitionScheduler(c.goCtx(), c.Spill.Array, items, depth, c.Budget)
-	s.BindIO(c.Spill.Sched, c.Spill.Query)
-	s.SetIntegrity(stripes)
-	c.AddCleanup(s.Close)
-	return s
 }
 
 // minPageSize is the smallest page fanOut shrinks to. Tuples larger than a
@@ -294,15 +272,6 @@ func (c *Ctx) reportResult(sp *trace.Span, r *core.Result) {
 		c.Stats.Schemes.Merge(h)
 	}
 	sp.AddSchemes(h)
-}
-
-// reportCursor reports one partition cursor's readback counters. Call it
-// exactly once per cursor, after the consumer is done pulling from it.
-func (c *Ctx) reportCursor(sp *trace.Span, cur *core.PartitionCursor) {
-	if cur != nil {
-		n := cur.Counters()
-		c.report(sp, &n)
-	}
 }
 
 // Totals returns the query's counters so far, with the memory budget's

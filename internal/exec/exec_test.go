@@ -306,7 +306,7 @@ func runJoin(t *testing.T, ctx *Ctx, kind JoinKind, grace bool, nOrders, nCust i
 	t.Helper()
 	orders := ordersTable(nOrders)
 	cust := custTable(nCust)
-	ctx.ForceGrace = grace
+	ctx.Grace = grace
 	out, err := Collect(ctx, NewJoin(kind, NewScan(cust), []string{"ckey"}, NewScan(orders, "okey", "cust"), []string{"cust"}))
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func runAgg(t *testing.T, ctx *Ctx, disablePre bool, n int) *data.Batch {
 		{Func: Max, Col: "total", As: "max_total"},
 		{Func: Avg, Col: "total", As: "avg_total"},
 	})
-	ctx.NoPreAgg = disablePre
+	ctx.Grace = disablePre
 	out, err := Collect(ctx, agg)
 	if err != nil {
 		t.Fatal(err)

@@ -361,19 +361,23 @@ func (c *runCursor) next() ([]byte, error) {
 	return c.page.Tuple(c.i - 1), nil
 }
 
-// mergeStream k-way merges the resident runs and the spilled runs of res.
-// The spilled runs are all open at once, so they share the readback depth; as
-// the merge recycles what it has passed, a run holds at most depth+1 blocks.
+// mergeStream k-way merges the resident runs and the spilled runs of res —
+// its streams after the hash partitions. The spilled runs are all open at
+// once, so they share the readback depth; as the merge recycles what it has
+// passed, a run holds at most depth+1 blocks.
 // The merge itself is sequential (one worker drives it; the others see
 // end-of-stream immediately), which is inherent to order-preserving output.
 func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *core.Result, rc *data.RowCodec, ord *tupleOrder, recycleResident func()) (*Stream, error) {
+	var streams []int
+	for st := res.Partitions; st < len(res.Spilled); st++ {
+		streams = append(streams, st)
+	}
+	sched := core.NewPartitionScheduler(ctx.Context, ctx.Spill, ctx.Budget, max(1, core.DefaultReadDepth/max(1, len(streams))),
+		[]*core.Result{res}, streams, func(n *metrics.Snapshot) { ctx.report(sp, n) })
 	var spilled []*core.PartitionCursor
-	if len(res.Runs) > 0 {
-		sched := ctx.newPartitionScheduler(res.Runs, res.Stripes, max(1, core.DefaultReadDepth/len(res.Runs)))
-		for i := range res.Runs {
-			spilled = append(spilled, sched.Open(i))
-			runs = append(runs, &runCursor{pcur: spilled[i]})
-		}
+	for i := range streams {
+		spilled = append(spilled, sched.Open(i, 0))
+		runs = append(runs, &runCursor{pcur: spilled[i]})
 	}
 	h := &mergeHeap{ord: ord}
 	for _, cur := range runs {
@@ -418,11 +422,9 @@ func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *
 				}
 			}
 			if b.Len() == 0 {
-				// The merge is over: hand over each run's readback
-				// counters, recycle what a Limit left unread, and end the
-				// runs' pages — every tuple emitted was copied out.
+				// The merge is over: recycle what a Limit left unread, and
+				// end the runs' pages — every tuple emitted was copied out.
 				for _, pcur := range spilled {
-					ctx.reportCursor(sp, pcur)
 					pcur.Release()
 				}
 				spilled = nil

@@ -8,6 +8,7 @@ import (
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/hll"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/trace"
 )
@@ -33,7 +34,7 @@ const (
 // materialized before partitioning began), then follow their partition to
 // the spilled phase.
 //
-// Under Ctx.ForceGrace, the operator instead behaves as the classical grace
+// Under Ctx.Grace, the operator instead behaves as the classical grace
 // hash join baseline (§4.1): both sides always partition and every partition
 // is joined separately — no streaming probe phase.
 type Join struct {
@@ -93,7 +94,7 @@ func (j *Join) Run(ctx *Ctx) (*Stream, error) {
 	// grace baseline has no streaming phase and builds no global table.
 	var ht *joinTable
 	routedMask := bres.Mask
-	if ctx.ForceGrace {
+	if ctx.Grace {
 		routedMask = ^uint64(0) >> (64 - uint(bres.Partitions))
 	} else {
 		memPages := make([]*pages.Page, 0, len(bres.Unpartitioned)+len(bres.InMemory))
@@ -120,7 +121,7 @@ func (j *Join) label(ctx *Ctx) string {
 	case Outer:
 		kind = "outer"
 	}
-	if ctx.ForceGrace {
+	if ctx.Grace {
 		kind += " grace"
 	}
 	return kind
@@ -137,7 +138,7 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 	bKeyCols := indicesOf(bSchema, j.BuildKeys)
 
 	cfg := ctx.coreConfig()
-	if ctx.ForceGrace {
+	if ctx.Grace {
 		cfg.Mode = core.ModeAlwaysPartition
 	}
 	shared := core.NewShared(cfg)
@@ -169,7 +170,7 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 		return nil, nil, nil, 0, err
 	}
 	var est int64
-	if !ctx.ForceGrace { // the grace baseline builds no global table
+	if !ctx.Grace { // the grace baseline builds no global table
 		for w := 1; w < workers; w++ {
 			sketches[0].Merge(&sketches[w])
 		}
@@ -205,7 +206,7 @@ type joinShared struct {
 	finalOnce  sync.Once
 	pres       *core.Result
 	routed     []int
-	sched      *core.PartitionScheduler // nil when no partition spilled
+	sched      *core.PartitionScheduler // nil (cursors end at once) when no routed partition spilled
 	partCursor atomic.Int64
 	err        errValue
 }
@@ -545,37 +546,17 @@ func (jw *joinWorker) finalizeProbe() error {
 				js.routed = append(js.routed, p)
 			}
 		}
-		// Schedule readback for every routed partition, build side then
-		// probe side, in claim order — the order workers will consume them
-		// in partitionStep, so prefetch lookahead tracks actual progress.
-		anySpilled := false
-		items := make([]core.PartitionWork, 0, 2*len(js.routed))
-		if !js.ctx.ForceGrace {
+		if !js.ctx.Grace {
 			// Every worker is through stage 1: nothing probes the in-memory
 			// table any more, so it and the build pages it indexes are dead.
 			js.ht.release()
 			js.bres.Recycle()
 		}
-		for _, p := range js.routed {
-			bslots := js.bres.Spilled[p]
-			var pslots []core.SpilledSlot
-			if js.pres != nil {
-				pslots = js.pres.Spilled[p]
-			}
-			anySpilled = anySpilled || len(bslots) > 0 || len(pslots) > 0
-			items = append(items,
-				core.PartitionWork{Part: p, Slots: bslots},
-				core.PartitionWork{Part: p, Slots: pslots})
-		}
-		if anySpilled {
-			// One scheduler serves both sides, so its stripe directory is
-			// the union of the build and probe results' parity stripes.
-			stripes := js.bres.Stripes
-			if js.pres != nil && len(js.pres.Stripes) > 0 {
-				stripes = append(append([]*core.StripeGroup(nil), stripes...), js.pres.Stripes...)
-			}
-			js.sched = js.ctx.newPartitionScheduler(items, stripes, core.DefaultReadDepth)
-		}
+		// Schedule readback for every routed partition, build side then
+		// probe side, in claim order — the order workers will consume them
+		// in partitionStep, so prefetch lookahead tracks actual progress.
+		js.sched = core.NewPartitionScheduler(js.ctx.Context, js.ctx.Spill, js.ctx.Budget, core.DefaultReadDepth,
+			[]*core.Result{js.bres, js.pres}, js.routed, func(n *metrics.Snapshot) { js.ctx.report(js.sp, n) })
 	})
 	return ferr
 }
@@ -622,10 +603,9 @@ func (jw *joinWorker) partitionStep() error {
 		if st.idx < len(st.memPages) {
 			st.pg = st.memPages[st.idx]
 			st.idx++
-		} else if st.pcur != nil {
+		} else {
 			next, err := st.pcur.Next()
 			if err != nil {
-				js.ctx.reportCursor(js.sp, st.pcur)
 				return fmt.Errorf("exec: join reading probe partition %d: %w", st.part, err)
 			}
 			st.pg = next
@@ -636,13 +616,8 @@ func (jw *joinWorker) partitionStep() error {
 			// cursors' buffers can be recycled.
 			jw.part = nil
 			st.ht.release()
-			if st.pcur != nil {
-				js.ctx.reportCursor(js.sp, st.pcur)
-				st.pcur.Release()
-			}
-			if st.bcur != nil {
-				st.bcur.Release()
-			}
+			st.pcur.Release()
+			st.bcur.Release()
 		}
 	}
 }
@@ -658,26 +633,21 @@ func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 	// the grace baseline (the unified join already covered them in the
 	// global in-memory table).
 	var build []*pages.Page
-	if js.ctx.ForceGrace {
+	if js.ctx.Grace {
 		build = append(build, js.bres.InMemoryByPart(p)...)
 	}
-	if js.sched != nil {
-		bcur := js.sched.Open(2 * i)
-		for {
-			pg, err := bcur.Next()
-			if err != nil {
-				js.ctx.reportCursor(js.sp, bcur)
-				return nil, fmt.Errorf("exec: join reading build partition %d: %w", p, err)
-			}
-			if pg == nil {
-				break
-			}
-			build = append(build, pg)
+	st.bcur = js.sched.Open(i, 0)
+	for {
+		pg, err := st.bcur.Next()
+		if err != nil {
+			return nil, fmt.Errorf("exec: join reading build partition %d: %w", p, err)
 		}
-		js.ctx.reportCursor(js.sp, bcur)
-		st.bcur = bcur
-		st.pcur = js.sched.Open(2*i + 1)
+		if pg == nil {
+			break
+		}
+		build = append(build, pg)
 	}
+	st.pcur = js.sched.Open(i, 1)
 	// The partition's hashes share their leading bits; its table is sized
 	// from its tuple count, known only now and only for partitions that were
 	// routed — a join that did not spill estimates nothing per partition.

@@ -197,7 +197,7 @@ func TestJoinMatchesReference(t *testing.T) {
 			for _, cfg := range configs {
 				for _, workers := range []int{1, 2, 8} {
 					ctx := cfg.ctx(workers)
-					ctx.ForceGrace = cfg.grace
+					ctx.Grace = cfg.grace
 					out, err := Collect(ctx, NewJoin(kind, build, c.bKeys, probe, c.pKeys))
 					if err != nil {
 						t.Fatalf("%s kind %d %s workers %d: %v", c.name, kind, cfg.name, workers, err)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
+	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/trace"
 )
 
@@ -151,22 +152,15 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 			routed[p] = append(routed[p], tuple)
 		}
 	}
-	// Spilled partitions stream back through the readback scheduler in the
-	// same ascending order workers claim them, so partition k+1's reads are
-	// in flight while partition k's windows are sorted and evaluated.
-	itemOf := make([]int, res.Partitions)
-	var items []core.PartitionWork
-	for p := 0; p < res.Partitions; p++ {
-		itemOf[p] = -1
-		if len(res.Spilled[p]) > 0 {
-			itemOf[p] = len(items)
-			items = append(items, core.PartitionWork{Part: p, Slots: res.Spilled[p]})
-		}
+	// Partitions stream back through the readback scheduler in the same
+	// ascending order workers claim them, so partition k+1's reads are in
+	// flight while partition k's windows are sorted and evaluated.
+	streams := make([]int, res.Partitions)
+	for p := range streams {
+		streams[p] = p
 	}
-	var sched *core.PartitionScheduler
-	if len(items) > 0 {
-		sched = ctx.newPartitionScheduler(items, res.Stripes, core.DefaultReadDepth)
-	}
+	sched := core.NewPartitionScheduler(ctx.Context, ctx.Spill, ctx.Budget, core.DefaultReadDepth,
+		[]*core.Result{res}, streams, func(n *metrics.Snapshot) { ctx.report(sp, n) })
 	ord := newTupleOrder(rc, w.Child.Schema(), w.OrderBy)
 	var cursor atomic.Int64
 	// Once every worker has run out of partitions, every window is emitted
@@ -188,23 +182,18 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 						tuples = append(tuples, pg.Tuple(t))
 					}
 				}
-				var cur *core.PartitionCursor
-				if itemOf[p] >= 0 {
-					cur = sched.Open(itemOf[p])
-					for {
-						pg, err := cur.Next()
-						if err != nil {
-							ctx.reportCursor(sp, cur)
-							return 0, fmt.Errorf("exec: window reading partition %d: %w", p, err)
-						}
-						if pg == nil {
-							break
-						}
-						for t := 0; t < pg.Tuples(); t++ {
-							tuples = append(tuples, pg.Tuple(t))
-						}
+				cur := sched.Open(p, 0)
+				for {
+					pg, err := cur.Next()
+					if err != nil {
+						return 0, fmt.Errorf("exec: window reading partition %d: %w", p, err)
 					}
-					ctx.reportCursor(sp, cur)
+					if pg == nil {
+						break
+					}
+					for t := 0; t < pg.Tuples(); t++ {
+						tuples = append(tuples, pg.Tuple(t))
+					}
 				}
 				if len(tuples) == 0 {
 					continue
@@ -213,9 +202,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 				w.evalPartition(b, tuples, rc, partCols, ord, &arena)
 				// The batch owns its values now (strings arena-interned), so
 				// the read-back buffers can be recycled.
-				if cur != nil {
-					cur.Release()
-				}
+				cur.Release()
 				if b.Len() > 0 {
 					return b.Len(), nil
 				}

@@ -258,8 +258,7 @@ func TestQueriesGraceEquivalence(t *testing.T) {
 	for _, q := range []int{3, 5, 9, 13, 18, 21} {
 		ref := rowStrings(runQuery(t, memCtx(), q))
 		ctx := memCtx()
-		ctx.ForceGrace = true
-		ctx.NoPreAgg = true
+		ctx.Grace = true
 		got := rowStrings(runQuery(t, ctx, q))
 		if len(ref) != len(got) {
 			t.Fatalf("Q%d: row count differs under grace baseline", q)

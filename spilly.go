@@ -422,7 +422,7 @@ func (e *Engine) NewCtx() *exec.Ctx {
 		ctx.Mode = core.ModeAlwaysPartition
 	case Grace:
 		ctx.Mode = core.ModeAlwaysPartition
-		ctx.ForceGrace, ctx.NoPreAgg = true, true
+		ctx.Grace = true
 	case SpillAll:
 		ctx.Mode = core.ModeSpillAll
 	}
