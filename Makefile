@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 ledger-smoke bench-smoke tier2 race stress chaos fuzz-colstore fuzz-codec bench-parity profile-smoke clean
+.PHONY: all tier1 ledger-smoke bench-smoke tier2 race stress chaos fuzz-colstore fuzz-codec fuzz-pages bench-parity profile-smoke clean
 
 all: tier1
 
@@ -34,16 +34,23 @@ bench-smoke:
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the
 # silent-corruption and device-loss scenarios), twenty seconds each of fuzzing
-# the chunk decoder and the DEFLATE codec, and the one performance gate whose
-# feature no ledger workload sets yet (the spill-integrity tax). Everything
-# else is gated by `bash benchmark/run.sh --compare`.
-tier2: chaos fuzz-colstore fuzz-codec bench-parity
+# the chunk decoder, the DEFLATE codec and the page loader, and the one
+# performance gate whose feature no ledger workload sets yet (the
+# spill-integrity tax). Everything else is gated by
+# `bash benchmark/run.sh --compare`.
+tier2: chaos fuzz-colstore fuzz-codec fuzz-pages bench-parity
 
 # Chunk-decoder fuzzing: DecodeChunk reads bytes that came off a device, so
 # no input may make it panic or allocate by a header field alone. Tier-1 runs
 # FuzzDecodeChunk's seed corpus as a test; this mutates it.
 fuzz-colstore:
 	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzDecodeChunk -fuzztime 20s
+
+# Page-loader fuzzing: pages.Load parses a sealed page read back from a
+# device, so no input may make it panic, and every tuple of a page it accepts
+# must lie inside the block. Tier-1 runs FuzzLoadPage's seed corpus as a test.
+fuzz-pages:
+	$(GO) test ./internal/pages -run '^$$' -fuzz FuzzLoadPage -fuzztime 20s
 
 # DEFLATE codec fuzzing against compress/flate, the oracle: our output decodes
 # through it, its output at every level decodes through ours, and no input

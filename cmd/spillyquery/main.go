@@ -32,7 +32,7 @@ func main() {
 		onArray  = flag.Bool("array", false, "store tables on the simulated NVMe array")
 		workers  = flag.Int("workers", 2, "worker goroutines")
 		compress = flag.Bool("compress", true, "self-regulating compression for spilled data")
-		baseline = flag.String("baseline", "adaptive", "engine variant: adaptive|never|inmemory (never partition, fail on OOM)|always|grace|spillall")
+		baseline = flag.String("baseline", "adaptive", "engine variant: adaptive|inmemory (never partition, fail on OOM)|always|grace|spillall")
 		rows     = flag.Int("rows", 20, "result rows to print")
 		tblDir   = flag.String("tbl", "", "load dbgen-format .tbl files from this directory instead of generating")
 		profile  = flag.Bool("profile", false, "print a per-operator execution profile (EXPLAIN ANALYZE)")
@@ -46,7 +46,6 @@ func main() {
 
 	baselines := map[string]spilly.Baseline{
 		"adaptive": spilly.Adaptive,
-		"never":    spilly.NeverPartition,
 		"inmemory": spilly.InMemoryOnly,
 		"always":   spilly.AlwaysPartition,
 		"grace":    spilly.Grace,

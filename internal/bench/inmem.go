@@ -46,7 +46,7 @@ func inMemVariants(adaptive bool) []system {
 			return spilly.Config{Workers: w, Baseline: spilly.AlwaysPartition}
 		}},
 		{"non-partitioning", "simple hash join + plain aggregation", func(b int64, w, d int) spilly.Config {
-			return spilly.Config{Workers: w, Baseline: spilly.NeverPartition}
+			return spilly.Config{Workers: w, Baseline: spilly.InMemoryOnly}
 		}},
 	}
 	if adaptive {

@@ -28,7 +28,9 @@ const (
 	ModeAdaptive Mode = iota
 	// ModeNeverPartition never partitions. With no spill configuration it
 	// is the pure in-memory engine that fails when memory runs out
-	// (Hyper's role in the evaluation).
+	// (Hyper's role in the evaluation). The external sort runs its buffers
+	// in it too: they spill only the runs SpillRun writes, never a hash
+	// partition.
 	ModeNeverPartition
 	// ModeAlwaysPartition partitions from the first tuple, like a grace
 	// join or partitioning aggregation (the "always partitioning" baseline
@@ -326,7 +328,7 @@ func (b *Buffer) getEmptyPage(hash uint64, need int) *pages.Page {
 	}
 
 	// Spilling decision.
-	if cfg.Budget.Exhausted(cfg.PageSize) && b.pool.FreePages() == 0 {
+	if b.Exhausted() {
 		b.makeRoom()
 	}
 
@@ -335,6 +337,25 @@ func (b *Buffer) getEmptyPage(hash uint64, need int) *pages.Page {
 	b.output[idx] = p
 	return p
 }
+
+// Exhausted reports whether the next page the buffer's pool hands out would
+// overrun the budget: the budget has no room for one more page and the pool
+// has no free one. It is the spill trigger of the buffer's own partitions and
+// of a sort's runs.
+func (b *Buffer) Exhausted() bool {
+	return b.s.cfg.Budget.Exhausted(b.s.cfg.PageSize) && b.pool.FreePages() == 0
+}
+
+// Pool returns the buffer's page pool to a caller that fills pages itself, a
+// sort accumulating a run. It asks Exhausted before each Get (and spills a
+// run first when it says so), gives back clean pages with Put and dead ones
+// with Discard, and hands those still read after Finish to Keep.
+func (b *Buffer) Pool() *pages.Pool { return b.pool }
+
+// Keep hands pages taken from Pool, and still read after Finish, to the
+// Result: they come back in Result.Unpartitioned, Result.Recycle recycles
+// them and ReleaseMemory returns their charge, as for the buffer's own pages.
+func (b *Buffer) Keep(pgs []*pages.Page) { b.unpart = append(b.unpart, pgs...) }
 
 // observeFill feeds the regulator the operator time spent filling p. The
 // interval runs from the END of the previous allocation to now, so that time
@@ -445,7 +466,7 @@ func (b *Buffer) makeRoom() {
 		// has not produced local pages yet (e.g. all data arrived before
 		// the trigger), we must overrun the budget rather than lose data;
 		// the next allocations will partition and spilling catches up.
-		if !b.s.PartitioningActive() && b.s.cfg.Mode != ModeNeverPartition {
+		if !b.s.PartitioningActive() {
 			b.s.triggerPartitioning()
 		}
 	}
@@ -534,15 +555,14 @@ func (b *Buffer) SpillRun(n int, tuple func(i int) []byte) error {
 }
 
 // runPage spills a run's full page, if any, and returns an empty one for the
-// run. With the budget exhausted and no free page it first waits for an
-// in-flight write to hand one back.
+// run. It does not wait for the budget: spillPage hands a run's page back to
+// the pool as soon as its bytes are staged, so a run holds one page at a time
+// whatever its length, and an in-flight write returns a staging buffer, never
+// a page.
 func (b *Buffer) runPage(full *pages.Page, run int) *pages.Page {
 	if full != nil {
 		b.observeFill(full)
 		b.writer.spillPage(full)
-	}
-	if b.s.cfg.Budget.Exhausted(b.s.cfg.PageSize) && b.pool.FreePages() == 0 {
-		b.awaitPage()
 	}
 	p := b.pool.Get()
 	p.Part = run

@@ -250,6 +250,48 @@ func TestSpillAllSpillsMoreThanHybrid(t *testing.T) {
 	}
 }
 
+// TestBufferKeepHandsPagesToResult: pages a caller fills itself and hands
+// back through Keep come out in Result.Unpartitioned; Result.Recycle recycles
+// them, and their budget charge returns at ReleaseMemory, not before. A clean
+// page put back in the pool has its charge returned at Finish.
+func TestBufferKeepHandsPagesToResult(t *testing.T) {
+	bud := pages.NewBudget(0)
+	s := NewShared(Config{PageSize: 4096, Partitions: 1, Budget: bud, Mode: ModeNeverPartition})
+	b := s.NewBuffer()
+	kept := []*pages.Page{b.Pool().Get(), b.Pool().Get()}
+	for _, p := range kept {
+		p.Append([]byte("a run's tuple"))
+	}
+	b.Pool().Put(b.Pool().Get())
+	b.Keep(kept)
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Unpartitioned) != 2 || res.Unpartitioned[0] != kept[0] || res.Unpartitioned[1] != kept[1] {
+		t.Fatalf("Result.Unpartitioned holds %d pages, not the two kept", len(res.Unpartitioned))
+	}
+	if got := bud.Used(); got != 2*4096 {
+		t.Fatalf("budget holds %d bytes after Finish, want the two kept pages' %d", got, 2*4096)
+	}
+	res.Recycle()
+	for i, p := range kept {
+		if p.Size() != 0 {
+			t.Fatalf("kept page %d not recycled by Result.Recycle", i)
+		}
+	}
+	if got := bud.Used(); got != 2*4096 {
+		t.Fatalf("budget holds %d bytes after Recycle, want %d until ReleaseMemory", got, 2*4096)
+	}
+	res.ReleaseMemory(bud)
+	if got := bud.Used(); got != 0 {
+		t.Fatalf("budget holds %d bytes after ReleaseMemory", got)
+	}
+}
+
 func TestOutOfMemoryWithoutSpill(t *testing.T) {
 	s := NewShared(Config{PageSize: 4096, Budget: pages.NewBudget(16 << 10), Mode: ModeNeverPartition})
 	b := s.NewBuffer()

@@ -5,14 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// batchShrinkCap bounds the per-column capacity a pooled batch may retain.
-// Operators occasionally produce one oversized batch (a skewed partition, a
-// large sort run); without a cap that batch's backing arrays — and, for
-// string columns, every string header they still reference — would live as
-// long as the pool. Columns grown past the cap are dropped on Put and
-// reallocated lazily on the next fill.
-const batchShrinkCap = 8192
-
 // BatchPool recycles batches of one schema for one query. Operators lease a
 // batch with Get and return it with Put (or Batch.Release); every Get that
 // is matched by a Put runs the hot path without allocating. The pool is a
@@ -22,11 +14,17 @@ const batchShrinkCap = 8192
 // are garbage at once, not kept alive through the next collection the way a
 // sync.Pool keeps what it holds.
 //
+// A batch keeps the column capacity it grew to, however large: the pool
+// lives no longer than its query, so a batch that once held a 64 Ki-row fill
+// takes the next one without reallocating.
+//
 // Ownership rule: the leaseholder may fill, reset, and read the batch, but
 // must not retain any column slice past Put. Strings appended to a pooled
 // batch may outlive it (string headers are copied out by AppendRowFrom);
-// the pool never writes to string backing arrays for exactly that reason —
-// see shrink.
+// the pool never writes to string backing arrays for exactly that reason,
+// and does not zero the stale headers a retained string column still holds
+// either: the next fill overwrites them. Columns that alias table storage
+// (Borrow) are never retained at all: the Reset in Put drops them.
 type BatchPool struct {
 	schema *Schema
 	mu     sync.Mutex
@@ -70,7 +68,6 @@ func (bp *BatchPool) Put(b *Batch) {
 	}
 	bp.puts.Add(1)
 	b.pool = nil
-	b.shrink()
 	b.Reset()
 	bp.mu.Lock()
 	bp.free = append(bp.free, b)
@@ -94,32 +91,4 @@ func (b *Batch) Release() {
 	p := b.pool
 	b.pool = nil
 	p.Put(b)
-}
-
-// shrink applies the retention policy before a batch re-enters the pool:
-// any column (or selection vector) grown past batchShrinkCap is dropped so
-// retained bytes stabilize at schema-width × batchShrinkCap regardless of
-// the largest batch ever pooled.
-//
-// Deliberately NOT done here: zeroing retained string headers. The small
-// retained string arrays pin at most batchShrinkCap stale headers until the
-// next fill overwrites them. Columns that alias table storage (Borrow) are
-// never retained at all: the Reset that follows drops them.
-func (b *Batch) shrink() {
-	for i := range b.Cols {
-		c := &b.Cols[i]
-		if cap(c.I) > batchShrinkCap {
-			c.I = nil
-		}
-		if cap(c.F) > batchShrinkCap {
-			c.F = nil
-		}
-		if cap(c.S) > batchShrinkCap {
-			c.S = nil
-		}
-		c.Null = nil
-	}
-	if cap(b.Sel) > batchShrinkCap {
-		b.Sel = nil
-	}
 }

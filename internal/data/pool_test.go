@@ -47,42 +47,6 @@ func TestBatchPoolDoubleReleaseOnlyCountsOnce(t *testing.T) {
 	}
 }
 
-// TestBatchPoolShrinksOversizedColumns is the Batch.Reset retention fix:
-// a batch that grew huge during one query must not pin that memory across
-// reuse. Retained capacity has to stabilize at the shrink cap.
-func TestBatchPoolShrinksOversizedColumns(t *testing.T) {
-	s := NewSchema(ColumnDef{"k", Int64}, ColumnDef{"v", String})
-	p := NewBatchPool(s)
-
-	b := p.Get()
-	huge := batchShrinkCap * 4
-	b.Cols[0].I = make([]int64, huge)
-	b.Cols[1].S = make([]string, huge)
-	b.Sel = make([]int32, huge)
-	b.SetLen(huge)
-	b.Release()
-
-	// The same arrays must not come back; after a release/get cycle the
-	// retained capacity is bounded regardless of the spike.
-	for i := 0; i < 3; i++ {
-		b = p.Get()
-		if cap(b.Cols[0].I) > batchShrinkCap || cap(b.Cols[1].S) > batchShrinkCap {
-			t.Fatalf("cycle %d: retained caps I=%d S=%d exceed shrink cap %d",
-				i, cap(b.Cols[0].I), cap(b.Cols[1].S), batchShrinkCap)
-		}
-		if cap(b.Sel) > batchShrinkCap {
-			t.Fatalf("cycle %d: retained Sel cap %d exceeds shrink cap", i, cap(b.Sel))
-		}
-		// Normal-sized refills stay retained (that is the point of pooling).
-		for r := 0; r < 1024; r++ {
-			b.Cols[0].I = append(b.Cols[0].I, int64(r))
-			b.Cols[1].S = append(b.Cols[1].S, "v")
-		}
-		b.SetLen(1024)
-		b.Release()
-	}
-}
-
 func TestByteArenaIntern(t *testing.T) {
 	var a ByteArena
 	if a.InternBytes(nil) != "" {

@@ -621,9 +621,10 @@ const (
 	// indexed by a hash prefix, so partitioned inputs touch disjoint shards
 	// (§5.3 locality).
 	aggShards = 64
-	// emitRows bounds a batch the aggregation or the join emits to the column
-	// capacity BatchPool retains (data.batchShrinkCap); a larger one is
-	// reallocated per lease.
+	// emitRows bounds a batch the aggregation or the join emits: large
+	// enough that the per-batch cost downstream is amortized, small enough
+	// that the columns of the batches in flight stay a few hundred KiB per
+	// worker, whatever the group count or the join's fan-out.
 	emitRows = 8192
 )
 

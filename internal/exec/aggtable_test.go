@@ -633,15 +633,8 @@ func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
 		pb.Cols[c].I, pb.Cols[c].F, pb.Cols[c].S = []int64{1}, []float64{0.5}, []string{""}
 	}
 	pb.SetLen(1)
-	size, fixed := a.rc.FixedSize()
-	newPage := func() *pages.Page {
-		if fixed {
-			return pages.NewFixed(pages.DefaultPageSize, size)
-		}
-		return pages.New(pages.DefaultPageSize)
-	}
 	res := &core.Result{Partitions: 1, Tuples: int64(tuples)}
-	pg := newPage()
+	pg := pages.New(pages.DefaultPageSize)
 	for i := 0; i < tuples; i++ {
 		k := i % groups
 		pb.Cols[0].I[0] = int64(k / 7)
@@ -654,7 +647,7 @@ func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
 		dst, ok := pg.Alloc(size)
 		if !ok {
 			res.Unpartitioned = append(res.Unpartitioned, pg)
-			pg = newPage()
+			pg = pages.New(pages.DefaultPageSize)
 			dst, _ = pg.Alloc(size)
 		}
 		a.rc.Encode(dst, pb, 0)

@@ -68,41 +68,21 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 	schema := s.Child.Schema()
 	rc := data.NewRowCodec(schema.Types())
 	ord := newTupleOrder(rc, schema, s.Keys)
-	shared := core.NewShared(ctx.coreConfig())
+	// Runs are the sort's only streams: no hash partition ever fills.
+	cfg := ctx.coreConfig()
+	cfg.Partitions, cfg.Mode = 1, core.ModeNeverPartition
+	shared := core.NewShared(cfg)
 
 	var mu sync.Mutex
 	var resident []*runCursor
-	var residentBytes int64
-	// Resident runs keep their backing pages until the merge has streamed
-	// them out; then their buffers are recycled — at the merge's end, or at
-	// query end when it never gets there. Their budget reservation is
-	// returned at query end, like a result's (core.Result.Recycle).
-	recycleResident := sync.OnceFunc(func() {
-		for _, run := range resident {
-			for _, p := range run.pgs {
-				p.Recycle()
-			}
-		}
-	})
-	ctx.AddCleanup(func() {
-		recycleResident()
-		ctx.Budget.Release(residentBytes)
-	})
 	err = drainWorkers(ctx, "sort", in, func(int) (func(*data.Batch) error, func() error) {
-		g := &runGenerator{
-			rc: rc, cmp: ord.order, limit: s.Limit, budget: ctx.Budget,
-			pool: pages.NewPool(shared.Config().PageSize, 0, ctx.Budget),
-			buf:  shared.NewBuffer(),
-		}
+		g := &runGenerator{rc: rc, cmp: ord.order, limit: s.Limit, buf: shared.NewBuffer()}
 		finish := func() error {
 			run := g.finish()
 			ctx.report(sp, &metrics.Snapshot{metrics.TuplesStored: g.tuples})
 			if run != nil {
 				mu.Lock()
 				resident = append(resident, run)
-				for _, p := range run.pgs {
-					residentBytes += int64(p.Size())
-				}
 				mu.Unlock()
 			}
 			return g.buf.Finish()
@@ -117,7 +97,7 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 		return nil, err
 	}
 	ctx.spanPhase(sp, pc)
-	return s.mergeStream(ctx, sp, resident, res, rc, ord, recycleResident)
+	return s.mergeStream(ctx, sp, resident, res, rc, ord)
 }
 
 // sortCols returns the keys' column names.
@@ -217,16 +197,14 @@ func (k *orderKey) compare(a, b []byte) int {
 	return cmp.Compare(int64(x), int64(y))
 }
 
-// runGenerator accumulates one worker's tuples into pages; when the budget
-// runs out it sorts them and hands them to the worker's Umami buffer as one
-// run.
+// runGenerator accumulates one worker's tuples into pages of the worker's
+// Umami buffer; when the budget runs out it sorts them and hands them back to
+// the buffer as one run.
 type runGenerator struct {
-	rc     *data.RowCodec
-	cmp    func(a, b []byte) int
-	limit  int
-	budget *pages.Budget
-	pool   *pages.Pool
-	buf    *core.Buffer
+	rc    *data.RowCodec
+	cmp   func(a, b []byte) int
+	limit int
+	buf   *core.Buffer
 
 	cur    *pages.Page
 	pgs    []*pages.Page
@@ -241,7 +219,7 @@ func (g *runGenerator) add(b *data.Batch) error {
 		r := b.Row(i)
 		size := g.rc.Size(b, r)
 		if g.cur == nil || !g.cur.HasSpace(size) {
-			if g.budget.Exhausted(g.pool.PageSize()) && len(g.pgs) > 0 {
+			if len(g.pgs) > 0 && g.buf.Exhausted() {
 				if err := g.spillRun(); err != nil {
 					return err
 				}
@@ -263,12 +241,13 @@ func (g *runGenerator) add(b *data.Batch) error {
 }
 
 func (g *runGenerator) newPage() {
-	g.cur = g.pool.Get()
+	g.cur = g.buf.Pool().Get()
 	g.pgs = append(g.pgs, g.cur)
 }
 
 // topK keeps the first limit of the 2·limit tuples held: it copies them onto
-// pages from the pool and gives the old pages back to it for the next fill.
+// pages from the buffer's pool and gives the old pages back to it for the
+// next fill.
 func (g *runGenerator) topK() {
 	slices.SortFunc(g.tups, g.cmp)
 	old := g.pgs
@@ -284,7 +263,7 @@ func (g *runGenerator) topK() {
 		g.tups = append(g.tups, dst)
 	}
 	for _, p := range old {
-		g.pool.Put(p)
+		g.buf.Pool().Put(p)
 	}
 	g.spare = old
 }
@@ -306,28 +285,27 @@ func (g *runGenerator) spillRun() error {
 	run := g.sorted()
 	err := g.buf.SpillRun(len(run), func(i int) []byte { return run[i] })
 	for _, p := range g.pgs {
-		g.pool.Discard(p)
+		g.buf.Pool().Discard(p)
 	}
 	g.pgs, g.tups, g.cur = g.pgs[:0], g.tups[:0], nil
 	return err
 }
 
-// finish sorts the resident tail into a final in-memory run (zero copy: the
-// run keeps the backing pages plus the sorted tuples), or returns nil. The
-// pages topK gave back go to the budget.
+// finish sorts the resident tail into a final in-memory run, or returns nil.
+// The run is zero copy: its tuples stay on their pages, which the buffer
+// keeps for the operator's Result until the merge has streamed them out.
 func (g *runGenerator) finish() *runCursor {
-	g.pool.Close()
 	if len(g.tups) == 0 {
 		return nil
 	}
-	return &runCursor{pgs: g.pgs, tups: g.sorted()}
+	g.buf.Keep(g.pgs)
+	return &runCursor{tups: g.sorted()}
 }
 
 // runCursor iterates one sorted run's tuples in order: a resident run's
 // tuples on their pages, or a spilled run's pages as its readback cursor
 // hands them out.
 type runCursor struct {
-	pgs  []*pages.Page
 	tups [][]byte
 	pcur *core.PartitionCursor
 	page *pages.Page
@@ -361,13 +339,13 @@ func (c *runCursor) next() ([]byte, error) {
 	return c.page.Tuple(c.i - 1), nil
 }
 
-// mergeStream k-way merges the resident runs and the spilled runs of res —
-// its streams after the hash partitions. The spilled runs are all open at
-// once, so they share the readback depth; as the merge recycles what it has
-// passed, a run holds at most depth+1 blocks.
+// mergeStream k-way merges the resident runs, whose pages res holds, and the
+// spilled runs of res — its streams after its one partition. The spilled
+// runs are all open at once, so they share the readback depth; as the merge
+// recycles what it has passed, a run holds at most depth+1 blocks.
 // The merge itself is sequential (one worker drives it; the others see
 // end-of-stream immediately), which is inherent to order-preserving output.
-func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *core.Result, rc *data.RowCodec, ord *tupleOrder, recycleResident func()) (*Stream, error) {
+func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *core.Result, rc *data.RowCodec, ord *tupleOrder) (*Stream, error) {
 	var streams []int
 	for st := res.Partitions; st < len(res.Spilled); st++ {
 		streams = append(streams, st)
@@ -429,7 +407,6 @@ func (s *ExtSort) mergeStream(ctx *Ctx, sp *trace.Span, runs []*runCursor, res *
 				}
 				spilled = nil
 				h.items = nil
-				recycleResident()
 				res.Recycle()
 			}
 			return b.Len(), nil

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"cmp"
+	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -116,6 +118,69 @@ func TestExtSortSpilling(t *testing.T) {
 	if used := ctx.Budget.Used(); used != 0 {
 		t.Fatalf("%d budget bytes still reserved after Close", used)
 	}
+}
+
+// TestExtSortLifecycle: the sort owns no page, extent or batch past its
+// query. Its resident run's pages leave through the operator's Result like
+// every other operator's, so after Close the budget, the spill array and the
+// batch pools are back to zero — when a Limit ends the merge with its runs
+// partly unread, and when the query is canceled mid-merge.
+func TestExtSortLifecycle(t *testing.T) {
+	spilling := func(t *testing.T) *Ctx {
+		ctx := spillCtx(2, 64)
+		ctx.Spill.Lease = ctx.Spill.Array.NewLease()
+		return ctx
+	}
+	closed := func(t *testing.T, ctx *Ctx) {
+		t.Helper()
+		arr := ctx.Spill.Array
+		if ctx.Stats.Get(metrics.SpilledBytes) == 0 {
+			t.Fatal("the sort did not spill")
+		}
+		ctx.Close()
+		if used := ctx.Budget.Used(); used != 0 {
+			t.Errorf("%d budget bytes still reserved after Close", used)
+		}
+		if n := arr.LiveExtents(); n != 0 {
+			t.Errorf("%d spill extents live after Close", n)
+		}
+		if gets, puts := ctx.PoolCounters(); gets != puts {
+			t.Errorf("batch pool imbalance: %d gets vs %d puts", gets, puts)
+		}
+	}
+	t.Run("limit", func(t *testing.T) {
+		ctx := spilling(t)
+		out := runExtSort(t, ctx, 20000, 5000)
+		if out.Len() != 5000 {
+			t.Fatalf("rows = %d, want the limit", out.Len())
+		}
+		checkSorted(t, out)
+		closed(t, ctx)
+	})
+	t.Run("canceled", func(t *testing.T) {
+		ctx := spilling(t)
+		cctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctx.Context = cctx
+		s, err := (&ExtSort{
+			Child: NewScan(ordersTable(20000), "okey", "total", "flag"),
+			Keys:  []SortKey{{Col: "flag"}, {Col: "total", Desc: true}},
+		}).Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := ctx.BatchPool(s.Schema()).Get()
+		n, err := s.Next(0, b)
+		b.Release()
+		if err != nil || n == 0 {
+			t.Fatalf("first merged batch: %d rows, err %v", n, err)
+		}
+		cancel()
+		if err := Drain(ctx, s, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		closed(t, ctx)
+	})
 }
 
 func TestExtSortMatchesInMemorySort(t *testing.T) {

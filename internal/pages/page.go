@@ -1,11 +1,12 @@
-// Package pages provides the fixed-size page abstraction underlying all
+// Package pages provides the page abstraction underlying all
 // materialization in the engine (paper §5.3 "Data format").
 //
-// Tuples are stored row-wise: fixed-size tuples consecutively like an array,
-// variable-size tuples with a slotted layout. A page seals into a single
-// self-describing block so that spilling a page is a single block write and
-// reading it back is a single block read plus header parse — no per-tuple
-// I/O, which is the whole point of page-granular spilling on NVMe (§3).
+// Tuples are stored row-wise in a slotted layout: tuple bytes grow forward
+// from the header, one offset per tuple grows backward from the end. A page
+// seals into a single self-describing block so that spilling a page is a
+// single block write and reading it back is a single block read plus header
+// parse — no per-tuple I/O, which is the whole point of page-granular
+// spilling on NVMe (§3).
 package pages
 
 import (
@@ -18,34 +19,27 @@ import (
 // pages because that is the sweet spot for NVMe array throughput (§6.1).
 const DefaultPageSize = 64 << 10
 
-// headerSize is the sealed-page header: tupleCount, dataEnd, fixedSize, flags
-// (4 × uint32).
-const headerSize = 16
+// headerSize is the sealed-page header: tupleCount, dataEnd (2 × uint32).
+const headerSize = 8
 
-const slotSize = 4 // one uint32 offset per variable-size tuple
-
-// Layout flags.
-const (
-	flagFixed = 1 << iota
-)
+const slotSize = 4 // one uint32 offset per tuple
 
 // ErrPageCorrupt reports a sealed block whose header is inconsistent.
 var ErrPageCorrupt = errors.New("pages: corrupt sealed page")
 
-// Page is a fixed-capacity, row-wise tuple container. It is not safe for
+// Page is a bounded, row-wise tuple container. It is not safe for
 // concurrent use; the engine keeps pages thread-local during materialization.
 //
 // The backing buffer layout (established by Seal) is:
 //
-//	[0,16)            header
-//	[16, dataEnd)     tuple bytes, growing forward
-//	[slotStart, cap)  slot offsets (variable-size layout only), growing backward
+//	[0,8)             header
+//	[8, dataEnd)      tuple bytes, growing forward
+//	[slotStart, cap)  slot offsets, growing backward
 type Page struct {
 	buf       []byte // len == cap == page size
 	dataEnd   int    // write cursor into buf
 	slotStart int    // start of the slot array region (== cap(buf) when empty)
 	tuples    int
-	fixed     int // tuple size for fixed layout; 0 means slotted
 
 	// Part is the partition this page belongs to, managed by Umami's
 	// adaptive materialization. Pages written before partitioning was
@@ -56,26 +50,16 @@ type Page struct {
 // PartUnpartitioned marks pages materialized before partitioning started.
 const PartUnpartitioned = -1
 
-// New returns an empty page of the given size using the slotted
-// (variable-size tuple) layout.
-func New(size int) *Page { return newOn(make([]byte, size), 0) }
+// New returns an empty page of the given size.
+func New(size int) *Page { return newOn(make([]byte, size)) }
 
-// NewFixed returns an empty page of the given size holding fixed-size tuples
-// of tupleSize bytes each.
-func NewFixed(size, tupleSize int) *Page {
-	if tupleSize <= 0 {
-		panic(fmt.Sprintf("pages: invalid fixed tuple size %d for page size %d", tupleSize, size))
+// newOn returns an empty page over buf. buf's contents are not read: Reset
+// makes the page empty.
+func newOn(buf []byte) *Page {
+	if len(buf) < headerSize {
+		panic(fmt.Sprintf("pages: page size %d is below the %d-byte header", len(buf), headerSize))
 	}
-	return newOn(make([]byte, size), tupleSize)
-}
-
-// newOn returns an empty page over buf, slotted or holding tuples of fixed
-// bytes each. buf's contents are not read: Reset makes the page empty.
-func newOn(buf []byte, fixed int) *Page {
-	if fixed < 0 || fixed > len(buf)-headerSize {
-		panic(fmt.Sprintf("pages: invalid fixed tuple size %d for page size %d", fixed, len(buf)))
-	}
-	p := &Page{buf: buf, fixed: fixed}
+	p := &Page{buf: buf}
 	p.Reset()
 	return p
 }
@@ -92,11 +76,7 @@ func (p *Page) Recycle() {
 	p.buf, p.dataEnd, p.slotStart, p.tuples = nil, 0, 0, 0
 }
 
-// SizeFor returns the size of the smallest slotted page that holds one tuple
-// of n bytes.
-func SizeFor(n int) int { return headerSize + n + slotSize }
-
-// Reset clears the page for reuse, keeping its layout mode and buffer.
+// Reset clears the page for reuse, keeping its buffer.
 func (p *Page) Reset() {
 	p.dataEnd = headerSize
 	p.slotStart = len(p.buf)
@@ -110,75 +90,34 @@ func (p *Page) Size() int { return len(p.buf) }
 // Tuples returns the number of tuples stored.
 func (p *Page) Tuples() int { return p.tuples }
 
-// FixedTupleSize returns the fixed tuple size, or 0 for the slotted layout.
-func (p *Page) FixedTupleSize() int { return p.fixed }
-
 // UsedBytes returns the bytes of payload plus slot array currently in use.
 func (p *Page) UsedBytes() int {
 	return p.dataEnd + (len(p.buf) - p.slotStart)
 }
 
 // HasSpace reports whether a tuple of n bytes fits.
-func (p *Page) HasSpace(n int) bool {
-	if p.fixed != 0 {
-		return p.dataEnd+p.fixed <= len(p.buf)
-	}
-	return p.dataEnd+n+slotSize <= p.slotStart
-}
+func (p *Page) HasSpace(n int) bool { return p.dataEnd+n+slotSize <= p.slotStart }
 
 // Append copies tuple into the page and returns the slice holding the copy,
-// or false if the page is full. For fixed-layout pages the tuple must be
-// exactly FixedTupleSize bytes.
+// or false if the page is full.
 func (p *Page) Append(tuple []byte) ([]byte, bool) {
-	n := len(tuple)
-	if p.fixed != 0 {
-		if n != p.fixed {
-			panic(fmt.Sprintf("pages: tuple size %d on fixed-%d page", n, p.fixed))
-		}
-		if p.dataEnd+n > len(p.buf) {
-			return nil, false
-		}
-		dst := p.buf[p.dataEnd : p.dataEnd+n]
-		copy(dst, tuple)
-		p.dataEnd += n
-		p.tuples++
-		return dst, true
-	}
-	if p.dataEnd+n+slotSize > p.slotStart {
-		return nil, false
-	}
-	dst := p.buf[p.dataEnd : p.dataEnd+n]
+	dst, ok := p.Alloc(len(tuple))
 	copy(dst, tuple)
-	p.slotStart -= slotSize
-	binary.LittleEndian.PutUint32(p.buf[p.slotStart:], uint32(p.dataEnd))
-	p.dataEnd += n
-	p.tuples++
-	return dst, true
+	return dst, ok
 }
 
 // Alloc reserves n bytes for a tuple and returns the slice to fill in place,
 // or false if the page is full. Operators that assemble tuples field-by-field
 // (e.g. the aggregation's in-page groups, §4.6) use this to avoid a copy.
 func (p *Page) Alloc(n int) ([]byte, bool) {
-	if p.fixed != 0 {
-		if n != p.fixed {
-			panic(fmt.Sprintf("pages: alloc size %d on fixed-%d page", n, p.fixed))
-		}
-		if p.dataEnd+n > len(p.buf) {
-			return nil, false
-		}
-		dst := p.buf[p.dataEnd : p.dataEnd+n]
-		p.dataEnd += n
-		p.tuples++
-		return dst, true
-	}
-	if p.dataEnd+n+slotSize > p.slotStart {
+	end := p.dataEnd + n
+	if end+slotSize > p.slotStart {
 		return nil, false
 	}
-	dst := p.buf[p.dataEnd : p.dataEnd+n]
 	p.slotStart -= slotSize
 	binary.LittleEndian.PutUint32(p.buf[p.slotStart:], uint32(p.dataEnd))
-	p.dataEnd += n
+	dst := p.buf[p.dataEnd:end]
+	p.dataEnd = end
 	p.tuples++
 	return dst, true
 }
@@ -187,10 +126,6 @@ func (p *Page) Alloc(n int) ([]byte, bool) {
 func (p *Page) Tuple(i int) []byte {
 	if i < 0 || i >= p.tuples {
 		panic(fmt.Sprintf("pages: tuple index %d out of range [0,%d)", i, p.tuples))
-	}
-	if p.fixed != 0 {
-		off := headerSize + i*p.fixed
-		return p.buf[off : off+p.fixed]
 	}
 	start := p.slotOffset(i)
 	end := p.dataEnd
@@ -207,12 +142,7 @@ func (p *Page) Tuple(i int) []byte {
 func (p *Page) Bytes() []byte { return p.buf }
 
 // Offset returns where the i-th tuple starts in Bytes().
-func (p *Page) Offset(i int) int {
-	if p.fixed != 0 {
-		return headerSize + i*p.fixed
-	}
-	return p.slotOffset(i)
-}
+func (p *Page) Offset(i int) int { return p.slotOffset(i) }
 
 func (p *Page) slotOffset(i int) int {
 	// Slot array grows backward: slot i lives at cap - (i+1)*slotSize.
@@ -240,33 +170,21 @@ func (p *Page) AppendSealed(dst []byte) []byte {
 }
 
 func (p *Page) writeHeader() {
-	flags := uint32(0)
-	if p.fixed != 0 {
-		flags |= flagFixed
-	}
 	binary.LittleEndian.PutUint32(p.buf[0:], uint32(p.tuples))
 	binary.LittleEndian.PutUint32(p.buf[4:], uint32(p.dataEnd))
-	binary.LittleEndian.PutUint32(p.buf[8:], uint32(p.fixed))
-	binary.LittleEndian.PutUint32(p.buf[12:], flags)
 }
 
 // Load re-creates a page view over a sealed block (as produced by Seal or
-// AppendSealed). The block is aliased, not copied.
+// AppendSealed). The block is aliased, not copied. The block comes off a
+// device, so nothing in it is trusted: every offset a Tuple call will slice
+// with is checked here.
 func Load(block []byte) (*Page, error) {
 	if len(block) < headerSize {
 		return nil, ErrPageCorrupt
 	}
 	tuples := int(binary.LittleEndian.Uint32(block[0:]))
 	dataEnd := int(binary.LittleEndian.Uint32(block[4:]))
-	fixed := int(binary.LittleEndian.Uint32(block[8:]))
-	flags := binary.LittleEndian.Uint32(block[12:])
-	p := &Page{buf: block, dataEnd: dataEnd, tuples: tuples, fixed: fixed, Part: PartUnpartitioned}
-	if flags&flagFixed == 0 {
-		p.fixed = 0
-		p.slotStart = len(block) - tuples*slotSize
-	} else {
-		p.slotStart = len(block)
-	}
+	p := &Page{buf: block, dataEnd: dataEnd, tuples: tuples, slotStart: len(block) - tuples*slotSize, Part: PartUnpartitioned}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -274,16 +192,7 @@ func Load(block []byte) (*Page, error) {
 }
 
 func (p *Page) validate() error {
-	if p.dataEnd < headerSize || p.dataEnd > len(p.buf) || p.tuples < 0 || p.slotStart < 0 {
-		return ErrPageCorrupt
-	}
-	if p.fixed != 0 {
-		if p.fixed < 0 || headerSize+p.tuples*p.fixed != p.dataEnd {
-			return ErrPageCorrupt
-		}
-		return nil
-	}
-	if p.slotStart < p.dataEnd {
+	if p.dataEnd < headerSize || p.dataEnd > len(p.buf) || p.tuples < 0 || p.slotStart < p.dataEnd {
 		return ErrPageCorrupt
 	}
 	// Slot offsets must be monotonically increasing within the data region.

@@ -2,6 +2,7 @@ package pages
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,22 +29,6 @@ func TestSlottedAppendAndRead(t *testing.T) {
 	}
 }
 
-func TestFixedAppendAndRead(t *testing.T) {
-	p := NewFixed(1024, 8)
-	for i := 0; i < 10; i++ {
-		tup := []byte{byte(i), 0, 0, 0, 0, 0, 0, byte(i)}
-		if _, ok := p.Append(tup); !ok {
-			t.Fatalf("append %d failed", i)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		got := p.Tuple(i)
-		if got[0] != byte(i) || got[7] != byte(i) {
-			t.Fatalf("tuple %d corrupted: %v", i, got)
-		}
-	}
-}
-
 func TestAppendUntilFull(t *testing.T) {
 	p := New(512)
 	tup := make([]byte, 60)
@@ -66,9 +51,10 @@ func TestAppendUntilFull(t *testing.T) {
 	}
 }
 
-func TestFixedFullBoundary(t *testing.T) {
-	// Page with exact space for 4 tuples of 100 bytes after the header.
-	p := NewFixed(headerSize+400, 100)
+func TestFullBoundary(t *testing.T) {
+	// Page with exact space for 4 tuples of 100 bytes and their slots after
+	// the header.
+	p := New(headerSize + 4*(100+slotSize))
 	for i := 0; i < 4; i++ {
 		if _, ok := p.Append(make([]byte, 100)); !ok {
 			t.Fatalf("tuple %d should fit", i)
@@ -118,30 +104,9 @@ func TestSealLoadRoundTripSlotted(t *testing.T) {
 	}
 }
 
-func TestSealLoadRoundTripFixed(t *testing.T) {
-	p := NewFixed(2048, 16)
-	for i := 0; i < 20; i++ {
-		tup := make([]byte, 16)
-		tup[0] = byte(i)
-		p.Append(tup)
-	}
-	got, err := Load(p.Seal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FixedTupleSize() != 16 || got.Tuples() != 20 {
-		t.Fatalf("loaded fixed=%d tuples=%d", got.FixedTupleSize(), got.Tuples())
-	}
-	for i := 0; i < 20; i++ {
-		if got.Tuple(i)[0] != byte(i) {
-			t.Fatalf("tuple %d mismatch", i)
-		}
-	}
-}
-
 func TestLoadRejectsCorrupt(t *testing.T) {
 	cases := map[string][]byte{
-		"too short":     make([]byte, 8),
+		"too short":     make([]byte, headerSize-1),
 		"zeroed header": make([]byte, 256),
 	}
 	// dataEnd beyond page size.
@@ -160,18 +125,53 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	bad2[len(bad2)-slotSize] = 0 // first slot offset -> 0 (< headerSize)
 	cases["bad slot offset"] = bad2
 
+	// A zeroed header means dataEnd=0 < headerSize: must fail too.
 	for name, block := range cases {
-		if name == "zeroed header" {
-			// A zeroed header means dataEnd=0 < headerSize: must fail.
-			if _, err := Load(block); err == nil {
-				t.Errorf("%s: Load accepted corrupt block", name)
-			}
-			continue
-		}
 		if _, err := Load(block); err == nil {
 			t.Errorf("%s: Load accepted corrupt block", name)
 		}
 	}
+}
+
+// FuzzLoadPage: Load parses blocks read back from a device, so no input may
+// make it panic, and every tuple of a page it accepts lies in the block's
+// data region — after the header, before the slot array. The seeds are an
+// empty page, a full one, a partly filled page staged without its gap, a
+// short header, and a tuple count that puts the slot array past the block's
+// start.
+func FuzzLoadPage(f *testing.F) {
+	f.Add(New(256).Seal())
+	full := New(512)
+	for i := 0; ; i++ {
+		if _, ok := full.Append(bytes.Repeat([]byte{byte(i)}, i%23)); !ok {
+			break
+		}
+	}
+	f.Add(full.Seal())
+	part := New(4096)
+	for _, tup := range []string{"alpha", "", "a longer tuple", "z"} {
+		part.Append([]byte(tup))
+	}
+	staged := part.AppendSealed(nil)
+	f.Add(staged)
+	f.Add(staged[:headerSize-1])
+	past := append([]byte(nil), staged...)
+	binary.LittleEndian.PutUint32(past, uint32(len(past)/slotSize+1))
+	f.Add(past)
+	f.Fuzz(func(t *testing.T, block []byte) {
+		p, err := Load(block)
+		if err != nil {
+			return
+		}
+		slots := len(block) - p.Tuples()*slotSize
+		for i := 0; i < p.Tuples(); i++ {
+			tup := p.Tuple(i)
+			start := cap(block) - cap(tup) // Tuple slices the block itself
+			if start < headerSize || start+len(tup) > slots || p.Offset(i) != start {
+				t.Fatalf("tuple %d at [%d,%d) of a %d-byte block whose slots start at %d", i, start, start+len(tup), len(block), slots)
+			}
+		}
+	})
 }
 
 func TestResetClearsState(t *testing.T) {
@@ -302,6 +302,17 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
+// TestNewPoolSlottedOnly: pages have one layout, so a pool asked for a
+// fixed tuple size refuses.
+func TestNewPoolSlottedOnly(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPool accepted a fixed tuple size")
+		}
+	}()
+	NewPool(1024, 16, nil)
+}
+
 func TestPoolBudgetAccounting(t *testing.T) {
 	bud := NewBudget(0)
 	pool := NewPool(1024, 0, bud)
@@ -318,17 +329,6 @@ func TestPoolBudgetAccounting(t *testing.T) {
 
 func BenchmarkAppendSlotted(b *testing.B) {
 	p := New(DefaultPageSize)
-	tup := make([]byte, 64)
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		if _, ok := p.Append(tup); !ok {
-			p.Reset()
-		}
-	}
-}
-
-func BenchmarkAppendFixed(b *testing.B) {
-	p := NewFixed(DefaultPageSize, 64)
 	tup := make([]byte, 64)
 	b.SetBytes(64)
 	for i := 0; i < b.N; i++ {

@@ -114,25 +114,31 @@ func (b *Budget) Exhausted(pageSize int) bool {
 
 // Pool is a thread-local free list of pages. Spilling buffers draw clean
 // pages from the pool while full ones are written out asynchronously
-// (paper Listing 2); the pool's fixed size bounds per-thread memory during
+// (paper Listing 2); the bounded pool caps per-thread memory during
 // spilling regardless of input size.
 //
 // Pool is not safe for concurrent use.
 type Pool struct {
 	pageSize int
-	fixed    int // fixed tuple size for pages from this pool; 0 = slotted
 	free     []*Page
 	budget   *Budget
 	created  int
 	closed   int
 }
 
-// NewPool returns a pool creating pages of pageSize bytes. If fixedTupleSize
-// is nonzero all pages use the fixed layout. The budget, if non-nil, is
-// charged for every page the pool creates and credited when pages are
-// discarded via Discard.
+// NewPool returns a pool creating pages of pageSize bytes. The budget, if
+// non-nil, is charged for every page the pool creates and credited when
+// pages are discarded via Discard.
+//
+// fixedTupleSize must be 0: pages have one, slotted, layout. The argument
+// stays only because the performance ledger's kernel benchmark
+// (benchmark/kernels.go), which changes only together with the ledger, calls
+// NewPool with three arguments.
 func NewPool(pageSize, fixedTupleSize int, budget *Budget) *Pool {
-	return &Pool{pageSize: pageSize, fixed: fixedTupleSize, budget: budget}
+	if fixedTupleSize != 0 {
+		panic(fmt.Sprintf("pages: fixed tuple size %d: pages are slotted only", fixedTupleSize))
+	}
+	return &Pool{pageSize: pageSize, budget: budget}
 }
 
 // PageSize returns the size of pages this pool manages.
@@ -151,7 +157,7 @@ func (p *Pool) Get() *Page {
 	}
 	p.budget.Reserve(int64(p.pageSize))
 	p.created++
-	return newOn(GetBuf(p.pageSize), p.fixed)
+	return newOn(GetBuf(p.pageSize))
 }
 
 // Put returns a page to the free list for reuse. The budget is unaffected:

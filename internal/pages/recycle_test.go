@@ -10,55 +10,48 @@ import (
 
 // TestAppendSealedPartlyFilled: a partly-filled page stages its header,
 // tuples and slots only — UsedBytes() of them — and loads back to the same
-// tuples, slotted and fixed alike, alone or behind other blocks in one
-// staging buffer. The page's gap holds a recycled buffer's garbage, which
-// must not reach the staged bytes.
+// tuples, alone or behind other blocks in one staging buffer. The page's gap
+// holds a recycled buffer's garbage, which must not reach the staged bytes.
 func TestAppendSealedPartlyFilled(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, fixed := range []int{0, 24} {
-		for _, fill := range []int{0, 1, 7, 40} {
-			t.Run(fmt.Sprintf("fixed=%d/tuples=%d", fixed, fill), func(t *testing.T) {
-				buf := make([]byte, 4096)
-				for i := range buf {
-					buf[i] = 0xee // an earlier owner's bytes
+	for _, fill := range []int{0, 1, 7, 40} {
+		t.Run(fmt.Sprintf("tuples=%d", fill), func(t *testing.T) {
+			buf := make([]byte, 4096)
+			for i := range buf {
+				buf[i] = 0xee // an earlier owner's bytes
+			}
+			p := newOn(buf)
+			var want [][]byte
+			for len(want) < fill {
+				tup := make([]byte, rng.Intn(60))
+				rng.Read(tup)
+				if _, ok := p.Append(tup); !ok {
+					t.Fatal("page full")
 				}
-				p := newOn(buf, fixed)
-				var want [][]byte
-				for len(want) < fill {
-					n := fixed
-					if n == 0 {
-						n = rng.Intn(60)
-					}
-					tup := make([]byte, n)
-					rng.Read(tup)
-					if _, ok := p.Append(tup); !ok {
-						t.Fatal("page full")
-					}
-					want = append(want, tup)
+				want = append(want, tup)
+			}
+			prefix := []byte("earlier block")
+			staged := p.AppendSealed(append([]byte(nil), prefix...))
+			block := staged[len(prefix):]
+			if len(block) != p.UsedBytes() {
+				t.Fatalf("staged %d bytes, page uses %d", len(block), p.UsedBytes())
+			}
+			if fill == 0 && len(block) != headerSize {
+				t.Fatalf("empty page staged %d bytes, want its header alone", len(block))
+			}
+			got, err := Load(block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Tuples() != len(want) {
+				t.Fatalf("loaded %d tuples, want %d", got.Tuples(), len(want))
+			}
+			for i, w := range want {
+				if !bytes.Equal(got.Tuple(i), w) {
+					t.Fatalf("tuple %d differs after the round trip", i)
 				}
-				prefix := []byte("earlier block")
-				staged := p.AppendSealed(append([]byte(nil), prefix...))
-				block := staged[len(prefix):]
-				if len(block) != p.UsedBytes() {
-					t.Fatalf("staged %d bytes, page uses %d", len(block), p.UsedBytes())
-				}
-				if fill == 0 && len(block) != headerSize {
-					t.Fatalf("empty page staged %d bytes, want its header alone", len(block))
-				}
-				got, err := Load(block)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Tuples() != len(want) || got.FixedTupleSize() != fixed {
-					t.Fatalf("loaded %d tuples of fixed size %d, want %d of %d", got.Tuples(), got.FixedTupleSize(), len(want), fixed)
-				}
-				for i, w := range want {
-					if !bytes.Equal(got.Tuple(i), w) {
-						t.Fatalf("tuple %d differs after the round trip", i)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -50,9 +50,6 @@ const (
 	// Adaptive starts unpartitioned and partitions and spills at runtime as
 	// memory runs out.
 	Adaptive Baseline = iota
-	// NeverPartition never partitions; once memory runs out it spills
-	// whatever page comes next.
-	NeverPartition
 	// InMemoryOnly never partitions and cannot spill: an out-of-memory query
 	// fails with ErrOutOfMemory (the pure in-memory engine).
 	InMemoryOnly
@@ -413,8 +410,6 @@ func (e *Engine) NewCtx() *exec.Ctx {
 	}
 	spill := true
 	switch e.cfg.Baseline {
-	case NeverPartition:
-		ctx.Mode = core.ModeNeverPartition
 	case InMemoryOnly:
 		ctx.Mode = core.ModeNeverPartition
 		spill = false
