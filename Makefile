@@ -28,7 +28,7 @@ ledger-smoke:
 # The operator and codec microbenchmarks are run by hand (EXPERIMENTS.md
 # quotes them); one iteration each keeps them compiling and running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'JoinProbe|JoinBuild|AggMerge|AggPreAgg|ExtSortSpill|ExtSortInMemory|ExprResidual' -benchtime 1x ./internal/exec/
+	$(GO) test -run '^$$' -bench 'JoinProbe|JoinBuild|AggMerge|AggPreAgg|ExtSortSpill|ExtSortInMemory|ExprResidual|BatchEncode' -benchtime 1x ./internal/exec/
 	$(GO) test -run '^$$' -bench 'CompressUnit|DecompressDeflate1' -benchtime 1x ./internal/codec/
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos

@@ -57,20 +57,30 @@ func spillCorpus(sf float64) [][]byte {
 		var cursor atomic.Int64
 		pg := pages.New(pages.DefaultPageSize)
 		reader := mt.NewReader(cols, &cursor, 0)
+		var sizes []int
+		var dsts [][]byte
+		var seq []int32
 		for {
 			n, err := reader.Next(cursorBatch)
 			if err != nil || n == 0 {
 				break
 			}
-			for r := 0; r < n; r++ {
-				size := rc.Size(cursorBatch, r)
-				dst, ok := pg.Alloc(size)
-				if !ok {
+			sizes = rc.SizeAll(cursorBatch, nil, sizes[:0])
+			for len(seq) < n {
+				seq = append(seq, int32(len(seq)))
+			}
+			if len(dsts) < n {
+				dsts = make([][]byte, n)
+			}
+			for r := 0; r < n; {
+				k := pg.AllocRun(sizes[r:n], dsts[r:n])
+				if k == 0 {
 					corpus = append(corpus, append([]byte(nil), pg.Seal()...))
 					pg.Reset()
-					dst, _ = pg.Alloc(size)
+					continue
 				}
-				rc.Encode(dst, cursorBatch, r)
+				rc.EncodeAll(dsts[r:r+k], cursorBatch, seq[r:r+k])
+				r += k
 			}
 		}
 		if pg.Tuples() > 0 {

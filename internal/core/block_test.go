@@ -36,8 +36,7 @@ func TestBlockCompressionBeatsPageCompression(t *testing.T) {
 	b := s.NewBuffer()
 	b.Regulator().PinScheme(codec.LZ4Default)
 	for r := 0; r < 10000; r++ {
-		tuple := make([]byte, rc.Size(batch, r))
-		rc.Encode(tuple, batch, r)
+		tuple := encodeRow(rc, batch, r)
 		b.StoreTuple(tuple, data.HashRow(batch, []int{0}, r))
 	}
 	if err := b.Finish(); err != nil {
@@ -102,8 +101,7 @@ func TestDefaultScaleShrinksOutput(t *testing.T) {
 	var block []byte
 	pg := pages.New(4096)
 	for r := 0; r < int(li.Rows()) && len(blocks) < 8; r++ {
-		tuple := make([]byte, rc.Size(batch, r))
-		rc.Encode(tuple, batch, r)
+		tuple := encodeRow(rc, batch, r)
 		if _, ok := pg.Append(tuple); ok {
 			continue
 		}
@@ -137,4 +135,12 @@ func TestDefaultScaleShrinksOutput(t *testing.T) {
 		}
 		prev, prevName = size, c.Name()
 	}
+}
+
+// encodeRow returns row r of b encoded on its own.
+func encodeRow(rc *data.RowCodec, b *data.Batch, r int) []byte {
+	sel := []int32{int32(r)}
+	dst := [][]byte{make([]byte, rc.SizeAll(b, sel, nil)[0])}
+	rc.EncodeAll(dst, b, sel)
+	return dst[0]
 }

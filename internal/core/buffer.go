@@ -157,6 +157,7 @@ type Shared struct {
 	runs        atomic.Int64 // sorted runs numbered so far (newRun)
 
 	mu       sync.Mutex
+	bufs     []*Buffer // every buffer NewBuffer made, for Release
 	result   Result
 	merged   int
 	firstErr error
@@ -240,6 +241,9 @@ func (s *Shared) NewBuffer() *Buffer {
 	if s.partitionOn.Load() {
 		b.enablePartitioning()
 	}
+	s.mu.Lock()
+	s.bufs = append(s.bufs, b)
+	s.mu.Unlock()
 	if cfg.Spill != nil {
 		ring := uring.New(cfg.Spill.Array)
 		ring.SetLease(cfg.Spill.Lease)
@@ -255,16 +259,13 @@ func (s *Shared) NewBuffer() *Buffer {
 // Regulator returns the thread's compression regulator, or nil.
 func (b *Buffer) Regulator() *Regulator { return b.reg }
 
-// Tuples returns the number of tuples stored through this buffer.
-func (b *Buffer) Tuples() int64 { return b.tuples }
-
 // StoreTuple copies tuple into the buffer under the given hash. This is the
 // operator-independent materialization fast path: one shift, one array
 // index, one bounds check, one copy (paper Listing 1).
 func (b *Buffer) StoreTuple(tuple []byte, hash uint64) {
 	p := b.output[hash>>b.shift]
 	if p == nil || !p.HasSpace(len(tuple)) {
-		p = b.getEmptyPage(hash, len(tuple))
+		p = b.getEmptyPage(hash)
 	}
 	if _, ok := p.Append(tuple); !ok {
 		// A fresh page cannot hold the tuple: objects larger than the
@@ -274,20 +275,41 @@ func (b *Buffer) StoreTuple(tuple []byte, hash uint64) {
 	b.tuples++
 }
 
-// AllocTuple reserves size bytes in the buffer under the given hash and
-// returns the slice to fill in place. Operators that assemble tuples
-// field-wise (the aggregation's in-page groups, §4.6) use this.
-func (b *Buffer) AllocTuple(size int, hash uint64) []byte {
-	p := b.output[hash>>b.shift]
-	if p == nil || !p.HasSpace(size) {
-		p = b.getEmptyPage(hash, size)
+// Reserve reserves tuples of the given sizes under the given hashes, in
+// order, setting dsts[i] to the i-th one's bytes, and returns how many: all,
+// or those before the first one after the first that needs a fresh page.
+// Only the first may enter getEmptyPage — the partitioning switch, spilling,
+// the out-of-memory panic — so nothing moves a destination until the next
+// call, and the caller fills them all before it. Unpartitioned, they are one
+// run on one page (Page.AllocRun).
+func (b *Buffer) Reserve(sizes []int, hashes []uint64, dsts [][]byte) int {
+	p := b.output[hashes[0]>>b.shift]
+	if p == nil || !p.HasSpace(sizes[0]) {
+		p = b.getEmptyPage(hashes[0])
 	}
-	dst, ok := p.Alloc(size)
-	if !ok {
-		panic(fmt.Sprintf("core: tuple of %d bytes exceeds page capacity", size))
+	n := 0
+	if b.shift == 64 {
+		n = p.AllocRun(sizes, dsts)
+	} else {
+		for ; n < len(sizes); n++ {
+			if n > 0 {
+				if p = b.output[hashes[n]>>b.shift]; p == nil {
+					break
+				}
+			}
+			dst, ok := p.Alloc(sizes[n])
+			if !ok {
+				break
+			}
+			dsts[n] = dst
+		}
 	}
-	b.tuples++
-	return dst
+	if n == 0 {
+		// A fresh page cannot hold the tuple (see StoreTuple).
+		panic(fmt.Sprintf("core: tuple of %d bytes exceeds page capacity", sizes[0]))
+	}
+	b.tuples += int64(n)
+	return n
 }
 
 // partOf returns the partition index for a hash under the active shift,
@@ -303,7 +325,7 @@ func (b *Buffer) partOf(hash uint64) int {
 // Umami's adaptivity — the partitioning decision, the spilling decision,
 // victim choice, and regulator bookkeeping — lives here, amortized over
 // the tuples of a page (paper §4.2).
-func (b *Buffer) getEmptyPage(hash uint64, need int) *pages.Page {
+func (b *Buffer) getEmptyPage(hash uint64) *pages.Page {
 	cfg := &b.s.cfg
 	idx := hash >> b.shift
 	old := b.output[idx]
@@ -629,6 +651,28 @@ func (b *Buffer) Finish() error {
 	}
 	s.merged++
 	return err
+}
+
+// Release gives back what the operator holds once its workers have stopped:
+// its result's in-memory pages with their charge (Result.ReleaseMemory), and
+// the charge of every page a buffer's pool handed out when its worker failed
+// before Finish (their buffers are left to the collector). exec.Ctx registers
+// it as a query-end cleanup when it creates the operator, so a failed or
+// canceled query leaves no budget charged either. Idempotent.
+func (s *Shared) Release() {
+	s.mu.Lock()
+	bufs := s.bufs
+	s.bufs = nil
+	s.mu.Unlock()
+	for _, b := range bufs {
+		if !b.finished {
+			if b.writer != nil {
+				b.writer.abort(nil)
+			}
+			b.pool.Drop()
+		}
+	}
+	s.result.ReleaseMemory(s.cfg.Budget)
 }
 
 // Result is the outcome of an operator's materialization phase, aggregated

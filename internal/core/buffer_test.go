@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -469,16 +470,200 @@ func TestOversizedTuplePanics(t *testing.T) {
 	b.StoreTuple(make([]byte, 8192), 1)
 }
 
-func TestAllocTuple(t *testing.T) {
+func TestReserveInPlace(t *testing.T) {
 	s := NewShared(Config{PageSize: 4096})
 	b := s.NewBuffer()
-	dst := b.AllocTuple(16, hashOf(7))
-	binary.LittleEndian.PutUint64(dst, 7)
+	dsts := make([][]byte, 1)
+	if n := b.Reserve([]int{16}, []uint64{hashOf(7)}, dsts); n != 1 || len(dsts[0]) != 16 {
+		t.Fatalf("Reserve = %d tuples, %d bytes; want 1 of 16", n, len(dsts[0]))
+	}
+	binary.LittleEndian.PutUint64(dsts[0], 7)
 	b.Finish()
 	res, _ := s.Finalize()
 	got := collectKeys(t, nil, res)
 	if got[7] != 1 {
 		t.Fatal("in-place tuple lost")
+	}
+}
+
+// mixedTuples returns n tuples of 8 to 200 bytes with distinct keys, and
+// their hashes.
+func mixedTuples(n int) ([][]byte, []uint64) {
+	tuples, hashes := make([][]byte, n), make([]uint64, n)
+	for i := range tuples {
+		key := uint64(i)
+		tuples[i] = tup(key, 8+int(hashOf(key)%193))
+		for j := 8; j < len(tuples[i]); j++ {
+			tuples[i][j] = byte(i + j)
+		}
+		hashes[i] = hashOf(key)
+	}
+	return tuples, hashes
+}
+
+// reserveAll materializes tuples through Reserve the way the engine's batch
+// encoder does: batch tuples at a time, each returned prefix filled before
+// the next call. It returns how many tuples it stored before the buffer ran
+// out of memory, with the error.
+func reserveAll(b *Buffer, tuples [][]byte, hashes []uint64, batch int) (stored int, err error) {
+	defer RecoverOOM(&err)
+	sizes, dsts := make([]int, batch), make([][]byte, batch)
+	for len(tuples) > 0 {
+		n := min(batch, len(tuples))
+		for i := range n {
+			sizes[i] = len(tuples[i])
+		}
+		for i := 0; i < n; {
+			k := b.Reserve(sizes[i:n], hashes[i:n], dsts[i:n])
+			for j := i; j < i+k; j++ {
+				copy(dsts[j], tuples[j])
+			}
+			i += k
+			stored += k
+		}
+		tuples, hashes = tuples[n:], hashes[n:]
+	}
+	return stored, nil
+}
+
+// storeAll materializes tuples one StoreTuple call at a time, with the same
+// results as reserveAll.
+func storeAll(b *Buffer, tuples [][]byte, hashes []uint64) (stored int, err error) {
+	defer RecoverOOM(&err)
+	for i, tuple := range tuples {
+		b.StoreTuple(tuple, hashes[i])
+		stored++
+	}
+	return stored, nil
+}
+
+// samePages fails unless two page lists hold the same tuples in the same
+// order, page by page, under the same partitions.
+func samePages(t *testing.T, what string, got, want []*pages.Page) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pages, want %d", what, len(got), len(want))
+	}
+	for i, p := range got {
+		q := want[i]
+		if p.Part != q.Part || p.Tuples() != q.Tuples() {
+			t.Fatalf("%s page %d: part %d with %d tuples, want part %d with %d", what, i, p.Part, p.Tuples(), q.Part, q.Tuples())
+		}
+		for j := 0; j < p.Tuples(); j++ {
+			if !bytes.Equal(p.Tuple(j), q.Tuple(j)) {
+				t.Fatalf("%s page %d tuple %d: %x, want %x", what, i, j, p.Tuple(j), q.Tuple(j))
+			}
+		}
+	}
+}
+
+// TestReserveMatchesStoreTuple: reserving mixed-size tuples a batch at a
+// time and filling them in place builds the same pages as storing them one
+// at a time — the same tuples in the same order, the same partitions, the
+// same spilled slots and partition mask, and the same point of failure when
+// memory runs out without a spill target, with every reserved tuple complete.
+func TestReserveMatchesStoreTuple(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   func() Config
+		n     int
+		oom   bool
+		check func(t *testing.T, res *Result)
+	}{
+		{name: "unpartitioned", n: 3000,
+			cfg: func() Config { return Config{PageSize: 4096} }},
+		{name: "partitioning-switch", n: 3000,
+			cfg: func() Config {
+				return Config{PageSize: 4096, Partitions: 8, Budget: pages.NewBudget(1 << 20), PartitionAt: 0.1}
+			},
+			check: func(t *testing.T, res *Result) {
+				if len(res.Unpartitioned) == 0 || len(res.InMemory) == 0 {
+					t.Fatalf("%d unpartitioned and %d partitioned pages: the switch did not happen mid-input", len(res.Unpartitioned), len(res.InMemory))
+				}
+			}},
+		{name: "spill", n: 6000,
+			cfg: func() Config {
+				return Config{PageSize: 4096, Partitions: 8, Budget: pages.NewBudget(64 << 10), PartitionAt: 0.3,
+					Spill: &SpillConfig{Array: fastArray(2)}}
+			},
+			check: func(t *testing.T, res *Result) {
+				if !res.HasSpilled() {
+					t.Fatal("nothing spilled")
+				}
+			}},
+		{name: "in-memory-only-oom", n: 3000, oom: true,
+			cfg: func() Config {
+				return Config{PageSize: 4096, Budget: pages.NewBudget(32 << 10), Mode: ModeNeverPartition}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tuples, hashes := mixedTuples(tc.n)
+			var res [2]*Result
+			var stored [2]int
+			for i := range res {
+				cfg := tc.cfg()
+				s := NewShared(cfg)
+				b := s.NewBuffer()
+				var err error
+				if i == 0 {
+					stored[i], err = reserveAll(b, tuples, hashes, 1024)
+				} else {
+					stored[i], err = storeAll(b, tuples, hashes)
+				}
+				if tc.oom != (err == ErrOutOfMemory) {
+					t.Fatalf("err = %v (out of memory expected: %v)", err, tc.oom)
+				}
+				if err := b.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				if res[i], err = s.Finalize(); err != nil {
+					t.Fatal(err)
+				}
+				if res[i].Tuples != int64(stored[i]) {
+					t.Fatalf("Tuples() = %d, %d stored", res[i].Tuples, stored[i])
+				}
+				if tc.check != nil {
+					tc.check(t, res[i])
+				}
+				if cfg.Spill != nil {
+					got := collectKeys(t, cfg.Spill.Array, res[i])
+					checkAllKeys(t, got, tc.n, 0)
+				}
+			}
+			got, want := res[0], res[1]
+			if stored[0] != stored[1] {
+				t.Fatalf("Reserve stored %d tuples, StoreTuple %d", stored[0], stored[1])
+			}
+			if tc.oom && stored[0] == tc.n {
+				t.Fatal("the budget did not run out")
+			}
+			samePages(t, "unpartitioned", got.Unpartitioned, want.Unpartitioned)
+			samePages(t, "partitioned", got.InMemory, want.InMemory)
+			if got.Mask != want.Mask || len(got.Spilled) != len(want.Spilled) {
+				t.Fatalf("mask %b over %d streams, want %b over %d", got.Mask, len(got.Spilled), want.Mask, len(want.Spilled))
+			}
+			for part := range got.Spilled {
+				g, w := got.Spilled[part], want.Spilled[part]
+				if len(g) != len(w) {
+					t.Fatalf("partition %d: %d spilled slots, want %d", part, len(g), len(w))
+				}
+				for i := range g {
+					if g[i].Off != w[i].Off || g[i].Len != w[i].Len || g[i].Scheme != w[i].Scheme {
+						t.Fatalf("partition %d slot %d: %+v, want %+v", part, i, g[i], w[i])
+					}
+				}
+			}
+			if tc.oom {
+				// Every tuple on a page is one of the input's, whole.
+				for _, p := range got.Unpartitioned {
+					for j := 0; j < p.Tuples(); j++ {
+						if k := keyOf(p.Tuple(j)); !bytes.Equal(p.Tuple(j), tuples[k]) {
+							t.Fatalf("tuple %d on a page is not whole after the out-of-memory panic", k)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -6,8 +6,9 @@
 // independent but complementary techniques:
 //
 //   - Adaptive materialization (§4.2): the per-tuple fast path
-//     (Buffer.StoreTuple) indexes a page array by hash >> shift. With
-//     shift = 64 there is one partition (plain in-memory materialization);
+//     (Buffer.StoreTuple; Buffer.Reserve for a batch encoded in place)
+//     indexes a page array by hash >> shift. With shift = 64 there is one
+//     partition (plain in-memory materialization);
 //     lowering the shift at runtime enables 2^(64-shift) hash partitions —
 //     transparently to the operator, which never presupposes tuple
 //     locations. Spilling is injected at page-allocation time: when the

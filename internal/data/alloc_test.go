@@ -55,10 +55,8 @@ func TestAllocsRowCodecBulk(t *testing.T) {
 func TestAllocsTupleOps(t *testing.T) {
 	b := allocBatch()
 	rc := NewRowCodec(b.Schema.Types())
-	tup := make([]byte, rc.Size(b, 0))
-	rc.Encode(tup, b, 0)
-	tup2 := make([]byte, rc.Size(b, 1))
-	rc.Encode(tup2, b, 1)
+	tup := encodeRow(rc, b, 0)
+	tup2 := encodeRow(rc, b, 1)
 	keys := []int{0, 2} // int64 + string key
 	var h uint64
 	var eq bool
@@ -112,8 +110,7 @@ func BenchmarkAllocInternBytes(b *testing.B) {
 func BenchmarkAllocAppendToArena(b *testing.B) {
 	bt := allocBatch()
 	rc := NewRowCodec(bt.Schema.Types())
-	tup := make([]byte, rc.Size(bt, 0))
-	rc.Encode(tup, bt, 0)
+	tup := encodeRow(rc, bt, 0)
 	out := NewBatch(bt.Schema, 4096)
 	var a ByteArena
 	b.ResetTimer()
@@ -128,8 +125,7 @@ func BenchmarkAllocAppendToArena(b *testing.B) {
 func TestAllocsAppendToArena(t *testing.T) {
 	b := allocBatch()
 	rc := NewRowCodec(b.Schema.Types())
-	tup := make([]byte, rc.Size(b, 0))
-	rc.Encode(tup, b, 0)
+	tup := encodeRow(rc, b, 0)
 	out := NewBatch(b.Schema, 2048)
 	var a ByteArena
 	// Warm the destination so append growth settles, then require the

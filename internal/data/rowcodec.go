@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"sync"
 
 	"github.com/spilly-db/spilly/internal/xhash"
 )
-
-// varOffPool recycles EncodeAll's per-call variable-offset scratch.
-var varOffPool = sync.Pool{New: func() any { s := make([]int, 0, 1024); return &s }}
 
 // RowCodec serializes rows into the row-wise tuple format operators
 // materialize through Umami. The layout gives O(1) field access:
@@ -46,45 +42,6 @@ func (rc *RowCodec) Fields() int { return len(rc.types) }
 // Types returns the field types.
 func (rc *RowCodec) Types() []Type { return rc.types }
 
-// Size returns the encoded size of row r of b.
-func (rc *RowCodec) Size(b *Batch, r int) int {
-	n := rc.fixedEnd
-	for i, t := range rc.types {
-		if t == String {
-			n += len(b.Cols[i].S[r])
-		}
-	}
-	return n
-}
-
-// Encode writes row r of b into dst, which must be exactly Size(b, r)
-// bytes (e.g. allocated in place on an Umami page).
-func (rc *RowCodec) Encode(dst []byte, b *Batch, r int) {
-	for i := 0; i < rc.nullBytes; i++ {
-		dst[i] = 0
-	}
-	varOff := rc.fixedEnd
-	for i, t := range rc.types {
-		c := &b.Cols[i]
-		slot := dst[rc.nullBytes+8*i:]
-		if c.Null != nil && c.Null[r] {
-			dst[i/8] |= 1 << uint(i%8)
-		}
-		switch t {
-		case Float64:
-			binary.LittleEndian.PutUint64(slot, math.Float64bits(c.F[r]))
-		case String:
-			s := c.S[r]
-			binary.LittleEndian.PutUint32(slot, uint32(varOff))
-			binary.LittleEndian.PutUint32(slot[4:], uint32(len(s)))
-			copy(dst[varOff:], s)
-			varOff += len(s)
-		default:
-			binary.LittleEndian.PutUint64(slot, uint64(c.I[r]))
-		}
-	}
-}
-
 // FixedSize returns the encoded tuple size when the codec has no string
 // fields, in which case every tuple is the same width.
 func (rc *RowCodec) FixedSize() (int, bool) {
@@ -93,8 +50,7 @@ func (rc *RowCodec) FixedSize() (int, bool) {
 
 // SizeAll appends the encoded size of every live row of b to out
 // (returned). For all-fixed schemas this is a constant fill; otherwise the
-// per-row base cost is filled once and only string columns are walked —
-// amortizing the per-row type loop Size performs.
+// per-row base cost is filled once and only string columns are walked.
 func (rc *RowCodec) SizeAll(b *Batch, sel []int32, out []int) []int {
 	n := b.n
 	if sel != nil {
@@ -122,9 +78,10 @@ func (rc *RowCodec) SizeAll(b *Batch, sel []int32, out []int) []int {
 
 // EncodeAll encodes the live rows of b into dsts, one pre-allocated
 // destination per live row (each exactly the corresponding SizeAll size,
-// e.g. allocated in place on Umami pages). It is column-at-a-time: per
-// column the type dispatch happens once and a tight loop writes all rows,
-// where Encode re-dispatches per row.
+// e.g. reserved in place on Umami pages). It is column-at-a-time: per
+// column the type dispatch happens once and a tight loop writes all rows.
+// A string body starts where the previous string field's ends, read back
+// from that field's slot, or at the end of the fixed part.
 func (rc *RowCodec) EncodeAll(dsts [][]byte, b *Batch, sel []int32) {
 	n := b.n
 	if sel != nil {
@@ -133,77 +90,60 @@ func (rc *RowCodec) EncodeAll(dsts [][]byte, b *Batch, sel []int32) {
 	if len(dsts) != n {
 		panic("data: EncodeAll destination count mismatch")
 	}
-	for i := range dsts {
+	for _, dst := range dsts {
 		for j := 0; j < rc.nullBytes; j++ {
-			dsts[i][j] = 0
+			dst[j] = 0
 		}
 	}
-	// varOff tracks, per row, where the next string body lands; only
-	// needed when the schema has string fields. The scratch comes from a
-	// pool so batch-at-a-time encoding stays allocation-free.
-	var varOffs []int
-	var varOffsPtr *[]int
-	if len(rc.strFields) > 0 {
-		varOffsPtr = varOffPool.Get().(*[]int)
-		varOffs = *varOffsPtr
-		if cap(varOffs) < n {
-			varOffs = make([]int, n)
-		} else {
-			varOffs = varOffs[:n]
-		}
-		for i := range varOffs {
-			varOffs[i] = rc.fixedEnd
-		}
-		defer func() {
-			*varOffsPtr = varOffs
-			varOffPool.Put(varOffsPtr)
-		}()
-	}
+	prevStr := -1 // slot offset of the previous string field
 	for f, t := range rc.types {
 		c := &b.Cols[f]
 		slotOff := rc.nullBytes + 8*f
 		switch t {
 		case Float64:
 			vals := c.F
-			for i := range dsts {
+			for i, dst := range dsts {
 				r := i
 				if sel != nil {
 					r = int(sel[i])
 				}
-				binary.LittleEndian.PutUint64(dsts[i][slotOff:], math.Float64bits(vals[r]))
+				binary.LittleEndian.PutUint64(dst[slotOff:], math.Float64bits(vals[r]))
 			}
 		case String:
 			vals := c.S
-			for i := range dsts {
+			for i, dst := range dsts {
 				r := i
 				if sel != nil {
 					r = int(sel[i])
+				}
+				off := uint32(rc.fixedEnd)
+				if prevStr >= 0 {
+					off = binary.LittleEndian.Uint32(dst[prevStr:]) + binary.LittleEndian.Uint32(dst[prevStr+4:])
 				}
 				s := vals[r]
-				dst := dsts[i]
-				binary.LittleEndian.PutUint32(dst[slotOff:], uint32(varOffs[i]))
+				binary.LittleEndian.PutUint32(dst[slotOff:], off)
 				binary.LittleEndian.PutUint32(dst[slotOff+4:], uint32(len(s)))
-				copy(dst[varOffs[i]:], s)
-				varOffs[i] += len(s)
+				copy(dst[off:], s)
 			}
+			prevStr = slotOff
 		default:
 			vals := c.I
-			for i := range dsts {
+			for i, dst := range dsts {
 				r := i
 				if sel != nil {
 					r = int(sel[i])
 				}
-				binary.LittleEndian.PutUint64(dsts[i][slotOff:], uint64(vals[r]))
+				binary.LittleEndian.PutUint64(dst[slotOff:], uint64(vals[r]))
 			}
 		}
 		if c.Null != nil {
-			for i := range dsts {
+			for i, dst := range dsts {
 				r := i
 				if sel != nil {
 					r = int(sel[i])
 				}
 				if c.Null[r] {
-					dsts[i][f/8] |= 1 << uint(f%8)
+					dst[f/8] |= 1 << uint(f%8)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -48,6 +49,102 @@ func randVecBatch(rng *rand.Rand) *Batch {
 	return b
 }
 
+// TestEncodeAllDecodeFieldsRoundTrip: every live row encoded by EncodeAll
+// decodes back through DecodeFields to its values, NULL marks included, on
+// schemas with no, one and three string fields — the three string bodies
+// placed one after another, each where the previous one ends.
+func TestEncodeAllDecodeFieldsRoundTrip(t *testing.T) {
+	for _, types := range [][]Type{
+		{Int64, Float64, Date, Bool},
+		{Int64, String, Float64},
+		{String, Int64, String, Float64, Date, String, Int64, Bool, Int64},
+	} {
+		defs := make([]ColumnDef, len(types))
+		for f, typ := range types {
+			defs[f] = ColumnDef{Name: fmt.Sprintf("c%d", f), Type: typ}
+		}
+		schema := NewSchema(defs...)
+		rc := NewRowCodec(types)
+		rng := rand.New(rand.NewSource(int64(len(types))))
+		for round := 0; round < 50; round++ {
+			n := 1 + rng.Intn(300)
+			b := NewBatch(schema, n)
+			for f, typ := range types {
+				c := &b.Cols[f]
+				for i := 0; i < n; i++ {
+					switch typ {
+					case String:
+						c.S = append(c.S, strings.Repeat("x", rng.Intn(40))+fmt.Sprint(i))
+					case Float64:
+						c.F = append(c.F, rng.NormFloat64())
+					default:
+						c.I = append(c.I, rng.Int63()-rng.Int63())
+					}
+				}
+				if rng.Intn(2) == 0 {
+					c.Null = make([]bool, n)
+					for i := range c.Null {
+						c.Null[i] = rng.Intn(3) == 0
+					}
+				}
+			}
+			b.SetLen(n)
+			var sel []int32
+			if rng.Intn(2) == 0 {
+				for i := 0; i < n; i++ {
+					if rng.Intn(3) != 0 {
+						sel = append(sel, int32(i))
+					}
+				}
+			}
+			sizes := rc.SizeAll(b, sel, nil)
+			dsts := make([][]byte, len(sizes))
+			for i, size := range sizes {
+				dsts[i] = make([]byte, size)
+			}
+			rc.EncodeAll(dsts, b, sel)
+			cols := make([]Column, len(types))
+			for f := range cols {
+				cols[f].Type = types[f]
+			}
+			var arena ByteArena
+			rc.DecodeFields(cols, dsts, &arena)
+			for i := range dsts {
+				r := i
+				if sel != nil {
+					r = int(sel[i])
+				}
+				for f, typ := range types {
+					in, out := &b.Cols[f], &cols[f]
+					if in.Null != nil && in.Null[r] {
+						if out.Null == nil || !out.Null[i] {
+							t.Fatalf("%v row %d field %d: NULL lost", types, r, f)
+						}
+						continue
+					}
+					if out.Null != nil && out.Null[i] {
+						t.Fatalf("%v row %d field %d: NULL where there was none", types, r, f)
+					}
+					switch typ {
+					case String:
+						if out.S[i] != in.S[r] {
+							t.Fatalf("%v row %d field %d: %q, want %q", types, r, f, out.S[i], in.S[r])
+						}
+					case Float64:
+						if out.F[i] != in.F[r] {
+							t.Fatalf("%v row %d field %d: %v, want %v", types, r, f, out.F[i], in.F[r])
+						}
+					default:
+						if out.I[i] != in.I[r] {
+							t.Fatalf("%v row %d field %d: %d, want %d", types, r, f, out.I[i], in.I[r])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHashColumnsMatchesHashRow: the batch hash kernel must be
 // bit-identical to the per-row hash for every key-column combination —
 // partition routing depends on it (a spilled build tuple and its probe
@@ -78,7 +175,8 @@ func TestHashColumnsMatchesHashRow(t *testing.T) {
 }
 
 // TestSizeAllEncodeAllMatchScalar: batch sizing and encoding must produce
-// byte-identical tuples to the per-row Size/Encode pair.
+// byte-identical tuples to the row format written one row at a time
+// (encodeRow).
 func TestSizeAllEncodeAllMatchScalar(t *testing.T) {
 	rc := NewRowCodec(vecTestSchema.Types())
 	check := func(seed int64) bool {
@@ -91,18 +189,17 @@ func TestSizeAllEncodeAllMatchScalar(t *testing.T) {
 		}
 		dsts := make([][]byte, b.Rows())
 		for i, sz := range sizes {
-			if want := rc.Size(b, b.Row(i)); sz != want {
-				t.Logf("seed %d row %d: SizeAll %d, Size %d", seed, i, sz, want)
+			if want := len(encodeRow(rc, b, b.Row(i))); sz != want {
+				t.Logf("seed %d row %d: SizeAll %d, row size %d", seed, i, sz, want)
 				return false
 			}
 			dsts[i] = make([]byte, sz)
 		}
 		rc.EncodeAll(dsts, b, b.Sel)
 		for i := range dsts {
-			want := make([]byte, sizes[i])
-			rc.Encode(want, b, b.Row(i))
+			want := encodeRow(rc, b, b.Row(i))
 			if !bytes.Equal(dsts[i], want) {
-				t.Logf("seed %d row %d: EncodeAll %x, Encode %x", seed, i, dsts[i], want)
+				t.Logf("seed %d row %d: EncodeAll %x, encodeRow %x", seed, i, dsts[i], want)
 				return false
 			}
 		}
@@ -148,23 +245,6 @@ func BenchmarkHashColumns(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out = HashColumns(batch, nil, keys, out[:0])
-	}
-}
-
-func BenchmarkEncodeRow(b *testing.B) {
-	batch := benchVecBatch(4096)
-	rc := NewRowCodec(vecTestSchema.Types())
-	var buf []byte
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < 4096; r++ {
-			sz := rc.Size(batch, r)
-			if cap(buf) < sz {
-				buf = make([]byte, sz)
-			}
-			rc.Encode(buf[:sz], batch, r)
-		}
 	}
 }
 

@@ -183,7 +183,7 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	keyCols := indicesOf(inSchema, a.GroupBy)
 
 	cfg := ctx.coreConfig()
-	shared := core.NewShared(cfg)
+	shared := ctx.newShared(cfg)
 	workers := ctx.workers()
 
 	// Phase 1: consume input with local pre-aggregation, materializing
@@ -318,6 +318,7 @@ func (aw *aggWorker) free() {
 		clear(aw.keys[k].S)
 	}
 	clear(aw.strs)
+	aw.enc.free()
 	aw.slots = [localAggSlots]int32{}
 	aggWorkers.Put(aw)
 }

@@ -409,8 +409,7 @@ func TestAggFloatKeysGroupByBits(t *testing.T) {
 func partialTuples(a *Agg, b *data.Batch) [][]byte {
 	out := make([][]byte, b.Len())
 	for r := range out {
-		out[r] = make([]byte, a.rc.Size(b, r))
-		a.rc.Encode(out[r], b, r)
+		out[r] = encodeRow(a.rc, b, r)
 	}
 	return out
 }
@@ -643,14 +642,12 @@ func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
 		} else {
 			pb.Cols[1].I[0] = int64(k)
 		}
-		size := a.rc.Size(pb, 0)
-		dst, ok := pg.Alloc(size)
-		if !ok {
+		tuple := encodeRow(a.rc, pb, 0)
+		if _, ok := pg.Append(tuple); !ok {
 			res.Unpartitioned = append(res.Unpartitioned, pg)
 			pg = pages.New(pages.DefaultPageSize)
-			dst, _ = pg.Alloc(size)
+			pg.Append(tuple)
 		}
-		a.rc.Encode(dst, pb, 0)
 	}
 	res.Unpartitioned = append(res.Unpartitioned, pg)
 	return a, res

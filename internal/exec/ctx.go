@@ -238,17 +238,24 @@ func (c *Ctx) report(sp *trace.Span, n *metrics.Snapshot) {
 	sp.Merge(n)
 }
 
+// newShared creates an operator's Umami state, released when the query
+// closes (core.Shared.Release), whether the operator finished or failed.
+func (c *Ctx) newShared(cfg core.Config) *core.Shared {
+	s := core.NewShared(cfg)
+	c.AddCleanup(s.Release)
+	return s
+}
+
 // finalize ends an operator's materialization phase once its workers have
-// finished their buffers: the merged result is reported, and the pages it
-// keeps in memory stay reserved until the query closes. The operator
-// recycles their buffers where their last reader is done (Result.Recycle);
-// the query-end release recycles them too when it never got there.
+// finished their buffers: the merged result is reported. The operator
+// recycles its in-memory pages where their last reader is done
+// (Result.Recycle); the query-end release recycles them too when it never
+// got there.
 func (c *Ctx) finalize(sp *trace.Span, shared *core.Shared) (*core.Result, error) {
 	r, err := shared.Finalize()
 	if err != nil {
 		return nil, err
 	}
-	c.AddCleanup(func() { r.ReleaseMemory(c.Budget) })
 	c.reportResult(sp, r)
 	return r, nil
 }

@@ -71,7 +71,7 @@ func (s *ExtSort) Run(ctx *Ctx) (*Stream, error) {
 	// Runs are the sort's only streams: no hash partition ever fills.
 	cfg := ctx.coreConfig()
 	cfg.Partitions, cfg.Mode = 1, core.ModeNeverPartition
-	shared := core.NewShared(cfg)
+	shared := ctx.newShared(cfg)
 
 	var mu sync.Mutex
 	var resident []*runCursor
@@ -211,31 +211,45 @@ type runGenerator struct {
 	spare  []*pages.Page // topK's other page list, reused trim after trim
 	tups   [][]byte
 	tuples int64
+	seq    []int32 // 0, 1, 2, …: the rows of a batch without a selection
+	sizes  []int   // the encoded sizes of the rows being added
 }
 
-// add encodes the live rows of b onto the generator's pages.
+// add encodes the live rows of b onto the generator's pages in place,
+// encodeRows at a time, each page's share reserved as one run.
 func (g *runGenerator) add(b *data.Batch) error {
-	for i, n := 0, b.Rows(); i < n; i++ {
-		r := b.Row(i)
-		size := g.rc.Size(b, r)
-		if g.cur == nil || !g.cur.HasSpace(size) {
-			if len(g.pgs) > 0 && g.buf.Exhausted() {
-				if err := g.spillRun(); err != nil {
-					return err
+	sel := b.Sel
+	if sel == nil {
+		g.seq = iota32(g.seq, b.Len())
+		sel = g.seq
+	}
+	for len(sel) > 0 {
+		n := min(len(sel), encodeRows)
+		g.sizes = g.rc.SizeAll(b, sel[:n], g.sizes[:0])
+		for i := 0; i < n; {
+			if g.cur == nil || !g.cur.HasSpace(g.sizes[i]) {
+				if len(g.pgs) > 0 && g.buf.Exhausted() {
+					if err := g.spillRun(); err != nil {
+						return err
+					}
 				}
+				g.newPage()
 			}
-			g.newPage()
+			at := len(g.tups)
+			g.tups = slices.Grow(g.tups, n-i)[:at+n-i]
+			k := g.cur.AllocRun(g.sizes[i:n], g.tups[at:])
+			if k == 0 {
+				return fmt.Errorf("exec: sort tuple of %d bytes exceeds page size", g.sizes[i])
+			}
+			g.tups = g.tups[:at+k]
+			g.rc.EncodeAll(g.tups[at:], b, sel[i:i+k])
+			g.tuples += int64(k)
+			i += k
+			if g.limit > 0 && len(g.tups) >= 2*g.limit {
+				g.topK()
+			}
 		}
-		dst, ok := g.cur.Alloc(size)
-		if !ok {
-			return fmt.Errorf("exec: sort tuple of %d bytes exceeds page size", size)
-		}
-		g.rc.Encode(dst, b, r)
-		g.tups = append(g.tups, dst)
-		g.tuples++
-		if g.limit > 0 && len(g.tups) == 2*g.limit {
-			g.topK()
-		}
+		sel = sel[n:]
 	}
 	return nil
 }
@@ -245,9 +259,9 @@ func (g *runGenerator) newPage() {
 	g.pgs = append(g.pgs, g.cur)
 }
 
-// topK keeps the first limit of the 2·limit tuples held: it copies them onto
-// pages from the buffer's pool and gives the old pages back to it for the
-// next fill.
+// topK keeps the first limit of the 2·limit or more tuples held: it copies
+// them onto pages from the buffer's pool and gives the old pages back to it
+// for the next fill.
 func (g *runGenerator) topK() {
 	slices.SortFunc(g.tups, g.cmp)
 	old := g.pgs

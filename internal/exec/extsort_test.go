@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/spilly-db/spilly/internal/colstore"
@@ -339,6 +340,83 @@ func TestExtSortOOMWithoutSpill(t *testing.T) {
 	if _, err := Collect(ctx, s); err == nil {
 		t.Fatal("external sort without spill target survived budget exhaustion")
 	}
+}
+
+// cancelAfter passes its child's stream through and cancels the query when
+// the stream has handed out n batches.
+type cancelAfter struct {
+	Node
+	n      int64
+	cancel func()
+}
+
+func (c *cancelAfter) Run(ctx *Ctx) (*Stream, error) {
+	s, err := c.Node.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var calls atomic.Int64
+	next := s.next
+	s.next = func(w int, b *data.Batch) (int, error) {
+		if calls.Add(1) == c.n {
+			c.cancel()
+		}
+		return next(w, b)
+	}
+	return s, nil
+}
+
+// TestFailedQueriesLeaveNoBudget: a query that fails while its workers are
+// still materializing — out of memory without a spill target, or canceled
+// while it spills — leaves nothing charged to the budget after Close: not the
+// failed worker's pages (nor a sort's run), not the pages of a worker that
+// finished its buffer for an operator that then never finalized.
+func TestFailedQueriesLeaveNoBudget(t *testing.T) {
+	sum := []AggSpec{{Func: Sum, Col: "total", As: "s"}}
+	closed := func(t *testing.T, ctx *Ctx, err, want error) {
+		t.Helper()
+		if !errors.Is(err, want) {
+			t.Fatalf("err = %v, want %v", err, want)
+		}
+		ctx.Close()
+		if used := ctx.Budget.Used(); used != 0 {
+			t.Errorf("%d budget bytes still reserved after Close", used)
+		}
+		if gets, puts := ctx.PoolCounters(); gets != puts {
+			t.Errorf("batch pool imbalance: %d gets vs %d puts", gets, puts)
+		}
+	}
+	oom := func() *Ctx {
+		ctx := spillCtx(2, 48)
+		ctx.Spill = nil
+		return ctx
+	}
+	t.Run("oom-agg", func(t *testing.T) {
+		ctx := oom()
+		_, err := Collect(ctx, NewAgg(NewScan(ordersTable(20000), "okey", "total"), []string{"okey"}, sum))
+		closed(t, ctx, err, core.ErrOutOfMemory)
+	})
+	t.Run("oom-sort", func(t *testing.T) {
+		ctx := oom()
+		_, err := Collect(ctx, &ExtSort{Child: NewScan(ordersTable(20000), "okey"), Keys: []SortKey{{Col: "okey"}}})
+		closed(t, ctx, err, core.ErrOutOfMemory)
+	})
+	t.Run("canceled-spilling-agg", func(t *testing.T) {
+		ctx := spillCtx(2, 64)
+		ctx.Spill.Lease = ctx.Spill.Array.NewLease()
+		cctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctx.Context = cctx
+		in := &cancelAfter{Node: NewScan(ordersTable(40000), "okey", "total"), n: 50, cancel: cancel}
+		_, err := Collect(ctx, NewAgg(in, []string{"okey"}, sum))
+		if ctx.Spill.Array.LiveExtents() == 0 {
+			t.Fatal("the aggregation did not spill before it was canceled")
+		}
+		closed(t, ctx, err, context.Canceled)
+		if n := ctx.Spill.Array.LiveExtents(); n != 0 {
+			t.Errorf("%d spill extents live after Close", n)
+		}
+	})
 }
 
 func TestExtSortSingleWorkerOrderTotal(t *testing.T) {

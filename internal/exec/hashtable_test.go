@@ -34,15 +34,21 @@ func joinBuildBatch(keys []int64) *data.Batch {
 func tuplePages(rc *data.RowCodec, b *data.Batch, pageSize int) []*pages.Page {
 	pgs := []*pages.Page{pages.New(pageSize)}
 	for r := 0; r < b.Len(); r++ {
-		size := rc.Size(b, r)
-		dst, ok := pgs[len(pgs)-1].Alloc(size)
-		if !ok {
+		tuple := encodeRow(rc, b, r)
+		if _, ok := pgs[len(pgs)-1].Append(tuple); !ok {
 			pgs = append(pgs, pages.New(pageSize))
-			dst, _ = pgs[len(pgs)-1].Alloc(size)
+			pgs[len(pgs)-1].Append(tuple)
 		}
-		rc.Encode(dst, b, r)
 	}
 	return pgs
+}
+
+// encodeRow returns row r of b encoded on its own.
+func encodeRow(rc *data.RowCodec, b *data.Batch, r int) []byte {
+	sel := []int32{int32(r)}
+	dst := [][]byte{make([]byte, rc.SizeAll(b, sel, nil)[0])}
+	rc.EncodeAll(dst, b, sel)
+	return dst[0]
 }
 
 // keyBatch returns a one-column probe batch of the given keys.

@@ -141,7 +141,7 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 	if ctx.Grace {
 		cfg.Mode = core.ModeAlwaysPartition
 	}
-	shared := core.NewShared(cfg)
+	shared := ctx.newShared(cfg)
 	workers := ctx.workers()
 	// One HyperLogLog sketch per worker over the key hashes materialization
 	// computes anyway (§4.5); their union sizes the global in-memory table.
@@ -157,6 +157,7 @@ func (j *Join) runBuild(ctx *Ctx, sp *trace.Span) (*core.Result, *data.RowCodec,
 			return nil
 		}
 		finish := func() error {
+			be.free()
 			batchEncoders.Put(be)
 			return buf.Finish()
 		}
@@ -254,7 +255,7 @@ func (j *Join) probeStream(ctx *Ctx, sp *trace.Span, bres *core.Result, rcB *dat
 		pcfg := ctx.coreConfig()
 		pcfg.Mode = core.ModeAlwaysPartition
 		pcfg.Partitions = bres.Partitions
-		js.pshared = core.NewShared(pcfg)
+		js.pshared = ctx.newShared(pcfg)
 	}
 
 	workers := make([]*joinWorker, ctx.workers())

@@ -19,18 +19,16 @@ import (
 )
 
 // batchEncoder materializes rows of a batch through an Umami buffer: key
-// hashes and tuple sizes are computed column-at-a-time, the rows are encoded
-// column-at-a-time into one scratch buffer, and each tuple is then copied
-// into its AllocTuple slot. The copy is what makes this safe: AllocTuple may
-// trigger adaptive partitioning or spilling, which invalidates previously
-// returned slots, so tuples must be complete bytes by the time the next
-// allocation happens.
+// hashes and tuple sizes are computed column-at-a-time, Buffer.Reserve hands
+// out the destinations of a prefix of the rows on their pages, and the prefix
+// is encoded column-at-a-time straight into them. Reserve's contract makes
+// this safe: only a call's first tuple may take a fresh page, so nothing
+// spills or moves a destination before the prefix is encoded.
 type batchEncoder struct {
 	hs    []uint64
 	seq   []int32 // 0, 1, 2, …: see rows
 	sizes []int
-	dsts  [][]byte
-	enc   []byte
+	dsts  [][]byte // views into the buffer's pages; cleared by free
 }
 
 // batchEncoders recycles the encoders of the workers that materialize with
@@ -46,8 +44,12 @@ func getBatchEncoder() *batchEncoder {
 	return &batchEncoder{}
 }
 
-// encodeRows is how many rows are encoded at a time: the scratch stays in
-// cache, and a wide 64 Ki-row batch does not cost megabytes of it.
+// free lets go of the encoder's views into pages, which are recycled at
+// operator end, so a reused encoder cannot reach a page's next owner.
+func (be *batchEncoder) free() { clear(be.dsts[:cap(be.dsts)]) }
+
+// encodeRows is how many rows are sized and reserved at a time: a wide 64
+// Ki-row batch does not cost megabytes of sizes and destinations.
 const encodeRows = 1024
 
 // materialize encodes every live row of b into buf, partitioned by the hash
@@ -72,23 +74,11 @@ func (be *batchEncoder) encode(buf *core.Buffer, rc *data.RowCodec, b *data.Batc
 	for len(sel) > 0 {
 		n := min(len(sel), encodeRows)
 		be.sizes = rc.SizeAll(b, sel[:n], be.sizes[:0])
-		total := 0
-		for _, s := range be.sizes {
-			total += s
-		}
-		if cap(be.enc) < total {
-			be.enc = make([]byte, total)
-		}
-		be.enc = be.enc[:total]
 		be.dsts = sized(be.dsts, n)
-		off := 0
-		for i, s := range be.sizes {
-			be.dsts[i] = be.enc[off : off+s : off+s]
-			off += s
-		}
-		rc.EncodeAll(be.dsts, b, sel[:n])
-		for i, h := range hs[:n] {
-			copy(buf.AllocTuple(be.sizes[i], h), be.dsts[i])
+		for i := 0; i < n; {
+			k := buf.Reserve(be.sizes[i:n], hs[i:n], be.dsts[i:n])
+			rc.EncodeAll(be.dsts[i:i+k], b, sel[i:i+k])
+			i += k
 		}
 		sel, hs = sel[n:], hs[n:]
 	}

@@ -112,7 +112,7 @@ func (w *Window) Run(ctx *Ctx) (*Stream, error) {
 	rc := data.NewRowCodec(inSchema.Types())
 	partCols := indicesOf(inSchema, w.PartitionBy)
 
-	shared := core.NewShared(ctx.coreConfig())
+	shared := ctx.newShared(ctx.coreConfig())
 	err = drainWorkers(ctx, "window", in, func(int) (func(*data.Batch) error, func() error) {
 		buf := shared.NewBuffer()
 		be := getBatchEncoder()
@@ -123,6 +123,7 @@ func (w *Window) Run(ctx *Ctx) (*Stream, error) {
 			return nil
 		}
 		finish := func() error {
+			be.free()
 			batchEncoders.Put(be)
 			return buf.Finish()
 		}

@@ -116,10 +116,33 @@ func (p *Page) Alloc(n int) ([]byte, bool) {
 	}
 	p.slotStart -= slotSize
 	binary.LittleEndian.PutUint32(p.buf[p.slotStart:], uint32(p.dataEnd))
-	dst := p.buf[p.dataEnd:end]
+	dst := p.buf[p.dataEnd:end:end]
 	p.dataEnd = end
 	p.tuples++
 	return dst, true
+}
+
+// AllocRun reserves consecutive tuples of the given sizes, in order, as many
+// as fit, and sets dsts[i] to the i-th one's bytes, to be filled in place. It
+// returns how many it reserved. It is Alloc over a whole run: one loop and one
+// header update for the tuples a page takes at a time.
+func (p *Page) AllocRun(sizes []int, dsts [][]byte) int {
+	buf, end, slot := p.buf, p.dataEnd, p.slotStart
+	n := 0
+	for _, size := range sizes {
+		next := end + size
+		if next+slotSize > slot {
+			break
+		}
+		slot -= slotSize
+		binary.LittleEndian.PutUint32(buf[slot:], uint32(end))
+		dsts[n] = buf[end:next:next]
+		end = next
+		n++
+	}
+	p.dataEnd, p.slotStart = end, slot
+	p.tuples += n
+	return n
 }
 
 // Tuple returns the i-th tuple. It panics if i is out of range.

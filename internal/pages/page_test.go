@@ -77,6 +77,40 @@ func TestAllocInPlace(t *testing.T) {
 	}
 }
 
+// TestAllocRunMatchesAlloc: a run reservation stops at the first tuple that
+// does not fit and leaves the page as one Alloc per tuple would, every
+// destination exactly its tuple's size.
+func TestAllocRunMatchesAlloc(t *testing.T) {
+	sizes := []int{5, 0, 300, 17, 400, 250, 30}
+	run, one := New(1024), New(1024)
+	dsts := make([][]byte, len(sizes))
+	n := run.AllocRun(sizes, dsts)
+	for i, size := range sizes[:n] {
+		if len(dsts[i]) != size || cap(dsts[i]) != size {
+			t.Fatalf("destination %d: len %d cap %d, want %d", i, len(dsts[i]), cap(dsts[i]), size)
+		}
+		for j := range dsts[i] {
+			dsts[i][j] = byte(i)
+		}
+		dst, _ := one.Alloc(size)
+		for j := range dst {
+			dst[j] = byte(i)
+		}
+	}
+	if _, ok := one.Alloc(sizes[n]); ok || n == 0 || n == len(sizes) {
+		t.Fatalf("AllocRun reserved %d of %d tuples, but Alloc fits tuple %d", n, len(sizes), n)
+	}
+	if run.Tuples() != one.Tuples() || run.UsedBytes() != one.UsedBytes() {
+		t.Fatalf("run: %d tuples in %d bytes, Alloc: %d in %d", run.Tuples(), run.UsedBytes(), one.Tuples(), one.UsedBytes())
+	}
+	if !bytes.Equal(run.AppendSealed(nil), one.AppendSealed(nil)) {
+		t.Fatal("sealed pages differ")
+	}
+	if got := run.AllocRun(sizes[n:], dsts[n:]); got != 0 {
+		t.Fatalf("a full page reserved %d more tuples", got)
+	}
+}
+
 func TestSealLoadRoundTripSlotted(t *testing.T) {
 	p := New(2048)
 	var want [][]byte

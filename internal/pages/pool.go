@@ -124,6 +124,7 @@ type Pool struct {
 	budget   *Budget
 	created  int
 	closed   int
+	held     int // pages created and not yet released by Discard, Close or Drop
 }
 
 // NewPool returns a pool creating pages of pageSize bytes. The budget, if
@@ -157,6 +158,7 @@ func (p *Pool) Get() *Page {
 	}
 	p.budget.Reserve(int64(p.pageSize))
 	p.created++
+	p.held++
 	return newOn(GetBuf(p.pageSize))
 }
 
@@ -173,6 +175,7 @@ func (p *Pool) Put(pg *Page) {
 // recycling its buffer.
 func (p *Pool) Discard(pg *Page) {
 	p.budget.Release(int64(pg.Size()))
+	p.held--
 	pg.Recycle()
 }
 
@@ -188,7 +191,17 @@ func (p *Pool) Close() {
 		pg.Recycle()
 	}
 	p.closed += len(p.free)
+	p.held -= len(p.free)
 	p.free = nil
+}
+
+// Drop is Close for a pool whose holder failed: it also releases the budget
+// share of every page the pool handed out and never got back through
+// Discard, whose buffers are left to the collector.
+func (p *Pool) Drop() {
+	p.Close()
+	p.budget.Release(int64(p.held * p.pageSize))
+	p.held = 0
 }
 
 // FreePages returns the number of pages currently on the free list.
