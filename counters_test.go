@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/colstore"
+	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/exec"
 	"github.com/spilly-db/spilly/internal/iosched"
 	"github.com/spilly-db/spilly/internal/metrics"
@@ -26,12 +28,13 @@ import (
 // TestCounterTableMatchesStats pins the one hand-written projection of the
 // counter table: every counter lands in exactly one Stats field of the type
 // its unit calls for, no two counters share a field, and every Stats field
-// that is not derived or per-query context has a counter behind it.
+// that is not derived or per-query context has a counter behind it. The
+// scheme rows share one field: each lands in Stats.Schemes under its codec's
+// name (raw for uncompressed).
 func TestCounterTableMatchesStats(t *testing.T) {
 	notCounters := map[string]bool{
 		"Duration": true, "TuplesPerSec": true, "CyclesPerByte": true,
 		"AdmissionWait": true, "MemoryGrant": true, "AllocApprox": true,
-		"Schemes": true,
 	}
 	statsType := reflect.TypeOf(Stats{})
 	fed := map[string]bool{}
@@ -39,7 +42,8 @@ func TestCounterTableMatchesStats(t *testing.T) {
 		d := k.Def()
 		var n metrics.Snapshot
 		n[k] = 1
-		st := reflect.ValueOf(statsFrom(&n, 0))
+		stats := statsFrom(&n, 0)
+		st := reflect.ValueOf(stats)
 		var hit []string
 		for i := 0; i < st.NumField(); i++ {
 			if !st.Field(i).IsZero() {
@@ -48,6 +52,17 @@ func TestCounterTableMatchesStats(t *testing.T) {
 		}
 		if len(hit) != 1 {
 			t.Errorf("counter %s feeds Stats fields %v, want exactly one", d.JSON, hit)
+			continue
+		}
+		if level := int(k - metrics.SpilledPages); level >= 0 {
+			name := "raw"
+			if c := codec.ByID(core.DefaultScale[level]); c != nil {
+				name = c.Name()
+			}
+			if hit[0] != "Schemes" || len(stats.Schemes) != 1 || stats.Schemes[name] != 1 {
+				t.Errorf("scheme row %s feeds %v = %v, want Schemes[%q] alone", d.JSON, hit, stats.Schemes, name)
+			}
+			fed["Schemes"] = true
 			continue
 		}
 		f, _ := statsType.FieldByName(hit[0])
@@ -162,7 +177,8 @@ func TestSpansAddUpToQueryTotals(t *testing.T) {
 var exposition = flag.String("exposition", "", "also check this scraped /metrics file")
 
 // goldenFamilies are the families /metrics served before the counter table
-// existed. Dashboards key on these names and types: a rename must fail here.
+// existed, and the labelled family of spilled pages per scheme. Dashboards
+// key on these names and types: a rename must fail here.
 const goldenFamilies = `spilly_bufcache_blocks gauge
 spilly_bufcache_hits_total counter
 spilly_bufcache_misses_total counter
@@ -204,6 +220,7 @@ spilly_query_gc_cycles_total counter
 spilly_query_gc_pause_seconds_total counter
 spilly_query_prefetched_partitions_total counter
 spilly_query_spill_stall_seconds counter
+spilly_query_spilled_pages_total counter
 spilly_spill_checksum_errors_total counter
 spilly_spill_failovers_total counter
 spilly_spill_lease_live_bytes gauge
@@ -270,7 +287,8 @@ func parseExposition(text string) (types map[string]string, samples map[string]m
 }
 
 // checkFamilies parses a /metrics document and checks the golden families
-// and every table counter are there with their types.
+// and every table counter are there with their types, each as one sample of
+// its family: the unlabelled one, or the one under its label set.
 func checkFamilies(t *testing.T, text string) map[string]map[string]float64 {
 	t.Helper()
 	types, samples, err := parseExposition(text)
@@ -283,15 +301,22 @@ func checkFamilies(t *testing.T, text string) map[string]map[string]float64 {
 			t.Errorf("family %s: type %q, want %q (a pre-existing family was renamed or retyped)", name, types[name], typ)
 		}
 	}
+	rows := map[string]int{}
 	for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
 		d := k.Def()
+		rows[d.Family]++
 		want := "counter"
 		if d.Kind == metrics.Max {
 			want = "gauge"
 		}
-		if types[d.Family] != want || len(samples[d.Family]) != 1 {
-			t.Errorf("counter %s: family %s has type %q and %d samples, want %s with one",
-				d.JSON, d.Family, types[d.Family], len(samples[d.Family]), want)
+		if _, ok := samples[d.Family][d.Labels.String()]; types[d.Family] != want || !ok {
+			t.Errorf("counter %s: family %s has type %q and no sample {%s}, want %s",
+				d.JSON, d.Family, types[d.Family], d.Labels, want)
+		}
+	}
+	for family, n := range rows {
+		if len(samples[family]) != n {
+			t.Errorf("family %s has %d samples, want one per row: %d", family, len(samples[family]), n)
 		}
 	}
 	return samples
@@ -348,6 +373,9 @@ func TestMetricFamilyValues(t *testing.T) {
 		fmt.Sprintf("spilly_spill_failovers_total %d", 1000+metrics.SpillFailovers),
 		fmt.Sprintf("spilly_query_scan_stalls_total %d", 1000+metrics.ScanStalls),
 		fmt.Sprintf("spilly_query_budget_peak_bytes %d", 1000+metrics.BudgetPeakBytes),
+		fmt.Sprintf(`spilly_query_spilled_pages_total{scheme="raw"} %d`+"\n"+`spilly_query_spilled_pages_total{scheme="lz4-a8"} %d`,
+			1000+metrics.SpilledPages, 1001+metrics.SpilledPages),
+		fmt.Sprintf(`spilly_query_spilled_pages_total{scheme="deflate-9"} %d`, 1007+metrics.SpilledPages),
 		"spilly_query_spill_stall_seconds 2.5",
 		"spilly_engine_active_queries 6",
 		"spilly_engine_admission_queued 7",
@@ -468,7 +496,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// The table families carry the engine's lifetime totals, durations in
-	// seconds.
+	// seconds, a labelled family's row by row.
 	total := eng.Totals()
 	for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
 		d := k.Def()
@@ -476,9 +504,18 @@ func TestMetricsExposition(t *testing.T) {
 		if d.Unit == metrics.Nanos {
 			want /= 1e9
 		}
-		if got := samples[d.Family][""]; got < want*0.999999 || got > want*1.000001 {
-			t.Errorf("%s = %g, engine total is %g", d.Family, got, want)
+		if got := samples[d.Family][d.Labels.String()]; got < want*0.999999 || got > want*1.000001 {
+			t.Errorf("%s{%s} = %g, engine total is %g", d.Family, d.Labels, got, want)
 		}
+	}
+	// Every page Q9 spilled was written with one scheme and verified once
+	// when read back: the scheme samples add up to the verified pages.
+	var pagesBySchemes float64
+	for _, v := range samples[metrics.SpilledPages.Def().Family] {
+		pagesBySchemes += v
+	}
+	if verified := samples[metrics.SpillPagesVerified.Def().Family][""]; pagesBySchemes == 0 || pagesBySchemes != verified {
+		t.Errorf("the scheme samples sum to %g spilled pages, the scrape's verified pages are %g", pagesBySchemes, verified)
 	}
 	for _, k := range []metrics.Counter{
 		metrics.ScannedRows, metrics.ScannedBytes, metrics.TuplesStored, metrics.Partitioned,

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/metrics"
 	"github.com/spilly-db/spilly/internal/nvmesim"
 	"github.com/spilly-db/spilly/internal/pages"
@@ -173,7 +172,7 @@ func NewShared(cfg Config) *Shared {
 	}
 	s.result.Partitions = c.Partitions
 	s.result.Spilled = make([][]SpilledSlot, c.Partitions)
-	s.result.inMemByPart = make([][]*pages.Page, c.Partitions)
+	s.result.InMemory = make([][]*pages.Page, c.Partitions)
 	return s
 }
 
@@ -213,12 +212,12 @@ type Buffer struct {
 
 	output []*pages.Page // active page per partition index (hash >> shift)
 
-	perPart   [][]*pages.Page // finalized in-memory pages per partition
+	perPart   [][]*pages.Page // finalized in-memory pages per partition, once partitioned
 	unpart    []*pages.Page   // finalized unpartitioned pages
-	partBytes []int64         // local in-memory bytes per partition
+	partBytes []int64         // local in-memory bytes per partition, once partitioned
 
 	pool   *pages.Pool
-	writer *spillWriter
+	writer *spillWriter // built at the first spill (spill)
 	reg    *Regulator
 
 	lastAlloc time.Time
@@ -230,13 +229,11 @@ type Buffer struct {
 func (s *Shared) NewBuffer() *Buffer {
 	cfg := s.cfg
 	b := &Buffer{
-		s:         s,
-		shift:     64,
-		parts:     1,
-		output:    make([]*pages.Page, 1),
-		perPart:   make([][]*pages.Page, cfg.Partitions),
-		partBytes: make([]int64, cfg.Partitions),
-		pool:      pages.NewPool(cfg.PageSize, 0, cfg.Budget),
+		s:      s,
+		shift:  64,
+		parts:  1,
+		output: make([]*pages.Page, 1),
+		pool:   pages.NewPool(cfg.PageSize, 0, cfg.Budget),
 	}
 	if s.partitionOn.Load() {
 		b.enablePartitioning()
@@ -244,16 +241,24 @@ func (s *Shared) NewBuffer() *Buffer {
 	s.mu.Lock()
 	s.bufs = append(s.bufs, b)
 	s.mu.Unlock()
-	if cfg.Spill != nil {
+	if cfg.Spill != nil && cfg.Spill.Compress {
+		b.reg = newSeededRegulator(regulatorRun, cfg.Spill.Seed)
+	}
+	return b
+}
+
+// spill returns the buffer's spill writer, built on first use: most buffers
+// never spill, and a writer brings a ring with its scheduler registration
+// and per-partition lists. Callers check that cfg.Spill is set.
+func (b *Buffer) spill() *spillWriter {
+	if b.writer == nil {
+		cfg := &b.s.cfg
 		ring := uring.New(cfg.Spill.Array)
 		ring.SetLease(cfg.Spill.Lease)
 		ring.Bind(cfg.Spill.Sched, uring.ClassSpillWrite, cfg.Spill.Query)
-		if cfg.Spill.Compress {
-			b.reg = newSeededRegulator(regulatorRun, cfg.Spill.Seed)
-		}
 		b.writer = newSpillWriter(cfg.Ctx, ring, b.reg, b.pool, cfg.Partitions, cfg.Spill.Parity)
 	}
-	return b
+	return b.writer
 }
 
 // Regulator returns the thread's compression regulator, or nil.
@@ -408,8 +413,8 @@ func (b *Buffer) retire(p *pages.Page) {
 		b.unpart = append(b.unpart, p)
 		return
 	}
-	if b.writer != nil && b.s.mask.IsSpilled(p.Part) {
-		b.writer.spillPage(p)
+	if b.s.cfg.Spill != nil && b.s.mask.IsSpilled(p.Part) {
+		b.spill().spillPage(p)
 		return
 	}
 	b.perPart[p.Part] = append(b.perPart[p.Part], p)
@@ -431,17 +436,19 @@ func (b *Buffer) enablePartitioning() {
 	b.parts = b.s.cfg.Partitions
 	b.shift = b.s.partShift
 	b.output = make([]*pages.Page, b.parts)
+	b.perPart = make([][]*pages.Page, b.parts)
+	b.partBytes = make([]int64, b.parts)
 }
 
 // makeRoom frees page memory when the budget is exhausted: reap finished
 // writes first; otherwise evict a victim partition chosen through the
 // hybrid spill mask; fail only when spilling is impossible.
 func (b *Buffer) makeRoom() {
-	if b.writer == nil {
+	if b.s.cfg.Spill == nil {
 		panic(oomPanic{})
 	}
 	// Finished writes return pages to the pool for free.
-	b.writer.drain(false)
+	b.spill().drain(false)
 	if b.pool.FreePages() > 0 {
 		return
 	}
@@ -495,13 +502,14 @@ func (b *Buffer) makeRoom() {
 }
 
 // evictPartition spills every local retired in-memory page of partition
-// part.
+// part (none before this buffer partitions).
 func (b *Buffer) evictPartition(part int) {
-	pgs := b.perPart[part]
-	b.perPart[part] = nil
-	b.partBytes[part] = 0
-	for _, p := range pgs {
-		b.writer.spillPage(p)
+	if part < len(b.perPart) {
+		for _, p := range b.perPart[part] {
+			b.writer.spillPage(p)
+		}
+		b.perPart[part] = nil
+		b.partBytes[part] = 0
 	}
 	b.writer.pump()
 }
@@ -551,11 +559,11 @@ func (b *Buffer) awaitPage() {
 // clock runs on between runs, so a run's first page carries the time the
 // caller spent generating the run.
 func (b *Buffer) SpillRun(n int, tuple func(i int) []byte) error {
-	if b.writer == nil {
+	if b.s.cfg.Spill == nil {
 		panic(oomPanic{})
 	}
 	run := b.s.newRun()
-	b.writer.newRun(run)
+	b.spill().newRun(run)
 	var p *pages.Page
 	for i := 0; i < n; i++ {
 		t := tuple(i)
@@ -623,12 +631,10 @@ func (b *Buffer) Finish() error {
 		s.firstErr = err
 	}
 	r := &s.result
-	r.Tuples += b.tuples
 	r.Counters[metrics.TuplesStored] += b.tuples
 	r.Unpartitioned = append(r.Unpartitioned, b.unpart...)
 	for part, pgs := range b.perPart {
-		r.InMemory = append(r.InMemory, pgs...)
-		r.inMemByPart[part] = append(r.inMemByPart[part], pgs...)
+		r.InMemory[part] = append(r.InMemory[part], pgs...)
 	}
 	if b.writer != nil {
 		if n := len(b.writer.slots); n > len(r.Spilled) {
@@ -637,13 +643,11 @@ func (b *Buffer) Finish() error {
 		for st, slots := range b.writer.slots {
 			r.Spilled[st] = append(r.Spilled[st], slots...)
 		}
-		r.SpilledPages += b.writer.spilledPages
 		r.Counters.Merge(&b.writer.counts)
 		r.Stripes = append(r.Stripes, b.writer.stripes...)
 	}
 	if b.reg != nil {
 		s.cfg.Spill.Seed.settle(b.reg)
-		r.SchemeHistogram = MergeHistograms(r.SchemeHistogram, b.reg.SchemeHistogram())
 		r.Counters.Merge(&metrics.Snapshot{
 			metrics.RegLevelChanges: int64(b.reg.LevelChanges()),
 			metrics.RegMaxLevel:     int64(b.reg.MaxLevel()),
@@ -678,10 +682,11 @@ func (s *Shared) Release() {
 // Result is the outcome of an operator's materialization phase, aggregated
 // over all threads.
 type Result struct {
-	// InMemory holds the partitioned in-memory pages; Unpartitioned holds
-	// pages materialized before partitioning started. Phase-2 algorithms
-	// treat their union uniformly (§4.2 "Independence").
-	InMemory      []*pages.Page
+	// InMemory holds the partitioned in-memory pages, one list per
+	// partition; Unpartitioned holds pages materialized before partitioning
+	// started. Phase-2 algorithms treat their union uniformly (§4.2
+	// "Independence", MemPages).
+	InMemory      [][]*pages.Page
 	Unpartitioned []*pages.Page
 	// Spilled lists the spilled page slots per stream: the hash partitions,
 	// then the runs SpillRun wrote, each run's slots in the order its pages
@@ -697,18 +702,12 @@ type Result struct {
 	// blocks on read.
 	Stripes []*StripeGroup
 
-	Tuples       int64
-	SpilledPages int64
-
 	// Counters is everything the phase measured, merged over all threads:
-	// tuples stored, raw/written/parity spill bytes, write retries and
-	// failovers, regulator activity, and — set by Finalize — whether the
-	// operator partitioned and whether it spilled. The operator reports it
-	// as one unit.
-	Counters        metrics.Snapshot
-	SchemeHistogram map[codec.ID]int64
-
-	inMemByPart [][]*pages.Page
+	// tuples stored, raw/written/parity spill bytes, spilled pages per
+	// scheme, write retries and failovers, regulator activity, and — set by
+	// Finalize — whether the operator partitioned and whether it spilled.
+	// The operator reports it as one unit.
+	Counters metrics.Snapshot
 
 	endMu    sync.Mutex
 	recycled bool  // the in-memory pages' buffers are back in the recycler
@@ -742,11 +741,15 @@ func (r *Result) recycleLocked() {
 		return
 	}
 	r.recycled = true
-	for _, pgs := range [2][]*pages.Page{r.InMemory, r.Unpartitioned} {
+	recycle := func(pgs []*pages.Page) {
 		for _, p := range pgs {
 			r.reserved += int64(p.Size())
 			p.Recycle()
 		}
+	}
+	recycle(r.Unpartitioned)
+	for _, pgs := range r.InMemory {
+		recycle(pgs)
 	}
 }
 
@@ -793,15 +796,22 @@ func (s *Shared) Finalize() (*Result, error) {
 	if s.PartitioningActive() {
 		s.result.Counters[metrics.Partitioned] = 1
 	}
-	if s.result.SchemeHistogram == nil {
-		s.result.SchemeHistogram = map[codec.ID]int64{}
-	}
 	return &s.result, s.firstErr
 }
 
-// InMemoryByPart returns the in-memory partitioned pages of partition p.
-// Used with locality hints during hash table build (§5.3).
-func (r *Result) InMemoryByPart(p int) []*pages.Page { return r.inMemByPart[p] }
+// MemPages returns every in-memory page: the unpartitioned ones, then each
+// partition's.
+func (r *Result) MemPages() []*pages.Page {
+	n := len(r.Unpartitioned)
+	for _, pgs := range r.InMemory {
+		n += len(pgs)
+	}
+	out := append(make([]*pages.Page, 0, n), r.Unpartitioned...)
+	for _, pgs := range r.InMemory {
+		out = append(out, pgs...)
+	}
+	return out
+}
 
 // HasSpilled reports whether any partition spilled.
 func (r *Result) HasSpilled() bool { return r.Mask != 0 }

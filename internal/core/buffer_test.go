@@ -13,6 +13,19 @@ import (
 	"github.com/spilly-db/spilly/internal/xhash"
 )
 
+// partitioned returns the result's partitioned in-memory pages, partition by
+// partition.
+func partitioned(res *Result) []*pages.Page { return res.MemPages()[len(res.Unpartitioned):] }
+
+// schemePages sums the result's scheme rows: the pages it spilled.
+func schemePages(res *Result) int64 {
+	var n int64
+	for k := metrics.SpilledPages; k < metrics.NumCounters; k++ {
+		n += res.Counters[k]
+	}
+	return n
+}
+
 // fastArray is an NVMe array fast enough that tests are not I/O-bound.
 func fastArray(devs int) *nvmesim.Array {
 	return nvmesim.New(devs, nvmesim.DeviceSpec{
@@ -54,10 +67,7 @@ func collectKeys(t *testing.T, arr *nvmesim.Array, res *Result) map[uint64]int {
 			out[keyOf(p.Tuple(i))]++
 		}
 	}
-	for _, p := range res.Unpartitioned {
-		scan(p)
-	}
-	for _, p := range res.InMemory {
+	for _, p := range res.MemPages() {
 		scan(p)
 	}
 	for part := 0; part < res.Partitions; part++ {
@@ -103,15 +113,15 @@ func TestInMemoryNoPartitioning(t *testing.T) {
 	if s.PartitioningActive() {
 		t.Fatal("partitioning triggered without memory pressure")
 	}
-	if len(res.InMemory) != 0 {
+	if len(partitioned(res)) != 0 {
 		t.Fatal("partitioned pages exist without partitioning")
 	}
 	if res.HasSpilled() {
 		t.Fatal("spilled without a budget")
 	}
 	checkAllKeys(t, collectKeys(t, nil, res), 1000, 0)
-	if res.Tuples != 1000 {
-		t.Fatalf("Tuples = %d", res.Tuples)
+	if n := res.Counters[metrics.TuplesStored]; n != 1000 {
+		t.Fatalf("TuplesStored = %d", n)
 	}
 }
 
@@ -132,7 +142,7 @@ func TestAdaptivePartitioningTriggers(t *testing.T) {
 	if len(res.Unpartitioned) == 0 {
 		t.Fatal("no unpartitioned head: partitioning was not adaptive")
 	}
-	if len(res.InMemory) == 0 {
+	if len(partitioned(res)) == 0 {
 		t.Fatal("no partitioned pages after trigger")
 	}
 	checkAllKeys(t, collectKeys(t, nil, res), 1400, 0)
@@ -150,7 +160,7 @@ func TestPartitionPrefixInvariant(t *testing.T) {
 		t.Fatal("always-partition mode produced unpartitioned pages")
 	}
 	for part := 0; part < res.Partitions; part++ {
-		for _, p := range res.InMemoryByPart(part) {
+		for _, p := range res.InMemory[part] {
 			if p.Part != part {
 				t.Fatalf("page in list %d has Part=%d", part, p.Part)
 			}
@@ -325,12 +335,12 @@ func TestCompressedSpillRoundTrip(t *testing.T) {
 	if !res.HasSpilled() {
 		t.Fatal("did not spill")
 	}
-	var histTotal int64
-	for _, v := range res.SchemeHistogram {
-		histTotal += v
+	var slots int64
+	for _, s := range res.Spilled {
+		slots += int64(len(s))
 	}
-	if histTotal != res.SpilledPages {
-		t.Fatalf("histogram covers %d pages, spilled %d", histTotal, res.SpilledPages)
+	if n := schemePages(res); n != slots {
+		t.Fatalf("scheme rows count %d pages, %d were spilled", n, slots)
 	}
 	checkAllKeys(t, collectKeys(t, arr, res), n, 0)
 }
@@ -577,8 +587,8 @@ func TestReserveMatchesStoreTuple(t *testing.T) {
 				return Config{PageSize: 4096, Partitions: 8, Budget: pages.NewBudget(1 << 20), PartitionAt: 0.1}
 			},
 			check: func(t *testing.T, res *Result) {
-				if len(res.Unpartitioned) == 0 || len(res.InMemory) == 0 {
-					t.Fatalf("%d unpartitioned and %d partitioned pages: the switch did not happen mid-input", len(res.Unpartitioned), len(res.InMemory))
+				if len(res.Unpartitioned) == 0 || len(partitioned(res)) == 0 {
+					t.Fatalf("%d unpartitioned and %d partitioned pages: the switch did not happen mid-input", len(res.Unpartitioned), len(partitioned(res)))
 				}
 			}},
 		{name: "spill", n: 6000,
@@ -619,8 +629,8 @@ func TestReserveMatchesStoreTuple(t *testing.T) {
 				if res[i], err = s.Finalize(); err != nil {
 					t.Fatal(err)
 				}
-				if res[i].Tuples != int64(stored[i]) {
-					t.Fatalf("Tuples() = %d, %d stored", res[i].Tuples, stored[i])
+				if n := res[i].Counters[metrics.TuplesStored]; n != int64(stored[i]) {
+					t.Fatalf("TuplesStored = %d, %d stored", n, stored[i])
 				}
 				if tc.check != nil {
 					tc.check(t, res[i])
@@ -638,7 +648,7 @@ func TestReserveMatchesStoreTuple(t *testing.T) {
 				t.Fatal("the budget did not run out")
 			}
 			samePages(t, "unpartitioned", got.Unpartitioned, want.Unpartitioned)
-			samePages(t, "partitioned", got.InMemory, want.InMemory)
+			samePages(t, "partitioned", partitioned(got), partitioned(want))
 			if got.Mask != want.Mask || len(got.Spilled) != len(want.Spilled) {
 				t.Fatalf("mask %b over %d streams, want %b over %d", got.Mask, len(got.Spilled), want.Mask, len(want.Spilled))
 			}
@@ -678,8 +688,8 @@ func TestFinishIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := s.Finalize()
-	if res.Tuples != 10 {
-		t.Fatalf("double Finish double-counted: %d tuples", res.Tuples)
+	if n := res.Counters[metrics.TuplesStored]; n != 10 {
+		t.Fatalf("double Finish double-counted: %d tuples", n)
 	}
 }
 

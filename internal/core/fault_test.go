@@ -203,10 +203,7 @@ func TestReadTransientRetrySucceeds(t *testing.T) {
 			got[keyOf(p.Tuple(i))]++
 		}
 	}
-	for _, p := range res.Unpartitioned {
-		scan(p)
-	}
-	for _, p := range res.InMemory {
+	for _, p := range res.MemPages() {
 		scan(p)
 	}
 	for part := 0; part < res.Partitions; part++ {

@@ -41,12 +41,7 @@ func collectVerified(t *testing.T, arr *nvmesim.Array, res *Result) (map[uint64]
 	t.Helper()
 	out := map[uint64]int{}
 	var st vstats
-	for _, p := range res.Unpartitioned {
-		for i := 0; i < p.Tuples(); i++ {
-			out[keyOf(p.Tuple(i))]++
-		}
-	}
-	for _, p := range res.InMemory {
+	for _, p := range res.MemPages() {
 		for i := 0; i < p.Tuples(); i++ {
 			out[keyOf(p.Tuple(i))]++
 		}
@@ -223,12 +218,7 @@ func TestSchedulerHealsCorruption(t *testing.T) {
 	sched := readback(context.Background(), arr, pages.NewBudget(1<<20), 0, res, streams)
 	defer sched.Close()
 	got := map[uint64]int{}
-	for _, p := range res.Unpartitioned {
-		for i := 0; i < p.Tuples(); i++ {
-			got[keyOf(p.Tuple(i))]++
-		}
-	}
-	for _, p := range res.InMemory {
+	for _, p := range res.MemPages() {
 		for i := 0; i < p.Tuples(); i++ {
 			got[keyOf(p.Tuple(i))]++
 		}

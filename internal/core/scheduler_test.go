@@ -72,7 +72,7 @@ func TestSchedulerStreamsAllPartitions(t *testing.T) {
 		budget := pages.NewBudget(1 << 20)
 		sched := readback(nil, arr, budget, 4, res, streams)
 		got := map[uint64]int{}
-		for _, p := range res.InMemory {
+		for _, p := range res.MemPages() {
 			for i := 0; i < p.Tuples(); i++ {
 				got[keyOf(p.Tuple(i))]++
 			}

@@ -77,11 +77,10 @@ type Regulator struct {
 	ioNs       float64
 	ioBytes    float64
 
-	// Lifetime statistics for the harness (Figure 11 right panel).
-	pagesPerScheme [64]int64
-	levelChanges   int
-	maxLevel       int
-	scratch        []byte
+	// Lifetime statistics.
+	levelChanges int
+	maxLevel     int
+	scratch      []byte
 }
 
 // regulatorRun is the spill writer's regulator run length in pages. Short
@@ -165,13 +164,13 @@ func (r *Regulator) ObserveIO(c uring.Completion, inflight int) {
 
 // CompressBlock compresses src, a staging block of n sealed pages, with the
 // current scheme in one codec call, measuring cost, and returns the encoded
-// bytes plus the scheme used. For the Uncompressed scheme it returns src
-// unchanged. The run and the scheme histogram advance by n pages. The
-// returned slice is only valid until the next CompressBlock call.
-func (r *Regulator) CompressBlock(src []byte, n int) ([]byte, codec.ID) {
-	id := DefaultScale[r.level]
+// bytes plus the level on DefaultScale they were encoded at. For the
+// Uncompressed scheme it returns src unchanged. The run advances by n pages.
+// The returned slice is only valid until the next CompressBlock call.
+func (r *Regulator) CompressBlock(src []byte, n int) ([]byte, int) {
+	level := r.level
+	id := DefaultScale[level]
 	r.pagesInRun += n
-	r.pagesPerScheme[id] += int64(n)
 	r.rawBytes += float64(len(src))
 	var out []byte
 	if id == codec.None {
@@ -188,7 +187,7 @@ func (r *Regulator) CompressBlock(src []byte, n int) ([]byte, codec.ID) {
 	if r.pagesInRun >= r.runN {
 		r.adjust()
 	}
-	return out, id
+	return out, level
 }
 
 // adjust is the regulation step from Listing 3: compare average CPU cost
@@ -234,32 +233,9 @@ func (r *Regulator) resetRun() {
 	r.ioNs, r.ioBytes = 0, 0
 }
 
-// SchemeHistogram returns, per codec ID, how many pages were compressed
-// with it (Figure 11 right panel).
-func (r *Regulator) SchemeHistogram() map[codec.ID]int64 {
-	out := make(map[codec.ID]int64)
-	for id, n := range r.pagesPerScheme {
-		if n > 0 {
-			out[codec.ID(id)] = n
-		}
-	}
-	return out
-}
-
 // LevelChanges returns how often the regulator switched schemes.
 func (r *Regulator) LevelChanges() int { return r.levelChanges }
 
 // MaxLevel returns the highest position on the unified scale the regulator
 // reached over its lifetime, its start level included.
 func (r *Regulator) MaxLevel() int { return r.maxLevel }
-
-// MergeHistograms sums per-thread scheme histograms.
-func MergeHistograms(hs ...map[codec.ID]int64) map[codec.ID]int64 {
-	out := make(map[codec.ID]int64)
-	for _, h := range hs {
-		for id, n := range h {
-			out[id] += n
-		}
-	}
-	return out
-}

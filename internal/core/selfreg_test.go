@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/metrics"
+	"github.com/spilly-db/spilly/internal/pages"
 	"github.com/spilly-db/spilly/internal/uring"
 )
 
@@ -139,10 +141,11 @@ func TestRegulatorRoundTripsAllSchemes(t *testing.T) {
 	page := bytes.Repeat([]byte("spill data spill data "), 100)
 	for li := range DefaultScale {
 		r.level = li
-		out, id := r.CompressBlock(page, 1)
-		if id != DefaultScale[li] {
-			t.Fatalf("scheme mismatch at level %d", li)
+		out, level := r.CompressBlock(page, 1)
+		if level != li {
+			t.Fatalf("level %d encoded at level %d", li, level)
 		}
+		id := DefaultScale[li]
 		if id == codec.None {
 			if !bytes.Equal(out, page) {
 				t.Fatal("None scheme modified data")
@@ -156,34 +159,15 @@ func TestRegulatorRoundTripsAllSchemes(t *testing.T) {
 	}
 }
 
-func TestRegulatorHistogram(t *testing.T) {
-	r := NewRegulator(4)
-	page := bytes.Repeat([]byte("x y z "), 100)
-	for i := 0; i < 8; i++ {
-		r.CompressBlock(page, 1)
-	}
-	h := r.SchemeHistogram()
-	var total int64
-	for _, n := range h {
-		total += n
-	}
-	if total != 8 {
-		t.Fatalf("histogram total %d, want 8", total)
-	}
-}
-
 // TestRegulatorCountsBlockPages: one call compresses a staging block of 16
-// pages, and the run and the scheme histogram advance by 16 pages, not by one
-// call — so the run length and the histogram keep counting pages.
+// pages, and the run advances by 16 pages, not by one call — so the run
+// length keeps counting pages.
 func TestRegulatorCountsBlockPages(t *testing.T) {
 	r := NewRegulator(64)
 	block := bytes.Repeat(regPage, 16)
 	r.CompressBlock(block, 16)
 	if r.pagesInRun != 16 {
 		t.Fatalf("run advanced by %d pages, want 16", r.pagesInRun)
-	}
-	if h := r.SchemeHistogram(); h[codec.None] != 16 {
-		t.Fatalf("histogram %v, want 16 pages uncompressed", h)
 	}
 	for i := 0; i < 3; i++ {
 		r.CompressBlock(block, 16)
@@ -201,13 +185,46 @@ func TestRegulatorIgnoresFailedIO(t *testing.T) {
 	}
 }
 
+// TestMergeHistograms: two worker buffers of one operator spill at different
+// schemes (one pinned raw, one pinned at LZ4); the result's scheme rows hold
+// each buffer's pages at its own level and add up to the slots spilled.
 func TestMergeHistograms(t *testing.T) {
-	a := map[codec.ID]int64{codec.None: 2, codec.LZ4Default: 1}
-	b := map[codec.ID]int64{codec.None: 3}
-	m := MergeHistograms(a, b)
-	if m[codec.None] != 5 || m[codec.LZ4Default] != 1 {
-		t.Fatalf("merge wrong: %v", m)
+	arr := fastArray(2)
+	s := NewShared(Config{
+		PageSize: 4096, Partitions: 4, Budget: pages.NewBudget(64 << 10), Mode: ModeSpillAll,
+		Spill: &SpillConfig{Array: arr, Compress: true},
+	})
+	raw, lz4 := s.NewBuffer(), s.NewBuffer()
+	raw.reg.PinScheme(codec.None)
+	lz4.reg.PinScheme(codec.LZ4Default)
+	storeN(raw, 5000, 32, 0)
+	storeN(lz4, 5000, 32, 5000)
+	var slotsAt [2]int64
+	for i, b := range []*Buffer{raw, lz4} {
+		if err := b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		for _, slots := range b.writer.slots {
+			slotsAt[i] += int64(len(slots))
+		}
 	}
+	res, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawRow := metrics.SpilledPages + metrics.Counter(slices.Index(DefaultScale, codec.None))
+	lz4Row := metrics.SpilledPages + metrics.Counter(slices.Index(DefaultScale, codec.LZ4Default))
+	if slotsAt[0] == 0 || slotsAt[1] == 0 {
+		t.Fatalf("setup failed: buffers spilled %v pages", slotsAt)
+	}
+	if res.Counters[rawRow] != slotsAt[0] || res.Counters[lz4Row] != slotsAt[1] {
+		t.Fatalf("raw row %d, lz4 row %d; buffers spilled %d raw and %d lz4 pages",
+			res.Counters[rawRow], res.Counters[lz4Row], slotsAt[0], slotsAt[1])
+	}
+	if n := schemePages(res); n != slotsAt[0]+slotsAt[1] {
+		t.Fatalf("scheme rows count %d pages, %d were spilled", n, slotsAt[0]+slotsAt[1])
+	}
+	checkAllKeys(t, collectKeys(t, arr, res), 10000, 0)
 }
 
 func TestDefaultScaleRatioTrend(t *testing.T) {
@@ -323,8 +340,8 @@ func TestRegulatorSeedKeptByBufferThatNeverSpilled(t *testing.T) {
 	if err := b.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := s.Finalize(); res.SpilledPages != 0 {
-		t.Fatalf("setup failed: an unbudgeted buffer spilled %d pages", res.SpilledPages)
+	if res, _ := s.Finalize(); schemePages(res) != 0 {
+		t.Fatalf("setup failed: an unbudgeted buffer spilled %d pages", schemePages(res))
 	}
 	if seed.Level() != 5 {
 		t.Fatalf("a buffer that never spilled moved the seed from 5 to %d", seed.Level())

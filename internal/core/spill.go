@@ -126,11 +126,11 @@ type spillWriter struct {
 	parityAcc []byte         // XOR accumulator over the open group's blocks
 	stripes   []*StripeGroup // all groups this writer produced
 
-	spilledPages int64
 	// counts is the writer's telemetry, merged into the Result at Finish:
 	// raw bytes spilled, bytes handed to the device (post compression),
-	// parity bytes (integrity overhead), transient write errors recovered
-	// by retrying, and writes re-striped onto a different device.
+	// pages written per scheme, parity bytes (integrity overhead), transient
+	// write errors recovered by retrying, and writes re-striped onto a
+	// different device.
 	counts   metrics.Snapshot
 	firstErr error
 	scratch  []uring.Completion
@@ -200,7 +200,6 @@ func (w *spillWriter) spillPage(p *pages.Page) {
 	off := len(st.buf)
 	st.buf = p.AppendSealed(st.buf)
 	n := len(st.buf) - off
-	w.spilledPages++
 	w.counts[metrics.SpilledBytes] += int64(n)
 	st.slots = append(st.slots, SpilledSlot{Off: uint32(off), Len: uint32(n)})
 	w.pool.Put(p)
@@ -223,9 +222,9 @@ func (w *spillWriter) flushStaging(part int) {
 		w.putStagingBuf(st.buf)
 		return
 	}
-	enc, scheme := st.buf, codec.None
+	enc, level := st.buf, 0 // DefaultScale[0] is raw
 	if w.reg != nil {
-		enc, scheme = w.reg.CompressBlock(st.buf, len(st.slots))
+		enc, level = w.reg.CompressBlock(st.buf, len(st.slots))
 	}
 	seq := frameSeq.Add(1)
 	buf := pages.AppendFrame(w.getStagingBuf(), part, seq, enc)
@@ -239,7 +238,7 @@ func (w *spillWriter) flushStaging(part int) {
 	}
 	slotFrom := len(w.slots[part])
 	for _, s := range st.slots {
-		s.Loc, s.Scheme, s.Seq = loc, scheme, seq
+		s.Loc, s.Scheme, s.Seq = loc, DefaultScale[level], seq
 		w.slots[part] = append(w.slots[part], s)
 	}
 	rec := &inflightWrite{buf: buf, part: part, slotFrom: slotFrom, slotTo: len(w.slots[part]), stripeIdx: -1}
@@ -248,6 +247,7 @@ func (w *spillWriter) flushStaging(part int) {
 	}
 	w.inflight[ud] = rec
 	w.counts[metrics.WrittenBytes] += int64(len(buf))
+	w.counts[metrics.SpilledPages+metrics.Counter(level)] += int64(len(st.slots))
 }
 
 // addStripeMember folds a just-queued staging block into the open stripe

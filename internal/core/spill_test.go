@@ -58,8 +58,12 @@ func TestSpillFramesOneBlock(t *testing.T) {
 	if int64(len(frames)) != writes {
 		t.Fatalf("%d frames, %d writes; want one write per frame", len(frames), writes)
 	}
-	if res.SpilledPages < 8*int64(len(frames)) {
-		t.Fatalf("%d pages in %d blocks; 4 KiB pages should fill 64 KiB staging blocks", res.SpilledPages, len(frames))
+	spilled := schemePages(res)
+	if spilled < 8*int64(len(frames)) {
+		t.Fatalf("%d pages in %d blocks; 4 KiB pages should fill 64 KiB staging blocks", spilled, len(frames))
+	}
+	if lz4 := res.Counters[metrics.SpilledPages+3]; lz4 != spilled {
+		t.Fatalf("%d of %d pages counted at level 3 (lz4) under a regulator pinned there", lz4, spilled)
 	}
 	for part, slots := range res.Spilled {
 		if len(slots) == 0 {

@@ -638,9 +638,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	shiftP := uint(64 - log2(uint64(res.Partitions)))
 	shiftS := uint(64 - log2(aggShards))
 
-	memPages := make([]*pages.Page, 0, len(res.Unpartitioned)+len(res.InMemory))
-	memPages = append(memPages, res.Unpartitioned...)
-	memPages = append(memPages, res.InMemory...)
+	memPages := res.MemPages()
 	var tuples int64
 	for _, pg := range memPages {
 		tuples += int64(pg.Tuples())
@@ -649,8 +647,8 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	// memory; an eighth over the even share covers the sketch's error and
 	// the hash's imbalance.
 	shardHint := 0
-	if res.Tuples > 0 {
-		shardHint = int(float64(distinct) * float64(tuples) / float64(res.Tuples) / aggShards * 9 / 8)
+	if stored := res.Counters[metrics.TuplesStored]; stored > 0 {
+		shardHint = int(float64(distinct) * float64(tuples) / float64(stored) / aggShards * 9 / 8)
 	}
 	global := make([]groupTable, aggShards)
 	for s := range global {
@@ -735,7 +733,7 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	// Every in-memory tuple is merged or, overflow, copied: the pages are
 	// dead, and the spilled partitions' merges take them from the recycler.
 	res.Recycle()
-	if len(a.GroupBy) == 0 && res.Tuples == 0 {
+	if len(a.GroupBy) == 0 && res.Counters[metrics.TuplesStored] == 0 {
 		// An aggregate without GROUP BY has one group whatever its input:
 		// over no rows it is the partial state that saw nothing — counts and
 		// sums zero, every Min/Max unseen (NULL).

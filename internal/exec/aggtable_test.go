@@ -632,7 +632,7 @@ func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
 		pb.Cols[c].I, pb.Cols[c].F, pb.Cols[c].S = []int64{1}, []float64{0.5}, []string{""}
 	}
 	pb.SetLen(1)
-	res := &core.Result{Partitions: 1, Tuples: int64(tuples)}
+	res := &core.Result{Partitions: 1, Counters: metrics.Snapshot{metrics.TuplesStored: int64(tuples)}}
 	pg := pages.New(pages.DefaultPageSize)
 	for i := 0; i < tuples; i++ {
 		k := i % groups

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/spilly-db/spilly/internal/codec"
 	"github.com/spilly-db/spilly/internal/core"
 	"github.com/spilly-db/spilly/internal/data"
 	"github.com/spilly-db/spilly/internal/metrics"
@@ -220,13 +219,9 @@ func (c *Ctx) coreConfig() core.Config {
 	}
 }
 
-// Stats are a query's cumulative counters — one value per row of the engine's
-// counter table (metrics.Counter) — plus Schemes, spilled pages per
-// compression scheme name (Figure 11 right panel).
-type Stats struct {
-	metrics.Counters
-	Schemes metrics.LabelCounts
-}
+// Stats are a query's cumulative counters: one value per row of the engine's
+// counter table (metrics.Counter).
+type Stats = metrics.Counters
 
 // report is the one way operators hand counters over: n is folded into the
 // query totals and, when the query is traced, into the operator's span, so a
@@ -256,29 +251,8 @@ func (c *Ctx) finalize(sp *trace.Span, shared *core.Shared) (*core.Result, error
 	if err != nil {
 		return nil, err
 	}
-	c.reportResult(sp, r)
-	return r, nil
-}
-
-// reportResult reports a finished materialization phase: its counters and
-// its spilled-pages-per-scheme histogram (keyed by codec name).
-func (c *Ctx) reportResult(sp *trace.Span, r *core.Result) {
 	c.report(sp, &r.Counters)
-	if len(r.SchemeHistogram) == 0 {
-		return
-	}
-	h := make(map[string]int64, len(r.SchemeHistogram))
-	for id, n := range r.SchemeHistogram {
-		name := "raw"
-		if cd := codec.ByID(id); cd != nil {
-			name = cd.Name()
-		}
-		h[name] += n
-	}
-	if c.Stats != nil {
-		c.Stats.Schemes.Merge(h)
-	}
-	sp.AddSchemes(h)
+	return r, nil
 }
 
 // Totals returns the query's counters so far, with the memory budget's

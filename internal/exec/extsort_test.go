@@ -90,23 +90,19 @@ func TestExtSortSpilling(t *testing.T) {
 		seen[k] = true
 	}
 	// Runs take the hash partitions' spill path: every page goes through the
-	// regulator (the span's scheme histogram counts each once), is framed,
+	// regulator (the span's scheme rows count each once), is framed,
 	// and is verified when the merge reads it back. A spilled page stages its
 	// used bytes only: at most a page's, and on these full runs at least half.
-	spilledPages := ctx.Stats.Get(metrics.SpillPagesVerified)
-	if b := ctx.Stats.Get(metrics.SpilledBytes); b > spilledPages*int64(ctx.pageSize()) || 2*b < spilledPages*int64(ctx.pageSize()) {
-		t.Fatalf("%d bytes spilled in %d pages of %d bytes", b, spilledPages, ctx.pageSize())
+	verified := ctx.Stats.Get(metrics.SpillPagesVerified)
+	if b := ctx.Stats.Get(metrics.SpilledBytes); b > verified*int64(ctx.pageSize()) || 2*b < verified*int64(ctx.pageSize()) {
+		t.Fatalf("%d bytes spilled in %d pages of %d bytes", b, verified, ctx.pageSize())
 	}
 	for _, sp := range ctx.Trace.Snapshots() {
 		if sp.Op != "extsort" {
 			continue
 		}
-		var pgs int64
-		for _, n := range sp.Schemes {
-			pgs += n
-		}
-		if pgs != spilledPages {
-			t.Fatalf("extsort span's scheme histogram %v counts %d pages, it spilled %d", sp.Schemes, pgs, spilledPages)
+		if pgs := schemePages(&sp.Snapshot); pgs != verified {
+			t.Fatalf("extsort span's scheme rows count %d pages, it spilled %d", pgs, verified)
 		}
 	}
 	if ctx.Stats.Get(metrics.SpillParityBytes) == 0 {

@@ -97,10 +97,7 @@ func (j *Join) Run(ctx *Ctx) (*Stream, error) {
 	if ctx.Grace {
 		routedMask = ^uint64(0) >> (64 - uint(bres.Partitions))
 	} else {
-		memPages := make([]*pages.Page, 0, len(bres.Unpartitioned)+len(bres.InMemory))
-		memPages = append(memPages, bres.Unpartitioned...)
-		memPages = append(memPages, bres.InMemory...)
-		ht, err = buildJoinTable(memPages, rcB, bKeyFields, 0, est, workers)
+		ht, err = buildJoinTable(bres.MemPages(), rcB, bKeyFields, 0, est, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -635,7 +632,7 @@ func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 	// global in-memory table).
 	var build []*pages.Page
 	if js.ctx.Grace {
-		build = append(build, js.bres.InMemoryByPart(p)...)
+		build = append(build, js.bres.InMemory[p]...)
 	}
 	st.bcur = js.sched.Open(i, 0)
 	for {
@@ -658,7 +655,7 @@ func (jw *joinWorker) openPartition(i, p int) (*partJoinState, error) {
 	}
 	st.ht = ht
 	if js.pres != nil {
-		st.memPages = js.pres.InMemoryByPart(p)
+		st.memPages = js.pres.InMemory[p]
 	}
 	return st, nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,35 +41,34 @@ func TestHashBuildPanicBecomesQueryError(t *testing.T) {
 }
 
 // TestStatsHistogramRace: reporting a materialization result must be safe to
-// run concurrently with scheme-histogram readers (the engine reads the
-// histogram while workers finalize operators). Run with -race.
+// run concurrently with readers of the query totals, scheme rows included
+// (the engine reads them while workers finalize operators). Run with -race.
 func TestStatsHistogramRace(t *testing.T) {
 	s := &Stats{}
 	ctx := &Ctx{Stats: s}
+	lz4Row := metrics.SpilledPages + metrics.Counter(slices.Index(core.DefaultScale, codec.LZ4Fastest))
+	var res metrics.Snapshot
+	res[metrics.SpilledBytes], res[metrics.SpilledPages], res[lz4Row] = 1, 1, 2
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				ctx.reportResult(nil, &core.Result{
-					Counters:        metrics.Snapshot{metrics.SpilledBytes: 1},
-					SchemeHistogram: map[codec.ID]int64{codec.None: 1, codec.LZ4Fastest: 2},
-				})
+				ctx.report(nil, &res)
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				_ = s.Schemes.Load()
+				_ = s.Load()
 			}
 		}()
 	}
 	wg.Wait()
-	hist := s.Schemes.Load()
-	lz4 := codec.ByID(codec.LZ4Fastest).Name()
-	if hist["raw"] != 2000 || hist[lz4] != 4000 {
-		t.Fatalf("histogram = %v, want raw=2000 %s=4000", hist, lz4)
+	n := s.Load()
+	if n[metrics.SpilledPages] != 2000 || n[lz4Row] != 4000 {
+		t.Fatalf("scheme rows raw=%d lz4=%d, want raw=2000 lz4=4000", n[metrics.SpilledPages], n[lz4Row])
 	}
 	if got := s.Get(metrics.SpilledBytes); got != 2000 {
 		t.Fatalf("spilled bytes = %d, want 2000", got)

@@ -178,7 +178,7 @@ func (w *Window) outputStream(ctx *Ctx, sp *trace.Span, res *core.Result, rc *da
 					return 0, nil
 				}
 				tuples := append([][]byte(nil), routed[p]...)
-				for _, pg := range res.InMemoryByPart(p) {
+				for _, pg := range res.InMemory[p] {
 					for t := 0; t < pg.Tuples(); t++ {
 						tuples = append(tuples, pg.Tuple(t))
 					}

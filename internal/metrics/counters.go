@@ -3,7 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 )
 
@@ -12,12 +12,17 @@ import (
 // called on every surface (span and /queries JSON, /metrics, the profile
 // tree). Everything downstream — core results and cursors, exec query totals,
 // trace spans, the engine's lifetime totals, the exporters — holds counters
-// as an array indexed by this enum instead of a hand-copied field list.
+// as an array indexed by this enum instead of a hand-copied field list, and
+// no per-query number travels beside it: the spilled pages per compression
+// scheme are rows too.
 //
 // To add a counter: add the constant, add its row to defs, and report it
 // from its producer (exec's Ctx.report for operator events). Give it a field
 // in the public spilly.Stats too — TestCounterTableMatchesStats fails until
-// every counter has one.
+// every counter has one. A family of counters that differ in one label — the
+// scheme rows, spilled pages per compression scheme — is one row per label
+// value, consecutive in the table, sharing a Family and each with its own
+// Labels; /metrics serves them as that family's samples.
 type Counter int
 
 const (
@@ -48,9 +53,16 @@ const (
 	GCCycles
 	GCPauseNanos
 	BudgetPeakBytes
+	// SpilledPages is the first of the NumSchemes scheme rows: SpilledPages
+	// + level counts the pages spilled at that level of core's unified
+	// compression scale (core.DefaultScale, raw included).
+	SpilledPages
 
-	NumCounters
+	NumCounters = SpilledPages + NumSchemes
 )
+
+// NumSchemes is the number of levels of core's unified compression scale.
+const NumSchemes = 8
 
 // Kind is how two values of a counter combine.
 type Kind uint8
@@ -91,6 +103,28 @@ type Def struct {
 	// Label is the counter's tag on a profile-tree line, shown when the
 	// counter is non-zero ("" = never shown there).
 	Label string
+	// Labels, when set, makes the row one sample of a labelled family: the
+	// rows sharing its Family are consecutive and differ in Labels.Value.
+	Labels LabelPair
+}
+
+// LabelPair is a labelled row's label, Name="Value" on /metrics.
+type LabelPair struct{ Name, Value string }
+
+// String renders the pair as a Prometheus label set, "" when unset.
+func (l LabelPair) String() string {
+	if l.Name == "" {
+		return ""
+	}
+	return l.Name + "=" + strconv.Quote(l.Value)
+}
+
+// schemeRow is the row of the pages spilled with one compression scheme,
+// named as the codec is (raw for uncompressed).
+func schemeRow(scheme string) Def {
+	return Def{JSON: "spilled_pages_" + strings.ReplaceAll(scheme, "-", "_"), Family: "spilly_query_spilled_pages_total",
+		Help:  "Spilled pages by the compression scheme of the unified scale they were written with (raw = uncompressed).",
+		Label: scheme, Labels: LabelPair{"scheme", scheme}}
 }
 
 var defs = [NumCounters]Def{
@@ -148,6 +182,14 @@ var defs = [NumCounters]Def{
 		Help: "Stop-the-world GC pause time incurred during query execution."},
 	BudgetPeakBytes: {Kind: Max, Unit: Bytes, JSON: "budget_peak_bytes", Family: "spilly_query_budget_peak_bytes",
 		Help: "High-water mark of a query's materialization memory budget."},
+	SpilledPages + 0: schemeRow("raw"),
+	SpilledPages + 1: schemeRow("lz4-a8"),
+	SpilledPages + 2: schemeRow("lz4-a4"),
+	SpilledPages + 3: schemeRow("lz4"),
+	SpilledPages + 4: schemeRow("deflate-1"),
+	SpilledPages + 5: schemeRow("deflate-3"),
+	SpilledPages + 6: schemeRow("deflate-6"),
+	SpilledPages + 7: schemeRow("deflate-9"),
 }
 
 // Def returns the counter's definition row.
@@ -224,37 +266,4 @@ func (s *Snapshot) MarshalWith(header any, omitZero bool) ([]byte, error) {
 		}
 	}
 	return append(dst, '}'), nil
-}
-
-// LabelCounts is a live set of event counts by label — spilled pages per
-// compression scheme — safe for concurrent use. The zero value is ready.
-type LabelCounts struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// Merge adds h's counts.
-func (c *LabelCounts) Merge(h map[string]int64) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]int64, len(h))
-	}
-	for label, n := range h {
-		c.m[label] += n
-	}
-	c.mu.Unlock()
-}
-
-// Load returns a copy of the counts, nil when there are none.
-func (c *LabelCounts) Load() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(c.m))
-	for label, n := range c.m {
-		out[label] = n
-	}
-	return out
 }

@@ -8,8 +8,11 @@ import (
 
 // TestCounterTableComplete: every counter has a definition row that names it
 // on every surface, no two counters share a name, and flags combine as Max.
+// Rows share a family only as its labelled samples: consecutive, of one kind
+// and unit, under one label name, each with its own value.
 func TestCounterTableComplete(t *testing.T) {
-	jsonKeys, families, labels := map[string]Counter{}, map[string]Counter{}, map[string]Counter{}
+	jsonKeys, samples, labels := map[string]Counter{}, map[string]Counter{}, map[string]Counter{}
+	families := map[string]Counter{} // family → its first row
 	for k := Counter(0); k < NumCounters; k++ {
 		d := k.Def()
 		if d.JSON == "" || d.Family == "" || d.Help == "" {
@@ -18,11 +21,22 @@ func TestCounterTableComplete(t *testing.T) {
 		if d.Unit == Flag && d.Kind != Max {
 			t.Errorf("%s: a flag must be Max-kind", d.JSON)
 		}
-		for name, seen := range map[string]map[string]Counter{d.JSON: jsonKeys, d.Family: families, d.Label: labels} {
+		sample := d.Family + "{" + d.Labels.String() + "}"
+		for name, seen := range map[string]map[string]Counter{d.JSON: jsonKeys, sample: samples, d.Label: labels} {
 			if prev, dup := seen[name]; dup && name != "" {
 				t.Errorf("%q names both counter %d and counter %d", name, prev, k)
 			}
 			seen[name] = k
+		}
+		first, shared := families[d.Family]
+		if !shared {
+			families[d.Family] = k
+			continue
+		}
+		f := first.Def()
+		if (k-1).Def().Family != d.Family || d.Labels.Name == "" || d.Labels.Name != f.Labels.Name ||
+			d.Kind != f.Kind || d.Unit != f.Unit || d.Help != f.Help {
+			t.Errorf("%s: shares family %s with counter %d but is not its next labelled sample", d.JSON, d.Family, first)
 		}
 	}
 }

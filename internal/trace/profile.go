@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -114,7 +113,7 @@ func (p *Profile) SelfSum() time.Duration {
 //
 //	query: 18.3ms total, 2 workers
 //	└─ sort  0.1ms (0.6%)  rows=4
-//	   └─ agg  7.7ms (42.1%)  rows=4 in=60175 spilled=1.2MB written=0.4MB [lz4-1:12 none:3]
+//	   └─ agg  7.7ms (42.1%)  rows=4 in=60175 spilled=1.2MB written=0.4MB raw=3 lz4-a8=12
 //	      └─ scan lineitem  10.4ms (56.8%)  rows=60175
 func FormatProfile(p *Profile) string {
 	if p == nil {
@@ -171,21 +170,6 @@ func formatNode(sb *strings.Builder, n *ProfileNode, indent string, total time.D
 		default:
 			fmt.Fprintf(sb, " %s=%d", d.Label, v)
 		}
-	}
-	if len(n.Schemes) > 0 {
-		names := make([]string, 0, len(n.Schemes))
-		for k := range n.Schemes {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		sb.WriteString(" [")
-		for i, k := range names {
-			if i > 0 {
-				sb.WriteString(" ")
-			}
-			fmt.Fprintf(sb, "%s:%d", k, n.Schemes[k])
-		}
-		sb.WriteString("]")
 	}
 	sb.WriteByte('\n')
 	for _, c := range n.Children {

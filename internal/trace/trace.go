@@ -50,11 +50,10 @@ type Span struct {
 	batchesOut atomic.Int64
 
 	// counters holds everything else the operator reported (see
-	// metrics.Counter): materialization and spill volume, readback and scan
-	// stalls, integrity work, regulator activity.
+	// metrics.Counter): materialization and spill volume, spilled pages per
+	// compression scheme, readback and scan stalls, integrity work,
+	// regulator activity.
 	counters metrics.Counters
-
-	schemes metrics.LabelCounts // spilled pages per compression scheme
 }
 
 // Tracer collects the spans of one query execution. Create one per traced
@@ -191,13 +190,6 @@ func (s *Span) Merge(c *metrics.Snapshot) {
 	s.counters.Merge(c)
 }
 
-// AddSchemes merges a spilled-pages-per-scheme histogram into the span.
-func (s *Span) AddSchemes(h map[string]int64) {
-	if s != nil {
-		s.schemes.Merge(h)
-	}
-}
-
 // SpanSnapshot is a plain-struct copy of a span's state, safe to serialize
 // (the live Span holds atomics and a mutex).
 type SpanSnapshot struct {
@@ -214,8 +206,7 @@ type SpanSnapshot struct {
 	BatchesOut int64 `json:"batches_out"`
 
 	// Spilled reports whether the operator wrote anything to the spill array.
-	Spilled bool             `json:"spilled,omitempty"`
-	Schemes map[string]int64 `json:"schemes,omitempty"`
+	Spilled bool `json:"spilled,omitempty"`
 
 	// Snapshot holds the operator's reported counters; MarshalJSON flattens
 	// the non-zero ones into the span object under their table keys.
@@ -241,7 +232,6 @@ func (s *Span) Snapshot() SpanSnapshot {
 		Busy:       time.Duration(s.busyNs.Load()),
 		RowsOut:    s.rowsOut.Load(),
 		BatchesOut: s.batchesOut.Load(),
-		Schemes:    s.schemes.Load(),
 		Snapshot:   s.counters.Load(),
 	}
 	snap.Spilled = snap.Snapshot[metrics.SpilledBytes] > 0

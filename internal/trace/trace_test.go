@@ -20,8 +20,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	sp.AddBusy(time.Millisecond)
 	sp.AddRows(10, 1)
-	sp.Merge(&metrics.Snapshot{metrics.TuplesStored: 5, metrics.SpilledBytes: 1, metrics.Partitioned: 1})
-	sp.AddSchemes(map[string]int64{"lz4": 1})
+	sp.Merge(&metrics.Snapshot{metrics.TuplesStored: 5, metrics.SpilledBytes: 1, metrics.Partitioned: 1, metrics.SpilledPages: 1})
 	tr.EndScope(sp)
 	if tr.Spans() != nil || tr.Snapshots() != nil || tr.Profile(time.Second) != nil {
 		t.Fatal("nil tracer must return nil collections")
@@ -142,12 +141,13 @@ func TestFormatProfile(t *testing.T) {
 		metrics.SpillChecksumErrors: 2,
 		metrics.RegLevelChanges:     3,
 		metrics.RegMaxLevel:         2,
+		metrics.SpilledPages:        3,
+		metrics.SpilledPages + 1:    12,
 	})
-	root.AddSchemes(map[string]int64{"lz4-fastest": 12, "raw": 3})
 
 	out := FormatProfile(tr.Profile(100 * time.Millisecond))
 	want := `query: 100.0ms total, 1 workers
-└─ agg group=l_returnflag  100.0ms (100.0%)  rows=4 in=60175 partitioned spilled=2.0MB written=1.0MB spill-read=2.0MB stall=3.0ms retries=1 csum-errors=2 reg-changes=3 reg-max-level=2 [lz4-fastest:12 raw:3]
+└─ agg group=l_returnflag  100.0ms (100.0%)  rows=4 in=60175 partitioned spilled=2.0MB written=1.0MB spill-read=2.0MB stall=3.0ms retries=1 csum-errors=2 reg-changes=3 reg-max-level=2 raw=3 lz4-a8=12
    └─ scan lineitem  30.0ms (30.0%)  rows=60175
 `
 	if out != want {
@@ -172,16 +172,15 @@ func TestSpanConcurrentCounters(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				sp.AddRows(1, 1)
 				sp.AddBusy(time.Microsecond)
-				sp.AddSchemes(map[string]int64{"lz4": 1})
-				sp.Merge(&metrics.Snapshot{metrics.RegLevelChanges: 1, metrics.RegMaxLevel: int64(i % 8)})
+				sp.Merge(&metrics.Snapshot{metrics.RegLevelChanges: 1, metrics.RegMaxLevel: int64(i % 8), metrics.SpilledPages + 3: 1})
 				_ = sp.Snapshot()
 			}
 		}()
 	}
 	wg.Wait()
 	snap := sp.Snapshot()
-	if snap.RowsOut != 4000 || snap.Schemes["lz4"] != 4000 {
-		t.Fatalf("lost updates: rows=%d schemes=%v", snap.RowsOut, snap.Schemes)
+	if lz4 := snap.Snapshot[metrics.SpilledPages+3]; snap.RowsOut != 4000 || lz4 != 4000 {
+		t.Fatalf("lost updates: rows=%d lz4 pages=%d", snap.RowsOut, lz4)
 	}
 	if got := snap.Snapshot[metrics.RegMaxLevel]; got != 7 {
 		t.Fatalf("reg max level = %d, want 7", got)
@@ -199,8 +198,7 @@ func TestSpanSnapshotJSON(t *testing.T) {
 	sp := tr.Start("agg", "g")
 	tr.EndScope(sp)
 	sp.AddRows(4, 1)
-	sp.Merge(&metrics.Snapshot{metrics.SpilledBytes: 4096, metrics.Partitioned: 1, metrics.SpillStallNanos: 7})
-	sp.AddSchemes(map[string]int64{"lz4": 2})
+	sp.Merge(&metrics.Snapshot{metrics.SpilledBytes: 4096, metrics.Partitioned: 1, metrics.SpillStallNanos: 7, metrics.SpilledPages + 3: 2})
 	b, err := json.Marshal(tr.Snapshots())
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +211,7 @@ func TestSpanSnapshotJSON(t *testing.T) {
 		"id": 0.0, "parent": -1.0, "op": "agg", "label": "g",
 		"rows_out": 4.0, "batches_out": 1.0,
 		"spilled": true, "partitioned": true,
-		"spilled_bytes": 4096.0, "spill_stall_ns": 7.0,
+		"spilled_bytes": 4096.0, "spill_stall_ns": 7.0, "spilled_pages_lz4": 2.0,
 	}
 	for k, v := range want {
 		if got[0][k] != v {
@@ -222,8 +220,5 @@ func TestSpanSnapshotJSON(t *testing.T) {
 	}
 	if _, ok := got[0]["written_bytes"]; ok {
 		t.Errorf("zero counter written_bytes was not omitted:\n%s", b)
-	}
-	if s, _ := got[0]["schemes"].(map[string]any); s["lz4"] != 2.0 {
-		t.Errorf("schemes = %v, want lz4:2", got[0]["schemes"])
 	}
 }

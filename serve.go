@@ -123,7 +123,8 @@ func (s *scrape) families() []obsrv.Family {
 		scalar("spilly_queries_in_flight", "gauge", "Queries currently executing.", s.active),
 	}
 
-	// Every counter of the table, summed (or maxed) over executed queries.
+	// Every counter of the table, summed (or maxed) over executed queries;
+	// consecutive rows of one family are its labelled samples.
 	for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
 		d, typ, v := k.Def(), "counter", float64(s.totals[k])
 		if d.Kind == metrics.Max {
@@ -132,7 +133,12 @@ func (s *scrape) families() []obsrv.Family {
 		if d.Unit == metrics.Nanos {
 			v /= 1e9 // exported in seconds
 		}
-		fams = append(fams, scalar(d.Family, typ, d.Help, v))
+		if last := len(fams) - 1; fams[last].Name == d.Family {
+			fams[last].Samples = append(fams[last].Samples, obsrv.Sample{Labels: d.Labels.String(), Value: v})
+			continue
+		}
+		fams = append(fams, obsrv.Family{Name: d.Family, Type: typ, Help: d.Help,
+			Samples: []obsrv.Sample{{Labels: d.Labels.String(), Value: v}}})
 	}
 
 	fams = append(fams,

@@ -536,7 +536,8 @@ type Stats struct {
 	// of this query's execution, making the per-query AllocObjects /
 	// AllocBytes / GCPause / NumGC attributions approximate.
 	AllocApprox bool
-	// Schemes counts spilled pages per compression scheme name (§6.8).
+	// Schemes counts spilled pages per compression scheme name (§6.8): the
+	// counter table's non-zero scheme rows, nil when nothing spilled.
 	Schemes map[string]int64
 }
 
@@ -715,7 +716,6 @@ func (e *Engine) runAdmitted(ctx *exec.Ctx, label string, build func() (exec.Nod
 	// already running when we registered, or one registered after us (its
 	// id is past ours) while we ran.
 	st.AllocApprox = q.concurrentAtStart || e.queryID.Load() > q.id
-	st.Schemes = ctx.Stats.Schemes.Load()
 	e.faults.QueryCompleted()
 	res := &Result{Batch: out, Stats: st}
 	if ctx.Trace != nil {
@@ -761,6 +761,15 @@ func statsFrom(n *metrics.Snapshot, dur time.Duration) Stats {
 		AllocBytes:           n[metrics.AllocBytes],
 		GCPause:              time.Duration(n[metrics.GCPauseNanos]),
 		NumGC:                n[metrics.GCCycles],
+	}
+	for k := metrics.SpilledPages; k < metrics.NumCounters; k++ {
+		if n[k] == 0 {
+			continue
+		}
+		if st.Schemes == nil {
+			st.Schemes = make(map[string]int64, metrics.NumSchemes)
+		}
+		st.Schemes[k.Def().Labels.Value] = n[k]
 	}
 	if dur > 0 {
 		st.TuplesPerSec = float64(st.ScannedRows) / dur.Seconds()
