@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,12 +137,6 @@ func (c *Config) withDefaults() Config {
 	if out.PartitionAt == 0 {
 		out.PartitionAt = DefaultPartitionAt
 	}
-	if out.Spill != nil {
-		// The operator keeps the spill config it started with: the query
-		// context clears its own Lease field at Close.
-		s := *out.Spill
-		out.Spill = &s
-	}
 	return out
 }
 
@@ -155,11 +150,11 @@ type Shared struct {
 	mask        SpillMask
 	runs        atomic.Int64 // sorted runs numbered so far (newRun)
 
-	mu       sync.Mutex
-	bufs     []*Buffer // every buffer NewBuffer made, for Release
-	result   Result
-	merged   int
-	firstErr error
+	mu        sync.Mutex
+	bufs      []*Buffer // every buffer NewBuffer made, for Release
+	result    Result
+	collected bool // the finished buffers' pages are in result (collectLocked)
+	firstErr  error
 }
 
 // NewShared returns the shared state for one operator.
@@ -193,6 +188,22 @@ func (s *Shared) Mask() *SpillMask { return &s.mask }
 // switch at their next page allocation.
 func (s *Shared) triggerPartitioning() { s.partitionOn.Store(true) }
 
+// Partition switches the operator to partitioned materialization in
+// ModeAdaptive, whatever the budget says: this thread at once, the others at
+// their next page. An operator calls it when it learns that its input is
+// large — the aggregation when a worker's pre-aggregation table overflows —
+// so that its phase 2 can take the input a partition at a time, each
+// partition touching its own shards of the global table (§5.3 locality).
+// The other modes ignore it: ModeNeverPartition stays the non-partitioning
+// reference, and the partitioning modes partition from the start.
+func (b *Buffer) Partition() {
+	if b.s.cfg.Mode != ModeAdaptive {
+		return
+	}
+	b.s.triggerPartitioning()
+	b.enablePartitioning()
+}
+
 // shouldPartition is the adaptive heuristic: Spilly triggers partitioning
 // once the operator's allocated memory exceeds PartitionAt × budget (§5.3).
 func (s *Shared) shouldPartition() bool {
@@ -212,9 +223,11 @@ type Buffer struct {
 
 	output []*pages.Page // active page per partition index (hash >> shift)
 
-	perPart   [][]*pages.Page // finalized in-memory pages per partition, once partitioned
-	unpart    []*pages.Page   // finalized unpartitioned pages
-	partBytes []int64         // local in-memory bytes per partition, once partitioned
+	// kept holds the retired in-memory pages, unpartitioned and partitioned
+	// alike, in retirement order; the operator's Result buckets them by Part
+	// once, when it collects them.
+	kept      []*pages.Page
+	partBytes []int64 // local in-memory bytes per partition, once partitioned
 
 	pool   *pages.Pool
 	writer *spillWriter // built at the first spill (spill)
@@ -382,7 +395,7 @@ func (b *Buffer) Pool() *pages.Pool { return b.pool }
 // Keep hands pages taken from Pool, and still read after Finish, to the
 // Result: they come back in Result.Unpartitioned, Result.Recycle recycles
 // them and ReleaseMemory returns their charge, as for the buffer's own pages.
-func (b *Buffer) Keep(pgs []*pages.Page) { b.unpart = append(b.unpart, pgs...) }
+func (b *Buffer) Keep(pgs []*pages.Page) { b.kept = append(b.kept, pgs...) }
 
 // observeFill feeds the regulator the operator time spent filling p. The
 // interval runs from the END of the previous allocation to now, so that time
@@ -409,16 +422,14 @@ func (b *Buffer) retire(p *pages.Page) {
 		b.pool.Put(p)
 		return
 	}
-	if p.Part == pages.PartUnpartitioned {
-		b.unpart = append(b.unpart, p)
-		return
+	if p.Part != pages.PartUnpartitioned {
+		if b.s.cfg.Spill != nil && b.s.mask.IsSpilled(p.Part) {
+			b.spill().spillPage(p)
+			return
+		}
+		b.partBytes[p.Part] += int64(p.UsedBytes())
 	}
-	if b.s.cfg.Spill != nil && b.s.mask.IsSpilled(p.Part) {
-		b.spill().spillPage(p)
-		return
-	}
-	b.perPart[p.Part] = append(b.perPart[p.Part], p)
-	b.partBytes[p.Part] += int64(p.UsedBytes())
+	b.kept = append(b.kept, p)
 }
 
 // enablePartitioning switches this thread to partitioned materialization.
@@ -429,15 +440,18 @@ func (b *Buffer) enablePartitioning() {
 		return
 	}
 	if p := b.output[0]; p != nil && p.Tuples() > 0 {
-		b.unpart = append(b.unpart, p)
+		b.kept = append(b.kept, p)
 	} else if p != nil {
 		b.pool.Put(p)
 	}
 	b.parts = b.s.cfg.Partitions
 	b.shift = b.s.partShift
 	b.output = make([]*pages.Page, b.parts)
-	b.perPart = make([][]*pages.Page, b.parts)
 	b.partBytes = make([]int64, b.parts)
+	// Every partition's open page retires at Finish, and a partition fills
+	// some before: room for two pages each grows the list once, not log-many
+	// times.
+	b.kept = slices.Grow(b.kept, 2*b.parts)
 }
 
 // makeRoom frees page memory when the budget is exhausted: reap finished
@@ -504,11 +518,17 @@ func (b *Buffer) makeRoom() {
 // evictPartition spills every local retired in-memory page of partition
 // part (none before this buffer partitions).
 func (b *Buffer) evictPartition(part int) {
-	if part < len(b.perPart) {
-		for _, p := range b.perPart[part] {
-			b.writer.spillPage(p)
+	if part < len(b.partBytes) && b.partBytes[part] > 0 {
+		kept := b.kept[:0]
+		for _, p := range b.kept {
+			if p.Part == part {
+				b.writer.spillPage(p)
+			} else {
+				kept = append(kept, p)
+			}
 		}
-		b.perPart[part] = nil
+		clear(b.kept[len(kept):])
+		b.kept = kept
 		b.partBytes[part] = 0
 	}
 	b.writer.pump()
@@ -535,7 +555,7 @@ func (b *Buffer) evictAllActive() {
 
 // evictLocal spills every local partitioned page (spill-all mode).
 func (b *Buffer) evictLocal() {
-	for part := range b.perPart {
+	for part := range b.partBytes {
 		b.evictPartition(part)
 	}
 }
@@ -604,8 +624,8 @@ func (b *Buffer) runPage(full *pages.Page, run int) *pages.Page {
 
 // Finish completes this thread's materialization phase: retires active
 // pages, flushes spill staging, waits for outstanding writes, and merges
-// local state into the shared Result. Call exactly once per buffer, after
-// the last StoreTuple.
+// local state into the shared Result; its in-memory pages join the Result at
+// Finalize. Call exactly once per buffer, after the last StoreTuple.
 func (b *Buffer) Finish() error {
 	if b.finished {
 		return nil
@@ -632,10 +652,6 @@ func (b *Buffer) Finish() error {
 	}
 	r := &s.result
 	r.Counters[metrics.TuplesStored] += b.tuples
-	r.Unpartitioned = append(r.Unpartitioned, b.unpart...)
-	for part, pgs := range b.perPart {
-		r.InMemory[part] = append(r.InMemory[part], pgs...)
-	}
 	if b.writer != nil {
 		if n := len(b.writer.slots); n > len(r.Spilled) {
 			r.Spilled = append(r.Spilled, make([][]SpilledSlot, n-len(r.Spilled))...)
@@ -653,8 +669,52 @@ func (b *Buffer) Finish() error {
 			metrics.RegMaxLevel:     int64(b.reg.MaxLevel()),
 		})
 	}
-	s.merged++
 	return err
+}
+
+// collectLocked moves the finished buffers' in-memory pages into the result,
+// once: one array of them, the unpartitioned pages first and then each
+// partition's, which Unpartitioned and InMemory slice, each list in buffer
+// order and within a buffer in retirement order.
+func (s *Shared) collectLocked() {
+	if s.collected {
+		return
+	}
+	s.collected = true
+	// at[p+2] counts partition p's pages, at[1] the unpartitioned ones; summed
+	// up, at[p+1] is where partition p's pages start, at[0] = 0 where the
+	// unpartitioned ones do.
+	var at [MaxPartitions + 2]int
+	for _, b := range s.bufs {
+		if b.finished {
+			for _, p := range b.kept {
+				at[p.Part+2]++
+			}
+		}
+	}
+	for i := 2; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	n := at[len(at)-1]
+	if n == 0 {
+		return
+	}
+	all := make([]*pages.Page, n)
+	ends := at
+	for _, b := range s.bufs {
+		if b.finished {
+			for _, p := range b.kept {
+				all[ends[p.Part+1]] = p
+				ends[p.Part+1]++
+			}
+			b.kept = nil
+		}
+	}
+	r := &s.result
+	r.Unpartitioned = all[:at[1]:at[1]]
+	for part := range r.InMemory {
+		r.InMemory[part] = all[at[part+1]:at[part+2]:at[part+2]]
+	}
 }
 
 // Release gives back what the operator holds once its workers have stopped:
@@ -665,6 +725,7 @@ func (b *Buffer) Finish() error {
 // canceled query leaves no budget charged either. Idempotent.
 func (s *Shared) Release() {
 	s.mu.Lock()
+	s.collectLocked()
 	bufs := s.bufs
 	s.bufs = nil
 	s.mu.Unlock()
@@ -725,8 +786,8 @@ type Result struct {
 // stays until ReleaseMemory at query end, as if they were still held: which
 // operators of a query spill does not depend on when an earlier one
 // finished. Idempotent and safe for concurrent use. Afterwards the pages are
-// gone: a tuple view that still aliases one reads whatever the buffer's next
-// owner wrote there.
+// gone, and the result lists none: a tuple view that still aliases one reads
+// whatever the buffer's next owner wrote there.
 func (r *Result) Recycle() {
 	if r == nil {
 		return
@@ -751,6 +812,10 @@ func (r *Result) recycleLocked() {
 	for _, pgs := range r.InMemory {
 		recycle(pgs)
 	}
+	// The Page structs are recycled too, and may already be another
+	// operator's.
+	r.Unpartitioned = nil
+	clear(r.InMemory)
 }
 
 // ReleaseMemory returns the budget reservation of the result's in-memory
@@ -789,6 +854,7 @@ func (r *Result) addReader(s *PartitionScheduler) {
 func (s *Shared) Finalize() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.collectLocked()
 	s.result.Mask = s.mask.Load()
 	if s.result.Mask != 0 || len(s.result.Spilled) > s.result.Partitions {
 		s.result.Counters[metrics.SpilledOps] = 1

@@ -165,10 +165,7 @@ func TestSpillCancellationReclaimsBuffers(t *testing.T) {
 			live++
 		}
 	}
-	for _, pp := range b.perPart {
-		live += len(pp)
-	}
-	live += len(b.unpart)
+	live += len(b.kept)
 	// Finish retires clean free-list pages via Pool.Close (crediting the
 	// budget), so conservation is free + live + closed == created.
 	if got := b.pool.FreePages() + live + b.pool.Closed(); got != b.pool.Created() {

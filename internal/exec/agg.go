@@ -175,22 +175,32 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 	sp := ctx.Trace.Start("agg", label)
 	defer ctx.Trace.EndScope(sp)
 	pc := ctx.phaseStart()
-	in, err := a.Child.Run(ctx)
+	res, distinct, err := a.materialize(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
-	inSchema := a.Child.Schema()
-	keyCols := indicesOf(inSchema, a.GroupBy)
+	ctx.spanPhase(sp, pc)
+	return a.mergePhase(ctx, sp, res, distinct)
+}
+
+// materialize runs phase 1: it consumes the input with local
+// pre-aggregation, materializing partial aggregate tuples through Umami, and
+// returns their Result and its estimate of the number of groups.
+func (a *Agg) materialize(ctx *Ctx, sp *trace.Span) (*core.Result, int64, error) {
+	in, err := a.Child.Run(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	keyCols := indicesOf(a.Child.Schema(), a.GroupBy)
 
 	cfg := ctx.coreConfig()
 	shared := ctx.newShared(cfg)
 	workers := ctx.workers()
 
-	// Phase 1: consume input with local pre-aggregation, materializing
-	// partial aggregate tuples through Umami. Each worker sketches the key
-	// hashes it materializes, so phase 2 sizes its tables from the distinct
-	// group count (§4.4) — the tuple count only bounds it from above, and
-	// overshoots by the factor pre-aggregation failed to merge.
+	// Each worker sketches the key hashes it materializes, so phase 2 sizes
+	// its tables from the distinct group count (§4.4) — the tuple count only
+	// bounds it from above, and overshoots by the factor pre-aggregation
+	// failed to merge.
 	sketches := make([]hll.Sketch, workers)
 	err = drainWorkers(ctx, "agg", in, func(w int) (func(*data.Batch) error, func() error) {
 		aw := newAggWorker(a, keyCols, shared.NewBuffer(), &sketches[w], !ctx.Grace)
@@ -207,18 +217,16 @@ func (a *Agg) Run(ctx *Ctx) (*Stream, error) {
 		return consume, finish
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res, err := ctx.finalize(sp, shared)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	ctx.spanPhase(sp, pc)
-
 	for w := 1; w < workers; w++ {
 		sketches[0].Merge(&sketches[w])
 	}
-	return a.mergePhase(ctx, sp, res, int64(sketches[0].Estimate()))
+	return res, int64(sketches[0].Estimate()), nil
 }
 
 // aggWorker is one worker's phase-1 state. Its arrays outlive the query: a
@@ -338,6 +346,11 @@ func zeroed[T any](s []T, n int) []T {
 // that prefix is folded a state column at a time; then the table is flushed
 // and the rest resolved. With it off, the rest of the batch is materialized
 // as it stands.
+//
+// A table that overflows turns Umami's partitioning on before its flush: the
+// aggregation has more groups than a worker's table holds, so phase 2 merges
+// it a partition at a time (mergePhase). The bypass needs no call of its own:
+// it follows at least four overflows.
 func (aw *aggWorker) consume(b *data.Batch) {
 	aw.hashes = data.HashColumns(b, b.Sel, aw.keyCols, aw.hashes[:0])
 	sel := b.Sel
@@ -358,6 +371,7 @@ func (aw *aggWorker) consume(b *data.Batch) {
 		aw.rows += int64(j - i)
 		switch {
 		case j < end:
+			aw.buf.Partition()
 			aw.flushAll()
 		// Cardinality adaptivity: when almost every row of the probe window
 		// opened a new group, pre-aggregation buys nothing — bypass it
@@ -638,10 +652,23 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 	shiftP := uint(64 - log2(uint64(res.Partitions)))
 	shiftS := uint(64 - log2(aggShards))
 
-	memPages := res.MemPages()
+	// The work units: each unpartitioned page on its own, then each
+	// partition's pages together, so that one worker merges a partition into
+	// its shards while their tables stay in its cache (§5.3 locality).
+	units := make([][]*pages.Page, 0, len(res.Unpartitioned)+len(res.InMemory))
+	for i := range res.Unpartitioned {
+		units = append(units, res.Unpartitioned[i:i+1])
+	}
+	for _, pgs := range res.InMemory {
+		if len(pgs) > 0 {
+			units = append(units, pgs)
+		}
+	}
 	var tuples int64
-	for _, pg := range memPages {
-		tuples += int64(pg.Tuples())
+	for _, u := range units {
+		for _, pg := range u {
+			tuples += int64(pg.Tuples())
+		}
 	}
 	// The global shards take the groups of the tuples that stayed in
 	// memory; an eighth over the even share covers the sketch's error and
@@ -662,9 +689,12 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 
 	var cursor atomic.Int64
 	err := runWorkers("agg-merge", workers, func(w int) error {
-		// One page at a time: hash its tuples once, cluster them by shard with
-		// a counting sort, then merge each shard's run under one lock.
-		// Bucket aggShards collects the overflow tuples.
+		// One unit at a time, and one page at a time: hash its tuples once,
+		// cluster them by shard with a counting sort, then merge each shard's
+		// tuples under one lock in runs of at most mergeRunMax. A page whose
+		// tuples share one shard, as a partition's do when partitions are
+		// shards, is merged where it lies. Bucket aggShards collects the
+		// overflow tuples.
 		var starts [aggShards + 3]int32
 		st := getMergeStage()
 		defer st.free()
@@ -678,13 +708,11 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 		// Overflow tuples are copied through an arena: one allocation per
 		// 64 KiB chunk instead of one per tuple.
 		var tupArena data.ByteArena
-		for {
-			pi := int(cursor.Add(1) - 1)
-			if pi >= len(memPages) {
-				break
-			}
-			pg := memPages[pi]
+		merge := func(pg *pages.Page) {
 			n := pg.Tuples()
+			if n == 0 {
+				return
+			}
 			views, hashes := sized(st.page, n), sized(st.pageHs, n)
 			st.page, st.pageHs = views, hashes
 			clear(starts[:])
@@ -693,18 +721,25 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				hashes[i] = a.rc.HashTuple(views[i], a.keyFields)
 				starts[bucket(hashes[i])+2]++
 			}
+			one := bucket(hashes[0])
+			single := int(starts[one+2]) == n
 			for s := 2; s < len(starts); s++ {
 				starts[s] += starts[s-1]
 			}
-			// starts[s+1] is bucket s's write cursor: its start now, its end
-			// after the scatter, which makes starts[s] its start.
-			tuples, hs := sized(st.tuples, n), sized(st.hashes, n)
-			for i, h := range hashes {
-				s := bucket(h) + 1
-				tuples[starts[s]], hs[starts[s]] = views[i], h
-				starts[s]++
+			tuples, hs := views, hashes
+			if single {
+				starts[one+1] = int32(n)
+			} else {
+				// starts[s+1] is bucket s's write cursor: its start now, its
+				// end after the scatter, which makes starts[s] its start.
+				tuples, hs = sized(st.tuples, n), sized(st.hashes, n)
+				for i, h := range hashes {
+					s := bucket(h) + 1
+					tuples[starts[s]], hs[starts[s]] = views[i], h
+					starts[s]++
+				}
+				st.tuples, st.hashes = tuples, hs
 			}
-			st.tuples, st.hashes = tuples, hs
 			for s := range global {
 				lo, hi := starts[s], starts[s+1]
 				if lo == hi {
@@ -712,12 +747,24 @@ func (a *Agg) mergePhase(ctx *Ctx, sp *trace.Span, res *core.Result, distinct in
 				}
 				t := &global[s]
 				t.mu.Lock()
-				t.mergeRun(tuples[lo:hi], hs[lo:hi], st)
+				for ; lo < hi; lo += mergeRunMax {
+					end := min(hi, lo+mergeRunMax)
+					t.mergeRun(tuples[lo:end], hs[lo:end], st)
+				}
 				t.mu.Unlock()
 			}
 			for j := starts[aggShards]; j < starts[aggShards+1]; j++ {
 				part := hs[j] >> shiftP
 				localOv[part] = append(localOv[part], tupArena.Copy(tuples[j]))
+			}
+		}
+		for {
+			ui := int(cursor.Add(1) - 1)
+			if ui >= len(units) {
+				break
+			}
+			for _, pg := range units[ui] {
+				merge(pg)
 			}
 		}
 		ovMu.Lock()

@@ -574,6 +574,61 @@ func TestAggBypassDecision(t *testing.T) {
 	}
 }
 
+// TestAggOverflowPartitions: an aggregation with more groups than a worker's
+// table holds turns partitioning on before its first flush, in ModeAdaptive
+// with no budget: its pages end in Result.InMemory, with at most one
+// unpartitioned page per worker. A Q1-shaped aggregation (three groups)
+// stays unpartitioned, ModeNeverPartition partitions neither, and each gives
+// the same groups in both modes.
+func TestAggOverflowPartitions(t *testing.T) {
+	const workers, rows = 2, 40000
+	for _, tc := range []struct {
+		groupBy string
+		groups  int
+	}{
+		{"okey", rows}, // every row its own group: the tables overflow
+		{"flag", 3},    // Q1's shape: a few groups, pre-aggregated away
+	} {
+		var want []string
+		for _, mode := range []core.Mode{core.ModeNeverPartition, core.ModeAdaptive} {
+			ctx := testCtx(workers)
+			ctx.Mode = mode
+			a := NewAgg(NewScan(ordersTable(rows), "okey", "total", "flag"), []string{tc.groupBy}, []AggSpec{
+				{Func: Sum, Col: "total", As: "s"}, {Func: CountStar, As: "n"},
+				{Func: Min, Col: "flag", As: "f"}, {Func: Max, Col: "total", As: "m"},
+			})
+			res, distinct, err := a.materialize(ctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			partitioned := mode == core.ModeAdaptive && tc.groups > localAggMax
+			inMemory := 0
+			for _, pgs := range res.InMemory {
+				inMemory += len(pgs)
+			}
+			switch {
+			case res.HasSpilled():
+				t.Fatalf("%s, mode %d: spilled without a budget", tc.groupBy, mode)
+			case (res.Counters[metrics.Partitioned] == 1) != partitioned || (inMemory > 0) != partitioned:
+				t.Fatalf("%s, mode %d: partitioned = %d with %d partition pages, want partitioned = %v",
+					tc.groupBy, mode, res.Counters[metrics.Partitioned], inMemory, partitioned)
+			case partitioned && len(res.Unpartitioned) > workers:
+				t.Fatalf("%s: %d unpartitioned pages over %d workers", tc.groupBy, len(res.Unpartitioned), workers)
+			}
+			got := mergeRows(t, ctx, a, res, distinct)
+			ctx.Close()
+			if len(got) != tc.groups {
+				t.Fatalf("%s, mode %d: %d groups, want %d", tc.groupBy, mode, len(got), tc.groups)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			diffRows(t, got, want)
+		}
+	}
+}
+
 // TestAggEmitsBoundedBatches: no output batch exceeds the capacity the batch
 // pool retains, whatever the size of a shard or a spilled partition.
 func TestAggEmitsBoundedBatches(t *testing.T) {
@@ -610,8 +665,10 @@ func TestAggEmitsBoundedBatches(t *testing.T) {
 // aggMergeInput materializes `tuples` partial tuples over `groups` distinct
 // keys, as phase 1 leaves them: two int64 keys and count(*) or, with strKey,
 // an int64 and a string key (a customer name, the shape of Q10's and Q18's
-// keys) with count(*) and a sum.
-func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
+// keys) with count(*) and a sum. With parts 1 the pages are unpartitioned;
+// with more, each partition has pages of its own, as when the aggregation
+// partitioned from the start.
+func aggMergeInput(groups, tuples int, strKey bool, parts int) (*Agg, *core.Result) {
 	schema := data.NewSchema(
 		data.ColumnDef{Name: "k1", Type: data.Int64},
 		data.ColumnDef{Name: "k2", Type: data.Int64},
@@ -632,8 +689,13 @@ func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
 		pb.Cols[c].I, pb.Cols[c].F, pb.Cols[c].S = []int64{1}, []float64{0.5}, []string{""}
 	}
 	pb.SetLen(1)
-	res := &core.Result{Partitions: 1, Counters: metrics.Snapshot{metrics.TuplesStored: int64(tuples)}}
-	pg := pages.New(pages.DefaultPageSize)
+	res := &core.Result{
+		Partitions: parts,
+		InMemory:   make([][]*pages.Page, parts),
+		Counters:   metrics.Snapshot{metrics.TuplesStored: int64(tuples)},
+	}
+	shift := 64 - log2(uint64(parts)) // 64 when unpartitioned: every hash is partition 0
+	open := make([]*pages.Page, parts)
 	for i := 0; i < tuples; i++ {
 		k := i % groups
 		pb.Cols[0].I[0] = int64(k / 7)
@@ -643,26 +705,72 @@ func aggMergeInput(groups, tuples int, strKey bool) (*Agg, *core.Result) {
 			pb.Cols[1].I[0] = int64(k)
 		}
 		tuple := encodeRow(a.rc, pb, 0)
-		if _, ok := pg.Append(tuple); !ok {
-			res.Unpartitioned = append(res.Unpartitioned, pg)
-			pg = pages.New(pages.DefaultPageSize)
-			pg.Append(tuple)
+		part := int(a.rc.HashTuple(tuple, a.keyFields) >> shift)
+		if pg := open[part]; pg == nil || !pg.HasSpace(len(tuple)) {
+			open[part] = pages.New(pages.DefaultPageSize)
+			if parts == 1 {
+				res.Unpartitioned = append(res.Unpartitioned, open[part])
+			} else {
+				open[part].Part = part
+				res.InMemory[part] = append(res.InMemory[part], open[part])
+			}
+		}
+		open[part].Append(tuple)
+	}
+	return a, res
+}
+
+// mergeRows runs phase 2 over res and returns its groups as renderAgg rows.
+func mergeRows(t testing.TB, ctx *Ctx, a *Agg, res *core.Result, distinct int64) []string {
+	t.Helper()
+	s, err := a.mergePhase(ctx, nil, res, distinct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := collect(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderAgg(out)
+}
+
+// TestAggMergeFlatEqualsPartitioned: the global merge gives the same groups
+// over the same partial tuples whether they lie on unpartitioned pages, on
+// 64 partitions' (a partition is a shard: its pages merge without a
+// scatter) or on 16 partitions' (a page scatters into its partition's four
+// shards).
+func TestAggMergeFlatEqualsPartitioned(t *testing.T) {
+	const groups, tuples = 5000, 20000
+	for _, strKey := range []bool{false, true} {
+		var want []string
+		for _, parts := range []int{1, 16, 64} {
+			a, res := aggMergeInput(groups, tuples, strKey, parts)
+			got := mergeRows(t, testCtx(2), a, res, groups)
+			if parts == 1 {
+				want = got
+				if len(want) != groups {
+					t.Fatalf("flat merge: %d groups, want %d", len(want), groups)
+				}
+				continue
+			}
+			diffRows(t, got, want)
 		}
 	}
-	res.Unpartitioned = append(res.Unpartitioned, pg)
-	return a, res
 }
 
 // benchAggMerge times phase 2 alone — the clustered merge of materialized
 // partial tuples into the global group table, and its emission — at two
-// workers, the benchmark's setting.
-func benchAggMerge(b *testing.B, groups int, strKey bool) {
+// workers, the benchmark's setting. The merge recycles its input pages, so
+// every iteration materializes its own, with the timer stopped.
+func benchAggMerge(b *testing.B, groups int, strKey bool, parts int) {
 	const tuples = 600000
-	a, res := aggMergeInput(groups, tuples, strKey)
 	ctx := testCtx(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a, res := aggMergeInput(groups, tuples, strKey, parts)
+		b.StartTimer()
 		s, err := a.mergePhase(ctx, nil, res, int64(groups))
 		if err != nil {
 			b.Fatal(err)
@@ -683,15 +791,20 @@ func benchAggMerge(b *testing.B, groups int, strKey bool) {
 
 // BenchmarkAggMergeHighCard: every tuple opens a group (Q21's distinct
 // aggregations at SF 0.1).
-func BenchmarkAggMergeHighCard(b *testing.B) { benchAggMerge(b, 600000, false) }
+func BenchmarkAggMergeHighCard(b *testing.B) { benchAggMerge(b, 600000, false, 1) }
+
+// BenchmarkAggMergeHighCardPartitioned: HighCard's tuples on 64 partitions'
+// pages, as a high-cardinality aggregation leaves them once its tables
+// overflow; each partition is one shard of the global table.
+func BenchmarkAggMergeHighCardPartitioned(b *testing.B) { benchAggMerge(b, 600000, false, 64) }
 
 // BenchmarkAggMergeLowCard: four groups take every tuple (Q1's shape with
 // pre-aggregation off).
-func BenchmarkAggMergeLowCard(b *testing.B) { benchAggMerge(b, 4, false) }
+func BenchmarkAggMergeLowCard(b *testing.B) { benchAggMerge(b, 4, false, 1) }
 
 // BenchmarkAggMergeStringKey: 150 k groups of four tuples each, keyed by an
 // int64 and a string.
-func BenchmarkAggMergeStringKey(b *testing.B) { benchAggMerge(b, 150000, true) }
+func BenchmarkAggMergeStringKey(b *testing.B) { benchAggMerge(b, 150000, true, 1) }
 
 // BenchmarkAggPreAgg times phase 1 alone in Q1's shape: 600 k rows in 32 Ki-row
 // batches (the table scan's row groups) under a selection vector that drops

@@ -125,7 +125,9 @@ func (c *Ctx) AddCleanup(fn func()) {
 // spill lease, if any, is freed last — after every cleanup (scheduler
 // drains, cursor closes) has quiesced the readers that might still touch
 // the query's extents — so the array reclaims this query's spilled data.
-// The context stays usable for another query (the freed lease is cleared).
+// The context stays usable for another query: it gets a copy of the spill
+// configuration without the freed lease, while the operators built under it
+// keep the one they share.
 func (c *Ctx) Close() {
 	c.cleanupMu.Lock()
 	fns := c.cleanups
@@ -136,7 +138,9 @@ func (c *Ctx) Close() {
 	}
 	if c.Spill != nil && c.Spill.Lease != nil {
 		c.Spill.Lease.Free()
-		c.Spill.Lease = nil
+		spill := *c.Spill
+		spill.Lease = nil
+		c.Spill = &spill
 	}
 }
 
@@ -390,9 +394,14 @@ func Collect(ctx *Ctx, n Node) (*data.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	return collect(ctx, s)
+}
+
+// collect drains s into one batch.
+func collect(ctx *Ctx, s *Stream) (*data.Batch, error) {
 	out := data.NewBatch(s.schema, 1024)
 	var mu sync.Mutex
-	err = Drain(ctx, s, func(w int, b *data.Batch) error {
+	err := Drain(ctx, s, func(w int, b *data.Batch) error {
 		mu.Lock()
 		defer mu.Unlock()
 		for i, n := 0, b.Rows(); i < n; i++ {

@@ -53,27 +53,37 @@ const PartUnpartitioned = -1
 // New returns an empty page of the given size.
 func New(size int) *Page { return newOn(make([]byte, size)) }
 
-// newOn returns an empty page over buf. buf's contents are not read: Reset
-// makes the page empty.
+// pageStructs recycles the Page structs themselves: a partitioned operator
+// takes one per page it fills, as many as it takes buffers.
+var pageStructs FreeList[Page]
+
+// newOn returns an empty page over buf, a recycled Page when there is one.
+// buf's contents are not read: Reset makes the page empty.
 func newOn(buf []byte) *Page {
 	if len(buf) < headerSize {
 		panic(fmt.Sprintf("pages: page size %d is below the %d-byte header", len(buf), headerSize))
 	}
-	p := &Page{buf: buf}
+	p := pageStructs.Get()
+	if p == nil {
+		p = &Page{}
+	}
+	p.buf = buf
 	p.Reset()
 	return p
 }
 
-// Recycle hands the page's buffer back to the recycler once no tuple on it
-// can be read any more. The page is empty and sizeless afterwards; a view
+// Recycle hands the page's buffer, and the page, back to the recycler once no
+// tuple on it can be read any more. The caller must not touch the page
+// afterwards: the next New or Pool.Get may hand it to another owner. A view
 // that still aliases the buffer reads whatever its next owner writes there
-// (poison, in race-detector builds). Recycling a page twice is a no-op.
+// (poison, in race-detector builds).
 func (p *Page) Recycle() {
 	if p.buf == nil {
 		return
 	}
 	PutBuf(p.buf)
 	p.buf, p.dataEnd, p.slotStart, p.tuples = nil, 0, 0, 0
+	pageStructs.Put(p)
 }
 
 // Reset clears the page for reuse, keeping its buffer.
